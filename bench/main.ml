@@ -185,8 +185,12 @@ let run_profile () =
         "determinism: the profile host section is explicitly wall-clock \
          and machine-dependent; it prints to stderr only"])
     in
-    let n = Drust_sim.Engine.dispatched (Cluster.engine cluster) in
-    Printf.eprintf "  %-18s %9d events in %6.3f s = %.3g events/s\n" label n dt
+    let engine = Cluster.engine cluster in
+    let n = Drust_sim.Engine.dispatched engine in
+    Printf.eprintf "  %-18s %9d events (%d suspends) in %6.3f s = %.3g events/s\n"
+      label n
+      (Drust_sim.Engine.suspends engine)
+      dt
       (float_of_int n /. dt);
     (n, dt)
   in

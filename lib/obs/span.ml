@@ -38,7 +38,10 @@ type dur_stats = {
 
 type t = {
   clock : unit -> float;
-  ring : event option array;
+  capacity : int;
+  mutable ring : event option array;
+      (* allocated by the first [enable]: a tracer that is never
+         switched on costs no ring *)
   mutable next : int;
   mutable total : int;
   mutable enabled : bool;
@@ -52,7 +55,8 @@ let create ?(capacity = 65536) ~clock () =
   if capacity <= 0 then invalid_arg "Span.create: capacity must be positive";
   {
     clock;
-    ring = Array.make capacity None;
+    capacity;
+    ring = [||];
     next = 0;
     total = 0;
     enabled = false;
@@ -62,7 +66,9 @@ let create ?(capacity = 65536) ~clock () =
     stats = Hashtbl.create 16;
   }
 
-let enable t = t.enabled <- true
+let enable t =
+  if Array.length t.ring = 0 then t.ring <- Array.make t.capacity None;
+  t.enabled <- true
 let disable t = t.enabled <- false
 let is_enabled t = t.enabled
 

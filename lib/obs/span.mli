@@ -54,7 +54,8 @@ type span
 
 val create : ?capacity:int -> clock:(unit -> float) -> unit -> t
 (** Default capacity: 65536 events; older events are overwritten.
-    The tracer starts {e disabled}. *)
+    The tracer starts {e disabled}; the ring is allocated by the first
+    {!enable}. *)
 
 val enable : t -> unit
 val disable : t -> unit

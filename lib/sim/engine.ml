@@ -3,11 +3,23 @@ open Effect.Deep
 type t = {
   events : (unit -> unit) Drust_util.Pqueue.t;
   mutable clock : float;
+  mutable wake_at : float; (* target time of the [Sleep] being performed *)
   mutable live : int;
   mutable failures : exn list;
   mutable dispatched : int;
       (* logical events run: one per queue pop, plus every callback a
          batched delivery ran without its own queue entry *)
+  mutable suspends : int;
+}
+
+(* A process's timer slot, made once per process and reused by every
+   [delay] and [yield] it performs: while the process sleeps, [parked]
+   holds its continuation and [wake] is the queue callback that resumes
+   it. *)
+type sleeper = {
+  mutable parked : (unit, unit) continuation;
+  mutable requeued : bool;
+  wake : unit -> unit;
 }
 
 type process_state = Running | Finished | Failed of exn
@@ -17,7 +29,9 @@ type process_handle = {
   mutable join_waiters : (unit -> unit) list;
 }
 
-type _ Effect.t += Suspend : (('a -> unit) -> unit) -> 'a Effect.t
+type _ Effect.t +=
+  | Suspend : (('a -> unit) -> unit) -> 'a Effect.t
+  | Sleep : unit Effect.t (* wake at [wake_at] *)
 
 exception Process_failure of exn
 
@@ -27,17 +41,26 @@ let () =
         Some ("Engine.Process_failure(" ^ Printexc.to_string inner ^ ")")
     | _ -> None)
 
+let no_continuation : (unit, unit) continuation =
+  (Obj.magic ()
+  [@dlint.allow
+    "determinism: empty-slot sentinel for a sleeper's parked continuation; \
+     a sleeper's wake callback is queued only after a real one is parked"])
+
 let create () =
   {
     events = Drust_util.Pqueue.create ();
     clock = 0.0;
+    wake_at = 0.0;
     live = 0;
     failures = [];
     dispatched = 0;
+    suspends = 0;
   }
 
 let now t = t.clock
 let dispatched t = t.dispatched
+let suspends t = t.suspends
 
 (* Total pushes ever made to the event queue.  Two pushes with no other
    push in between are adjacent in the dispatch order at their
@@ -60,6 +83,27 @@ let schedule_after t dt f = schedule t ~at:(t.clock +. dt) f
 
 let suspend register = Effect.perform (Suspend register)
 
+(* A sleeper's wake event.  The process must resume where [suspend]'s
+   resumer would put it: a timer event queueing the continuation at the
+   back of its instant.  When nothing else is due at this instant, that
+   second entry would be the next pop, so the continuation runs right
+   here, in one queue hop.  Otherwise the sleeper re-queues itself once,
+   into exactly the slot the second entry would have taken. *)
+let wake t s () =
+  if (not s.requeued) && Drust_util.Pqueue.has_due t.events then begin
+    s.requeued <- true;
+    Drust_util.Pqueue.push t.events ~time:t.clock s.wake
+  end
+  else begin
+    (* The resumption counts as its own logical event, like the
+       trampolined resumption of [suspend]. *)
+    if not s.requeued then t.dispatched <- t.dispatched + 1;
+    s.requeued <- false;
+    let k = s.parked in
+    s.parked <- no_continuation;
+    continue k ()
+  end
+
 let finish_handle t handle state =
   handle.state <- state;
   let waiters = handle.join_waiters in
@@ -68,9 +112,24 @@ let finish_handle t handle state =
 
 (* Run a process body under the engine's deep effect handler.  A [Suspend]
    effect hands the one-shot resumer to the registration function; resuming
-   trampolines through the event queue so process steps never nest. *)
+   trampolines through the event queue so process steps never nest.
+   [Sleep] parks the continuation in the process's sleeper instead. *)
 let run_fiber t handle body =
   t.live <- t.live + 1;
+  let rec sleeper =
+    {
+      parked = no_continuation;
+      requeued = false;
+      wake = (fun () -> wake t sleeper ());
+    }
+  in
+  let park_sleep =
+    Some
+      (fun k ->
+        t.suspends <- t.suspends + 1;
+        sleeper.parked <- k;
+        Drust_util.Pqueue.push t.events ~time:t.wake_at sleeper.wake)
+  in
   let handler : (unit, unit) handler =
     {
       retc =
@@ -83,11 +142,14 @@ let run_fiber t handle body =
           t.failures <- e :: t.failures;
           finish_handle t handle (Failed e));
       effc =
-        (fun (type a) (eff : a Effect.t) ->
+        (fun (type a) (eff : a Effect.t) :
+             ((a, unit) continuation -> unit) option ->
           match eff with
+          | Sleep -> park_sleep
           | Suspend register ->
               Some
                 (fun (k : (a, unit) continuation) ->
+                  t.suspends <- t.suspends + 1;
                   let resumed = ref false in
                   let resume v =
                     if !resumed then
@@ -118,9 +180,10 @@ let start_process t body =
 
 let delay t dt =
   if dt < 0.0 then invalid_arg "Engine.delay: negative delay";
-  suspend (fun resume -> schedule t ~at:(t.clock +. dt) (fun () -> resume ()))
+  t.wake_at <- t.clock +. dt;
+  Effect.perform Sleep
 
-let yield t = suspend (fun resume -> schedule t ~at:t.clock (fun () -> resume ()))
+let yield t = delay t 0.0
 
 let join _t handle =
   (match handle.state with

@@ -43,7 +43,13 @@ val start_process : t -> (unit -> unit) -> unit
 (** {1 Blocking primitives — only valid inside a process} *)
 
 val delay : t -> float -> unit
-(** [delay t dt] suspends the calling process for [dt] simulated seconds. *)
+(** [delay t dt] suspends the calling process for [dt] simulated seconds.
+    The wakeup is one queue entry and allocates only the runtime's
+    continuation and the boxed wake time: the process parks in a timer
+    slot it reuses for every delay.  It resumes in the dispatch position of a timer
+    event at [now + dt] that queues the continuation at the back of
+    that instant — which is where it runs directly when nothing else is
+    due then, and where it re-queues itself once otherwise. *)
 
 val suspend : (('a -> unit) -> unit) -> 'a
 (** [suspend register] parks the calling process.  [register] receives a
@@ -58,7 +64,8 @@ val join : t -> process_handle -> unit
 
 val yield : t -> unit
 (** [yield t] reschedules the caller at the current time, letting other
-    ready processes run first (cooperative multitasking). *)
+    ready processes run first (cooperative multitasking).  It is
+    [delay t 0.0]. *)
 
 (** {1 Driving the simulation} *)
 
@@ -78,13 +85,19 @@ val live_processes : t -> int
 val dispatched : t -> int
 (** Total logical events executed so far: one per event-queue pop, plus
     every callback that ran piggybacked on a coalesced delivery (see
-    {!count_extra_events}).  Purely observational — never feeds back
-    into the simulation. *)
+    {!count_extra_events}).  A {!delay} or {!yield} counts two events, its timer and its resumption, whether the resumption took a
+    queue entry of its own or ran inside the timer's.  Purely
+    observational — never feeds back into the simulation. *)
+
+val suspends : t -> int
+(** Total times a process parked: every {!delay}, {!yield}, blocking
+    {!join} and {!suspend}.  Purely observational. *)
 
 val pushes : t -> int
-(** Total events ever pushed to the queue.  Two pushes with no push in
-    between occupy adjacent sequence slots at their timestamp; the
-    fabric's delivery batching uses this as its interleaving check. *)
+(** Total events ever pushed to the queue: the raw queue entries behind
+    {!dispatched}.  Two pushes with no push in between occupy adjacent
+    sequence slots at their timestamp; the fabric's delivery batching
+    uses this as its interleaving check. *)
 
 val count_extra_events : t -> int -> unit
 (** [count_extra_events t n] accounts [n] logical events that ran inside

@@ -356,8 +356,10 @@ let src_bucket = 3
 let src_heap = 4
 
 (* Remove and return the global (time, seq) minimum; caller ensures
-   [count > 0].  Allocation-free: the popped time is left in
-   [cur_time] for the engine to read. *)
+   [count > 0].  The popped time is left in [cur_time] for the engine
+   to read.  Writing a float field of a mixed record boxes the float,
+   so a pop at the instant already stored skips the write and
+   allocates nothing. *)
 let pop_exn t =
   if t.count = 0 then invalid_arg "Pqueue.pop_exn: empty queue";
   if
@@ -425,7 +427,10 @@ let pop_exn t =
       v
     end
   in
-  t.cur_time <- !best_time;
+  let time = !best_time in
+  (* [=] alone would also equate 0.0 and -0.0. *)
+  if not (time = t.cur_time && Float.sign_bit time = Float.sign_bit t.cur_time)
+  then t.cur_time <- time;
   t.count <- t.count - 1;
   v
 
@@ -456,6 +461,16 @@ let peek_time t =
       best := t.heap.h_time.(0);
     Some !best
   end
+
+let has_due t =
+  let now = t.cur_time in
+  (t.now_len > 0 && t.now_time <= now)
+  || (t.early.h_len > 0 && t.early.h_time.(0) <= now)
+  || (t.cal_count > 0
+     &&
+     let b = advance_cb t in
+     b.b_time.(b.b_off) <= now)
+  || (t.heap.h_len > 0 && t.heap.h_time.(0) <= now)
 
 let clear t =
   t.count <- 0;

@@ -42,4 +42,10 @@ val last_time : 'a t -> float
 val peek_time : 'a t -> float option
 (** [peek_time t] is the time of the next element without removing it. *)
 
+val has_due : 'a t -> bool
+(** [has_due t] is [true] when some element's time is at or before
+    {!last_time}: an element pushed at [last_time t] now would not be
+    the next one popped.  An allocation-free check that {!peek_time} is
+    at most {!last_time}. *)
+
 val clear : 'a t -> unit

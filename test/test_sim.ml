@@ -366,6 +366,148 @@ let test_waitgroup () =
        false
      with Invalid_argument _ -> true)
 
+(* ------------------------------------------------------------------ *)
+(* Timer wakeups *)
+
+(* Reference for the engine's wakeup order: every blocking call parks
+   through a resumer that queues the continuation at the back of the
+   current instant, so a delay is a timer event followed by a second,
+   trampolined queue entry. *)
+module Two_hop = struct
+  open Effect.Deep
+  module Pqueue = Drust_util.Pqueue
+
+  type t = { q : (unit -> unit) Pqueue.t; mutable clock : float }
+  type handle = { mutable finished : bool; mutable waiters : (unit -> unit) list }
+  type _ Effect.t += Park : ((unit -> unit) -> unit) -> unit Effect.t
+
+  let create () = { q = Pqueue.create (); clock = 0.0 }
+  let schedule t ~at f = Pqueue.push t.q ~time:at f
+
+  let spawn t body =
+    let h = { finished = false; waiters = [] } in
+    let retc () =
+      h.finished <- true;
+      List.iter (fun w -> schedule t ~at:t.clock w) (List.rev h.waiters)
+    in
+    let effc (type a) (eff : a Effect.t) : ((a, unit) continuation -> unit) option =
+      match eff with
+      | Park register ->
+          Some
+            (fun k ->
+              register (fun () -> schedule t ~at:t.clock (fun () -> continue k ())))
+      | _ -> None
+    in
+    schedule t ~at:t.clock (fun () -> match_with body () { retc; exnc = raise; effc });
+    h
+
+  let delay t dt =
+    Effect.perform (Park (fun resume -> schedule t ~at:(t.clock +. dt) resume))
+
+  let join h =
+    if not h.finished then
+      Effect.perform (Park (fun resume -> h.waiters <- resume :: h.waiters))
+
+  let run t =
+    while not (Pqueue.is_empty t.q) do
+      let f = Pqueue.pop_exn t.q in
+      t.clock <- Pqueue.last_time t.q;
+      f ()
+    done
+end
+
+type 'h api = {
+  spawn : (unit -> unit) -> 'h;
+  delay : float -> unit;
+  yield : unit -> unit;
+  join : 'h -> unit;
+  after : float -> (unit -> unit) -> unit;
+  now : unit -> float;
+  run : unit -> unit;
+}
+
+let engine_api () =
+  let e = Engine.create () in
+  {
+    spawn = (fun body -> Engine.spawn e body);
+    delay = Engine.delay e;
+    yield = (fun () -> Engine.yield e);
+    join = Engine.join e;
+    after = Engine.schedule_after e;
+    now = (fun () -> Engine.now e);
+    run = (fun () -> Engine.run e);
+  }
+
+let two_hop_api () =
+  let t = Two_hop.create () in
+  {
+    spawn = Two_hop.spawn t;
+    delay = Two_hop.delay t;
+    yield = (fun () -> Two_hop.delay t 0.0);
+    join = Two_hop.join;
+    after = (fun dt f -> Two_hop.schedule t ~at:(t.Two_hop.clock +. dt) f);
+    now = (fun () -> t.Two_hop.clock);
+    run = (fun () -> Two_hop.run t);
+  }
+
+(* One process per script, all started at t=0, logging (process, step,
+   time) before every step and at the end.  Steps: 0-3 delay that many
+   microseconds (0 is a zero delay, tying with everything due now), 4
+   yield, 5 arm a 1 us timer that logs, 6 join the previous process. *)
+let replay_scripts api scripts =
+  let log = ref [] in
+  let note p i = log := (p, i, api.now ()) :: !log in
+  let handles = Array.make (List.length scripts) None in
+  List.iteri
+    (fun p script ->
+      handles.(p) <-
+        Some
+          (api.spawn (fun () ->
+               List.iteri
+                 (fun i step ->
+                   note p i;
+                   match step with
+                   | 4 -> api.yield ()
+                   | 5 -> api.after 1e-6 (fun () -> note p (100 + i))
+                   | 6 -> (
+                       match if p > 0 then handles.(p - 1) else None with
+                       | Some h -> api.join h
+                       | None -> api.yield ())
+                   | n -> api.delay (float_of_int n *. 1e-6))
+                 script;
+               note p (List.length script))))
+    scripts;
+  api.run ();
+  List.rev !log
+
+let prop_one_hop_matches_two_hop =
+  QCheck.Test.make ~name:"one-hop wakeups dispatch in two-hop order" ~count:300
+    QCheck.(
+      list_of_size Gen.(int_range 1 6)
+        (list_of_size Gen.(int_range 0 10) (int_bound 6)))
+    (fun scripts ->
+      replay_scripts (engine_api ()) scripts
+      = replay_scripts (two_hop_api ()) scripts)
+
+let test_delay_one_hop_allocation () =
+  let e = Engine.create () in
+  let n = 10_000 in
+  ignore
+    (Engine.spawn e (fun () ->
+         for _ = 1 to n do
+           Engine.delay e 1e-6
+         done));
+  let w0 = Gc.minor_words () in
+  Engine.run e;
+  let words = (Gc.minor_words () -. w0) /. float_of_int n in
+  Alcotest.(check int) "one queue entry per delay" (n + 1) (Engine.pushes e);
+  Alcotest.(check int) "two logical events per delay" ((2 * n) + 1)
+    (Engine.dispatched e);
+  Alcotest.(check int) "one park per delay" n (Engine.suspends e);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f minor words per delay, at most 8" words)
+    true (words <= 8.0)
+
 let () =
   Alcotest.run "sim"
     [
@@ -383,6 +525,9 @@ let () =
           Alcotest.test_case "join re-raises" `Quick test_join_reraises;
           Alcotest.test_case "yield interleaves" `Quick test_yield_interleaves;
           Alcotest.test_case "run until" `Quick test_run_until;
+          Alcotest.test_case "delay one hop, allocation-lean" `Quick
+            test_delay_one_hop_allocation;
+          QCheck_alcotest.to_alcotest prop_one_hop_matches_two_hop;
         ] );
       ( "mailbox",
         [

@@ -339,7 +339,8 @@ let prop_pqueue_sorted =
    (the FIFO ring, incl. same-timestamp ties), in the near-horizon
    window (calendar buckets), far in the future (overflow heap), and
    adversarially behind the clock (the early heap); pops advance the
-   clock like the engine does. *)
+   clock like the engine does.  Before every command, [has_due] must
+   agree with the model. *)
 let prop_pqueue_matches_heap =
   let gen = QCheck.(list (pair (int_bound 9) (int_bound 999))) in
   QCheck.Test.make
@@ -357,17 +358,26 @@ let prop_pqueue_matches_heap =
         model := go !model
       in
       let clock = ref 0.0 and next_id = ref 0 and ok = ref true in
+      let popped = ref false in
       let do_pop () =
         match (Pqueue.pop q, !model) with
         | None, [] -> ()
         | Some (t, id), (mt, mid) :: rest ->
             model := rest;
             clock := t;
+            popped := true;
             if not (t = mt && id = mid) then ok := false
         | Some _, [] | None, _ :: _ -> ok := false
       in
       List.iter
         (fun (kind, r) ->
+          (* Something is due at or before the last popped time. *)
+          let due =
+            match !model with
+            | (mt, _) :: _ -> !popped && mt <= !clock
+            | [] -> false
+          in
+          if not (Bool.equal due (Pqueue.has_due q)) then ok := false;
           let push dt =
             let id = !next_id in
             incr next_id;
