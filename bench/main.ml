@@ -454,9 +454,10 @@ let () =
         E.Report.set_host_time_recording true;
         split_args acc rest
     | "--churn-nodes" :: n :: rest ->
+        let cap = Drust_memory.Gaddr.max_nodes in
         int_flag "--churn-nodes" n
-          ~ok:(fun c -> c >= 16)
-          ~expects:"an integer >= 16"
+          ~ok:(fun c -> c >= 16 && c <= cap)
+          ~expects:(Printf.sprintf "an integer in [16, %d]" cap)
           (fun c -> churn_nodes := Some c);
         split_args acc rest
     | "--trace-out" :: path :: rest ->

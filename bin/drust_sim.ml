@@ -245,12 +245,16 @@ let run_plan ~file ~sanitize =
         exit 3
   end
 
+let check_nodes flag n =
+  let cap = Drust_memory.Gaddr.max_nodes in
+  if n < 1 || n > cap then
+    usage_error "%s expects cluster sizes in [1, %d], got %d" flag cap n
+
 let run app system nodes affinity seed trace_n trace_outs explain profile
     sanitize jobs scan_nodes plan_file emit_plan =
-  if jobs < 1 then begin
-    prerr_endline "drust_sim: --jobs expects a positive integer";
-    exit 1
-  end;
+  if jobs < 1 then usage_error "--jobs expects a positive integer, got %d" jobs;
+  check_nodes "--nodes" nodes;
+  Option.iter (List.iter (check_nodes "--scan-nodes")) scan_nodes;
   let chrome_path =
     match List.sort_uniq String.compare trace_outs with
     | [] -> None

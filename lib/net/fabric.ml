@@ -61,23 +61,6 @@ type verbs = {
   c_stale_epochs : Metrics.counter;
 }
 
-(* One batch of coalesced async deliveries on a directed edge: callbacks
-   landing at the exact same instant with no other event pushed since the
-   batch's own queue entry.  Running them back-to-back inside that one
-   entry is indistinguishable from dispatching them individually — they
-   would have occupied adjacent (time, seq) slots anyway.  [bt_mark] is
-   the engine's push count right after the batch event was pushed; any
-   later push invalidates the batch for further appends.  [bt_done]
-   marks a fired batch whose record may be recycled for the next batch
-   on the edge, so steady-state batching allocates no records. *)
-type batch = {
-  mutable bt_time : float;
-  mutable bt_mark : int;
-  mutable bt_fns : (unit -> unit) array;
-  mutable bt_len : int;
-  mutable bt_done : bool;
-}
-
 type t = {
   engine : Engine.t;
   rng : Drust_util.Rng.t;
@@ -85,11 +68,6 @@ type t = {
   nodes : int;
   metrics : Metrics.t;
   counters : verbs array;
-  (* Most recent batch per directed edge, indexed from * nodes + target.
-     [batching] gates coalescing; turning it off never loses pending
-     batches (their scheduled events own their records). *)
-  mutable batching : bool;
-  batch_slots : batch option array;
   (* Egress line-rate serialization: the NIC that sources a payload can
      push one stream at line rate; concurrent bulk transfers from the
      same node queue behind each other.  Small control messages are
@@ -143,8 +121,6 @@ let create ?metrics ?spans ?flight ~engine ~rng ~model ~nodes () =
     nodes;
     metrics;
     counters = Array.init nodes (register_verbs metrics);
-    batching = true;
-    batch_slots = Array.make (nodes * nodes) None;
     nics =
       Array.init nodes (fun _ -> Drust_sim.Resource.create engine ~capacity:1);
     spans;
@@ -167,7 +143,6 @@ let ep = function Some e -> e | None -> -1
 
 let set_spans t spans = t.spans <- spans
 let set_flight t fl = t.flight <- fl
-let set_delivery_batching t on = t.batching <- on
 let set_observer t o = t.observer <- o
 let set_epoch_source t f = t.epoch_of <- f
 let metrics t = t.metrics
@@ -396,72 +371,6 @@ let rdma_write ?parent ?epoch t ~from ~target ~bytes =
       check_epoch t ~from ~target epoch;
       if from <> target then serve_mark vt ~target "SERVE(WRITE)")
 
-(* ------------------------------------------------------------------ *)
-(* Async delivery batching.                                            *)
-
-let nop () = ()
-
-(* Run every callback of a fired batch inside the one queue entry.  The
-   loop re-reads [bt_len] live: a callback that issues a same-edge
-   delivery landing at this very instant (before any other push) appends
-   to this batch, and running it at the tail is exactly the slot it
-   would have dispatched in unbatched.  The piggybacked callbacks are
-   accounted as logical events so events/sec stays comparable. *)
-let run_batch engine b =
-  if b.bt_len > 1 then Engine.count_extra_events engine (b.bt_len - 1);
-  let i = ref 0 in
-  while !i < b.bt_len do
-    let fn = b.bt_fns.(!i) in
-    b.bt_fns.(!i) <- nop;
-    incr i;
-    fn ()
-  done;
-  b.bt_done <- true
-
-(* Schedule async delivery callback [fn] to run [dt] from now on edge
-   [from -> target].  When the edge's pending batch lands at the exact
-   same instant and nothing has been pushed since it was created, [fn]
-   piggybacks on that batch's queue entry instead of getting its own.
-   Order is provably unchanged: the no-pushes-since-the-batch check
-   means [fn]'s own event would have taken the very next sequence slot
-   after the batch's members, i.e. it dispatches immediately after them
-   either way.  See docs/PERFORMANCE.md. *)
-let deliver t ~from ~target dt fn =
-  if not t.batching then Engine.schedule_after t.engine dt fn
-  else begin
-    let at = Engine.now t.engine +. dt in
-    let slot = (from * t.nodes) + target in
-    let fresh () =
-      let b =
-        { bt_time = at; bt_mark = 0; bt_fns = [| fn; nop |]; bt_len = 1;
-          bt_done = false }
-      in
-      Engine.schedule t.engine ~at (fun () -> run_batch t.engine b);
-      b.bt_mark <- Engine.pushes t.engine;
-      t.batch_slots.(slot) <- Some b
-    in
-    match t.batch_slots.(slot) with
-    | Some b when b.bt_time = at && Engine.pushes t.engine = b.bt_mark ->
-        let cap = Array.length b.bt_fns in
-        if b.bt_len = cap then begin
-          let fns = Array.make (2 * cap) nop in
-          Array.blit b.bt_fns 0 fns 0 cap;
-          b.bt_fns <- fns
-        end;
-        b.bt_fns.(b.bt_len) <- fn;
-        b.bt_len <- b.bt_len + 1
-    | Some b when b.bt_done ->
-        (* Recycle the fired record: its event has run, nothing else can
-           reference it. *)
-        b.bt_time <- at;
-        b.bt_fns.(0) <- fn;
-        b.bt_len <- 1;
-        b.bt_done <- false;
-        Engine.schedule t.engine ~at (fun () -> run_batch t.engine b);
-        b.bt_mark <- Engine.pushes t.engine
-    | Some _ | None -> fresh ()
-  end
-
 let rdma_write_async ?parent t ~from ~target ~bytes k =
   check_node t from "rdma_write_async";
   check_node t target "rdma_write_async";
@@ -481,12 +390,12 @@ let rdma_write_async ?parent t ~from ~target ~bytes k =
           ~args:
             [ ("target", string_of_int target); ("bytes", string_of_int bytes) ]
           "WRITE(async)";
-        deliver t ~from ~target dt (fun () ->
+        Engine.schedule_after t.engine dt (fun () ->
             Span.instant sp ~track:target
               ~flow_in:(if fid = 0 then [] else [ fid ])
               ~category:"fabric" "RECV(WRITE)";
             k ())
-    | _ -> deliver t ~from ~target dt k
+    | _ -> Engine.schedule_after t.engine dt k
   end
 
 let rdma_atomic ?parent t ~from ~target f =
@@ -636,8 +545,7 @@ let send_async ?parent t ~from ~target ~bytes handler =
             handler ()
       | _ -> handler
     in
-    deliver t ~from ~target dt (fun () ->
-        Engine.start_process t.engine handler)
+    ignore (Engine.spawn ~at:(Engine.now t.engine +. dt) t.engine handler)
   end
 
 let counters_of t node =

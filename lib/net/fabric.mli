@@ -67,18 +67,6 @@ val set_spans : t -> Drust_obs.Span.t option -> unit
     message arrows between node timelines.  Free when unset or when the
     tracer is disabled. *)
 
-val set_delivery_batching : t -> bool -> unit
-(** Enable or disable async-delivery coalescing (default: enabled).
-    When enabled, {!rdma_write_async} / {!send_async} deliveries on the
-    same directed edge that land at the exact same instant — with no
-    other event scheduled in between — share one event-queue entry and
-    run back-to-back inside it.  The dispatch order is provably
-    identical either way (the coalesced callbacks would have occupied
-    adjacent sequence slots), so simulation results do not depend on
-    this switch; it exists for A/B testing and diagnostics.  Coalesced
-    callbacks still count as logical events in
-    [Drust_sim.Engine.dispatched].  See docs/PERFORMANCE.md. *)
-
 val set_flight : t -> Drust_obs.Flight.t option -> unit
 (** Attach or detach the flight recorder after construction. *)
 

@@ -596,6 +596,9 @@ let field_names =
 (* ------------------------------------------------------------------ *)
 (* Validation                                                          *)
 
+(* Every node id must fit a global address (docs/SIMPLAN.md). *)
+let max_nodes = Drust_memory.Gaddr.max_nodes
+
 let validate t =
   let errs = ref [] in
   let err fmt = Printf.ksprintf (fun m -> errs := m :: !errs) fmt in
@@ -616,7 +619,8 @@ let validate t =
   (match t.spec with
   | Sim s ->
       let top = s.topology in
-      if top.nodes < 1 then err "topology.nodes must be >= 1 (got %d)" top.nodes;
+      if top.nodes < 1 || top.nodes > max_nodes then
+        err "topology.nodes must be in [1, %d] (got %d)" max_nodes top.nodes;
       if top.cores_per_node < 1 then
         err "topology.cores_per_node must be >= 1 (got %d)" top.cores_per_node;
       if top.mem_per_node < 4096 then
@@ -758,11 +762,14 @@ let validate t =
       | Some [] -> err "node_counts is empty (omit the field instead)"
       | Some ns ->
           List.iter
-            (fun n -> if n < 1 then err "node count %d must be >= 1" n)
+            (fun n ->
+              if n < 1 || n > max_nodes then
+                err "node count %d must be in [1, %d]" n max_nodes)
             ns
       | None -> ());
       (match s.su_churn_nodes with
-      | Some n when n < 16 -> err "churn_nodes %d must be >= 16" n
+      | Some n when n < 16 || n > max_nodes ->
+          err "churn_nodes %d must be in [16, %d]" n max_nodes
       | _ -> ()));
   match List.rev !errs with [] -> Ok () | es -> Error es
 

@@ -168,11 +168,13 @@ val field_names : string list
 (** {1 Validation} *)
 
 val validate : t -> (unit, string list) result
-(** Structural validity: name usable as a file stem, topology positive,
-    fault events in range and well-ordered, workload-specific
-    consistency (e.g. a scenario plan's victim crash must appear in the
-    fault events; a churn schedule must fit its node count).  {!execute}
-    validates first and raises [Invalid_argument] on a bad plan. *)
+(** Structural validity: name usable as a file stem, topology positive
+    and within [Drust_memory.Gaddr.max_nodes] (as are a suite's
+    [node_counts] and [churn_nodes]), fault events in range and
+    well-ordered, workload-specific consistency (e.g. a scenario plan's
+    victim crash must appear in the fault events; a churn schedule must
+    fit its node count).  {!execute} validates first and raises
+    [Invalid_argument] on a bad plan. *)
 
 (** {1 Execution} *)
 

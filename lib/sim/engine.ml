@@ -7,8 +7,8 @@ type t = {
   mutable live : int;
   mutable failures : exn list;
   mutable dispatched : int;
-      (* logical events run: one per queue pop, plus every callback a
-         batched delivery ran without its own queue entry *)
+      (* logical events run: one per queue pop, plus one per sleeper
+         resumption that ran inside its timer's event *)
   mutable suspends : int;
 }
 
@@ -62,15 +62,9 @@ let now t = t.clock
 let dispatched t = t.dispatched
 let suspends t = t.suspends
 
-(* Total pushes ever made to the event queue.  Two pushes with no other
-   push in between are adjacent in the dispatch order at their
-   timestamp; the fabric's delivery batching relies on this mark. *)
+(* Total pushes ever made to the event queue: the raw queue entries
+   behind [dispatched]. *)
 let pushes t = Drust_util.Pqueue.pushed t.events
-
-(* Account [n] logical events that ran piggybacked on one queue entry
-   (coalesced fabric deliveries): keeps events/sec comparable whether or
-   not batching merged them. *)
-let count_extra_events t n = t.dispatched <- t.dispatched + n
 
 let schedule t ~at f =
   if at < t.clock then
@@ -168,15 +162,6 @@ let spawn ?at t body =
   let handle = { state = Running; join_waiters = [] } in
   schedule t ~at (fun () -> run_fiber t handle body);
   handle
-
-(* Run a process body right now, inside the current event, without a
-   queue round-trip.  [spawn ~at t body] is exactly
-   [schedule t ~at (fun () -> start_process t body)] minus the handle;
-   the fabric's delivery batching uses this to start coalesced handlers
-   in their original dispatch positions. *)
-let start_process t body =
-  let handle = { state = Running; join_waiters = [] } in
-  run_fiber t handle body
 
 let delay t dt =
   if dt < 0.0 then invalid_arg "Engine.delay: negative delay";

@@ -33,13 +33,6 @@ val spawn : ?at:float -> t -> (unit -> unit) -> process_handle
 (** [spawn t body] starts a new process at time [at] (default: now).
     The body runs inside the engine's effect handler and may block. *)
 
-val start_process : t -> (unit -> unit) -> unit
-(** [start_process t body] runs [body] as a process immediately, inside
-    the current event, without a queue round-trip.  [spawn ~at t body]
-    is equivalent to [schedule t ~at (fun () -> start_process t body)].
-    Used by callers (the fabric's delivery batching) that manage their
-    own scheduling and don't need the join handle. *)
-
 (** {1 Blocking primitives — only valid inside a process} *)
 
 val delay : t -> float -> unit
@@ -84,10 +77,11 @@ val live_processes : t -> int
 
 val dispatched : t -> int
 (** Total logical events executed so far: one per event-queue pop, plus
-    every callback that ran piggybacked on a coalesced delivery (see
-    {!count_extra_events}).  A {!delay} or {!yield} counts two events, its timer and its resumption, whether the resumption took a
-    queue entry of its own or ran inside the timer's.  Purely
-    observational — never feeds back into the simulation. *)
+    one per {!delay} or {!yield} resumption that ran inside its timer's
+    event.  A {!delay} or {!yield} thus counts two events, its timer and
+    its resumption, whether the resumption took a queue entry of its own
+    or not.  Purely observational — never feeds back into the
+    simulation. *)
 
 val suspends : t -> int
 (** Total times a process parked: every {!delay}, {!yield}, blocking
@@ -95,14 +89,7 @@ val suspends : t -> int
 
 val pushes : t -> int
 (** Total events ever pushed to the queue: the raw queue entries behind
-    {!dispatched}.  Two pushes with no push in between occupy adjacent
-    sequence slots at their timestamp; the fabric's delivery batching
-    uses this as its interleaving check. *)
-
-val count_extra_events : t -> int -> unit
-(** [count_extra_events t n] accounts [n] logical events that ran inside
-    one queue entry (coalesced fabric deliveries), so {!dispatched}
-    counts the same event total whether or not batching merged them. *)
+    {!dispatched}.  Purely observational. *)
 
 exception Process_failure of exn
 (** Wrapper re-raised by {!run} for a process that died; carries the

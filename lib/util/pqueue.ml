@@ -6,31 +6,33 @@
    engine's push distribution is extremely skewed — almost every event is
    scheduled either at the current instant (suspend/resume trampolines)
    or a few microseconds ahead (fabric verbs, compute flushes) — so the
-   rewrite splits pending events across four flat-array structures, all
+   rewrite splits pending events across three flat-array structures, all
    storing time/seq/value in parallel unboxed arrays:
 
-   - a "now ring": FIFO of events at exactly one timestamp (the current
-     instant).  Push and pop are O(1) array writes; this absorbs the
-     resume-at-now storm that dominates engine traffic.
+   - a "now ring": FIFO of events at exactly the last popped time (the
+     current instant).  Push and pop are O(1) array writes; this absorbs
+     the resume-at-now storm that dominates engine traffic.
    - a calendar of [nb] fixed-width buckets covering a sliding
      near-horizon window.  Each bucket keeps its live region sorted by
      (time, seq) via binary-search insertion; buckets are consumed in
      index order.
    - an overflow binary heap for far-future timers (heartbeats, retry
      backoffs beyond the window) — flat parallel arrays, no boxing.
-   - a tiny "early" heap for pushes behind the last popped time.  The
-     engine never produces these (it rejects past schedules), but the
-     queue stays a correct general-purpose structure.
 
-   Dispatch order is identical to the old heap: pop always takes the
-   global (time, seq) minimum across the four structures, and each
-   structure yields its own entries in (time, seq) order.  Bucket
-   routing is a monotone function of time (floats: subtraction and
-   multiplication by a positive constant preserve <=), entries that
+   A push behind the last popped time is rejected, so every pending
+   entry is at or after [cur_time].  The ring's entries are therefore
+   the earliest pending time, and the clock cannot move past them while
+   any remain: the ring's time is [cur_time] whenever it is non-empty.
+
+   Dispatch order is identical to a plain (time, seq) heap: pop always
+   takes the global (time, seq) minimum across the three structures,
+   and each structure yields its own entries in (time, seq) order.
+   Bucket routing is a monotone function of time (floats: subtraction
+   and multiplication by a positive constant preserve <=), entries that
    would land in an already-drained bucket are clamped into the current
    one (where in-bucket sorting re-orders them correctly), and fresh
-   pushes always carry the largest sequence number yet, so a
-   time-only binary search finds their unique sorted slot. *)
+   pushes always carry the largest sequence number yet, so a time-only
+   binary search finds their unique sorted slot. *)
 
 (* Number of calendar buckets and the virtual-time width of each.  The
    window spans nb * width = 256 us — wide enough that fabric latencies
@@ -70,8 +72,7 @@ type 'a t = {
   mutable next_seq : int;
   mutable count : int;
   mutable cur_time : float; (* time of the last popped entry *)
-  (* Now ring: all entries share [now_time]; seqs are FIFO. *)
-  mutable now_time : float;
+  (* Now ring: all entries are at [cur_time]; seqs are FIFO. *)
   mutable now_seq : int array;
   mutable now_val : 'a array;
   mutable now_head : int;
@@ -83,7 +84,6 @@ type 'a t = {
   mutable cb : int; (* current (lowest live) bucket index *)
   mutable cal_count : int; (* unconsumed entries across all buckets *)
   heap : 'a heap; (* overflow: far-future timers *)
-  early : 'a heap; (* pushes behind cur_time (engine never) *)
 }
 
 let make_heap () =
@@ -94,7 +94,6 @@ let create () =
     next_seq = 0;
     count = 0;
     cur_time = neg_infinity;
-    now_time = neg_infinity;
     now_seq = [||];
     now_val = [||];
     now_head = 0;
@@ -107,14 +106,13 @@ let create () =
     cb = 0;
     cal_count = 0;
     heap = make_heap ();
-    early = make_heap ();
   }
 
 let is_empty t = t.count = 0
 let length t = t.count
 let pushed t = t.next_seq
 
-(* ---------------- flat binary heap (overflow / early) ---------------- *)
+(* --------------------- flat binary heap (overflow) --------------------- *)
 
 let heap_grow h =
   let cap = max 16 (2 * Array.length h.h_time) in
@@ -261,36 +259,14 @@ let ring_push t ~seq v =
 let bucket_index t time = int_of_float ((time -. t.win_lo) *. inv_width)
 
 let push t ~time value =
+  if not (time >= t.cur_time) then
+    invalid_arg
+      (Printf.sprintf "Pqueue.push: time %g is before the last popped time %g"
+         time t.cur_time);
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
   t.count <- t.count + 1;
-  if t.now_len > 0 then begin
-    if time = t.now_time then ring_push t ~seq value
-    else if time < t.cur_time then heap_push t.early ~time ~seq value
-    else if time < t.win_hi then begin
-      let i = bucket_index t time in
-      let i = if i < t.cb then t.cb else i in
-      bucket_insert t.buckets.(i) ~time ~seq value;
-      t.cal_count <- t.cal_count + 1
-    end
-    else if t.cal_count = 0 && time > t.cur_time then begin
-      (* Re-anchor an exhausted (or absent) window at the current time. *)
-      t.win_lo <- (if t.cur_time > neg_infinity then t.cur_time else time);
-      t.win_hi <- t.win_lo +. (float_of_int nb *. width);
-      t.cb <- 0;
-      if time < t.win_hi then begin
-        bucket_insert t.buckets.(bucket_index t time) ~time ~seq value;
-        t.cal_count <- 1
-      end
-      else heap_push t.heap ~time ~seq value
-    end
-    else heap_push t.heap ~time ~seq value
-  end
-  else if time = t.cur_time then begin
-    t.now_time <- time;
-    ring_push t ~seq value
-  end
-  else if time < t.cur_time then heap_push t.early ~time ~seq value
+  if time = t.cur_time then ring_push t ~seq value
   else if time < t.win_hi then begin
     let i = bucket_index t time in
     let i = if i < t.cb then t.cb else i in
@@ -298,6 +274,7 @@ let push t ~time value =
     t.cal_count <- t.cal_count + 1
   end
   else if t.cal_count = 0 then begin
+    (* Re-anchor an exhausted (or absent) window at the current time. *)
     t.win_lo <- (if t.cur_time > neg_infinity then t.cur_time else time);
     t.win_hi <- t.win_lo +. (float_of_int nb *. width);
     t.cb <- 0;
@@ -348,12 +325,10 @@ let advance_cb t =
   !b
 
 (* Candidate sources for the global minimum. *)
-let src_none = 0
+let src_now = 0
 
-let src_early = 1
-let src_now = 2
-let src_bucket = 3
-let src_heap = 4
+let src_bucket = 1
+let src_heap = 2
 
 (* Remove and return the global (time, seq) minimum; caller ensures
    [count > 0].  The popped time is left in [cur_time] for the engine
@@ -362,24 +337,13 @@ let src_heap = 4
    allocates nothing. *)
 let pop_exn t =
   if t.count = 0 then invalid_arg "Pqueue.pop_exn: empty queue";
-  if
-    t.now_len = 0 && t.early.h_len = 0 && t.cal_count = 0
-    && t.heap.h_len >= 4
-  then migrate t;
+  if t.now_len = 0 && t.cal_count = 0 && t.heap.h_len >= 4 then migrate t;
+  (* Some entry exists, so some source below beats (infinity, max_int). *)
   let best_time = ref infinity
   and best_seq = ref max_int
-  and src = ref src_none in
-  if t.early.h_len > 0 then begin
-    best_time := t.early.h_time.(0);
-    best_seq := t.early.h_seq.(0);
-    src := src_early
-  end;
-  if
-    t.now_len > 0
-    && (t.now_time < !best_time
-       || (t.now_time = !best_time && t.now_seq.(t.now_head) < !best_seq))
-  then begin
-    best_time := t.now_time;
+  and src = ref src_heap in
+  if t.now_len > 0 then begin
+    best_time := t.cur_time;
     best_seq := t.now_seq.(t.now_head);
     src := src_now
   end;
@@ -416,14 +380,9 @@ let pop_exn t =
       t.cal_count <- t.cal_count - 1;
       v
     end
-    else if !src = src_heap then begin
+    else begin
       let v = t.heap.h_val.(0) in
       heap_drop t.heap;
-      v
-    end
-    else begin
-      let v = t.early.h_val.(0) in
-      heap_drop t.early;
       v
     end
   in
@@ -446,13 +405,9 @@ let pop t =
 let peek_time t =
   if t.count = 0 then None
   else begin
-    if
-      t.now_len = 0 && t.early.h_len = 0 && t.cal_count = 0
-      && t.heap.h_len >= 4
-    then migrate t;
+    if t.now_len = 0 && t.cal_count = 0 && t.heap.h_len >= 4 then migrate t;
     let best = ref infinity in
-    if t.early.h_len > 0 then best := t.early.h_time.(0);
-    if t.now_len > 0 && t.now_time < !best then best := t.now_time;
+    if t.now_len > 0 then best := t.cur_time;
     if t.cal_count > 0 then begin
       let b = advance_cb t in
       if b.b_time.(b.b_off) < !best then best := b.b_time.(b.b_off)
@@ -464,8 +419,7 @@ let peek_time t =
 
 let has_due t =
   let now = t.cur_time in
-  (t.now_len > 0 && t.now_time <= now)
-  || (t.early.h_len > 0 && t.early.h_time.(0) <= now)
+  t.now_len > 0
   || (t.cal_count > 0
      &&
      let b = advance_cb t in
@@ -475,7 +429,6 @@ let has_due t =
 let clear t =
   t.count <- 0;
   t.cur_time <- neg_infinity;
-  t.now_time <- neg_infinity;
   t.now_seq <- [||];
   t.now_val <- [||];
   t.now_head <- 0;
@@ -495,8 +448,4 @@ let clear t =
   t.heap.h_time <- [||];
   t.heap.h_seq <- [||];
   t.heap.h_val <- [||];
-  t.heap.h_len <- 0;
-  t.early.h_time <- [||];
-  t.early.h_seq <- [||];
-  t.early.h_val <- [||];
-  t.early.h_len <- 0
+  t.heap.h_len <- 0

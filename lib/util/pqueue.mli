@@ -20,11 +20,12 @@ val length : 'a t -> int
 val pushed : 'a t -> int
 (** [pushed t] is the total number of pushes ever performed — the next
     sequence number.  Monotone; never reset by {!pop} or {!clear}'s
-    draining.  The fabric uses it to prove no event was interleaved
-    between two pushes when coalescing deliveries. *)
+    draining, and a rejected {!push} does not count. *)
 
 val push : 'a t -> time:float -> 'a -> unit
-(** [push t ~time v] inserts [v] at priority [time]. *)
+(** [push t ~time v] inserts [v] at priority [time].  Raises
+    [Invalid_argument] when [time] is before {!last_time} (or NaN):
+    the queue only moves forward, like the clock it drives. *)
 
 val pop : 'a t -> (float * 'a) option
 (** [pop t] removes and returns the minimum-time element, FIFO among

@@ -212,45 +212,37 @@ let test_small_messages_skip_nic () =
         rest
   | [] -> Alcotest.fail "no completions"
 
-(* Same-edge deliveries issued at one instant coalesce into a single
-   queue entry when batching is on (the default), and the coalescing
-   must be observationally invisible: identical callback order and
-   timestamps, identical logical dispatch count — only the number of
-   raw queue pushes shrinks. *)
-let test_delivery_batching_identity () =
-  let scenario ~batching =
-    let engine, fabric = quiet_fabric () in
-    Fabric.set_delivery_batching fabric batching;
-    let log = ref [] in
-    let note tag () = log := (tag, Engine.now engine) :: !log in
-    ignore
-      (Engine.spawn engine (fun () ->
-           (* Ten writes on edge 0->1 at the same instant, with another
-              edge and a send_async interleaved between them. *)
-           for i = 0 to 4 do
-             Fabric.rdma_write_async fabric ~from:0 ~target:1 ~bytes:256
-               (note i)
-           done;
-           Fabric.rdma_write_async fabric ~from:2 ~target:3 ~bytes:256
-             (note 100);
-           Fabric.send_async fabric ~from:0 ~target:1 ~bytes:64 (note 200);
-           for i = 5 to 9 do
-             Fabric.rdma_write_async fabric ~from:0 ~target:1 ~bytes:256
-               (note i)
-           done));
-    Engine.run engine;
-    (List.rev !log, Engine.dispatched engine, Engine.pushes engine)
-  in
-  let log_on, dispatched_on, pushes_on = scenario ~batching:true in
-  let log_off, dispatched_off, pushes_off = scenario ~batching:false in
+(* Async deliveries take one queue entry each and dispatch in posting
+   order within an instant.  The pinned log is what the fabric produced
+   for this scenario when it could still coalesce same-edge deliveries
+   into shared queue entries, with and without coalescing: ten writes on
+   edge 0->1 at one instant, with another edge and a send_async posted
+   between them. *)
+let test_async_delivery_order () =
+  let engine, fabric = quiet_fabric () in
+  let log = ref [] in
+  let note tag () = log := (tag, Engine.now engine) :: !log in
+  ignore
+    (Engine.spawn engine (fun () ->
+         for i = 0 to 4 do
+           Fabric.rdma_write_async fabric ~from:0 ~target:1 ~bytes:256 (note i)
+         done;
+         Fabric.rdma_write_async fabric ~from:2 ~target:3 ~bytes:256 (note 100);
+         Fabric.send_async fabric ~from:0 ~target:1 ~bytes:64 (note 200);
+         for i = 5 to 9 do
+           Fabric.rdma_write_async fabric ~from:0 ~target:1 ~bytes:256 (note i)
+         done));
+  Engine.run engine;
+  let write = 0x1.dca24d8a5beaep-19 (* 3.5512 us: 256 B one-sided *)
+  and send = 0x1.2ed9504b9971ep-18 (* 4.5128 us: 64 B two-sided *) in
   Alcotest.(check (list (pair int (float 0.0))))
-    "same callbacks, order, and timestamps" log_off log_on;
-  Alcotest.(check int) "same logical dispatch count" dispatched_off
-    dispatched_on;
-  Alcotest.(check bool)
-    (Printf.sprintf "fewer queue pushes when batching (%d < %d)" pushes_on
-       pushes_off)
-    true (pushes_on < pushes_off)
+    "callback order and timestamps"
+    (List.map (fun tag -> (tag, write)) [ 0; 1; 2; 3; 4; 100; 5; 6; 7; 8; 9 ]
+    @ [ (200, send) ])
+    (List.rev !log);
+  (* One entry for the posting process plus one per delivery. *)
+  Alcotest.(check int) "one queue push per delivery" 13 (Engine.pushes engine);
+  Alcotest.(check int) "one logical event per push" 13 (Engine.dispatched engine)
 
 let test_bad_node_rejected () =
   let engine, fabric = quiet_fabric () in
@@ -285,8 +277,8 @@ let () =
             test_nic_egress_serializes_bulk;
           Alcotest.test_case "small msgs skip nic" `Quick
             test_small_messages_skip_nic;
-          Alcotest.test_case "delivery batching identity" `Quick
-            test_delivery_batching_identity;
+          Alcotest.test_case "async delivery order" `Quick
+            test_async_delivery_order;
           Alcotest.test_case "bad node" `Quick test_bad_node_rejected;
         ] );
     ]

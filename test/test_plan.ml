@@ -103,6 +103,13 @@ let test_validate_rejects () =
            Simplan.topology = { s.Simplan.topology with Simplan.nodes = 0 };
          })
        fo);
+  rejects "an app topology above the global-address node cap"
+    (Simplan.app_plan
+       ~params:
+         { Params.default with Params.nodes = Drust_memory.Gaddr.max_nodes + 1 }
+       Simplan.Gemm_app Simplan.Drust);
+  rejects "a churn plan above the node cap"
+    (Simplan.churn_plan ~seed:7 ~nodes:200 ());
   rejects "a crash on a node outside the cluster"
     (with_sim
        (fun s ->
@@ -149,6 +156,10 @@ let test_validate_rejects () =
              Simplan.spec = Simplan.Suite { s with Simplan.su_churn_nodes = Some 8 };
            }
        | Simplan.Sim _ -> assert false);
+  rejects "a churn suite above the node cap"
+    (Simplan.suite_plan ~name:"huge-churn" ~churn_nodes:200 [ "churn" ]);
+  rejects "a fig5 sweep above the node cap"
+    (Simplan.suite_plan ~name:"huge-fig5" ~node_counts:[ 8; 129 ] [ "fig5" ]);
   rejects "a suite naming an ill-formed experiment"
     (Simplan.suite_plan ~name:"caps" [ "Fig5" ])
 

@@ -293,80 +293,6 @@ let prop_resource_capacity =
       !max_seen <= capacity && Resource.in_use r = 0 && Resource.queued r = 0)
 
 (* ------------------------------------------------------------------ *)
-(* Sync primitives *)
-
-module Sync = Drust_sim.Sync
-
-let test_condvar_signal_fifo () =
-  let e = Engine.create () in
-  let cv = Sync.Condvar.create e in
-  let woke = ref [] in
-  for i = 1 to 3 do
-    ignore
-      (Engine.spawn e (fun () ->
-           Sync.Condvar.wait cv;
-           woke := i :: !woke))
-  done;
-  ignore
-    (Engine.spawn ~at:1.0 e (fun () ->
-         Sync.Condvar.signal cv;
-         Engine.delay e 1.0;
-         Sync.Condvar.broadcast cv));
-  Engine.run e;
-  Alcotest.(check (list int)) "fifo then broadcast" [ 1; 2; 3 ] (List.rev !woke)
-
-let test_condvar_signal_empty_ok () =
-  let e = Engine.create () in
-  let cv = Sync.Condvar.create e in
-  Sync.Condvar.signal cv;
-  Sync.Condvar.broadcast cv;
-  Alcotest.(check int) "no waiters" 0 (Sync.Condvar.waiters cv)
-
-let test_barrier_trips_and_reuses () =
-  let e = Engine.create () in
-  let b = Sync.Barrier.create e ~parties:3 in
-  let rounds = ref [] in
-  for i = 0 to 2 do
-    ignore
-      (Engine.spawn e (fun () ->
-           Engine.delay e (Float.of_int i);
-           ignore (Sync.Barrier.await b);
-           rounds := (1, Engine.now e) :: !rounds;
-           ignore (Sync.Barrier.await b);
-           rounds := (2, Engine.now e) :: !rounds))
-  done;
-  Engine.run e;
-  (* Everyone leaves round 1 at t=2 (the last arrival), then round 2
-     immediately after. *)
-  List.iter
-    (fun (_round, t) -> Alcotest.(check (float 1e-9)) "released together" 2.0 t)
-    !rounds;
-  Alcotest.(check int) "all passed twice" 6 (List.length !rounds)
-
-let test_waitgroup () =
-  let e = Engine.create () in
-  let wg = Sync.Waitgroup.create e in
-  Sync.Waitgroup.add wg 3;
-  let finished_at = ref (-1.0) in
-  ignore
-    (Engine.spawn e (fun () ->
-         Sync.Waitgroup.wait wg;
-         finished_at := Engine.now e));
-  for i = 1 to 3 do
-    ignore
-      (Engine.spawn e (fun () ->
-           Engine.delay e (Float.of_int i);
-           Sync.Waitgroup.done_ wg))
-  done;
-  Engine.run e;
-  Alcotest.(check (float 1e-9)) "released by last done" 3.0 !finished_at;
-  Alcotest.(check bool) "underflow raises" true
-    (try
-       Sync.Waitgroup.done_ wg;
-       false
-     with Invalid_argument _ -> true)
-
-(* ------------------------------------------------------------------ *)
 (* Timer wakeups *)
 
 (* Reference for the engine's wakeup order: every blocking call parks
@@ -536,13 +462,6 @@ let () =
           Alcotest.test_case "fifo" `Quick test_mailbox_fifo;
           Alcotest.test_case "multi receivers" `Quick test_mailbox_multiple_receivers;
           Alcotest.test_case "try_recv" `Quick test_mailbox_try_recv;
-        ] );
-      ( "sync",
-        [
-          Alcotest.test_case "condvar fifo+broadcast" `Quick test_condvar_signal_fifo;
-          Alcotest.test_case "condvar empty ok" `Quick test_condvar_signal_empty_ok;
-          Alcotest.test_case "barrier reuses" `Quick test_barrier_trips_and_reuses;
-          Alcotest.test_case "waitgroup" `Quick test_waitgroup;
         ] );
       ( "resource",
         [

@@ -337,10 +337,11 @@ let prop_pqueue_sorted =
    sequence).  Commands drive an engine-like interleaved workload that
    exercises every internal structure: pushes at the current instant
    (the FIFO ring, incl. same-timestamp ties), in the near-horizon
-   window (calendar buckets), far in the future (overflow heap), and
-   adversarially behind the clock (the early heap); pops advance the
-   clock like the engine does.  Before every command, [has_due] must
-   agree with the model. *)
+   window (calendar buckets) and far in the future (overflow heap);
+   pops advance the clock like the engine does.  A push behind the last
+   popped time must raise [Invalid_argument] and leave the queue
+   untouched.  Before every command, [has_due] must agree with the
+   model. *)
 let prop_pqueue_matches_heap =
   let gen = QCheck.(list (pair (int_bound 9) (int_bound 999))) in
   QCheck.Test.make
@@ -389,7 +390,18 @@ let prop_pqueue_matches_heap =
           | 3 | 4 -> push (float_of_int r *. 1e-8) (* near horizon *)
           | 5 -> push (float_of_int r *. 1e-6) (* across buckets *)
           | 6 -> push (float_of_int r *. 1e-3) (* overflow heap *)
-          | 7 -> push (-.(float_of_int r *. 1e-7)) (* behind the clock *)
+          | 7 ->
+              (* Behind the clock: rejected once something was popped. *)
+              let dt = -.(float_of_int r *. 1e-7) in
+              if !popped && !clock +. dt < !clock then begin
+                let pushed = Pqueue.pushed q and len = Pqueue.length q in
+                (match Pqueue.push q ~time:(!clock +. dt) (-1) with
+                | () -> ok := false
+                | exception Invalid_argument _ -> ());
+                if Pqueue.pushed q <> pushed || Pqueue.length q <> len then
+                  ok := false
+              end
+              else push dt
           | _ -> do_pop ())
         cmds;
       while (not (Pqueue.is_empty q)) || !model <> [] do
