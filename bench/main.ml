@@ -209,8 +209,27 @@ let run_profile () =
     ~elapsed:r.Drust_appkit.Appkit.elapsed ()
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel microbenchmarks: wall-clock cost of the hot OCaml paths
-   behind each experiment — one Test.make per table/figure family.     *)
+(* Bechamel microbenchmarks: wall-clock cost and minor-heap words of the
+   hot OCaml paths behind each experiment — one Test.make per
+   table/figure family.                                                *)
+
+(* Simulated operations measured [micro_batch] at a time, in one process
+   spawned per run, so the spawn's own cost is spread over the batch;
+   the report divides their estimates by the batch, so every row is the
+   cost of one operation. *)
+let micro_batch = 1000
+
+let batched_names = [ "drust/net:fabric-rpc"; "drust/fig5:drust-cached-read" ]
+
+let batched ~name engine ~run op =
+  Bechamel.Test.make ~name
+    (Bechamel.Staged.stage (fun () ->
+         ignore
+           (Drust_sim.Engine.spawn engine (fun () ->
+                for _ = 1 to micro_batch do
+                  op ()
+                done));
+         run ()))
 
 let bechamel_tests () =
   let open Bechamel in
@@ -261,14 +280,76 @@ let bechamel_tests () =
                  (Drust_util.Univ.pack (Drust_util.Univ.create_tag ~name:"y") 1)));
         Drust_machine.Cluster.run cluster))
   in
+  (* One untraced two-sided verb between two nodes, jitter included. *)
+  let fabric_rpc =
+    let params = E.Bench_setup.testbed ~nodes:2 () in
+    let cluster = Drust_machine.Cluster.create params in
+    let fabric = Drust_machine.Cluster.fabric cluster in
+    batched ~name:"net:fabric-rpc"
+      (Drust_machine.Cluster.engine cluster)
+      ~run:(fun () -> Drust_machine.Cluster.run cluster)
+      (fun () ->
+        Drust_net.Fabric.rpc fabric ~from:0 ~target:1 ~req_bytes:64
+          ~resp_bytes:64 ignore)
+  in
+  (* A DRust read served from the reader's cache: borrow, deref, drop. *)
+  let drust_cached_read =
+    let params = E.Bench_setup.testbed ~nodes:2 () in
+    let cluster = Drust_machine.Cluster.create params in
+    let backend = Drust_dsm.Drust_backend.create cluster in
+    let reader = Drust_machine.Ctx.make cluster ~node:0 in
+    let home = Drust_machine.Ctx.make cluster ~node:1 in
+    let h = ref None in
+    ignore
+      (Drust_sim.Engine.spawn
+         (Drust_machine.Cluster.engine cluster)
+         (fun () ->
+           let x =
+             backend.Drust_dsm.Dsm.alloc_on home ~node:1 ~size:512
+               Drust_appkit.Appkit.blob
+           in
+           backend.Drust_dsm.Dsm.read_part reader x ~bytes:64;
+           h := Some x));
+    Drust_machine.Cluster.run cluster;
+    let h = Option.get !h in
+    batched ~name:"fig5:drust-cached-read"
+      (Drust_machine.Cluster.engine cluster)
+      ~run:(fun () -> Drust_machine.Cluster.run cluster)
+      (fun () -> backend.Drust_dsm.Dsm.read_part reader h ~bytes:64)
+  in
   Test.make_grouped ~name:"drust"
-    [ deref_model; gaddr_ops; cache_ops; engine_event; protocol_epoch ]
+    [
+      deref_model; gaddr_ops; cache_ops; engine_event; protocol_epoch;
+      fabric_rpc; drust_cached_read;
+    ]
+
+(* Minor-heap words, read exactly.  Bechamel's own
+   [Toolkit.Instance.minor_allocated] reads [Gc.quick_stat], whose
+   minor-word count only advances at minor collections on OCaml 5: a
+   run of a few dozen words mostly reads as 0, which biases its
+   estimates.  [Gc.minor_words] counts up to the last allocation. *)
+module Minor_words = struct
+  type witness = unit
+
+  let label () = "minor-words"
+  let unit () = "words"
+  let make () = ()
+  let load () = ()
+  let unload () = ()
+  let get () = Gc.minor_words ()
+end
 
 let run_micro () =
   print_newline ();
-  print_endline "=== Bechamel microbenchmarks (host wall-clock) ===";
+  print_endline
+    "=== Bechamel microbenchmarks (host wall-clock, minor-heap words) ===";
   let open Bechamel in
-  let instances = [ Toolkit.Instance.monotonic_clock ] in
+  let minor_words =
+    Measure.instance
+      (module Minor_words)
+      (Measure.register (module Minor_words))
+  in
+  let instances = [ Toolkit.Instance.monotonic_clock; minor_words ] in
   let cfg = Benchmark.cfg ~limit:500 ~quota:(Time.second 0.25) ~kde:(Some 500) () in
   let raw = Benchmark.all cfg instances (bechamel_tests ()) in
   (* Simple per-test mean report (avoids the notty TTY renderer, which
@@ -276,13 +357,29 @@ let run_micro () =
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
   in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
+  let ns = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
+  let words = Analyze.all ols minor_words raw in
+  let per_op name result =
+    match Analyze.OLS.estimates result with
+    | Some [ est ] ->
+        Some
+          (if List.mem name batched_names then est /. float_of_int micro_batch
+           else est)
+    | Some _ | None -> None
+  in
   (* Name-sorted, not bucket-ordered: the report is part of stdout. *)
-  Drust_util.Tables.sorted_bindings results ~cmp:String.compare
+  Drust_util.Tables.sorted_bindings ns ~cmp:String.compare
   |> List.iter (fun (name, result) ->
-         match Analyze.OLS.estimates result with
-         | Some [ est ] -> Printf.printf "  %-40s %10.1f ns/run\n" name est
-         | Some _ | None -> Printf.printf "  %-40s (no estimate)\n" name)
+         let w =
+           match Hashtbl.find_opt words name with
+           | Some r -> per_op name r
+           | None -> None
+         in
+         match (per_op name result, w) with
+         | Some t, Some w ->
+             Printf.printf "  %-40s %10.1f ns/run %8.1f words/run\n" name t w
+         | Some t, None -> Printf.printf "  %-40s %10.1f ns/run\n" name t
+         | None, _ -> Printf.printf "  %-40s (no estimate)\n" name)
 
 (* CLI-only diagnostics: host-side, not described by a suite plan. *)
 let local_experiments =

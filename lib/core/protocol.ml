@@ -198,14 +198,15 @@ let stats_of_ps cluster ps =
 let stats_of ctx = stats_of_ps (Ctx.cluster ctx) (pstate_of ctx)
 
 (* Close one measured operation: classify the outcome, observe the
-   latency, restore the context's saved measurement state.  Toplevel —
-   not a closure — so the measurement wrapper allocates nothing per
-   operation when tracing is off. *)
-let finish_op ctx hists ~default ~saved_kind ~saved_span ~sp ~t0 ~p0 =
+   latency, restore the context's saved measurement state.  Inlined into
+   [measure_op] so that [p0] stays an unboxed float; the pending compute
+   is [Params.cycles_to_seconds], repeated here for the same reason. *)
+let[@inline] finish_op ctx hists ~default ~saved_kind ~saved_span ~sp ~t0 ~p0 =
   let kind = if ctx.Ctx.op_kind < 0 then default else ctx.Ctx.op_kind in
   let t1 = Drust_sim.Engine.now (Ctx.engine ctx) in
   let pending =
-    Params.cycles_to_seconds (Ctx.params ctx) (ctx.Ctx.pending_cycles -. p0)
+    (ctx.Ctx.cpu.Ctx.pending_cycles -. p0)
+    /. ((Ctx.params ctx).Params.ghz *. 1e9)
   in
   let lat = t1 -. t0 +. pending in
   Metrics.observe (Array.unsafe_get hists kind) lat;
@@ -221,14 +222,16 @@ let finish_op ctx hists ~default ~saved_kind ~saved_span ~sp ~t0 ~p0 =
    perturbs the run), and, when tracing is enabled, open a root span the
    operation's fabric verbs and core waits parent under.  [ctx.op_kind]
    starts unset (-1) and the branch that decides the outcome overwrites
-   it; [default] covers operations with a single outcome. *)
-let measure_op ctx ~default f =
+   it; [default] covers operations with a single outcome.  The operation
+   is a toplevel function applied here to [ctx], [a] and [b], not a
+   closure over them, so measuring allocates nothing. *)
+let measure_op ctx ~default f a b =
   let cluster = Ctx.cluster ctx in
   let hists = hists_of cluster (pstate_of ctx) in
   let saved_kind = ctx.Ctx.op_kind in
   ctx.Ctx.op_kind <- -1;
   let t0 = Drust_sim.Engine.now (Ctx.engine ctx) in
-  let p0 = ctx.Ctx.pending_cycles in
+  let p0 = ctx.Ctx.cpu.Ctx.pending_cycles in
   let spans = Cluster.spans cluster in
   let saved_span = ctx.Ctx.current_span in
   let sp =
@@ -242,7 +245,7 @@ let measure_op ctx ~default f =
     end
     else None
   in
-  match f () with
+  match f ctx a b with
   | v ->
       finish_op ctx hists ~default ~saved_kind ~saved_span ~sp ~t0 ~p0;
       v
@@ -319,8 +322,10 @@ let notify_transfer ctx g =
 
 let set_probe cluster f = (pstate_of_cluster cluster).ps_probe <- f
 
-let[@inline] with_probe ctx k =
-  match (pstate_of ctx).ps_probe with None -> () | Some f -> k f
+(* The installed probe.  Call sites match on it and build their event
+   only under [Some]: a closure handed to a wrapper would be allocated on
+   every transition, probe or not. *)
+let probe ctx = (pstate_of ctx).ps_probe
 
 (* How a write changed the colored address: same address (U-bit elision),
    color bump in place, or relocation. *)
@@ -331,7 +336,7 @@ let write_kind ~before ~after =
   else W_move
 
 let note_app ctx ~g ~verb ~tag =
-  with_probe ctx (fun f -> f ctx (Ev_app { g; verb; tag }))
+  match probe ctx with None -> () | Some f -> f ctx (Ev_app { g; verb; tag })
 
 let tag_of_write_kind = function
   | W_in_place -> k_write_inplace
@@ -422,7 +427,9 @@ let assert_live live context =
 (* Transitive affinity group rooted at [o], including [o] itself. *)
 let rec group o = o :: List.concat_map group o.children
 
-let group_size o = List.fold_left (fun acc m -> acc + m.size) 0 (group o)
+(* Total bytes of [group o], summed without building the list. *)
+let rec group_size o =
+  List.fold_left (fun acc child -> acc + group_size child) o.size o.children
 
 (* Cluster-wide invalidation of cached copies for a physical address that
    is being deallocated or moved away (App. B.4).  In the real system this
@@ -516,7 +523,9 @@ let create_on ctx ~node ~size v =
     }
   in
   register_owner ctx o;
-  with_probe ctx (fun f -> f ctx (Ev_create { g; size }));
+  (match probe ctx with
+  | None -> ()
+  | Some f -> f ctx (Ev_create { g; size }));
   fr ctx ~kind:Flight.k_create ~g ~b:(Gaddr.node_of g) ~d:size;
   o
 
@@ -573,7 +582,9 @@ let borrow_imm ctx o =
   (* Creating an immutable reference resets the owner's U bit so the next
      write epoch is guaranteed to change the colored address (App. B.4). *)
   o.ubit <- false;
-  with_probe ctx (fun f -> f ctx (Ev_borrow_imm { g = o.g }));
+  (match probe ctx with
+  | None -> ()
+  | Some f -> f ctx (Ev_borrow_imm { g = o.g }));
   Ctx.charge_cycles ctx 12.0;
   {
     i_g = o.g;
@@ -588,19 +599,23 @@ let borrow_imm ctx o =
 let clone_imm ctx r =
   assert_live r.i_live "Protocol.clone_imm";
   Borrow_state.borrow_imm r.i_borrow ~context:"Protocol.clone_imm";
-  with_probe ctx (fun f -> f ctx (Ev_borrow_imm { g = r.i_g }));
+  (match probe ctx with
+  | None -> ()
+  | Some f -> f ctx (Ev_borrow_imm { g = r.i_g }));
   Ctx.charge_cycles ctx 12.0;
   (* Only the global-address field is duplicated; the local-copy field of
      the clone starts null (App. D.2). *)
   { r with i_copy = None }
 
-let imm_deref_inner ctx r =
+let imm_deref_inner ctx r () =
   assert_live r.i_live "Protocol.imm_deref";
   let cluster = Ctx.cluster ctx in
   if is_local ctx r.i_g then begin
     tag ctx k_read_local;
     fr_read ctx ~kind:Flight.k_read_local ~g:r.i_g;
-    with_probe ctx (fun f -> f ctx (Ev_read { g = r.i_g; path = Path_local }));
+    (match probe ctx with
+    | None -> ()
+    | Some f -> f ctx (Ev_read { g = r.i_g; path = Path_local }));
     charge_local_deref ctx;
     (Cluster.heap_read cluster r.i_g).Partition.value
   end
@@ -609,37 +624,43 @@ let imm_deref_inner ctx r =
     | Some copy when Gaddr.equal copy.Cache.key r.i_g && not copy.Cache.dead ->
         tag ctx k_read_cached;
         fr_read ctx ~kind:Flight.k_read_cached ~g:r.i_g;
-        with_probe ctx (fun f ->
+        (match probe ctx with
+        | None -> ()
+        | Some f ->
             f ctx (Ev_read { g = r.i_g; path = Path_cache copy.Cache.key }));
         charge_cache_hit ctx;
         copy.Cache.value
     | _ -> (
         let cache = cache_of ctx in
         charge_cache_hit ctx;
-        match Cache.lookup cache r.i_g with
-        | Some copy ->
+        match Cache.find cache r.i_g with
+        | copy ->
             tag ctx k_read_cached;
             fr_read ctx ~kind:Flight.k_read_cached ~g:r.i_g;
-            with_probe ctx (fun f ->
-                f ctx (Ev_read { g = r.i_g; path = Path_cache copy.Cache.key }));
+            (match probe ctx with
+            | None -> ()
+            | Some f ->
+                f ctx
+                  (Ev_read { g = r.i_g; path = Path_cache copy.Cache.key }));
             Cache.retain copy;
             r.i_copy <- Some copy;
             copy.Cache.value
-        | None ->
+        | exception Not_found ->
             tag ctx k_read_fetch;
             fr_read ctx ~kind:Flight.k_read_fetch ~g:r.i_g;
             let copy =
               fetch_into_cache ctx ~g:r.i_g ~size:r.i_size
                 ~group_bytes:r.i_group ~children:r.i_children
             in
-            with_probe ctx (fun f ->
+            (match probe ctx with
+            | None -> ()
+            | Some f ->
                 f ctx (Ev_read { g = r.i_g; path = Path_fetch }));
             r.i_copy <- Some copy;
             copy.Cache.value)
   end
 
-let imm_deref ctx r =
-  measure_op ctx ~default:k_read_local (fun () -> imm_deref_inner ctx r)
+let imm_deref ctx r = measure_op ctx ~default:k_read_local imm_deref_inner r ()
 
 let drop_imm ctx r =
   assert_live r.i_live "Protocol.drop_imm";
@@ -650,7 +671,9 @@ let drop_imm ctx r =
   r.i_copy <- None;
   Ctx.charge_cycles ctx 10.0;
   Borrow_state.return_imm r.i_borrow ~context:"Protocol.drop_imm";
-  with_probe ctx (fun f -> f ctx (Ev_return_imm { g = r.i_g }))
+  (match probe ctx with
+  | None -> ()
+  | Some f -> f ctx (Ev_return_imm { g = r.i_g }))
 
 (* ------------------------------------------------------------------ *)
 (* Move machinery                                                      *)
@@ -689,7 +712,9 @@ let move_local ctx ~g ~size ~children =
         let old = member.g in
         member.g <- child_fresh;
         member.ubit <- false;
-        with_probe ctx (fun f ->
+        (match probe ctx with
+        | None -> ()
+        | Some f ->
             f ctx
               (Ev_write
                  {
@@ -745,7 +770,9 @@ let borrow_mut ctx o =
   | Some copy -> Cache.release (cache_of ctx) copy
   | None -> ());
   o.local_copy <- None;
-  with_probe ctx (fun f -> f ctx (Ev_borrow_mut { g = o.g }));
+  (match probe ctx with
+  | None -> ()
+  | Some f -> f ctx (Ev_borrow_mut { g = o.g }));
   Ctx.charge_cycles ctx 12.0;
   { m_g = o.g; m_size = o.size; m_owner = o; m_ubit = false; m_live = true }
 
@@ -799,7 +826,9 @@ let mut_claim ctx m ~for_write =
     let kind = write_kind ~before ~after:m.m_g in
     tag ctx (tag_of_write_kind kind);
     fr_write ctx ~before ~after:m.m_g ~kind;
-    with_probe ctx (fun f ->
+    (match probe ctx with
+    | None -> ()
+    | Some f ->
         f ctx
           (Ev_write { before; after = m.m_g; size = m.m_size; kind }))
   end
@@ -829,24 +858,29 @@ let heap_slot_write ctx m v =
     Cluster.heap_write cluster m.m_g v
   end
 
-let mut_read ctx m =
-  measure_op ctx ~default:k_read_local (fun () ->
-      assert_live m.m_live "Protocol.mut_read";
-      mut_claim ctx m ~for_write:false;
-      heap_slot_read ctx m)
+let mut_read_inner ctx m () =
+  assert_live m.m_live "Protocol.mut_read";
+  mut_claim ctx m ~for_write:false;
+  heap_slot_read ctx m
+
+let mut_read ctx m = measure_op ctx ~default:k_read_local mut_read_inner m ()
+
+let mut_write_inner ctx m v =
+  assert_live m.m_live "Protocol.mut_write";
+  mut_claim ctx m ~for_write:true;
+  heap_slot_write ctx m v
 
 let mut_write ctx m v =
-  measure_op ctx ~default:k_write_inplace (fun () ->
-      assert_live m.m_live "Protocol.mut_write";
-      mut_claim ctx m ~for_write:true;
-      heap_slot_write ctx m v)
+  measure_op ctx ~default:k_write_inplace mut_write_inner m v
+
+let mut_modify_inner ctx m f =
+  assert_live m.m_live "Protocol.mut_modify";
+  mut_claim ctx m ~for_write:true;
+  let v = heap_slot_read ctx m in
+  heap_slot_write ctx m (f v)
 
 let mut_modify ctx m f =
-  measure_op ctx ~default:k_write_inplace (fun () ->
-      assert_live m.m_live "Protocol.mut_modify";
-      mut_claim ctx m ~for_write:true;
-      let v = heap_slot_read ctx m in
-      heap_slot_write ctx m (f v))
+  measure_op ctx ~default:k_write_inplace mut_modify_inner m f
 
 let drop_mut ctx m =
   assert_live m.m_live "Protocol.drop_mut";
@@ -864,21 +898,25 @@ let drop_mut ctx m =
   o.g <- m.m_g;
   o.ubit <- o.ubit || m.m_ubit;
   Borrow_state.return_mut o.borrow ~context:"Protocol.drop_mut";
-  with_probe ctx (fun f -> f ctx (Ev_return_mut { g = m.m_g }));
+  (match probe ctx with
+  | None -> ()
+  | Some f -> f ctx (Ev_return_mut { g = m.m_g }));
   if m.m_ubit then notify_commit ctx m.m_g m.m_size
 
 (* ------------------------------------------------------------------ *)
 (* Owner access without borrow (Alg. 7/8): a direct access behaves as a
    borrow-and-return pair.                                             *)
 
-let owner_read_inner ctx o =
+let owner_read_inner ctx o () =
   assert_valid o "Protocol.owner_read";
   Borrow_state.assert_owner_readable o.borrow ~context:"Protocol.owner_read";
   let cluster = Ctx.cluster ctx in
   if is_local ctx o.g then begin
     tag ctx k_read_local;
     fr_read ctx ~kind:Flight.k_read_local ~g:o.g;
-    with_probe ctx (fun f -> f ctx (Ev_read { g = o.g; path = Path_local }));
+    (match probe ctx with
+    | None -> ()
+    | Some f -> f ctx (Ev_read { g = o.g; path = Path_local }));
     charge_local_deref ctx;
     (Cluster.heap_read cluster o.g).Partition.value
   end
@@ -893,7 +931,9 @@ let owner_read_inner ctx o =
     | Some copy when Gaddr.equal copy.Cache.key o.g && not copy.Cache.dead ->
         tag ctx k_read_cached;
         fr_read ctx ~kind:Flight.k_read_cached ~g:o.g;
-        with_probe ctx (fun f ->
+        (match probe ctx with
+        | None -> ()
+        | Some f ->
             f ctx (Ev_read { g = o.g; path = Path_cache copy.Cache.key }));
         charge_cache_hit ctx;
         copy.Cache.value
@@ -905,30 +945,34 @@ let owner_read_inner ctx o =
         o.local_copy <- None;
         let cache = cache_of ctx in
         charge_cache_hit ctx;
-        match Cache.lookup cache o.g with
-        | Some copy ->
+        match Cache.find cache o.g with
+        | copy ->
             tag ctx k_read_cached;
             fr_read ctx ~kind:Flight.k_read_cached ~g:o.g;
-            with_probe ctx (fun f ->
+            (match probe ctx with
+            | None -> ()
+            | Some f ->
                 f ctx (Ev_read { g = o.g; path = Path_cache copy.Cache.key }));
             Cache.retain copy;
             o.local_copy <- Some copy;
             copy.Cache.value
-        | None ->
+        | exception Not_found ->
             tag ctx k_read_fetch;
             fr_read ctx ~kind:Flight.k_read_fetch ~g:o.g;
             let copy =
               fetch_into_cache ctx ~g:o.g ~size:o.size
                 ~group_bytes:(group_size o) ~children:o.children
             in
-            with_probe ctx (fun f ->
+            (match probe ctx with
+            | None -> ()
+            | Some f ->
                 f ctx (Ev_read { g = o.g; path = Path_fetch }));
             o.local_copy <- Some copy;
             copy.Cache.value)
   end
 
 let owner_read ctx o =
-  measure_op ctx ~default:k_read_local (fun () -> owner_read_inner ctx o)
+  measure_op ctx ~default:k_read_local owner_read_inner o ()
 
 let owner_claim_mut ctx o =
   let cluster = Ctx.cluster ctx in
@@ -965,7 +1009,9 @@ let owner_claim_mut ctx o =
               let old = member.g in
               member.g <- child_fresh;
               member.ubit <- false;
-              with_probe ctx (fun f ->
+              (match probe ctx with
+              | None -> ()
+              | Some f ->
                   f ctx
                     (Ev_write
                        {
@@ -1022,12 +1068,14 @@ let owner_write_inner ctx o v =
   let kind = write_kind ~before ~after:o.g in
   tag ctx (tag_of_write_kind kind);
   fr_write ctx ~before ~after:o.g ~kind;
-  with_probe ctx (fun f ->
+  (match probe ctx with
+  | None -> ()
+  | Some f ->
       f ctx (Ev_write { before; after = o.g; size = o.size; kind }));
   notify_commit ctx o.g o.size
 
 let owner_write ctx o v =
-  measure_op ctx ~default:k_write_inplace (fun () -> owner_write_inner ctx o v)
+  measure_op ctx ~default:k_write_inplace owner_write_inner o v
 
 let owner_modify_inner ctx o f =
   assert_valid o "Protocol.owner_modify";
@@ -1052,17 +1100,19 @@ let owner_modify_inner ctx o f =
   let kind = write_kind ~before ~after:o.g in
   tag ctx (tag_of_write_kind kind);
   fr_write ctx ~before ~after:o.g ~kind;
-  with_probe ctx (fun f ->
+  (match probe ctx with
+  | None -> ()
+  | Some f ->
       f ctx (Ev_write { before; after = o.g; size = o.size; kind }));
   notify_commit ctx o.g o.size
 
 let owner_modify ctx o f =
-  measure_op ctx ~default:k_write_inplace (fun () -> owner_modify_inner ctx o f)
+  measure_op ctx ~default:k_write_inplace owner_modify_inner o f
 
 (* ------------------------------------------------------------------ *)
 (* Ownership transfer, deallocation                                    *)
 
-let transfer_inner ctx o ~to_node =
+let transfer_inner ctx o to_node =
   assert_valid o "Protocol.transfer";
   Borrow_state.transfer o.borrow ~context:"Protocol.transfer";
   (* Evict this node's cached copy to avoid cache leakage (§4.1.1,
@@ -1077,18 +1127,22 @@ let transfer_inner ctx o ~to_node =
   o.box_node <- to_node;
   List.iter (fun child -> child.box_node <- to_node) (List.concat_map group o.children);
   Ctx.charge_cycles ctx 20.0;
-  with_probe ctx (fun f -> f ctx (Ev_transfer { g = o.g; to_node }));
+  (match probe ctx with
+  | None -> ()
+  | Some f -> f ctx (Ev_transfer { g = o.g; to_node }));
   fr ctx ~kind:Flight.k_transfer ~g:o.g ~b:to_node ~d:0;
   notify_transfer ctx o.g
 
 let transfer ctx o ~to_node =
-  measure_op ctx ~default:k_transfer (fun () -> transfer_inner ctx o ~to_node)
+  measure_op ctx ~default:k_transfer transfer_inner o to_node
 
-let rec drop_owner_inner ctx o =
+let rec drop_owner_inner ctx o () =
   assert_valid o "Protocol.drop_owner";
   Borrow_state.kill o.borrow ~context:"Protocol.drop_owner";
   o.valid <- false;
-  with_probe ctx (fun f -> f ctx (Ev_drop { g = o.g }));
+  (match probe ctx with
+  | None -> ()
+  | Some f -> f ctx (Ev_drop { g = o.g }));
   fr ctx ~kind:Flight.k_drop ~g:o.g ~b:(serving ctx o.g) ~d:0;
   (match o.local_copy with
   | Some copy -> Cache.release (cache_of ctx) copy
@@ -1096,7 +1150,7 @@ let rec drop_owner_inner ctx o =
   o.local_copy <- None;
   (* Drop every owned child first, then the object itself. *)
   List.iter
-    (fun child -> if child.valid then drop_owner_inner ctx child)
+    (fun child -> if child.valid then drop_owner_inner ctx child ())
     o.children;
   o.children <- [];
   let cluster = Ctx.cluster ctx in
@@ -1108,8 +1162,7 @@ let rec drop_owner_inner ctx o =
   end
   else async_dealloc ctx o.g
 
-let drop_owner ctx o =
-  measure_op ctx ~default:k_drop (fun () -> drop_owner_inner ctx o)
+let drop_owner ctx o = measure_op ctx ~default:k_drop drop_owner_inner o ()
 
 (* ------------------------------------------------------------------ *)
 (* Affinity (TBox)                                                     *)
@@ -1147,7 +1200,9 @@ let tie ctx ~parent ~child =
     async_dealloc ctx child.g;
     let old = child.g in
     child.g <- fresh;
-    with_probe ctx (fun f ->
+    (match probe ctx with
+    | None -> ()
+    | Some f ->
         f ctx
           (Ev_write
              { before = old; after = fresh; size = child.size; kind = W_move }))

@@ -19,12 +19,30 @@ let mutex_of = function M m -> m | _ -> Dsm.foreign "drust"
    instant each; when two instants collide, the loser simply borrows a
    moment later.  We model that by retrying the borrow after a short
    backoff when the dynamic checker reports a conflict. *)
+let max_tries = 200_000
+
+let backoff ctx = Drust_sim.Engine.delay (Ctx.engine ctx) 1e-6
+
 let rec with_borrow_retry ctx tries f =
   match f () with
   | v -> v
-  | exception Drust_ownership.Borrow_state.Violation _ when tries < 200_000 ->
-      Drust_sim.Engine.delay (Ctx.engine ctx) 1e-6;
+  | exception Drust_ownership.Borrow_state.Violation _ when tries < max_tries ->
+      backoff ctx;
       with_borrow_retry ctx (tries + 1) f
+
+(* The read path's retry loop, written out so that a read builds no
+   closure: borrow, dereference, return. *)
+let rec read_retry ctx o tries =
+  match
+    let r = Protocol.borrow_imm ctx o in
+    let v = Protocol.imm_deref ctx r in
+    Protocol.drop_imm ctx r;
+    v
+  with
+  | v -> v
+  | exception Drust_ownership.Borrow_state.Violation _ when tries < max_tries ->
+      backoff ctx;
+      read_retry ctx o (tries + 1)
 
 let create cluster =
   ignore cluster;
@@ -32,14 +50,7 @@ let create cluster =
     Dsm.name = "DRust";
     alloc = (fun ctx ~size v -> H (Protocol.create ctx ~size v));
     alloc_on = (fun ctx ~node ~size v -> H (Protocol.create_on ctx ~node ~size v));
-    read =
-      (fun ctx h ->
-        let o = owner_of h in
-        with_borrow_retry ctx 0 (fun () ->
-            let r = Protocol.borrow_imm ctx o in
-            let v = Protocol.imm_deref ctx r in
-            Protocol.drop_imm ctx r;
-            v));
+    read = (fun ctx h -> read_retry ctx (owner_of h) 0);
     write =
       (fun ctx h v ->
         let o = owner_of h in
@@ -55,23 +66,10 @@ let create cluster =
             Protocol.mut_modify ctx m f;
             Protocol.drop_mut ctx m));
     free = (fun ctx h -> Protocol.drop_owner ctx (owner_of h));
-    read_part =
-      (fun ctx h ~bytes:_ ->
-        let o = owner_of h in
-        with_borrow_retry ctx 0 (fun () ->
-            let r = Protocol.borrow_imm ctx o in
-            ignore (Protocol.imm_deref ctx r);
-            Protocol.drop_imm ctx r));
+    read_part = (fun ctx h ~bytes:_ -> ignore (read_retry ctx (owner_of h) 0));
     process =
       (fun ctx h ~cycles ->
-        let o = owner_of h in
-        let v =
-          with_borrow_retry ctx 0 (fun () ->
-              let r = Protocol.borrow_imm ctx o in
-              let v = Protocol.imm_deref ctx r in
-              Protocol.drop_imm ctx r;
-              v)
-        in
+        let v = read_retry ctx (owner_of h) 0 in
         Ctx.compute ctx ~cycles;
         v);
     process_update =

@@ -174,36 +174,50 @@ let alloc t ctx ~size v = alloc_on t ctx ~node:ctx.Ctx.node ~size v
 let home h = h.obj_home
 
 let state_ref t b =
-  match Hashtbl.find_opt t.directory b with
-  | Some r -> r
-  | None ->
+  match Hashtbl.find t.directory b with
+  | r -> r
+  | exception Not_found ->
       let r = ref Uncached in
       Hashtbl.replace t.directory b r;
       r
 
 let distinct (l : int list) = List.sort_uniq Int.compare l
 
+(* The home directory's side of a round: hold one of its directory
+   engines for the per-block processing, then downgrade or invalidate
+   the third parties.  The engine is released on exception like
+   [Resource.use], without its closure. *)
+let serve_directory t ~home ~nblocks ~third_parties ~third_bytes =
+  let unit_ = t.dir_units.(home) in
+  let engine = Cluster.engine t.cluster in
+  let c = t.costs in
+  Resource.acquire unit_;
+  match
+    Engine.delay engine
+      (c.dir_proc +. (c.dir_per_block *. Float.of_int (max 0 (nblocks - 1))));
+    match third_parties with
+    | [] -> ()
+    | first :: rest ->
+        t.invs <- t.invs + 1 + List.length rest;
+        Fabric.rpc (Cluster.fabric t.cluster) ~from:home ~target:first
+          ~req_bytes:64 ~resp_bytes:third_bytes ignore;
+        for _ = 1 to List.length rest do
+          Engine.delay engine c.inv_extra
+        done
+  with
+  | () -> Resource.release unit_
+  | exception e ->
+      Resource.release unit_;
+      raise e
+
 (* One home-directory round trip serving [nblocks] block requests and
    contacting [third_parties] (exclusive holders to downgrade, or sharers
    to invalidate). *)
 let directory_round t ctx ~home ~resp_bytes ~nblocks ~third_parties ~third_bytes =
-  let fabric = Cluster.fabric t.cluster in
   Ctx.flush ctx;
-  Fabric.rpc fabric ~from:ctx.Ctx.node ~target:home ~req_bytes:64 ~resp_bytes
-    (fun () ->
-      Resource.use t.dir_units.(home) (fun () ->
-          let c = t.costs in
-          Engine.delay (Cluster.engine t.cluster)
-            (c.dir_proc +. (c.dir_per_block *. Float.of_int (max 0 (nblocks - 1))));
-          match third_parties with
-          | [] -> ()
-          | first :: rest ->
-              t.invs <- t.invs + 1 + List.length rest;
-              Fabric.rpc fabric ~from:home ~target:first ~req_bytes:64
-                ~resp_bytes:third_bytes (fun () -> ());
-              List.iter
-                (fun _ -> Engine.delay (Cluster.engine t.cluster) t.costs.inv_extra)
-                rest));
+  Fabric.rpc (Cluster.fabric t.cluster) ~from:ctx.Ctx.node ~target:home
+    ~req_bytes:64 ~resp_bytes (fun () ->
+      serve_directory t ~home ~nblocks ~third_parties ~third_bytes);
   (* Requester-side protocol bookkeeping (state tracking of the copies). *)
   Engine.delay (Cluster.engine t.cluster) t.costs.requester_proc
 
@@ -219,90 +233,111 @@ let has_exclusive node = function
   | Exclusive o -> o = node
   | Shared _ | Uncached -> false
 
+(* The block-list walks below are toplevel recursive functions over
+   [t] and [node], not closures passed to [List] iterators: a closure
+   capturing them would be allocated on every access, hit or miss.
+   Filters keep the list order, and return [[]] without allocating when
+   nothing passes — the common, warm case. *)
+
+(* The blocks [node] holds neither Shared nor Exclusive. *)
+let rec unshared t node = function
+  | [] -> []
+  | b :: rest ->
+      if has_shared node !(state_ref t b) then unshared t node rest
+      else b :: unshared t node rest
+
+(* The blocks [node] does not hold Exclusive. *)
+let rec unowned t node = function
+  | [] -> []
+  | b :: rest ->
+      if has_exclusive node !(state_ref t b) then unowned t node rest
+      else b :: unowned t node rest
+
+(* No block is held Exclusive by a node other than [node]. *)
+let rec none_foreign_exclusive t node = function
+  | [] -> true
+  | b :: rest -> (
+      match !(state_ref t b) with
+      | Exclusive o when o <> node -> false
+      | Exclusive _ | Shared _ | Uncached -> none_foreign_exclusive t node rest)
+
+(* The other nodes holding a block Exclusive, in block order. *)
+let rec foreign_exclusives t node = function
+  | [] -> []
+  | b :: rest -> (
+      match !(state_ref t b) with
+      | Exclusive o when o <> node -> o :: foreign_exclusives t node rest
+      | Exclusive _ | Shared _ | Uncached -> foreign_exclusives t node rest)
+
+(* The other nodes holding a block in any state, in block order. *)
+let rec foreign_holders t node = function
+  | [] -> []
+  | b :: rest -> (
+      match !(state_ref t b) with
+      | Uncached -> foreign_holders t node rest
+      | Shared nodes ->
+          List.filter (fun n -> n <> node) nodes @ foreign_holders t node rest
+      | Exclusive o ->
+          if o <> node then o :: foreign_holders t node rest
+          else foreign_holders t node rest)
+
+let rec add_sharer t node = function
+  | [] -> ()
+  | b :: rest ->
+      let r = state_ref t b in
+      let sharers =
+        match !r with
+        | Uncached -> [ node ]
+        | Shared nodes -> distinct (node :: nodes)
+        | Exclusive o -> distinct [ node; o ]
+      in
+      r := Shared sharers;
+      add_sharer t node rest
+
+let rec set_exclusive t excl = function
+  | [] -> ()
+  | b :: rest ->
+      state_ref t b := excl;
+      set_exclusive t excl rest
+
 let small_read t ctx h blocks_ =
   let node = ctx.Ctx.node in
-  let missed =
-    List.filter (fun b -> not (has_shared node !(state_ref t b))) blocks_
-  in
-  if missed = [] then Ctx.charge_cycles ctx t.costs.hit_check_cycles
-  else begin
-    (if
-       h.obj_home = node
-       && List.for_all
-            (fun b ->
-              match !(state_ref t b) with
-              | Exclusive o -> o = node
-              | Shared _ | Uncached -> true)
-            missed
-     then
-       (* Local fast path: the requester is the home, nothing conflicts. *)
-       Ctx.charge_cycles ctx (t.costs.hit_check_cycles +. 900.0)
-     else begin
-       t.rmisses <- t.rmisses + 1;
-       Ctx.note_remote_access ctx ~target:h.obj_home;
-       let owners =
-         distinct
-           (List.filter_map
-              (fun b ->
-                match !(state_ref t b) with
-                | Exclusive o when o <> node -> Some o
-                | Exclusive _ | Shared _ | Uncached -> None)
-              missed)
-       in
-       directory_round t ctx ~home:h.obj_home
-         ~resp_bytes:(min h.size (List.length missed * t.block_size))
-         ~nblocks:(List.length missed) ~third_parties:owners
-         ~third_bytes:t.block_size
-     end);
-    List.iter
-      (fun b ->
-        let r = state_ref t b in
-        let sharers =
-          match !r with
-          | Uncached -> [ node ]
-          | Shared nodes -> distinct (node :: nodes)
-          | Exclusive o -> distinct [ node; o ]
-        in
-        r := Shared sharers)
-      missed
-  end
+  match unshared t node blocks_ with
+  | [] -> Ctx.charge_cycles ctx t.costs.hit_check_cycles
+  | missed ->
+      (if h.obj_home = node && none_foreign_exclusive t node missed then
+         (* Local fast path: the requester is the home, nothing conflicts. *)
+         Ctx.charge_cycles ctx (t.costs.hit_check_cycles +. 900.0)
+       else begin
+         t.rmisses <- t.rmisses + 1;
+         Ctx.note_remote_access ctx ~target:h.obj_home;
+         let owners = distinct (foreign_exclusives t node missed) in
+         directory_round t ctx ~home:h.obj_home
+           ~resp_bytes:(min h.size (List.length missed * t.block_size))
+           ~nblocks:(List.length missed) ~third_parties:owners
+           ~third_bytes:t.block_size
+       end);
+      add_sharer t node missed
 
 let small_acquire t ctx h blocks_ =
   let node = ctx.Ctx.node in
-  let need =
-    List.filter (fun b -> not (has_exclusive node !(state_ref t b))) blocks_
-  in
-  if need = [] then Ctx.charge_cycles ctx t.costs.hit_check_cycles
-  else begin
-    let third_parties =
-      distinct
-        (List.concat_map
-           (fun b ->
-             match !(state_ref t b) with
-             | Uncached -> []
-             | Shared nodes -> List.filter (fun n -> n <> node) nodes
-             | Exclusive o -> if o <> node then [ o ] else [])
-           need)
-    in
-    (if h.obj_home = node && third_parties = [] then
-       Ctx.charge_cycles ctx (t.costs.hit_check_cycles +. 900.0)
-     else begin
-       t.wmisses <- t.wmisses + 1;
-       Ctx.note_remote_access ctx ~target:h.obj_home;
-       let dirty_fetch =
-         List.exists
-           (fun b ->
-             match !(state_ref t b) with Exclusive o -> o <> node | _ -> false)
-           need
-       in
-       directory_round t ctx ~home:h.obj_home
-         ~resp_bytes:
-           (if dirty_fetch then min h.size (List.length need * t.block_size)
-            else 32)
-         ~nblocks:(List.length need) ~third_parties ~third_bytes:32
-     end);
-    List.iter (fun b -> state_ref t b := Exclusive node) need
-  end
+  match unowned t node blocks_ with
+  | [] -> Ctx.charge_cycles ctx t.costs.hit_check_cycles
+  | need ->
+      let third_parties = distinct (foreign_holders t node need) in
+      (if h.obj_home = node && third_parties = [] then
+         Ctx.charge_cycles ctx (t.costs.hit_check_cycles +. 900.0)
+       else begin
+         t.wmisses <- t.wmisses + 1;
+         Ctx.note_remote_access ctx ~target:h.obj_home;
+         let dirty_fetch = not (none_foreign_exclusive t node need) in
+         directory_round t ctx ~home:h.obj_home
+           ~resp_bytes:
+             (if dirty_fetch then min h.size (List.length need * t.block_size)
+              else 32)
+           ~nblocks:(List.length need) ~third_parties ~third_bytes:32
+       end);
+      set_exclusive t (Exclusive node) need
 
 (* ------------------------------------------------------------------ *)
 (* Large objects: streaming-cursor summary                              *)
@@ -337,15 +372,21 @@ let big_fault t ctx h (bs : big_state) ~want =
     if h.obj_home <> node then note_resident t ~node bs ~size:h.size
   end
 
+(* Another node holds [bs] exclusive: [node]'s cursor is stale.  A
+   match rather than [bs.excl <> Some node], which allocates. *)
+let stale_writer bs node =
+  match bs.excl with Some o -> o <> node | None -> false
+
 let big_read_all t ctx h bs =
   let node = ctx.Ctx.node in
   (* A stale exclusive holder forces a round even with a full cursor. *)
-  if bs.excl <> None && bs.excl <> Some node then bs.cursors.(node) <- 0;
+  if stale_writer bs node then bs.cursors.(node) <- 0;
   big_fault t ctx h bs ~want:(h.nblocks - bs.cursors.(node))
 
 let big_acquire t ctx h bs =
   let node = ctx.Ctx.node in
-  if bs.excl = Some node then Ctx.charge_cycles ctx t.costs.hit_check_cycles
+  if (match bs.excl with Some o -> o = node | None -> false) then
+    Ctx.charge_cycles ctx t.costs.hit_check_cycles
   else begin
     let sharers = ref [] in
     Array.iteri
@@ -382,8 +423,7 @@ let read_part t ctx h ~bytes =
   | Small blocks_ -> small_read t ctx h blocks_
   | Big bs ->
       let node = ctx.Ctx.node in
-      let stale_writer = bs.excl <> None && bs.excl <> Some node in
-      if stale_writer then bs.cursors.(node) <- 0;
+      if stale_writer bs node then bs.cursors.(node) <- 0;
       if bs.cursors.(node) >= h.nblocks then
         Ctx.charge_cycles ctx t.costs.hit_check_cycles
       else begin

@@ -61,53 +61,88 @@ let create ?(costs = default_costs) cluster =
     count = 0;
   }
 
+(* Block for [cycles] of home-core time. *)
+let compute_at_home t cycles =
+  Engine.delay (Cluster.engine t.cluster)
+    (Drust_machine.Params.cycles_to_seconds (Cluster.params t.cluster) cycles)
+
+(* Run [f] on one of [home]'s delegation worker cores, after the fixed
+   delegation cost plus [extra_cycles] of application work.  The core is
+   released on exception, like [Resource.use], without its closure. *)
+let run_at_home t ~home ~extra_cycles f =
+  let worker = t.workers.(home) in
+  Resource.acquire worker;
+  match
+    compute_at_home t (t.costs.delegate_cycles +. extra_cycles);
+    f ()
+  with
+  | v ->
+      Resource.release worker;
+      v
+  | exception e ->
+      Resource.release worker;
+      raise e
+
+(* Aggregation wait of one message from [src] to [dst]; updates the
+   pair's inter-send gap EWMA.  The clamp is [Float.min timeout
+   (Float.max 1e-6 x)] written out (NaN included) so no float crosses a
+   call boxed. *)
+let aggregation_wait t src dst =
+  let now = Engine.now (Cluster.engine t.cluster) in
+  let gap = now -. t.last_send.(src).(dst) in
+  t.last_send.(src).(dst) <- now;
+  let ewma = (0.8 *. t.gap_ewma.(src).(dst)) +. (0.2 *. gap) in
+  t.gap_ewma.(src).(dst) <- ewma;
+  let fill = 2.0 *. ewma in
+  let fill = if fill < 1e-6 then 1e-6 else fill in
+  let timeout = t.costs.aggregation_delay in
+  if fill > timeout then timeout else fill
+
 let delegate t ctx ~home ~req_bytes ~resp_bytes ~extra_cycles f =
   t.count <- t.count + 1;
   let engine = Cluster.engine t.cluster in
-  let params = Cluster.params t.cluster in
-  let run_at_home () =
-    Resource.use t.workers.(home) (fun () ->
-        Engine.delay engine
-          (Drust_machine.Params.cycles_to_seconds params
-             (t.costs.delegate_cycles +. extra_cycles));
-        f ())
-  in
-  let aggregation_wait src dst =
-    let now = Engine.now engine in
-    let gap = now -. t.last_send.(src).(dst) in
-    t.last_send.(src).(dst) <- now;
-    t.gap_ewma.(src).(dst) <- (0.8 *. t.gap_ewma.(src).(dst)) +. (0.2 *. gap);
-    Float.min t.costs.aggregation_delay
-      (Float.max 1e-6 (2.0 *. t.gap_ewma.(src).(dst)))
-  in
   if home = ctx.Ctx.node then begin
     (* Local delegation skips the network but still hops through the
        delegation queue. *)
     Ctx.flush ctx;
     Engine.delay engine t.costs.local_overhead;
-    run_at_home ()
+    run_at_home t ~home ~extra_cycles f
   end
   else begin
     Ctx.note_remote_access ctx ~target:home;
     Ctx.flush ctx;
     (* Sender-side aggregation batches small messages... *)
-    Engine.delay engine (aggregation_wait ctx.Ctx.node home);
+    Engine.delay engine (aggregation_wait t ctx.Ctx.node home);
     let v =
       Fabric.rpc (Cluster.fabric t.cluster) ~from:ctx.Ctx.node ~target:home
-        ~req_bytes ~resp_bytes run_at_home
+        ~req_bytes ~resp_bytes (fun () -> run_at_home t ~home ~extra_cycles f)
     in
     (* ...and so does the reply path. *)
-    Engine.delay engine (aggregation_wait home ctx.Ctx.node);
+    Engine.delay engine (aggregation_wait t home ctx.Ctx.node);
     v
   end
 
 let object_unit t oid =
-  match Hashtbl.find_opt t.object_units oid with
-  | Some r -> r
-  | None ->
+  match Hashtbl.find t.object_units oid with
+  | r -> r
+  | exception Not_found ->
       let r = Resource.create (Cluster.engine t.cluster) ~capacity:1 in
       Hashtbl.replace t.object_units oid r;
       r
+
+(* Run [work t h x] holding [h]'s object unit (Grappa runs delegations
+   for one object on one core), released on exception like
+   [Resource.use] but without its closure. *)
+let serialized t h work x =
+  let u = object_unit t h.oid in
+  Resource.acquire u;
+  match work t h x with
+  | v ->
+      Resource.release u;
+      v
+  | exception e ->
+      Resource.release u;
+      raise e
 
 let alloc_on t ctx ~node ~size v =
   Ctx.charge_cycles ctx 150.0;
@@ -121,14 +156,15 @@ let alloc t ctx ~size v = alloc_on t ctx ~node:ctx.Ctx.node ~size v
 let home h = h.obj_home
 
 let get_value t h =
-  match Hashtbl.find_opt t.store h.oid with
-  | Some v -> v
-  | None -> invalid_arg "Grappa: freed object"
+  match Hashtbl.find t.store h.oid with
+  | v -> v
+  | exception Not_found -> invalid_arg "Grappa: freed object"
+
+let read_at_home t h () = get_value t h
 
 let read t ctx h =
   delegate t ctx ~home:h.obj_home ~req_bytes:64 ~resp_bytes:h.size
-    ~extra_cycles:0.0 (fun () ->
-      Resource.use (object_unit t h.oid) (fun () -> get_value t h))
+    ~extra_cycles:0.0 (fun () -> serialized t h read_at_home ())
 
 (* Compute ships to the data: the work runs on the home's delegation
    worker, serialized per object — a hot object's home core becomes the
@@ -137,35 +173,33 @@ let read_part t ctx h ~bytes =
   delegate t ctx ~home:h.obj_home ~req_bytes:64 ~resp_bytes:(min h.size bytes)
     ~extra_cycles:0.0 (fun () -> ignore (get_value t h))
 
+let process_at_home t h cycles =
+  compute_at_home t cycles;
+  get_value t h
+
 let process t ctx h ~cycles =
-  let params = Cluster.params t.cluster in
   delegate t ctx ~home:h.obj_home ~req_bytes:64 ~resp_bytes:(min h.size 512)
-    ~extra_cycles:0.0 (fun () ->
-      Resource.use (object_unit t h.oid) (fun () ->
-          Engine.delay (Cluster.engine t.cluster)
-            (Drust_machine.Params.cycles_to_seconds params cycles);
-          get_value t h))
+    ~extra_cycles:0.0 (fun () -> serialized t h process_at_home cycles)
+
+let update_at_home t h f = Hashtbl.replace t.store h.oid (f (get_value t h))
+
+let process_update_at_home t h (cycles, f) =
+  compute_at_home t cycles;
+  update_at_home t h f
 
 let process_update t ctx h ~cycles f =
-  let params = Cluster.params t.cluster in
   delegate t ctx ~home:h.obj_home ~req_bytes:96 ~resp_bytes:8 ~extra_cycles:0.0
-    (fun () ->
-      Resource.use (object_unit t h.oid) (fun () ->
-          Engine.delay (Cluster.engine t.cluster)
-            (Drust_machine.Params.cycles_to_seconds params cycles);
-          Hashtbl.replace t.store h.oid (f (get_value t h))))
+    (fun () -> serialized t h process_update_at_home (cycles, f))
+
+let write_at_home t h v = Hashtbl.replace t.store h.oid v
 
 let write t ctx h v =
   delegate t ctx ~home:h.obj_home ~req_bytes:(64 + h.size) ~resp_bytes:8
-    ~extra_cycles:0.0 (fun () ->
-      Resource.use (object_unit t h.oid) (fun () ->
-          Hashtbl.replace t.store h.oid v))
+    ~extra_cycles:0.0 (fun () -> serialized t h write_at_home v)
 
 let update t ctx h f =
   delegate t ctx ~home:h.obj_home ~req_bytes:96 ~resp_bytes:8 ~extra_cycles:0.0
-    (fun () ->
-      Resource.use (object_unit t h.oid) (fun () ->
-          Hashtbl.replace t.store h.oid (f (get_value t h))))
+    (fun () -> serialized t h update_at_home f)
 
 let free t ctx h =
   Ctx.charge_cycles ctx 60.0;

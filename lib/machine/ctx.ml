@@ -1,15 +1,16 @@
 module Engine = Drust_sim.Engine
 module Resource = Drust_sim.Resource
 
+type cpu = { mutable pending_cycles : float }
+
 type t = {
   cluster : Cluster.t;
   thread_id : int;
   mutable node : int;
   rng : Drust_util.Rng.t;
-  mutable pending_cycles : float;
+  cpu : cpu;
   mutable local_alloc_bytes : int;
   remote_accesses : int array;
-  mutable computed_seconds : float;
   mutable safe_point_hook : (t -> unit) option;
   mutable current_span : Drust_obs.Span.span option;
   mutable op_kind : int;
@@ -25,10 +26,9 @@ let make cluster ~node =
     thread_id = id;
     node;
     rng = Drust_util.Rng.split (Cluster.rng cluster);
-    pending_cycles = 0.0;
+    cpu = { pending_cycles = 0.0 };
     local_alloc_bytes = 0;
     remote_accesses = Array.make (Cluster.node_count cluster) 0;
-    computed_seconds = 0.0;
     safe_point_hook = None;
     current_span = None;
     op_kind = -1;
@@ -44,13 +44,17 @@ let params t = Cluster.params t.cluster
 let safe_point t =
   match t.safe_point_hook with None -> () | Some hook -> hook t
 
+(* [Params.cycles_to_seconds], repeated here so the charge and flush
+   paths keep their floats unboxed: a float returned across the module
+   boundary is boxed on every call. *)
+let[@inline] seconds_of p cycles = cycles /. (p.Params.ghz *. 1e9)
+
 let flush t =
   safe_point t;
-  if t.pending_cycles > 0.0 then begin
-    let cycles = t.pending_cycles in
-    t.pending_cycles <- 0.0;
-    let seconds = Params.cycles_to_seconds (params t) cycles in
-    t.computed_seconds <- t.computed_seconds +. seconds;
+  let cycles = t.cpu.pending_cycles in
+  if cycles > 0.0 then begin
+    t.cpu.pending_cycles <- 0.0;
+    let seconds = seconds_of (params t) cycles in
     let cores = (current_node t).Cluster.cores in
     let spans = Cluster.spans t.cluster in
     if Drust_obs.Span.is_enabled spans then begin
@@ -67,17 +71,27 @@ let flush t =
             ~category:"cpu.compute" "compute" (fun () ->
               Engine.delay (engine t) seconds))
     end
-    else Resource.use cores (fun () -> Engine.delay (engine t) seconds)
+    else begin
+      (* [Resource.use] without its closure: released on exception. *)
+      Resource.acquire cores;
+      match Engine.delay (engine t) seconds with
+      | () -> Resource.release cores
+      | exception e ->
+          Resource.release cores;
+          raise e
+    end
   end
 
 let charge_cycles t cycles =
-  if cycles < 0.0 then invalid_arg "Ctx.charge_cycles: negative";
-  t.pending_cycles <- t.pending_cycles +. cycles;
-  let grain = (params t).Params.flush_grain in
-  if Params.cycles_to_seconds (params t) t.pending_cycles >= grain then flush t
+  if not (cycles >= 0.0) then invalid_arg "Ctx.charge_cycles: negative or NaN";
+  let pending = t.cpu.pending_cycles +. cycles in
+  t.cpu.pending_cycles <- pending;
+  let p = params t in
+  if seconds_of p pending >= p.Params.flush_grain then flush t
 
 let compute t ~cycles =
-  t.pending_cycles <- t.pending_cycles +. cycles;
+  if not (cycles >= 0.0) then invalid_arg "Ctx.compute: negative or NaN";
+  t.cpu.pending_cycles <- t.cpu.pending_cycles +. cycles;
   flush t
 
 let note_remote_access t ~target =

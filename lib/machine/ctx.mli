@@ -11,15 +11,18 @@
     the network.  This keeps simulations fast without losing CPU
     contention. *)
 
+type cpu = { mutable pending_cycles : float }
+(** Compute charged but not yet flushed.  A float-only record, so the
+    field is stored unboxed and charging allocates nothing. *)
+
 type t = {
   cluster : Cluster.t;
   thread_id : int;
   mutable node : int;
   rng : Drust_util.Rng.t;
-  mutable pending_cycles : float;
+  cpu : cpu;
   mutable local_alloc_bytes : int;
   remote_accesses : int array;  (** per-target-node counts *)
-  mutable computed_seconds : float;
   mutable safe_point_hook : (t -> unit) option;
       (** invoked at flush points; the runtime installs migration here *)
   mutable current_span : Drust_obs.Span.span option;
@@ -48,10 +51,12 @@ val fabric : t -> Drust_net.Fabric.t
 val params : t -> Params.t
 
 val charge_cycles : t -> float -> unit
-(** Accumulate compute; flushes automatically past the grain. *)
+(** Accumulate compute; flushes automatically past the grain.  Raises
+    [Invalid_argument] unless [cycles >= 0] (so NaN is rejected too). *)
 
 val compute : t -> cycles:float -> unit
-(** [charge_cycles] then flush — a synchronous compute burst. *)
+(** [charge_cycles] then flush — a synchronous compute burst.  Rejects
+    the same [cycles] as [charge_cycles]. *)
 
 val flush : t -> unit
 (** Occupy a core on the current node for all pending cycles.  Runs the

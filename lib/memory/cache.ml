@@ -60,21 +60,24 @@ let set_used t used =
   t.used <- used;
   Metrics.set t.g_used (float_of_int used)
 
-let lookup t g =
-  match Drust_util.Intmap.find_opt t.map (Gaddr.to_int (Gaddr.clear_color g)) with
-  | Some copy when Gaddr.equal copy.key g && not copy.dead ->
+let find t g =
+  match Drust_util.Intmap.find t.map (Gaddr.to_int (Gaddr.clear_color g)) with
+  | copy when Gaddr.equal copy.key g && not copy.dead ->
       Metrics.incr t.c_hits;
       (match t.listener with None -> () | Some f -> f (Hit { key = copy.key }));
-      Some copy
-  | Some copy ->
+      copy
+  | copy ->
       Metrics.incr t.c_misses;
       (match t.listener with
       | None -> ()
       | Some f -> f (Stale_miss { sought = g; cached = copy.key }));
-      None
-  | None ->
+      raise_notrace Not_found
+  | exception Not_found ->
       Metrics.incr t.c_misses;
-      None
+      raise_notrace Not_found
+
+let lookup t g =
+  match find t g with copy -> Some copy | exception Not_found -> None
 
 let reclaim t copy =
   if not copy.dead then begin

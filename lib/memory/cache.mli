@@ -58,6 +58,11 @@ val lookup : t -> Gaddr.t -> copy option
 (** [lookup t g] finds a live copy cached under exactly the colored
     address [g]; a copy fetched under a stale color never matches. *)
 
+val find : t -> Gaddr.t -> copy
+(** [find] is {!lookup} without the option: the same counters and
+    listener events, raising [Not_found] on a miss.  The protocol's read
+    path uses it so a hit allocates nothing. *)
+
 val insert : t -> Gaddr.t -> size:int -> Drust_util.Univ.t -> copy
 (** [insert t g ~size v] records a fresh copy with refcount 1.  Any older
     copy cached under the same physical address (different color) is

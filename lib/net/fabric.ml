@@ -65,6 +65,9 @@ type t = {
   engine : Engine.t;
   rng : Drust_util.Rng.t;
   model : Model.t;
+  (* [model.jitter], stored boxed in this mixed record so that every
+     jitter draw passes it to [Rng.gaussian] without boxing a copy. *)
+  sigma : float;
   nodes : int;
   metrics : Metrics.t;
   counters : verbs array;
@@ -118,6 +121,7 @@ let create ?metrics ?spans ?flight ~engine ~rng ~model ~nodes () =
     engine;
     rng;
     model;
+    sigma = model.Model.jitter;
     nodes;
     metrics;
     counters = Array.init nodes (register_verbs metrics);
@@ -175,35 +179,38 @@ let serve_mark vt ~target name =
       Span.instant vt_sp ~track:target ~parent:vt_span ~flow_in
         ~category:"fabric" name
 
-(* Complete span covering a blocking verb's latency.  [f] receives the
-   live trace context (None when tracing is off) so it can hang
-   wire/queue sub-spans and target-side marks off the verb span. *)
-let with_verb_span t verb ~from ~target ~bytes ?parent f =
+(* The tracer, when spans are being recorded: [t.spans] itself, so the
+   untraced check allocates nothing. *)
+let tracing t =
   match t.spans with
-  | Some sp when Span.is_enabled sp ->
-      let vs =
-        Span.start sp ~track:from ~category:"fabric" ?parent
-          ~args:
-            [ ("target", string_of_int target); ("bytes", string_of_int bytes) ]
-          verb
-      in
-      let fid =
-        if from = target then 0
-        else begin
-          let fid = Span.fresh_flow_id sp in
-          Span.add_flow_out vs fid;
-          fid
-        end
-      in
-      let vt = Some { vt_sp = sp; vt_span = vs; vt_flow = fid } in
-      (match f vt with
-      | v ->
-          Span.finish sp vs;
-          v
-      | exception e ->
-          Span.finish sp vs;
-          raise e)
-  | _ -> f None
+  | Some sp as live when Span.is_enabled sp -> live
+  | Some _ | None -> None
+
+(* Complete span covering a blocking verb's latency.  [f] receives the
+   live trace context so it can hang wire/queue sub-spans and
+   target-side marks off the verb span.  Untraced verbs call their body
+   directly with [None] and build no closure. *)
+let with_verb_span sp verb ~from ~target ~bytes ?parent f =
+  let vs =
+    Span.start sp ~track:from ~category:"fabric" ?parent
+      ~args:[ ("target", string_of_int target); ("bytes", string_of_int bytes) ]
+      verb
+  in
+  let fid =
+    if from = target then 0
+    else begin
+      let fid = Span.fresh_flow_id sp in
+      Span.add_flow_out vs fid;
+      fid
+    end
+  in
+  match f (Some { vt_sp = sp; vt_span = vs; vt_flow = fid }) with
+  | v ->
+      Span.finish sp vs;
+      v
+  | exception e ->
+      Span.finish sp vs;
+      raise e
 
 let engine t = t.engine
 let node_count t = t.nodes
@@ -262,11 +269,6 @@ let async_delivers t ~from ~target =
       end
       else true
 
-let fault_extra_latency t ~from ~target =
-  match t.fault with
-  | Some p when from <> target -> Fault.extra_latency p ~from ~target
-  | Some _ | None -> 0.0
-
 (* Serve-time view validation: a verb that carried an epoch is rejected
    if the membership view advanced while it was in flight (or the issuer
    was already behind when it posted).  Runs after the request leg's
@@ -284,22 +286,53 @@ let check_epoch t ~from ~target epoch =
       end
   | _ -> ()
 
-(* Apply multiplicative gaussian jitter to a base latency, clamped so that
-   a pathological sample can never be negative or more than double. *)
-let jittered t base =
-  if t.model.Model.jitter <= 0.0 then base
-  else
-    let factor =
-      Drust_util.Rng.gaussian t.rng ~mu:1.0 ~sigma:t.model.Model.jitter
-    in
-    base *. Float.max 0.5 (Float.min 2.0 factor)
+(* The latency classes of a verb leg: its base latency, or, for
+   [Serialize], none — the leg is a bulk payload's wire time on the NIC. *)
+type leg = Oneside | Twoside | Atomic | Serialize
 
-let latency t ~from ~target ~base ~bytes =
+(* The modelled latency of one leg, in one place so that no intermediate
+   float is boxed: the leg's base (the loopback cost when from = target)
+   plus the payload's wire time, under multiplicative gaussian jitter
+   clamped to [0.5, 2] so a pathological sample is never negative or more
+   than double, plus any fault-plan slowdown of the link.  A [Serialize]
+   leg is the jittered wire time alone.  The one boxed float is the
+   result, which [Engine.delay] takes as it is. *)
+let leg_latency t leg ~from ~target ~bytes =
+  let m = t.model in
+  let wire = Float.of_int bytes /. m.Model.bandwidth in
   let raw =
-    if from = target then t.model.Model.local_base +. Model.transfer_time t.model ~bytes
-    else base +. Model.transfer_time t.model ~bytes
+    match leg with
+    | Serialize -> wire
+    | (Oneside | Twoside | Atomic) when from = target ->
+        m.Model.local_base +. wire
+    | Oneside -> m.Model.oneside_base +. wire
+    | Twoside -> m.Model.twoside_base +. wire
+    | Atomic -> m.Model.atomic_base +. wire
   in
-  jittered t raw +. fault_extra_latency t ~from ~target
+  let jittered =
+    if m.Model.jitter <= 0.0 then raw
+    else
+      let f = Drust_util.Rng.gaussian t.rng ~mu:1.0 ~sigma:t.sigma in
+      raw *. (if f < 0.5 then 0.5 else if f > 2.0 then 2.0 else f)
+  in
+  match (leg, t.fault) with
+  | Serialize, _ | _, None -> jittered
+  | _, Some p ->
+      jittered
+      +. if from <> target then Fault.extra_latency p ~from ~target else 0.0
+
+(* Hold [nic] for a bulk payload's jittered wire time, drawn once the
+   NIC is ours; released on exception like [Resource.use], without its
+   closure. *)
+let serialize t nic ~from ~target ~bytes =
+  Drust_sim.Resource.acquire nic;
+  match
+    Engine.delay t.engine (leg_latency t Serialize ~from ~target ~bytes)
+  with
+  | () -> Drust_sim.Resource.release nic
+  | exception e ->
+      Drust_sim.Resource.release nic;
+      raise e
 
 (* Block for the verb's latency; a bulk payload additionally holds the
    data source's NIC for its wire time, so concurrent bulk egress from
@@ -307,35 +340,36 @@ let latency t ~from ~target ~base ~bytes =
    as a sub-span of the verb (propagation/wire -> [net.wire], waiting
    for the NIC -> [net.queue], holding it -> [net.serialize]) — the
    exact same delays and resource acquisitions happen either way. *)
-let delay_with_nic ~vt t ~data_source ~from ~target ~base ~bytes =
-  if bytes >= bulk_threshold && from <> target then begin
-    let wire = Model.transfer_time t.model ~bytes in
-    match vt with
-    | Some { vt_sp = sp; vt_span = parent; _ } ->
+let delay_with_nic ~vt t leg ~data_source ~from ~target ~bytes =
+  let bulk = bytes >= bulk_threshold && from <> target in
+  match vt with
+  | None ->
+      if bulk then begin
+        Engine.delay t.engine (leg_latency t leg ~from ~target ~bytes:0);
+        serialize t t.nics.(data_source) ~from ~target ~bytes
+      end
+      else Engine.delay t.engine (leg_latency t leg ~from ~target ~bytes)
+  | Some { vt_sp = sp; vt_span = parent; _ } ->
+      if bulk then begin
         Span.with_span sp ~track:from ~parent ~category:"net.wire" "propagate"
           (fun () ->
-            Engine.delay t.engine (latency t ~from ~target ~base ~bytes:0));
+            Engine.delay t.engine (leg_latency t leg ~from ~target ~bytes:0));
         let wait =
           Span.start sp ~track:from ~parent ~category:"net.queue" "nic_wait"
         in
         Drust_sim.Resource.use t.nics.(data_source) (fun () ->
             Span.finish sp wait;
             Span.with_span sp ~track:from ~parent ~category:"net.serialize"
-              "serialize" (fun () -> Engine.delay t.engine (jittered t wire)))
-    | None ->
-        Engine.delay t.engine (latency t ~from ~target ~base ~bytes:0);
-        Drust_sim.Resource.use t.nics.(data_source) (fun () ->
-            Engine.delay t.engine (jittered t wire))
-  end
-  else
-    match vt with
-    | Some { vt_sp = sp; vt_span = parent; _ } ->
+              "serialize" (fun () ->
+                Engine.delay t.engine
+                  (leg_latency t Serialize ~from ~target ~bytes)))
+      end
+      else
         Span.with_span sp ~track:from ~parent ~category:"net.wire" "wire"
           (fun () ->
-            Engine.delay t.engine (latency t ~from ~target ~base ~bytes))
-    | None -> Engine.delay t.engine (latency t ~from ~target ~base ~bytes)
+            Engine.delay t.engine (leg_latency t leg ~from ~target ~bytes))
 
-let note ?(verb = "") t ~from ~target ~bytes =
+let note t verb ~from ~target ~bytes =
   let c = t.counters.(from) in
   Metrics.add c.c_bytes_out bytes;
   if from <> target then Metrics.incr c.c_remote_ops;
@@ -343,44 +377,76 @@ let note ?(verb = "") t ~from ~target ~bytes =
   | None -> ()
   | Some f -> f verb ~from ~target ~bytes
 
+(* The blocking verbs' bodies, shared by the untraced call (with
+   [vt = None]) and the traced one. *)
+let read_body t vt ~from ~target ~bytes epoch =
+  (* READ pulls data out of the target: the target's NIC is the egress. *)
+  delay_with_nic ~vt t Oneside ~data_source:target ~from ~target ~bytes;
+  check_epoch t ~from ~target epoch;
+  if from <> target then serve_mark vt ~target "SERVE(READ)"
+
+let write_body t vt ~from ~target ~bytes epoch =
+  (* WRITE pushes data from the sender: its NIC is the egress. *)
+  delay_with_nic ~vt t Oneside ~data_source:from ~from ~target ~bytes;
+  check_epoch t ~from ~target epoch;
+  if from <> target then serve_mark vt ~target "SERVE(WRITE)"
+
+let atomic_body t vt ~from ~target f =
+  (match vt with
+  | Some { vt_sp = sp; vt_span = parent; _ } ->
+      Span.with_span sp ~track:from ~parent ~category:"net.wire" "wire"
+        (fun () ->
+          Engine.delay t.engine (leg_latency t Atomic ~from ~target ~bytes:0))
+  | None ->
+      Engine.delay t.engine (leg_latency t Atomic ~from ~target ~bytes:0));
+  if from <> target then serve_mark vt ~target "SERVE(ATOMIC)";
+  f ()
+
+let rpc_body t vt ~from ~target ~req_bytes ~resp_bytes epoch handler =
+  delay_with_nic ~vt t Twoside ~data_source:from ~from ~target ~bytes:req_bytes;
+  check_epoch t ~from ~target epoch;
+  if from <> target then serve_mark vt ~target "RECV(RPC)";
+  let result = handler () in
+  delay_with_nic ~vt t Twoside ~data_source:target ~from ~target
+    ~bytes:resp_bytes;
+  result
+
 let rdma_read ?parent ?epoch t ~from ~target ~bytes =
   check_node t from "rdma_read";
   check_node t target "rdma_read";
   Metrics.incr t.counters.(from).c_reads;
-  note ~verb:"READ" t ~from ~target ~bytes;
+  note t "READ" ~from ~target ~bytes;
   fr t ~from ~kind:Flight.k_fab_read ~a:target ~b:bytes ~c:(ep epoch);
   sync_guard t ~from ~target;
-  (* READ pulls data out of the target: the target's NIC is the egress. *)
-  with_verb_span t "READ" ~from ~target ~bytes ?parent (fun vt ->
-      delay_with_nic ~vt t ~data_source:target ~from ~target
-        ~base:t.model.Model.oneside_base ~bytes;
-      check_epoch t ~from ~target epoch;
-      if from <> target then serve_mark vt ~target "SERVE(READ)")
+  match tracing t with
+  | None -> read_body t None ~from ~target ~bytes epoch
+  | Some sp ->
+      with_verb_span sp "READ" ~from ~target ~bytes ?parent (fun vt ->
+          read_body t vt ~from ~target ~bytes epoch)
 
 let rdma_write ?parent ?epoch t ~from ~target ~bytes =
   check_node t from "rdma_write";
   check_node t target "rdma_write";
   Metrics.incr t.counters.(from).c_writes;
-  note ~verb:"WRITE" t ~from ~target ~bytes;
+  note t "WRITE" ~from ~target ~bytes;
   fr t ~from ~kind:Flight.k_fab_write ~a:target ~b:bytes ~c:(ep epoch);
   sync_guard t ~from ~target;
-  (* WRITE pushes data from the sender: its NIC is the egress. *)
-  with_verb_span t "WRITE" ~from ~target ~bytes ?parent (fun vt ->
-      delay_with_nic ~vt t ~data_source:from ~from ~target
-        ~base:t.model.Model.oneside_base ~bytes;
-      check_epoch t ~from ~target epoch;
-      if from <> target then serve_mark vt ~target "SERVE(WRITE)")
+  match tracing t with
+  | None -> write_body t None ~from ~target ~bytes epoch
+  | Some sp ->
+      with_verb_span sp "WRITE" ~from ~target ~bytes ?parent (fun vt ->
+          write_body t vt ~from ~target ~bytes epoch)
 
 let rdma_write_async ?parent t ~from ~target ~bytes k =
   check_node t from "rdma_write_async";
   check_node t target "rdma_write_async";
   Metrics.incr t.counters.(from).c_writes;
-  note ~verb:"WRITE(async)" t ~from ~target ~bytes;
+  note t "WRITE(async)" ~from ~target ~bytes;
   fr t ~from ~kind:Flight.k_fab_write ~a:target ~b:bytes ~c:(-1);
   if async_delivers t ~from ~target then begin
-    let dt = latency t ~from ~target ~base:t.model.Model.oneside_base ~bytes in
-    match t.spans with
-    | Some sp when Span.is_enabled sp ->
+    let dt = leg_latency t Oneside ~from ~target ~bytes in
+    match tracing t with
+    | Some sp ->
         (* Flow edge from the posting instant to a RECV instant emitted
            by a wrapped callback at delivery time — same schedule_after,
            so the event order is unchanged. *)
@@ -395,48 +461,37 @@ let rdma_write_async ?parent t ~from ~target ~bytes k =
               ~flow_in:(if fid = 0 then [] else [ fid ])
               ~category:"fabric" "RECV(WRITE)";
             k ())
-    | _ -> Engine.schedule_after t.engine dt k
+    | None -> Engine.schedule_after t.engine dt k
   end
 
 let rdma_atomic ?parent t ~from ~target f =
   check_node t from "rdma_atomic";
   check_node t target "rdma_atomic";
   Metrics.incr t.counters.(from).c_atomics;
-  note ~verb:"ATOMIC" t ~from ~target ~bytes:8;
+  note t "ATOMIC" ~from ~target ~bytes:8;
   fr t ~from ~kind:Flight.k_fab_atomic ~a:target ~b:8 ~c:(-1);
   sync_guard t ~from ~target;
-  with_verb_span t "ATOMIC" ~from ~target ~bytes:8 ?parent (fun vt ->
-      (match vt with
-      | Some { vt_sp = sp; vt_span = parent; _ } ->
-          Span.with_span sp ~track:from ~parent ~category:"net.wire" "wire"
-            (fun () ->
-              Engine.delay t.engine
-                (latency t ~from ~target ~base:t.model.Model.atomic_base
-                   ~bytes:0))
-      | None ->
-          Engine.delay t.engine
-            (latency t ~from ~target ~base:t.model.Model.atomic_base ~bytes:0));
-      if from <> target then serve_mark vt ~target "SERVE(ATOMIC)";
-      f ())
+  match tracing t with
+  | None -> atomic_body t None ~from ~target f
+  | Some sp ->
+      with_verb_span sp "ATOMIC" ~from ~target ~bytes:8 ?parent (fun vt ->
+          atomic_body t vt ~from ~target f)
 
 let rpc ?parent ?epoch t ~from ~target ~req_bytes ~resp_bytes handler =
   check_node t from "rpc";
   check_node t target "rpc";
   Metrics.incr t.counters.(from).c_rpcs;
-  note ~verb:"RPC" t ~from ~target ~bytes:(req_bytes + resp_bytes);
+  note t "RPC" ~from ~target ~bytes:(req_bytes + resp_bytes);
   fr t ~from ~kind:Flight.k_fab_rpc ~a:target ~b:(req_bytes + resp_bytes)
     ~c:(ep epoch);
   sync_guard t ~from ~target;
-  with_verb_span t "RPC" ~from ~target ~bytes:(req_bytes + resp_bytes) ?parent
-    (fun vt ->
-      delay_with_nic ~vt t ~data_source:from ~from ~target
-        ~base:t.model.Model.twoside_base ~bytes:req_bytes;
-      check_epoch t ~from ~target epoch;
-      if from <> target then serve_mark vt ~target "RECV(RPC)";
-      let result = handler () in
-      delay_with_nic ~vt t ~data_source:target ~from ~target
-        ~base:t.model.Model.twoside_base ~bytes:resp_bytes;
-      result)
+  match tracing t with
+  | None ->
+      rpc_body t None ~from ~target ~req_bytes ~resp_bytes epoch handler
+  | Some sp ->
+      with_verb_span sp "RPC" ~from ~target ~bytes:(req_bytes + resp_bytes)
+        ?parent (fun vt ->
+          rpc_body t vt ~from ~target ~req_bytes ~resp_bytes epoch handler)
 
 (* ------------------------------------------------------------------ *)
 (* Bounded failure semantics: race an operation against a virtual-time
@@ -522,15 +577,13 @@ let send_async ?parent t ~from ~target ~bytes handler =
   check_node t from "send_async";
   check_node t target "send_async";
   Metrics.incr t.counters.(from).c_rpcs;
-  note ~verb:"SEND(async)" t ~from ~target ~bytes;
+  note t "SEND(async)" ~from ~target ~bytes;
   fr t ~from ~kind:Flight.k_fab_send ~a:target ~b:bytes ~c:(-1);
   if async_delivers t ~from ~target then begin
-    let dt =
-      latency t ~from ~target ~base:t.model.Model.twoside_base ~bytes
-    in
+    let dt = leg_latency t Twoside ~from ~target ~bytes in
     let handler =
-      match t.spans with
-      | Some sp when Span.is_enabled sp ->
+      match tracing t with
+      | Some sp ->
           let fid = if from = target then 0 else Span.fresh_flow_id sp in
           let flow_out = if fid = 0 then [] else [ fid ] in
           Span.instant sp ~track:from ?parent ~flow_out ~category:"fabric"
@@ -543,7 +596,7 @@ let send_async ?parent t ~from ~target ~bytes handler =
               ~flow_in:(if fid = 0 then [] else [ fid ])
               ~category:"fabric" "RECV(SEND)";
             handler ()
-      | _ -> handler
+      | None -> handler
     in
     ignore (Engine.spawn ~at:(Engine.now t.engine +. dt) t.engine handler)
   end

@@ -5,14 +5,16 @@ type owner = { mutable enabled : bool }
 type counter = { c_owner : owner; mutable count : int }
 type gauge = { g_owner : owner; mutable g_level : float }
 
+(* A histogram's running sum and extremes: a float-only record, so the
+   fields are stored unboxed and [observe] allocates nothing. *)
+type moments = { mutable sum : float; mutable lo : float; mutable hi : float }
+
 type histogram = {
   h_owner : owner;
   bounds : float array; (* ascending upper bounds *)
   counts : int array; (* one slot per bound + a final overflow slot *)
-  mutable sum : float;
   mutable n : int;
-  mutable lo : float;
-  mutable hi : float;
+  m : moments;
 }
 
 type instrument = C of counter | G of gauge | H of histogram
@@ -90,8 +92,8 @@ let histogram t ?(buckets = default_buckets) ?(labels = []) ?(unit_ = "")
     (fun () ->
       let h =
         { h_owner = t.o; bounds = Array.copy buckets;
-          counts = Array.make (k + 1) 0; sum = 0.0; n = 0; lo = infinity;
-          hi = neg_infinity }
+          counts = Array.make (k + 1) 0; n = 0;
+          m = { sum = 0.0; lo = infinity; hi = neg_infinity } }
       in
       (H h, h))
     (function H h -> Some h | _ -> None)
@@ -106,10 +108,11 @@ let observe h v =
     let i = ref 0 in
     while !i < k && v > h.bounds.(!i) do Stdlib.incr i done;
     h.counts.(!i) <- h.counts.(!i) + 1;
-    h.sum <- h.sum +. v;
+    let m = h.m in
+    m.sum <- m.sum +. v;
     h.n <- h.n + 1;
-    if v < h.lo then h.lo <- v;
-    if v > h.hi then h.hi <- v
+    if v < m.lo then m.lo <- v;
+    if v > m.hi then m.hi <- v
   end
 
 let value c = c.count
@@ -152,9 +155,9 @@ let sample_of m =
         Histo
           {
             h_count = h.n;
-            h_sum = h.sum;
-            h_min = (if h.n = 0 then nan else h.lo);
-            h_max = (if h.n = 0 then nan else h.hi);
+            h_sum = h.m.sum;
+            h_min = (if h.n = 0 then nan else h.m.lo);
+            h_max = (if h.n = 0 then nan else h.m.hi);
             h_buckets = buckets;
           }
   in

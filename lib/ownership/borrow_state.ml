@@ -15,7 +15,7 @@ exception
     context : string;
   }
 
-type t = { mutable st : state }
+type t = { mutable n : int }
 
 let pp_violation_kind fmt = function
   | Mut_while_borrowed -> Format.pp_print_string fmt "mutable borrow while borrowed"
@@ -33,60 +33,58 @@ let pp_state fmt = function
   | Mut_borrowed -> Format.pp_print_string fmt "Mut_borrowed"
   | Dead -> Format.pp_print_string fmt "Dead"
 
-let create () = { st = Owned }
-let state t = t.st
+(* The state as one int, so that no transition allocates (a [Shared n]
+   block per reader count would): [n > 0] readers is [Shared n], and the
+   other states are the constants below.  [state] builds the variant
+   only when asked. *)
+let owned = 0
+let mut_borrowed = -1
+let dead = -2
 
-let fail t kind context = raise (Violation { kind; state = t.st; context })
+let create () = { n = owned }
+
+let state t =
+  if t.n > 0 then Shared t.n
+  else if t.n = owned then Owned
+  else if t.n = mut_borrowed then Mut_borrowed
+  else Dead
+
+let fail t kind context = raise (Violation { kind; state = state t; context })
 
 let borrow_imm t ~context =
-  match t.st with
-  | Owned -> t.st <- Shared 1
-  | Shared n -> t.st <- Shared (n + 1)
-  | Mut_borrowed -> fail t Imm_while_mut_borrowed context
-  | Dead -> fail t Use_after_death context
+  if t.n >= owned then t.n <- t.n + 1
+  else if t.n = mut_borrowed then fail t Imm_while_mut_borrowed context
+  else fail t Use_after_death context
 
 let return_imm t ~context =
-  match t.st with
-  | Shared 1 -> t.st <- Owned
-  | Shared n when n > 1 -> t.st <- Shared (n - 1)
-  | Owned | Shared _ | Mut_borrowed | Dead ->
-      fail t Return_without_borrow context
+  if t.n > 0 then t.n <- t.n - 1 else fail t Return_without_borrow context
 
 let borrow_mut t ~context =
-  match t.st with
-  | Owned -> t.st <- Mut_borrowed
-  | Shared _ | Mut_borrowed -> fail t Mut_while_borrowed context
-  | Dead -> fail t Use_after_death context
+  if t.n = owned then t.n <- mut_borrowed
+  else if t.n = dead then fail t Use_after_death context
+  else fail t Mut_while_borrowed context
 
 let return_mut t ~context =
-  match t.st with
-  | Mut_borrowed -> t.st <- Owned
-  | Owned | Shared _ | Dead -> fail t Return_without_borrow context
+  if t.n = mut_borrowed then t.n <- owned
+  else fail t Return_without_borrow context
 
 let assert_owner_usable t ~context =
-  match t.st with
-  | Owned -> ()
-  | Shared _ | Mut_borrowed -> fail t Mut_while_borrowed context
-  | Dead -> fail t Use_after_death context
+  if t.n = dead then fail t Use_after_death context
+  else if t.n <> owned then fail t Mut_while_borrowed context
 
 let assert_owner_readable t ~context =
-  match t.st with
-  | Owned | Shared _ -> ()
-  | Mut_borrowed -> fail t Imm_while_mut_borrowed context
-  | Dead -> fail t Use_after_death context
+  if t.n = mut_borrowed then fail t Imm_while_mut_borrowed context
+  else if t.n = dead then fail t Use_after_death context
 
 let transfer t ~context =
-  match t.st with
-  | Owned -> ()
-  | Shared _ | Mut_borrowed -> fail t Transfer_while_borrowed context
-  | Dead -> fail t Use_after_death context
+  if t.n = dead then fail t Use_after_death context
+  else if t.n <> owned then fail t Transfer_while_borrowed context
 
 let kill t ~context =
-  match t.st with
-  | Owned -> t.st <- Dead
-  | Shared _ | Mut_borrowed -> fail t Drop_while_borrowed context
-  | Dead -> fail t Use_after_death context
+  if t.n = owned then t.n <- dead
+  else if t.n = dead then fail t Use_after_death context
+  else fail t Drop_while_borrowed context
 
-let imm_count t = match t.st with Shared n -> n | Owned | Mut_borrowed | Dead -> 0
-let is_mut_borrowed t = t.st = Mut_borrowed
-let is_dead t = t.st = Dead
+let imm_count t = if t.n > 0 then t.n else 0
+let is_mut_borrowed t = t.n = mut_borrowed
+let is_dead t = t.n = dead

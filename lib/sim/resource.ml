@@ -1,12 +1,18 @@
+(* Utilization integral: sum over time of (held / capacity).  A
+   float-only record, so its fields are stored unboxed and accounting
+   allocates nothing. *)
+type util = {
+  mutable area : float;
+  mutable since : float;
+  mutable last_change : float;
+}
+
 type t = {
   engine : Engine.t;
   capacity : int;
   mutable held : int;
   waiters : (unit -> unit) Queue.t;
-  (* Utilization integral: sum over time of (held / capacity). *)
-  mutable util_area : float;
-  mutable util_since : float;
-  mutable last_change : float;
+  util : util;
 }
 
 let create engine ~capacity =
@@ -16,9 +22,12 @@ let create engine ~capacity =
     capacity;
     held = 0;
     waiters = Queue.create ();
-    util_area = 0.0;
-    util_since = Engine.now engine;
-    last_change = Engine.now engine;
+    util =
+      {
+        area = 0.0;
+        since = Engine.now engine;
+        last_change = Engine.now engine;
+      };
   }
 
 let capacity t = t.capacity
@@ -26,12 +35,13 @@ let in_use t = t.held
 let queued t = Queue.length t.waiters
 
 let account t =
+  let u = t.util in
   let now = Engine.now t.engine in
-  let dt = now -. t.last_change in
+  let dt = now -. u.last_change in
   if dt > 0.0 then
-    t.util_area <-
-      t.util_area +. (dt *. (Float.of_int t.held /. Float.of_int t.capacity));
-  t.last_change <- now
+    u.area <-
+      u.area +. (dt *. (Float.of_int t.held /. Float.of_int t.capacity));
+  u.last_change <- now
 
 let acquire t =
   if t.held < t.capacity && Queue.is_empty t.waiters then begin
@@ -69,14 +79,16 @@ let use t f =
 let busy_fraction t = Float.of_int t.held /. Float.of_int t.capacity
 
 let utilization t ~now =
-  let span = now -. t.util_since in
+  let u = t.util in
+  let span = now -. u.since in
   if span <= 0.0 then 0.0
   else begin
-    let live = (now -. t.last_change) *. busy_fraction t in
-    (t.util_area +. live) /. span
+    let live = (now -. u.last_change) *. busy_fraction t in
+    (u.area +. live) /. span
   end
 
 let reset_utilization t ~now =
-  t.util_area <- 0.0;
-  t.util_since <- now;
-  t.last_change <- now
+  let u = t.util in
+  u.area <- 0.0;
+  u.since <- now;
+  u.last_change <- now

@@ -54,50 +54,40 @@ let is_empty t = t.live = 0
    the product for any table size in practical range. *)
 let[@inline] index k mask = (k * 0x2545F4914F6CDD1D) lsr 30 land mask
 
+(* The probe loops below are [while] loops or toplevel functions, never
+   local recursive closures: in the default (non-flambda) compiler a
+   local function that captures variables is allocated on every call.
+
+   [slot keys mask k] is the slot holding [k], or the empty slot that
+   ends its probe chain. *)
+let slot keys mask k =
+  let i = ref (index k mask) in
+  while
+    let kk = Array.unsafe_get keys !i in
+    kk <> k && kk <> empty_slot
+  do
+    i := (!i + 1) land mask
+  done;
+  !i
+
 let find t k =
-  let keys = t.keys in
-  let mask = t.mask in
-  let rec go i =
-    let kk = Array.unsafe_get keys i in
-    if kk = k then Array.unsafe_get t.vals i
-    else if kk = empty_slot then raise Not_found
-    else go ((i + 1) land mask)
-  in
-  go (index k mask)
+  let i = slot t.keys t.mask k in
+  if Array.unsafe_get t.keys i = k then Array.unsafe_get t.vals i
+  else raise_notrace Not_found
 
 let find_opt t k =
-  let keys = t.keys in
-  let mask = t.mask in
-  let rec go i =
-    let kk = Array.unsafe_get keys i in
-    if kk = k then Some (Array.unsafe_get t.vals i)
-    else if kk = empty_slot then None
-    else go ((i + 1) land mask)
-  in
-  go (index k mask)
+  let i = slot t.keys t.mask k in
+  if Array.unsafe_get t.keys i = k then Some (Array.unsafe_get t.vals i)
+  else None
 
-let mem t k =
-  let keys = t.keys in
-  let mask = t.mask in
-  let rec go i =
-    let kk = Array.unsafe_get keys i in
-    if kk = k then true
-    else if kk = empty_slot then false
-    else go ((i + 1) land mask)
-  in
-  go (index k mask)
+let mem t k = Array.unsafe_get t.keys (slot t.keys t.mask k) = k
 
 (* Insert into a table known to contain neither [k] nor any tombstone
    (used during rehash). *)
 let insert_fresh keys vals mask k v =
-  let rec go i =
-    if Array.unsafe_get keys i = empty_slot then begin
-      Array.unsafe_set keys i k;
-      Array.unsafe_set vals i v
-    end
-    else go ((i + 1) land mask)
-  in
-  go (index k mask)
+  let i = slot keys mask k in
+  Array.unsafe_set keys i k;
+  Array.unsafe_set vals i v
 
 let rehash t cap =
   let keys = Array.make cap empty_slot in
@@ -113,48 +103,43 @@ let rehash t cap =
   t.mask <- mask;
   t.used <- t.live
 
+(* [ins] is the first tombstone crossed, reusable if [k] is absent. *)
+let rec set_from t keys mask k v i ins =
+  let kk = Array.unsafe_get keys i in
+  if kk = k then Array.unsafe_set t.vals i v
+  else if kk = empty_slot then begin
+    if ins >= 0 then begin
+      Array.unsafe_set keys ins k;
+      Array.unsafe_set t.vals ins v
+    end
+    else begin
+      Array.unsafe_set keys i k;
+      Array.unsafe_set t.vals i v;
+      t.used <- t.used + 1
+    end;
+    t.live <- t.live + 1
+  end
+  else
+    let next = (i + 1) land mask in
+    if kk = tombstone && ins < 0 then set_from t keys mask k v next i
+    else set_from t keys mask k v next ins
+
 let set t k v =
   if k < 0 then invalid_arg "Intmap.set: negative key";
   (* Keep load (including tombstones) under 1/2 so probe chains stay
      short; the new capacity leaves the live set under 1/2 as well. *)
   if 2 * t.used >= t.mask + 1 then
     rehash t (pow2_above (max 8 ((2 * t.live) + 1)) 8);
-  let keys = t.keys in
-  let mask = t.mask in
-  (* [ins] is the first tombstone crossed, reusable if [k] is absent. *)
-  let rec go i ins =
-    let kk = Array.unsafe_get keys i in
-    if kk = k then Array.unsafe_set t.vals i v
-    else if kk = empty_slot then begin
-      if ins >= 0 then begin
-        Array.unsafe_set keys ins k;
-        Array.unsafe_set t.vals ins v
-      end
-      else begin
-        Array.unsafe_set keys i k;
-        Array.unsafe_set t.vals i v;
-        t.used <- t.used + 1
-      end;
-      t.live <- t.live + 1
-    end
-    else if kk = tombstone && ins < 0 then go ((i + 1) land mask) i
-    else go ((i + 1) land mask) ins
-  in
-  go (index k mask) (-1)
+  set_from t t.keys t.mask k v (index k t.mask) (-1)
 
 let remove t k =
   let keys = t.keys in
-  let mask = t.mask in
-  let rec go i =
-    let kk = Array.unsafe_get keys i in
-    if kk = k then begin
-      Array.unsafe_set keys i tombstone;
-      Array.unsafe_set t.vals i (dummy ());
-      t.live <- t.live - 1
-    end
-    else if kk <> empty_slot then go ((i + 1) land mask)
-  in
-  go (index k mask)
+  let i = slot keys t.mask k in
+  if Array.unsafe_get keys i = k then begin
+    Array.unsafe_set keys i tombstone;
+    Array.unsafe_set t.vals i (dummy ());
+    t.live <- t.live - 1
+  end
 
 let iter f t =
   let keys = t.keys and vals = t.vals in

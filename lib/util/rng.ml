@@ -109,11 +109,14 @@ let int_in t lo hi =
   if hi < lo then invalid_arg "Rng.int_in: empty range";
   lo + int t (hi - lo + 1)
 
-let float t bound =
-  (* The top 53 bits give a uniform float in [0, 1). *)
+(* The top 53 bits of a fresh output: [mantissa t /. 2^53] is a uniform
+   float in [0, 1).  Returning the int keeps callers that finish the
+   arithmetic themselves free of a boxed intermediate float. *)
+let mantissa t =
   step t;
-  let mantissa = (t.z_hi lsl 21) lor (t.z_lo lsr 11) in
-  bound *. (Float.of_int mantissa /. 9007199254740992.0)
+  (t.z_hi lsl 21) lor (t.z_lo lsr 11)
+
+let float t bound = bound *. (Float.of_int (mantissa t) /. 9007199254740992.0)
 
 let bool t =
   step t;
@@ -127,8 +130,12 @@ let exponential t ~mean =
   let u = if u <= 0.0 then 1e-300 else u in
   -.mean *. log u
 
+(* Box-Muller over two uniforms; [1.0 *. x = x], so [u1] and [u2] are
+   exactly [float t 1.0], drawn in the same order, with no float boxed
+   between the draws. *)
 let gaussian t ~mu ~sigma =
-  let u1 = float t 1.0 and u2 = float t 1.0 in
+  let u1 = Float.of_int (mantissa t) /. 9007199254740992.0 in
+  let u2 = Float.of_int (mantissa t) /. 9007199254740992.0 in
   let u1 = if u1 <= 0.0 then 1e-300 else u1 in
   let r = sqrt (-2.0 *. log u1) in
   mu +. (sigma *. r *. cos (2.0 *. Float.pi *. u2))

@@ -14,10 +14,7 @@ let zeta n theta =
   done;
   !acc
 
-let create ~n ~theta =
-  if n <= 0 then invalid_arg "Zipf.create: n must be positive";
-  if theta <= 0.0 || theta >= 1.0 then
-    invalid_arg "Zipf.create: theta must be in (0, 1)";
+let compute ~n ~theta =
   let zetan = zeta n theta in
   let zeta2 = zeta 2 theta in
   let alpha = 1.0 /. (1.0 -. theta) in
@@ -27,8 +24,40 @@ let create ~n ~theta =
   in
   { n; theta; alpha; zetan; eta; zeta2 }
 
+(* The normaliser [zeta n theta] is an O(n) sum (about 0.2 s at n = 4M)
+   and the KV store builds its sampler on every run.  A [t] is immutable,
+   so one per (n, theta) is shared; theta is keyed by its bits, so only a
+   bit-identical float hits.  The first record stored for a key is the
+   one every later [create] returns, even when two domains race to
+   compute it. *)
+let memo : (int * int64, t) Hashtbl.t = Hashtbl.create 8
+[@@dlint.allow
+  "globals: a memo of immutable samplers keyed by their full definition \
+   (n and the bits of theta); it changes no result and inserts are \
+   mutex-protected"]
+
+let memo_mutex = Mutex.create ()
+
+let create ~n ~theta =
+  if n <= 0 then invalid_arg "Zipf.create: n must be positive";
+  if theta <= 0.0 || theta >= 1.0 then
+    invalid_arg "Zipf.create: theta must be in (0, 1)";
+  let key = (n, Int64.bits_of_float theta) in
+  match Mutex.protect memo_mutex (fun () -> Hashtbl.find_opt memo key) with
+  | Some t -> t
+  | None ->
+      let t = compute ~n ~theta in
+      Mutex.protect memo_mutex (fun () ->
+          match Hashtbl.find_opt memo key with
+          | Some first -> first
+          | None ->
+              Hashtbl.replace memo key t;
+              t)
+
 let n t = t.n
 let theta t = t.theta
+let zetan t = t.zetan
+let eta t = t.eta
 
 let sample t rng =
   let u = Rng.float rng 1.0 in

@@ -12,13 +12,22 @@ type t
 val create : n:int -> theta:float -> t
 (** [create ~n ~theta] prepares a zipf sampler over [n] items with skew
     [theta] (YCSB default 0.99).  [n] must be positive and [theta] must lie
-    in (0, 1). *)
+    in (0, 1).  Preparing costs O(n), so samplers are memoised
+    process-wide: a later call with the same [n] and a bit-identical
+    [theta] returns the same (immutable) record. *)
 
 val n : t -> int
 (** Key-space size. *)
 
 val theta : t -> float
 (** Skewness parameter. *)
+
+val zetan : t -> float
+(** The normaliser: the generalized harmonic number
+    [sum_{i=1..n} 1 / i^theta]. *)
+
+val eta : t -> float
+(** The closed-form sampler's [eta] constant (Gray et al.). *)
 
 val sample : t -> Rng.t -> int
 (** [sample t rng] draws a key in [\[0, n)], key 0 being the most popular. *)

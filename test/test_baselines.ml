@@ -303,6 +303,33 @@ let test_foreign_handle_rejected () =
            false
          with Dsm.Foreign_handle _ -> true))
 
+(* One 512-byte object homed on node 1, read_part from node 0 after
+   [warm] reads: DRust then serves it from its cache, GAM from its
+   faulted blocks, and Grappa delegates every call to the home. *)
+let read_part_words ~warm make =
+  let cluster = Cluster.create (small_params 2) in
+  let b : Dsm.t = make cluster in
+  let ctx0 = Ctx.make cluster ~node:0 and ctx1 = Ctx.make cluster ~node:1 in
+  let h = ref None in
+  ignore
+    (Engine.spawn (Cluster.engine cluster) (fun () ->
+         let x = b.Dsm.alloc_on ctx1 ~node:1 ~size:512 (pack 0) in
+         if warm then b.Dsm.read_part ctx0 x ~bytes:64;
+         h := Some x));
+  Cluster.run cluster;
+  let h = Option.get !h in
+  Alloc_budget.per_call (Cluster.engine cluster)
+    ~run:(fun () -> Cluster.run cluster)
+    (fun _ -> b.Dsm.read_part ctx0 h ~bytes:64)
+
+let test_read_part_allocation () =
+  Alloc_budget.check "cached DRust read_part" ~max:17.0
+    (read_part_words ~warm:true Drust_dsm.Drust_backend.create);
+  Alloc_budget.check "warm GAM read_part" ~max:4.0
+    (read_part_words ~warm:true (fun c -> Gam.backend (Gam.create c)));
+  Alloc_budget.check "remote Grappa read_part" ~max:64.0
+    (read_part_words ~warm:false (fun c -> Grappa.backend (Grappa.create c)))
+
 let () =
   Alcotest.run "baselines"
     [
@@ -335,5 +362,7 @@ let () =
           Alcotest.test_case "grappa semantics" `Quick (backend_semantics B.Grappa);
           Alcotest.test_case "original semantics" `Quick (backend_semantics B.Original);
           Alcotest.test_case "foreign handle" `Quick test_foreign_handle_rejected;
+          Alcotest.test_case "read_part allocation budgets" `Quick
+            test_read_part_allocation;
         ] );
     ]

@@ -179,6 +179,33 @@ let test_ctx_safe_point_hook_runs_on_flush () =
       Ctx.compute ctx ~cycles:1000.0;
       Alcotest.(check int) "hook per flush" 2 !hits)
 
+let test_ctx_rejects_bad_cycles () =
+  in_cluster 2 (fun _c ctx ->
+      let rejects name f =
+        match f () with
+        | () -> Alcotest.failf "%s accepted" name
+        | exception Invalid_argument _ -> ()
+      in
+      rejects "charge_cycles -1" (fun () -> Ctx.charge_cycles ctx (-1.0));
+      rejects "charge_cycles nan" (fun () -> Ctx.charge_cycles ctx nan);
+      rejects "compute -1" (fun () -> Ctx.compute ctx ~cycles:(-1.0));
+      rejects "compute nan" (fun () -> Ctx.compute ctx ~cycles:nan);
+      Alcotest.(check (float 0.0)) "nothing pending" 0.0
+        ctx.Ctx.cpu.Ctx.pending_cycles)
+
+let test_ctx_allocation () =
+  let c = Cluster.create (small 2) in
+  let ctx = Ctx.make c ~node:0 in
+  (* Charges below the flush grain only add to the pending count. *)
+  Alloc_budget.check "Ctx.charge_cycles" ~max:0.0
+    (Alloc_budget.per_call (Cluster.engine c)
+       ~run:(fun () -> Cluster.run c)
+       (fun _ -> Ctx.charge_cycles ctx 1e-3));
+  Alloc_budget.check "Ctx.compute" ~max:11.0
+    (Alloc_budget.per_call (Cluster.engine c)
+       ~run:(fun () -> Cluster.run c)
+       (fun _ -> Ctx.compute ctx ~cycles:100.0))
+
 let test_ctx_thread_ids_unique () =
   in_cluster 2 (fun c ctx ->
       let other = Ctx.make c ~node:1 in
@@ -306,6 +333,9 @@ let () =
           Alcotest.test_case "counters" `Quick test_ctx_counters_and_hottest;
           Alcotest.test_case "safe-point hook" `Quick test_ctx_safe_point_hook_runs_on_flush;
           Alcotest.test_case "unique ids" `Quick test_ctx_thread_ids_unique;
+          Alcotest.test_case "bad cycles rejected" `Quick
+            test_ctx_rejects_bad_cycles;
+          Alcotest.test_case "allocation budget" `Quick test_ctx_allocation;
           Alcotest.test_case "ids per cluster" `Quick test_thread_ids_per_cluster;
         ] );
       ( "env",

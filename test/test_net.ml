@@ -253,6 +253,27 @@ let test_bad_node_rejected () =
        false
      with Invalid_argument _ -> true)
 
+(* Untraced verbs on 2 nodes with the testbed's jitter: the verb, its
+   latency draws and the engine's wakeups, and nothing else. *)
+let test_verb_allocation () =
+  let verb_words f =
+    let engine = Engine.create () in
+    let fabric =
+      Fabric.create ~engine ~rng:(Rng.create ~seed:1)
+        ~model:Model.infiniband_40g ~nodes:2 ()
+    in
+    Alloc_budget.per_call engine
+      ~run:(fun () -> Engine.run engine)
+      (fun _ -> f fabric)
+  in
+  Alloc_budget.check "Fabric.rpc" ~max:24.0
+    (verb_words (fun fabric ->
+         Fabric.rpc fabric ~from:0 ~target:1 ~req_bytes:64 ~resp_bytes:64
+           ignore));
+  Alloc_budget.check "Fabric.rdma_read" ~max:13.0
+    (verb_words (fun fabric ->
+         Fabric.rdma_read fabric ~from:0 ~target:1 ~bytes:64))
+
 let () =
   Alcotest.run "net"
     [
@@ -280,5 +301,7 @@ let () =
           Alcotest.test_case "async delivery order" `Quick
             test_async_delivery_order;
           Alcotest.test_case "bad node" `Quick test_bad_node_rejected;
+          Alcotest.test_case "verb allocation budget" `Quick
+            test_verb_allocation;
         ] );
     ]

@@ -434,6 +434,15 @@ let test_delay_one_hop_allocation () =
     (Printf.sprintf "%.1f minor words per delay, at most 8" words)
     true (words <= 8.0)
 
+let test_resource_use_allocation () =
+  let e = Engine.create () in
+  let r = Resource.create e ~capacity:1 in
+  let hold () = Engine.delay e 1e-6 in
+  Alloc_budget.check "uncontended Resource.use with a delay" ~max:8.0
+    (Alloc_budget.per_call e
+       ~run:(fun () -> Engine.run e)
+       (fun _ -> Resource.use r hold))
+
 let () =
   Alcotest.run "sim"
     [
@@ -472,6 +481,8 @@ let () =
           Alcotest.test_case "release unheld" `Quick test_resource_release_unheld;
           Alcotest.test_case "utilization" `Quick test_resource_utilization;
           Alcotest.test_case "exception releases" `Quick test_resource_exception_releases;
+          Alcotest.test_case "use allocation budget" `Quick
+            test_resource_use_allocation;
           QCheck_alcotest.to_alcotest prop_resource_capacity;
         ] );
     ]

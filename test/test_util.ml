@@ -223,6 +223,56 @@ let test_zipf_matches_expectation () =
     true
     (Float.abs (observed -. expected) < 0.03)
 
+(* A sampler computed from scratch, the way [Zipf.create] did before it
+   memoised: the reference the shared record must match bit for bit. *)
+let fresh_zipf ~n ~theta =
+  let zeta n =
+    let acc = ref 0.0 in
+    for i = 1 to n do
+      acc := !acc +. (1.0 /. Float.pow (Float.of_int i) theta)
+    done;
+    !acc
+  in
+  let zetan = zeta n in
+  let eta =
+    (1.0 -. Float.pow (2.0 /. Float.of_int n) (1.0 -. theta))
+    /. (1.0 -. (zeta 2 /. zetan))
+  in
+  let alpha = 1.0 /. (1.0 -. theta) in
+  let sample rng =
+    let u = Rng.float rng 1.0 in
+    let uz = u *. zetan in
+    if uz < 1.0 then 0
+    else if uz < 1.0 +. Float.pow 0.5 theta then 1
+    else
+      let k =
+        Float.to_int
+          (Float.of_int n *. Float.pow ((eta *. u) -. eta +. 1.0) alpha)
+      in
+      if k >= n then n - 1 else if k < 0 then 0 else k
+  in
+  (zetan, eta, sample)
+
+let test_zipf_memo () =
+  let n = 50_000 and theta = 0.99 in
+  let z = Zipf.create ~n ~theta in
+  Alcotest.(check bool) "second create shares the record" true
+    (Zipf.create ~n ~theta == z);
+  Alcotest.(check bool) "another theta is another sampler" false
+    (Zipf.create ~n ~theta:0.9 == z);
+  let zetan, eta, sample = fresh_zipf ~n ~theta in
+  let bits = Int64.bits_of_float in
+  Alcotest.(check int64) "zetan bit-identical" (bits zetan)
+    (bits (Zipf.zetan z));
+  Alcotest.(check int64) "eta bit-identical" (bits eta) (bits (Zipf.eta z));
+  let a = Rng.create ~seed:16 and b = Rng.create ~seed:16 in
+  for i = 1 to 100_000 do
+    let want = sample a in
+    let got = Zipf.sample (Zipf.create ~n ~theta) b in
+    if got <> want then
+      Alcotest.failf "draw %d: memoised sampler gave %d, fresh %d" i got want
+  done
+
 let test_zipf_invalid_args () =
   Alcotest.check_raises "n=0" (Invalid_argument "Zipf.create: n must be positive")
     (fun () -> ignore (Zipf.create ~n:0 ~theta:0.5));
@@ -500,6 +550,7 @@ let () =
           Alcotest.test_case "share monotone" `Quick test_zipf_expected_share_monotone;
           Alcotest.test_case "matches expectation" `Quick test_zipf_matches_expectation;
           Alcotest.test_case "invalid args" `Quick test_zipf_invalid_args;
+          Alcotest.test_case "memoised, bit-identical" `Quick test_zipf_memo;
         ] );
       ( "stats",
         [
