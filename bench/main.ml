@@ -743,21 +743,7 @@ let () =
     [@dlint.allow
       "determinism: harness wall-clock total, printed to stderr only — \
        stdout stays comparable across runs"]);
-  if !sanitize && not fuzzing then begin
-    let module Dsan = Drust_check.Dsan in
-    let total =
-      List.fold_left
-        (fun acc t -> acc + Dsan.violation_count t)
-        0 (Dsan.attached ())
-    in
-    if total = 0 then
-      Printf.eprintf "DSan: no invariant violations (%d cluster(s) checked)\n"
-        (List.length (Dsan.attached ()))
-    else begin
-      List.iter
-        (fun r -> prerr_endline (Dsan.report_to_string r))
-        (Dsan.global_reports ());
-      Printf.eprintf "DSan: %d invariant violation(s)\n" total;
-      exit 3
-    end
-  end
+  if
+    !sanitize && (not fuzzing)
+    && Drust_check.Dsan.report_attached ~clean:stderr > 0
+  then exit 3

@@ -137,22 +137,7 @@ let usage_error fmt =
     fmt
 
 let report_sanitizer () =
-  let module Dsan = Drust_check.Dsan in
-  let total =
-    List.fold_left
-      (fun acc t -> acc + Dsan.violation_count t)
-      0 (Dsan.attached ())
-  in
-  if total = 0 then
-    Printf.printf "DSan: no invariant violations (%d cluster(s) checked)\n"
-      (List.length (Dsan.attached ()))
-  else begin
-    List.iter
-      (fun r -> prerr_endline (Dsan.report_to_string r))
-      (Dsan.global_reports ());
-    Printf.eprintf "DSan: %d invariant violation(s)\n" total;
-    exit 3
-  end
+  if Drust_check.Dsan.report_attached ~clean:stdout > 0 then exit 3
 
 let scan app system affinity seed counts =
   let results =
@@ -253,6 +238,8 @@ let check_nodes flag n =
 let run app system nodes affinity seed trace_n trace_outs explain profile
     sanitize jobs scan_nodes plan_file emit_plan =
   if jobs < 1 then usage_error "--jobs expects a positive integer, got %d" jobs;
+  if trace_n < 0 then
+    usage_error "--trace expects a non-negative event count, got %d" trace_n;
   check_nodes "--nodes" nodes;
   Option.iter (List.iter (check_nodes "--scan-nodes")) scan_nodes;
   let chrome_path =
@@ -375,4 +362,10 @@ let cmd =
       $ trace_out_t $ explain_t $ profile_t $ sanitize_t $ jobs_t
       $ scan_nodes_t $ plan_t $ emit_plan_t)
 
-let () = exit (Cmd.eval cmd)
+(* A malformed command line (unknown flag, bad enum or number) exits 2,
+   like every usage error above, rather than Cmdliner's 124. *)
+let () =
+  match Cmd.eval_value cmd with
+  | Ok (`Ok () | `Version | `Help) -> exit 0
+  | Error (`Parse | `Term) -> exit 2
+  | Error `Exn -> exit Cmd.Exit.internal_error

@@ -1,16 +1,8 @@
 module Cluster = Drust_machine.Cluster
-module Ctx = Drust_machine.Ctx
 module Engine = Drust_sim.Engine
-module Fabric = Drust_net.Fabric
 module Gaddr = Drust_memory.Gaddr
-module Cache = Drust_memory.Cache
+module Tap = Drust_memory.Tap
 module Metrics = Drust_obs.Metrics
-module Protocol = Drust_core.Protocol
-module Darc = Drust_runtime.Darc
-module Drc = Drust_runtime.Drc
-module Dmutex = Drust_runtime.Dmutex
-module Replication = Drust_runtime.Replication
-module Membership = Drust_runtime.Membership
 module Flight = Drust_obs.Flight
 
 (* ------------------------------------------------------------------ *)
@@ -110,17 +102,14 @@ let () =
 (* Shadow state                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* Per-entity event history: a bounded, newest-first list of raw events,
-   formatted lazily only when a report is built. *)
-type traced =
-  | Tr_proto of int * Protocol.probe_event (* thread *)
-  | Tr_cache of Cache.event
-  | Tr_rc of int * Darc.rc_event (* thread *)
-  | Tr_lock of Dmutex.event
-  | Tr_failover of Replication.event
-  | Tr_member of Membership.event
-
-type trace = { tr_time : float; tr_node : int; tr_ev : traced }
+(* Per-entity event history: a bounded, newest-first list of raw tap
+   events, formatted lazily only when a report is built. *)
+type trace = {
+  tr_time : float;
+  tr_node : int;
+  tr_thread : int;
+  tr_ev : Tap.event;
+}
 
 type histo = { mutable h_items : trace list; mutable h_len : int }
 
@@ -171,8 +160,6 @@ type t = {
      handoffs prepared but not yet committed/aborted, keyed by home. *)
   mutable last_epoch : int;
   pending_handoffs : (int, int * int) Hashtbl.t; (* home -> (from, to) *)
-  ring : (float * string * int * int * int) option array;
-  mutable ring_idx : int;
   mutable reports : report list;  (* newest first *)
   mutable report_count : int;
   counter : Metrics.counter;
@@ -186,65 +173,55 @@ let gstr g = Format.asprintf "%a" Gaddr.pp g
 (* Trace formatting (lazy: only on violation)                          *)
 (* ------------------------------------------------------------------ *)
 
-let format_proto = function
-  | Protocol.Ev_create { g; size } ->
-      Printf.sprintf "create %s (%dB)" (gstr g) size
-  | Ev_read { g; path } -> (
+let format_event : Tap.event -> string = function
+  | Create { g; size } -> Printf.sprintf "create %s (%dB)" (gstr g) size
+  | Read { g; path } -> (
       match path with
-      | Protocol.Path_local -> Printf.sprintf "read %s [local]" (gstr g)
+      | Path_local -> Printf.sprintf "read %s [local]" (gstr g)
       | Path_cache key ->
           Printf.sprintf "read %s [cache copy %s]" (gstr g) (gstr key)
       | Path_fetch -> Printf.sprintf "read %s [fetch]" (gstr g))
-  | Ev_write { before; after; size = _; kind } ->
+  | Write { before; after; size = _; kind } ->
       let k =
         match kind with
-        | Protocol.W_bump -> "bump"
+        | W_bump -> "bump"
         | W_move -> "move"
         | W_in_place -> "in-place"
       in
       Printf.sprintf "write(%s) %s -> %s" k (gstr before) (gstr after)
-  | Ev_borrow_imm { g } -> "borrow-imm " ^ gstr g
-  | Ev_return_imm { g } -> "return-imm " ^ gstr g
-  | Ev_borrow_mut { g } -> "borrow-mut " ^ gstr g
-  | Ev_return_mut { g } -> "return-mut " ^ gstr g
-  | Ev_transfer { g; to_node } ->
+  | Borrow_imm { g } -> "borrow-imm " ^ gstr g
+  | Return_imm { g } -> "return-imm " ^ gstr g
+  | Borrow_mut { g } -> "borrow-mut " ^ gstr g
+  | Return_mut { g } -> "return-mut " ^ gstr g
+  | Transfer { g; to_node } ->
       Printf.sprintf "transfer %s -> node %d" (gstr g) to_node
-  | Ev_drop { g } -> "drop " ^ gstr g
-  | Ev_app { g; verb; tag } -> Printf.sprintf "%s %s :%s" verb (gstr g) tag
-
-let format_cache = function
-  | Cache.Hit { key } -> "cache hit " ^ gstr key
-  | Stale_miss { sought; cached } ->
+  | Drop { g } -> "drop " ^ gstr g
+  | App { g; verb; tag } -> Printf.sprintf "%s %s :%s" verb (gstr g) tag
+  | Cache_hit { key } -> "cache hit " ^ gstr key
+  | Cache_stale_miss { sought; cached } ->
       Printf.sprintf "cache stale-miss sought %s, held %s" (gstr sought)
         (gstr cached)
-  | Insert { key; size } -> Printf.sprintf "cache insert %s (%dB)" (gstr key) size
-  | Release { key; refcount } ->
+  | Cache_insert { key; size } ->
+      Printf.sprintf "cache insert %s (%dB)" (gstr key) size
+  | Cache_release { key; refcount } ->
       Printf.sprintf "cache release %s rc=%d" (gstr key) refcount
-  | Invalidate { key } -> "cache invalidate " ^ gstr key
-
-let format_rc = function
-  | Darc.Rc_created { g; size; count } ->
+  | Cache_invalidate { key } -> "cache invalidate " ^ gstr key
+  | Rc_created { g; size; count } ->
       Printf.sprintf "rc create %s (%dB) count=%d" (gstr g) size count
   | Rc_retained { g; count } ->
       Printf.sprintf "rc retain %s count=%d" (gstr g) count
   | Rc_released { g; count } ->
       Printf.sprintf "rc release %s count=%d" (gstr g) count
   | Rc_freed { g } -> "rc free " ^ gstr g
-
-let format_lock = function
-  | Dmutex.Lock_created { g } -> "lock create " ^ gstr g
+  | Lock_created { g } -> "lock create " ^ gstr g
   | Lock_acquired { g; thread } ->
       Printf.sprintf "lock acquire %s by thread %d" (gstr g) thread
   | Lock_released { g; thread } ->
       Printf.sprintf "lock release %s by thread %d" (gstr g) thread
-
-let format_failover = function
-  | Replication.Node_failed { node } -> Printf.sprintf "node %d failed" node
+  | Node_failed { node } -> Printf.sprintf "node %d failed" node
   | Promoted { home; by; replica } ->
       Printf.sprintf "range %d promoted to node %d (replica %d)" home by replica
-
-let format_member = function
-  | Membership.View_change { epoch; reason } ->
+  | View_change { epoch; reason } ->
       Printf.sprintf "view -> e%d (%s)" epoch reason
   | Handoff_prepared { home; from_node; to_node } ->
       Printf.sprintf "handoff prepare: range %d, %d -> %d" home from_node
@@ -260,16 +237,20 @@ let format_member = function
         server
         (String.concat "; " (List.map string_of_int hosts))
 
+(* Protocol and refcount steps are attributed to their thread. *)
 let format_trace tr =
+  let body = format_event tr.tr_ev in
   let body =
     match tr.tr_ev with
-    | Tr_proto (thread, ev) ->
-        Printf.sprintf "thr %d: %s" thread (format_proto ev)
-    | Tr_cache ev -> format_cache ev
-    | Tr_rc (thread, ev) -> Printf.sprintf "thr %d: %s" thread (format_rc ev)
-    | Tr_lock ev -> format_lock ev
-    | Tr_failover ev -> format_failover ev
-    | Tr_member ev -> format_member ev
+    | Create _ | Read _ | Write _ | Borrow_imm _ | Return_imm _ | Borrow_mut _
+    | Return_mut _ | Transfer _ | Drop _ | App _ | Rc_created _
+    | Rc_retained _ | Rc_released _ | Rc_freed _ ->
+        Printf.sprintf "thr %d: %s" tr.tr_thread body
+    | Cache_hit _ | Cache_stale_miss _ | Cache_insert _ | Cache_release _
+    | Cache_invalidate _ | Lock_created _ | Lock_acquired _ | Lock_released _
+    | Node_failed _ | Promoted _ | View_change _ | Handoff_prepared _
+    | Handoff_committed _ | Handoff_aborted _ | Chain_reseeded _ ->
+        body
   in
   Printf.sprintf "t=%.9f node %d: %s" tr.tr_time tr.tr_node body
 
@@ -277,26 +258,12 @@ let format_trace tr =
 (* Violation machinery                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let ring_push t entry =
-  let n = Array.length t.ring in
-  t.ring.(t.ring_idx mod n) <- Some entry;
-  t.ring_idx <- t.ring_idx + 1
-
-let ring_lines t =
-  let n = Array.length t.ring in
-  let out = ref [] in
-  for i = 0 to min 5 (n - 1) do
-    let idx = t.ring_idx - 1 - i in
-    if idx >= 0 then
-      match t.ring.(idx mod n) with
-      | Some (time, verb, from, target, bytes) ->
-          out :=
-            Printf.sprintf "fabric %s %d -> %d (%dB) t=%.9f" verb from target
-              bytes time
-            :: !out
-      | None -> ()
-  done;
-  !out (* oldest first *)
+(* The last six fabric verbs issued anywhere in the cluster, read from
+   the flight recorder's live rings. *)
+let fabric_lines t =
+  Flight.recent (Cluster.flight t.cluster) ~n:6 ~kinds:(fun k ->
+      k >= Flight.k_fab_read && k <= Flight.k_fab_send)
+  |> List.map (Format.asprintf "%a" Flight.pp_event)
 
 let violate t inv ~time ~node ~thread ~addr ~detail hist =
   t.report_count <- t.report_count + 1;
@@ -305,7 +272,7 @@ let violate t inv ~time ~node ~thread ~addr ~detail hist =
     (match hist with
     | None -> []
     | Some h -> List.rev_map format_trace h.h_items)
-    @ ring_lines t
+    @ fabric_lines t
   in
   let r =
     { invariant = inv; time; node; thread; addr; detail; provenance = prov }
@@ -324,10 +291,6 @@ let violate t inv ~time ~node ~thread ~addr ~detail hist =
        ?object_:addr ~now:time ());
   match t.mode with Record -> () | Raise -> raise (Violation r)
 
-(* ------------------------------------------------------------------ *)
-(* Protocol events                                                     *)
-(* ------------------------------------------------------------------ *)
-
 let fresh_shadow ~color ~size ~box ~home =
   {
     sh_color = color;
@@ -339,13 +302,78 @@ let fresh_shadow ~color ~size ~box ~home =
     sh_hist = histo ();
   }
 
-let observe_protocol t ~time ~node ~thread ev =
+let fresh_lock () = { lk_holder = None; lk_hist = histo () }
+
+(* Shared by failover promotion and planned handoff commit: once a range
+   changes server, no alive cache may still hold a copy of it — a lagging
+   replica (failover) or the old server's image (handoff) would otherwise
+   keep serving superseded values under still-current colors. *)
+let check_range_purged t ~time ~node ~why ~home tr =
+  (* Address-sorted so any violation report lists objects in a stable
+     order, not the shadow table's bucket order. *)
+  List.iter
+    (fun (p, sh) ->
+      if sh.sh_home = home && sh.sh_status <> Dead then begin
+        let survivors =
+          Drust_util.Tables.sorted_keys sh.sh_copies ~cmp:Int.compare
+          |> List.filter (fun n -> n < Array.length t.alive && t.alive.(n))
+        in
+        if survivors <> [] then begin
+          violate t Move_invalidation ~time ~node ~thread:(-1) ~addr:(Some p)
+            ~detail:
+              (Printf.sprintf
+                 "cached copies of range %d survived %s on node(s) %s" home why
+                 (String.concat ", " (List.map string_of_int survivors)))
+            (Some sh.sh_hist);
+          hist_push sh.sh_hist tr
+        end
+      end)
+    (Drust_util.Tables.sorted_bindings t.shadows ~cmp:Int.compare)
+
+(* ------------------------------------------------------------------ *)
+(* Observation: one step of the shadow per tap event                   *)
+(* ------------------------------------------------------------------ *)
+
+let observe t ~time ~node ~thread (ev : Tap.event) =
+  let tr = { tr_time = time; tr_node = node; tr_thread = thread; tr_ev = ev } in
   let viol inv ~addr detail hist =
     violate t inv ~time ~node ~thread ~addr ~detail hist
   in
-  let record sh = hist_push sh.sh_hist { tr_time = time; tr_node = node; tr_ev = Tr_proto (thread, ev) } in
+  (* A protocol step on an address's live shadow (untracked addresses
+     were created before attach and are ignored). *)
+  let on_shadow g step =
+    let p = phys g in
+    match Hashtbl.find_opt t.shadows p with
+    | None -> ()
+    | Some sh ->
+        step p sh;
+        hist_push sh.sh_hist tr
+  in
+  (* A cache step, recorded on the copied object's shadow if tracked. *)
+  let on_copy key step =
+    let p = phys key in
+    let sh = Hashtbl.find_opt t.shadows p in
+    step p sh;
+    match sh with Some s -> hist_push s.sh_hist tr | None -> ()
+  in
+  let hist_of sh = Option.map (fun s -> s.sh_hist) sh in
+  let rc_step g step =
+    let p = phys g in
+    step p (Hashtbl.find_opt t.rcs p)
+  in
+  let member_viol inv detail = viol inv ~addr:None detail None in
+  let check_epoch epoch =
+    if epoch <= t.last_epoch then
+      member_viol Epoch_monotonic
+        (Printf.sprintf
+           "view epoch moved backwards or repeated: saw e%d after e%d" epoch
+           t.last_epoch)
+    else t.last_epoch <- epoch
+  in
+  let alive n = n >= 0 && n < Array.length t.alive && t.alive.(n) in
   match ev with
-  | Protocol.Ev_create { g; size } ->
+  (* ---- protocol ---- *)
+  | Create { g; size } ->
       let p = phys g in
       (match Hashtbl.find_opt t.shadows p with
       | Some sh when sh.sh_status <> Dead ->
@@ -360,47 +388,43 @@ let observe_protocol t ~time ~node ~thread ev =
           ~home:(Gaddr.node_of g)
       in
       Hashtbl.replace t.shadows p sh;
-      record sh
-  | Ev_read { g; path } -> (
-      let p = phys g in
-      match Hashtbl.find_opt t.shadows p with
-      | None -> ()
-      | Some sh ->
-          (if sh.sh_status = Dead then
-             viol Use_after_free ~addr:(Some p)
-               (Printf.sprintf "read of dropped object %s" (gstr g))
-               (Some sh.sh_hist)
-           else begin
-             (match sh.sh_status with
-             | Mut ->
-                 viol Borrow_discipline ~addr:(Some p)
-                   (Printf.sprintf "read of %s while mutably borrowed" (gstr g))
-                   (Some sh.sh_hist)
-             | _ -> ());
-             match path with
-             | Protocol.Path_cache key ->
-                 if Gaddr.color_of key <> sh.sh_color then
-                   viol Stale_cache_read ~addr:(Some p)
-                     (Printf.sprintf
-                        "read served from cached copy %s but the current \
-                         colored address is c%d"
-                        (gstr key) sh.sh_color)
-                     (Some sh.sh_hist)
-             | Path_local ->
-                 if Gaddr.color_of g <> sh.sh_color then
-                   viol Stale_cache_read ~addr:(Some p)
-                     (Printf.sprintf
-                        "local read through stale address %s (current color \
-                         c%d)"
-                        (gstr g) sh.sh_color)
-                     (Some sh.sh_hist)
-             | Path_fetch ->
-                 (* fetch completion is emitted after a fabric round-trip,
-                    so the color may legally have advanced meanwhile *)
-                 ()
-           end);
-          record sh)
-  | Ev_write { before; after; size; kind } -> (
+      hist_push sh.sh_hist tr
+  | Read { g; path } ->
+      on_shadow g (fun p sh ->
+          if sh.sh_status = Dead then
+            viol Use_after_free ~addr:(Some p)
+              (Printf.sprintf "read of dropped object %s" (gstr g))
+              (Some sh.sh_hist)
+          else begin
+            (match sh.sh_status with
+            | Mut ->
+                viol Borrow_discipline ~addr:(Some p)
+                  (Printf.sprintf "read of %s while mutably borrowed" (gstr g))
+                  (Some sh.sh_hist)
+            | _ -> ());
+            match path with
+            | Path_cache key ->
+                if Gaddr.color_of key <> sh.sh_color then
+                  viol Stale_cache_read ~addr:(Some p)
+                    (Printf.sprintf
+                       "read served from cached copy %s but the current \
+                        colored address is c%d"
+                       (gstr key) sh.sh_color)
+                    (Some sh.sh_hist)
+            | Path_local ->
+                if Gaddr.color_of g <> sh.sh_color then
+                  viol Stale_cache_read ~addr:(Some p)
+                    (Printf.sprintf
+                       "local read through stale address %s (current color \
+                        c%d)"
+                       (gstr g) sh.sh_color)
+                    (Some sh.sh_hist)
+            | Path_fetch ->
+                (* fetch completion is emitted after a fabric round-trip,
+                   so the color may legally have advanced meanwhile *)
+                ()
+          end)
+  | Write { before; after; size; kind } -> (
       let pb = phys before and pa = phys after in
       match Hashtbl.find_opt t.shadows pb with
       | None ->
@@ -410,7 +434,7 @@ let observe_protocol t ~time ~node ~thread ev =
               ~home:(Gaddr.node_of after)
           in
           Hashtbl.replace t.shadows pa sh;
-          record sh
+          hist_push sh.sh_hist tr
       | Some sh ->
           (match sh.sh_status with
           | Dead ->
@@ -425,7 +449,7 @@ let observe_protocol t ~time ~node ~thread ev =
                 (Some sh.sh_hist)
           | Owned | Mut -> ());
           (match kind with
-          | Protocol.W_in_place ->
+          | W_in_place ->
               let reachable =
                 Drust_util.Tables.sorted_bindings sh.sh_copies ~cmp:Int.compare
                 |> List.filter_map (fun (n, c) ->
@@ -461,13 +485,10 @@ let observe_protocol t ~time ~node ~thread ev =
               sh.sh_size <- size;
               sh.sh_home <- Gaddr.node_of after;
               Hashtbl.replace t.shadows pa sh);
-          record sh)
-  | Ev_borrow_imm { g } -> (
-      let p = phys g in
-      match Hashtbl.find_opt t.shadows p with
-      | None -> ()
-      | Some sh ->
-          (match sh.sh_status with
+          hist_push sh.sh_hist tr)
+  | Borrow_imm { g } ->
+      on_shadow g (fun p sh ->
+          match sh.sh_status with
           | Dead ->
               viol Use_after_free ~addr:(Some p)
                 (Printf.sprintf "immutable borrow of dropped object %s"
@@ -479,14 +500,10 @@ let observe_protocol t ~time ~node ~thread ev =
                    "immutable borrow of %s while mutably borrowed" (gstr g))
                 (Some sh.sh_hist)
           | Owned -> sh.sh_status <- Shared 1
-          | Shared n -> sh.sh_status <- Shared (n + 1));
-          record sh)
-  | Ev_return_imm { g } -> (
-      let p = phys g in
-      match Hashtbl.find_opt t.shadows p with
-      | None -> ()
-      | Some sh ->
-          (match sh.sh_status with
+          | Shared n -> sh.sh_status <- Shared (n + 1))
+  | Return_imm { g } ->
+      on_shadow g (fun p sh ->
+          match sh.sh_status with
           | Shared 1 -> sh.sh_status <- Owned
           | Shared n -> sh.sh_status <- Shared (n - 1)
           | Dead ->
@@ -497,14 +514,10 @@ let observe_protocol t ~time ~node ~thread ev =
           | Owned | Mut ->
               viol Borrow_discipline ~addr:(Some p)
                 (Printf.sprintf "unbalanced immutable return on %s" (gstr g))
-                (Some sh.sh_hist));
-          record sh)
-  | Ev_borrow_mut { g } -> (
-      let p = phys g in
-      match Hashtbl.find_opt t.shadows p with
-      | None -> ()
-      | Some sh ->
-          (match sh.sh_status with
+                (Some sh.sh_hist))
+  | Borrow_mut { g } ->
+      on_shadow g (fun p sh ->
+          match sh.sh_status with
           | Dead ->
               viol Use_after_free ~addr:(Some p)
                 (Printf.sprintf "mutable borrow of dropped object %s" (gstr g))
@@ -520,14 +533,10 @@ let observe_protocol t ~time ~node ~thread ev =
               viol Borrow_discipline ~addr:(Some p)
                 (Printf.sprintf "second mutable borrow of %s" (gstr g))
                 (Some sh.sh_hist)
-          | Owned -> sh.sh_status <- Mut);
-          record sh)
-  | Ev_return_mut { g } -> (
-      let p = phys g in
-      match Hashtbl.find_opt t.shadows p with
-      | None -> ()
-      | Some sh ->
-          (match sh.sh_status with
+          | Owned -> sh.sh_status <- Mut)
+  | Return_mut { g } ->
+      on_shadow g (fun p sh ->
+          match sh.sh_status with
           | Mut -> sh.sh_status <- Owned
           | Dead ->
               viol Use_after_free ~addr:(Some p)
@@ -536,13 +545,9 @@ let observe_protocol t ~time ~node ~thread ev =
           | Owned | Shared _ ->
               viol Borrow_discipline ~addr:(Some p)
                 (Printf.sprintf "unbalanced mutable return on %s" (gstr g))
-                (Some sh.sh_hist));
-          record sh)
-  | Ev_transfer { g; to_node } -> (
-      let p = phys g in
-      match Hashtbl.find_opt t.shadows p with
-      | None -> ()
-      | Some sh ->
+                (Some sh.sh_hist))
+  | Transfer { g; to_node } ->
+      on_shadow g (fun p sh ->
           (match sh.sh_status with
           | Dead ->
               viol Use_after_free ~addr:(Some p)
@@ -555,13 +560,9 @@ let observe_protocol t ~time ~node ~thread ev =
                    (gstr g))
                 (Some sh.sh_hist)
           | Owned -> ());
-          sh.sh_box <- to_node;
-          record sh)
-  | Ev_drop { g } -> (
-      let p = phys g in
-      match Hashtbl.find_opt t.shadows p with
-      | None -> ()
-      | Some sh ->
+          sh.sh_box <- to_node)
+  | Drop { g } ->
+      on_shadow g (fun p sh ->
           (match sh.sh_status with
           | Dead ->
               viol Use_after_free ~addr:(Some p)
@@ -572,188 +573,142 @@ let observe_protocol t ~time ~node ~thread ev =
                 (Printf.sprintf "drop of %s while borrowed" (gstr g))
                 (Some sh.sh_hist)
           | Owned -> ());
-          sh.sh_status <- Dead;
-          record sh)
-  | Ev_app { g; _ } -> (
-      match Hashtbl.find_opt t.shadows (phys g) with
-      | Some sh -> record sh
-      | None -> ())
-
-(* ------------------------------------------------------------------ *)
-(* Cache events                                                        *)
-(* ------------------------------------------------------------------ *)
-
-let observe_cache t ~time ~node ev =
-  let key =
-    match ev with
-    | Cache.Hit { key }
-    | Insert { key; _ }
-    | Release { key; _ }
-    | Invalidate { key } ->
-        key
-    | Stale_miss { sought; _ } -> sought
-  in
-  let p = phys key in
-  let sh = Hashtbl.find_opt t.shadows p in
-  let hist = Option.map (fun s -> s.sh_hist) sh in
-  let viol inv detail =
-    violate t inv ~time ~node ~thread:(-1) ~addr:(Some p) ~detail hist
-  in
-  (match (ev, sh) with
-  | Cache.Hit { key }, Some s when s.sh_status <> Dead ->
-      if Gaddr.color_of key <> s.sh_color then
-        viol Stale_cache_read
-          (Printf.sprintf
-             "cache on node %d served a hit for %s whose color is stale \
-              (current c%d)"
-             node (gstr key) s.sh_color)
-  | Insert { key; _ }, Some s when s.sh_status <> Dead ->
-      Hashtbl.replace s.sh_copies node (Gaddr.color_of key)
-  | Release { refcount; _ }, _ ->
-      if refcount < 0 then
-        viol Refcount_sanity
-          (Printf.sprintf
-             "cache copy pin count underflow on node %d (rc=%d)" node refcount)
-  | Invalidate _, Some s -> Hashtbl.remove s.sh_copies node
-  | _ -> ());
-  match sh with
-  | Some s ->
-      hist_push s.sh_hist { tr_time = time; tr_node = node; tr_ev = Tr_cache ev }
-  | None -> ()
-
-(* ------------------------------------------------------------------ *)
-(* Refcount events (darc + drc)                                        *)
-(* ------------------------------------------------------------------ *)
-
-let observe_rc t ~time ~node ~thread ev =
-  let g =
-    match ev with
-    | Darc.Rc_created { g; _ }
-    | Rc_retained { g; _ }
-    | Rc_released { g; _ }
-    | Rc_freed { g } ->
-        g
-  in
-  let p = phys g in
-  let rc = Hashtbl.find_opt t.rcs p in
-  let viol inv detail hist =
-    violate t inv ~time ~node ~thread ~addr:(Some p) ~detail hist
-  in
-  let tr = { tr_time = time; tr_node = node; tr_ev = Tr_rc (thread, ev) } in
-  match ev with
-  | Darc.Rc_created { count; _ } ->
-      if count <> 1 then
-        viol Refcount_sanity
-          (Printf.sprintf "refcounted cell %s created with count %d, not 1"
-             (gstr g) count)
-          (Option.map (fun r -> r.rc_hist) rc);
-      let r = { rc_expected = count; rc_freed = false; rc_hist = histo () } in
-      Hashtbl.replace t.rcs p r;
-      hist_push r.rc_hist tr
-  | Rc_retained { count; _ } -> (
-      match rc with
-      | None ->
+          sh.sh_status <- Dead)
+  | App { g; _ } -> on_shadow g (fun _ _ -> ())
+  (* ---- caches ---- *)
+  | Cache_hit { key } ->
+      on_copy key (fun p sh ->
+          match sh with
+          | Some s when s.sh_status <> Dead && Gaddr.color_of key <> s.sh_color
+            ->
+              viol Stale_cache_read ~addr:(Some p)
+                (Printf.sprintf
+                   "cache on node %d served a hit for %s whose color is stale \
+                    (current c%d)"
+                   node (gstr key) s.sh_color)
+                (hist_of sh)
+          | _ -> ())
+  | Cache_stale_miss { sought; _ } -> on_copy sought (fun _ _ -> ())
+  | Cache_insert { key; _ } ->
+      on_copy key (fun _ sh ->
+          match sh with
+          | Some s when s.sh_status <> Dead ->
+              Hashtbl.replace s.sh_copies node (Gaddr.color_of key)
+          | _ -> ())
+  | Cache_release { key; refcount } ->
+      on_copy key (fun p sh ->
+          if refcount < 0 then
+            viol Refcount_sanity ~addr:(Some p)
+              (Printf.sprintf
+                 "cache copy pin count underflow on node %d (rc=%d)" node
+                 refcount)
+              (hist_of sh))
+  | Cache_invalidate { key } ->
+      on_copy key (fun _ sh ->
+          match sh with Some s -> Hashtbl.remove s.sh_copies node | None -> ())
+  (* ---- refcounts (darc + drc) ---- *)
+  | Rc_created { g; count; _ } ->
+      rc_step g (fun p rc ->
+          if count <> 1 then
+            viol Refcount_sanity ~addr:(Some p)
+              (Printf.sprintf "refcounted cell %s created with count %d, not 1"
+                 (gstr g) count)
+              (Option.map (fun r -> r.rc_hist) rc);
           let r =
             { rc_expected = count; rc_freed = false; rc_hist = histo () }
           in
           Hashtbl.replace t.rcs p r;
-          hist_push r.rc_hist tr
-      | Some r ->
-          if r.rc_freed then
-            viol Use_after_free
-              (Printf.sprintf "retain of freed cell %s" (gstr g))
-              (Some r.rc_hist)
-          else begin
-            r.rc_expected <- r.rc_expected + 1;
-            if count <> r.rc_expected then begin
-              viol Refcount_sanity
-                (Printf.sprintf
-                   "refcount diverged on retain of %s: implementation says \
-                    %d, shadow says %d"
-                   (gstr g) count r.rc_expected)
-                (Some r.rc_hist);
-              r.rc_expected <- count
-            end
-          end;
           hist_push r.rc_hist tr)
-  | Rc_released { count; _ } -> (
-      match rc with
-      | None -> ()
-      | Some r ->
-          if r.rc_freed then
-            viol Use_after_free
-              (Printf.sprintf "release of freed cell %s" (gstr g))
-              (Some r.rc_hist)
-          else begin
-            r.rc_expected <- r.rc_expected - 1;
-            if count <> r.rc_expected then begin
-              viol Refcount_sanity
-                (Printf.sprintf
-                   "refcount diverged on release of %s: implementation says \
-                    %d, shadow says %d"
-                   (gstr g) count r.rc_expected)
-                (Some r.rc_hist);
-              r.rc_expected <- count
-            end;
-            if r.rc_expected < 0 then
-              viol Refcount_sanity
-                (Printf.sprintf "refcount of %s went negative (%d)" (gstr g)
-                   r.rc_expected)
-                (Some r.rc_hist)
-          end;
-          hist_push r.rc_hist tr)
-  | Rc_freed _ -> (
-      match rc with
-      | None -> ()
-      | Some r ->
-          if r.rc_freed then
-            viol Use_after_free
-              (Printf.sprintf "double free of cell %s" (gstr g))
-              (Some r.rc_hist)
-          else begin
-            if r.rc_expected <> 0 then
-              viol Refcount_sanity
-                (Printf.sprintf "cell %s freed with nonzero refcount (%d)"
-                   (gstr g) r.rc_expected)
-                (Some r.rc_hist);
-            r.rc_freed <- true
-          end;
-          hist_push r.rc_hist tr)
-
-(* ------------------------------------------------------------------ *)
-(* Lock events                                                         *)
-(* ------------------------------------------------------------------ *)
-
-let observe_lock t ~time ~node ~thread ev =
-  let g =
-    match ev with
-    | Dmutex.Lock_created { g }
-    | Lock_acquired { g; _ }
-    | Lock_released { g; _ } ->
-        g
-  in
-  let p = phys g in
-  let tr = { tr_time = time; tr_node = node; tr_ev = Tr_lock ev } in
-  let viol inv detail hist =
-    violate t inv ~time ~node ~thread ~addr:(Some p) ~detail hist
-  in
-  match ev with
-  | Dmutex.Lock_created _ ->
-      let l = { lk_holder = None; lk_hist = histo () } in
-      Hashtbl.replace t.locks p l;
+  | Rc_retained { g; count } ->
+      rc_step g (fun p rc ->
+          match rc with
+          | None ->
+              let r =
+                { rc_expected = count; rc_freed = false; rc_hist = histo () }
+              in
+              Hashtbl.replace t.rcs p r;
+              hist_push r.rc_hist tr
+          | Some r ->
+              if r.rc_freed then
+                viol Use_after_free ~addr:(Some p)
+                  (Printf.sprintf "retain of freed cell %s" (gstr g))
+                  (Some r.rc_hist)
+              else begin
+                r.rc_expected <- r.rc_expected + 1;
+                if count <> r.rc_expected then begin
+                  viol Refcount_sanity ~addr:(Some p)
+                    (Printf.sprintf
+                       "refcount diverged on retain of %s: implementation \
+                        says %d, shadow says %d"
+                       (gstr g) count r.rc_expected)
+                    (Some r.rc_hist);
+                  r.rc_expected <- count
+                end
+              end;
+              hist_push r.rc_hist tr)
+  | Rc_released { g; count } ->
+      rc_step g (fun p rc ->
+          match rc with
+          | None -> ()
+          | Some r ->
+              if r.rc_freed then
+                viol Use_after_free ~addr:(Some p)
+                  (Printf.sprintf "release of freed cell %s" (gstr g))
+                  (Some r.rc_hist)
+              else begin
+                r.rc_expected <- r.rc_expected - 1;
+                if count <> r.rc_expected then begin
+                  viol Refcount_sanity ~addr:(Some p)
+                    (Printf.sprintf
+                       "refcount diverged on release of %s: implementation \
+                        says %d, shadow says %d"
+                       (gstr g) count r.rc_expected)
+                    (Some r.rc_hist);
+                  r.rc_expected <- count
+                end;
+                if r.rc_expected < 0 then
+                  viol Refcount_sanity ~addr:(Some p)
+                    (Printf.sprintf "refcount of %s went negative (%d)" (gstr g)
+                       r.rc_expected)
+                    (Some r.rc_hist)
+              end;
+              hist_push r.rc_hist tr)
+  | Rc_freed { g } ->
+      rc_step g (fun p rc ->
+          match rc with
+          | None -> ()
+          | Some r ->
+              if r.rc_freed then
+                viol Use_after_free ~addr:(Some p)
+                  (Printf.sprintf "double free of cell %s" (gstr g))
+                  (Some r.rc_hist)
+              else begin
+                if r.rc_expected <> 0 then
+                  viol Refcount_sanity ~addr:(Some p)
+                    (Printf.sprintf "cell %s freed with nonzero refcount (%d)"
+                       (gstr g) r.rc_expected)
+                    (Some r.rc_hist);
+                r.rc_freed <- true
+              end;
+              hist_push r.rc_hist tr)
+  (* ---- locks ---- *)
+  | Lock_created { g } ->
+      let l = fresh_lock () in
+      Hashtbl.replace t.locks (phys g) l;
       hist_push l.lk_hist tr
-  | Lock_acquired { thread = th; _ } ->
+  | Lock_acquired { g; thread = th } ->
+      let p = phys g in
       let l =
         match Hashtbl.find_opt t.locks p with
         | Some l -> l
         | None ->
-            let l = { lk_holder = None; lk_hist = histo () } in
+            let l = fresh_lock () in
             Hashtbl.replace t.locks p l;
             l
       in
       (match l.lk_holder with
       | Some h ->
-          viol Lock_discipline
+          viol Lock_discipline ~addr:(Some p)
             (Printf.sprintf
                "lock %s granted to thread %d while held by thread %d" (gstr g)
                th h)
@@ -761,76 +716,39 @@ let observe_lock t ~time ~node ~thread ev =
       | None -> ());
       l.lk_holder <- Some th;
       hist_push l.lk_hist tr
-  | Lock_released { thread = th; _ } -> (
+  | Lock_released { g; thread = th } -> (
+      let p = phys g in
       match Hashtbl.find_opt t.locks p with
       | None -> ()
       | Some l ->
           (match l.lk_holder with
           | Some h when h = th -> l.lk_holder <- None
           | Some h ->
-              viol Lock_discipline
+              viol Lock_discipline ~addr:(Some p)
                 (Printf.sprintf
                    "lock %s released by thread %d but held by thread %d"
                    (gstr g) th h)
                 (Some l.lk_hist)
           | None ->
-              viol Lock_discipline
+              viol Lock_discipline ~addr:(Some p)
                 (Printf.sprintf "lock %s released by thread %d while unheld"
                    (gstr g) th)
                 (Some l.lk_hist));
           hist_push l.lk_hist tr)
-
-(* ------------------------------------------------------------------ *)
-(* Failover events                                                     *)
-(* ------------------------------------------------------------------ *)
-
-(* Shared by failover promotion and planned handoff commit: once a range
-   changes server, no alive cache may still hold a copy of it — a lagging
-   replica (failover) or the old server's image (handoff) would otherwise
-   keep serving superseded values under still-current colors. *)
-let check_range_purged t ~time ~node ~why ~home tr =
-  (* Address-sorted so any violation report lists objects in a stable
-     order, not the shadow table's bucket order. *)
-  List.iter
-    (fun (p, sh) ->
-      if sh.sh_home = home && sh.sh_status <> Dead then begin
-        let survivors =
-          Drust_util.Tables.sorted_keys sh.sh_copies ~cmp:Int.compare
-          |> List.filter (fun n -> n < Array.length t.alive && t.alive.(n))
-        in
-        if survivors <> [] then begin
-          violate t Move_invalidation ~time ~node ~thread:(-1) ~addr:(Some p)
-            ~detail:
-              (Printf.sprintf
-                 "cached copies of range %d survived %s on node(s) %s" home why
-                 (String.concat ", " (List.map string_of_int survivors)))
-            (Some sh.sh_hist);
-          hist_push sh.sh_hist tr
-        end
-      end)
-    (Drust_util.Tables.sorted_bindings t.shadows ~cmp:Int.compare)
-
-let observe_failover t ~time ~node ev =
-  let tr = { tr_time = time; tr_node = node; tr_ev = Tr_failover ev } in
-  let viol inv ~addr detail hist =
-    violate t inv ~time ~node ~thread:(-1) ~addr ~detail hist
-  in
-  match ev with
-  | Replication.Node_failed { node = n } ->
+  (* ---- failover ---- *)
+  | Node_failed { node = n } ->
       if n >= 0 && n < Array.length t.alive then t.alive.(n) <- false
   | Promoted { home; by; replica = _ } ->
       let cur = if home < Array.length t.serving then t.serving.(home) else by in
       if cur < Array.length t.alive && t.alive.(cur) then
-        viol Promotion_uniqueness ~addr:None
+        member_viol Promotion_uniqueness
           (Printf.sprintf
              "range %d promoted to node %d while node %d still serves it \
               alive"
-             home by cur)
-          None;
+             home by cur);
       if by < Array.length t.alive && not t.alive.(by) then
-        viol Promotion_uniqueness ~addr:None
-          (Printf.sprintf "range %d promoted to dead node %d" home by)
-          None;
+        member_viol Promotion_uniqueness
+          (Printf.sprintf "range %d promoted to dead node %d" home by);
       (* A failover promotion may race a planned handoff of the same
          range (server died mid-transfer): the coordinator aborts its
          side when the copy fails, and the prepare record is cleared
@@ -843,11 +761,10 @@ let observe_failover t ~time ~node ev =
             && to_ < Array.length t.alive
             && t.alive.(to_)
           then
-            viol Handoff_atomicity ~addr:None
+            member_viol Handoff_atomicity
               (Printf.sprintf
                  "failover promotion of range %d raced a live handoff %d -> %d"
-                 home f to_)
-              None;
+                 home f to_);
           Hashtbl.remove t.pending_handoffs home
       | None -> ());
       if home < Array.length t.serving then t.serving.(home) <- by;
@@ -855,51 +772,32 @@ let observe_failover t ~time ~node ev =
          promoted range: the replica may lag the lost primary, so those
          copies can carry rolled-back values under still-current colors. *)
       check_range_purged t ~time ~node ~why:"failover" ~home tr
-
-(* ------------------------------------------------------------------ *)
-(* Membership events                                                   *)
-(* ------------------------------------------------------------------ *)
-
-let observe_membership t ~time ~node ev =
-  let tr = { tr_time = time; tr_node = node; tr_ev = Tr_member ev } in
-  let viol inv detail =
-    violate t inv ~time ~node ~thread:(-1) ~addr:None ~detail None
-  in
-  let check_epoch epoch =
-    if epoch <= t.last_epoch then
-      viol Epoch_monotonic
-        (Printf.sprintf
-           "view epoch moved backwards or repeated: saw e%d after e%d" epoch
-           t.last_epoch)
-    else t.last_epoch <- epoch
-  in
-  let alive n = n >= 0 && n < Array.length t.alive && t.alive.(n) in
-  match ev with
-  | Membership.View_change { epoch; reason = _ } -> check_epoch epoch
+  (* ---- membership ---- *)
+  | View_change { epoch; reason = _ } -> check_epoch epoch
   | Handoff_prepared { home; from_node; to_node } ->
       if Hashtbl.mem t.pending_handoffs home then
-        viol Handoff_atomicity
+        member_viol Handoff_atomicity
           (Printf.sprintf
              "second handoff of range %d prepared while one is in flight" home);
       if home < Array.length t.serving && t.serving.(home) <> from_node then
-        viol Handoff_atomicity
+        member_viol Handoff_atomicity
           (Printf.sprintf
              "handoff of range %d prepared from node %d, but node %d serves it"
              home from_node t.serving.(home));
       if not (alive to_node) then
-        viol Handoff_atomicity
+        member_viol Handoff_atomicity
           (Printf.sprintf "handoff of range %d prepared toward dead node %d"
              home to_node);
       Hashtbl.replace t.pending_handoffs home (from_node, to_node)
   | Handoff_committed { home; from_node; to_node; epoch } ->
       (match Hashtbl.find_opt t.pending_handoffs home with
       | None ->
-          viol Handoff_atomicity
+          member_viol Handoff_atomicity
             (Printf.sprintf "handoff of range %d committed without a prepare"
                home)
       | Some (f, to_) ->
           if f <> from_node || to_ <> to_node then
-            viol Handoff_atomicity
+            member_viol Handoff_atomicity
               (Printf.sprintf
                  "handoff commit of range %d (%d -> %d) does not match its \
                   prepare (%d -> %d)"
@@ -909,13 +807,13 @@ let observe_membership t ~time ~node ev =
          to the target: anything else means a window with zero or two
          servers for the range. *)
       if home < Array.length t.serving && t.serving.(home) <> from_node then
-        viol Handoff_atomicity
+        member_viol Handoff_atomicity
           (Printf.sprintf
              "handoff commit of range %d from node %d, but node %d serves it \
               — the range had two servers"
              home from_node t.serving.(home));
       if not (alive to_node) then
-        viol Handoff_atomicity
+        member_viol Handoff_atomicity
           (Printf.sprintf "range %d handed off to dead node %d — the range \
                            has zero servers"
              home to_node);
@@ -929,7 +827,7 @@ let observe_membership t ~time ~node ev =
       | None -> ()
       | Some (f, to_) ->
           if f <> from_node || to_ <> to_node then
-            viol Handoff_atomicity
+            member_viol Handoff_atomicity
               (Printf.sprintf
                  "handoff abort of range %d (%d -> %d) does not match its \
                   prepare (%d -> %d)"
@@ -937,27 +835,27 @@ let observe_membership t ~time ~node ev =
           Hashtbl.remove t.pending_handoffs home)
   | Chain_reseeded { home; server; hosts } ->
       if hosts = [] then
-        viol Replica_chain_intact
+        member_viol Replica_chain_intact
           (Printf.sprintf
              "range %d has no alive replica host after reseeding" home);
       let seen = Hashtbl.create 4 in
       List.iter
         (fun h ->
           if Hashtbl.mem seen h then
-            viol Replica_chain_intact
+            member_viol Replica_chain_intact
               (Printf.sprintf
                  "range %d reseeded twice onto the same host %d" home h);
           Hashtbl.replace seen h ();
           if not (alive h) then
-            viol Replica_chain_intact
+            member_viol Replica_chain_intact
               (Printf.sprintf "range %d reseeded onto dead node %d" home h);
           if h = server then
-            viol Replica_chain_intact
+            member_viol Replica_chain_intact
               (Printf.sprintf
                  "range %d replica co-located with its server %d" home h))
         hosts;
       if home < Array.length t.serving && t.serving.(home) <> server then
-        viol Replica_chain_intact
+        member_viol Replica_chain_intact
           (Printf.sprintf
              "range %d reseeded around server %d, but node %d serves it" home
              server t.serving.(home))
@@ -979,8 +877,6 @@ let attach ?(mode = Record) cluster =
       alive = Array.map (fun nd -> nd.Cluster.alive) (Cluster.nodes cluster);
       last_epoch = 0;
       pending_handoffs = Hashtbl.create 4;
-      ring = Array.make 16 None;
-      ring_idx = 0;
       reports = [];
       report_count = 0;
       counter =
@@ -989,51 +885,17 @@ let attach ?(mode = Record) cluster =
       active = true;
     }
   in
-  let now () = Engine.now (Cluster.engine cluster) in
-  Protocol.set_probe cluster
+  let engine = Cluster.engine cluster in
+  Tap.set (Cluster.tap cluster)
     (Some
-       (fun ctx ev ->
-         observe_protocol t ~time:(now ()) ~node:ctx.Ctx.node
-           ~thread:ctx.Ctx.thread_id ev));
-  Array.iter
-    (fun nd ->
-      Cache.set_listener nd.Cluster.cache
-        (Some (fun ev -> observe_cache t ~time:(now ()) ~node:nd.Cluster.id ev)))
-    (Cluster.nodes cluster);
-  let on_rc ctx ev =
-    observe_rc t ~time:(now ()) ~node:ctx.Ctx.node ~thread:ctx.Ctx.thread_id ev
-  in
-  Darc.set_listener cluster (Some on_rc);
-  Drc.set_listener cluster (Some on_rc);
-  Dmutex.set_listener cluster
-    (Some
-       (fun ctx ev ->
-         observe_lock t ~time:(now ()) ~node:ctx.Ctx.node
-           ~thread:ctx.Ctx.thread_id ev));
-  Replication.set_listener cluster
-    (Some (fun ctx ev -> observe_failover t ~time:(now ()) ~node:ctx.Ctx.node ev));
-  Membership.set_listener cluster
-    (Some
-       (fun ctx ev -> observe_membership t ~time:(now ()) ~node:ctx.Ctx.node ev));
-  Fabric.set_observer (Cluster.fabric cluster)
-    (Some
-       (fun verb ~from ~target ~bytes ->
-         ring_push t (now (), verb, from, target, bytes)));
+       (fun ~node ~thread ev ->
+         observe t ~time:(Engine.now engine) ~node ~thread ev));
   t
 
 let detach t =
   if t.active then begin
     t.active <- false;
-    Protocol.set_probe t.cluster None;
-    Array.iter
-      (fun nd -> Cache.set_listener nd.Cluster.cache None)
-      (Cluster.nodes t.cluster);
-    Darc.set_listener t.cluster None;
-    Drc.set_listener t.cluster None;
-    Dmutex.set_listener t.cluster None;
-    Replication.set_listener t.cluster None;
-    Membership.set_listener t.cluster None;
-    Fabric.set_observer (Cluster.fabric t.cluster) None
+    Tap.set (Cluster.tap t.cluster) None
   end
 
 let mode t = t.mode
@@ -1068,4 +930,18 @@ let install_global ?mode () =
 
 let uninstall_global () = Cluster.set_create_hook None
 let attached () = Mutex.protect auto_mutex (fun () -> List.rev !auto)
-let global_reports () = List.concat_map violations (attached ())
+
+let report_attached ~clean =
+  let attached = attached () in
+  match List.fold_left (fun acc t -> acc + violation_count t) 0 attached with
+  | 0 ->
+      Printf.fprintf clean
+        "DSan: no invariant violations (%d cluster(s) checked)\n"
+        (List.length attached);
+      0
+  | total ->
+      List.iter
+        (fun r -> prerr_endline (report_to_string r))
+        (List.concat_map violations attached);
+      Printf.eprintf "DSan: %d invariant violation(s)\n" total;
+      total

@@ -5,11 +5,9 @@
     tracking the owner node, the current color, the borrow automaton
     state, the set of nodes holding cached copies (keyed by the colored
     address each copy was fetched under), darc/drc reference counts, and
-    dmutex hold state — and replays every protocol transition against it
-    through the observational hooks exposed by [Protocol.set_probe],
-    [Cache.set_listener], [Darc.set_listener], [Drc.set_listener],
-    [Dmutex.set_listener], [Replication.set_listener],
-    [Membership.set_listener], and [Fabric.set_observer].
+    dmutex hold state — and replays every transition against it as the
+    one subscriber of the cluster's observation tap ([Cluster.tap], the
+    {!Drust_memory.Tap} event vocabulary).
 
     Any divergence between what the implementation did and what the
     paper's invariants permit produces a structured {!report} carrying
@@ -84,8 +82,8 @@ type report = {
   addr : int option;  (** physical (color-cleared) address *)
   detail : string;
   provenance : string list;
-      (** recent shadow history for the address plus the tail of the
-          fabric traffic ring, oldest first *)
+      (** recent shadow history for the address, then the last six
+          fabric verbs from the cluster's flight recorder, oldest first *)
 }
 
 val pp_report : Format.formatter -> report -> unit
@@ -102,15 +100,16 @@ exception Violation of report
 type t
 
 val attach : ?mode:mode -> Cluster.t -> t
-(** Install the sanitizer on a cluster: hooks every protocol, cache,
-    refcount, lock, replication, and fabric event source, seeds the
-    serving/alive shadow from the cluster's current state, and registers
-    the [dsan.violations] counter in the cluster's metrics registry.
+(** Install the sanitizer on a cluster: subscribes to the cluster's tap
+    (every protocol, cache, refcount, lock, replication and membership
+    transition), seeds the serving/alive shadow from the cluster's
+    current state, and registers the [dsan.violations] counter in the
+    cluster's metrics registry.
     Attach before the workload runs; objects created earlier are simply
     not tracked.  Default mode is [Record]. *)
 
 val detach : t -> unit
-(** Uninstall every hook.  Reports remain queryable. *)
+(** Empty the cluster's tap.  Reports remain queryable. *)
 
 val mode : t -> mode
 val cluster : t -> Cluster.t
@@ -139,32 +138,18 @@ val uninstall_global : unit -> unit
 val attached : unit -> t list
 (** Sanitizers auto-attached by {!install_global}, oldest first. *)
 
-val global_reports : unit -> report list
-(** All violations across {!attached} sanitizers. *)
+val report_attached : clean:out_channel -> int
+(** The [--sanitize] epilogue of both CLIs: with no violation across
+    {!attached} sanitizers, print ["DSan: no invariant violations (N
+    cluster(s) checked)"] on [clean]; otherwise print every report and
+    the total on stderr.  Returns the violation total. *)
 
-(** {1 Observation entry points}
+(** {1 Observation}
 
-    [attach] wires these to the live hooks; tests call them directly to
-    inject corrupted event streams and assert that each invariant class
-    is caught.  All are pure state-machine steps on the shadow. *)
+    [attach] subscribes this to the cluster's tap; tests call it
+    directly to inject corrupted event streams and assert that each
+    invariant class is caught.  A pure state-machine step on the
+    shadow. *)
 
-val observe_protocol :
-  t -> time:float -> node:int -> thread:int -> Drust_core.Protocol.probe_event
-  -> unit
-
-val observe_cache :
-  t -> time:float -> node:int -> Drust_memory.Cache.event -> unit
-
-val observe_rc :
-  t -> time:float -> node:int -> thread:int -> Drust_runtime.Darc.rc_event
-  -> unit
-
-val observe_lock :
-  t -> time:float -> node:int -> thread:int -> Drust_runtime.Dmutex.event
-  -> unit
-
-val observe_failover :
-  t -> time:float -> node:int -> Drust_runtime.Replication.event -> unit
-
-val observe_membership :
-  t -> time:float -> node:int -> Drust_runtime.Membership.event -> unit
+val observe :
+  t -> time:float -> node:int -> thread:int -> Drust_memory.Tap.event -> unit

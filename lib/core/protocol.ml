@@ -4,6 +4,7 @@ module Params = Drust_machine.Params
 module Gaddr = Drust_memory.Gaddr
 module Partition = Drust_memory.Partition
 module Cache = Drust_memory.Cache
+module Tap = Drust_memory.Tap
 module Fabric = Drust_net.Fabric
 module Borrow_state = Drust_ownership.Borrow_state
 module Univ = Drust_util.Univ
@@ -45,9 +46,9 @@ type mut = {
 (* Per-cluster protocol state.
 
    Everything the protocol keeps per cluster — stat counters, op-latency
-   histograms, ablation switches, the sanitizer probe, fault-tolerance
-   listeners, and the owner registry — lives in ONE record under a
-   single Env key, and the resolved record is cached on the Ctx.  Hot
+   histograms, ablation switches, fault-tolerance listeners, and the
+   owner registry — lives in ONE record under a single Env key, and the
+   resolved record is cached on the Ctx.  Hot
    operations therefore read a field of an already-resolved pointer
    instead of hashing into the Env (and then into a string-keyed
    histogram table) on every access. *)
@@ -64,7 +65,7 @@ type stats = {
 (* Per-op-kind latency histograms (protocol.op_latency{op=...}).  The
    kind is the operation's *outcome* — which access path a read took,
    how a write changed the colored address — decided at the same branch
-   points that emit the DSan probe events.  Buckets are finer than the
+   points that emit the tap events.  Buckets are finer than the
    registry default because local derefs cost tens of nanoseconds while
    a contended move can take milliseconds. *)
 
@@ -72,9 +73,11 @@ let op_latency_buckets =
   [| 1e-8; 2e-8; 5e-8; 1e-7; 2e-7; 5e-7; 1e-6; 2e-6; 5e-6; 1e-5; 2e-5; 5e-5;
      1e-4; 2e-4; 5e-4; 1e-3; 2e-3; 5e-3; 1e-2 |]
 
-(* Outcome kinds as dense ints: indices into the histogram array and the
-   values [Ctx.op_kind] carries while an operation is in flight.  Must
-   stay in sync with [op_kind_names]. *)
+(* Outcome kinds as dense ints: indices into the histogram array, the
+   values [Ctx.op_kind] carries while an operation is in flight, and the
+   flight-recorder kinds of the same outcomes (Flight's codes 0..8,
+   pinned equal by test/test_flight.ml).  Must stay in sync with
+   [op_kind_names]. *)
 let k_read_local = 0
 let k_read_cached = 1
 let k_read_fetch = 2
@@ -95,32 +98,6 @@ let register_op_hist cluster kind =
   Metrics.histogram (Cluster.metrics cluster) ~buckets:op_latency_buckets
     ~labels:[ ("op", kind) ] ~unit_:"s" "protocol.op_latency"
 
-(* ------------------------------------------------------------------ *)
-(* Probe and write-kind types (defined before the state record that
-   stores the installed probe; semantics documented at their section
-   below and in the mli). *)
-
-type access_path = Path_local | Path_cache of Gaddr.t | Path_fetch
-
-type write_kind = W_bump | W_move | W_in_place
-
-type probe_event =
-  | Ev_create of { g : Gaddr.t; size : int }
-  | Ev_read of { g : Gaddr.t; path : access_path }
-  | Ev_write of {
-      before : Gaddr.t;
-      after : Gaddr.t;
-      size : int;
-      kind : write_kind;
-    }
-  | Ev_borrow_imm of { g : Gaddr.t }
-  | Ev_return_imm of { g : Gaddr.t }
-  | Ev_borrow_mut of { g : Gaddr.t }
-  | Ev_return_mut of { g : Gaddr.t }
-  | Ev_transfer of { g : Gaddr.t; to_node : int }
-  | Ev_drop of { g : Gaddr.t }
-  | Ev_app of { g : Gaddr.t; verb : string; tag : string }
-
 (* Ablation switches (per cluster): disable the local-write
    optimizations to quantify their contribution. *)
 type options = { mutable always_move : bool; mutable no_ubit : bool }
@@ -134,7 +111,6 @@ type pstate = {
   mutable ps_stats : stats option;
       (* counters, registered on first increment/read as before *)
   ps_options : options;
-  mutable ps_probe : (Ctx.t -> probe_event -> unit) option;
   mutable ps_commit : (Ctx.t -> Gaddr.t -> int -> Univ.t -> unit) option;
   mutable ps_transfer : (Ctx.t -> Gaddr.t -> unit) option;
   mutable ps_registry : owner list;
@@ -147,7 +123,6 @@ let fresh_pstate () =
     ps_hists = [||];
     ps_stats = None;
     ps_options = { always_move = false; no_ubit = false };
-    ps_probe = None;
     ps_commit = None;
     ps_transfer = None;
     ps_registry = [];
@@ -308,40 +283,19 @@ let notify_transfer ctx g =
   | Some f -> f ctx (Gaddr.clear_color g)
 
 (* ------------------------------------------------------------------ *)
-(* Shadow-state probe (the DSan sanitizer, lib/check): one event per
-   protocol transition, emitted synchronously at the state change.  Each
-   event is allocated only when a probe is installed, and a probe must
-   never touch the engine or any RNG — sanitized runs stay bit-identical.
-
-   Emission points are chosen so that the address an event carries and
-   the shadow state a checker keeps can never be separated by a scheduler
-   yield: read events fire at the instant the access path is decided,
-   write events right after the new address is published.
-
-   The event types are declared next to the [pstate] record above. *)
-
-let set_probe cluster f = (pstate_of_cluster cluster).ps_probe <- f
-
-(* The installed probe.  Call sites match on it and build their event
-   only under [Some]: a closure handed to a wrapper would be allocated on
-   every transition, probe or not. *)
-let probe ctx = (pstate_of ctx).ps_probe
-
-(* How a write changed the colored address: same address (U-bit elision),
-   color bump in place, or relocation. *)
-let write_kind ~before ~after =
-  if Gaddr.equal before after then W_in_place
-  else if Gaddr.equal (Gaddr.clear_color before) (Gaddr.clear_color after) then
-    W_bump
-  else W_move
+(* The observation tap (Cluster.tap): one event per protocol transition,
+   emitted synchronously at the state change.  Call sites match on
+   [Ctx.tap] and build their event only under [Some] — a closure handed
+   to a wrapper would be allocated on every transition, subscriber or
+   not.  Read events fire at the instant the access path is decided,
+   write events right after the new address is published, so the
+   address an event carries and a subscriber's shadow state can never be
+   separated by a scheduler yield. *)
 
 let note_app ctx ~g ~verb ~tag =
-  match probe ctx with None -> () | Some f -> f ctx (Ev_app { g; verb; tag })
-
-let tag_of_write_kind = function
-  | W_in_place -> k_write_inplace
-  | W_bump -> k_write_bump
-  | W_move -> k_write_move
+  match Ctx.tap ctx with
+  | None -> ()
+  | Some f -> Ctx.emit ctx f (App { g; verb; tag })
 
 (* ------------------------------------------------------------------ *)
 (* Ablation switches (declared on [pstate] above). *)
@@ -360,11 +314,12 @@ let serving ctx g = Cluster.serving_node (Ctx.cluster ctx) (Gaddr.node_of g)
 let is_local ctx g = serving ctx g = ctx.Ctx.node
 
 (* ------------------------------------------------------------------ *)
-(* Flight recording: every op outcome also lands in the cluster's
-   always-on black box, at the same branch points that set the op tag
-   and emit the DSan probe event.  Recording is pure array stores into
-   preallocated rings — no engine or RNG access, no allocation — so
-   instrumented runs stay bit-identical (docs/FORENSICS.md).
+(* Op outcomes: every outcome sets the op tag, lands in the cluster's
+   always-on black box under the same code, and goes to the tap — one
+   helper call per outcome family, at the branch that decides it.
+   Flight recording is pure array stores into preallocated rings — no
+   engine or RNG access, no allocation — so instrumented runs stay
+   bit-identical (docs/FORENSICS.md).
 
    Field layout per kind (must match [Flight.pp_event]):
      reads           a=physical addr  b=serving node   c=color
@@ -387,18 +342,52 @@ let[@inline] fr ctx ~kind ~g ~b ~d =
 
 let[@inline] fr_read ctx ~kind ~g = fr ctx ~kind ~g ~b:(serving ctx g) ~d:0
 
-(* A write's flight kind mirrors its op tag; bump/move carry the old
-   physical address in [b] so the object slice follows relocations. *)
-let fr_write ctx ~before ~after ~kind =
-  let code =
-    match kind with
-    | W_in_place -> Flight.k_write_inplace
-    | W_bump -> Flight.k_write_bump
-    | W_move -> Flight.k_write_move
+(* A read served here, from the local heap ([k_read_local]) or from a
+   cache copy fetched under [key] ([k_read_cached]).  A fetch's outcome
+   is recorded by [fetch_into_cache]. *)
+let read_outcome ctx kind g ~key =
+  tag ctx kind;
+  fr_read ctx ~kind ~g;
+  match Ctx.tap ctx with
+  | None -> ()
+  | Some f ->
+      let path =
+        if kind = k_read_local then Tap.Path_local else Path_cache key
+      in
+      Ctx.emit ctx f (Read { g; path })
+
+(* A write epoch closed with the colored address [after]: the same
+   address (U-bit elision), a color bump in place, or a relocation.
+   Bump/move flight events carry the old physical address in [b] so the
+   object slice follows relocations. *)
+let write_outcome ctx ~before ~after ~size =
+  let phys_before = Gaddr.to_int (Gaddr.clear_color before) in
+  let kind =
+    if Gaddr.equal before after then k_write_inplace
+    else if phys_before = Gaddr.to_int (Gaddr.clear_color after) then
+      k_write_bump
+    else k_write_move
   in
-  fr ctx ~kind:code ~g:after
-    ~b:(if kind = W_in_place then 0 else Gaddr.to_int (Gaddr.clear_color before))
-    ~d:(Gaddr.node_of after)
+  tag ctx kind;
+  fr ctx ~kind ~g:after
+    ~b:(if kind = k_write_inplace then 0 else phys_before)
+    ~d:(Gaddr.node_of after);
+  match Ctx.tap ctx with
+  | None -> ()
+  | Some f ->
+      let kind : Tap.write_kind =
+        if kind = k_write_inplace then W_in_place
+        else if kind = k_write_bump then W_bump
+        else W_move
+      in
+      Ctx.emit ctx f (Write { before; after; size; kind })
+
+(* An affinity child relocated along with its parent: a tap event only,
+   the op outcome is the parent's. *)
+let child_moved ctx ~before ~after ~size =
+  match Ctx.tap ctx with
+  | None -> ()
+  | Some f -> Ctx.emit ctx f (Write { before; after; size; kind = W_move })
 
 let check_cycles ctx = (Ctx.params ctx).Params.runtime_check_cycles
 let local_cycles ctx = (Ctx.params ctx).Params.local_deref_cycles
@@ -523,9 +512,9 @@ let create_on ctx ~node ~size v =
     }
   in
   register_owner ctx o;
-  (match probe ctx with
+  (match Ctx.tap ctx with
   | None -> ()
-  | Some f -> f ctx (Ev_create { g; size }));
+  | Some f -> Ctx.emit ctx f (Create { g; size }));
   fr ctx ~kind:Flight.k_create ~g ~b:(Gaddr.node_of g) ~d:size;
   o
 
@@ -543,8 +532,12 @@ let mut_gaddr m = m.m_g
 (* Shared fetch path: read a remote object (and its affinity group)    *)
 (* into the local cache under its colored address.                     *)
 
+(* The fetch outcome is decided on entry (tag and flight event); its tap
+   event waits for the copy to be in the cache. *)
 let fetch_into_cache ctx ~g ~size ~group_bytes ~children =
   let cluster = Ctx.cluster ctx in
+  tag ctx k_read_fetch;
+  fr_read ctx ~kind:k_read_fetch ~g;
   Metrics.incr (stats_of ctx).fetches;
   proto_mark ctx "FETCH" ~bytes:group_bytes;
   let target = serving ctx g in
@@ -571,6 +564,9 @@ let fetch_into_cache ctx ~g ~size ~group_bytes ~children =
           end)
         (group child))
     children;
+  (match Ctx.tap ctx with
+  | None -> ()
+  | Some f -> Ctx.emit ctx f (Read { g; path = Path_fetch }));
   copy
 
 (* ------------------------------------------------------------------ *)
@@ -582,9 +578,9 @@ let borrow_imm ctx o =
   (* Creating an immutable reference resets the owner's U bit so the next
      write epoch is guaranteed to change the colored address (App. B.4). *)
   o.ubit <- false;
-  (match probe ctx with
+  (match Ctx.tap ctx with
   | None -> ()
-  | Some f -> f ctx (Ev_borrow_imm { g = o.g }));
+  | Some f -> Ctx.emit ctx f (Borrow_imm { g = o.g }));
   Ctx.charge_cycles ctx 12.0;
   {
     i_g = o.g;
@@ -599,9 +595,9 @@ let borrow_imm ctx o =
 let clone_imm ctx r =
   assert_live r.i_live "Protocol.clone_imm";
   Borrow_state.borrow_imm r.i_borrow ~context:"Protocol.clone_imm";
-  (match probe ctx with
+  (match Ctx.tap ctx with
   | None -> ()
-  | Some f -> f ctx (Ev_borrow_imm { g = r.i_g }));
+  | Some f -> Ctx.emit ctx f (Borrow_imm { g = r.i_g }));
   Ctx.charge_cycles ctx 12.0;
   (* Only the global-address field is duplicated; the local-copy field of
      the clone starts null (App. D.2). *)
@@ -611,23 +607,14 @@ let imm_deref_inner ctx r () =
   assert_live r.i_live "Protocol.imm_deref";
   let cluster = Ctx.cluster ctx in
   if is_local ctx r.i_g then begin
-    tag ctx k_read_local;
-    fr_read ctx ~kind:Flight.k_read_local ~g:r.i_g;
-    (match probe ctx with
-    | None -> ()
-    | Some f -> f ctx (Ev_read { g = r.i_g; path = Path_local }));
+    read_outcome ctx k_read_local r.i_g ~key:r.i_g;
     charge_local_deref ctx;
     (Cluster.heap_read cluster r.i_g).Partition.value
   end
   else begin
     match r.i_copy with
     | Some copy when Gaddr.equal copy.Cache.key r.i_g && not copy.Cache.dead ->
-        tag ctx k_read_cached;
-        fr_read ctx ~kind:Flight.k_read_cached ~g:r.i_g;
-        (match probe ctx with
-        | None -> ()
-        | Some f ->
-            f ctx (Ev_read { g = r.i_g; path = Path_cache copy.Cache.key }));
+        read_outcome ctx k_read_cached r.i_g ~key:copy.Cache.key;
         charge_cache_hit ctx;
         copy.Cache.value
     | _ -> (
@@ -635,27 +622,15 @@ let imm_deref_inner ctx r () =
         charge_cache_hit ctx;
         match Cache.find cache r.i_g with
         | copy ->
-            tag ctx k_read_cached;
-            fr_read ctx ~kind:Flight.k_read_cached ~g:r.i_g;
-            (match probe ctx with
-            | None -> ()
-            | Some f ->
-                f ctx
-                  (Ev_read { g = r.i_g; path = Path_cache copy.Cache.key }));
+            read_outcome ctx k_read_cached r.i_g ~key:copy.Cache.key;
             Cache.retain copy;
             r.i_copy <- Some copy;
             copy.Cache.value
         | exception Not_found ->
-            tag ctx k_read_fetch;
-            fr_read ctx ~kind:Flight.k_read_fetch ~g:r.i_g;
             let copy =
               fetch_into_cache ctx ~g:r.i_g ~size:r.i_size
                 ~group_bytes:r.i_group ~children:r.i_children
             in
-            (match probe ctx with
-            | None -> ()
-            | Some f ->
-                f ctx (Ev_read { g = r.i_g; path = Path_fetch }));
             r.i_copy <- Some copy;
             copy.Cache.value)
   end
@@ -671,9 +646,9 @@ let drop_imm ctx r =
   r.i_copy <- None;
   Ctx.charge_cycles ctx 10.0;
   Borrow_state.return_imm r.i_borrow ~context:"Protocol.drop_imm";
-  (match probe ctx with
+  match Ctx.tap ctx with
   | None -> ()
-  | Some f -> f ctx (Ev_return_imm { g = r.i_g }))
+  | Some f -> Ctx.emit ctx f (Return_imm { g = r.i_g })
 
 (* ------------------------------------------------------------------ *)
 (* Move machinery                                                      *)
@@ -712,17 +687,7 @@ let move_local ctx ~g ~size ~children =
         let old = member.g in
         member.g <- child_fresh;
         member.ubit <- false;
-        (match probe ctx with
-        | None -> ()
-        | Some f ->
-            f ctx
-              (Ev_write
-                 {
-                   before = old;
-                   after = child_fresh;
-                   size = member.size;
-                   kind = W_move;
-                 }))
+        child_moved ctx ~before:old ~after:child_fresh ~size:member.size
       end)
     group_members;
   fresh
@@ -770,9 +735,9 @@ let borrow_mut ctx o =
   | Some copy -> Cache.release (cache_of ctx) copy
   | None -> ());
   o.local_copy <- None;
-  (match probe ctx with
+  (match Ctx.tap ctx with
   | None -> ()
-  | Some f -> f ctx (Ev_borrow_mut { g = o.g }));
+  | Some f -> Ctx.emit ctx f (Borrow_mut { g = o.g }));
   Ctx.charge_cycles ctx 12.0;
   { m_g = o.g; m_size = o.size; m_owner = o; m_ubit = false; m_live = true }
 
@@ -785,7 +750,7 @@ let mut_claim ctx m ~for_write =
   (if is_local ctx m.m_g then begin
      if not for_write then begin
        tag ctx k_read_local;
-       fr_read ctx ~kind:Flight.k_read_local ~g:m.m_g
+       fr_read ctx ~kind:k_read_local ~g:m.m_g
      end;
      charge_local_deref ctx;
      if for_write && ((not m.m_ubit) || (options_of ctx).no_ubit) then
@@ -822,16 +787,8 @@ let mut_claim ctx m ~for_write =
   (* A write claim always announces its epoch (even U-bit-elided ones, so
      a checker can prove no live copy is reachable under the unchanged
      colored address); a read claim only reports relocations. *)
-  if for_write || not (Gaddr.equal before m.m_g) then begin
-    let kind = write_kind ~before ~after:m.m_g in
-    tag ctx (tag_of_write_kind kind);
-    fr_write ctx ~before ~after:m.m_g ~kind;
-    (match probe ctx with
-    | None -> ()
-    | Some f ->
-        f ctx
-          (Ev_write { before; after = m.m_g; size = m.m_size; kind }))
-  end
+  if for_write || not (Gaddr.equal before m.m_g) then
+    write_outcome ctx ~before ~after:m.m_g ~size:m.m_size
 
 let heap_slot_read ctx m =
   let cluster = Ctx.cluster ctx in
@@ -839,7 +796,7 @@ let heap_slot_read ctx m =
   else begin
     (* Pinned remote object: read through (one-sided READ). *)
     tag_weak ctx k_read_remote;
-    fr_read ctx ~kind:Flight.k_read_remote ~g:m.m_g;
+    fr_read ctx ~kind:k_read_remote ~g:m.m_g;
     let target = serving ctx m.m_g in
     Ctx.flush ctx;
     Fabric.rdma_read ?parent:ctx.Ctx.current_span (Ctx.fabric ctx)
@@ -898,9 +855,9 @@ let drop_mut ctx m =
   o.g <- m.m_g;
   o.ubit <- o.ubit || m.m_ubit;
   Borrow_state.return_mut o.borrow ~context:"Protocol.drop_mut";
-  (match probe ctx with
+  (match Ctx.tap ctx with
   | None -> ()
-  | Some f -> f ctx (Ev_return_mut { g = m.m_g }));
+  | Some f -> Ctx.emit ctx f (Return_mut { g = m.m_g }));
   if m.m_ubit then notify_commit ctx m.m_g m.m_size
 
 (* ------------------------------------------------------------------ *)
@@ -912,11 +869,7 @@ let owner_read_inner ctx o () =
   Borrow_state.assert_owner_readable o.borrow ~context:"Protocol.owner_read";
   let cluster = Ctx.cluster ctx in
   if is_local ctx o.g then begin
-    tag ctx k_read_local;
-    fr_read ctx ~kind:Flight.k_read_local ~g:o.g;
-    (match probe ctx with
-    | None -> ()
-    | Some f -> f ctx (Ev_read { g = o.g; path = Path_local }));
+    read_outcome ctx k_read_local o.g ~key:o.g;
     charge_local_deref ctx;
     (Cluster.heap_read cluster o.g).Partition.value
   end
@@ -929,12 +882,7 @@ let owner_read_inner ctx o () =
     if o.pinned then o.ubit <- false;
     match o.local_copy with
     | Some copy when Gaddr.equal copy.Cache.key o.g && not copy.Cache.dead ->
-        tag ctx k_read_cached;
-        fr_read ctx ~kind:Flight.k_read_cached ~g:o.g;
-        (match probe ctx with
-        | None -> ()
-        | Some f ->
-            f ctx (Ev_read { g = o.g; path = Path_cache copy.Cache.key }));
+        read_outcome ctx k_read_cached o.g ~key:copy.Cache.key;
         charge_cache_hit ctx;
         copy.Cache.value
     | stale -> (
@@ -947,26 +895,15 @@ let owner_read_inner ctx o () =
         charge_cache_hit ctx;
         match Cache.find cache o.g with
         | copy ->
-            tag ctx k_read_cached;
-            fr_read ctx ~kind:Flight.k_read_cached ~g:o.g;
-            (match probe ctx with
-            | None -> ()
-            | Some f ->
-                f ctx (Ev_read { g = o.g; path = Path_cache copy.Cache.key }));
+            read_outcome ctx k_read_cached o.g ~key:copy.Cache.key;
             Cache.retain copy;
             o.local_copy <- Some copy;
             copy.Cache.value
         | exception Not_found ->
-            tag ctx k_read_fetch;
-            fr_read ctx ~kind:Flight.k_read_fetch ~g:o.g;
             let copy =
               fetch_into_cache ctx ~g:o.g ~size:o.size
                 ~group_bytes:(group_size o) ~children:o.children
             in
-            (match probe ctx with
-            | None -> ()
-            | Some f ->
-                f ctx (Ev_read { g = o.g; path = Path_fetch }));
             o.local_copy <- Some copy;
             copy.Cache.value)
   end
@@ -1009,17 +946,7 @@ let owner_claim_mut ctx o =
               let old = member.g in
               member.g <- child_fresh;
               member.ubit <- false;
-              (match probe ctx with
-              | None -> ()
-              | Some f ->
-                  f ctx
-                    (Ev_write
-                       {
-                         before = old;
-                         after = child_fresh;
-                         size = member.size;
-                         kind = W_move;
-                       }))
+              child_moved ctx ~before:old ~after:child_fresh ~size:member.size
             end)
           (List.concat_map group o.children);
         Metrics.incr (stats_of ctx).moves;
@@ -1065,13 +992,7 @@ let owner_write_inner ctx o v =
     Cluster.heap_write (Ctx.cluster ctx) o.g v;
     pinned_epoch_bump ctx o
   end;
-  let kind = write_kind ~before ~after:o.g in
-  tag ctx (tag_of_write_kind kind);
-  fr_write ctx ~before ~after:o.g ~kind;
-  (match probe ctx with
-  | None -> ()
-  | Some f ->
-      f ctx (Ev_write { before; after = o.g; size = o.size; kind }));
+  write_outcome ctx ~before ~after:o.g ~size:o.size;
   notify_commit ctx o.g o.size
 
 let owner_write ctx o v =
@@ -1097,13 +1018,7 @@ let owner_modify_inner ctx o f =
     Cluster.heap_write cluster o.g v;
     pinned_epoch_bump ctx o
   end;
-  let kind = write_kind ~before ~after:o.g in
-  tag ctx (tag_of_write_kind kind);
-  fr_write ctx ~before ~after:o.g ~kind;
-  (match probe ctx with
-  | None -> ()
-  | Some f ->
-      f ctx (Ev_write { before; after = o.g; size = o.size; kind }));
+  write_outcome ctx ~before ~after:o.g ~size:o.size;
   notify_commit ctx o.g o.size
 
 let owner_modify ctx o f =
@@ -1127,9 +1042,9 @@ let transfer_inner ctx o to_node =
   o.box_node <- to_node;
   List.iter (fun child -> child.box_node <- to_node) (List.concat_map group o.children);
   Ctx.charge_cycles ctx 20.0;
-  (match probe ctx with
+  (match Ctx.tap ctx with
   | None -> ()
-  | Some f -> f ctx (Ev_transfer { g = o.g; to_node }));
+  | Some f -> Ctx.emit ctx f (Transfer { g = o.g; to_node }));
   fr ctx ~kind:Flight.k_transfer ~g:o.g ~b:to_node ~d:0;
   notify_transfer ctx o.g
 
@@ -1140,9 +1055,9 @@ let rec drop_owner_inner ctx o () =
   assert_valid o "Protocol.drop_owner";
   Borrow_state.kill o.borrow ~context:"Protocol.drop_owner";
   o.valid <- false;
-  (match probe ctx with
+  (match Ctx.tap ctx with
   | None -> ()
-  | Some f -> f ctx (Ev_drop { g = o.g }));
+  | Some f -> Ctx.emit ctx f (Drop { g = o.g }));
   fr ctx ~kind:Flight.k_drop ~g:o.g ~b:(serving ctx o.g) ~d:0;
   (match o.local_copy with
   | Some copy -> Cache.release (cache_of ctx) copy
@@ -1200,12 +1115,7 @@ let tie ctx ~parent ~child =
     async_dealloc ctx child.g;
     let old = child.g in
     child.g <- fresh;
-    (match probe ctx with
-    | None -> ()
-    | Some f ->
-        f ctx
-          (Ev_write
-             { before = old; after = fresh; size = child.size; kind = W_move }))
+    child_moved ctx ~before:old ~after:fresh ~size:child.size
   end
 
 let is_pinned o = o.pinned

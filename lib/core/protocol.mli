@@ -157,48 +157,15 @@ val set_transfer_listener :
 (** Invoked on ownership transfer — the point at which batched
     modifications must be flushed to the backup (§4.2.3). *)
 
-(** {1 Shadow-state probe (the DSan sanitizer, lib/check)}
+(** {1 The observation tap}
 
-    One event per protocol transition, emitted synchronously at the state
-    change, with nothing allocated unless a probe is installed.  Read
-    events fire at the instant the access path is decided and write events
-    right after the new colored address is published, so a shadow model
-    driven by these events is never separated from the real state by a
-    scheduler yield.  A probe must never touch the engine or any RNG —
-    sanitized runs stay bit-identical to unsanitized ones. *)
-
-(** How a read was served: the local heap, a cache copy (carrying the
-    colored key the copy was fetched under), or a fresh remote fetch. *)
-type access_path = Path_local | Path_cache of Gaddr.t | Path_fetch
-
-(** How a write epoch changed the colored address: [W_in_place] is a
-    U-bit-elided write (same address), [W_bump] a color bump, [W_move] a
-    relocation. *)
-type write_kind = W_bump | W_move | W_in_place
-
-type probe_event =
-  | Ev_create of { g : Gaddr.t; size : int }
-  | Ev_read of { g : Gaddr.t; path : access_path }
-  | Ev_write of {
-      before : Gaddr.t;
-      after : Gaddr.t;
-      size : int;
-      kind : write_kind;
-    }
-  | Ev_borrow_imm of { g : Gaddr.t }
-  | Ev_return_imm of { g : Gaddr.t }
-  | Ev_borrow_mut of { g : Gaddr.t }
-  | Ev_return_mut of { g : Gaddr.t }
-  | Ev_transfer of { g : Gaddr.t; to_node : int }
-  | Ev_drop of { g : Gaddr.t }
-  | Ev_app of { g : Gaddr.t; verb : string; tag : string }
-      (** Application-level attribution from the typed [Dbox] layer: the
-          [Univ] tag name and the access verb, for violation provenance. *)
-
-val set_probe : Drust_machine.Cluster.t -> (Ctx.t -> probe_event -> unit) option -> unit
+    Every protocol transition is emitted to [Cluster.tap] as a
+    [Drust_memory.Tap] event ([Create], [Read], [Write], borrows,
+    [Transfer], [Drop], [App]), built only while a subscriber is
+    installed. *)
 
 val note_app : Ctx.t -> g:Gaddr.t -> verb:string -> tag:string -> unit
-(** Emit an [Ev_app] attribution event (used by [Dbox]). *)
+(** Emit an [App] attribution event (used by [Dbox]). *)
 
 val color : owner -> int
 val ubit : owner -> bool

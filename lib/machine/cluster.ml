@@ -29,9 +29,10 @@ type t = {
   metrics : Metrics.t;
   spans : Span.t;
   flight : Flight.t;
+  tap : Drust_memory.Tap.t;
   env : Env.t;
-      (* per-cluster state of every higher layer (protocol stats,
-         listeners, thread registry, ...): dies with the cluster *)
+      (* per-cluster state of every higher layer (protocol state,
+         thread registry, ...): dies with the cluster *)
   next_thread_id : int Atomic.t;
 }
 
@@ -68,6 +69,9 @@ let create ?engine params =
      layer, dumped on failure for post-mortems (docs/FORENSICS.md).
      Like the tracer it is purely observational — array stores only. *)
   let flight = Flight.create ~metrics ~nodes:params.Params.nodes () in
+  (* One observation slot for every layer's transitions, caches included
+     (empty until a sanitizer subscribes). *)
+  let tap = Drust_memory.Tap.create () in
   let fabric =
     Fabric.create ~metrics ~spans ~flight ~engine
       ~rng:(Drust_util.Rng.split rng)
@@ -79,7 +83,7 @@ let create ?engine params =
       cores = Resource.create engine ~capacity:params.Params.cores_per_node;
       partition =
         Partition.create ~node:id ~capacity_bytes:params.Params.mem_per_node;
-      cache = Cache.create ~metrics ~node:id ();
+      cache = Cache.create ~metrics ~tap ~node:id ();
       alive = true;
     }
   in
@@ -98,6 +102,7 @@ let create ?engine params =
       metrics;
       spans;
       flight;
+      tap;
       env = Env.create ();
       next_thread_id = Atomic.make 0;
     }
@@ -116,6 +121,7 @@ let rng t = t.rng
 let metrics t = t.metrics
 let spans t = t.spans
 let flight t = t.flight
+let tap t = t.tap
 
 let node_count t = Array.length t.nodes
 

@@ -24,7 +24,7 @@ val uid : t -> int
 
 val env : t -> Env.t
 (** The cluster's environment: typed per-cluster storage for every higher
-    layer (protocol statistics, listener hooks, thread registry, ...).
+    layer (protocol state, thread registry, ...).
     Bindings die with the cluster.  See {!Env}. *)
 
 val fresh_thread_id : t -> int
@@ -58,6 +58,11 @@ val flight : t -> Drust_obs.Flight.t
     into its per-node rings, and failures dump them as
     [<label>.flight.json] for post-mortem forensics
     (docs/FORENSICS.md). *)
+
+val tap : t -> Drust_memory.Tap.t
+(** The observation tap: the one subscriber slot every layer (protocol,
+    caches, refcounts, locks, replication, membership) emits its
+    transitions to.  Empty unless the DSan sanitizer is attached. *)
 
 val node_count : t -> int
 val node : t -> int -> node

@@ -40,6 +40,8 @@ let current_node t = Cluster.node t.cluster t.node
 let engine t = Cluster.engine t.cluster
 let fabric t = Cluster.fabric t.cluster
 let params t = Cluster.params t.cluster
+let[@inline] tap t = (Cluster.tap t.cluster).Drust_memory.Tap.sub
+let[@inline] emit t f ev = f ~node:t.node ~thread:t.thread_id ev
 
 let safe_point t =
   match t.safe_point_hook with None -> () | Some hook -> hook t

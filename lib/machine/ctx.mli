@@ -50,6 +50,14 @@ val engine : t -> Drust_sim.Engine.t
 val fabric : t -> Drust_net.Fabric.t
 val params : t -> Params.t
 
+val tap : t -> Drust_memory.Tap.subscriber option
+(** The cluster's observation subscriber.  Emitters match on it and
+    build their event only under [Some]. *)
+
+val emit : t -> Drust_memory.Tap.subscriber -> Drust_memory.Tap.event -> unit
+(** [emit ctx f ev] hands [ev] to [f] with this context's node and
+    thread. *)
+
 val charge_cycles : t -> float -> unit
 (** Accumulate compute; flushes automatically past the grain.  Raises
     [Invalid_argument] unless [cycles >= 0] (so NaN is rejected too). *)

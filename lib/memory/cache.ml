@@ -9,23 +9,14 @@ type copy = {
 
 module Metrics = Drust_obs.Metrics
 
-(* Observational events for the DSan shadow-state checker (lib/check).
-   Emitted synchronously from the state transition that caused them; a
-   listener must never touch the engine or any RNG. *)
-type event =
-  | Hit of { key : Gaddr.t }
-  | Stale_miss of { sought : Gaddr.t; cached : Gaddr.t }
-  | Insert of { key : Gaddr.t; size : int }
-  | Release of { key : Gaddr.t; refcount : int }
-  | Invalidate of { key : Gaddr.t }
-
 type t = {
   node : int;
   (* Keyed by the physical (color-cleared) address; the copy remembers the
      full colored key so lookups can compare colors in O(1). *)
   map : copy Drust_util.Intmap.t;
   mutable used : int;
-  mutable listener : (event -> unit) option;
+  (* The cluster's observation tap; cache events carry no thread. *)
+  tap : Tap.t;
   (* Registry-backed statistics (names cache.*, labelled by node). *)
   c_hits : Metrics.counter;
   c_misses : Metrics.counter;
@@ -34,7 +25,7 @@ type t = {
   g_used : Metrics.gauge;
 }
 
-let create ?metrics ~node () =
+let create ?metrics ?tap ~node () =
   let metrics =
     match metrics with Some m -> m | None -> Metrics.create ()
   in
@@ -43,7 +34,7 @@ let create ?metrics ~node () =
     node;
     map = Drust_util.Intmap.create ~capacity:256 ();
     used = 0;
-    listener = None;
+    tap = (match tap with Some t -> t | None -> Tap.create ());
     c_hits = Metrics.counter metrics ~labels ~unit_:"ops" "cache.hits";
     c_misses = Metrics.counter metrics ~labels ~unit_:"ops" "cache.misses";
     c_inserts = Metrics.counter metrics ~labels ~unit_:"ops" "cache.inserts";
@@ -53,7 +44,6 @@ let create ?metrics ~node () =
   }
 
 let node t = t.node
-let set_listener t l = t.listener <- l
 let entries t = Drust_util.Intmap.length t.map
 let used_bytes t = t.used
 let set_used t used =
@@ -64,13 +54,17 @@ let find t g =
   match Drust_util.Intmap.find t.map (Gaddr.to_int (Gaddr.clear_color g)) with
   | copy when Gaddr.equal copy.key g && not copy.dead ->
       Metrics.incr t.c_hits;
-      (match t.listener with None -> () | Some f -> f (Hit { key = copy.key }));
+      (match t.tap.sub with
+      | None -> ()
+      | Some f -> f ~node:t.node ~thread:(-1) (Cache_hit { key = copy.key }));
       copy
   | copy ->
       Metrics.incr t.c_misses;
-      (match t.listener with
+      (match t.tap.sub with
       | None -> ()
-      | Some f -> f (Stale_miss { sought = g; cached = copy.key }));
+      | Some f ->
+          f ~node:t.node ~thread:(-1)
+            (Cache_stale_miss { sought = g; cached = copy.key }));
       raise_notrace Not_found
   | exception Not_found ->
       Metrics.incr t.c_misses;
@@ -91,9 +85,10 @@ let reclaim t copy =
 let detach t phys copy =
   Drust_util.Intmap.remove t.map phys;
   copy.detached <- true;
-  (match t.listener with
+  (match t.tap.sub with
   | None -> ()
-  | Some f -> f (Invalidate { key = copy.key }));
+  | Some f ->
+      f ~node:t.node ~thread:(-1) (Cache_invalidate { key = copy.key }));
   if copy.refcount = 0 then reclaim t copy
 
 let insert t g ~size v =
@@ -107,9 +102,9 @@ let insert t g ~size v =
   Drust_util.Intmap.set t.map phys copy;
   Metrics.incr t.c_inserts;
   set_used t (t.used + size);
-  (match t.listener with
+  (match t.tap.sub with
   | None -> ()
-  | Some f -> f (Insert { key = g; size }));
+  | Some f -> f ~node:t.node ~thread:(-1) (Cache_insert { key = g; size }));
   copy
 
 let retain copy =
@@ -120,9 +115,11 @@ let release t copy =
   (* The event carries the post-decrement count and fires before the
      underflow guard, so a shadow checker observes the violation even
      though the operation itself is then rejected. *)
-  (match t.listener with
+  (match t.tap.sub with
   | None -> ()
-  | Some f -> f (Release { key = copy.key; refcount = copy.refcount - 1 }));
+  | Some f ->
+      f ~node:t.node ~thread:(-1)
+        (Cache_release { key = copy.key; refcount = copy.refcount - 1 }));
   if copy.refcount <= 0 then invalid_arg "Cache.release: refcount underflow";
   copy.refcount <- copy.refcount - 1;
   if copy.refcount = 0 && copy.detached then reclaim t copy

@@ -24,31 +24,15 @@ type copy = {
           or invalidated) but still pinned by live references *)
 }
 
-val create : ?metrics:Drust_obs.Metrics.t -> node:int -> unit -> t
+val create :
+  ?metrics:Drust_obs.Metrics.t -> ?tap:Tap.t -> node:int -> unit -> t
 (** [metrics] is the registry the [cache.*] statistics (hits, misses,
     inserts, evictions, used bytes — labelled by node) report into;
-    defaults to a fresh private registry. *)
-
-(** {1 Shadow-state events}
-
-    Observational hook for the DSan sanitizer ([lib/check]): one event per
-    cache transition, emitted synchronously.  [Release] fires {e before}
-    the underflow guard and carries the post-decrement count, so a checker
-    observes an underflow the operation itself then rejects.  [retain] has
-    no cache handle and is therefore not hooked; the checker audits
-    refcounts at [Release] time instead. *)
-type event =
-  | Hit of { key : Gaddr.t }
-  | Stale_miss of { sought : Gaddr.t; cached : Gaddr.t }
-      (** a lookup found a copy under the physical address whose colored
-          key did not match — the implicit-invalidation path *)
-  | Insert of { key : Gaddr.t; size : int }
-  | Release of { key : Gaddr.t; refcount : int }
-  | Invalidate of { key : Gaddr.t }
-      (** the copy left the map: displaced, invalidated, or evicted *)
-
-val set_listener : t -> (event -> unit) option -> unit
-(** The listener must never touch the engine or any RNG. *)
+    defaults to a fresh private registry.  [tap] is the cluster's
+    observation tap (default: a private, empty one): every cache
+    transition is emitted there as a [Tap.Cache_*] event with thread
+    [-1].  [retain] has no cache handle and is therefore not tapped; a
+    checker audits refcounts at [Cache_release] time instead. *)
 
 val node : t -> int
 val entries : t -> int
@@ -60,7 +44,7 @@ val lookup : t -> Gaddr.t -> copy option
 
 val find : t -> Gaddr.t -> copy
 (** [find] is {!lookup} without the option: the same counters and
-    listener events, raising [Not_found] on a miss.  The protocol's read
+    tap events, raising [Not_found] on a miss.  The protocol's read
     path uses it so a hit allocates nothing. *)
 
 val insert : t -> Gaddr.t -> size:int -> Drust_util.Univ.t -> copy

@@ -82,14 +82,9 @@ type t = {
      Verbs carrying an [?epoch] are validated against it at serve time;
      absent (the default) every carried epoch passes. *)
   mutable epoch_of : (unit -> int) option;
-  (* Observational hook fired at verb-issue time; DSan uses it to keep a
-     recent-traffic ring for violation provenance.  Must never touch the
-     engine or any RNG. *)
-  mutable observer : (string -> from:int -> target:int -> bytes:int -> unit) option;
   (* The cluster's always-on flight recorder: every verb issue, timeout,
      retry, drop, and stale-epoch NAK lands in the issuing node's ring.
-     Separate from [observer] — that single slot belongs to DSan, and
-     the black box must keep recording while a sanitizer is attached. *)
+     DSan reads its recent verbs from here for violation provenance. *)
   mutable flight : Flight.t option;
 }
 
@@ -130,7 +125,6 @@ let create ?metrics ?spans ?flight ~engine ~rng ~model ~nodes () =
     spans;
     fault = None;
     epoch_of = None;
-    observer = None;
     flight;
   }
 
@@ -147,7 +141,6 @@ let ep = function Some e -> e | None -> -1
 
 let set_spans t spans = t.spans <- spans
 let set_flight t fl = t.flight <- fl
-let set_observer t o = t.observer <- o
 let set_epoch_source t f = t.epoch_of <- f
 let metrics t = t.metrics
 let set_fault_plan t plan = t.fault <- Some plan
@@ -369,13 +362,10 @@ let delay_with_nic ~vt t leg ~data_source ~from ~target ~bytes =
           (fun () ->
             Engine.delay t.engine (leg_latency t leg ~from ~target ~bytes))
 
-let note t verb ~from ~target ~bytes =
+let note t ~from ~target ~bytes =
   let c = t.counters.(from) in
   Metrics.add c.c_bytes_out bytes;
-  if from <> target then Metrics.incr c.c_remote_ops;
-  match t.observer with
-  | None -> ()
-  | Some f -> f verb ~from ~target ~bytes
+  if from <> target then Metrics.incr c.c_remote_ops
 
 (* The blocking verbs' bodies, shared by the untraced call (with
    [vt = None]) and the traced one. *)
@@ -415,7 +405,7 @@ let rdma_read ?parent ?epoch t ~from ~target ~bytes =
   check_node t from "rdma_read";
   check_node t target "rdma_read";
   Metrics.incr t.counters.(from).c_reads;
-  note t "READ" ~from ~target ~bytes;
+  note t ~from ~target ~bytes;
   fr t ~from ~kind:Flight.k_fab_read ~a:target ~b:bytes ~c:(ep epoch);
   sync_guard t ~from ~target;
   match tracing t with
@@ -428,7 +418,7 @@ let rdma_write ?parent ?epoch t ~from ~target ~bytes =
   check_node t from "rdma_write";
   check_node t target "rdma_write";
   Metrics.incr t.counters.(from).c_writes;
-  note t "WRITE" ~from ~target ~bytes;
+  note t ~from ~target ~bytes;
   fr t ~from ~kind:Flight.k_fab_write ~a:target ~b:bytes ~c:(ep epoch);
   sync_guard t ~from ~target;
   match tracing t with
@@ -441,7 +431,7 @@ let rdma_write_async ?parent t ~from ~target ~bytes k =
   check_node t from "rdma_write_async";
   check_node t target "rdma_write_async";
   Metrics.incr t.counters.(from).c_writes;
-  note t "WRITE(async)" ~from ~target ~bytes;
+  note t ~from ~target ~bytes;
   fr t ~from ~kind:Flight.k_fab_write ~a:target ~b:bytes ~c:(-1);
   if async_delivers t ~from ~target then begin
     let dt = leg_latency t Oneside ~from ~target ~bytes in
@@ -468,7 +458,7 @@ let rdma_atomic ?parent t ~from ~target f =
   check_node t from "rdma_atomic";
   check_node t target "rdma_atomic";
   Metrics.incr t.counters.(from).c_atomics;
-  note t "ATOMIC" ~from ~target ~bytes:8;
+  note t ~from ~target ~bytes:8;
   fr t ~from ~kind:Flight.k_fab_atomic ~a:target ~b:8 ~c:(-1);
   sync_guard t ~from ~target;
   match tracing t with
@@ -481,7 +471,7 @@ let rpc ?parent ?epoch t ~from ~target ~req_bytes ~resp_bytes handler =
   check_node t from "rpc";
   check_node t target "rpc";
   Metrics.incr t.counters.(from).c_rpcs;
-  note t "RPC" ~from ~target ~bytes:(req_bytes + resp_bytes);
+  note t ~from ~target ~bytes:(req_bytes + resp_bytes);
   fr t ~from ~kind:Flight.k_fab_rpc ~a:target ~b:(req_bytes + resp_bytes)
     ~c:(ep epoch);
   sync_guard t ~from ~target;
@@ -577,7 +567,7 @@ let send_async ?parent t ~from ~target ~bytes handler =
   check_node t from "send_async";
   check_node t target "send_async";
   Metrics.incr t.counters.(from).c_rpcs;
-  note t "SEND(async)" ~from ~target ~bytes;
+  note t ~from ~target ~bytes;
   fr t ~from ~kind:Flight.k_fab_send ~a:target ~b:bytes ~c:(-1);
   if async_delivers t ~from ~target then begin
     let dt = leg_latency t Twoside ~from ~target ~bytes in

@@ -70,13 +70,6 @@ val set_spans : t -> Drust_obs.Span.t option -> unit
 val set_flight : t -> Drust_obs.Flight.t option -> unit
 (** Attach or detach the flight recorder after construction. *)
 
-val set_observer :
-  t -> (string -> from:int -> target:int -> bytes:int -> unit) option -> unit
-(** Observational hook fired once per verb at issue time with the verb
-    name (["READ"], ["WRITE"], ["ATOMIC"], ["RPC"], ...).  The DSan
-    sanitizer uses it to keep a recent-traffic ring for violation
-    provenance.  The observer must never touch the engine or any RNG. *)
-
 val set_fault_plan : t -> Drust_sim.Fault.t -> unit
 (** Install a fault plan: from now on every verb consults it.  Verbs
     from or to a crashed node raise {!Node_down}; messages crossing an

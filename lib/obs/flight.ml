@@ -172,31 +172,53 @@ type dump = {
   dm_slice : event list;
 }
 
+(* Slot [i] of [node]'s ring, keyed by its global sequence number. *)
+let slot t ~node i =
+  ( t.seqs.(i),
+    {
+      ev_time = t.times.(i);
+      ev_node = node;
+      ev_kind = t.kinds.(i);
+      ev_a = t.fa.(i);
+      ev_b = t.fb.(i);
+      ev_c = t.fc.(i);
+      ev_d = t.fd.(i);
+    } )
+
+(* The per-event global sequence number restores true record order
+   across nodes — times alone tie constantly (many events share one
+   engine timestamp). *)
+let by_seq l = List.sort (fun (a, _) (b, _) -> Int.compare a b) l
+
 let events t =
   let out = ref [] in
   for node = 0 to t.nodes - 1 do
     let n = t.counts.(node) in
     let kept = min n t.cap in
     for j = n - kept to n - 1 do
-      let i = (node * t.cap) + (j mod t.cap) in
-      out :=
-        ( t.seqs.(i),
-          {
-            ev_time = t.times.(i);
-            ev_node = node;
-            ev_kind = t.kinds.(i);
-            ev_a = t.fa.(i);
-            ev_b = t.fb.(i);
-            ev_c = t.fc.(i);
-            ev_d = t.fd.(i);
-          } )
-        :: !out
+      out := slot t ~node ((node * t.cap) + (j mod t.cap)) :: !out
     done
   done;
-  (* The per-event global sequence number restores true record order
-     across nodes — times alone tie constantly (many events share one
-     engine timestamp). *)
-  List.sort (fun (a, _) (b, _) -> Int.compare a b) !out |> List.map snd
+  List.map snd (by_seq !out)
+
+(* Each ring is walked back from its newest slot until it yields [n]
+   matches, so only [nodes * n] candidates are ever sorted. *)
+let recent t ~n ~kinds =
+  let out = ref [] in
+  for node = 0 to t.nodes - 1 do
+    let total = t.counts.(node) in
+    let j = ref (total - 1) and found = ref 0 in
+    while !j >= total - min total t.cap && !found < n do
+      let i = (node * t.cap) + (!j mod t.cap) in
+      if kinds t.kinds.(i) then begin
+        out := slot t ~node i :: !out;
+        incr found
+      end;
+      decr j
+    done
+  done;
+  let sorted = by_seq !out in
+  List.filteri (fun i _ -> i >= List.length sorted - n) sorted |> List.map snd
 
 (* Is this an event *about* a specific object (physical address)? *)
 let about ~phys e =

@@ -120,6 +120,12 @@ type dump = {
 val events : t -> event list
 (** Retained ring contents, all nodes merged in true record order. *)
 
+val recent : t -> n:int -> kinds:(int -> bool) -> event list
+(** The [n] most recent retained events whose kind satisfies [kinds],
+    across all nodes, oldest first.  Sorts at most [n] candidates per
+    node rather than the whole ring — the DSan sanitizer reads its
+    fabric provenance this way on every violation. *)
+
 val dump : t -> reason:string -> ?object_:int -> now:float -> unit -> dump
 
 val object_slice : ?object_:int -> event list -> event list

@@ -3,6 +3,7 @@ module Cluster = Drust_machine.Cluster
 module Fabric = Drust_net.Fabric
 module Gaddr = Drust_memory.Gaddr
 module Cache = Drust_memory.Cache
+module Tap = Drust_memory.Tap
 
 (* Shared control block: one per allocation, shared by all handles. *)
 type control = {
@@ -14,34 +15,16 @@ type control = {
 
 type t = { control : control; mutable live : bool }
 
-(* Refcount events for the DSan shadow-state checker (lib/check), shared
-   with [Drc].  Each event carries the post-transition count as the
-   implementation sees it, so a shadow counter can be cross-checked
-   against it.  Listeners are keyed per cluster and must never touch the
-   engine or any RNG. *)
-type rc_event =
-  | Rc_created of { g : Gaddr.t; size : int; count : int }
-  | Rc_retained of { g : Gaddr.t; count : int }
-  | Rc_released of { g : Gaddr.t; count : int }
-  | Rc_freed of { g : Gaddr.t }
-
-let listener_key : (Ctx.t -> rc_event -> unit) option ref Drust_machine.Env.key
-    =
-  Drust_machine.Env.key ~name:"runtime.darc_listener"
-
-let listener_cell cluster =
-  Drust_machine.Env.get (Cluster.env cluster) listener_key ~init:(fun () ->
-      ref None)
-
-let set_listener cluster f = listener_cell cluster := f
-
-let[@inline] with_listener ctx k =
-  match !(listener_cell (Ctx.cluster ctx)) with None -> () | Some f -> k f
+(* Refcount transitions go to the cluster's tap ([Tap.Rc_*], shared with
+   [Drc]) with the post-transition count as the implementation sees it,
+   so a shadow counter can be cross-checked against it. *)
 
 let create ctx ~size v =
   Ctx.charge_cycles ctx 150.0;
   let g = Cluster.heap_alloc (Ctx.cluster ctx) ~node:ctx.Ctx.node ~size v in
-  with_listener ctx (fun f -> f ctx (Rc_created { g; size; count = 1 }));
+  (match Ctx.tap ctx with
+  | None -> ()
+  | Some f -> Ctx.emit ctx f (Tap.Rc_created { g; size; count = 1 }));
   { control = { g; size; count = 1; freed = false }; live = true }
 
 let home t = Gaddr.node_of t.control.g
@@ -68,7 +51,9 @@ let clone ctx t =
         t.control.count <- t.control.count + 1;
         t.control.count)
   in
-  with_listener ctx (fun f -> f ctx (Rc_retained { g = t.control.g; count }));
+  (match Ctx.tap ctx with
+  | None -> ()
+  | Some f -> Ctx.emit ctx f (Tap.Rc_retained { g = t.control.g; count }));
   { control = t.control; live = true }
 
 let strong_count ctx t =
@@ -110,7 +95,9 @@ let drop ctx t =
       t.control.count <- t.control.count - 1;
       t.control.count)
   in
-  with_listener ctx (fun f -> f ctx (Rc_released { g = t.control.g; count }));
+  (match Ctx.tap ctx with
+  | None -> ()
+  | Some f -> Ctx.emit ctx f (Tap.Rc_released { g = t.control.g; count }));
   if count = 0 then begin
     t.control.freed <- true;
     let cluster = Ctx.cluster ctx in
@@ -118,5 +105,7 @@ let drop ctx t =
       (fun n -> Cache.invalidate_physical n.Cluster.cache t.control.g)
       (Cluster.nodes cluster);
     Cluster.heap_free cluster t.control.g;
-    with_listener ctx (fun f -> f ctx (Rc_freed { g = t.control.g }))
+    match Ctx.tap ctx with
+    | None -> ()
+    | Some f -> Ctx.emit ctx f (Tap.Rc_freed { g = t.control.g })
   end

@@ -4,7 +4,11 @@
     The payload is immutable and lives at a fixed global address; clones
     only bump a reference count at the home server (a one-sided atomic).
     Reads are handled like immutable borrows: copied on demand into the
-    reading node's cache and evicted lazily. *)
+    reading node's cache and evicted lazily.
+
+    Every refcount transition is emitted to [Cluster.tap] as a
+    [Tap.Rc_*] event carrying the post-transition count ([Drc] shares
+    the vocabulary). *)
 
 module Ctx = Drust_machine.Ctx
 
@@ -24,19 +28,3 @@ val drop : Ctx.t -> t -> unit
     cached copies cluster-wide.  Raises [Invalid_argument] on reuse. *)
 
 val home : t -> int
-
-(** {1 Shadow-state events (the DSan sanitizer, lib/check)}
-
-    One event per refcount transition, carrying the post-transition count
-    as the implementation computed it, so a shadow counter can be
-    cross-checked against it.  [Drc] reuses this vocabulary.  A listener
-    must never touch the engine or any RNG. *)
-
-type rc_event =
-  | Rc_created of { g : Drust_memory.Gaddr.t; size : int; count : int }
-  | Rc_retained of { g : Drust_memory.Gaddr.t; count : int }
-  | Rc_released of { g : Drust_memory.Gaddr.t; count : int }
-  | Rc_freed of { g : Drust_memory.Gaddr.t }
-
-val set_listener :
-  Drust_machine.Cluster.t -> (Ctx.t -> rc_event -> unit) option -> unit

@@ -3,6 +3,7 @@ module Cluster = Drust_machine.Cluster
 module Engine = Drust_sim.Engine
 module Fabric = Drust_net.Fabric
 module Gaddr = Drust_memory.Gaddr
+module Tap = Drust_memory.Tap
 module Univ = Drust_util.Univ
 
 type t = {
@@ -14,32 +15,16 @@ type t = {
   mutable retries : int;
 }
 
-(* Lock-discipline events for the DSan shadow-state checker (lib/check).
+(* Lock transitions go to the cluster's tap ([Tap.Lock_*]).
    [Lock_released] fires {e before} the holder check, so a checker
-   observes a foreign unlock the operation itself then rejects.
-   Listeners are keyed per cluster and must never touch the engine or
-   any RNG. *)
-type event =
-  | Lock_created of { g : Gaddr.t }
-  | Lock_acquired of { g : Gaddr.t; thread : int }
-  | Lock_released of { g : Gaddr.t; thread : int }
-
-let listener_key : (Ctx.t -> event -> unit) option ref Drust_machine.Env.key =
-  Drust_machine.Env.key ~name:"runtime.dmutex_listener"
-
-let listener_cell cluster =
-  Drust_machine.Env.get (Cluster.env cluster) listener_key ~init:(fun () ->
-      ref None)
-
-let set_listener cluster f = listener_cell cluster := f
-
-let[@inline] with_listener ctx k =
-  match !(listener_cell (Ctx.cluster ctx)) with None -> () | Some f -> k f
+   observes a foreign unlock the operation itself then rejects. *)
 
 let create ctx ~size v =
   Ctx.charge_cycles ctx 200.0;
   let data_g = Cluster.heap_alloc (Ctx.cluster ctx) ~node:ctx.Ctx.node ~size v in
-  with_listener ctx (fun f -> f ctx (Lock_created { g = data_g }));
+  (match Ctx.tap ctx with
+  | None -> ()
+  | Some f -> Ctx.emit ctx f (Tap.Lock_created { g = data_g }));
   {
     data_g;
     size;
@@ -74,9 +59,12 @@ let cas_attempt ctx t =
       Fabric.rdma_atomic (Ctx.fabric ctx) ~from:ctx.Ctx.node ~target attempt
     end
   in
-  if won then
-    with_listener ctx (fun f ->
-        f ctx (Lock_acquired { g = t.data_g; thread = ctx.Ctx.thread_id }));
+  (if won then
+     match Ctx.tap ctx with
+     | None -> ()
+     | Some f ->
+         Ctx.emit ctx f
+           (Tap.Lock_acquired { g = t.data_g; thread = ctx.Ctx.thread_id }));
   won
 
 let try_lock ctx t = cas_attempt ctx t
@@ -103,8 +91,11 @@ let check_held ctx t op =
   | Some _ | None -> invalid_arg (Printf.sprintf "Dmutex.%s: lock not held" op)
 
 let unlock ctx t =
-  with_listener ctx (fun f ->
-      f ctx (Lock_released { g = t.data_g; thread = ctx.Ctx.thread_id }));
+  (match Ctx.tap ctx with
+  | None -> ()
+  | Some f ->
+      Ctx.emit ctx f
+        (Tap.Lock_released { g = t.data_g; thread = ctx.Ctx.thread_id }));
   check_held ctx t "unlock";
   t.holder <- None;
   let target = serving_home ctx t in

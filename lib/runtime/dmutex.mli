@@ -6,7 +6,11 @@
     edge the paper credits for DRust's KV-store advantage over GAM's
     two-sided lock messages (§7.2).  All concurrent operations serialize
     at the home server, which is exactly the degeneration to classic DSM
-    the paper describes for shared-state-heavy programs (§6). *)
+    the paper describes for shared-state-heavy programs (§6).
+
+    Lock transitions are emitted to [Cluster.tap] as [Tap.Lock_*]
+    events; [Lock_released] fires before the holder check, so a checker
+    observes a foreign unlock the operation itself then rejects. *)
 
 module Ctx = Drust_machine.Ctx
 
@@ -37,17 +41,3 @@ val with_lock : Ctx.t -> t -> (Drust_util.Univ.t -> Drust_util.Univ.t * 'a) -> '
 val contention_retries : t -> int
 (** Total failed CAS attempts observed (a contention signal used by the
     KV-store experiment's analysis). *)
-
-(** {1 Shadow-state events (the DSan sanitizer, lib/check)}
-
-    [Lock_released] fires {e before} the holder check, so a checker
-    observes a foreign unlock the operation itself then rejects.  A
-    listener must never touch the engine or any RNG. *)
-
-type event =
-  | Lock_created of { g : Drust_memory.Gaddr.t }
-  | Lock_acquired of { g : Drust_memory.Gaddr.t; thread : int }
-  | Lock_released of { g : Drust_memory.Gaddr.t; thread : int }
-
-val set_listener :
-  Drust_machine.Cluster.t -> (Ctx.t -> event -> unit) option -> unit

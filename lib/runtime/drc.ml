@@ -1,6 +1,7 @@
 module Ctx = Drust_machine.Ctx
 module Cluster = Drust_machine.Cluster
 module Gaddr = Drust_memory.Gaddr
+module Tap = Drust_memory.Tap
 
 type control = {
   g : Gaddr.t;
@@ -23,25 +24,14 @@ let check_live t op =
   if not t.live || t.control.freed then
     invalid_arg (Printf.sprintf "Drc.%s: handle dropped" op)
 
-(* Same shadow-state event vocabulary as [Darc]; the DSan checker
-   installs one handler for both. *)
-let listener_key :
-    (Ctx.t -> Darc.rc_event -> unit) option ref Drust_machine.Env.key =
-  Drust_machine.Env.key ~name:"runtime.drc_listener"
-
-let listener_cell cluster =
-  Drust_machine.Env.get (Cluster.env cluster) listener_key ~init:(fun () ->
-      ref None)
-
-let set_listener cluster f = listener_cell cluster := f
-
-let[@inline] with_listener ctx k =
-  match !(listener_cell (Ctx.cluster ctx)) with None -> () | Some f -> k f
+(* Refcount transitions go to the cluster's tap in [Darc]'s vocabulary. *)
 
 let create ctx ~size v =
   Ctx.charge_cycles ctx 60.0;
   let g = Cluster.heap_alloc (Ctx.cluster ctx) ~node:ctx.Ctx.node ~size v in
-  with_listener ctx (fun f -> f ctx (Darc.Rc_created { g; size; count = 1 }));
+  (match Ctx.tap ctx with
+  | None -> ()
+  | Some f -> Ctx.emit ctx f (Tap.Rc_created { g; size; count = 1 }));
   {
     control =
       { g; size; owner_thread = ctx.Ctx.thread_id; count = 1; freed = false };
@@ -54,8 +44,11 @@ let clone ctx t =
   (* Plain (non-atomic) increment: single-thread by construction. *)
   Ctx.charge_cycles ctx 6.0;
   t.control.count <- t.control.count + 1;
-  with_listener ctx (fun f ->
-      f ctx (Darc.Rc_retained { g = t.control.g; count = t.control.count }));
+  (match Ctx.tap ctx with
+  | None -> ()
+  | Some f ->
+      Ctx.emit ctx f
+        (Tap.Rc_retained { g = t.control.g; count = t.control.count }));
   { control = t.control; live = true }
 
 let get ctx t =
@@ -72,10 +65,15 @@ let drop ctx t =
   t.live <- false;
   t.control.count <- t.control.count - 1;
   Ctx.charge_cycles ctx 8.0;
-  with_listener ctx (fun f ->
-      f ctx (Darc.Rc_released { g = t.control.g; count = t.control.count }));
+  (match Ctx.tap ctx with
+  | None -> ()
+  | Some f ->
+      Ctx.emit ctx f
+        (Tap.Rc_released { g = t.control.g; count = t.control.count }));
   if t.control.count = 0 then begin
     t.control.freed <- true;
     Cluster.heap_free (Ctx.cluster ctx) t.control.g;
-    with_listener ctx (fun f -> f ctx (Darc.Rc_freed { g = t.control.g }))
+    match Ctx.tap ctx with
+    | None -> ()
+    | Some f -> Ctx.emit ctx f (Tap.Rc_freed { g = t.control.g })
   end

@@ -18,9 +18,5 @@ val get : Ctx.t -> t -> Drust_util.Univ.t
 val strong_count : t -> int
 
 val drop : Ctx.t -> t -> unit
-(** Last drop frees the payload. *)
-
-val set_listener :
-  Drust_machine.Cluster.t -> (Ctx.t -> Darc.rc_event -> unit) option -> unit
-(** Shadow-state refcount events, sharing [Darc.rc_event]; the DSan
-    checker installs one handler for both. *)
+(** Last drop frees the payload.  Like [Darc], every refcount transition
+    is emitted to [Cluster.tap] as a [Tap.Rc_*] event. *)

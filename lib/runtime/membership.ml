@@ -46,6 +46,7 @@ module Cache = Drust_memory.Cache
 module Metrics = Drust_obs.Metrics
 module Span = Drust_obs.Span
 module Flight = Drust_obs.Flight
+module Tap = Drust_memory.Tap
 
 type node_state = Active | Standby | Failed
 
@@ -55,23 +56,6 @@ type handoff = {
   ho_to : int;
   ho_started : float;
 }
-
-type event =
-  | View_change of { epoch : int; reason : string }
-  | Handoff_prepared of { home : int; from_node : int; to_node : int }
-  | Handoff_committed of {
-      home : int;
-      from_node : int;
-      to_node : int;
-      epoch : int;
-    }
-  | Handoff_aborted of {
-      home : int;
-      from_node : int;
-      to_node : int;
-      reason : string;
-    }
-  | Chain_reseeded of { home : int; server : int; hosts : int list }
 
 type handoff_error = [ `Refused of string | `Aborted of string ]
 
@@ -91,23 +75,10 @@ type t = {
   c_view_changes : Metrics.counter;
 }
 
-(* Listeners are keyed per cluster (same pattern as Replication's): the
-   DSan sanitizer mirrors these events into its shadow view.  A listener
-   must never touch the engine or any RNG. *)
-let listener_key : (Ctx.t -> event -> unit) option ref Drust_machine.Env.key =
-  Drust_machine.Env.key ~name:"runtime.membership_listener"
-
-let listener_cell cluster =
-  Drust_machine.Env.get (Cluster.env cluster) listener_key ~init:(fun () ->
-      ref None)
-
-let set_listener cluster f = listener_cell cluster := f
-
-let[@inline] with_listener ctx cluster k =
-  match !(listener_cell cluster) with None -> () | Some f -> k (f ctx)
-
-(* Membership transitions land in the flight recorder too, on the acting
-   node's ring — array stores only, recorded next to the listener emit. *)
+(* Membership transitions land in the flight recorder, on the acting
+   node's ring (array stores only), and on the cluster's tap with no
+   thread identity — the DSan sanitizer mirrors them into its shadow
+   view. *)
 let[@inline] fr ctx t ~kind ~a ~b ~c ~d =
   Flight.record
     (Cluster.flight t.cluster)
@@ -196,8 +167,11 @@ let bump_view ctx t reason =
   t.epoch <- t.epoch + 1;
   Metrics.incr t.c_view_changes;
   fr ctx t ~kind:Flight.k_view_change ~a:t.epoch ~b:0 ~c:0 ~d:0;
-  with_listener ctx t.cluster (fun emit ->
-      emit (View_change { epoch = t.epoch; reason }));
+  (match (Cluster.tap t.cluster).sub with
+  | None -> ()
+  | Some f ->
+      f ~node:ctx.Ctx.node ~thread:(-1)
+        (Tap.View_change { epoch = t.epoch; reason }));
   announce ctx t
 
 (* The controller's failure verdict, called before promotion: the view
@@ -278,8 +252,11 @@ let handoff ctx t ~home ~to_node =
     mark t "HANDOFF_PREPARE" ~node:home;
     fr ctx t ~kind:Flight.k_handoff_prepare ~a:home ~b:from_node ~c:to_node
       ~d:0;
-    with_listener ctx t.cluster (fun emit ->
-        emit (Handoff_prepared { home; from_node; to_node }));
+    (match (Cluster.tap t.cluster).sub with
+    | None -> ()
+    | Some f ->
+        f ~node:ctx.Ctx.node ~thread:(-1)
+          (Tap.Handoff_prepared { home; from_node; to_node }));
     let fabric = Cluster.fabric t.cluster in
     match
       (* Drain: backups must be current before the range moves, so an
@@ -306,8 +283,11 @@ let handoff ctx t ~home ~to_node =
         fr ctx t ~kind:Flight.k_handoff_abort ~a:home ~b:from_node ~c:to_node
           ~d:0;
         let reason = Printexc.to_string e in
-        with_listener ctx t.cluster (fun emit ->
-            emit (Handoff_aborted { home; from_node; to_node; reason }));
+        (match (Cluster.tap t.cluster).sub with
+        | None -> ()
+        | Some f ->
+            f ~node:ctx.Ctx.node ~thread:(-1)
+              (Tap.Handoff_aborted { home; from_node; to_node; reason }));
         Error (`Aborted reason)
     | () ->
         (* Commit: everything from here to the committed event runs
@@ -335,15 +315,21 @@ let handoff ctx t ~home ~to_node =
         mark t "HANDOFF_COMMIT" ~node:home;
         fr ctx t ~kind:Flight.k_handoff_commit ~a:home ~b:from_node ~c:to_node
           ~d:t.epoch;
-        with_listener ctx t.cluster (fun emit ->
-            emit
-              (Handoff_committed { home; from_node; to_node; epoch = t.epoch }));
+        (match (Cluster.tap t.cluster).sub with
+        | None -> ()
+        | Some f ->
+            f ~node:ctx.Ctx.node ~thread:(-1)
+              (Tap.Handoff_committed
+                 { home; from_node; to_node; epoch = t.epoch }));
         announce ctx t;
         let hosts = Replication.reseed_chain ctx t.replication ~home in
         fr ctx t ~kind:Flight.k_chain_reseed ~a:home ~b:to_node
           ~c:(List.length hosts) ~d:0;
-        with_listener ctx t.cluster (fun emit ->
-            emit (Chain_reseeded { home; server = to_node; hosts }));
+        (match (Cluster.tap t.cluster).sub with
+        | None -> ()
+        | Some f ->
+            f ~node:ctx.Ctx.node ~thread:(-1)
+              (Tap.Chain_reseeded { home; server = to_node; hosts }));
         Ok ()
   end
 

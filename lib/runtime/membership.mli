@@ -94,32 +94,3 @@ val node_failed : Ctx.t -> t -> node:int -> unit
     in-flight verbs routed under the old view are rejected rather than
     answered by whoever inherits the dead ranges. *)
 
-(** {1 Shadow-state events (the DSan sanitizer, lib/check)}
-
-    Emitted in protocol order: [Handoff_prepared] before the drain,
-    [Handoff_committed] (with the new epoch) after the atomic serving
-    swap and cache purge, [Handoff_aborted] if a crash interrupted the
-    transfer, [Chain_reseeded] after the replica chain is rebuilt, and
-    [View_change] on every epoch bump that is not a commit (join, leave,
-    rollback, failover).  A listener must never touch the engine or any
-    RNG. *)
-
-type event =
-  | View_change of { epoch : int; reason : string }
-  | Handoff_prepared of { home : int; from_node : int; to_node : int }
-  | Handoff_committed of {
-      home : int;
-      from_node : int;
-      to_node : int;
-      epoch : int;
-    }
-  | Handoff_aborted of {
-      home : int;
-      from_node : int;
-      to_node : int;
-      reason : string;
-    }
-  | Chain_reseeded of { home : int; server : int; hosts : int list }
-
-val set_listener :
-  Drust_machine.Cluster.t -> (Ctx.t -> event -> unit) option -> unit

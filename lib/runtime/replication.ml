@@ -5,12 +5,13 @@ module Gaddr = Drust_memory.Gaddr
 module Partition = Drust_memory.Partition
 module Cache = Drust_memory.Cache
 module Protocol = Drust_core.Protocol
+module Tap = Drust_memory.Tap
 module Flight = Drust_obs.Flight
 
 type dirty = { size : int; value : Drust_util.Univ.t }
 
-(* Failover milestones also land in the flight recorder (array stores
-   only), recorded next to the listener emits below. *)
+(* Failover milestones land in the flight recorder (array stores only)
+   and on the cluster's tap, with no thread identity. *)
 let[@inline] fr ctx cluster ~kind ~a ~b ~c =
   Flight.record (Cluster.flight cluster) ~node:ctx.Ctx.node
     ~time:(Drust_sim.Engine.now (Cluster.engine cluster))
@@ -36,26 +37,6 @@ type t = {
 let replica_host t ~home ~r = (home + 1 + r) mod Cluster.node_count t.cluster
 
 let backup_node t home = replica_host t ~home ~r:0
-
-(* Failover events for the DSan shadow-state checker (lib/check).
-   [Promoted] fires once per re-served range, after the serving map is
-   swapped and the surviving caches are purged.  Listeners are keyed per
-   cluster and must never touch the engine or any RNG. *)
-type event =
-  | Node_failed of { node : int }
-  | Promoted of { home : int; by : int; replica : int }
-
-let listener_key : (Ctx.t -> event -> unit) option ref Drust_machine.Env.key =
-  Drust_machine.Env.key ~name:"runtime.replication_listener"
-
-let listener_cell cluster =
-  Drust_machine.Env.get (Cluster.env cluster) listener_key ~init:(fun () ->
-      ref None)
-
-let set_listener cluster f = listener_cell cluster := f
-
-let[@inline] with_listener ctx cluster k =
-  match !(listener_cell cluster) with None -> () | Some f -> k (f ctx)
 
 let record_commit t _ctx g size value =
   if t.enabled then Hashtbl.replace t.pending g { size; value }
@@ -151,7 +132,9 @@ let fail_and_promote ctx t ~node =
   List.iter (Hashtbl.remove t.pending) lost;
   Cluster.mark_failed t.cluster node;
   fr ctx t.cluster ~kind:Flight.k_node_failed ~a:node ~b:0 ~c:0;
-  with_listener ctx t.cluster (fun emit -> emit (Node_failed { node }));
+  (match (Cluster.tap t.cluster).sub with
+  | None -> ()
+  | Some f -> f ~node:ctx.Ctx.node ~thread:(-1) (Tap.Node_failed { node }));
   (* Re-serve every range whose current server just died (including the
      failed node's own range) from its first replica on an alive host. *)
   let n = Cluster.node_count t.cluster in
@@ -187,8 +170,11 @@ let fail_and_promote ctx t ~node =
                 ignore (Cache.invalidate_home nd.Cluster.cache ~home))
             (Cluster.nodes t.cluster);
           fr ctx t.cluster ~kind:Flight.k_promoted ~a:home ~b:by ~c:r;
-          with_listener ctx t.cluster (fun emit ->
-              emit (Promoted { home; by; replica = r }))
+          match (Cluster.tap t.cluster).sub with
+          | None -> ()
+          | Some f ->
+              f ~node:ctx.Ctx.node ~thread:(-1)
+                (Tap.Promoted { home; by; replica = r })
     end
   done;
   (* The controller announces the promotion to every alive server. *)

@@ -63,17 +63,3 @@ val reseed_chain : Ctx.t -> t -> home:int -> int list
     order; dead hosts — and a ring slot landing on the server itself,
     where a backup would survive exactly the failures the primary
     survives — are skipped and never promoted. *)
-
-(** {1 Shadow-state events (the DSan sanitizer, lib/check)}
-
-    [Promoted] fires once per re-served range, after the serving map is
-    swapped and surviving caches purged; [Node_failed] fires once per
-    failure before any promotion.  A listener must never touch the
-    engine or any RNG. *)
-
-type event =
-  | Node_failed of { node : int }
-  | Promoted of { home : int; by : int; replica : int }
-
-val set_listener :
-  Drust_machine.Cluster.t -> (Ctx.t -> event -> unit) option -> unit

@@ -19,6 +19,7 @@ module Params = Drust_machine.Params
 module Ctx = Drust_machine.Ctx
 module P = Drust_core.Protocol
 module Gaddr = Drust_memory.Gaddr
+module Tap = Drust_memory.Tap
 module Cache = Drust_memory.Cache
 module Univ = Drust_util.Univ
 module Dsan = Drust_check.Dsan
@@ -64,15 +65,15 @@ let () =
            (fun () ->
              let g0 = Gaddr.clear_color g in
              let g1 = Gaddr.bump_color g0 in
-             Dsan.observe_protocol t ~time:1e-5 ~node:0 ~thread:0
-               (P.Ev_create { g = g0; size = 64 });
-             Dsan.observe_cache t ~time:1.1e-5 ~node:1
-               (Cache.Insert { key = g0; size = 64 });
-             Dsan.observe_protocol t ~time:1.2e-5 ~node:0 ~thread:0
-               (P.Ev_write
-                  { before = g0; after = g1; size = 64; kind = P.W_bump });
-             Dsan.observe_protocol t ~time:1.3e-5 ~node:1 ~thread:2
-               (P.Ev_read { g = g1; path = P.Path_cache g0 });
+             Dsan.observe t ~time:1e-5 ~node:0 ~thread:0
+               (Tap.Create { g = g0; size = 64 });
+             Dsan.observe t ~time:1.1e-5 ~node:1 ~thread:(-1)
+               (Tap.Cache_insert { key = g0; size = 64 });
+             Dsan.observe t ~time:1.2e-5 ~node:0 ~thread:0
+               (Tap.Write
+                  { before = g0; after = g1; size = 64; kind = Tap.W_bump });
+             Dsan.observe t ~time:1.3e-5 ~node:1 ~thread:2
+               (Tap.Read { g = g1; path = Tap.Path_cache g0 });
              if Dsan.violations t = [] then begin
                prerr_endline
                  "inject_flight: sanitizer did not flag the injection";

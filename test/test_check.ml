@@ -2,7 +2,7 @@
 
    Three layers:
    - injection: feed deliberately corrupted event streams into the
-     observe_* entry points and assert every invariant class is caught
+     Dsan.observe entry point and assert every invariant class is caught
      with an attributed report;
    - clean runs: real protocol / runtime / chaos-failover workloads under
      the sanitizer must produce zero violations (including the two
@@ -17,6 +17,7 @@ module Params = Drust_machine.Params
 module Ctx = Drust_machine.Ctx
 module P = Drust_core.Protocol
 module Gaddr = Drust_memory.Gaddr
+module Tap = Drust_memory.Tap
 module Cache = Drust_memory.Cache
 module Univ = Drust_util.Univ
 module Darc = Drust_runtime.Darc
@@ -70,10 +71,10 @@ let addr ?(color = 0) ~node ~offset () =
 let test_inject_double_owner () =
   with_sink (fun t ->
       let g = addr ~node:1 ~offset:4096 () in
-      Dsan.observe_protocol t ~time:0.0 ~node:1 ~thread:0
-        (P.Ev_create { g; size = 64 });
-      Dsan.observe_protocol t ~time:2e-6 ~node:2 ~thread:1
-        (P.Ev_create { g; size = 64 });
+      Dsan.observe t ~time:0.0 ~node:1 ~thread:0
+        (Tap.Create { g; size = 64 });
+      Dsan.observe t ~time:2e-6 ~node:2 ~thread:1
+        (Tap.Create { g; size = 64 });
       check_flagged "double owner" t [ "dsan.single_owner" ];
       match Dsan.violations t with
       | [ r ] ->
@@ -89,26 +90,28 @@ let test_inject_stale_cache_read () =
   with_sink (fun t ->
       let g0 = addr ~node:1 ~offset:4096 () in
       let g1 = addr ~color:1 ~node:1 ~offset:4096 () in
-      Dsan.observe_protocol t ~time:0.0 ~node:1 ~thread:0
-        (P.Ev_create { g = g0; size = 64 });
-      Dsan.observe_cache t ~time:1e-6 ~node:3 (Cache.Insert { key = g0; size = 64 });
-      Dsan.observe_protocol t ~time:2e-6 ~node:1 ~thread:0
-        (P.Ev_write { before = g0; after = g1; size = 64; kind = P.W_bump });
+      Dsan.observe t ~time:0.0 ~node:1 ~thread:0
+        (Tap.Create { g = g0; size = 64 });
+      Dsan.observe t ~time:1e-6 ~node:3 ~thread:(-1)
+        (Tap.Cache_insert { key = g0; size = 64 });
+      Dsan.observe t ~time:2e-6 ~node:1 ~thread:0
+        (Tap.Write { before = g0; after = g1; size = 64; kind = Tap.W_bump });
       (* read served from the copy fetched under the old color *)
-      Dsan.observe_protocol t ~time:3e-6 ~node:3 ~thread:2
-        (P.Ev_read { g = g1; path = P.Path_cache g0 });
+      Dsan.observe t ~time:3e-6 ~node:3 ~thread:2
+        (Tap.Read { g = g1; path = Tap.Path_cache g0 });
       check_flagged "stale cached copy served" t [ "dsan.stale_cache_read" ])
 
 let test_inject_stale_cache_hit () =
   with_sink (fun t ->
       let g0 = addr ~node:1 ~offset:4096 () in
       let g1 = addr ~color:1 ~node:1 ~offset:4096 () in
-      Dsan.observe_protocol t ~time:0.0 ~node:1 ~thread:0
-        (P.Ev_create { g = g0; size = 64 });
-      Dsan.observe_protocol t ~time:1e-6 ~node:1 ~thread:0
-        (P.Ev_write { before = g0; after = g1; size = 64; kind = P.W_bump });
+      Dsan.observe t ~time:0.0 ~node:1 ~thread:0
+        (Tap.Create { g = g0; size = 64 });
+      Dsan.observe t ~time:1e-6 ~node:1 ~thread:0
+        (Tap.Write { before = g0; after = g1; size = 64; kind = Tap.W_bump });
       (* the cache itself reports a hit under a stale colored key *)
-      Dsan.observe_cache t ~time:2e-6 ~node:2 (Cache.Hit { key = g0 });
+      Dsan.observe t ~time:2e-6 ~node:2 ~thread:(-1)
+        (Tap.Cache_hit { key = g0 });
       check_flagged "stale hit" t [ "dsan.stale_cache_read" ])
 
 let test_inject_inplace_write_with_live_copies () =
@@ -117,75 +120,76 @@ let test_inject_inplace_write_with_live_copies () =
      reachable in remote caches. *)
   with_sink (fun t ->
       let g = addr ~node:0 ~offset:8192 () in
-      Dsan.observe_protocol t ~time:0.0 ~node:0 ~thread:0
-        (P.Ev_create { g; size = 64 });
-      Dsan.observe_cache t ~time:1e-6 ~node:2 (Cache.Insert { key = g; size = 64 });
-      Dsan.observe_protocol t ~time:2e-6 ~node:1 ~thread:3
-        (P.Ev_write { before = g; after = g; size = 64; kind = P.W_in_place });
+      Dsan.observe t ~time:0.0 ~node:0 ~thread:0
+        (Tap.Create { g; size = 64 });
+      Dsan.observe t ~time:1e-6 ~node:2 ~thread:(-1)
+        (Tap.Cache_insert { key = g; size = 64 });
+      Dsan.observe t ~time:2e-6 ~node:1 ~thread:3
+        (Tap.Write { before = g; after = g; size = 64; kind = Tap.W_in_place });
       check_flagged "in-place write with reachable copies" t
         [ "dsan.move_invalidation" ])
 
 let test_inject_negative_refcount () =
   with_sink (fun t ->
       let g = addr ~node:2 ~offset:256 () in
-      Dsan.observe_rc t ~time:0.0 ~node:2 ~thread:0
-        (Darc.Rc_created { g; size = 32; count = 1 });
-      Dsan.observe_rc t ~time:1e-6 ~node:2 ~thread:0
-        (Darc.Rc_released { g; count = 0 });
-      Dsan.observe_rc t ~time:2e-6 ~node:3 ~thread:1
-        (Darc.Rc_released { g; count = -1 });
+      Dsan.observe t ~time:0.0 ~node:2 ~thread:0
+        (Tap.Rc_created { g; size = 32; count = 1 });
+      Dsan.observe t ~time:1e-6 ~node:2 ~thread:0
+        (Tap.Rc_released { g; count = 0 });
+      Dsan.observe t ~time:2e-6 ~node:3 ~thread:1
+        (Tap.Rc_released { g; count = -1 });
       check_flagged "negative refcount" t [ "dsan.refcount_sanity" ])
 
 let test_inject_refcount_divergence_and_leak () =
   with_sink (fun t ->
       let g = addr ~node:2 ~offset:512 () in
-      Dsan.observe_rc t ~time:0.0 ~node:2 ~thread:0
-        (Darc.Rc_created { g; size = 32; count = 1 });
+      Dsan.observe t ~time:0.0 ~node:2 ~thread:0
+        (Tap.Rc_created { g; size = 32; count = 1 });
       (* implementation says 3, shadow says 2: lost update on the count *)
-      Dsan.observe_rc t ~time:1e-6 ~node:2 ~thread:0
-        (Darc.Rc_retained { g; count = 3 });
+      Dsan.observe t ~time:1e-6 ~node:2 ~thread:0
+        (Tap.Rc_retained { g; count = 3 });
       check_flagged "diverged" t [ "dsan.refcount_sanity" ];
       Dsan.clear t;
       (* freed while the shadow still expects holders *)
-      Dsan.observe_rc t ~time:2e-6 ~node:2 ~thread:0 (Darc.Rc_freed { g });
+      Dsan.observe t ~time:2e-6 ~node:2 ~thread:0 (Tap.Rc_freed { g });
       check_flagged "freed with holders" t [ "dsan.refcount_sanity" ];
       Dsan.clear t;
       (* and any use after the free *)
-      Dsan.observe_rc t ~time:3e-6 ~node:2 ~thread:0
-        (Darc.Rc_retained { g; count = 1 });
+      Dsan.observe t ~time:3e-6 ~node:2 ~thread:0
+        (Tap.Rc_retained { g; count = 1 });
       check_flagged "retain after free" t [ "dsan.use_after_free" ])
 
 let test_inject_foreign_unlock () =
   with_sink (fun t ->
       let g = addr ~node:0 ~offset:64 () in
-      Dsan.observe_lock t ~time:0.0 ~node:0 ~thread:1
-        (Dmutex.Lock_created { g });
-      Dsan.observe_lock t ~time:1e-6 ~node:0 ~thread:1
-        (Dmutex.Lock_acquired { g; thread = 1 });
-      Dsan.observe_lock t ~time:2e-6 ~node:2 ~thread:7
-        (Dmutex.Lock_released { g; thread = 7 });
+      Dsan.observe t ~time:0.0 ~node:0 ~thread:1
+        (Tap.Lock_created { g });
+      Dsan.observe t ~time:1e-6 ~node:0 ~thread:1
+        (Tap.Lock_acquired { g; thread = 1 });
+      Dsan.observe t ~time:2e-6 ~node:2 ~thread:7
+        (Tap.Lock_released { g; thread = 7 });
       check_flagged "foreign unlock" t [ "dsan.lock_discipline" ])
 
 let test_inject_double_grant () =
   with_sink (fun t ->
       let g = addr ~node:0 ~offset:64 () in
-      Dsan.observe_lock t ~time:0.0 ~node:0 ~thread:1
-        (Dmutex.Lock_created { g });
-      Dsan.observe_lock t ~time:1e-6 ~node:0 ~thread:1
-        (Dmutex.Lock_acquired { g; thread = 1 });
-      Dsan.observe_lock t ~time:2e-6 ~node:1 ~thread:2
-        (Dmutex.Lock_acquired { g; thread = 2 });
+      Dsan.observe t ~time:0.0 ~node:0 ~thread:1
+        (Tap.Lock_created { g });
+      Dsan.observe t ~time:1e-6 ~node:0 ~thread:1
+        (Tap.Lock_acquired { g; thread = 1 });
+      Dsan.observe t ~time:2e-6 ~node:1 ~thread:2
+        (Tap.Lock_acquired { g; thread = 2 });
       check_flagged "double grant" t [ "dsan.lock_discipline" ])
 
 let test_inject_double_promotion () =
   with_sink (fun t ->
-      Dsan.observe_failover t ~time:1e-3 ~node:0
-        (Replication.Node_failed { node = 1 });
-      Dsan.observe_failover t ~time:2e-3 ~node:0
-        (Replication.Promoted { home = 1; by = 2; replica = 0 });
+      Dsan.observe t ~time:1e-3 ~node:0 ~thread:(-1)
+        (Tap.Node_failed { node = 1 });
+      Dsan.observe t ~time:2e-3 ~node:0 ~thread:(-1)
+        (Tap.Promoted { home = 1; by = 2; replica = 0 });
       Alcotest.(check int) "first promotion legal" 0 (Dsan.violation_count t);
-      Dsan.observe_failover t ~time:3e-3 ~node:0
-        (Replication.Promoted { home = 1; by = 3; replica = 1 });
+      Dsan.observe t ~time:3e-3 ~node:0 ~thread:(-1)
+        (Tap.Promoted { home = 1; by = 3; replica = 1 });
       check_flagged "second promotion of a served range" t
         [ "dsan.promotion_uniqueness" ])
 
@@ -194,122 +198,123 @@ let test_inject_promotion_without_purge () =
      promoted range still cached on survivors after the promotion. *)
   with_sink (fun t ->
       let g = addr ~node:1 ~offset:4096 () in
-      Dsan.observe_protocol t ~time:0.0 ~node:0 ~thread:0
-        (P.Ev_create { g; size = 64 });
-      Dsan.observe_cache t ~time:1e-6 ~node:3 (Cache.Insert { key = g; size = 64 });
-      Dsan.observe_failover t ~time:1e-3 ~node:0
-        (Replication.Node_failed { node = 1 });
-      Dsan.observe_failover t ~time:2e-3 ~node:0
-        (Replication.Promoted { home = 1; by = 2; replica = 0 });
+      Dsan.observe t ~time:0.0 ~node:0 ~thread:0
+        (Tap.Create { g; size = 64 });
+      Dsan.observe t ~time:1e-6 ~node:3 ~thread:(-1)
+        (Tap.Cache_insert { key = g; size = 64 });
+      Dsan.observe t ~time:1e-3 ~node:0 ~thread:(-1)
+        (Tap.Node_failed { node = 1 });
+      Dsan.observe t ~time:2e-3 ~node:0 ~thread:(-1)
+        (Tap.Promoted { home = 1; by = 2; replica = 0 });
       check_flagged "copies survived the failover purge" t
         [ "dsan.move_invalidation" ])
 
 let test_inject_epoch_regression () =
   with_sink (fun t ->
-      Dsan.observe_membership t ~time:1e-3 ~node:0
-        (Membership.View_change { epoch = 1; reason = "join" });
-      Dsan.observe_membership t ~time:2e-3 ~node:0
-        (Membership.View_change { epoch = 3; reason = "leave" });
+      Dsan.observe t ~time:1e-3 ~node:0 ~thread:(-1)
+        (Tap.View_change { epoch = 1; reason = "join" });
+      Dsan.observe t ~time:2e-3 ~node:0 ~thread:(-1)
+        (Tap.View_change { epoch = 3; reason = "leave" });
       Alcotest.(check int) "monotone climb legal" 0 (Dsan.violation_count t);
       (* a repeated epoch is as illegal as a regression: both mean two
          views could answer for the same instant *)
-      Dsan.observe_membership t ~time:3e-3 ~node:0
-        (Membership.View_change { epoch = 3; reason = "echo" });
+      Dsan.observe t ~time:3e-3 ~node:0 ~thread:(-1)
+        (Tap.View_change { epoch = 3; reason = "echo" });
       check_flagged "repeated epoch" t [ "dsan.epoch_monotonic" ];
       Dsan.clear t;
-      Dsan.observe_membership t ~time:4e-3 ~node:0
-        (Membership.View_change { epoch = 2; reason = "rollback" });
+      Dsan.observe t ~time:4e-3 ~node:0 ~thread:(-1)
+        (Tap.View_change { epoch = 2; reason = "rollback" });
       check_flagged "epoch went backwards" t [ "dsan.epoch_monotonic" ])
 
 let test_inject_handoff_atomicity () =
   with_sink (fun t ->
       (* commit with no prepare *)
-      Dsan.observe_membership t ~time:1e-3 ~node:0
-        (Membership.Handoff_committed
+      Dsan.observe t ~time:1e-3 ~node:0 ~thread:(-1)
+        (Tap.Handoff_committed
            { home = 1; from_node = 1; to_node = 2; epoch = 1 });
       check_flagged "commit without prepare" t [ "dsan.handoff_atomicity" ];
       Dsan.clear t;
       (* prepare/commit endpoint mismatch: the range would end up with a
          server the prepare never named *)
-      Dsan.observe_membership t ~time:2e-3 ~node:0
-        (Membership.Handoff_prepared { home = 3; from_node = 3; to_node = 0 });
-      Dsan.observe_membership t ~time:3e-3 ~node:0
-        (Membership.Handoff_committed
+      Dsan.observe t ~time:2e-3 ~node:0 ~thread:(-1)
+        (Tap.Handoff_prepared { home = 3; from_node = 3; to_node = 0 });
+      Dsan.observe t ~time:3e-3 ~node:0 ~thread:(-1)
+        (Tap.Handoff_committed
            { home = 3; from_node = 3; to_node = 1; epoch = 2 });
       check_flagged "commit does not match prepare" t
         [ "dsan.handoff_atomicity" ];
       Dsan.clear t;
       (* a second prepare for a range already in flight *)
-      Dsan.observe_membership t ~time:4e-3 ~node:0
-        (Membership.Handoff_prepared { home = 0; from_node = 0; to_node = 2 });
-      Dsan.observe_membership t ~time:5e-3 ~node:0
-        (Membership.Handoff_prepared { home = 0; from_node = 0; to_node = 3 });
+      Dsan.observe t ~time:4e-3 ~node:0 ~thread:(-1)
+        (Tap.Handoff_prepared { home = 0; from_node = 0; to_node = 2 });
+      Dsan.observe t ~time:5e-3 ~node:0 ~thread:(-1)
+        (Tap.Handoff_prepared { home = 0; from_node = 0; to_node = 3 });
       check_flagged "double prepare" t [ "dsan.handoff_atomicity" ];
       Dsan.clear t;
       (* prepare from a node that does not serve the range: committing it
          would leave the range with two servers *)
-      Dsan.observe_membership t ~time:6e-3 ~node:0
-        (Membership.Handoff_prepared { home = 2; from_node = 3; to_node = 0 });
+      Dsan.observe t ~time:6e-3 ~node:0 ~thread:(-1)
+        (Tap.Handoff_prepared { home = 2; from_node = 3; to_node = 0 });
       check_flagged "prepare from a non-server" t [ "dsan.handoff_atomicity" ];
       Dsan.clear t;
       (* handing a range to a dead node: zero servers *)
-      Dsan.observe_failover t ~time:7e-3 ~node:0
-        (Replication.Node_failed { node = 3 });
-      Dsan.observe_membership t ~time:8e-3 ~node:0
-        (Membership.Handoff_prepared { home = 1; from_node = 1; to_node = 3 });
+      Dsan.observe t ~time:7e-3 ~node:0 ~thread:(-1)
+        (Tap.Node_failed { node = 3 });
+      Dsan.observe t ~time:8e-3 ~node:0 ~thread:(-1)
+        (Tap.Handoff_prepared { home = 1; from_node = 1; to_node = 3 });
       check_flagged "prepare toward a dead node" t [ "dsan.handoff_atomicity" ])
 
 let test_inject_bad_reseed () =
   with_sink (fun t ->
-      Dsan.observe_membership t ~time:1e-3 ~node:0
-        (Membership.Chain_reseeded { home = 1; server = 1; hosts = [] });
+      Dsan.observe t ~time:1e-3 ~node:0 ~thread:(-1)
+        (Tap.Chain_reseeded { home = 1; server = 1; hosts = [] });
       check_flagged "empty chain" t [ "dsan.replica_chain_intact" ];
       Dsan.clear t;
-      Dsan.observe_membership t ~time:2e-3 ~node:0
-        (Membership.Chain_reseeded { home = 1; server = 1; hosts = [ 2; 2 ] });
+      Dsan.observe t ~time:2e-3 ~node:0 ~thread:(-1)
+        (Tap.Chain_reseeded { home = 1; server = 1; hosts = [ 2; 2 ] });
       check_flagged "duplicate host" t [ "dsan.replica_chain_intact" ];
       Dsan.clear t;
-      Dsan.observe_membership t ~time:3e-3 ~node:0
-        (Membership.Chain_reseeded { home = 1; server = 1; hosts = [ 1 ] });
+      Dsan.observe t ~time:3e-3 ~node:0 ~thread:(-1)
+        (Tap.Chain_reseeded { home = 1; server = 1; hosts = [ 1 ] });
       check_flagged "replica co-located with server" t
         [ "dsan.replica_chain_intact" ];
       Dsan.clear t;
-      Dsan.observe_failover t ~time:4e-3 ~node:0
-        (Replication.Node_failed { node = 3 });
-      Dsan.observe_membership t ~time:5e-3 ~node:0
-        (Membership.Chain_reseeded { home = 1; server = 1; hosts = [ 3 ] });
+      Dsan.observe t ~time:4e-3 ~node:0 ~thread:(-1)
+        (Tap.Node_failed { node = 3 });
+      Dsan.observe t ~time:5e-3 ~node:0 ~thread:(-1)
+        (Tap.Chain_reseeded { home = 1; server = 1; hosts = [ 3 ] });
       check_flagged "replica on a dead host" t [ "dsan.replica_chain_intact" ];
       Dsan.clear t;
       (* chain announced around a server that does not serve the range *)
-      Dsan.observe_membership t ~time:6e-3 ~node:0
-        (Membership.Chain_reseeded { home = 1; server = 2; hosts = [ 0 ] });
+      Dsan.observe t ~time:6e-3 ~node:0 ~thread:(-1)
+        (Tap.Chain_reseeded { home = 1; server = 2; hosts = [ 0 ] });
       check_flagged "server mismatch" t [ "dsan.replica_chain_intact" ])
 
 let test_inject_borrow_violations () =
   with_sink (fun t ->
       let g = addr ~node:0 ~offset:128 () in
       let g1 = addr ~color:1 ~node:0 ~offset:128 () in
-      Dsan.observe_protocol t ~time:0.0 ~node:0 ~thread:0
-        (P.Ev_create { g; size = 64 });
-      Dsan.observe_protocol t ~time:1e-6 ~node:0 ~thread:0
-        (P.Ev_borrow_imm { g });
-      Dsan.observe_protocol t ~time:2e-6 ~node:0 ~thread:0
-        (P.Ev_write { before = g; after = g1; size = 64; kind = P.W_bump });
+      Dsan.observe t ~time:0.0 ~node:0 ~thread:0
+        (Tap.Create { g; size = 64 });
+      Dsan.observe t ~time:1e-6 ~node:0 ~thread:0
+        (Tap.Borrow_imm { g });
+      Dsan.observe t ~time:2e-6 ~node:0 ~thread:0
+        (Tap.Write { before = g; after = g1; size = 64; kind = Tap.W_bump });
       check_flagged "write while immutably borrowed" t
         [ "dsan.borrow_discipline" ];
       Dsan.clear t;
-      Dsan.observe_protocol t ~time:3e-6 ~node:0 ~thread:1
-        (P.Ev_borrow_mut { g = g1 });
+      Dsan.observe t ~time:3e-6 ~node:0 ~thread:1
+        (Tap.Borrow_mut { g = g1 });
       check_flagged "mut borrow while shared" t [ "dsan.borrow_discipline" ])
 
 let test_inject_use_after_free () =
   with_sink (fun t ->
       let g = addr ~node:0 ~offset:128 () in
-      Dsan.observe_protocol t ~time:0.0 ~node:0 ~thread:0
-        (P.Ev_create { g; size = 64 });
-      Dsan.observe_protocol t ~time:1e-6 ~node:0 ~thread:0 (P.Ev_drop { g });
-      Dsan.observe_protocol t ~time:2e-6 ~node:0 ~thread:0
-        (P.Ev_read { g; path = P.Path_local });
+      Dsan.observe t ~time:0.0 ~node:0 ~thread:0
+        (Tap.Create { g; size = 64 });
+      Dsan.observe t ~time:1e-6 ~node:0 ~thread:0 (Tap.Drop { g });
+      Dsan.observe t ~time:2e-6 ~node:0 ~thread:0
+        (Tap.Read { g; path = Tap.Path_local });
       check_flagged "read after drop" t [ "dsan.use_after_free" ])
 
 let test_raise_mode () =
@@ -319,11 +324,11 @@ let test_raise_mode () =
     ~finally:(fun () -> Dsan.detach t)
     (fun () ->
       let g = addr ~node:1 ~offset:4096 () in
-      Dsan.observe_protocol t ~time:0.0 ~node:1 ~thread:0
-        (P.Ev_create { g; size = 64 });
+      Dsan.observe t ~time:0.0 ~node:1 ~thread:0
+        (Tap.Create { g; size = 64 });
       match
-        Dsan.observe_protocol t ~time:1e-6 ~node:1 ~thread:0
-          (P.Ev_create { g; size = 64 })
+        Dsan.observe t ~time:1e-6 ~node:1 ~thread:0
+          (Tap.Create { g; size = 64 })
       with
       | () -> Alcotest.fail "expected Dsan.Violation"
       | exception Dsan.Violation r ->
@@ -334,10 +339,10 @@ let test_raise_mode () =
 let test_report_rendering () =
   with_sink (fun t ->
       let g = addr ~node:1 ~offset:4096 () in
-      Dsan.observe_protocol t ~time:0.0 ~node:1 ~thread:0
-        (P.Ev_create { g; size = 64 });
-      Dsan.observe_protocol t ~time:2e-6 ~node:2 ~thread:1
-        (P.Ev_create { g; size = 64 });
+      Dsan.observe t ~time:0.0 ~node:1 ~thread:0
+        (Tap.Create { g; size = 64 });
+      Dsan.observe t ~time:2e-6 ~node:2 ~thread:1
+        (Tap.Create { g; size = 64 });
       let s = Dsan.report_to_string (List.hd (Dsan.violations t)) in
       Alcotest.(check bool) "names the invariant" true
         (Astring.String.is_infix ~affix:"dsan.single_owner" s);
@@ -513,34 +518,36 @@ let test_sanitized_fig6_bit_identical () =
   check_bit_identical "fig6" plain sanitized
 
 (* ------------------------------------------------------------------ *)
-(* Two-cluster isolation: with all per-cluster state in the Env record,
-   two clusters stepped in lockstep in one process must not observe each
-   other — separate sanitizers, probes, listeners, protocol options and
-   stats, with zero cross-talk. *)
+(* Two-cluster isolation: with all per-cluster state in the cluster
+   (its tap, its Env record), two clusters stepped in lockstep in one
+   process must not observe each other — separate sanitizers, taps,
+   protocol options and stats, with zero cross-talk. *)
 
 let test_two_clusters_interleaved_isolation () =
   let a = Cluster.create (small_params 2) in
   let b = Cluster.create (small_params 2) in
   let ta = Dsan.attach a in
   let tb = Dsan.attach b in
-  (* Per-cluster probes and refcount listeners that also assert every
-     event they see belongs to their own cluster. *)
+  (* Per-cluster counting subscribers, each chained in front of its own
+     cluster's sanitizer: the deterministic workloads below must deliver
+     equal streams, which any leakage of one cluster's events into the
+     other's tap would break. *)
   let probes_a = ref 0 and probes_b = ref 0 in
   let rc_a = ref 0 and rc_b = ref 0 in
-  let probe own counter ctx _ev =
-    if Ctx.cluster ctx != own then
-      Alcotest.fail "probe cross-talk: event from the other cluster";
-    incr counter
+  let count cluster probes rcs =
+    let tap = Cluster.tap cluster in
+    let dsan = Option.get tap.Tap.sub in
+    Tap.set tap
+      (Some
+         (fun ~node ~thread ev ->
+           (match ev with
+           | Tap.Rc_created _ | Rc_retained _ | Rc_released _ | Rc_freed _ ->
+               incr rcs
+           | _ -> incr probes);
+           dsan ~node ~thread ev))
   in
-  let rc own counter ctx _ev =
-    if Ctx.cluster ctx != own then
-      Alcotest.fail "listener cross-talk: event from the other cluster";
-    incr counter
-  in
-  P.set_probe a (Some (probe a probes_a));
-  P.set_probe b (Some (probe b probes_b));
-  Darc.set_listener a (Some (rc a rc_a));
-  Darc.set_listener b (Some (rc b rc_b));
+  count a probes_a rc_a;
+  count b probes_b rc_b;
   (* Divergent per-cluster options: A moves on every access, B keeps the
      default coloring protocol. *)
   P.set_always_move a true;

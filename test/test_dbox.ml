@@ -223,53 +223,6 @@ let test_unsafe_atomic_update () =
       Alcotest.(check int) "updated" 11
         (Univ.unpack_exn int_tag (U.dread ctx g ~size:8)))
 
-(* ------------------------------------------------------------------ *)
-(* Wire pointer layout (Fig. 8) *)
-
-module Pl = Drust_core.Pointer_layout
-module Gaddr = Drust_memory.Gaddr
-
-let test_layout_roundtrip () =
-  let g = Gaddr.with_color (Gaddr.make ~node:5 ~offset:0xABCDE) 1234 in
-  let w = Pl.encode ~gaddr:g ~ubit:true ~ext:42L in
-  let g', ubit, ext = Pl.decode w in
-  Alcotest.(check bool) "gaddr" true (Gaddr.equal g g');
-  Alcotest.(check bool) "ubit" true ubit;
-  Alcotest.(check int64) "ext" 42L ext
-
-let test_layout_bytes () =
-  let g = Gaddr.make ~node:1 ~offset:64 in
-  let w = Pl.encode ~gaddr:g ~ubit:false ~ext:7L in
-  let b = Pl.to_bytes w in
-  Alcotest.(check int) "16 bytes on the wire" 16 (Bytes.length b);
-  let w' = Pl.of_bytes b in
-  Alcotest.(check bool) "identical after the wire" true (w = w');
-  Alcotest.(check bool) "null detection" true (Pl.is_null Pl.null);
-  Alcotest.(check bool) "nonnull" false (Pl.is_null w)
-
-let test_layout_ext_overflow () =
-  let g = Gaddr.make ~node:0 ~offset:8 in
-  Alcotest.(check bool) "64-bit ext rejected" true
-    (try
-       ignore (Pl.encode ~gaddr:g ~ubit:false ~ext:Int64.min_int);
-       false
-     with Invalid_argument _ -> true)
-
-let prop_layout_roundtrip =
-  QCheck.Test.make ~name:"wire layout roundtrips every pointer" ~count:500
-    QCheck.(
-      quad
-        (int_bound (Gaddr.max_nodes - 1))
-        (int_bound 1_000_000)
-        (int_bound Gaddr.max_color)
-        (pair bool (int_bound max_int)))
-    (fun (node, offset, color, (ubit, ext)) ->
-      let g = Gaddr.with_color (Gaddr.make ~node ~offset) color in
-      let ext = Int64.of_int ext in
-      let w = Pl.of_bytes (Pl.to_bytes (Pl.encode ~gaddr:g ~ubit ~ext)) in
-      let g', ubit', ext' = Pl.decode w in
-      Gaddr.equal g g' && ubit = ubit' && ext = ext')
-
 let () =
   Alcotest.run "dbox"
     [
@@ -291,13 +244,6 @@ let () =
           Alcotest.test_case "never moves" `Quick test_stack_value_never_moves;
           Alcotest.test_case "eager eviction" `Quick test_stack_value_eager_eviction;
           Alcotest.test_case "borrow discipline" `Quick test_stack_value_borrow_discipline;
-        ] );
-      ( "wire-layout",
-        [
-          Alcotest.test_case "roundtrip" `Quick test_layout_roundtrip;
-          Alcotest.test_case "bytes" `Quick test_layout_bytes;
-          Alcotest.test_case "ext overflow" `Quick test_layout_ext_overflow;
-          QCheck_alcotest.to_alcotest prop_layout_roundtrip;
         ] );
       ( "unsafe",
         [

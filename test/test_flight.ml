@@ -15,6 +15,7 @@ module Params = Drust_machine.Params
 module Ctx = Drust_machine.Ctx
 module P = Drust_core.Protocol
 module Gaddr = Drust_memory.Gaddr
+module Tap = Drust_memory.Tap
 module Cache = Drust_memory.Cache
 module Univ = Drust_util.Univ
 module Dsan = Drust_check.Dsan
@@ -105,6 +106,16 @@ let test_ring_wraps_and_merges () =
       Alcotest.(check int) "cross-node merge keeps true order" 1
         last.Flight.ev_node
   | [] -> Alcotest.fail "no events");
+  (* The live-ring tail: the newest matching events across nodes, in
+     record order, skipping kinds the filter rejects. *)
+  Flight.record t ~node:1 ~time:100.0 ~kind:Flight.k_fab_read ~a:0 ~b:64
+    ~c:0 ~d:0;
+  Alcotest.(check (list (pair int int))) "recent fabric verbs"
+    [ (0, 9); (0, 10); (1, 64) ]
+    (List.map
+       (fun e -> (e.Flight.ev_node, e.Flight.ev_b))
+       (Flight.recent t ~n:3 ~kinds:(fun k ->
+            k >= Flight.k_fab_read && k <= Flight.k_fab_send)));
   (* Out-of-range nodes and disabled recorders drop silently. *)
   Flight.record t ~node:9 ~time:0.0 ~kind:0 ~a:0 ~b:0 ~c:0 ~d:0;
   Flight.set_enabled t false;
@@ -277,15 +288,15 @@ let test_seeded_violation_dump_explains_object () =
               (fun () ->
                 let g0 = Gaddr.clear_color g in
                 let g1 = Gaddr.bump_color g0 in
-                Dsan.observe_protocol t ~time:1e-5 ~node:0 ~thread:0
-                  (P.Ev_create { g = g0; size = 64 });
-                Dsan.observe_cache t ~time:1.1e-5 ~node:1
-                  (Cache.Insert { key = g0; size = 64 });
-                Dsan.observe_protocol t ~time:1.2e-5 ~node:0 ~thread:0
-                  (P.Ev_write
-                     { before = g0; after = g1; size = 64; kind = P.W_bump });
-                Dsan.observe_protocol t ~time:1.3e-5 ~node:1 ~thread:2
-                  (P.Ev_read { g = g1; path = P.Path_cache g0 });
+                Dsan.observe t ~time:1e-5 ~node:0 ~thread:0
+                  (Tap.Create { g = g0; size = 64 });
+                Dsan.observe t ~time:1.1e-5 ~node:1 ~thread:(-1)
+                  (Tap.Cache_insert { key = g0; size = 64 });
+                Dsan.observe t ~time:1.2e-5 ~node:0 ~thread:0
+                  (Tap.Write
+                     { before = g0; after = g1; size = 64; kind = Tap.W_bump });
+                Dsan.observe t ~time:1.3e-5 ~node:1 ~thread:2
+                  (Tap.Read { g = g1; path = Tap.Path_cache g0 });
                 Alcotest.(check bool) "sanitizer flagged the injection"
                   true
                   (Dsan.violations t <> []));

@@ -277,9 +277,7 @@ let test_env_isolated_per_cluster () =
 let populate weaks i =
   let c = Cluster.create (small 2) in
   P.set_always_move c false;
-  P.set_probe c (Some (fun _ _ -> ()));
-  Drust_runtime.Darc.set_listener c (Some (fun _ _ -> ()));
-  Drust_runtime.Dmutex.set_listener c (Some (fun _ _ -> ()));
+  Drust_memory.Tap.set (Cluster.tap c) (Some (fun ~node:_ ~thread:_ _ -> ()));
   ignore (Dthread.migration_latency_stats c);
   let r =
     Drust_appkit.Appkit.run_main c (fun ctx ->

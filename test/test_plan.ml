@@ -11,6 +11,7 @@ module Fuzz = Drust_plan.Fuzz
 module Cluster = Drust_machine.Cluster
 module Params = Drust_machine.Params
 module Gaddr = Drust_memory.Gaddr
+module Tap = Drust_memory.Tap
 module P = Drust_core.Protocol
 module Dsan = Drust_check.Dsan
 
@@ -298,10 +299,10 @@ let injected_reports () =
     ~finally:(fun () -> Dsan.detach t)
     (fun () ->
       let g = Gaddr.make ~node:1 ~offset:4096 in
-      Dsan.observe_protocol t ~time:0.0 ~node:1 ~thread:0
-        (P.Ev_create { g; size = 64 });
-      Dsan.observe_protocol t ~time:2e-6 ~node:2 ~thread:1
-        (P.Ev_create { g; size = 64 });
+      Dsan.observe t ~time:0.0 ~node:1 ~thread:0
+        (Tap.Create { g; size = 64 });
+      Dsan.observe t ~time:2e-6 ~node:2 ~thread:1
+        (Tap.Create { g; size = 64 });
       List.map Dsan.report_to_string (Dsan.violations t))
 
 let has_partition (p : Simplan.t) =

@@ -331,6 +331,23 @@ let test_datomic_remote_single_version () =
       Alcotest.(check int) "all increments serialized" 100 (Datomic.load ctx a);
       Datomic.free ctx a)
 
+(* With no tap subscriber, the local refcount and lock paths build no
+   tap event and look nothing up per call. *)
+let test_runtime_allocation () =
+  let c = Cluster.create (small_params 2) in
+  let ctx = Ctx.make c ~node:0 in
+  let mu = Dmutex.create ctx ~size:8 (pack 0) in
+  let arc = Darc.create ctx ~size:64 (pack 1) in
+  let per_call body =
+    Alloc_budget.per_call (Cluster.engine c) ~run:(fun () -> Cluster.run c) body
+  in
+  Alloc_budget.check "local Dmutex lock+unlock" ~max:18.0
+    (per_call (fun _ ->
+         Dmutex.lock ctx mu;
+         Dmutex.unlock ctx mu));
+  Alloc_budget.check "local Darc clone+drop" ~max:16.0
+    (per_call (fun _ -> Darc.drop ctx (Darc.clone ctx arc)))
+
 let test_dmutex_mutual_exclusion () =
   in_cluster (fun _cluster ctx ->
       let m = Dmutex.create ctx ~size:8 (pack 0) in
@@ -569,6 +586,7 @@ let () =
           Alcotest.test_case "dmutex exclusion" `Quick test_dmutex_mutual_exclusion;
           Alcotest.test_case "dmutex guarded" `Quick test_dmutex_guarded_data;
           Alcotest.test_case "dmutex misuse" `Quick test_dmutex_unlock_requires_holder;
+          Alcotest.test_case "allocation budgets" `Quick test_runtime_allocation;
         ] );
       ( "rc-and-scope",
         [
