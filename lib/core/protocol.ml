@@ -1153,7 +1153,7 @@ let audit cluster =
           let heap_value = (Cluster.heap_read cluster o.g).Partition.value in
           Array.iter
             (fun n ->
-              match Cache.lookup n.Cluster.cache o.g with
+              match Cache.peek n.Cluster.cache o.g with
               | Some copy ->
                   if
                     ((copy.Cache.value != heap_value)

@@ -4,8 +4,8 @@
     Both entry points funnel through {!run_suite}, so a replayed suite
     plan runs exactly the code a direct invocation runs — which is what
     makes [--plan] output trivially byte-identical.  The CLI-only
-    entries (trace, profile, micro) stay in bench/main.ml; they are
-    diagnostics, not plan-replayable experiments. *)
+    [profile] experiment stays in bench/main.ml; it is a host-side
+    diagnostic, not a plan-replayable experiment. *)
 
 type opts = {
   node_counts : int list option;  (** fig5's sweep sizes, when pinned *)

@@ -73,6 +73,11 @@ let find t g =
 let lookup t g =
   match find t g with copy -> Some copy | exception Not_found -> None
 
+let peek t g =
+  match Drust_util.Intmap.find_opt t.map (Gaddr.to_int (Gaddr.clear_color g)) with
+  | Some copy when Gaddr.equal copy.key g && not copy.dead -> Some copy
+  | Some _ | None -> None
+
 let reclaim t copy =
   if not copy.dead then begin
     copy.dead <- true;

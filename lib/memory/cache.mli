@@ -42,6 +42,11 @@ val lookup : t -> Gaddr.t -> copy option
 (** [lookup t g] finds a live copy cached under exactly the colored
     address [g]; a copy fetched under a stale color never matches. *)
 
+val peek : t -> Gaddr.t -> copy option
+(** {!lookup} for checkers: the same answer, but uncounted (no
+    [cache.hits]/[cache.misses]) and silent on the tap, so auditing a
+    cache never changes what a run reports. *)
+
 val find : t -> Gaddr.t -> copy
 (** [find] is {!lookup} without the option: the same counters and
     tap events, raising [Not_found] on a miss.  The protocol's read

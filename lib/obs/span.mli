@@ -28,7 +28,7 @@
     Recording against a disabled tracer is a no-op: nothing is
     allocated, [count] stays 0, and [start] hands back a shared null
     span that [finish] ignores.  Tracers default to disabled — tracing
-    is opt-in (DRUST_TRACE / --trace / --profile). *)
+    is opt-in (--trace / --profile / --trace-out). *)
 
 type t
 

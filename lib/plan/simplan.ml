@@ -785,7 +785,12 @@ type outcome_result =
   | Failover_done of Scenario.failover_result
   | Churn_done of Scenario.churn_result
 
-type outcome = { plan : t; result : outcome_result; violations : string list }
+type outcome = {
+  plan : t;
+  result : outcome_result;
+  violations : string list;
+  cluster : Cluster.t;
+}
 
 let install_faults ~cluster ~nodes faults =
   let engine = Cluster.engine cluster in
@@ -845,7 +850,7 @@ let run_app_body ~cluster ~backend ~app ~affinity ~pass_by_value =
       Drust_kvstore.Kvstore.run ~cluster ~backend
         Drust_kvstore.Kvstore.default_config
 
-let execute ?(sanitize = false) t =
+let execute ?(sanitize = false) ?(trace = false) t =
   (match validate t with
   | Ok () -> ()
   | Error es ->
@@ -863,6 +868,7 @@ let execute ?(sanitize = false) t =
              t.name)
   in
   let cluster = Cluster.create (params_of s.topology) in
+  if trace then Drust_obs.Span.enable (Cluster.spans cluster);
   (* The flight recorder's dump stem is the plan name, so a failing run
      leaves [<name>.flight.json] next to the plan that provoked it. *)
   Flight.set_label (Cluster.flight cluster) t.name;
@@ -890,7 +896,7 @@ let execute ?(sanitize = false) t =
           Dsan.detach d;
           reports
     in
-    { plan = t; result; violations }
+    { plan = t; result; violations; cluster }
   in
   (* Any exception escaping the workload — expectation failures, injected
      chaos the harness did not survive, plain bugs — dumps the black box

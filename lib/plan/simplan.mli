@@ -194,14 +194,20 @@ type outcome = {
   result : outcome_result;
   violations : string list;
       (** DSan reports, when executed with [~sanitize:true] *)
+  cluster : Cluster.t;
+      (** the cluster the plan ran on, for its spans, flight recorder
+          and metrics *)
 }
 
-val execute : ?sanitize:bool -> t -> outcome
+val execute : ?sanitize:bool -> ?trace:bool -> t -> outcome
 (** Run a sim plan: validate, build the cluster from the topology,
     schedule the fault events, run the workload to completion, and
     collect the outcome.  [sanitize] attaches a {e local} DSan
     sanitizer to the plan's cluster (parallel-safe: concurrent plan
     executions never share a sanitizer) and returns its reports.
+    [trace] enables the cluster's span tracer before anything runs, so
+    the one run is both the reported and the traced one (recording
+    never changes a result).
     Suite plans do not execute here — they replay through the bench
     CLI's dispatch table — so passing one raises [Invalid_argument],
     as does a plan that fails {!validate}. *)

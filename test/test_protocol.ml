@@ -572,6 +572,29 @@ let test_audit_clean_after_mixed_traffic () =
       done;
       Alcotest.(check (list string)) "no violations" [] (P.audit cluster))
 
+(* Checks must not count: the audit probes every node's cache, and a
+   probe that bumped cache.hits/cache.misses would inflate every number
+   published after it. *)
+let test_audit_counts_nothing () =
+  in_cluster (fun cluster ->
+      let ctxs = Array.init 4 (fun n -> ctx_on cluster n) in
+      let objs = Array.init 8 (fun i -> P.create ctxs.(i mod 4) ~size:64 (pack i)) in
+      Array.iteri
+        (fun i o ->
+          let ctx = ctxs.((i + 1) mod 4) in
+          let r = P.borrow_imm ctx o in
+          ignore (P.imm_deref ctx r);
+          P.drop_imm ctx r)
+        objs;
+      Alcotest.(check bool) "copies cached" true
+        (Cache.entries (Cluster.node cluster 1).Cluster.cache > 0);
+      let metrics = Cluster.metrics cluster in
+      let before = Drust_obs.Metrics.snapshot metrics in
+      Alcotest.(check (list string)) "no violations" [] (P.audit cluster);
+      (* [compare], not [=]: an empty histogram's min/max are nan. *)
+      Alcotest.(check bool) "snapshot unchanged by the audit" true
+        (compare before (Drust_obs.Metrics.snapshot metrics) = 0))
+
 let test_audit_detects_corruption () =
   in_cluster (fun cluster ->
       let ctx0 = ctx_on cluster 0 in
@@ -637,5 +660,7 @@ let () =
             test_audit_clean_after_mixed_traffic;
           Alcotest.test_case "audit detects corruption" `Quick
             test_audit_detects_corruption;
+          Alcotest.test_case "audit counts nothing" `Quick
+            test_audit_counts_nothing;
         ] );
     ]
