@@ -46,11 +46,6 @@ let run_main cluster body =
       let elapsed = Float.max elapsed 1e-12 in
       { ops; elapsed; throughput = ops /. elapsed; extra }
 
-let spread cluster ~workers =
-  let alive = Array.of_list (Cluster.alive_nodes cluster) in
-  if Array.length alive = 0 then invalid_arg "Appkit.spread: no node alive";
-  Array.init workers (fun i -> alive.(i mod Array.length alive))
-
 let blob_tag : unit Univ.tag = Univ.create_tag ~name:"appkit.blob"
 let blob = Univ.pack blob_tag ()
 

@@ -26,11 +26,6 @@ val run_main :
 val start_measurement : Ctx.t -> unit
 (** Mark the end of setup: elapsed time is measured from here. *)
 
-val spread : Drust_machine.Cluster.t -> workers:int -> int array
-(** [spread cluster ~workers] assigns [workers] round-robin over alive
-    nodes — the even distribution the paper uses for GAM/Grappa, which
-    cannot balance load themselves. *)
-
 val blob : Drust_util.Univ.t
 (** An opaque payload for objects whose bytes are never interpreted. *)
 

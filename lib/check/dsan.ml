@@ -880,8 +880,7 @@ let attach ?(mode = Record) cluster =
       reports = [];
       report_count = 0;
       counter =
-        Metrics.counter (Cluster.metrics cluster)
-          ~help:"DSan invariant violations detected" "dsan.violations";
+        Metrics.counter (Cluster.metrics cluster) "dsan.violations";
       active = true;
     }
   in
@@ -898,7 +897,6 @@ let detach t =
     Tap.set (Cluster.tap t.cluster) None
   end
 
-let mode t = t.mode
 let cluster t = t.cluster
 let violations t = List.rev t.reports
 let violation_count t = t.report_count

@@ -86,7 +86,6 @@ type report = {
           fabric verbs from the cluster's flight recorder, oldest first *)
 }
 
-val pp_report : Format.formatter -> report -> unit
 val report_to_string : report -> string
 
 type mode =
@@ -111,7 +110,6 @@ val attach : ?mode:mode -> Cluster.t -> t
 val detach : t -> unit
 (** Empty the cluster's tap.  Reports remain queryable. *)
 
-val mode : t -> mode
 val cluster : t -> Cluster.t
 
 val violations : t -> report list

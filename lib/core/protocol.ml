@@ -522,11 +522,7 @@ let create ctx ~size v = create_on ctx ~node:(pick_alloc_node ctx ~size) ~size v
 
 let gaddr o = o.g
 let size o = o.size
-let is_valid o = o.valid
 let color o = Gaddr.color_of o.g
-let ubit o = o.ubit
-let imm_gaddr r = r.i_g
-let mut_gaddr m = m.m_g
 
 (* ------------------------------------------------------------------ *)
 (* Shared fetch path: read a remote object (and its affinity group)    *)

@@ -49,7 +49,6 @@ val gaddr : owner -> Gaddr.t
 (** Current colored global address. *)
 
 val size : owner -> int
-val is_valid : owner -> bool
 
 val owner_read : Ctx.t -> owner -> Drust_util.Univ.t
 (** Immutable access through the owner (Alg. 7): local objects are read in
@@ -80,8 +79,6 @@ val imm_deref : Ctx.t -> imm -> Drust_util.Univ.t
 val drop_imm : Ctx.t -> imm -> unit
 (** Unpins the cached copy and returns the borrow. *)
 
-val imm_gaddr : imm -> Gaddr.t
-
 (** {1 Mutable borrows (Alg. 1/6)} *)
 
 val borrow_mut : Ctx.t -> owner -> mut
@@ -97,8 +94,6 @@ val drop_mut : Ctx.t -> mut -> unit
 (** Writes the (possibly moved / recolored) global address back into the
     owner box — a synchronous 8-byte WRITE when the owner box lives on a
     different server. *)
-
-val mut_gaddr : mut -> Gaddr.t
 
 (** {1 Ownership transfer and deallocation} *)
 
@@ -168,7 +163,6 @@ val note_app : Ctx.t -> g:Gaddr.t -> verb:string -> tag:string -> unit
 (** Emit an [App] attribution event (used by [Dbox]). *)
 
 val color : owner -> int
-val ubit : owner -> bool
 val moves : Ctx.t -> int
 (** Number of object moves performed through this context's cluster.
     Backed by the cluster metrics registry ([protocol.moves]). *)

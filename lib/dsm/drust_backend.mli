@@ -7,6 +7,3 @@
     "DRust" rows of every figure. *)
 
 val create : Drust_machine.Cluster.t -> Dsm.t
-
-val owner_of : Dsm.handle -> Drust_core.Protocol.owner
-(** Unwrap for affinity-aware code paths ([spawn_to]). *)

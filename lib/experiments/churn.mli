@@ -38,10 +38,6 @@ val run_once : seed:int -> nodes:int -> unit -> result
     builds the canonical plan ({!Drust_plan.Simplan.churn_plan}) and
     [Simplan.execute]s it. *)
 
-val churn_percentiles : result list -> (string * int * float * float) list
-(** [(phase, samples, p50, p99)] in seconds for the ["handoff"],
-    ["detection"], and ["recovery"] phases. *)
-
 val run : ?seed:int -> ?nodes:int -> unit -> result
 (** Run the base seed twice (bit-identity check) plus two more seeds,
     print the membership/latency report, record the [churn/*] summary

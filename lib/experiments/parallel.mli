@@ -16,8 +16,6 @@ val set_default_jobs : int -> unit
 (** Set the pool size used when [?jobs] is omitted (the [--jobs N]
     flag).  Raises [Invalid_argument] if [n < 1].  Default 1. *)
 
-val default_jobs : unit -> int
-
 val run : ?jobs:int -> (unit -> 'a) list -> 'a list
 (** Run the thunks on [min jobs (length thunks)] domains (the calling
     domain participates; [jobs <= 1] runs everything inline, in order)

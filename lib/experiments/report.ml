@@ -122,7 +122,6 @@ let host_time =
   "globals: per-process CLI configuration (--host-time), set once before \
    any experiment runs"]
 let set_host_time_recording b = host_time := b
-let host_time_recording () = !host_time
 
 (* Percentile points every latency histogram is reduced to in tables and
    in the summary JSON.  Exported values are microseconds. *)

@@ -49,16 +49,9 @@ val set_host_time_recording : bool -> unit
     via [bench/main.exe --host-time] — asks for it; plain runs stay
     byte-identical across machines and [--jobs] values. *)
 
-val host_time_recording : unit -> bool
-
 val percentile_points : (string * float) list
 (** The percentile points every latency histogram is reduced to:
     [("p50", 0.5); ("p95", 0.95); ("p99", 0.99); ("p99.9", 0.999)]. *)
-
-val latency_percentiles :
-  Drust_obs.Metrics.histo -> (string * float) list
-(** {!percentile_points} evaluated on a histogram via
-    {!Drust_obs.Metrics.quantile}, in {e microseconds}. *)
 
 val latency_of_snapshot :
   Drust_obs.Metrics.snapshot -> Drust_obs.Metrics.histo option
@@ -85,19 +78,10 @@ val record_rate :
     [elapsed] is ignored.  Safe to call from {!Parallel} sweep domains
     (mutex-protected). *)
 
-type bench_entry = {
-  be_rate : float;
-  be_latency : Drust_obs.Metrics.histo option;
-  be_host_ms : float option;
-  be_host_rate : float option;
-}
-
-val recorded_entries : unit -> (string * bench_entry) list
-(** The registry so far, sorted by experiment name — the summary is
-    byte-identical regardless of recording order or [--jobs]. *)
-
 val recorded_rates : unit -> (string * float) list
-(** {!recorded_entries} reduced to the headline rates. *)
+(** The registry so far, sorted by experiment name (so the summary is
+    byte-identical regardless of recording order or [--jobs]), reduced
+    to the headline rates. *)
 
 val write_bench_summary : path:string -> unit
 (** Write the registry as JSON to [path] (via {!Drust_util.Json}). *)

@@ -50,14 +50,6 @@ let find name =
           Report.emit_plan (suite_plan_of opts ~name [ name ]);
           f opts)
 
-let run_suite opts requested =
-  List.iter
-    (fun name ->
-      match find name with
-      | Some f -> f opts
-      | None -> invalid_arg (Printf.sprintf "Runner.run_suite: %S" name))
-    requested
-
 let opts_of_suite (s : Simplan.suite) =
   {
     node_counts = s.Simplan.su_node_counts;

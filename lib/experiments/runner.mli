@@ -1,7 +1,7 @@
 (** The experiment dispatch table shared by the bench CLI's direct
     path and [--plan] replay.
 
-    Both entry points funnel through {!run_suite}, so a replayed suite
+    Both entry points funnel through {!find}, so a replayed suite
     plan runs exactly the code a direct invocation runs — which is what
     makes [--plan] output trivially byte-identical.  The CLI-only
     [profile] experiment stays in bench/main.ml; it is a host-side
@@ -27,10 +27,6 @@ val find : string -> (opts -> unit) option
     [<name>.plan.json] next to the results ({!Report.emit_plan}) —
     both the direct CLI path and [--plan] replay dispatch through here,
     so both emit the same artifact. *)
-
-val run_suite : opts -> string list -> unit
-(** Run the named experiments in the order given.  Raises
-    [Invalid_argument] on an unknown name — callers validate first. *)
 
 val suite_plan_of : opts -> name:string -> string list -> Drust_plan.Simplan.t
 (** The suite plan describing this invocation, for [--emit-plan]. *)

@@ -7,11 +7,11 @@ module Univ = Drust_util.Univ
 module Dsm = Drust_dsm.Dsm
 
 type costs = {
-  dir_proc : float;
-  dir_per_block : float;
-  requester_proc : float;
-  hit_check_cycles : float;
-  inv_extra : float;
+  dir_proc : float; (* home directory software time per request *)
+  dir_per_block : float; (* pipelined extra per additional block *)
+  requester_proc : float; (* requester-side protocol bookkeeping *)
+  hit_check_cycles : float; (* local state check on a cache hit *)
+  inv_extra : float; (* extra per additional sharer invalidated *)
 }
 
 (* Calibrated so an uncached 512 B read costs ~16 us end to end with the
@@ -71,12 +71,12 @@ type t = {
   lru : (big_state * int) Queue.t array; (* (state, size); may hold stale *)
 }
 
-let create ?(block_size = 512) ?(costs = default_costs)
-    ?(cache_budget = Drust_util.Units.mib 6) cluster =
+let create ?(block_size = 512) ?(cache_budget = Drust_util.Units.mib 6)
+    cluster =
   {
     cluster;
     block_size;
-    costs;
+    costs = default_costs;
     directory = Hashtbl.create 4096;
     dir_units =
       Array.init (Cluster.node_count cluster) (fun _ ->

@@ -20,19 +20,8 @@ module Ctx = Drust_machine.Ctx
 
 type t
 
-type costs = {
-  dir_proc : float;  (** home directory software time per request *)
-  dir_per_block : float;  (** pipelined extra per additional block *)
-  requester_proc : float;  (** requester-side protocol bookkeeping *)
-  hit_check_cycles : float;  (** local state check on a cache hit *)
-  inv_extra : float;  (** extra per additional sharer invalidated *)
-}
-
-val default_costs : costs
-
 val create :
   ?block_size:int ->
-  ?costs:costs ->
   ?cache_budget:int ->
   Drust_machine.Cluster.t ->
   t

@@ -8,8 +8,8 @@ module Dsm = Drust_dsm.Dsm
 
 type costs = {
   aggregation_delay : float;  (* flush timeout: the worst-case wait *)
-  delegate_cycles : float;
-  local_overhead : float;
+  delegate_cycles : float; (* home-core cycles to run one delegation *)
+  local_overhead : float; (* delegation overhead when home = caller *)
 }
 
 (* The aggregation delay models Grappa's message batching: a delegation
@@ -41,11 +41,11 @@ type t = {
 
 type handle = { oid : int; obj_home : int; size : int }
 
-let create ?(costs = default_costs) cluster =
+let create cluster =
   let cores = (Cluster.params cluster).Drust_machine.Params.cores_per_node in
   {
     cluster;
-    costs;
+    costs = default_costs;
     workers =
       Array.init (Cluster.node_count cluster) (fun _ ->
           Resource.create (Cluster.engine cluster) ~capacity:(max 1 cores));

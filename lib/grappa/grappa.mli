@@ -13,28 +13,7 @@ module Ctx = Drust_machine.Ctx
 
 type t
 
-type costs = {
-  aggregation_delay : float;
-      (** average time a message waits in the sender-side aggregator *)
-  delegate_cycles : float;  (** home-core cycles to run one delegation *)
-  local_overhead : float;  (** delegation overhead when home = caller *)
-}
-
-val default_costs : costs
-
-val create : ?costs:costs -> Drust_machine.Cluster.t -> t
-
-val delegate :
-  t ->
-  Ctx.t ->
-  home:int ->
-  req_bytes:int ->
-  resp_bytes:int ->
-  extra_cycles:float ->
-  (unit -> 'a) ->
-  'a
-(** Ship a closure to [home], queue on its delegation workers, run it
-    (plus [extra_cycles] of application work), return the result. *)
+val create : Drust_machine.Cluster.t -> t
 
 type handle
 

@@ -102,9 +102,6 @@ val heap_write : t -> Drust_memory.Gaddr.t -> Drust_util.Univ.t -> unit
 val heap_free : t -> Drust_memory.Gaddr.t -> unit
 val heap_mem : t -> Drust_memory.Gaddr.t -> bool
 
-val partition_of : t -> Drust_memory.Gaddr.t -> Drust_memory.Partition.t
-(** The partition currently serving an address. *)
-
 val most_vacant_node : t -> int
 (** Allocation fallback under memory pressure (§4.2.1): the alive node
     with the lowest partition usage. *)

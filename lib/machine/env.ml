@@ -37,8 +37,6 @@ let key (type a) ~name : a key =
     project = (function M.E v -> Some v | _ -> None);
   }
 
-let key_name k = k.name
-
 type t = { slots : binding Drust_util.Intmap.t }
 
 let create () = { slots = Drust_util.Intmap.create () }

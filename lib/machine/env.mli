@@ -28,8 +28,6 @@ val key : name:string -> 'a key
     diagnostics; uniqueness comes from the key's identity.  Key
     allocation is atomic and may happen in any domain. *)
 
-val key_name : 'a key -> string
-
 type t
 (** One environment, owned by exactly one cluster. *)
 

@@ -17,9 +17,6 @@ type t = private int
 (** A colored global address.  The [private] row keeps arithmetic out of
     client code while allowing O(1) hashing and comparison. *)
 
-val color_bits : int
-(** 16. *)
-
 val max_color : int
 (** [2^16 - 1]; reaching it triggers the move-on-overflow policy. *)
 

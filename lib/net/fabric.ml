@@ -33,21 +33,7 @@ let () =
              from target seen current)
     | _ -> None)
 
-type counters = {
-  reads : int;
-  writes : int;
-  atomics : int;
-  rpcs : int;
-  bytes_out : int;
-  remote_ops : int;
-  timeouts : int; (* wrapped ops that expired their budget *)
-  retries : int; (* backoff re-attempts issued from this node *)
-  drops : int; (* messages lost to partitions or lossy links *)
-  stale_epochs : int; (* verbs rejected for carrying an old view epoch *)
-}
-
-(* Per-node registry handles; the public [counters] record is a snapshot
-   of these. *)
+(* Per-node registry handles. *)
 type verbs = {
   c_reads : Metrics.counter;
   c_writes : Metrics.counter;
@@ -55,10 +41,10 @@ type verbs = {
   c_rpcs : Metrics.counter;
   c_bytes_out : Metrics.counter;
   c_remote_ops : Metrics.counter;
-  c_timeouts : Metrics.counter;
-  c_retries : Metrics.counter;
-  c_drops : Metrics.counter;
-  c_stale_epochs : Metrics.counter;
+  c_timeouts : Metrics.counter; (* wrapped ops that expired their budget *)
+  c_retries : Metrics.counter; (* backoff re-attempts issued from this node *)
+  c_drops : Metrics.counter; (* messages lost to partitions or lossy links *)
+  c_stale_epochs : Metrics.counter; (* verbs NAKed for an old view epoch *)
 }
 
 type t = {
@@ -76,7 +62,7 @@ type t = {
      same node queue behind each other.  Small control messages are
      exempt (they ride the latency, not the bandwidth). *)
   nics : Drust_sim.Resource.t array;
-  mutable spans : Span.t option;
+  spans : Span.t option;
   mutable fault : Fault.t option;
   (* Current membership-view epoch, installed by the membership layer.
      Verbs carrying an [?epoch] are validated against it at serve time;
@@ -85,7 +71,7 @@ type t = {
   (* The cluster's always-on flight recorder: every verb issue, timeout,
      retry, drop, and stale-epoch NAK lands in the issuing node's ring.
      DSan reads its recent verbs from here for violation provenance. *)
-  mutable flight : Flight.t option;
+  flight : Flight.t option;
 }
 
 (* Transfers below this size do not contend for the DMA engine. *)
@@ -139,12 +125,9 @@ let[@inline] fr t ~from ~kind ~a ~b ~c =
 
 let ep = function Some e -> e | None -> -1
 
-let set_spans t spans = t.spans <- spans
-let set_flight t fl = t.flight <- fl
 let set_epoch_source t f = t.epoch_of <- f
 let metrics t = t.metrics
 let set_fault_plan t plan = t.fault <- Some plan
-let fault_plan t = t.fault
 
 (* Instant mark on the issuing node's timeline (drops, timeouts, async
    sends); argument lists are only built when tracing is live. *)
@@ -207,7 +190,6 @@ let with_verb_span sp verb ~from ~target ~bytes ?parent f =
 
 let engine t = t.engine
 let node_count t = t.nodes
-let model t = t.model
 
 let check_node t n label =
   if n < 0 || n >= t.nodes then
@@ -590,40 +572,3 @@ let send_async ?parent t ~from ~target ~bytes handler =
     in
     ignore (Engine.spawn ~at:(Engine.now t.engine +. dt) t.engine handler)
   end
-
-let counters_of t node =
-  check_node t node "counters_of";
-  let c = t.counters.(node) in
-  {
-    reads = Metrics.value c.c_reads;
-    writes = Metrics.value c.c_writes;
-    atomics = Metrics.value c.c_atomics;
-    rpcs = Metrics.value c.c_rpcs;
-    bytes_out = Metrics.value c.c_bytes_out;
-    remote_ops = Metrics.value c.c_remote_ops;
-    timeouts = Metrics.value c.c_timeouts;
-    retries = Metrics.value c.c_retries;
-    drops = Metrics.value c.c_drops;
-    stale_epochs = Metrics.value c.c_stale_epochs;
-  }
-
-let total_remote_ops t =
-  Array.fold_left (fun acc c -> acc + Metrics.value c.c_remote_ops) 0 t.counters
-
-let total_bytes t =
-  Array.fold_left (fun acc c -> acc + Metrics.value c.c_bytes_out) 0 t.counters
-
-let reset_counters t =
-  Array.iter
-    (fun c ->
-      Metrics.reset_counter c.c_reads;
-      Metrics.reset_counter c.c_writes;
-      Metrics.reset_counter c.c_atomics;
-      Metrics.reset_counter c.c_rpcs;
-      Metrics.reset_counter c.c_bytes_out;
-      Metrics.reset_counter c.c_remote_ops;
-      Metrics.reset_counter c.c_timeouts;
-      Metrics.reset_counter c.c_retries;
-      Metrics.reset_counter c.c_drops;
-      Metrics.reset_counter c.c_stale_epochs)
-    t.counters

@@ -47,7 +47,11 @@ val create :
   t
 (** [metrics] defaults to a fresh private registry; pass the cluster's
     registry so fabric counters land next to everyone else's.  [spans]
-    defaults to none (no tracing).  [flight] is the cluster's always-on
+    (default none) is the span tracer: while it is enabled, every
+    blocking verb records a span covering its latency (with [net.wire] /
+    [net.queue] / [net.serialize] sub-spans), drops/timeouts/retries/async
+    sends record instants, and cross-node verbs draw a flow edge to a
+    target-side SERVE/RECV instant.  [flight] is the cluster's always-on
     black box: every verb issue, timeout, retry, drop, and stale-epoch
     NAK is recorded into the issuing node's ring (docs/FORENSICS.md). *)
 
@@ -55,20 +59,6 @@ val engine : t -> Drust_sim.Engine.t
 
 val metrics : t -> Drust_obs.Metrics.t
 (** The registry the verb counters report into. *)
-
-val set_spans : t -> Drust_obs.Span.t option -> unit
-(** Attach a span tracer: every blocking verb records a complete span
-    covering its latency (with [net.wire] / [net.queue] /
-    [net.serialize] sub-spans for its propagation, NIC-wait, and
-    serialization phases), and drops/timeouts/retries/async sends record
-    instant events — on the issuing node's track, category ["fabric"].
-    Cross-node verbs additionally mint a flow-edge id and emit a
-    target-side SERVE/RECV instant consuming it, so exported traces draw
-    message arrows between node timelines.  Free when unset or when the
-    tracer is disabled. *)
-
-val set_flight : t -> Drust_obs.Flight.t option -> unit
-(** Attach or detach the flight recorder after construction. *)
 
 val set_fault_plan : t -> Drust_sim.Fault.t -> unit
 (** Install a fault plan: from now on every verb consults it.  Verbs
@@ -78,8 +68,6 @@ val set_fault_plan : t -> Drust_sim.Fault.t -> unit
     {!rpc_with_timeout}).  Fire-and-forget verbs never raise; their
     messages are silently dropped.  Without a plan (the default) every
     check is a no-op and event/RNG sequences are unchanged. *)
-
-val fault_plan : t -> Drust_sim.Fault.t option
 
 val set_epoch_source : t -> (unit -> int) option -> unit
 (** Install the membership layer's current-epoch reader.  From then on,
@@ -91,7 +79,6 @@ val set_epoch_source : t -> (unit -> int) option -> unit
     observation — no engine or RNG access. *)
 
 val node_count : t -> int
-val model : t -> Model.t
 
 (** {1 Verbs — call only from inside a simulated process} *)
 
@@ -190,28 +177,3 @@ val retry_with_backoff :
     re-resolve its target (and re-read its membership view) each attempt
     so a retry can land on a freshly promoted backup or carry a freshly
     announced epoch. *)
-
-(** {1 Traffic statistics}
-
-    Counters are held in the metrics registry under [fabric.*] names
-    with a [node] label; the record below is a convenience snapshot. *)
-
-type counters = {
-  reads : int;
-  writes : int;
-  atomics : int;
-  rpcs : int;
-  bytes_out : int;
-  remote_ops : int;  (** verbs whose target differs from source *)
-  timeouts : int;  (** wrapped ops that expired their budget *)
-  retries : int;  (** backoff re-attempts issued from this node *)
-  drops : int;  (** messages lost to partitions or lossy links *)
-  stale_epochs : int;  (** verbs rejected for carrying an old view epoch *)
-}
-
-val counters_of : t -> node_id -> counters
-(** Snapshot of one node's counters (indexed by the {e source} node). *)
-
-val total_remote_ops : t -> int
-val total_bytes : t -> int
-val reset_counters : t -> unit

@@ -23,7 +23,6 @@ let infiniband_40g =
 let transfer_time t ~bytes = Float.of_int bytes /. t.bandwidth
 let oneside_time t ~bytes = t.oneside_base +. transfer_time t ~bytes
 let twoside_time t ~bytes = t.twoside_base +. transfer_time t ~bytes
-let atomic_time t = t.atomic_base
 
 let pp fmt t =
   Format.fprintf fmt

@@ -36,6 +36,5 @@ val oneside_time : t -> bytes:int -> float
 (** Latency of a one-sided verb carrying [bytes] of payload. *)
 
 val twoside_time : t -> bytes:int -> float
-val atomic_time : t -> float
 
 val pp : Format.formatter -> t -> unit

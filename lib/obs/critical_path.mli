@@ -27,10 +27,6 @@ val all_segments : segment list
 
 val segment_name : segment -> string
 
-val segment_of_category : string -> segment
-(** The category -> segment mapping documented above; unknown
-    categories attribute to [Protocol]. *)
-
 type path = {
   root : Span.event;
   total : float;  (** end-to-end duration of the root span, seconds *)

@@ -1,20 +1,4 @@
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let str s = "\"" ^ json_escape s ^ "\""
+let str s = "\"" ^ Drust_util.Json.escape s ^ "\""
 
 (* JSON numbers: finite floats only; trace timestamps use plain decimal
    notation (Perfetto rejects exponents in some paths), metrics use %g. *)

@@ -33,6 +33,3 @@ val parse_metrics_jsonl : string -> Metrics.snapshot
     histograms) are accepted in their string encoding.  Raises
     [Failure] on malformed lines ([Drust_util.Json.Parse_error] on
     lines that are not JSON at all). *)
-
-val json_escape : string -> string
-(** JSON string-body escaping (exposed for the tests). *)

@@ -102,8 +102,8 @@ type t = {
 
 let create ?(cap = 256) ?metrics ~nodes () =
   if nodes < 1 || cap < 1 then invalid_arg "Flight.create";
-  let counter name help =
-    Option.map (fun m -> Metrics.counter m ~unit_:"ops" ~help name) metrics
+  let counter name =
+    Option.map (fun m -> Metrics.counter m ~unit_:"ops" name) metrics
   in
   {
     nodes;
@@ -120,8 +120,8 @@ let create ?(cap = 256) ?metrics ~nodes () =
     enabled = true;
     label = "unlabeled";
     dumped = false;
-    c_events = counter "flight.events" "events recorded into the black-box rings";
-    c_dumps = counter "flight.dumps" "flight dumps written on failure";
+    c_events = counter "flight.events";
+    c_dumps = counter "flight.dumps";
   }
 
 let[@inline] record t ~node ~time ~kind ~a ~b ~c ~d =
@@ -319,9 +319,26 @@ let of_json j =
     | Some (Json.Num v) -> Ok v
     | _ -> Error (Printf.sprintf "flight dump: missing number field %S" k)
   in
-  let event e =
+  let int k o =
+    match Option.bind (Json.member k o) Json.to_int with
+    | Some n -> Ok n
+    | None -> Error (Printf.sprintf "flight dump: missing integer field %S" k)
+  in
+  let at_least k min o =
+    let* n = int k o in
+    if n >= min then Ok n
+    else Error (Printf.sprintf "flight dump: %S is %d, must be >= %d" k n min)
+  in
+  let event nodes e =
     let* t = num "t" e in
-    let* node = num "node" e in
+    let* node = int "node" e in
+    let* () =
+      if node >= 0 && node < nodes then Ok ()
+      else
+        Error
+          (Printf.sprintf "flight dump: event on node %d of a %d-node dump"
+             node nodes)
+    in
     let* kind =
       match Json.member "kind" e with
       | Some (Json.Str s) -> (
@@ -330,28 +347,28 @@ let of_json j =
           | None -> Error (Printf.sprintf "flight dump: unknown kind %S" s))
       | _ -> Error "flight dump: event without a \"kind\""
     in
-    let* a = num "a" e in
-    let* b = num "b" e in
-    let* c = num "c" e in
-    let* d = num "d" e in
+    let* a = int "a" e in
+    let* b = int "b" e in
+    let* c = int "c" e in
+    let* d = int "d" e in
     Ok
       {
         ev_time = t;
-        ev_node = int_of_float node;
+        ev_node = node;
         ev_kind = kind;
-        ev_a = int_of_float a;
-        ev_b = int_of_float b;
-        ev_c = int_of_float c;
-        ev_d = int_of_float d;
+        ev_a = a;
+        ev_b = b;
+        ev_c = c;
+        ev_d = d;
       }
   in
-  let event_list k =
+  let event_list nodes k =
     match Json.member k j with
     | Some (Json.Arr es) ->
         List.fold_right
           (fun e acc ->
             let* acc = acc in
-            let* e = event e in
+            let* e = event nodes e in
             Ok (e :: acc))
           es (Ok [])
     | _ -> Error (Printf.sprintf "flight dump: missing array field %S" k)
@@ -362,23 +379,25 @@ let of_json j =
   else
     let* label = str "label" in
     let* reason = str "reason" in
-    let* nodes = num "nodes" j in
-    let* ring = num "ring" j in
+    let* nodes = at_least "nodes" 1 j in
+    let* ring = at_least "ring" 1 j in
     let* time = num "time" j in
     let* object_ =
       match Json.member "object" j with
       | Some Json.Null | None -> Ok None
-      | Some (Json.Num p) -> Ok (Some (int_of_float p))
-      | Some _ -> Error "flight dump: \"object\" must be a number or null"
+      | Some v -> (
+          match Json.to_int v with
+          | Some p -> Ok (Some p)
+          | None -> Error "flight dump: \"object\" must be an integer or null")
     in
-    let* evs = event_list "events" in
-    let* slice = event_list "slice" in
+    let* evs = event_list nodes "events" in
+    let* slice = event_list nodes "slice" in
     Ok
       {
         dm_label = label;
         dm_reason = reason;
-        dm_nodes = int_of_float nodes;
-        dm_ring = int_of_float ring;
+        dm_nodes = nodes;
+        dm_ring = ring;
         dm_time = time;
         dm_object = object_;
         dm_events = evs;
@@ -396,19 +415,12 @@ let load ~path =
 (* ------------------------------------------------------------------ *)
 (* Automatic dumps on failure *)
 
-let auto_enabled =
-  ref true
-[@@dlint.allow
-  "globals: per-process forensics configuration, set once by the CLI \
-   before anything runs"]
-
 let dump_dir =
   ref None
 [@@dlint.allow
   "globals: per-process forensics configuration, set once by the CLI \
    before anything runs"]
 
-let set_auto_dump b = auto_enabled := b
 let set_dump_dir d = dump_dir := d
 
 let auto_dump_path t =
@@ -418,7 +430,7 @@ let auto_dump_path t =
   Filename.concat dir (t.label ^ ".flight.json")
 
 let auto_dump t ~reason ?object_ ~now () =
-  if (not !auto_enabled) || t.dumped then false
+  if t.dumped then false
   else begin
     t.dumped <- true;
     save ~path:(auto_dump_path t) (dump t ~reason ?object_ ~now ());

@@ -128,11 +128,6 @@ val recent : t -> n:int -> kinds:(int -> bool) -> event list
 
 val dump : t -> reason:string -> ?object_:int -> now:float -> unit -> dump
 
-val object_slice : ?object_:int -> event list -> event list
-(** The causal slice: events about the given physical address (object
-    events whose address fields match, plus DSan violations attributed
-    to it).  [None] → empty. *)
-
 val schema : string
 (** ["drust-flight/v1"]. *)
 
@@ -140,16 +135,11 @@ val field_names : string list
 (** Every field name of the dump JSON encoding, top-level and
     per-event — the docs/FORENSICS.md table is checked against this. *)
 
-val to_json : dump -> Drust_util.Json.t
 val of_json : Drust_util.Json.t -> (dump, string) result
 val save : path:string -> dump -> unit
 val load : path:string -> (dump, string) result
 
 (** {1 Automatic dumps} *)
-
-val set_auto_dump : bool -> unit
-(** Process-wide switch (default on): whether failures write a
-    [<label>.flight.json] automatically. *)
 
 val set_dump_dir : string option -> unit
 (** Directory auto-dumps are written into (default: cwd). *)
@@ -158,10 +148,9 @@ val auto_dump_path : t -> string
 (** Where {!auto_dump} writes: [<dump_dir>/<label>.flight.json]. *)
 
 val auto_dump : t -> reason:string -> ?object_:int -> now:float -> unit -> bool
-(** Write the dump file if auto-dumping is on and this recorder has
-    not dumped yet (first failure wins: later violations would
-    overwrite the ring tail that explains the first).  Returns whether
-    a file was written. *)
+(** Write the dump file if this recorder has not dumped yet (first
+    failure wins: later violations would overwrite the ring tail that
+    explains the first).  Returns whether a file was written. *)
 
 val guard : t -> now:(unit -> float) -> (unit -> 'a) -> 'a
 (** Run a workload; on any exception, {!auto_dump} with the exception

@@ -1,16 +1,13 @@
 type labels = (string * string) list
 
-type owner = { mutable enabled : bool }
-
-type counter = { c_owner : owner; mutable count : int }
-type gauge = { g_owner : owner; mutable g_level : float }
+type counter = { mutable count : int }
+type gauge = { mutable g_level : float }
 
 (* A histogram's running sum and extremes: a float-only record, so the
    fields are stored unboxed and [observe] allocates nothing. *)
 type moments = { mutable sum : float; mutable lo : float; mutable hi : float }
 
 type histogram = {
-  h_owner : owner;
   bounds : float array; (* ascending upper bounds *)
   counts : int array; (* one slot per bound + a final overflow slot *)
   mutable n : int;
@@ -26,15 +23,9 @@ type metric = {
   m_inst : instrument;
 }
 
-type t = {
-  o : owner;
-  tbl : (string * labels, metric) Hashtbl.t;
-}
+type t = { tbl : (string * labels, metric) Hashtbl.t }
 
-let create ?(enabled = true) () = { o = { enabled }; tbl = Hashtbl.create 64 }
-let enable t = t.o.enabled <- true
-let disable t = t.o.enabled <- false
-let is_enabled t = t.o.enabled
+let create () = { tbl = Hashtbl.create 64 }
 
 let norm_labels labels =
   List.sort_uniq (fun (a, _) (b, _) -> String.compare a b) labels
@@ -57,19 +48,17 @@ let register t ~labels ~unit_ name make check =
         { m_name = name; m_labels = labels; m_unit = unit_; m_inst = inst };
       v
 
-let counter t ?(labels = []) ?(unit_ = "") ?(help = "") name =
-  ignore help;
+let counter t ?(labels = []) ?(unit_ = "") name =
   register t ~labels ~unit_ name
     (fun () ->
-      let c = { c_owner = t.o; count = 0 } in
+      let c = { count = 0 } in
       (C c, c))
     (function C c -> Some c | _ -> None)
 
-let gauge t ?(labels = []) ?(unit_ = "") ?(help = "") name =
-  ignore help;
+let gauge t ?(labels = []) ?(unit_ = "") name =
   register t ~labels ~unit_ name
     (fun () ->
-      let g = { g_owner = t.o; g_level = 0.0 } in
+      let g = { g_level = 0.0 } in
       (G g, g))
     (function G g -> Some g | _ -> None)
 
@@ -79,9 +68,7 @@ let default_buckets =
   [| 1e-6; 2e-6; 5e-6; 1e-5; 2e-5; 5e-5; 1e-4; 2e-4; 5e-4; 1e-3; 2e-3; 5e-3;
      1e-2; 2e-2; 5e-2; 1e-1 |]
 
-let histogram t ?(buckets = default_buckets) ?(labels = []) ?(unit_ = "")
-    ?(help = "") name =
-  ignore help;
+let histogram t ?(buckets = default_buckets) ?(labels = []) ?(unit_ = "") name =
   let k = Array.length buckets in
   if k = 0 then invalid_arg "Metrics.histogram: need at least one bucket";
   for i = 1 to k - 1 do
@@ -91,32 +78,29 @@ let histogram t ?(buckets = default_buckets) ?(labels = []) ?(unit_ = "")
   register t ~labels ~unit_ name
     (fun () ->
       let h =
-        { h_owner = t.o; bounds = Array.copy buckets;
+        { bounds = Array.copy buckets;
           counts = Array.make (k + 1) 0; n = 0;
           m = { sum = 0.0; lo = infinity; hi = neg_infinity } }
       in
       (H h, h))
     (function H h -> Some h | _ -> None)
 
-let incr c = if c.c_owner.enabled then c.count <- c.count + 1
-let add c n = if c.c_owner.enabled then c.count <- c.count + n
-let set g v = if g.g_owner.enabled then g.g_level <- v
+let incr c = c.count <- c.count + 1
+let add c n = c.count <- c.count + n
+let set g v = g.g_level <- v
 
 let observe h v =
-  if h.h_owner.enabled then begin
-    let k = Array.length h.bounds in
-    let i = ref 0 in
-    while !i < k && v > h.bounds.(!i) do Stdlib.incr i done;
-    h.counts.(!i) <- h.counts.(!i) + 1;
-    let m = h.m in
-    m.sum <- m.sum +. v;
-    h.n <- h.n + 1;
-    if v < m.lo then m.lo <- v;
-    if v > m.hi then m.hi <- v
-  end
+  let k = Array.length h.bounds in
+  let i = ref 0 in
+  while !i < k && v > h.bounds.(!i) do Stdlib.incr i done;
+  h.counts.(!i) <- h.counts.(!i) + 1;
+  let m = h.m in
+  m.sum <- m.sum +. v;
+  h.n <- h.n + 1;
+  if v < m.lo then m.lo <- v;
+  if v > m.hi then m.hi <- v
 
 let value c = c.count
-let level g = g.g_level
 let reset_counter c = c.count <- 0
 
 (* ------------------------------------------------------------------ *)

@@ -14,8 +14,7 @@
       simulation engine or any RNG, so instrumented and uninstrumented
       runs are bit-identical.
 
-    Recording against a disabled registry is a no-op that allocates
-    nothing and leaves every value untouched. *)
+    Recording allocates nothing. *)
 
 type t
 (** A registry. *)
@@ -27,12 +26,8 @@ type counter
 type gauge
 type histogram
 
-val create : ?enabled:bool -> unit -> t
-(** Fresh registry; [enabled] defaults to [true]. *)
-
-val enable : t -> unit
-val disable : t -> unit
-val is_enabled : t -> bool
+val create : unit -> t
+(** Fresh, empty registry. *)
 
 (** {1 Registration}
 
@@ -40,21 +35,20 @@ val is_enabled : t -> bool
     instrument (handles are shared); registering it with a different
     instrument kind raises [Invalid_argument]. *)
 
-val counter : t -> ?labels:labels -> ?unit_:string -> ?help:string -> string -> counter
+val counter : t -> ?labels:labels -> ?unit_:string -> string -> counter
 (** Monotonic event count ([unit_] e.g. "ops", "bytes"). *)
 
-val gauge : t -> ?labels:labels -> ?unit_:string -> ?help:string -> string -> gauge
+val gauge : t -> ?labels:labels -> ?unit_:string -> string -> gauge
 (** Instantaneous level (e.g. cache bytes in use). *)
 
 val histogram :
-  t -> ?buckets:float array -> ?labels:labels -> ?unit_:string -> ?help:string -> string -> histogram
+  t -> ?buckets:float array -> ?labels:labels -> ?unit_:string -> string -> histogram
 (** Distribution with cumulative-style buckets: [buckets] are upper
     bounds, ascending; samples above the last bound land in an implicit
     overflow bucket.  Default buckets suit latencies in seconds
     (1us .. 100ms, log-spaced). *)
 
-(** {1 Recording} — no-ops (and allocation-free) when the registry is
-    disabled. *)
+(** {1 Recording} *)
 
 val incr : counter -> unit
 val add : counter -> int -> unit
@@ -64,11 +58,10 @@ val observe : histogram -> float -> unit
 (** {1 Reading} *)
 
 val value : counter -> int
-val level : gauge -> float
 
 val reset_counter : counter -> unit
-(** Maintenance, not recording: works even when the registry is
-    disabled (experiment harnesses zero counters between phases). *)
+(** Maintenance, not recording: experiment harnesses zero counters
+    between phases. *)
 
 (** {1 Snapshots} *)
 

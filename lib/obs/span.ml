@@ -26,7 +26,6 @@ type span = {
   sp_args : (string * string) list;
   mutable sp_live : bool;
   mutable sp_flow_out : int list;
-  mutable sp_flow_in : int list;
 }
 
 type dur_stats = {
@@ -75,10 +74,7 @@ let is_enabled t = t.enabled
 let null_span =
   { sp_id = 0; sp_parent = 0; sp_name = ""; sp_cat = ""; sp_track = 0;
     sp_ts = 0.0; sp_depth = 0; sp_args = []; sp_live = false;
-    sp_flow_out = []; sp_flow_in = [] }
-
-let span_id sp = sp.sp_id
-let is_null sp = sp.sp_id = 0 && not sp.sp_live
+    sp_flow_out = [] }
 
 let fresh_id t =
   let id = t.next_id in
@@ -106,14 +102,11 @@ let start t ?(track = 0) ?(args = []) ?parent ~category name =
     let parent_id = match parent with Some p -> p.sp_id | None -> 0 in
     { sp_id = fresh_id t; sp_parent = parent_id; sp_name = name;
       sp_cat = category; sp_track = track; sp_ts = t.clock (); sp_depth = d;
-      sp_args = args; sp_live = true; sp_flow_out = []; sp_flow_in = [] }
+      sp_args = args; sp_live = true; sp_flow_out = [] }
   end
 
 let add_flow_out sp fid =
   if sp.sp_live then sp.sp_flow_out <- fid :: sp.sp_flow_out
-
-let add_flow_in sp fid =
-  if sp.sp_live then sp.sp_flow_in <- fid :: sp.sp_flow_in
 
 let note_duration t category dur =
   let s =
@@ -137,8 +130,7 @@ let finish t sp =
         { id = sp.sp_id; parent = sp.sp_parent; name = sp.sp_name;
           category = sp.sp_cat; track = sp.sp_track; ts = sp.sp_ts; dur;
           depth = sp.sp_depth; args = sp.sp_args; kind = Complete;
-          flow_out = List.rev sp.sp_flow_out;
-          flow_in = List.rev sp.sp_flow_in }
+          flow_out = List.rev sp.sp_flow_out; flow_in = [] }
     end
   end
 

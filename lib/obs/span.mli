@@ -15,8 +15,8 @@
     tracer-unique [id], an optional [parent] id (0 = root), and two
     lists of {e flow edge} ids.  A flow edge ties a producer event on
     one track to a consumer event on another (a fabric message crossing
-    nodes); {!fresh_flow_id} mints edge ids, {!add_flow_out} /
-    {!add_flow_in} attach them to in-flight spans, and
+    nodes); {!fresh_flow_id} mints edge ids, {!add_flow_out} attaches
+    them to in-flight spans, {!instant}'s [flow_in] consumes them, and
     {!Critical_path} / {!Export.chrome_trace} consume them to rebuild
     the causal graph of an operation.
 
@@ -85,13 +85,6 @@ val instant :
   ?flow_out:int list -> ?flow_in:int list -> category:string -> string ->
   unit
 
-val span_id : span -> int
-(** The id the span's [Complete] event will carry; 0 for the null
-    span. *)
-
-val is_null : span -> bool
-(** True for the shared null span handed out while disabled. *)
-
 val fresh_flow_id : t -> int
 (** Mint a new flow-edge id (> 0).  Deterministic: ids are handed out
     from a per-tracer counter in call order. *)
@@ -99,9 +92,6 @@ val fresh_flow_id : t -> int
 val add_flow_out : span -> int -> unit
 (** Attach a produced flow edge to an in-flight span (no-op after
     {!finish} or on the null span). *)
-
-val add_flow_in : span -> int -> unit
-(** Attach a consumed flow edge to an in-flight span. *)
 
 val events : t -> event list
 (** In recording order (completes are recorded at finish time); at most

@@ -20,7 +20,6 @@ val read : 'a imm_ref -> 'a
 val drop_ref : 'a imm_ref -> unit
 
 val borrow_mut : 'a owner -> 'a mut_ref
-val read_mut : 'a mut_ref -> 'a
 val write : 'a mut_ref -> 'a -> unit
 val drop_mut : 'a mut_ref -> unit
 

@@ -406,9 +406,10 @@ let to_num k = function
   | Json.Num f -> f
   | _ -> bad "field %S: expected number" k
 
-let to_int k = function
-  | Json.Num f when Float.is_integer f -> int_of_float f
-  | _ -> bad "field %S: expected integer" k
+let to_int k v =
+  match Json.to_int v with
+  | Some n -> n
+  | None -> bad "field %S: expected integer" k
 
 let to_bool k = function
   | Json.Bool b -> b
@@ -668,9 +669,24 @@ let validate t =
              events — the plan's fault schedule is the single source of truth"
             victim at
       in
+      (* App and YCSB clients do not retry: a crash, a partition or a
+         lossy link ends their run in an uncaught exception or a main
+         thread that never finishes.  Latency-only degrades are safe. *)
+      let only_latency_faults kind =
+        List.iter
+          (function
+            | Crash { node; _ } ->
+                err "%s workloads take no crash events (node %d)" kind node
+            | Partition _ -> err "%s workloads take no partition events" kind
+            | Degrade { drop; _ } when drop > 0.0 ->
+                err "%s workloads take no lossy degrade (drop %g)" kind drop
+            | Degrade _ -> ())
+          s.faults.events
+      in
       (match s.workload with
-      | App_run _ -> ()
+      | App_run _ -> only_latency_faults "app"
       | Ycsb_run { ops; _ } ->
+          only_latency_faults "ycsb";
           if ops < 1 then err "ycsb ops must be >= 1 (got %d)" ops
       | Failover_kv f ->
           if f.Scenario.fo_nodes <> top.nodes then

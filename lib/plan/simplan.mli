@@ -55,7 +55,6 @@ type topology = {
     uses. *)
 
 val params_of : topology -> Params.t
-val topology_of_params : Params.t -> topology
 
 type fault_event =
   | Crash of { node : int; at : float }
@@ -150,7 +149,6 @@ val suite_plan :
 
 (** {1 Codec} *)
 
-val to_json : t -> Drust_util.Json.t
 val of_json : Drust_util.Json.t -> (t, string) result
 val print : t -> string
 (** Canonical bytes: [of_json (Json.parse (print t)) = Ok t]. *)

@@ -267,11 +267,3 @@ let migrations_ordered t = Metrics.value t.c_migrations
 let probes_performed t = Metrics.value t.c_probes
 let set_on_death t f = t.on_death <- Some f
 let deaths t = List.rev t.deaths
-
-let pick_spawn_node t =
-  if Array.length t.last_probe = 0 then Cluster.most_vacant_node t.cluster
-  else most_vacant_by_cpu t
-
-let rebalance_once t =
-  let ctx = Ctx.make t.cluster ~node:0 in
-  rebalance t ctx

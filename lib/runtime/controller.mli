@@ -69,11 +69,3 @@ val deaths : t -> (int * float) list
 val set_on_death : t -> (int -> unit) -> unit
 (** Callback invoked (from the controller's process, after promotion)
     each time a node is declared dead. *)
-
-val pick_spawn_node : t -> int
-(** Least-CPU-loaded alive node — the placement answer the runtime asks
-    the controller for when local compute is saturated. *)
-
-val rebalance_once : t -> unit
-(** Run one probing/rebalancing round synchronously (must be called from
-    inside a simulated process); exposed for tests and experiments. *)

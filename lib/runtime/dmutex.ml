@@ -12,7 +12,6 @@ type t = {
   home : int;
   mutable locked : bool;
   mutable holder : int option; (* thread id, for misuse detection *)
-  mutable retries : int;
 }
 
 (* Lock transitions go to the cluster's tap ([Tap.Lock_*]).
@@ -31,7 +30,6 @@ let create ctx ~size v =
     home = ctx.Ctx.node;
     locked = false;
     holder = None;
-    retries = 0;
   }
 
 let home t = t.home
@@ -67,23 +65,17 @@ let cas_attempt ctx t =
            (Tap.Lock_acquired { g = t.data_g; thread = ctx.Ctx.thread_id }));
   won
 
-let try_lock ctx t = cas_attempt ctx t
-
 let lock ctx t =
   let engine = Ctx.engine ctx in
   let rec retry backoff =
     if not (cas_attempt ctx t) then begin
-      t.retries <- t.retries + 1;
       (* Bounded exponential backoff with jitter to break convoys. *)
       let jitter = Drust_util.Rng.float ctx.Ctx.rng backoff in
       Engine.delay engine (backoff +. jitter);
       retry (Float.min (2.0 *. backoff) 32e-6)
     end
   in
-  if not (cas_attempt ctx t) then begin
-    t.retries <- t.retries + 1;
-    retry 2e-6
-  end
+  if not (cas_attempt ctx t) then retry 2e-6
 
 let check_held ctx t op =
   match t.holder with
@@ -143,5 +135,3 @@ let with_lock ctx t f =
   | exception e ->
       unlock ctx t;
       raise e
-
-let contention_retries t = t.retries

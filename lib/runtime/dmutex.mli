@@ -25,7 +25,6 @@ val home : t -> int
 val lock : Ctx.t -> t -> unit
 (** CAS loop; blocks (in virtual time) until acquired. *)
 
-val try_lock : Ctx.t -> t -> bool
 val unlock : Ctx.t -> t -> unit
 (** One-sided WRITE of the lock word.  Raises [Invalid_argument] when the
     mutex is not held. *)
@@ -33,11 +32,5 @@ val unlock : Ctx.t -> t -> unit
 val read_guarded : Ctx.t -> t -> Drust_util.Univ.t
 (** Read the guarded object (caller must hold the lock; enforced). *)
 
-val write_guarded : Ctx.t -> t -> Drust_util.Univ.t -> unit
-
 val with_lock : Ctx.t -> t -> (Drust_util.Univ.t -> Drust_util.Univ.t * 'a) -> 'a
 (** Lock, read, apply, write back, unlock — releasing on exception. *)
-
-val contention_retries : t -> int
-(** Total failed CAS attempts observed (a contention signal used by the
-    KV-store experiment's analysis). *)

@@ -15,10 +15,6 @@ module Ctx = Drust_machine.Ctx
 
 type handle
 
-val stack_bytes : int
-(** Bytes shipped per thread migration (768 KiB): function pointer, saved
-    register state, and the padded stack (§4.2.1 / §5). *)
-
 val spawn : Ctx.t -> (Ctx.t -> unit) -> handle
 (** Runtime placement: local node if it has spare cores, else the node
     with the fewest registered threads. *)

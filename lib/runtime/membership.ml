@@ -136,13 +136,6 @@ let state t ~node =
 
 let is_active t ~node = state t ~node = Active
 
-let active_nodes t =
-  let out = ref [] in
-  for i = Array.length t.states - 1 downto 0 do
-    if t.states.(i) = Active then out := i :: !out
-  done;
-  !out
-
 let in_flight_handoff t =
   match t.in_flight with
   | None -> None

@@ -56,7 +56,6 @@ val known_epoch : t -> node:int -> int
 
 val state : t -> node:int -> node_state
 val is_active : t -> node:int -> bool
-val active_nodes : t -> int list
 
 val in_flight_handoff : t -> (int * int * int) option
 (** [(home, from_node, to_node)] of the handoff currently between

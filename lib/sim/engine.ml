@@ -4,7 +4,6 @@ type t = {
   events : (unit -> unit) Drust_util.Pqueue.t;
   mutable clock : float;
   mutable wake_at : float; (* target time of the [Sleep] being performed *)
-  mutable live : int;
   mutable failures : exn list;
   mutable dispatched : int;
       (* logical events run: one per queue pop, plus one per sleeper
@@ -52,7 +51,6 @@ let create () =
     events = Drust_util.Pqueue.create ();
     clock = 0.0;
     wake_at = 0.0;
-    live = 0;
     failures = [];
     dispatched = 0;
     suspends = 0;
@@ -109,7 +107,6 @@ let finish_handle t handle state =
    trampolines through the event queue so process steps never nest.
    [Sleep] parks the continuation in the process's sleeper instead. *)
 let run_fiber t handle body =
-  t.live <- t.live + 1;
   let rec sleeper =
     {
       parked = no_continuation;
@@ -126,13 +123,9 @@ let run_fiber t handle body =
   in
   let handler : (unit, unit) handler =
     {
-      retc =
-        (fun () ->
-          t.live <- t.live - 1;
-          finish_handle t handle Finished);
+      retc = (fun () -> finish_handle t handle Finished);
       exnc =
         (fun e ->
-          t.live <- t.live - 1;
           t.failures <- e :: t.failures;
           finish_handle t handle (Failed e));
       effc =
@@ -217,4 +210,3 @@ let run ?until t =
       raise (Process_failure e)
 
 let pending_events t = Drust_util.Pqueue.length t.events
-let live_processes t = t.live

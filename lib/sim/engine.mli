@@ -3,7 +3,7 @@
     The engine owns a virtual clock and an event queue.  Simulated
     activities run as {e processes}: ordinary OCaml functions that may call
     the blocking primitives of this library ({!delay}, {!suspend},
-    [Mailbox.recv], [Resource.acquire]...).  Blocking is implemented with
+    {!join}, [Resource.acquire]...).  Blocking is implemented with
     OCaml 5 effect handlers, so a process suspends mid-function without
     threads and resumes when the event it waits for fires.
 
@@ -71,7 +71,6 @@ val step : t -> bool
 (** [step t] executes a single event; [false] when the queue is empty. *)
 
 val pending_events : t -> int
-val live_processes : t -> int
 
 (** {1 Host-side accounting} *)
 

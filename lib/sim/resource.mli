@@ -26,9 +26,6 @@ val release : t -> unit
 val use : t -> (unit -> 'a) -> 'a
 (** [use r f] brackets [f] with acquire/release, releasing on exception. *)
 
-val busy_fraction : t -> float
-(** [in_use / capacity], a load signal consumed by the global controller. *)
-
 (** {1 Utilization accounting} *)
 
 val utilization : t -> now:float -> float

@@ -244,6 +244,10 @@ let print j =
 
 let member k = function Obj kvs -> List.assoc_opt k kvs | _ -> None
 
+let to_int = function
+  | Num f when Float.is_integer f && Float.abs f < 0x1p62 -> Some (int_of_float f)
+  | _ -> None
+
 let load ~path = parse (In_channel.with_open_text path In_channel.input_all)
 
 let save ~path j =

@@ -40,6 +40,12 @@ val member : string -> t -> t option
 (** [member k (Obj ...)] is the field [k]; [None] on missing keys or
     non-objects. *)
 
+val to_int : t -> int option
+(** The integer a number holds: [Some n] for a [Num] with an integral
+    value inside OCaml's [int] range, [None] for anything else
+    (fractions, strings, ...).  The integer decoder the SimPlan and
+    flight-dump codecs share. *)
+
 val load : path:string -> t
 (** {!parse} the contents of a file.  Raises {!Parse_error} or
     [Sys_error]. *)

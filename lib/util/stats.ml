@@ -77,13 +77,6 @@ let clear t =
   t.len <- 0;
   t.sorted <- true
 
-let pp_summary fmt t =
-  if t.len = 0 then Format.fprintf fmt "n=0"
-  else
-    Format.fprintf fmt "n=%d mean=%.3f p50=%.3f p90=%.3f p99=%.3f max=%.3f"
-      t.len (mean t) (percentile t 50.0) (percentile t 90.0)
-      (percentile t 99.0) (max_value t)
-
 module Histogram = struct
   type h = { bounds : float array; counts : int array; mutable total : int }
 

@@ -32,9 +32,6 @@ val merge : t -> t -> t
 
 val clear : t -> unit
 
-val pp_summary : Format.formatter -> t -> unit
-(** One-line [count/mean/p50/p90/p99/max] rendering. *)
-
 (** {1 Histograms} *)
 
 module Histogram : sig

@@ -4,10 +4,6 @@
     to iterate a table when the result can reach any output.  See
     docs/LINTS.md (the [determinism] pass). *)
 
-val bindings : ('k, 'v) Hashtbl.t -> ('k * 'v) list
-(** All bindings, in unspecified order — for order-independent
-    consumers that sort or reduce commutatively themselves. *)
-
 val sorted_bindings :
   ('k, 'v) Hashtbl.t -> cmp:('k -> 'k -> int) -> ('k * 'v) list
 (** All bindings, sorted (stably) by key under [cmp]. *)

@@ -41,5 +41,3 @@ let followers t u =
 
 let sample_author t rng = Zipf.sample t.zipf rng
 let sample_reader t rng = Zipf.sample t.zipf rng
-
-let total_edges t = Array.fold_left ( + ) 0 t.fanouts

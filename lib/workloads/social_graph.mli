@@ -22,5 +22,3 @@ val sample_author : t -> Drust_util.Rng.t -> int
 (** Post authors, skewed toward popular users. *)
 
 val sample_reader : t -> Drust_util.Rng.t -> int
-
-val total_edges : t -> int

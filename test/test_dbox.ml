@@ -1,12 +1,10 @@
-(* Tests for the typed public API (Dbox / Imm / Mut / Tbox) and the
-   unsafe global-heap primitives (dalloc / dread / dwrite). *)
+(* Tests for the typed public API (Dbox / Imm / Mut / Tbox). *)
 
 module Engine = Drust_sim.Engine
 module Cluster = Drust_machine.Cluster
 module Params = Drust_machine.Params
 module Ctx = Drust_machine.Ctx
 module Dbox = Drust_core.Dbox
-module U = Drust_core.Unsafe_prims
 module Univ = Drust_util.Univ
 module B = Drust_ownership.Borrow_state
 
@@ -125,104 +123,6 @@ let test_tbox_list () =
         (Printf.sprintf "one batch: %.1fus < 10us" (dt *. 1e6))
         true (dt < 10e-6))
 
-(* ------------------------------------------------------------------ *)
-(* Stack values (App. D.1): copy-and-write-back, eager cache eviction *)
-
-module Sr = Drust_core.Stack_ref
-
-let test_stack_value_roundtrip () =
-  in_cluster (fun _ ctx ->
-      let s = Sr.create ctx ~tag:int_tag ~size:32 5 in
-      Alcotest.(check int) "read" 5 (Sr.read ctx s);
-      let old = Sr.with_mut ctx s (fun v -> (v + 1, v)) in
-      Alcotest.(check int) "old" 5 old;
-      Alcotest.(check int) "written back" 6 (Sr.read ctx s);
-      Sr.drop ctx s)
-
-let test_stack_value_never_moves () =
-  in_cluster (fun _ ctx ->
-      let s = Sr.create ctx ~tag:int_tag ~size:32 1 in
-      let home = Sr.home s in
-      (* A remote writer works on a copy and writes back; the slot stays
-         pinned to its frame. *)
-      let h =
-        Drust_runtime.Dthread.spawn_on ctx ~node:2 (fun w ->
-            ignore (Sr.with_mut w s (fun v -> (v * 10, ()))))
-      in
-      Drust_runtime.Dthread.join ctx h;
-      Alcotest.(check int) "home unchanged" home (Sr.home s);
-      Alcotest.(check int) "write-back visible" 10 (Sr.read ctx s);
-      Sr.drop ctx s)
-
-let test_stack_value_eager_eviction () =
-  in_cluster (fun cluster ctx ->
-      let s = Sr.create ctx ~tag:int_tag ~size:32 1 in
-      let h =
-        Drust_runtime.Dthread.spawn_on ctx ~node:3 (fun w ->
-            ignore (Sr.read w s);
-            (* Eager eviction: nothing lingers in node 3's cache. *)
-            Alcotest.(check int) "no cached copy" 0
-              (Drust_memory.Cache.entries
-                 (Cluster.node cluster 3).Cluster.cache))
-      in
-      Drust_runtime.Dthread.join ctx h;
-      Sr.drop ctx s)
-
-let test_stack_value_borrow_discipline () =
-  in_cluster (fun _ ctx ->
-      let s = Sr.create ctx ~tag:int_tag ~size:32 1 in
-      Alcotest.(check bool) "exception releases borrow" true
-        (try
-           Sr.with_mut ctx s (fun _ -> failwith "boom")
-         with Failure _ -> true);
-      Alcotest.(check int) "usable after" 1 (Sr.read ctx s);
-      Sr.drop ctx s;
-      Alcotest.(check bool) "use after drop" true
-        (try
-           ignore (Sr.read ctx s);
-           false
-         with B.Violation _ -> true))
-
-(* ------------------------------------------------------------------ *)
-(* Unsafe primitives *)
-
-let test_unsafe_roundtrip () =
-  in_cluster (fun _ ctx ->
-      let g = U.dalloc ctx ~size:32 (Univ.pack int_tag 5) in
-      Alcotest.(check int) "dread" 5
-        (Univ.unpack_exn int_tag (U.dread ctx g ~size:32));
-      U.dwrite ctx g ~size:32 (Univ.pack int_tag 6);
-      Alcotest.(check int) "dwrite" 6
-        (Univ.unpack_exn int_tag (U.dread ctx g ~size:32));
-      U.dfree ctx g)
-
-let test_unsafe_remote_costs () =
-  in_cluster (fun cluster ctx ->
-      let g = U.dalloc_on ctx ~node:2 ~size:512 (Univ.pack int_tag 0) in
-      Ctx.flush ctx;
-      let t0 = Engine.now (Cluster.engine cluster) in
-      ignore (U.dread ctx g ~size:512);
-      Ctx.flush ctx;
-      let dt = Engine.now (Cluster.engine cluster) -. t0 in
-      (* One one-sided READ, never cached. *)
-      Alcotest.(check bool) "first ~3.6us" true (dt > 3e-6 && dt < 5e-6);
-      let t1 = Engine.now (Cluster.engine cluster) in
-      ignore (U.dread ctx g ~size:512);
-      Ctx.flush ctx;
-      let dt2 = Engine.now (Cluster.engine cluster) -. t1 in
-      Alcotest.(check bool) "second still remote" true (dt2 > 3e-6))
-
-let test_unsafe_atomic_update () =
-  in_cluster (fun _ ctx ->
-      let g = U.dalloc_on ctx ~node:1 ~size:8 (Univ.pack int_tag 10) in
-      let old =
-        U.datomic_update ctx g (fun v ->
-            Univ.pack int_tag (Univ.unpack_exn int_tag v + 1))
-      in
-      Alcotest.(check int) "old value returned" 10 (Univ.unpack_exn int_tag old);
-      Alcotest.(check int) "updated" 11
-        (Univ.unpack_exn int_tag (U.dread ctx g ~size:8)))
-
 let () =
   Alcotest.run "dbox"
     [
@@ -237,18 +137,5 @@ let () =
           Alcotest.test_case "transfer + exception safety" `Quick
             test_transfer_and_exception_safety;
           Alcotest.test_case "tbox list" `Quick test_tbox_list;
-        ] );
-      ( "stack-values",
-        [
-          Alcotest.test_case "roundtrip" `Quick test_stack_value_roundtrip;
-          Alcotest.test_case "never moves" `Quick test_stack_value_never_moves;
-          Alcotest.test_case "eager eviction" `Quick test_stack_value_eager_eviction;
-          Alcotest.test_case "borrow discipline" `Quick test_stack_value_borrow_discipline;
-        ] );
-      ( "unsafe",
-        [
-          Alcotest.test_case "roundtrip" `Quick test_unsafe_roundtrip;
-          Alcotest.test_case "remote costs" `Quick test_unsafe_remote_costs;
-          Alcotest.test_case "atomic update" `Quick test_unsafe_atomic_update;
         ] );
     ]

@@ -155,6 +155,36 @@ let test_dump_roundtrip () =
     | Error _ -> true
     | Ok _ -> false)
 
+(* A well-formed two-node dump with one event, as text; each malformed
+   case below breaks one field of it. *)
+let dump_text ?(nodes = "2") ?(ring = "4") ?(object_ = "null") ?(node = "1")
+    () =
+  Printf.sprintf
+    {|{"schema":"drust-flight/v1","label":"l","reason":"r","nodes":%s,
+       "ring":%s,"time":0.001,"object":%s,"slice":[],
+       "events":[{"t":0.0005,"node":%s,"kind":"create",
+                  "a":64,"b":0,"c":0,"d":0}]}|}
+    nodes ring object_ node
+
+let test_malformed_dumps_rejected () =
+  let decode s = Flight.of_json (Drust_util.Json.parse s) in
+  (match decode (dump_text ()) with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "well-formed dump rejected: %s" e);
+  List.iter
+    (fun (what, s) ->
+      match decode s with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "accepted %s" what)
+    [
+      ("negative nodes", dump_text ~nodes:"-3" ());
+      ("a fractional node count", dump_text ~nodes:"2.5" ());
+      ("an empty ring", dump_text ~ring:"0" ());
+      ("a fractional object", dump_text ~object_:"1.5" ());
+      ("an event on node 7 of a 2-node dump", dump_text ~node:"7" ());
+      ("an event on a negative node", dump_text ~node:"-1" ());
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Timeline rendering on synthetic events *)
 
@@ -221,18 +251,7 @@ let test_guard_dumps_and_reraises () =
       (* First failure wins: a second dump would overwrite the tail that
          explains the first. *)
       Alcotest.(check bool) "second auto_dump refused" false
-        (Flight.auto_dump t ~reason:"later" ~now:2.0 ());
-      (* The process-wide kill switch. *)
-      let t2 = Flight.create ~nodes:1 () in
-      Flight.set_label t2 "guard-test-disabled";
-      Flight.set_auto_dump false;
-      Fun.protect
-        ~finally:(fun () -> Flight.set_auto_dump true)
-        (fun () ->
-          Alcotest.(check bool) "auto-dump disabled" false
-            (Flight.auto_dump t2 ~reason:"x" ~now:0.0 ()));
-      Alcotest.(check bool) "no file when disabled" false
-        (Sys.file_exists (Flight.auto_dump_path t2)))
+        (Flight.auto_dump t ~reason:"later" ~now:2.0 ()))
 
 (* ------------------------------------------------------------------ *)
 (* Recording is strictly observational *)
@@ -342,7 +361,11 @@ let () =
             test_ring_wraps_and_merges;
         ] );
       ( "codec",
-        [ Alcotest.test_case "dump roundtrip" `Quick test_dump_roundtrip ] );
+        [
+          Alcotest.test_case "dump roundtrip" `Quick test_dump_roundtrip;
+          Alcotest.test_case "malformed dumps rejected" `Quick
+            test_malformed_dumps_rejected;
+        ] );
       ( "timeline",
         [
           Alcotest.test_case "explain_object" `Quick

@@ -4,6 +4,7 @@
 module Engine = Drust_sim.Engine
 module Model = Drust_net.Model
 module Fabric = Drust_net.Fabric
+module Metrics = Drust_obs.Metrics
 module Rng = Drust_util.Rng
 
 (* A fabric with jitter disabled so latencies are exact. *)
@@ -123,6 +124,12 @@ let test_send_async_handler_can_block () =
 
 let test_counters () =
   let engine, fabric = quiet_fabric () in
+  let snapshot () = Metrics.snapshot (Fabric.metrics fabric) in
+  let count snap name =
+    match Metrics.find snap ~labels:[ ("node", "0") ] name with
+    | Some (Metrics.Count n) -> n
+    | _ -> Alcotest.failf "%s{node=0} missing" name
+  in
   run_in engine (fun () ->
       Fabric.rdma_read fabric ~from:0 ~target:1 ~bytes:100;
       Fabric.rdma_write fabric ~from:0 ~target:2 ~bytes:50;
@@ -130,14 +137,18 @@ let test_counters () =
         (Fabric.rpc fabric ~from:0 ~target:1 ~req_bytes:10 ~resp_bytes:20
            (fun () -> ()));
       Fabric.rdma_read fabric ~from:0 ~target:0 ~bytes:10);
-  let c = Fabric.counters_of fabric 0 in
-  Alcotest.(check int) "reads" 2 c.Fabric.reads;
-  Alcotest.(check int) "writes" 1 c.Fabric.writes;
-  Alcotest.(check int) "rpcs" 1 c.Fabric.rpcs;
-  Alcotest.(check int) "remote ops exclude loopback" 3 c.Fabric.remote_ops;
-  Alcotest.(check int) "bytes" 190 c.Fabric.bytes_out;
-  Fabric.reset_counters fabric;
-  Alcotest.(check int) "reset" 0 (Fabric.counters_of fabric 0).Fabric.reads
+  let before = snapshot () in
+  Alcotest.(check int) "reads" 2 (count before "fabric.reads");
+  Alcotest.(check int) "writes" 1 (count before "fabric.writes");
+  Alcotest.(check int) "rpcs" 1 (count before "fabric.rpcs");
+  Alcotest.(check int) "remote ops exclude loopback" 3
+    (count before "fabric.remote_ops");
+  Alcotest.(check int) "bytes" 190 (count before "fabric.bytes_out");
+  (* A later phase reads its own traffic as a diff against the first. *)
+  run_in engine (fun () -> Fabric.rdma_read fabric ~from:0 ~target:1 ~bytes:8);
+  let phase = Metrics.diff ~before ~after:(snapshot ()) in
+  Alcotest.(check int) "phase reads" 1 (count phase "fabric.reads");
+  Alcotest.(check int) "phase writes" 0 (count phase "fabric.writes")
 
 let test_jitter_bounded () =
   let engine = Engine.create () in

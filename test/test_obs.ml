@@ -45,26 +45,6 @@ let test_kind_mismatch_rejected () =
        false
      with Invalid_argument _ -> true)
 
-let test_disabled_registry_records_nothing () =
-  let m = Metrics.create ~enabled:false () in
-  let c = Metrics.counter m "test.quiet" in
-  let g = Metrics.gauge m "test.level" in
-  let h = Metrics.histogram m "test.dist" in
-  Metrics.incr c;
-  Metrics.add c 10;
-  Metrics.set g 3.0;
-  Metrics.observe h 0.5;
-  Alcotest.(check int) "counter still 0" 0 (Metrics.value c);
-  Alcotest.(check (float 0.0)) "gauge still 0" 0.0 (Metrics.level g);
-  (match Metrics.find (Metrics.snapshot m) "test.dist" with
-  | Some (Metrics.Histo hs) ->
-      Alcotest.(check int) "histogram empty" 0 hs.Metrics.h_count
-  | _ -> Alcotest.fail "histogram sample missing");
-  (* Re-enabling starts recording. *)
-  Metrics.enable m;
-  Metrics.incr c;
-  Alcotest.(check int) "records after enable" 1 (Metrics.value c)
-
 let test_histogram_bucketing () =
   let m = Metrics.create () in
   let h =
@@ -338,9 +318,10 @@ let test_chrome_trace_thread_metadata () =
       {|"sort_index":11|};
     ]
 
+(* Trace and metrics strings go through the shared JSON codec. *)
 let test_json_escape () =
   Alcotest.(check string) "quotes and control chars" {|a\"b\\c\nd|}
-    (Export.json_escape "a\"b\\c\nd")
+    (Drust_util.Json.escape "a\"b\\c\nd")
 
 (* ------------------------------------------------------------------ *)
 (* Integration: a traced cluster run produces consistent data *)
@@ -694,8 +675,6 @@ let () =
             test_get_or_create_shares_handles;
           Alcotest.test_case "labels normalized" `Quick test_labels_normalized;
           Alcotest.test_case "kind mismatch" `Quick test_kind_mismatch_rejected;
-          Alcotest.test_case "disabled records nothing" `Quick
-            test_disabled_registry_records_nothing;
           Alcotest.test_case "histogram bucketing" `Quick
             test_histogram_bucketing;
           Alcotest.test_case "snapshot + diff" `Quick

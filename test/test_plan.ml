@@ -91,6 +91,10 @@ let rejects what p =
   | Error _ -> ()
   | Ok () -> Alcotest.failf "validator accepted %s" what
 
+let with_events events =
+  with_sim (fun s ->
+      { s with Simplan.faults = { s.Simplan.faults with Simplan.events } })
+
 let test_validate_rejects () =
   let fo = Simplan.failover_plan ~seed:7 () in
   rejects "a path-hostile name" { fo with Simplan.name = "a/b" };
@@ -162,7 +166,37 @@ let test_validate_rejects () =
   rejects "a fig5 sweep above the node cap"
     (Simplan.suite_plan ~name:"huge-fig5" ~node_counts:[ 8; 129 ] [ "fig5" ]);
   rejects "a suite naming an ill-formed experiment"
-    (Simplan.suite_plan ~name:"caps" [ "Fig5" ])
+    (Simplan.suite_plan ~name:"caps" [ "Fig5" ]);
+  (* App and YCSB clients do not retry, so only latency-only degrades
+     are safe for them. *)
+  let params = { Params.default with Params.nodes = 4 } in
+  let kv = Simplan.app_plan ~params Simplan.Kvstore_app Simplan.Drust in
+  let ycsb =
+    Simplan.ycsb_plan ~params
+      ~mix:(List.hd Drust_workloads.Ycsb.all_workloads)
+      ~ops:500 Simplan.Drust
+  in
+  let degrade drop =
+    Simplan.Degrade
+      { from_node = 0; target = 1; drop; extra_latency = 1e-5; jitter = 0.0 }
+  in
+  let crash = Simplan.Crash { node = 1; at = 1e-3 } in
+  let partition = Simplan.Partition { group = [ 1; 2 ]; at = 1e-3; heal_at = 2e-3 } in
+  rejects "a crash on an app workload" (with_events [ crash ] kv);
+  rejects "a partition on an app workload" (with_events [ partition ] kv);
+  rejects "a lossy degrade on an app workload" (with_events [ degrade 0.5 ] kv);
+  rejects "a crash on a ycsb workload" (with_events [ crash ] ycsb);
+  rejects "a partition on a ycsb workload" (with_events [ partition ] ycsb);
+  rejects "a lossy degrade on a ycsb workload"
+    (with_events [ degrade 0.5 ] ycsb);
+  List.iter
+    (fun p ->
+      match Simplan.validate (with_events [ degrade 0.0 ] p) with
+      | Ok () -> ()
+      | Error es ->
+          Alcotest.failf "latency-only degrade rejected: %s"
+            (String.concat "; " es))
+    [ kv; ycsb ]
 
 let test_parse_errors () =
   let is_error what s =
@@ -208,6 +242,44 @@ let test_replay_app () =
   let direct = run plan and replayed = run (reparse plan) in
   if replayed <> direct then
     Alcotest.fail "replayed gemm run diverged from the direct run"
+
+(* ------------------------------------------------------------------ *)
+(* Cross-layer counter identities, read after [Protocol.audit] (the
+   order perfbench reads them in, so an audit that counts breaks them):
+   every cache miss is a protocol fetch, and every cache hit serves a
+   read the protocol tagged [read_cached].  Hits can fall short of
+   [read_cached]: reads through a held copy are tagged without a cache
+   lookup. *)
+
+let check_cache_identities plan =
+  let cluster = (Simplan.execute plan).Simplan.cluster in
+  Alcotest.(check (list string)) "audit clean" [] (P.audit cluster);
+  let snap = Drust_obs.Metrics.snapshot (Cluster.metrics cluster) in
+  let total = Drust_obs.Metrics.total snap in
+  let read_cached =
+    match
+      Drust_obs.Metrics.find snap ~labels:[ ("op", "read_cached") ]
+        "protocol.op_latency"
+    with
+    | Some (Drust_obs.Metrics.Histo h) -> h.Drust_obs.Metrics.h_count
+    | _ -> 0
+  in
+  let fetches = total "protocol.fetches" and hits = total "cache.hits" in
+  Alcotest.(check bool) "the run fetched" true (fetches > 0);
+  Alcotest.(check int) "cache.misses = protocol.fetches" fetches
+    (total "cache.misses");
+  if hits > read_cached then
+    Alcotest.failf "cache.hits %d > protocol.op.read_cached %d" hits
+      read_cached
+
+let test_identities_kvstore () =
+  check_cache_identities
+    (Simplan.app_plan
+       ~params:{ Params.default with Params.nodes = 4 }
+       Simplan.Kvstore_app Simplan.Drust)
+
+let test_identities_churn16 () =
+  check_cache_identities (Simplan.churn_plan ~seed:42 ~nodes:16 ())
 
 (* ------------------------------------------------------------------ *)
 (* Fuzz: clean batch, and the injected-bug shrink regression *)
@@ -405,6 +477,13 @@ let () =
             test_replay_churn16;
           Alcotest.test_case "gemm plan replays identically" `Quick
             test_replay_app;
+        ] );
+      ( "counters",
+        [
+          Alcotest.test_case "kvstore cache = protocol" `Quick
+            test_identities_kvstore;
+          Alcotest.test_case "churn16 cache = protocol" `Quick
+            test_identities_churn16;
         ] );
       ( "fuzz",
         [

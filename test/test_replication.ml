@@ -9,6 +9,7 @@ module Cluster = Drust_machine.Cluster
 module Params = Drust_machine.Params
 module Ctx = Drust_machine.Ctx
 module Fabric = Drust_net.Fabric
+module Metrics = Drust_obs.Metrics
 module Controller = Drust_runtime.Controller
 module Replication = Drust_runtime.Replication
 module Membership = Drust_runtime.Membership
@@ -19,6 +20,16 @@ module Univ = Drust_util.Univ
 let int_tag : int Univ.tag = Univ.create_tag ~name:"repl.int"
 let pack = Univ.pack int_tag
 let unpack v = Univ.unpack_exn int_tag v
+
+(* Node 0's value of one [fabric.*] counter, read from the registry. *)
+let fabric_count fabric name =
+  match
+    Metrics.find
+      (Metrics.snapshot (Fabric.metrics fabric))
+      ~labels:[ ("node", "0") ] name
+  with
+  | Some (Metrics.Count n) -> n
+  | _ -> Alcotest.failf "%s{node=0} missing" name
 
 let small_params nodes =
   {
@@ -102,7 +113,7 @@ let test_async_drops_silently () =
       Engine.delay engine 1e-3;
       Alcotest.(check bool) "payload never lands" false !landed;
       Alcotest.(check bool) "drop counted" true
-        ((Fabric.counters_of fabric 0).Fabric.drops > 0))
+        (fabric_count fabric "fabric.drops" > 0))
 
 let test_partition_times_out () =
   in_cluster (fun cluster plan _ctx ->
@@ -117,7 +128,7 @@ let test_partition_times_out () =
           Alcotest.(check int) "from" 0 from;
           Alcotest.(check int) "target" 1 target);
       Alcotest.(check bool) "timeout counted" true
-        ((Fabric.counters_of fabric 0).Fabric.timeouts > 0))
+        (fabric_count fabric "fabric.timeouts" > 0))
 
 let test_retry_spans_heal () =
   in_cluster (fun cluster plan _ctx ->
@@ -132,7 +143,7 @@ let test_retry_spans_heal () =
       Alcotest.(check int) "succeeds after the heal" 42 v;
       Alcotest.(check bool) "past the heal" true (Engine.now engine >= 1e-3);
       Alcotest.(check bool) "retries counted" true
-        ((Fabric.counters_of fabric 0).Fabric.retries > 0))
+        (fabric_count fabric "fabric.retries" > 0))
 
 let test_retry_gives_up () =
   in_cluster (fun cluster plan _ctx ->
@@ -162,7 +173,7 @@ let drop_run () =
                incr landed)
          done));
   Cluster.run cluster;
-  (!landed, (Fabric.counters_of fabric 0).Fabric.drops)
+  (!landed, fabric_count fabric "fabric.drops")
 
 let test_seeded_drops_deterministic () =
   let l1, d1 = drop_run () in
@@ -330,7 +341,7 @@ let test_stale_epoch_rejected_then_retried () =
           Alcotest.(check int) "seen" 0 seen;
           Alcotest.(check int) "current" 3 current);
       Alcotest.(check bool) "rejection counted" true
-        ((Fabric.counters_of fabric 0).Fabric.stale_epochs > 0);
+        (fabric_count fabric "fabric.stale_epochs" > 0);
       (* A client that re-reads its view on every attempt recovers: the
          first attempt is NAKed, the retry carries the fresh epoch. *)
       let known = ref 0 in

@@ -1,5 +1,5 @@
 (* Tests for the distributed runtime: threading and placement, migration,
-   channels, Darc/Datomic/Dmutex, the global controller, and the
+   Darc/Dmutex, the global controller, and the
    fault-tolerance (replication) layer. *)
 
 module Engine = Drust_sim.Engine
@@ -7,9 +7,7 @@ module Cluster = Drust_machine.Cluster
 module Params = Drust_machine.Params
 module Ctx = Drust_machine.Ctx
 module Dthread = Drust_runtime.Dthread
-module Channel = Drust_runtime.Channel
 module Darc = Drust_runtime.Darc
-module Datomic = Drust_runtime.Datomic
 module Dmutex = Drust_runtime.Dmutex
 module Controller = Drust_runtime.Controller
 module Replication = Drust_runtime.Replication
@@ -217,52 +215,7 @@ let test_registry_tracks_threads () =
         (List.length (Registry.live_threads cluster)))
 
 (* ------------------------------------------------------------------ *)
-(* Channels *)
-
-let test_channel_same_node () =
-  in_cluster (fun _cluster ctx ->
-      let tx, rx = Channel.create ctx in
-      Channel.send ctx tx 42;
-      Alcotest.(check int) "recv" 42 (Channel.recv ctx rx))
-
-let test_channel_cross_node () =
-  in_cluster (fun _cluster ctx ->
-      let tx, rx = Channel.create ctx in
-      let sender =
-        Dthread.spawn_on ctx ~node:2 (fun w ->
-            Channel.send w tx ~bytes:16 "hello")
-      in
-      let got = Channel.recv ctx rx in
-      Dthread.join ctx sender;
-      Alcotest.(check string) "crossed nodes" "hello" got)
-
-let test_channel_fifo_per_sender () =
-  in_cluster (fun _cluster ctx ->
-      let tx, rx = Channel.create ctx in
-      List.iter (Channel.send ctx tx) [ 1; 2; 3 ];
-      (* Bind in order: list literals evaluate right to left. *)
-      let a = Channel.recv ctx rx in
-      let b = Channel.recv ctx rx in
-      let c = Channel.recv ctx rx in
-      Alcotest.(check (list int)) "order kept" [ 1; 2; 3 ] [ a; b; c ])
-
-let test_channel_send_owner_transfers () =
-  in_cluster (fun _cluster ctx ->
-      let tx, rx = Channel.create ctx in
-      let o = P.create ctx ~size:64 (pack 9) in
-      let receiver =
-        Dthread.spawn_on ctx ~node:1 (fun w ->
-            (* Re-home the queue to node 1, then consume. *)
-            let o' = Channel.recv w rx in
-            Alcotest.(check int) "value survives transfer" 9
-              (unpack (P.owner_read w o')))
-      in
-      Engine.delay (Ctx.engine ctx) 1e-4;
-      Channel.send_owner ctx tx o o;
-      Dthread.join ctx receiver)
-
-(* ------------------------------------------------------------------ *)
-(* Darc / Datomic / Dmutex *)
+(* Darc / Dmutex *)
 
 let test_darc_clone_and_count () =
   in_cluster (fun _cluster ctx ->
@@ -302,34 +255,6 @@ let test_darc_last_drop_frees () =
            false
          with Invalid_argument _ -> true);
       ignore cluster)
-
-let test_datomic_ops () =
-  in_cluster (fun _cluster ctx ->
-      let a = Datomic.create ctx 10 in
-      Alcotest.(check int) "load" 10 (Datomic.load ctx a);
-      Alcotest.(check int) "faa returns old" 10 (Datomic.fetch_add ctx a 5);
-      Alcotest.(check int) "after faa" 15 (Datomic.load ctx a);
-      Alcotest.(check bool) "cas hits" true
-        (Datomic.compare_and_swap ctx a ~expected:15 ~desired:20);
-      Alcotest.(check bool) "cas misses" false
-        (Datomic.compare_and_swap ctx a ~expected:15 ~desired:30);
-      Datomic.store ctx a 0;
-      Alcotest.(check int) "store" 0 (Datomic.load ctx a);
-      Datomic.free ctx a)
-
-let test_datomic_remote_single_version () =
-  in_cluster (fun _cluster ctx ->
-      let a = Datomic.create ctx 0 in
-      let hs =
-        List.init 4 (fun i ->
-            Dthread.spawn_on ctx ~node:i (fun w ->
-                for _ = 1 to 25 do
-                  ignore (Datomic.fetch_add w a 1)
-                done))
-      in
-      Dthread.join_all ctx hs;
-      Alcotest.(check int) "all increments serialized" 100 (Datomic.load ctx a);
-      Datomic.free ctx a)
 
 (* With no tap subscriber, the local refcount and lock paths build no
    tap event and look nothing up per call. *)
@@ -568,21 +493,11 @@ let () =
           Alcotest.test_case "await yields+migrates" `Quick test_await_yields_and_migrates;
           Alcotest.test_case "registry tracks" `Quick test_registry_tracks_threads;
         ] );
-      ( "channels",
-        [
-          Alcotest.test_case "same node" `Quick test_channel_same_node;
-          Alcotest.test_case "cross node" `Quick test_channel_cross_node;
-          Alcotest.test_case "fifo" `Quick test_channel_fifo_per_sender;
-          Alcotest.test_case "send_owner" `Quick test_channel_send_owner_transfers;
-        ] );
       ( "shared-state",
         [
           Alcotest.test_case "darc clone/count" `Quick test_darc_clone_and_count;
           Alcotest.test_case "darc caches" `Quick test_darc_remote_get_caches;
           Alcotest.test_case "darc last drop" `Quick test_darc_last_drop_frees;
-          Alcotest.test_case "datomic ops" `Quick test_datomic_ops;
-          Alcotest.test_case "datomic single version" `Quick
-            test_datomic_remote_single_version;
           Alcotest.test_case "dmutex exclusion" `Quick test_dmutex_mutual_exclusion;
           Alcotest.test_case "dmutex guarded" `Quick test_dmutex_guarded_data;
           Alcotest.test_case "dmutex misuse" `Quick test_dmutex_unlock_requires_holder;

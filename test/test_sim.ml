@@ -1,8 +1,7 @@
 (* Tests for the discrete-event engine: virtual time, process scheduling,
-   blocking primitives, mailboxes and resources. *)
+   blocking primitives and resources. *)
 
 module Engine = Drust_sim.Engine
-module Mailbox = Drust_sim.Mailbox
 module Resource = Drust_sim.Resource
 
 let checkf = Alcotest.check (Alcotest.float 1e-12)
@@ -130,72 +129,6 @@ let test_run_until () =
   Engine.run ~until:5.0 e;
   Alcotest.(check int) "only first fired" 1 !fired;
   Alcotest.(check int) "one pending" 1 (Engine.pending_events e)
-
-(* ------------------------------------------------------------------ *)
-(* Mailbox *)
-
-let test_mailbox_send_then_recv () =
-  let e = Engine.create () in
-  let mb = Mailbox.create e in
-  let got = ref 0 in
-  Mailbox.send mb 42;
-  ignore (Engine.spawn e (fun () -> got := Mailbox.recv mb));
-  Engine.run e;
-  Alcotest.(check int) "received" 42 !got
-
-let test_mailbox_recv_blocks () =
-  let e = Engine.create () in
-  let mb = Mailbox.create e in
-  let got_at = ref (-1.0) in
-  ignore
-    (Engine.spawn e (fun () ->
-         ignore (Mailbox.recv mb);
-         got_at := Engine.now e));
-  ignore
-    (Engine.spawn e (fun () ->
-         Engine.delay e 2.0;
-         Mailbox.send mb "late"));
-  Engine.run e;
-  checkf "woke at send time" 2.0 !got_at
-
-let test_mailbox_fifo () =
-  let e = Engine.create () in
-  let mb = Mailbox.create e in
-  let got = ref [] in
-  List.iter (Mailbox.send mb) [ 1; 2; 3 ];
-  ignore
-    (Engine.spawn e (fun () ->
-         for _ = 1 to 3 do
-           got := Mailbox.recv mb :: !got
-         done));
-  Engine.run e;
-  Alcotest.(check (list int)) "fifo" [ 1; 2; 3 ] (List.rev !got)
-
-let test_mailbox_multiple_receivers () =
-  let e = Engine.create () in
-  let mb = Mailbox.create e in
-  let got = ref [] in
-  for _ = 1 to 2 do
-    ignore
-      (Engine.spawn e (fun () ->
-           (* Bind before consing: the recv suspends, and [!got] must be
-              read after resumption. *)
-           let v = Mailbox.recv mb in
-           got := v :: !got))
-  done;
-  ignore
-    (Engine.spawn ~at:1.0 e (fun () ->
-         Mailbox.send mb "x";
-         Mailbox.send mb "y"));
-  Engine.run e;
-  Alcotest.(check int) "both served" 2 (List.length !got)
-
-let test_mailbox_try_recv () =
-  let e = Engine.create () in
-  let mb = Mailbox.create e in
-  Alcotest.(check (option int)) "empty" None (Mailbox.try_recv mb);
-  Mailbox.send mb 5;
-  Alcotest.(check (option int)) "nonempty" (Some 5) (Mailbox.try_recv mb)
 
 (* ------------------------------------------------------------------ *)
 (* Resource *)
@@ -463,14 +396,6 @@ let () =
           Alcotest.test_case "delay one hop, allocation-lean" `Quick
             test_delay_one_hop_allocation;
           QCheck_alcotest.to_alcotest prop_one_hop_matches_two_hop;
-        ] );
-      ( "mailbox",
-        [
-          Alcotest.test_case "send then recv" `Quick test_mailbox_send_then_recv;
-          Alcotest.test_case "recv blocks" `Quick test_mailbox_recv_blocks;
-          Alcotest.test_case "fifo" `Quick test_mailbox_fifo;
-          Alcotest.test_case "multi receivers" `Quick test_mailbox_multiple_receivers;
-          Alcotest.test_case "try_recv" `Quick test_mailbox_try_recv;
         ] );
       ( "resource",
         [

@@ -1,5 +1,5 @@
 (* Documentation consistency checker, run by the @docs alias (a dep of
-   @runtest, so stale docs fail the build).  Five checks:
+   @runtest, so stale docs fail the build).  Ten checks:
 
    1. every relative .md link in docs/README.md (the index) resolves,
       and every docs/*.md file is reachable from the index;
@@ -28,7 +28,10 @@
       the table's rows open with exists in the codec;
    9. the flight-dump schema tables in docs/FORENSICS.md and the codec
       ([Flight.field_names]) agree in both directions, and the doc
-      names the dump schema tag ([Flight.schema]). *)
+      names the dump schema tag ([Flight.schema]);
+  10. every key module the docs/ARCHITECTURE.md layer map lists for a
+      library row resolves to a .ml under that row's library path(s),
+      so a deleted module cannot stay listed. *)
 
 let errors = ref []
 let err fmt = Printf.ksprintf (fun m -> errors := m :: !errors) fmt
@@ -380,6 +383,63 @@ let check_flight_schema () =
     with Not_found -> err "%s does not name the dump schema %S" doc tag
   end
 
+(* --- 10: the layer map's key modules -------------------------------- *)
+
+(* A library row: "| `lib/x`[, `lib/y`] | contents | key modules |". *)
+let layer_row_re = Str.regexp {|^| \(`lib/[^|]*\)|\([^|]*\)|\([^|]*\)|$|}
+let backticked_re = Str.regexp {|`\([^`]*\)`|}
+let module_name_re = Str.regexp {|[A-Z][A-Za-z0-9_]*$|}
+
+let backticked s =
+  let rec go pos acc =
+    match Str.search_forward backticked_re s pos with
+    | _ ->
+        let name = Str.matched_group 1 s in
+        go (Str.match_end ()) (name :: acc)
+    | exception Not_found -> List.rev acc
+  in
+  go 0 []
+
+(* Every .ml file name under [dir], recursively (build dirs skipped). *)
+let rec ml_files dir =
+  Sys.readdir dir |> Array.to_list
+  |> List.concat_map (fun f ->
+         let p = Filename.concat dir f in
+         if f.[0] = '.' then []
+         else if Sys.is_directory p then ml_files p
+         else if Filename.check_suffix f ".ml" then [ f ]
+         else [])
+
+let check_layer_map () =
+  let doc = "docs/ARCHITECTURE.md" in
+  List.iter
+    (fun line ->
+      if Str.string_match layer_row_re line 0 then begin
+        let dirs_cell = Str.matched_group 1 line in
+        let modules = backticked (Str.matched_group 3 line) in
+        let dirs = backticked dirs_cell in
+        let files =
+          List.concat_map
+            (fun d ->
+              if Sys.file_exists d && Sys.is_directory d then ml_files d
+              else (
+                err "%s lists library %s, which does not exist" doc d;
+                []))
+            dirs
+        in
+        List.iter
+          (fun m ->
+            let file = String.uncapitalize_ascii m ^ ".ml" in
+            if not (Str.string_match module_name_re m 0) then
+              err "%s lists key module `%s` for %s, which is not a module name"
+                doc m (String.concat ", " dirs)
+            else if not (List.mem file files) then
+              err "%s lists key module %s for %s, but no %s exists there" doc
+                m (String.concat ", " dirs) file)
+          modules
+      end)
+    (String.split_on_char '\n' (read_file doc))
+
 let () =
   check_index ();
   List.iter
@@ -393,6 +453,7 @@ let () =
   check_lint_catalogue ();
   check_simplan_schema ();
   check_flight_schema ();
+  check_layer_map ();
   match List.rev !errors with
   | [] -> print_endline "docs check: OK"
   | msgs ->
