@@ -31,7 +31,10 @@ let () =
   let dsan = Dsan.attach cluster in
   let engine = Cluster.engine cluster in
   let fabric = Cluster.fabric cluster in
-  let plan = Fault.create ~engine ~rng:(Rng.create ~seed:7) ~nodes:4 () in
+  let plan =
+    Fault.create ~engine ~rng:(Rng.create ~seed:7)
+      ~flight:(Cluster.flight cluster) ~nodes:4
+  in
   Fabric.set_fault_plan fabric plan;
   ignore
     (Engine.spawn engine (fun () ->

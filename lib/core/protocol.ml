@@ -185,9 +185,7 @@ let[@inline] finish_op ctx hists ~default ~saved_kind ~saved_span ~sp ~t0 ~p0 =
   in
   let lat = t1 -. t0 +. pending in
   Metrics.observe (Array.unsafe_get hists kind) lat;
-  (match sp with
-  | Some s -> Span.finish (Cluster.spans (Ctx.cluster ctx)) s
-  | None -> ());
+  Span.finish (Cluster.spans (Ctx.cluster ctx)) sp;
   ctx.Ctx.current_span <- saved_span;
   ctx.Ctx.op_kind <- saved_kind
 
@@ -216,9 +214,9 @@ let measure_op ctx ~default f a b =
           ~category:"protocol" op_kind_names.(default)
       in
       ctx.Ctx.current_span <- Some sp;
-      Some sp
+      sp
     end
-    else None
+    else Span.null
   in
   match f ctx a b with
   | v ->
@@ -649,6 +647,26 @@ let drop_imm ctx r =
 (* ------------------------------------------------------------------ *)
 (* Move machinery                                                      *)
 
+(* Relocate affinity-group [members] next to the object's new local
+   home. *)
+let relocate_children ctx members =
+  let cluster = Ctx.cluster ctx in
+  List.iter
+    (fun member ->
+      if Cluster.heap_mem cluster member.g then begin
+        let e = Cluster.heap_read cluster member.g in
+        let child_fresh =
+          Cluster.heap_alloc cluster ~node:ctx.Ctx.node ~size:member.size
+            e.Partition.value
+        in
+        async_dealloc ctx member.g;
+        let old = member.g in
+        member.g <- child_fresh;
+        member.ubit <- false;
+        child_moved ctx ~before:old ~after:child_fresh ~size:member.size
+      end)
+    members
+
 (* Move the object at [g] (size [size]) into the local partition,
    returning the new color-0 address.  Children of an affinity group move
    along in the same batched verb. *)
@@ -670,22 +688,7 @@ let move_local ctx ~g ~size ~children =
   in
   Ctx.note_local_alloc ctx ~bytes:size;
   async_dealloc ctx g;
-  (* Relocate affinity children next to the new home. *)
-  List.iter
-    (fun member ->
-      if Cluster.heap_mem cluster member.g then begin
-        let e = Cluster.heap_read cluster member.g in
-        let child_fresh =
-          Cluster.heap_alloc cluster ~node:ctx.Ctx.node ~size:member.size
-            e.Partition.value
-        in
-        async_dealloc ctx member.g;
-        let old = member.g in
-        member.g <- child_fresh;
-        member.ubit <- false;
-        child_moved ctx ~before:old ~after:child_fresh ~size:member.size
-      end)
-    group_members;
+  relocate_children ctx group_members;
   fresh
 
 (* Bump the color of a locally-written object; on overflow (or under the
@@ -737,6 +740,13 @@ let borrow_mut ctx o =
   Ctx.charge_cycles ctx 12.0;
   { m_g = o.g; m_size = o.size; m_owner = o; m_ubit = false; m_live = true }
 
+(* A pinned object's new color: it cannot move, so on overflow the color
+   wraps to 0 instead (App. D.1). *)
+let pinned_color_bump ctx ~size g =
+  Metrics.incr (stats_of ctx).bumps;
+  proto_mark ctx "BUMP" ~bytes:size;
+  try Gaddr.bump_color g with Gaddr.Color_overflow g -> Gaddr.clear_color g
+
 (* DerefMut (Alg. 6): claim exclusive local access, updating color or
    moving as needed.  Returns unit; the caller then reads/writes the heap
    slot directly. *)
@@ -749,17 +759,12 @@ let mut_claim ctx m ~for_write =
        fr_read ctx ~kind:k_read_local ~g:m.m_g
      end;
      charge_local_deref ctx;
-     if for_write && ((not m.m_ubit) || (options_of ctx).no_ubit) then
-       if o.pinned then begin
-         (* Pinned objects keep their address; the color still changes via
-            the owner struct on drop (App. D.1). *)
-         m.m_ubit <- true;
-         m.m_g <- bump_or_move ctx ~g:m.m_g ~size:m.m_size
-       end
-       else begin
-         m.m_ubit <- true;
-         m.m_g <- bump_or_move ctx ~g:m.m_g ~size:m.m_size
-       end
+     if for_write && ((not m.m_ubit) || (options_of ctx).no_ubit) then begin
+       (* Pinned objects keep their address; the color still changes via
+          the owner struct on drop (App. D.1). *)
+       m.m_ubit <- true;
+       m.m_g <- bump_or_move ctx ~g:m.m_g ~size:m.m_size
+     end
    end
    else if o.pinned then begin
      (* Copy-and-write-back path (App. D.1): the object cannot move, so
@@ -768,11 +773,7 @@ let mut_claim ctx m ~for_write =
      charge_local_deref ctx;
      if for_write && ((not m.m_ubit) || (options_of ctx).no_ubit) then begin
        m.m_ubit <- true;
-       Metrics.incr (stats_of ctx).bumps;
-       proto_mark ctx "BUMP" ~bytes:m.m_size;
-       m.m_g <-
-         (try Gaddr.bump_color m.m_g
-          with Gaddr.Color_overflow g -> Gaddr.clear_color g)
+       m.m_g <- pinned_color_bump ctx ~size:m.m_size m.m_g
      end
    end
    else begin
@@ -930,21 +931,7 @@ let owner_claim_mut ctx o =
         o.local_copy <- None;
         async_dealloc ctx o.g;
         (* Affinity children still need to come over. *)
-        List.iter
-          (fun member ->
-            if Cluster.heap_mem cluster member.g then begin
-              let e = Cluster.heap_read cluster member.g in
-              let child_fresh =
-                Cluster.heap_alloc cluster ~node:ctx.Ctx.node ~size:member.size
-                  e.Partition.value
-              in
-              async_dealloc ctx member.g;
-              let old = member.g in
-              member.g <- child_fresh;
-              member.ubit <- false;
-              child_moved ctx ~before:old ~after:child_fresh ~size:member.size
-            end)
-          (List.concat_map group o.children);
+        relocate_children ctx (List.concat_map group o.children);
         Metrics.incr (stats_of ctx).moves;
         proto_mark ctx "MOVE(reuse-copy)" ~bytes:o.size;
         o.g <- fresh
@@ -966,11 +953,7 @@ let owner_claim_mut ctx o =
 let pinned_epoch_bump ctx o =
   if (not o.ubit) || (options_of ctx).no_ubit then begin
     o.ubit <- true;
-    Metrics.incr (stats_of ctx).bumps;
-    proto_mark ctx "BUMP" ~bytes:o.size;
-    o.g <-
-      (try Gaddr.bump_color o.g
-       with Gaddr.Color_overflow g -> Gaddr.clear_color g)
+    o.g <- pinned_color_bump ctx ~size:o.size o.g
   end
 
 let owner_write_inner ctx o v =

@@ -52,7 +52,7 @@ val run_app_with_latency :
   params:Params.t ->
   Drust_appkit.Appkit.result * Drust_obs.Metrics.histo option
 (** {!run_app}, additionally returning the run's merged
-    [protocol.op_latency] histogram ({!Report.latency_of_snapshot}) so
+    [protocol.op_latency] histogram ([Metrics.merged_histo]) so
     experiments can report percentile columns.  [None] when the backend
     never touched the DRust protocol (e.g. GAM/Grappa/Original). *)
 

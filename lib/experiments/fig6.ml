@@ -14,7 +14,7 @@ let run_variant ~use_tbox ~use_spawn_to =
       { Df.default_config with Df.use_tbox; use_spawn_to }
   in
   let snap = Drust_obs.Metrics.snapshot (Cluster.metrics cluster) in
-  (r, Report.latency_of_snapshot snap)
+  (r, Drust_obs.Metrics.merged_histo snap "protocol.op_latency")
 
 let run () =
   (* The three variants are independent clusters: fan them out, then

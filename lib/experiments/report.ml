@@ -129,15 +129,13 @@ let percentile_points =
   [ ("p50", 0.5); ("p95", 0.95); ("p99", 0.99); ("p99.9", 0.999) ]
 
 let latency_percentiles h =
-  (* Every caller reaches this through [latency_of_snapshot], which
+  (* Every caller reaches this through [Metrics.merged_histo], which
      drops empty histograms, so the [None] arm is defensive: report 0
      rather than leak a nan into the summary JSON. *)
   List.map
     (fun (label, q) ->
       (label, match Metrics.quantile h q with Some v -> v *. 1e6 | None -> 0.0))
     percentile_points
-
-let latency_of_snapshot snap = Metrics.merged_histo snap "protocol.op_latency"
 
 type bench_entry = {
   be_rate : float;
@@ -359,8 +357,6 @@ let compare_summaries ?(tolerance = 0.10) ?(tolerance_host = 2.0) ~baseline
 
 (* ------------------------------------------------------------------ *)
 (* Metrics-snapshot rendering                                          *)
-
-let metric_total snap name = Metrics.total snap name
 
 let metrics_table ?(prefix = "") snap =
   let fmt_labels = function

@@ -53,12 +53,6 @@ val percentile_points : (string * float) list
 (** The percentile points every latency histogram is reduced to:
     [("p50", 0.5); ("p95", 0.95); ("p99", 0.99); ("p99.9", 0.999)]. *)
 
-val latency_of_snapshot :
-  Drust_obs.Metrics.snapshot -> Drust_obs.Metrics.histo option
-(** Merge every [protocol.op_latency] histogram (one per op kind) in a
-    snapshot into a single all-ops distribution; [None] when the
-    snapshot holds no samples. *)
-
 val record_rate :
   ?latency:Drust_obs.Metrics.histo ->
   ?host_ms:float ->
@@ -138,10 +132,6 @@ val compare_summaries :
     no regression. *)
 
 (** {1 Metrics snapshots} *)
-
-val metric_total : Drust_obs.Metrics.snapshot -> string -> int
-(** Sum of a counter across all label sets (see
-    {!Drust_obs.Metrics.total}). *)
 
 val metrics_table : ?prefix:string -> Drust_obs.Metrics.snapshot -> unit
 (** Render a snapshot as a table, one row per (name, labels) sample;

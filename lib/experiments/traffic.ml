@@ -26,10 +26,10 @@ let run_one app system =
       app;
       system;
       remote_ops_per_op =
-        Float.of_int (Report.metric_total snap "fabric.remote_ops")
+        Float.of_int (Drust_obs.Metrics.total snap "fabric.remote_ops")
         /. result.Appkit.ops;
       bytes_per_op =
-        Float.of_int (Report.metric_total snap "fabric.bytes_out")
+        Float.of_int (Drust_obs.Metrics.total snap "fabric.bytes_out")
         /. result.Appkit.ops;
     },
     result,

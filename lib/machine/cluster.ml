@@ -75,7 +75,7 @@ let create ?engine params =
   let fabric =
     Fabric.create ~metrics ~spans ~flight ~engine
       ~rng:(Drust_util.Rng.split rng)
-      ~model:params.Params.net ~nodes:params.Params.nodes ()
+      ~model:params.Params.net ~nodes:params.Params.nodes
   in
   let make_node id =
     {
@@ -150,7 +150,16 @@ let promote t ~home ~by ~store =
   if Partition.node store <> home then
     invalid_arg "Cluster.promote: store must mint addresses in the home range";
   t.serving.(home) <- by;
-  t.range_store.(home) <- store
+  t.range_store.(home) <- store;
+  (* Purge the whole range from every alive cache before serving
+     resumes: a promoted replica may lag the lost primary (write-backs
+     are batched), so copies fetched from the primary can hold exactly
+     the writes the failover rolled back, under colored addresses that
+     are still current; after a planned handoff the new server's copy is
+     the authority. *)
+  Array.iter
+    (fun nd -> if nd.alive then ignore (Cache.invalidate_home nd.cache ~home))
+    t.nodes
 
 let mark_failed t i =
   let n = node t i in

@@ -82,8 +82,10 @@ val serving_store : t -> int -> Drust_memory.Partition.t
     snapshots it when re-seeding a replica chain. *)
 
 val promote : t -> home:int -> by:int -> store:Drust_memory.Partition.t -> unit
-(** After [home] fails, serve its address range from node [by] using the
-    replica [store] (which must mint addresses in [home]'s range). *)
+(** After [home] fails (or hands its range off), serve its address range
+    from node [by] using [store] (which must mint addresses in [home]'s
+    range), and purge every copy of the range from every alive node's
+    cache (§4.2.3). *)
 
 val mark_failed : t -> int -> unit
 

@@ -51,6 +51,18 @@ let safe_point t =
    boundary is boxed on every call. *)
 let[@inline] seconds_of p cycles = cycles /. (p.Params.ghz *. 1e9)
 
+(* A span on this thread's node timeline under its current operation,
+   or [Span.null] when untraced. *)
+let cpu_span t spans ~category name =
+  if Drust_obs.Span.is_enabled spans then
+    Drust_obs.Span.start spans ~track:t.node ?parent:t.current_span ~category
+      name
+  else Drust_obs.Span.null
+
+(* Run the pending compute: wait for a core ([cpu.queue]), then hold it
+   for the compute time ([cpu.compute]).  The spans only observe, so
+   traced and untraced runs are bit-identical; a delay never raises, so
+   the core needs no release-on-exception. *)
 let flush t =
   safe_point t;
   let cycles = t.cpu.pending_cycles in
@@ -59,29 +71,13 @@ let flush t =
     let seconds = seconds_of (params t) cycles in
     let cores = (current_node t).Cluster.cores in
     let spans = Cluster.spans t.cluster in
-    if Drust_obs.Span.is_enabled spans then begin
-      (* Observational only: the same Resource.use / Engine.delay calls
-         happen in the same order, so traced runs stay bit-identical. *)
-      let module Span = Drust_obs.Span in
-      let wait =
-        Span.start spans ~track:t.node ?parent:t.current_span
-          ~category:"cpu.queue" "core_wait"
-      in
-      Resource.use cores (fun () ->
-          Span.finish spans wait;
-          Span.with_span spans ~track:t.node ?parent:t.current_span
-            ~category:"cpu.compute" "compute" (fun () ->
-              Engine.delay (engine t) seconds))
-    end
-    else begin
-      (* [Resource.use] without its closure: released on exception. *)
-      Resource.acquire cores;
-      match Engine.delay (engine t) seconds with
-      | () -> Resource.release cores
-      | exception e ->
-          Resource.release cores;
-          raise e
-    end
+    let wait = cpu_span t spans ~category:"cpu.queue" "core_wait" in
+    Resource.acquire cores;
+    Drust_obs.Span.finish spans wait;
+    let run = cpu_span t spans ~category:"cpu.compute" "compute" in
+    Engine.delay (engine t) seconds;
+    Drust_obs.Span.finish spans run;
+    Resource.release cores
   end
 
 let charge_cycles t cycles =

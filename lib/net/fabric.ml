@@ -62,7 +62,7 @@ type t = {
      same node queue behind each other.  Small control messages are
      exempt (they ride the latency, not the bandwidth). *)
   nics : Drust_sim.Resource.t array;
-  spans : Span.t option;
+  spans : Span.t;
   mutable fault : Fault.t option;
   (* Current membership-view epoch, installed by the membership layer.
      Verbs carrying an [?epoch] are validated against it at serve time;
@@ -71,7 +71,7 @@ type t = {
   (* The cluster's always-on flight recorder: every verb issue, timeout,
      retry, drop, and stale-epoch NAK lands in the issuing node's ring.
      DSan reads its recent verbs from here for violation provenance. *)
-  flight : Flight.t option;
+  flight : Flight.t;
 }
 
 (* Transfers below this size do not contend for the DMA engine. *)
@@ -93,11 +93,8 @@ let register_verbs metrics node =
     c_stale_epochs = c "fabric.stale_epochs";
   }
 
-let create ?metrics ?spans ?flight ~engine ~rng ~model ~nodes () =
+let create ~metrics ~spans ~flight ~engine ~rng ~model ~nodes =
   if nodes <= 0 then invalid_arg "Fabric.create: need at least one node";
-  let metrics =
-    match metrics with Some m -> m | None -> Metrics.create ()
-  in
   {
     engine;
     rng;
@@ -117,11 +114,8 @@ let create ?metrics ?spans ?flight ~engine ~rng ~model ~nodes () =
 (* Flight-recorder append for one fabric event on the issuing node's
    ring (array stores only — see Flight.record). *)
 let[@inline] fr t ~from ~kind ~a ~b ~c =
-  match t.flight with
-  | None -> ()
-  | Some fl ->
-      Flight.record fl ~node:from ~time:(Engine.now t.engine) ~kind ~a ~b ~c
-        ~d:0
+  Flight.record t.flight ~node:from ~time:(Engine.now t.engine) ~kind ~a ~b ~c
+    ~d:0
 
 let ep = function Some e -> e | None -> -1
 
@@ -129,64 +123,57 @@ let set_epoch_source t f = t.epoch_of <- f
 let metrics t = t.metrics
 let set_fault_plan t plan = t.fault <- Some plan
 
+(* A fabric event's span arguments; built only when tracing is live. *)
+let verb_args ~target ~bytes =
+  [ ("target", string_of_int target); ("bytes", string_of_int bytes) ]
+
 (* Instant mark on the issuing node's timeline (drops, timeouts, async
    sends); argument lists are only built when tracing is live. *)
 let mark ?parent t verb ~from ~target ~bytes =
-  match t.spans with
-  | Some sp when Span.is_enabled sp ->
-      Span.instant sp ~track:from ?parent ~category:"fabric"
-        ~args:
-          [ ("target", string_of_int target); ("bytes", string_of_int bytes) ]
-        verb
-  | _ -> ()
+  if Span.is_enabled t.spans then
+    Span.instant t.spans ~track:from ?parent ~category:"fabric"
+      ~args:(verb_args ~target ~bytes)
+      verb
 
-(* Live tracing context threaded through one blocking verb: the tracer,
-   the verb's open span, and the flow-edge id minted for cross-node
-   verbs (0 when from = target). *)
-type verb_trace = { vt_sp : Span.t; vt_span : Span.span; vt_flow : int }
+(* The span covering one blocking verb's latency on the issuing node's
+   timeline, or [Span.null] when untraced: the verb runs the same body
+   either way, and its sub-phases and marks hang off this one value. *)
+let verb_span ?parent t verb ~from ~target ~bytes =
+  if Span.is_enabled t.spans then
+    Span.start t.spans ~track:from ~category:"fabric" ?parent
+      ~args:(verb_args ~target ~bytes)
+      verb
+  else Span.null
+
+(* Whether verb span [vs] is being recorded. *)
+let traced vs =
+  (vs != Span.null)
+  [@dlint.allow
+    "determinism: identity test against the shared null-span sentinel, a \
+     record with mutable fields"]
+
+(* The flow edge a traced cross-node verb draws from its span to the
+   target-side mark; 0 (no edge) when untraced or node-local. *)
+let flow_out t vs ~from ~target =
+  if (not (traced vs)) || from = target then 0
+  else begin
+    let fid = Span.fresh_flow_id t.spans in
+    Span.add_flow_out vs fid;
+    fid
+  end
 
 (* Target-side consumption mark: closes the flow arrow on the serving
    node's timeline (the RECV of an RPC, the NIC serving a READ). *)
-let serve_mark vt ~target name =
-  match vt with
-  | None -> ()
-  | Some { vt_sp; vt_span; vt_flow } ->
-      let flow_in = if vt_flow = 0 then [] else [ vt_flow ] in
-      Span.instant vt_sp ~track:target ~parent:vt_span ~flow_in
-        ~category:"fabric" name
+let serve_mark t vs ~flow ~target name =
+  if flow <> 0 then
+    Span.instant t.spans ~track:target ~parent:vs ~flow_in:[ flow ]
+      ~category:"fabric" name
 
-(* The tracer, when spans are being recorded: [t.spans] itself, so the
-   untraced check allocates nothing. *)
-let tracing t =
-  match t.spans with
-  | Some sp as live when Span.is_enabled sp -> live
-  | Some _ | None -> None
-
-(* Complete span covering a blocking verb's latency.  [f] receives the
-   live trace context so it can hang wire/queue sub-spans and
-   target-side marks off the verb span.  Untraced verbs call their body
-   directly with [None] and build no closure. *)
-let with_verb_span sp verb ~from ~target ~bytes ?parent f =
-  let vs =
-    Span.start sp ~track:from ~category:"fabric" ?parent
-      ~args:[ ("target", string_of_int target); ("bytes", string_of_int bytes) ]
-      verb
-  in
-  let fid =
-    if from = target then 0
-    else begin
-      let fid = Span.fresh_flow_id sp in
-      Span.add_flow_out vs fid;
-      fid
-    end
-  in
-  match f (Some { vt_sp = sp; vt_span = vs; vt_flow = fid }) with
-  | v ->
-      Span.finish sp vs;
-      v
-  | exception e ->
-      Span.finish sp vs;
-      raise e
+(* One sub-phase of verb span [vs] ([net.wire], [net.queue],
+   [net.serialize]); [Span.null] under an untraced verb. *)
+let phase t vs ~from ~category name =
+  if traced vs then Span.start t.spans ~track:from ~parent:vs ~category name
+  else Span.null
 
 let engine t = t.engine
 let node_count t = t.nodes
@@ -214,7 +201,7 @@ let sync_guard t ~from ~target =
       if Fault.is_down p from then raise (Node_down from);
       if from <> target then begin
         if Fault.is_down p target then begin
-          Engine.delay t.engine (Fault.nak_delay p);
+          Engine.delay t.engine Fault.nak_delay;
           raise (Node_down target)
         end;
         if Fault.severed p ~from ~target || Fault.drops p ~from ~target then begin
@@ -296,92 +283,41 @@ let leg_latency t leg ~from ~target ~bytes =
       jittered
       +. if from <> target then Fault.extra_latency p ~from ~target else 0.0
 
-(* Hold [nic] for a bulk payload's jittered wire time, drawn once the
-   NIC is ours; released on exception like [Resource.use], without its
-   closure. *)
-let serialize t nic ~from ~target ~bytes =
-  Drust_sim.Resource.acquire nic;
-  match
-    Engine.delay t.engine (leg_latency t Serialize ~from ~target ~bytes)
-  with
-  | () -> Drust_sim.Resource.release nic
-  | exception e ->
-      Drust_sim.Resource.release nic;
-      raise e
-
-(* Block for the verb's latency; a bulk payload additionally holds the
-   data source's NIC for its wire time, so concurrent bulk egress from
-   one node serializes at line rate.  With a live [vt], each phase lands
-   as a sub-span of the verb (propagation/wire -> [net.wire], waiting
-   for the NIC -> [net.queue], holding it -> [net.serialize]) — the
-   exact same delays and resource acquisitions happen either way. *)
-let delay_with_nic ~vt t leg ~data_source ~from ~target ~bytes =
-  let bulk = bytes >= bulk_threshold && from <> target in
-  match vt with
-  | None ->
-      if bulk then begin
-        Engine.delay t.engine (leg_latency t leg ~from ~target ~bytes:0);
-        serialize t t.nics.(data_source) ~from ~target ~bytes
-      end
-      else Engine.delay t.engine (leg_latency t leg ~from ~target ~bytes)
-  | Some { vt_sp = sp; vt_span = parent; _ } ->
-      if bulk then begin
-        Span.with_span sp ~track:from ~parent ~category:"net.wire" "propagate"
-          (fun () ->
-            Engine.delay t.engine (leg_latency t leg ~from ~target ~bytes:0));
-        let wait =
-          Span.start sp ~track:from ~parent ~category:"net.queue" "nic_wait"
-        in
-        Drust_sim.Resource.use t.nics.(data_source) (fun () ->
-            Span.finish sp wait;
-            Span.with_span sp ~track:from ~parent ~category:"net.serialize"
-              "serialize" (fun () ->
-                Engine.delay t.engine
-                  (leg_latency t Serialize ~from ~target ~bytes)))
-      end
-      else
-        Span.with_span sp ~track:from ~parent ~category:"net.wire" "wire"
-          (fun () ->
-            Engine.delay t.engine (leg_latency t leg ~from ~target ~bytes))
+(* Block for one leg's latency; a bulk payload additionally holds the
+   data source's NIC for its wire time (drawn once the NIC is ours), so
+   concurrent bulk egress from one node serializes at line rate.  Each
+   phase is a sub-span of [vs]: propagation/wire -> [net.wire], waiting
+   for the NIC -> [net.queue], holding it -> [net.serialize].  A delay
+   never raises (the engine never discontinues a process), so the NIC
+   needs no release-on-exception. *)
+let delay_with_nic t vs leg ~data_source ~from ~target ~bytes =
+  if bytes >= bulk_threshold && from <> target then begin
+    let wire = phase t vs ~from ~category:"net.wire" "propagate" in
+    Engine.delay t.engine (leg_latency t leg ~from ~target ~bytes:0);
+    Span.finish t.spans wire;
+    let nic = t.nics.(data_source) in
+    let wait = phase t vs ~from ~category:"net.queue" "nic_wait" in
+    Drust_sim.Resource.acquire nic;
+    Span.finish t.spans wait;
+    let hold = phase t vs ~from ~category:"net.serialize" "serialize" in
+    Engine.delay t.engine (leg_latency t Serialize ~from ~target ~bytes);
+    Span.finish t.spans hold;
+    Drust_sim.Resource.release nic
+  end
+  else begin
+    let wire = phase t vs ~from ~category:"net.wire" "wire" in
+    Engine.delay t.engine (leg_latency t leg ~from ~target ~bytes);
+    Span.finish t.spans wire
+  end
 
 let note t ~from ~target ~bytes =
   let c = t.counters.(from) in
   Metrics.add c.c_bytes_out bytes;
   if from <> target then Metrics.incr c.c_remote_ops
 
-(* The blocking verbs' bodies, shared by the untraced call (with
-   [vt = None]) and the traced one. *)
-let read_body t vt ~from ~target ~bytes epoch =
-  (* READ pulls data out of the target: the target's NIC is the egress. *)
-  delay_with_nic ~vt t Oneside ~data_source:target ~from ~target ~bytes;
-  check_epoch t ~from ~target epoch;
-  if from <> target then serve_mark vt ~target "SERVE(READ)"
-
-let write_body t vt ~from ~target ~bytes epoch =
-  (* WRITE pushes data from the sender: its NIC is the egress. *)
-  delay_with_nic ~vt t Oneside ~data_source:from ~from ~target ~bytes;
-  check_epoch t ~from ~target epoch;
-  if from <> target then serve_mark vt ~target "SERVE(WRITE)"
-
-let atomic_body t vt ~from ~target f =
-  (match vt with
-  | Some { vt_sp = sp; vt_span = parent; _ } ->
-      Span.with_span sp ~track:from ~parent ~category:"net.wire" "wire"
-        (fun () ->
-          Engine.delay t.engine (leg_latency t Atomic ~from ~target ~bytes:0))
-  | None ->
-      Engine.delay t.engine (leg_latency t Atomic ~from ~target ~bytes:0));
-  if from <> target then serve_mark vt ~target "SERVE(ATOMIC)";
-  f ()
-
-let rpc_body t vt ~from ~target ~req_bytes ~resp_bytes epoch handler =
-  delay_with_nic ~vt t Twoside ~data_source:from ~from ~target ~bytes:req_bytes;
-  check_epoch t ~from ~target epoch;
-  if from <> target then serve_mark vt ~target "RECV(RPC)";
-  let result = handler () in
-  delay_with_nic ~vt t Twoside ~data_source:target ~from ~target
-    ~bytes:resp_bytes;
-  result
+(* Each blocking verb below opens its span (or holds [Span.null]) once,
+   runs its one body, and finishes the span on return and on exception:
+   the stale-epoch check, an RPC handler and an atomic's [f] can raise. *)
 
 let rdma_read ?parent ?epoch t ~from ~target ~bytes =
   check_node t from "rdma_read";
@@ -390,11 +326,18 @@ let rdma_read ?parent ?epoch t ~from ~target ~bytes =
   note t ~from ~target ~bytes;
   fr t ~from ~kind:Flight.k_fab_read ~a:target ~b:bytes ~c:(ep epoch);
   sync_guard t ~from ~target;
-  match tracing t with
-  | None -> read_body t None ~from ~target ~bytes epoch
-  | Some sp ->
-      with_verb_span sp "READ" ~from ~target ~bytes ?parent (fun vt ->
-          read_body t vt ~from ~target ~bytes epoch)
+  let vs = verb_span ?parent t "READ" ~from ~target ~bytes in
+  let flow = flow_out t vs ~from ~target in
+  match
+    (* READ pulls data out of the target: the target's NIC is the egress. *)
+    delay_with_nic t vs Oneside ~data_source:target ~from ~target ~bytes;
+    check_epoch t ~from ~target epoch;
+    serve_mark t vs ~flow ~target "SERVE(READ)"
+  with
+  | () -> Span.finish t.spans vs
+  | exception e ->
+      Span.finish t.spans vs;
+      raise e
 
 let rdma_write ?parent ?epoch t ~from ~target ~bytes =
   check_node t from "rdma_write";
@@ -403,11 +346,35 @@ let rdma_write ?parent ?epoch t ~from ~target ~bytes =
   note t ~from ~target ~bytes;
   fr t ~from ~kind:Flight.k_fab_write ~a:target ~b:bytes ~c:(ep epoch);
   sync_guard t ~from ~target;
-  match tracing t with
-  | None -> write_body t None ~from ~target ~bytes epoch
-  | Some sp ->
-      with_verb_span sp "WRITE" ~from ~target ~bytes ?parent (fun vt ->
-          write_body t vt ~from ~target ~bytes epoch)
+  let vs = verb_span ?parent t "WRITE" ~from ~target ~bytes in
+  let flow = flow_out t vs ~from ~target in
+  match
+    (* WRITE pushes data from the sender: its NIC is the egress. *)
+    delay_with_nic t vs Oneside ~data_source:from ~from ~target ~bytes;
+    check_epoch t ~from ~target epoch;
+    serve_mark t vs ~flow ~target "SERVE(WRITE)"
+  with
+  | () -> Span.finish t.spans vs
+  | exception e ->
+      Span.finish t.spans vs;
+      raise e
+
+(* A fire-and-forget verb's delivery callback: [k] itself when untraced;
+   traced, the post lands as an instant on the issuing node (with a flow
+   edge out when cross-node) and [k] is wrapped to mark its RECV on the
+   target at delivery — the same schedule, so the event order is
+   unchanged. *)
+let async_delivery ?parent t post recv ~from ~target ~bytes k =
+  if not (Span.is_enabled t.spans) then k
+  else begin
+    let flows = if from = target then [] else [ Span.fresh_flow_id t.spans ] in
+    Span.instant t.spans ~track:from ?parent ~flow_out:flows ~category:"fabric"
+      ~args:(verb_args ~target ~bytes)
+      post;
+    fun () ->
+      Span.instant t.spans ~track:target ~flow_in:flows ~category:"fabric" recv;
+      k ()
+  end
 
 let rdma_write_async ?parent t ~from ~target ~bytes k =
   check_node t from "rdma_write_async";
@@ -417,23 +384,9 @@ let rdma_write_async ?parent t ~from ~target ~bytes k =
   fr t ~from ~kind:Flight.k_fab_write ~a:target ~b:bytes ~c:(-1);
   if async_delivers t ~from ~target then begin
     let dt = leg_latency t Oneside ~from ~target ~bytes in
-    match tracing t with
-    | Some sp ->
-        (* Flow edge from the posting instant to a RECV instant emitted
-           by a wrapped callback at delivery time — same schedule_after,
-           so the event order is unchanged. *)
-        let fid = if from = target then 0 else Span.fresh_flow_id sp in
-        let flow_out = if fid = 0 then [] else [ fid ] in
-        Span.instant sp ~track:from ?parent ~flow_out ~category:"fabric"
-          ~args:
-            [ ("target", string_of_int target); ("bytes", string_of_int bytes) ]
-          "WRITE(async)";
-        Engine.schedule_after t.engine dt (fun () ->
-            Span.instant sp ~track:target
-              ~flow_in:(if fid = 0 then [] else [ fid ])
-              ~category:"fabric" "RECV(WRITE)";
-            k ())
-    | None -> Engine.schedule_after t.engine dt k
+    Engine.schedule_after t.engine dt
+      (async_delivery ?parent t "WRITE(async)" "RECV(WRITE)" ~from ~target
+         ~bytes k)
   end
 
 let rdma_atomic ?parent t ~from ~target f =
@@ -443,11 +396,20 @@ let rdma_atomic ?parent t ~from ~target f =
   note t ~from ~target ~bytes:8;
   fr t ~from ~kind:Flight.k_fab_atomic ~a:target ~b:8 ~c:(-1);
   sync_guard t ~from ~target;
-  match tracing t with
-  | None -> atomic_body t None ~from ~target f
-  | Some sp ->
-      with_verb_span sp "ATOMIC" ~from ~target ~bytes:8 ?parent (fun vt ->
-          atomic_body t vt ~from ~target f)
+  let vs = verb_span ?parent t "ATOMIC" ~from ~target ~bytes:8 in
+  let flow = flow_out t vs ~from ~target in
+  match
+    (* The 8-byte operand rides the latency: no wire time, no NIC. *)
+    delay_with_nic t vs Atomic ~data_source:target ~from ~target ~bytes:0;
+    serve_mark t vs ~flow ~target "SERVE(ATOMIC)";
+    f ()
+  with
+  | v ->
+      Span.finish t.spans vs;
+      v
+  | exception e ->
+      Span.finish t.spans vs;
+      raise e
 
 let rpc ?parent ?epoch t ~from ~target ~req_bytes ~resp_bytes handler =
   check_node t from "rpc";
@@ -457,13 +419,26 @@ let rpc ?parent ?epoch t ~from ~target ~req_bytes ~resp_bytes handler =
   fr t ~from ~kind:Flight.k_fab_rpc ~a:target ~b:(req_bytes + resp_bytes)
     ~c:(ep epoch);
   sync_guard t ~from ~target;
-  match tracing t with
-  | None ->
-      rpc_body t None ~from ~target ~req_bytes ~resp_bytes epoch handler
-  | Some sp ->
-      with_verb_span sp "RPC" ~from ~target ~bytes:(req_bytes + resp_bytes)
-        ?parent (fun vt ->
-          rpc_body t vt ~from ~target ~req_bytes ~resp_bytes epoch handler)
+  let vs =
+    verb_span ?parent t "RPC" ~from ~target ~bytes:(req_bytes + resp_bytes)
+  in
+  let flow = flow_out t vs ~from ~target in
+  match
+    delay_with_nic t vs Twoside ~data_source:from ~from ~target
+      ~bytes:req_bytes;
+    check_epoch t ~from ~target epoch;
+    serve_mark t vs ~flow ~target "RECV(RPC)";
+    let result = handler () in
+    delay_with_nic t vs Twoside ~data_source:target ~from ~target
+      ~bytes:resp_bytes;
+    result
+  with
+  | v ->
+      Span.finish t.spans vs;
+      v
+  | exception e ->
+      Span.finish t.spans vs;
+      raise e
 
 (* ------------------------------------------------------------------ *)
 (* Bounded failure semantics: race an operation against a virtual-time
@@ -553,22 +528,8 @@ let send_async ?parent t ~from ~target ~bytes handler =
   fr t ~from ~kind:Flight.k_fab_send ~a:target ~b:bytes ~c:(-1);
   if async_delivers t ~from ~target then begin
     let dt = leg_latency t Twoside ~from ~target ~bytes in
-    let handler =
-      match tracing t with
-      | Some sp ->
-          let fid = if from = target then 0 else Span.fresh_flow_id sp in
-          let flow_out = if fid = 0 then [] else [ fid ] in
-          Span.instant sp ~track:from ?parent ~flow_out ~category:"fabric"
-            ~args:
-              [ ("target", string_of_int target);
-                ("bytes", string_of_int bytes) ]
-            "SEND(async)";
-          fun () ->
-            Span.instant sp ~track:target
-              ~flow_in:(if fid = 0 then [] else [ fid ])
-              ~category:"fabric" "RECV(SEND)";
-            handler ()
-      | None -> handler
-    in
-    ignore (Engine.spawn ~at:(Engine.now t.engine +. dt) t.engine handler)
+    ignore
+      (Engine.spawn ~at:(Engine.now t.engine +. dt) t.engine
+         (async_delivery ?parent t "SEND(async)" "RECV(SEND)" ~from ~target
+            ~bytes handler))
   end

@@ -10,8 +10,8 @@
 
     Per-node traffic counters live in a {!Drust_obs.Metrics} registry
     (names [fabric.*], labelled by source node) and feed the
-    evaluation's coherence-cost breakdowns; when a {!Drust_obs.Span}
-    tracer is attached and enabled, every verb also lands on the issuing
+    evaluation's coherence-cost breakdowns; while the {!Drust_obs.Span}
+    tracer is enabled, every verb also lands on the issuing
     node's timeline (category ["fabric"]). *)
 
 type node_id = int
@@ -36,24 +36,23 @@ exception
     next attempt re-reads its (by then updated) view. *)
 
 val create :
-  ?metrics:Drust_obs.Metrics.t ->
-  ?spans:Drust_obs.Span.t ->
-  ?flight:Drust_obs.Flight.t ->
+  metrics:Drust_obs.Metrics.t ->
+  spans:Drust_obs.Span.t ->
+  flight:Drust_obs.Flight.t ->
   engine:Drust_sim.Engine.t ->
   rng:Drust_util.Rng.t ->
   model:Model.t ->
   nodes:int ->
-  unit ->
   t
-(** [metrics] defaults to a fresh private registry; pass the cluster's
-    registry so fabric counters land next to everyone else's.  [spans]
-    (default none) is the span tracer: while it is enabled, every
-    blocking verb records a span covering its latency (with [net.wire] /
-    [net.queue] / [net.serialize] sub-spans), drops/timeouts/retries/async
-    sends record instants, and cross-node verbs draw a flow edge to a
-    target-side SERVE/RECV instant.  [flight] is the cluster's always-on
-    black box: every verb issue, timeout, retry, drop, and stale-epoch
-    NAK is recorded into the issuing node's ring (docs/FORENSICS.md). *)
+(** [metrics] is the registry the fabric counters land in, next to
+    everyone else's.  [spans] is the span tracer: while it is enabled,
+    every blocking verb records a span covering its latency (with
+    [net.wire] / [net.queue] / [net.serialize] sub-spans),
+    drops/timeouts/retries/async sends record instants, and cross-node
+    verbs draw a flow edge to a target-side SERVE/RECV instant.  [flight]
+    is the cluster's always-on black box: every verb issue, timeout,
+    retry, drop, and stale-epoch NAK is recorded into the issuing node's
+    ring (docs/FORENSICS.md). *)
 
 val engine : t -> Drust_sim.Engine.t
 

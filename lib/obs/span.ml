@@ -71,7 +71,7 @@ let enable t =
 let disable t = t.enabled <- false
 let is_enabled t = t.enabled
 
-let null_span =
+let null =
   { sp_id = 0; sp_parent = 0; sp_name = ""; sp_cat = ""; sp_track = 0;
     sp_ts = 0.0; sp_depth = 0; sp_args = []; sp_live = false;
     sp_flow_out = [] }
@@ -95,7 +95,7 @@ let depth t ~track =
   match Hashtbl.find_opt t.depths track with Some d -> d | None -> 0
 
 let start t ?(track = 0) ?(args = []) ?parent ~category name =
-  if not t.enabled then null_span
+  if not t.enabled then null
   else begin
     let d = depth t ~track + 1 in
     Hashtbl.replace t.depths track d;
@@ -133,16 +133,6 @@ let finish t sp =
           flow_out = List.rev sp.sp_flow_out; flow_in = [] }
     end
   end
-
-let with_span t ?track ?args ?parent ~category name f =
-  let sp = start t ?track ?args ?parent ~category name in
-  match f () with
-  | v ->
-      finish t sp;
-      v
-  | exception e ->
-      finish t sp;
-      raise e
 
 let instant t ?(track = 0) ?(args = []) ?parent ?(flow_out = [])
     ?(flow_in = []) ~category name =

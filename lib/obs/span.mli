@@ -26,8 +26,8 @@
     per-node timeline.
 
     Recording against a disabled tracer is a no-op: nothing is
-    allocated, [count] stays 0, and [start] hands back a shared null
-    span that [finish] ignores.  Tracers default to disabled — tracing
+    allocated, [count] stays 0, and [start] hands back {!null}, which
+    [finish] ignores.  Tracers default to disabled — tracing
     is opt-in (--trace / --profile / --trace-out). *)
 
 type t
@@ -52,6 +52,12 @@ type event = {
 type span
 (** In-flight span handle returned by {!start}. *)
 
+val null : span
+(** The span that records nothing: what {!start} returns when the
+    tracer is disabled, and what untraced code holds in place of an open
+    span, so that it never calls {!start} (whose optional arguments box
+    on every call).  {!finish} ignores it. *)
+
 val create : ?capacity:int -> clock:(unit -> float) -> unit -> t
 (** Default capacity: 65536 events; older events are overwritten.
     The tracer starts {e disabled}; the ring is allocated by the first
@@ -67,18 +73,12 @@ val start :
 (** Open a span at [clock ()].  The event is recorded when the span
     {!finish}es.  [parent] links the new span under an enclosing one
     (the null span and spans from a disabled tracer parent as roots).
-    When disabled, returns a null span without recording or
-    allocating. *)
+    When disabled, returns {!null} without recording or allocating. *)
 
 val finish : t -> span -> unit
 (** Close the span: records a [Complete] event with
     [dur = clock () - ts] and folds the duration into the per-category
     stats.  Finishing a span twice, or a null span, is a no-op. *)
-
-val with_span :
-  t -> ?track:int -> ?args:(string * string) list -> ?parent:span ->
-  category:string -> string -> (unit -> 'a) -> 'a
-(** [start]/[finish] around a thunk, exception-safe. *)
 
 val instant :
   t -> ?track:int -> ?args:(string * string) list -> ?parent:span ->

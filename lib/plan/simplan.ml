@@ -809,30 +809,11 @@ type outcome = {
 }
 
 let install_faults ~cluster ~nodes faults =
-  let engine = Cluster.engine cluster in
   let plan =
-    Fault.create ~engine ~rng:(Rng.create ~seed:faults.fault_seed) ~nodes ()
+    Fault.create ~engine:(Cluster.engine cluster)
+      ~rng:(Rng.create ~seed:faults.fault_seed)
+      ~flight:(Cluster.flight cluster) ~nodes
   in
-  (* Echo every injection into the flight recorder (on the controller's
-     ring, stamped with the fault's scheduled time) so a post-mortem dump
-     shows what the plan threw at the run.  Installed before the events
-     are declared so the declarations themselves are recorded. *)
-  let fl = Cluster.flight cluster in
-  Fault.set_recorder plan
-    (Some
-       (function
-         | Fault.Inj_crash { node; at } ->
-             Flight.record fl ~node:0 ~time:at ~kind:Flight.k_fault_crash
-               ~a:node ~b:0 ~c:0 ~d:0
-         | Fault.Inj_partition { group; at; heal_at = _ } ->
-             Flight.record fl ~node:0 ~time:at ~kind:Flight.k_fault_partition
-               ~a:(match group with n :: _ -> n | [] -> -1)
-               ~b:(List.length group) ~c:0 ~d:0
-         | Fault.Inj_degrade { from_node; target; drop } ->
-             Flight.record fl ~node:0 ~time:0.0 ~kind:Flight.k_fault_degrade
-               ~a:from_node ~b:target
-               ~c:(int_of_float (drop *. 1000.0))
-               ~d:0));
   List.iter
     (function
       | Crash { node; at } -> Fault.crash_at plan ~node ~at

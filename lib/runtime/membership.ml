@@ -23,8 +23,8 @@
               a fault-injection point, so a crash mid-handoff surfaces
               as [Node_down] here;
      commit   atomically (no yield points): snapshot the served store,
-              swap the serving map ([Cluster.promote]), purge every
-              alive cache of the moved range, bump the epoch, emit
+              swap the serving map and purge every alive cache of the
+              moved range ([Cluster.promote]), bump the epoch, emit
               [Handoff_committed], announce;
      reseed   rebuild the range's replica chain from the new server
               ([Replication.reseed_chain]), emit [Chain_reseeded].
@@ -42,7 +42,6 @@ module Cluster = Drust_machine.Cluster
 module Engine = Drust_sim.Engine
 module Fabric = Drust_net.Fabric
 module Partition = Drust_memory.Partition
-module Cache = Drust_memory.Cache
 module Metrics = Drust_obs.Metrics
 module Span = Drust_obs.Span
 module Flight = Drust_obs.Flight
@@ -293,14 +292,6 @@ let handoff ctx t ~home ~to_node =
         Partition.iter (Cluster.serving_store t.cluster home) (fun g e ->
             Partition.put fresh g ~size:e.Partition.size e.Partition.value);
         Cluster.promote t.cluster ~home ~by:to_node ~store:fresh;
-        (* Same purge as failover promotion: cached copies of the moved
-           range must not outlive the transfer (the new server's copy is
-           the authority now). *)
-        Array.iter
-          (fun nd ->
-            if nd.Cluster.alive then
-              ignore (Cache.invalidate_home nd.Cluster.cache ~home))
-          (Cluster.nodes t.cluster);
         t.epoch <- t.epoch + 1;
         t.in_flight <- None;
         Metrics.incr t.c_commits;

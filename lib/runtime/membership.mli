@@ -9,9 +9,9 @@
       state) owned by the controller; every committed handoff and every
       failover bumps the epoch and asynchronously announces it;
     - a two-phase handoff (prepare → drain → copy → commit → reseed)
-      that moves one home range between live servers, reusing
-      [Replication.fail_and_promote]'s range-swap + cache-purge
-      machinery via [Cluster.promote];
+      that moves one home range between live servers through the same
+      range-swap + cache-purge step as [Replication.fail_and_promote]
+      ([Cluster.promote]);
     - fabric-level stale-view rejection: clients stamp verbs with
       {!known_epoch}; a verb carrying an epoch older than the live view
       raises [Fabric.Stale_epoch], which [Fabric.retry_with_backoff]

@@ -3,7 +3,6 @@ module Cluster = Drust_machine.Cluster
 module Fabric = Drust_net.Fabric
 module Gaddr = Drust_memory.Gaddr
 module Partition = Drust_memory.Partition
-module Cache = Drust_memory.Cache
 module Protocol = Drust_core.Protocol
 module Tap = Drust_memory.Tap
 module Flight = Drust_obs.Flight
@@ -158,17 +157,6 @@ let fail_and_promote ctx t ~node =
             t.unrecoverable <- home :: t.unrecoverable
       | Some (by, r) ->
           Cluster.promote t.cluster ~home ~by ~store:t.backups.(r).(home);
-          (* The promoted replica may lag the lost primary (write-backs are
-             batched), so copies the survivors fetched from the primary can
-             hold exactly the lost writes — under colored addresses that are
-             still current.  Purge the whole promoted range from every alive
-             cache before serving resumes, or those copies keep serving
-             values the failover rolled back. *)
-          Array.iter
-            (fun nd ->
-              if nd.Cluster.alive then
-                ignore (Cache.invalidate_home nd.Cluster.cache ~home))
-            (Cluster.nodes t.cluster);
           fr ctx t.cluster ~kind:Flight.k_promoted ~a:home ~b:by ~c:r;
           match (Cluster.tap t.cluster).sub with
           | None -> ()

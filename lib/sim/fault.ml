@@ -10,6 +10,7 @@
    lets failover experiments assert reproducibility. *)
 
 module Rng = Drust_util.Rng
+module Flight = Drust_obs.Flight
 
 type link = { drop : float; extra_latency : float; jitter : float }
 
@@ -19,43 +20,33 @@ type crash = { node : int; at : float }
    endpoints fall on different sides of [members] are blackholed. *)
 type cut = { members : bool array; from_t : float; until : float }
 
-(* What an injection call declared, reported to the recorder hook below.
-   This layer cannot depend on the observability library, so the flight
-   recorder subscribes through a plain callback instead. *)
-type injection =
-  | Inj_crash of { node : int; at : float }
-  | Inj_partition of { group : int list; at : float; heal_at : float }
-  | Inj_degrade of { from_node : int; target : int; drop : float }
-
 type t = {
   engine : Engine.t;
   rng : Rng.t;
   nodes : int;
-  nak_delay : float;
+  flight : Flight.t;
   mutable crashes : crash list;
   mutable cuts : cut list;
   links : link option array array; (* links.(from).(target) *)
-  mutable recorder : (injection -> unit) option;
 }
 
-let create ?(nak_delay = 15e-6) ~engine ~rng ~nodes () =
+let create ~engine ~rng ~flight ~nodes =
   if nodes <= 0 then invalid_arg "Fault.create: need at least one node";
-  if nak_delay < 0.0 then invalid_arg "Fault.create: negative nak_delay";
   {
     engine;
     rng;
     nodes;
-    nak_delay;
+    flight;
     crashes = [];
     cuts = [];
     links = Array.make_matrix nodes nodes None;
-    recorder = None;
   }
 
-let set_recorder t r = t.recorder <- r
-
-let[@inline] notify t inj =
-  match t.recorder with None -> () | Some f -> f inj
+(* Echo one injection into the flight recorder, on the controller's ring
+   (node 0) and stamped with the fault's declared time, so a post-mortem
+   dump shows what the plan threw at the run. *)
+let record t ~time ~kind ~a ~b ~c =
+  Flight.record t.flight ~node:0 ~time ~kind ~a ~b ~c ~d:0
 
 let check_node t n label =
   if n < 0 || n >= t.nodes then
@@ -65,7 +56,7 @@ let crash_at t ~node ~at =
   check_node t node "crash_at";
   if at < 0.0 then invalid_arg "Fault.crash_at: negative time";
   t.crashes <- { node; at } :: t.crashes;
-  notify t (Inj_crash { node; at })
+  record t ~time:at ~kind:Flight.k_fault_crash ~a:node ~b:0 ~c:0
 
 let partition_at t ~group ~at ~heal_at =
   if heal_at <= at then invalid_arg "Fault.partition_at: empty window";
@@ -76,7 +67,9 @@ let partition_at t ~group ~at ~heal_at =
       members.(n) <- true)
     group;
   t.cuts <- { members; from_t = at; until = heal_at } :: t.cuts;
-  notify t (Inj_partition { group; at; heal_at })
+  record t ~time:at ~kind:Flight.k_fault_partition
+    ~a:(match group with n :: _ -> n | [] -> -1)
+    ~b:(List.length group) ~c:0
 
 (* A short-lived cut expressed by duration: the common shape for testing
    detector grace periods ("does a partition shorter than the declare
@@ -94,7 +87,10 @@ let degrade_link t ~from ~target ?(drop = 0.0) ?(extra_latency = 0.0)
   if extra_latency < 0.0 || jitter < 0.0 then
     invalid_arg "Fault.degrade_link: negative latency";
   t.links.(from).(target) <- Some { drop; extra_latency; jitter };
-  notify t (Inj_degrade { from_node = from; target; drop })
+  (* A link impairment has no onset: it is stamped at time 0, and only
+     its drop probability (in thousandths) is echoed. *)
+  record t ~time:0.0 ~kind:Flight.k_fault_degrade ~a:from ~b:target
+    ~c:(int_of_float (drop *. 1000.0))
 
 let now t = Engine.now t.engine
 
@@ -132,7 +128,7 @@ let extra_latency t ~from ~target =
       l.extra_latency
       +. (if l.jitter > 0.0 then Rng.float t.rng l.jitter else 0.0)
 
-let nak_delay t = t.nak_delay
+let nak_delay = 15e-6
 
 let crashed_nodes t =
   let n = now t in

@@ -11,31 +11,18 @@
 
 type t
 
-type injection =
-  | Inj_crash of { node : int; at : float }
-  | Inj_partition of { group : int list; at : float; heal_at : float }
-  | Inj_degrade of { from_node : int; target : int; drop : float }
-      (** What an injection call declared — the shape handed to the
-          {!set_recorder} hook.  [Inj_degrade.drop] is the message-loss
-          probability (latency impairments are not echoed). *)
-
 val create :
-  ?nak_delay:float ->
   engine:Engine.t ->
   rng:Drust_util.Rng.t ->
+  flight:Drust_obs.Flight.t ->
   nodes:int ->
-  unit ->
   t
-(** An empty plan (no faults).  [nak_delay] (default 15 µs) is the
-    simulated transport retry period a verb burns before completing in
-    error against a crashed node. *)
-
-val set_recorder : t -> (injection -> unit) option -> unit
-(** Observational hook fired once per injection call, synchronously, with
-    the declared fault.  The simulation layer cannot see the
-    observability library, so the flight recorder (lib/obs) subscribes
-    here through a plain callback.  The hook must never touch the engine
-    or any RNG. *)
+(** An empty plan (no faults).  Every injection call below is echoed
+    into [flight] (the cluster's recorder) on node 0's ring, stamped
+    with the fault's declared time: a crash as [fault_crash] (a = node),
+    a partition as [fault_partition] (a = first group member, b = group
+    size), a link impairment as [fault_degrade] at time 0 (a = from,
+    b = target, c = drop probability in thousandths). *)
 
 (** {1 Injecting faults} *)
 
@@ -84,7 +71,9 @@ val drops : t -> from:int -> target:int -> bool
 val extra_latency : t -> from:int -> target:int -> float
 (** Extra one-way latency for one message (samples jitter; stateful). *)
 
-val nak_delay : t -> float
+val nak_delay : float
+(** The simulated transport retry period (15 µs) a verb burns before
+    completing in error against a crashed node. *)
 
 val crashed_nodes : t -> int list
 (** Nodes already down at the current virtual time, ascending. *)

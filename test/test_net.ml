@@ -7,14 +7,20 @@ module Fabric = Drust_net.Fabric
 module Metrics = Drust_obs.Metrics
 module Rng = Drust_util.Rng
 
+(* A fabric wired as [Cluster.create] wires one: its own registry, a
+   (disabled) span tracer and a flight recorder. *)
+let make_fabric engine ~seed ~model ~nodes =
+  let metrics = Metrics.create () in
+  Fabric.create ~metrics
+    ~spans:(Drust_obs.Span.create ~clock:(fun () -> Engine.now engine) ())
+    ~flight:(Drust_obs.Flight.create ~metrics ~nodes ())
+    ~engine ~rng:(Rng.create ~seed) ~model ~nodes
+
 (* A fabric with jitter disabled so latencies are exact. *)
 let quiet_fabric ?(nodes = 4) () =
   let engine = Engine.create () in
   let model = { Model.infiniband_40g with Model.jitter = 0.0 } in
-  let fabric =
-    Fabric.create ~engine ~rng:(Rng.create ~seed:1) ~model ~nodes ()
-  in
-  (engine, fabric)
+  (engine, make_fabric engine ~seed:1 ~model ~nodes)
 
 let run_in engine body =
   let out = ref None in
@@ -152,10 +158,7 @@ let test_counters () =
 
 let test_jitter_bounded () =
   let engine = Engine.create () in
-  let fabric =
-    Fabric.create ~engine ~rng:(Rng.create ~seed:3)
-      ~model:Model.infiniband_40g ~nodes:2 ()
-  in
+  let fabric = make_fabric engine ~seed:3 ~model:Model.infiniband_40g ~nodes:2 in
   let base = Model.oneside_time Model.infiniband_40g ~bytes:512 in
   ignore
     (Engine.spawn engine (fun () ->
@@ -270,8 +273,7 @@ let test_verb_allocation () =
   let verb_words f =
     let engine = Engine.create () in
     let fabric =
-      Fabric.create ~engine ~rng:(Rng.create ~seed:1)
-        ~model:Model.infiniband_40g ~nodes:2 ()
+      make_fabric engine ~seed:1 ~model:Model.infiniband_40g ~nodes:2
     in
     Alloc_budget.per_call engine
       ~run:(fun () -> Engine.run engine)

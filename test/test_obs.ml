@@ -158,19 +158,6 @@ let test_span_ring_overwrites () =
     [ "7"; "8"; "9"; "10" ]
     (List.map (fun e -> e.Span.name) (Span.events t))
 
-let test_with_span_exception_safe () =
-  let now, clock = manual_clock () in
-  let t = Span.create ~clock () in
-  Span.enable t;
-  (try
-     Span.with_span t ~category:"c" "boom" (fun () ->
-         now := 2.0;
-         failwith "boom")
-   with Failure _ -> ());
-  match Span.events t with
-  | [ e ] -> Alcotest.(check (float 1e-9)) "closed on raise" 2.0 e.Span.dur
-  | l -> Alcotest.failf "expected 1 event, got %d" (List.length l)
-
 (* ------------------------------------------------------------------ *)
 (* Exporters.  A tiny structural JSON check: balanced braces/brackets
    outside strings, plus field probes — not a full parser, but enough
@@ -203,10 +190,13 @@ let test_chrome_trace_shape () =
      first but finishes last, so raw ring order is not ts order. *)
   let late = Span.start t ~track:1 ~category:"fabric" "late" in
   now := 1.0;
-  Span.with_span t ~track:0 ~category:"protocol"
-    ~args:[ ("g", "0x2a"); ("quote", "a\"b") ]
-    "early"
-    (fun () -> now := 2.0);
+  let early =
+    Span.start t ~track:0 ~category:"protocol"
+      ~args:[ ("g", "0x2a"); ("quote", "a\"b") ]
+      "early"
+  in
+  now := 2.0;
+  Span.finish t early;
   now := 5.0;
   Span.finish t late;
   Span.instant t ~track:1 ~category:"controller" "mark";
@@ -366,6 +356,53 @@ let test_cluster_trace_integration () =
     (Metrics.total snap "fabric.reads");
   Alcotest.(check int) "bytes counted" 256
     (Metrics.total snap "fabric.bytes_out")
+
+(* A traced verb that raises still records its span exactly once and
+   leaves no span open: a READ NAKed for a stale epoch, an RPC whose
+   handler raises, and an atomic whose update raises. *)
+let test_traced_verbs_that_raise () =
+  let module Cluster = Drust_machine.Cluster in
+  let module Params = Drust_machine.Params in
+  let module Fabric = Drust_net.Fabric in
+  let cluster = Cluster.create { Params.default with Params.nodes = 2 } in
+  let spans = Cluster.spans cluster in
+  Span.enable spans;
+  let fabric = Cluster.fabric cluster in
+  Fabric.set_epoch_source fabric (Some (fun () -> 2));
+  let raised = ref [] in
+  let attempt verb f =
+    match f () with
+    | () -> ()
+    | exception (Fabric.Stale_epoch _ | Failure _) -> raised := verb :: !raised
+  in
+  ignore
+    (Drust_sim.Engine.spawn (Cluster.engine cluster) (fun () ->
+         attempt "READ" (fun () ->
+             Fabric.rdma_read ~epoch:1 fabric ~from:0 ~target:1 ~bytes:64);
+         attempt "RPC" (fun () ->
+             Fabric.rpc fabric ~from:0 ~target:1 ~req_bytes:64 ~resp_bytes:64
+               (fun () -> failwith "handler"));
+         attempt "ATOMIC" (fun () ->
+             Fabric.rdma_atomic fabric ~from:0 ~target:1 (fun () ->
+                 failwith "update"))));
+  Cluster.run cluster;
+  let verbs = [ "READ"; "RPC"; "ATOMIC" ] in
+  Alcotest.(check (list string)) "every verb raised" verbs (List.rev !raised);
+  let events = Span.events spans in
+  List.iter
+    (fun verb ->
+      Alcotest.(check int) (verb ^ " span recorded once") 1
+        (List.length
+           (List.filter
+              (fun e -> e.Span.name = verb && e.Span.kind = Span.Complete)
+              events)))
+    verbs;
+  List.iter
+    (fun track ->
+      Alcotest.(check int)
+        (Printf.sprintf "no span left open on node %d" track)
+        0 (Span.depth spans ~track))
+    [ 0; 1 ]
 
 (* ------------------------------------------------------------------ *)
 (* Quantile estimation and histogram merging *)
@@ -688,8 +725,6 @@ let () =
           Alcotest.test_case "durations + nesting" `Quick
             test_span_durations_and_nesting;
           Alcotest.test_case "ring overwrites" `Quick test_span_ring_overwrites;
-          Alcotest.test_case "with_span exception-safe" `Quick
-            test_with_span_exception_safe;
         ] );
       ( "export",
         [
@@ -727,5 +762,7 @@ let () =
             test_cluster_trace_integration;
           Alcotest.test_case "profiled fig5 bit-identical" `Quick
             test_profiled_fig5_bit_identical;
+          Alcotest.test_case "traced verbs that raise" `Quick
+            test_traced_verbs_that_raise;
         ] );
     ]

@@ -44,7 +44,8 @@ let in_cluster ?(nodes = 4) body =
   let plan =
     Fault.create
       ~engine:(Cluster.engine cluster)
-      ~rng:(Rng.create ~seed:5) ~nodes ()
+      ~rng:(Rng.create ~seed:5)
+      ~flight:(Cluster.flight cluster) ~nodes
   in
   Fabric.set_fault_plan (Cluster.fabric cluster) plan;
   let result = ref None in
@@ -162,7 +163,10 @@ let drop_run () =
   let cluster = Cluster.create (small_params nodes) in
   let engine = Cluster.engine cluster in
   let fabric = Cluster.fabric cluster in
-  let plan = Fault.create ~engine ~rng:(Rng.create ~seed:9) ~nodes () in
+  let plan =
+    Fault.create ~engine ~rng:(Rng.create ~seed:9)
+      ~flight:(Cluster.flight cluster) ~nodes
+  in
   Fault.degrade_link plan ~from:0 ~target:1 ~drop:0.5 ();
   Fabric.set_fault_plan fabric plan;
   let landed = ref 0 in
