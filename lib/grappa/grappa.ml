@@ -66,15 +66,15 @@ let compute_at_home t cycles =
   Engine.delay (Cluster.engine t.cluster)
     (Drust_machine.Params.cycles_to_seconds (Cluster.params t.cluster) cycles)
 
-(* Run [f] on one of [home]'s delegation worker cores, after the fixed
-   delegation cost plus [extra_cycles] of application work.  The core is
-   released on exception, like [Resource.use], without its closure. *)
-let run_at_home t ~home ~extra_cycles f =
+(* Run [work t h x] on one of [home]'s delegation worker cores, after
+   the fixed delegation cost.  The core is released on exception, like
+   [Resource.use], without its closure. *)
+let run_at_home t ~home work h x =
   let worker = t.workers.(home) in
   Resource.acquire worker;
   match
-    compute_at_home t (t.costs.delegate_cycles +. extra_cycles);
-    f ()
+    compute_at_home t t.costs.delegate_cycles;
+    work t h x
   with
   | v ->
       Resource.release worker;
@@ -98,7 +98,9 @@ let aggregation_wait t src dst =
   let timeout = t.costs.aggregation_delay in
   if fill > timeout then timeout else fill
 
-let delegate t ctx ~home ~req_bytes ~resp_bytes ~extra_cycles f =
+(* Ship [work t h x] to [home].  [work] is a toplevel function, so the
+   only closure a delegation builds is the RPC handler. *)
+let delegate t ctx ~home ~req_bytes ~resp_bytes work h x =
   t.count <- t.count + 1;
   let engine = Cluster.engine t.cluster in
   if home = ctx.Ctx.node then begin
@@ -106,7 +108,7 @@ let delegate t ctx ~home ~req_bytes ~resp_bytes ~extra_cycles f =
        delegation queue. *)
     Ctx.flush ctx;
     Engine.delay engine t.costs.local_overhead;
-    run_at_home t ~home ~extra_cycles f
+    run_at_home t ~home work h x
   end
   else begin
     Ctx.note_remote_access ctx ~target:home;
@@ -115,7 +117,7 @@ let delegate t ctx ~home ~req_bytes ~resp_bytes ~extra_cycles f =
     Engine.delay engine (aggregation_wait t ctx.Ctx.node home);
     let v =
       Fabric.rpc (Cluster.fabric t.cluster) ~from:ctx.Ctx.node ~target:home
-        ~req_bytes ~resp_bytes (fun () -> run_at_home t ~home ~extra_cycles f)
+        ~req_bytes ~resp_bytes (fun () -> run_at_home t ~home work h x)
     in
     (* ...and so does the reply path. *)
     Engine.delay engine (aggregation_wait t home ctx.Ctx.node);
@@ -161,25 +163,30 @@ let get_value t h =
   | exception Not_found -> invalid_arg "Grappa: freed object"
 
 let read_at_home t h () = get_value t h
+let serialized_read t h () = serialized t h read_at_home ()
 
 let read t ctx h =
   delegate t ctx ~home:h.obj_home ~req_bytes:64 ~resp_bytes:h.size
-    ~extra_cycles:0.0 (fun () -> serialized t h read_at_home ())
+    serialized_read h ()
+
+let read_part_at_home t h () = ignore (get_value t h)
 
 (* Compute ships to the data: the work runs on the home's delegation
    worker, serialized per object — a hot object's home core becomes the
    bottleneck under skew, exactly the paper's observation. *)
 let read_part t ctx h ~bytes =
   delegate t ctx ~home:h.obj_home ~req_bytes:64 ~resp_bytes:(min h.size bytes)
-    ~extra_cycles:0.0 (fun () -> ignore (get_value t h))
+    read_part_at_home h ()
 
 let process_at_home t h cycles =
   compute_at_home t cycles;
   get_value t h
 
+let serialized_process t h cycles = serialized t h process_at_home cycles
+
 let process t ctx h ~cycles =
   delegate t ctx ~home:h.obj_home ~req_bytes:64 ~resp_bytes:(min h.size 512)
-    ~extra_cycles:0.0 (fun () -> serialized t h process_at_home cycles)
+    serialized_process h cycles
 
 let update_at_home t h f = Hashtbl.replace t.store h.oid (f (get_value t h))
 
@@ -187,19 +194,25 @@ let process_update_at_home t h (cycles, f) =
   compute_at_home t cycles;
   update_at_home t h f
 
+let serialized_process_update t h cf =
+  serialized t h process_update_at_home cf
+
 let process_update t ctx h ~cycles f =
-  delegate t ctx ~home:h.obj_home ~req_bytes:96 ~resp_bytes:8 ~extra_cycles:0.0
-    (fun () -> serialized t h process_update_at_home (cycles, f))
+  delegate t ctx ~home:h.obj_home ~req_bytes:96 ~resp_bytes:8
+    serialized_process_update h (cycles, f)
 
 let write_at_home t h v = Hashtbl.replace t.store h.oid v
+let serialized_write t h v = serialized t h write_at_home v
 
 let write t ctx h v =
   delegate t ctx ~home:h.obj_home ~req_bytes:(64 + h.size) ~resp_bytes:8
-    ~extra_cycles:0.0 (fun () -> serialized t h write_at_home v)
+    serialized_write h v
+
+let serialized_update t h f = serialized t h update_at_home f
 
 let update t ctx h f =
-  delegate t ctx ~home:h.obj_home ~req_bytes:96 ~resp_bytes:8 ~extra_cycles:0.0
-    (fun () -> serialized t h update_at_home f)
+  delegate t ctx ~home:h.obj_home ~req_bytes:96 ~resp_bytes:8
+    serialized_update h f
 
 let free t ctx h =
   Ctx.charge_cycles ctx 60.0;

@@ -3,7 +3,10 @@ open Effect.Deep
 type t = {
   events : (unit -> unit) Drust_util.Pqueue.t;
   mutable clock : float;
-  mutable wake_at : float; (* target time of the [Sleep] being performed *)
+  instant : Drust_util.Pqueue.cell;
+      (* the instant about to be pushed, e.g. the target time of the
+         [Sleep] being performed: a flat float cell, so computing it
+         allocates no box *)
   mutable failures : exn list;
   mutable dispatched : int;
       (* logical events run: one per queue pop, plus one per sleeper
@@ -30,7 +33,7 @@ type process_handle = {
 
 type _ Effect.t +=
   | Suspend : (('a -> unit) -> unit) -> 'a Effect.t
-  | Sleep : unit Effect.t (* wake at [wake_at] *)
+  | Sleep : unit Effect.t (* wake at [instant] *)
 
 exception Process_failure of exn
 
@@ -50,7 +53,7 @@ let create () =
   {
     events = Drust_util.Pqueue.create ();
     clock = 0.0;
-    wake_at = 0.0;
+    instant = { time = 0.0 };
     failures = [];
     dispatched = 0;
     suspends = 0;
@@ -64,14 +67,19 @@ let suspends t = t.suspends
    behind [dispatched]. *)
 let pushes t = Drust_util.Pqueue.pushed t.events
 
+let in_the_past at now =
+  invalid_arg
+    (Printf.sprintf "Engine.schedule: at=%g is in the past (now=%g)" at now)
+
 let schedule t ~at f =
-  if at < t.clock then
-    invalid_arg
-      (Printf.sprintf "Engine.schedule: at=%g is in the past (now=%g)" at
-         t.clock);
+  if at < t.clock then in_the_past at t.clock;
   Drust_util.Pqueue.push t.events ~time:at f
 
-let schedule_after t dt f = schedule t ~at:(t.clock +. dt) f
+(* The computed instant goes to the queue through [instant], unboxed. *)
+let schedule_after t dt f =
+  t.instant.time <- t.clock +. dt;
+  if t.instant.time < t.clock then in_the_past t.instant.time t.clock;
+  Drust_util.Pqueue.push_cell t.events t.instant f
 
 let suspend register = Effect.perform (Suspend register)
 
@@ -119,7 +127,7 @@ let run_fiber t handle body =
       (fun k ->
         t.suspends <- t.suspends + 1;
         sleeper.parked <- k;
-        Drust_util.Pqueue.push t.events ~time:t.wake_at sleeper.wake)
+        Drust_util.Pqueue.push_cell t.events t.instant sleeper.wake)
   in
   let handler : (unit, unit) handler =
     {
@@ -157,8 +165,8 @@ let spawn ?at t body =
   handle
 
 let delay t dt =
-  if dt < 0.0 then invalid_arg "Engine.delay: negative delay";
-  t.wake_at <- t.clock +. dt;
+  if not (dt >= 0.0) then invalid_arg "Engine.delay: negative or NaN delay";
+  t.instant.time <- t.clock +. dt;
   Effect.perform Sleep
 
 let yield t = delay t 0.0

@@ -27,7 +27,8 @@ val schedule : t -> at:float -> (unit -> unit) -> unit
     not be in the past. *)
 
 val schedule_after : t -> float -> (unit -> unit) -> unit
-(** [schedule_after t dt f] is [schedule t ~at:(now t +. dt) f]. *)
+(** [schedule_after t dt f] is [schedule t ~at:(now t +. dt) f], without
+    boxing the sum. *)
 
 val spawn : ?at:float -> t -> (unit -> unit) -> process_handle
 (** [spawn t body] starts a new process at time [at] (default: now).
@@ -37,12 +38,14 @@ val spawn : ?at:float -> t -> (unit -> unit) -> process_handle
 
 val delay : t -> float -> unit
 (** [delay t dt] suspends the calling process for [dt] simulated seconds.
+    Raises [Invalid_argument] in the caller when [dt] is negative or NaN.
     The wakeup is one queue entry and allocates only the runtime's
-    continuation and the boxed wake time: the process parks in a timer
-    slot it reuses for every delay.  It resumes in the dispatch position of a timer
-    event at [now + dt] that queues the continuation at the back of
-    that instant — which is where it runs directly when nothing else is
-    due then, and where it re-queues itself once otherwise. *)
+    continuation: the process parks in a timer slot it reuses for every
+    delay, and the wake time reaches the queue unboxed.  It resumes in
+    the dispatch position of a timer event at [now + dt] that queues
+    the continuation at the back of that instant — which is where it
+    runs directly when nothing else is due then, and where it re-queues
+    itself once otherwise. *)
 
 val suspend : (('a -> unit) -> unit) -> 'a
 (** [suspend register] parks the calling process.  [register] receives a

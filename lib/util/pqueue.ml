@@ -126,7 +126,7 @@ let heap_grow h =
   h.h_seq <- ns;
   h.h_val <- nv
 
-let heap_push h ~time ~seq v =
+let[@inline] heap_push h ~time ~seq v =
   if h.h_len = Array.length h.h_time then heap_grow h;
   let tm = h.h_time and sq = h.h_seq and vl = h.h_val in
   (* Sift up with a hole instead of repeated swaps. *)
@@ -212,7 +212,7 @@ let bucket_append b ~time ~seq v =
 (* Sorted insert.  The entry carries the largest sequence number ever
    issued, so its slot is after every entry with time <= [time]: a
    binary search on time alone finds it. *)
-let bucket_insert b ~time ~seq v =
+let[@inline] bucket_insert b ~time ~seq v =
   if b.b_len = Array.length b.b_time then bucket_grow b;
   let lo = ref b.b_off and hi = ref b.b_len in
   let tm = b.b_time in
@@ -256,9 +256,14 @@ let ring_push t ~seq v =
 
 (* ------------------------------- push ------------------------------- *)
 
-let bucket_index t time = int_of_float ((time -. t.win_lo) *. inv_width)
+let[@inline] bucket_index t time =
+  int_of_float ((time -. t.win_lo) *. inv_width)
 
-let push t ~time value =
+(* The one insertion body.  It is inlined into both entry points, and
+   [bucket_insert] and [heap_push] into it, so [time] stays an unboxed
+   local from the caller's float to the queue's float arrays: a time
+   read out of a {!cell} is never boxed. *)
+let[@inline] insert t time value =
   if not (time >= t.cur_time) then
     invalid_arg
       (Printf.sprintf "Pqueue.push: time %g is before the last popped time %g"
@@ -285,6 +290,12 @@ let push t ~time value =
     else heap_push t.heap ~time ~seq value
   end
   else heap_push t.heap ~time ~seq value
+
+let push t ~time value = insert t time value
+
+type cell = { mutable time : float }
+
+let push_cell t cell value = insert t cell.time value
 
 (* ------------------------------- pop -------------------------------- *)
 

@@ -27,6 +27,16 @@ val push : 'a t -> time:float -> 'a -> unit
     [Invalid_argument] when [time] is before {!last_time} (or NaN):
     the queue only moves forward, like the clock it drives. *)
 
+type cell = { mutable time : float }
+(** A flat float cell: a record of floats only, so its field is stored
+    unboxed.  A caller that computes a time writes it here and hands the
+    cell to {!push_cell}; the float then reaches the queue without ever
+    being boxed, which passing it as [~time] to {!push} would do. *)
+
+val push_cell : 'a t -> cell -> 'a -> unit
+(** [push_cell t c v] is [push t ~time:c.time v]: the same insertion,
+    ordering and rejection, reading the time from [c]. *)
+
 val pop : 'a t -> (float * 'a) option
 (** [pop t] removes and returns the minimum-time element, FIFO among
     equal times. *)

@@ -327,8 +327,29 @@ let test_read_part_allocation () =
     (read_part_words ~warm:true Drust_dsm.Drust_backend.create);
   Alloc_budget.check "warm GAM read_part" ~max:4.0
     (read_part_words ~warm:true (fun c -> Gam.backend (Gam.create c)));
-  Alloc_budget.check "remote Grappa read_part" ~max:64.0
+  Alloc_budget.check "remote Grappa read_part" ~max:48.0
     (read_part_words ~warm:false (fun c -> Grappa.backend (Grappa.create c)))
+
+(* A two-node ping-pong on one 512-byte GAM object homed on node 1:
+   node 0 writes it, invalidating node 1's copy, then node 1 reads it
+   back, recalling node 0's dirty blocks.  Every call runs GAM's
+   directory rounds in both directions. *)
+let test_gam_ping_pong_allocation () =
+  let cluster = Cluster.create (small_params 2) in
+  let g = Gam.create cluster in
+  let ctx0 = Ctx.make cluster ~node:0 and ctx1 = Ctx.make cluster ~node:1 in
+  let h = ref None in
+  ignore
+    (Engine.spawn (Cluster.engine cluster) (fun () ->
+         h := Some (Gam.alloc_on g ctx1 ~node:1 ~size:512 (pack 0))));
+  Cluster.run cluster;
+  let h = Option.get !h and v = pack 1 in
+  Alloc_budget.check "GAM two-node write+read ping-pong" ~max:160.0
+    (Alloc_budget.per_call (Cluster.engine cluster)
+       ~run:(fun () -> Cluster.run cluster)
+       (fun _ ->
+         Gam.write g ctx0 h v;
+         ignore (Gam.read g ctx1 h)))
 
 let () =
   Alcotest.run "baselines"
@@ -343,6 +364,8 @@ let () =
           Alcotest.test_case "false sharing" `Quick test_gam_false_sharing;
           Alcotest.test_case "spans blocks" `Quick test_gam_small_object_spans_blocks;
           Alcotest.test_case "bounded cache" `Quick test_gam_bounded_cache_evicts;
+          Alcotest.test_case "ping-pong allocation budget" `Quick
+            test_gam_ping_pong_allocation;
           Alcotest.test_case "mutex serializes" `Quick test_gam_mutex_serializes;
         ] );
       ( "grappa",

@@ -388,10 +388,11 @@ let prop_pqueue_sorted =
    exercises every internal structure: pushes at the current instant
    (the FIFO ring, incl. same-timestamp ties), in the near-horizon
    window (calendar buckets) and far in the future (overflow heap);
-   pops advance the clock like the engine does.  A push behind the last
-   popped time must raise [Invalid_argument] and leave the queue
-   untouched.  Before every command, [has_due] must agree with the
-   model. *)
+   pops advance the clock like the engine does.  A third of the pushes
+   go through [push_cell], the rest through [push].  A push behind the
+   last popped time, or at NaN, must raise [Invalid_argument] through
+   either entry and leave the queue untouched.  Before every command,
+   [has_due] must agree with the model. *)
 let prop_pqueue_matches_heap =
   let gen = QCheck.(list (pair (int_bound 9) (int_bound 999))) in
   QCheck.Test.make
@@ -410,6 +411,22 @@ let prop_pqueue_matches_heap =
       in
       let clock = ref 0.0 and next_id = ref 0 and ok = ref true in
       let popped = ref false in
+      let cell = { Pqueue.time = 0.0 } in
+      let push_via ~via_cell time id =
+        if via_cell then begin
+          cell.Pqueue.time <- time;
+          Pqueue.push_cell q cell id
+        end
+        else Pqueue.push q ~time id
+      in
+      let rejected ~via_cell time =
+        let pushed = Pqueue.pushed q and len = Pqueue.length q in
+        (match push_via ~via_cell time (-1) with
+        | () -> ok := false
+        | exception Invalid_argument _ -> ());
+        if Pqueue.pushed q <> pushed || Pqueue.length q <> len then
+          ok := false
+      in
       let do_pop () =
         match (Pqueue.pop q, !model) with
         | None, [] -> ()
@@ -433,7 +450,7 @@ let prop_pqueue_matches_heap =
             let id = !next_id in
             incr next_id;
             insert (!clock +. dt) id;
-            Pqueue.push q ~time:(!clock +. dt) id
+            push_via ~via_cell:(id mod 3 = 0) (!clock +. dt) id
           in
           match kind with
           | 0 | 1 | 2 -> push 0.0 (* same-instant FIFO ties *)
@@ -443,15 +460,10 @@ let prop_pqueue_matches_heap =
           | 7 ->
               (* Behind the clock: rejected once something was popped. *)
               let dt = -.(float_of_int r *. 1e-7) in
-              if !popped && !clock +. dt < !clock then begin
-                let pushed = Pqueue.pushed q and len = Pqueue.length q in
-                (match Pqueue.push q ~time:(!clock +. dt) (-1) with
-                | () -> ok := false
-                | exception Invalid_argument _ -> ());
-                if Pqueue.pushed q <> pushed || Pqueue.length q <> len then
-                  ok := false
-              end
+              if !popped && !clock +. dt < !clock then
+                rejected ~via_cell:(r land 1 = 0) (!clock +. dt)
               else push dt
+          | 8 when r mod 4 = 0 -> rejected ~via_cell:(r land 4 = 0) nan
           | _ -> do_pop ())
         cmds;
       while (not (Pqueue.is_empty q)) || !model <> [] do
