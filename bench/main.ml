@@ -154,13 +154,13 @@ let all_names = E.Runner.names @ [ "profile"; "fuzz" ]
 (* Post-mortem forensics: reconstruct timelines from a *.flight.json
    dump alone — no re-run, no plan, no cluster (docs/FORENSICS.md).    *)
 
+let prog = "bench"
+
 let run_forensics ~object_ path =
   let d =
     match Flight.load ~path with
     | Ok d -> d
-    | Error e ->
-        Printf.eprintf "bench: forensics: %s\n" e;
-        exit 2
+    | Error e -> Cli.usage_error ~prog "%s" e
   in
   Printf.printf "=== flight dump: %s ===\n" d.Flight.dm_label;
   Printf.printf "reason: %s\n" d.Flight.dm_reason;
@@ -255,8 +255,6 @@ let run_fuzz ~count ~seed ~max_nodes ~out_dir () =
 (* ------------------------------------------------------------------ *)
 (* Command line.                                                       *)
 
-let prog = "bench"
-
 let usage_error fmt =
   Cli.usage_error ~prog
     ~hint:
@@ -322,7 +320,7 @@ let main positional out_dir () sanitize host_time churn_nodes trace_out
         List.iter
           (fun name ->
             if E.Runner.find name = None then
-              usage_error "--plan %s: unknown experiment %S" file name)
+              usage_error "%s: unknown experiment %S" file name)
           s.Simplan.su_experiments;
         s)
       plan_file

@@ -182,16 +182,6 @@ let report_trace ~trace_n ~profile ~explain ~trace_out cluster =
         path)
     trace_out
 
-let report_sanitizer outcomes =
-  match List.concat_map (fun o -> o.Simplan.violations) outcomes with
-  | [] ->
-      Printf.printf "DSan: no invariant violations (%d cluster(s) checked)\n"
-        (List.length outcomes)
-  | vs ->
-      List.iter prerr_endline vs;
-      Printf.eprintf "DSan: %d invariant violation(s)\n" (List.length vs);
-      exit 3
-
 let run app system nodes affinity seed trace_n trace_out explain profile
     sanitize () scan_nodes plan_file emit_plan =
   let traced = trace_n > 0 || trace_out <> None || profile || explain <> None in
@@ -251,7 +241,13 @@ let run app system nodes affinity seed trace_n trace_out explain profile
             outcome.Simplan.cluster;
         [ outcome ]
   in
-  if sanitize then report_sanitizer outcomes
+  if sanitize then
+    let vs = List.concat_map (fun o -> o.Simplan.violations) outcomes in
+    if
+      Drust_check.Dsan.print_verdict ~clean:stdout
+        ~clusters:(List.length outcomes) ~total:(List.length vs) vs
+      > 0
+    then exit 3
 
 let () =
   Cli.main

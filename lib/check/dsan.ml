@@ -929,17 +929,20 @@ let install_global ?mode () =
 let uninstall_global () = Cluster.set_create_hook None
 let attached () = Mutex.protect auto_mutex (fun () -> List.rev !auto)
 
+let print_verdict ~clean ~clusters ~total reports =
+  if total = 0 then
+    Printf.fprintf clean
+      "DSan: no invariant violations (%d cluster(s) checked)\n" clusters
+  else begin
+    List.iter prerr_endline reports;
+    Printf.eprintf "DSan: %d invariant violation(s)\n" total
+  end;
+  total
+
 let report_attached ~clean =
   let attached = attached () in
-  match List.fold_left (fun acc t -> acc + violation_count t) 0 attached with
-  | 0 ->
-      Printf.fprintf clean
-        "DSan: no invariant violations (%d cluster(s) checked)\n"
-        (List.length attached);
-      0
-  | total ->
-      List.iter
-        (fun r -> prerr_endline (report_to_string r))
-        (List.concat_map violations attached);
-      Printf.eprintf "DSan: %d invariant violation(s)\n" total;
-      total
+  print_verdict ~clean ~clusters:(List.length attached)
+    ~total:(List.fold_left (fun acc t -> acc + violation_count t) 0 attached)
+    (List.concat_map
+       (fun t -> List.map report_to_string (violations t))
+       attached)

@@ -127,8 +127,10 @@ val with_sanitizer : ?mode:mode -> Cluster.t -> (t -> 'a) -> 'a
 val install_global : ?mode:mode -> unit -> unit
 (** Arrange (via [Cluster.set_create_hook]) for every cluster created
     from now on to get a sanitizer attached automatically — this is how
-    [bin/drust_sim.exe --sanitize] and [bench/main.exe --sanitize]
-    sanitize experiments that build their clusters internally. *)
+    [bench/main.exe --sanitize] sanitizes experiments that build their
+    clusters internally.  [bin/drust_sim.exe --sanitize] does not use
+    it: each plan it runs attaches a local sanitizer through
+    [Simplan.execute ~sanitize:true]. *)
 
 val uninstall_global : unit -> unit
 (** Stop auto-attaching.  Already-attached sanitizers stay attached. *)
@@ -136,11 +138,15 @@ val uninstall_global : unit -> unit
 val attached : unit -> t list
 (** Sanitizers auto-attached by {!install_global}, oldest first. *)
 
+val print_verdict :
+  clean:out_channel -> clusters:int -> total:int -> string list -> int
+(** The [--sanitize] epilogue of both CLIs: with [total = 0], print
+    ["DSan: no invariant violations (N cluster(s) checked)"] on [clean];
+    otherwise print every report line and the total on stderr.  Returns
+    [total]; the CLIs exit 3 when it is positive. *)
+
 val report_attached : clean:out_channel -> int
-(** The [--sanitize] epilogue of both CLIs: with no violation across
-    {!attached} sanitizers, print ["DSan: no invariant violations (N
-    cluster(s) checked)"] on [clean]; otherwise print every report and
-    the total on stderr.  Returns the violation total. *)
+(** {!print_verdict} over the {!attached} sanitizers. *)
 
 (** {1 Observation}
 

@@ -73,15 +73,16 @@ let usage_error ~prog ?hint fmt =
     fmt
 
 (* Load + validate, then route by kind: each executable replays one
-   kind and points at the other for the rest. *)
+   kind and points at the other for the rest.  Every message starts
+   with the file, once. *)
 let load ~prog file =
   match Simplan.load ~path:file with
-  | Error e -> usage_error ~prog "--plan %s: %s" file e
+  | Error e -> usage_error ~prog "%s" e
   | Ok plan -> (
       match Simplan.validate plan with
       | Ok () -> plan
       | Error errs ->
-          usage_error ~prog "--plan %s: invalid plan: %s" file
+          usage_error ~prog "%s: invalid plan: %s" file
             (String.concat "; " errs))
 
 let sim_plan ~prog file =
@@ -90,14 +91,14 @@ let sim_plan ~prog file =
   | Simplan.Sim _ -> plan
   | Simplan.Suite _ ->
       usage_error ~prog
-        "--plan %s is a suite plan; replay it with bench/main.exe --plan" file
+        "%s: a suite plan; replay it with bench/main.exe --plan" file
 
 let suite_plan ~prog file =
   match (load ~prog file).Simplan.spec with
   | Simplan.Suite s -> s
   | Simplan.Sim _ ->
       usage_error ~prog
-        "--plan %s is a sim plan; replay it with bin/drust_sim.exe --plan" file
+        "%s: a sim plan; replay it with bin/drust_sim.exe --plan" file
 
 let timed f =
   let clock () =

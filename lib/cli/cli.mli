@@ -48,7 +48,8 @@ val usage_error :
 
 val sim_plan : prog:string -> string -> Drust_plan.Simplan.t
 (** Load and validate the sim plan in a file.  An unreadable, malformed
-    or invalid file, or a suite plan, is a {!usage_error}. *)
+    or invalid file, or a suite plan, is a {!usage_error} whose message
+    starts with the file, once. *)
 
 val suite_plan : prog:string -> string -> Drust_plan.Simplan.suite
 (** {!sim_plan} for suite plans (bench's [--plan]). *)

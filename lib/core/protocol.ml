@@ -10,6 +10,7 @@ module Borrow_state = Drust_ownership.Borrow_state
 module Univ = Drust_util.Univ
 module Metrics = Drust_obs.Metrics
 module Span = Drust_obs.Span
+module Flight = Drust_obs.Flight
 
 type owner = {
   mutable g : Gaddr.t;
@@ -73,26 +74,11 @@ let op_latency_buckets =
   [| 1e-8; 2e-8; 5e-8; 1e-7; 2e-7; 5e-7; 1e-6; 2e-6; 5e-6; 1e-5; 2e-5; 5e-5;
      1e-4; 2e-4; 5e-4; 1e-3; 2e-3; 5e-3; 1e-2 |]
 
-(* Outcome kinds as dense ints: indices into the histogram array, the
-   values [Ctx.op_kind] carries while an operation is in flight, and the
-   flight-recorder kinds of the same outcomes (Flight's codes 0..8,
-   pinned equal by test/test_flight.ml).  Must stay in sync with
-   [op_kind_names]. *)
-let k_read_local = 0
-let k_read_cached = 1
-let k_read_fetch = 2
-let k_read_remote = 3
-let k_write_inplace = 4
-let k_write_bump = 5
-let k_write_move = 6
-let k_transfer = 7
-let k_drop = 8
-
-let op_kind_names =
-  [| "read_local"; "read_cached"; "read_fetch"; "read_remote";
-     "write_inplace"; "write_bump"; "write_move"; "transfer"; "drop" |]
-
-let op_latency_kinds = Array.to_list op_kind_names
+(* Outcome kinds are Flight's codes [k_read_local] .. [k_drop]: dense
+   indices into the histogram array, the values [Ctx.op_kind] carries
+   while an operation is in flight, and the flight-recorder kinds of the
+   same outcomes, recorded untranslated. *)
+let op_labels = Array.sub Flight.kind_names 0 (Flight.k_drop + 1)
 
 let register_op_hist cluster kind =
   Metrics.histogram (Cluster.metrics cluster) ~buckets:op_latency_buckets
@@ -150,7 +136,7 @@ let hists_of cluster ps =
     (* Register every kind eagerly so snapshots carry the same sample
        set on every cluster (mergeable) and the docs-catalogue check
        sees the name even on an idle cluster. *)
-    ps.ps_hists <- Array.map (register_op_hist cluster) op_kind_names;
+    ps.ps_hists <- Array.map (register_op_hist cluster) op_labels;
   ps.ps_hists
 
 let stats_of_ps cluster ps =
@@ -211,7 +197,7 @@ let measure_op ctx ~default f a b =
     if Span.is_enabled spans then begin
       let sp =
         Span.start spans ~track:ctx.Ctx.node ?parent:saved_span
-          ~category:"protocol" op_kind_names.(default)
+          ~category:"protocol" Flight.kind_names.(default)
       in
       ctx.Ctx.current_span <- Some sp;
       sp
@@ -327,8 +313,6 @@ let is_local ctx g = serving ctx g = ctx.Ctx.node
      drop            a=physical addr  b=serving node
      create          a=physical addr  b=home node      c=color  d=size *)
 
-module Flight = Drust_obs.Flight
-
 let[@inline] fr ctx ~kind ~g ~b ~d =
   Flight.record
     (Cluster.flight (Ctx.cluster ctx))
@@ -340,8 +324,8 @@ let[@inline] fr ctx ~kind ~g ~b ~d =
 
 let[@inline] fr_read ctx ~kind ~g = fr ctx ~kind ~g ~b:(serving ctx g) ~d:0
 
-(* A read served here, from the local heap ([k_read_local]) or from a
-   cache copy fetched under [key] ([k_read_cached]).  A fetch's outcome
+(* A read served here, from the local heap ([Flight.k_read_local]) or from a
+   cache copy fetched under [key] ([Flight.k_read_cached]).  A fetch's outcome
    is recorded by [fetch_into_cache]. *)
 let read_outcome ctx kind g ~key =
   tag ctx kind;
@@ -350,7 +334,7 @@ let read_outcome ctx kind g ~key =
   | None -> ()
   | Some f ->
       let path =
-        if kind = k_read_local then Tap.Path_local else Path_cache key
+        if kind = Flight.k_read_local then Tap.Path_local else Path_cache key
       in
       Ctx.emit ctx f (Read { g; path })
 
@@ -361,21 +345,21 @@ let read_outcome ctx kind g ~key =
 let write_outcome ctx ~before ~after ~size =
   let phys_before = Gaddr.to_int (Gaddr.clear_color before) in
   let kind =
-    if Gaddr.equal before after then k_write_inplace
+    if Gaddr.equal before after then Flight.k_write_inplace
     else if phys_before = Gaddr.to_int (Gaddr.clear_color after) then
-      k_write_bump
-    else k_write_move
+      Flight.k_write_bump
+    else Flight.k_write_move
   in
   tag ctx kind;
   fr ctx ~kind ~g:after
-    ~b:(if kind = k_write_inplace then 0 else phys_before)
+    ~b:(if kind = Flight.k_write_inplace then 0 else phys_before)
     ~d:(Gaddr.node_of after);
   match Ctx.tap ctx with
   | None -> ()
   | Some f ->
       let kind : Tap.write_kind =
-        if kind = k_write_inplace then W_in_place
-        else if kind = k_write_bump then W_bump
+        if kind = Flight.k_write_inplace then W_in_place
+        else if kind = Flight.k_write_bump then W_bump
         else W_move
       in
       Ctx.emit ctx f (Write { before; after; size; kind })
@@ -530,8 +514,8 @@ let color o = Gaddr.color_of o.g
    event waits for the copy to be in the cache. *)
 let fetch_into_cache ctx ~g ~size ~group_bytes ~children =
   let cluster = Ctx.cluster ctx in
-  tag ctx k_read_fetch;
-  fr_read ctx ~kind:k_read_fetch ~g;
+  tag ctx Flight.k_read_fetch;
+  fr_read ctx ~kind:Flight.k_read_fetch ~g;
   Metrics.incr (stats_of ctx).fetches;
   proto_mark ctx "FETCH" ~bytes:group_bytes;
   let target = serving ctx g in
@@ -601,14 +585,14 @@ let imm_deref_inner ctx r () =
   assert_live r.i_live "Protocol.imm_deref";
   let cluster = Ctx.cluster ctx in
   if is_local ctx r.i_g then begin
-    read_outcome ctx k_read_local r.i_g ~key:r.i_g;
+    read_outcome ctx Flight.k_read_local r.i_g ~key:r.i_g;
     charge_local_deref ctx;
     (Cluster.heap_read cluster r.i_g).Partition.value
   end
   else begin
     match r.i_copy with
     | Some copy when Gaddr.equal copy.Cache.key r.i_g && not copy.Cache.dead ->
-        read_outcome ctx k_read_cached r.i_g ~key:copy.Cache.key;
+        read_outcome ctx Flight.k_read_cached r.i_g ~key:copy.Cache.key;
         charge_cache_hit ctx;
         copy.Cache.value
     | _ -> (
@@ -616,7 +600,7 @@ let imm_deref_inner ctx r () =
         charge_cache_hit ctx;
         match Cache.find cache r.i_g with
         | copy ->
-            read_outcome ctx k_read_cached r.i_g ~key:copy.Cache.key;
+            read_outcome ctx Flight.k_read_cached r.i_g ~key:copy.Cache.key;
             Cache.retain copy;
             r.i_copy <- Some copy;
             copy.Cache.value
@@ -629,7 +613,8 @@ let imm_deref_inner ctx r () =
             copy.Cache.value)
   end
 
-let imm_deref ctx r = measure_op ctx ~default:k_read_local imm_deref_inner r ()
+let imm_deref ctx r =
+  measure_op ctx ~default:Flight.k_read_local imm_deref_inner r ()
 
 let drop_imm ctx r =
   assert_live r.i_live "Protocol.drop_imm";
@@ -755,8 +740,8 @@ let mut_claim ctx m ~for_write =
   let before = m.m_g in
   (if is_local ctx m.m_g then begin
      if not for_write then begin
-       tag ctx k_read_local;
-       fr_read ctx ~kind:k_read_local ~g:m.m_g
+       tag ctx Flight.k_read_local;
+       fr_read ctx ~kind:Flight.k_read_local ~g:m.m_g
      end;
      charge_local_deref ctx;
      if for_write && ((not m.m_ubit) || (options_of ctx).no_ubit) then begin
@@ -792,8 +777,8 @@ let heap_slot_read ctx m =
   if is_local ctx m.m_g then (Cluster.heap_read cluster m.m_g).Partition.value
   else begin
     (* Pinned remote object: read through (one-sided READ). *)
-    tag_weak ctx k_read_remote;
-    fr_read ctx ~kind:k_read_remote ~g:m.m_g;
+    tag_weak ctx Flight.k_read_remote;
+    fr_read ctx ~kind:Flight.k_read_remote ~g:m.m_g;
     let target = serving ctx m.m_g in
     Ctx.flush ctx;
     Fabric.rdma_read ?parent:ctx.Ctx.current_span (Ctx.fabric ctx)
@@ -817,7 +802,8 @@ let mut_read_inner ctx m () =
   mut_claim ctx m ~for_write:false;
   heap_slot_read ctx m
 
-let mut_read ctx m = measure_op ctx ~default:k_read_local mut_read_inner m ()
+let mut_read ctx m =
+  measure_op ctx ~default:Flight.k_read_local mut_read_inner m ()
 
 let mut_write_inner ctx m v =
   assert_live m.m_live "Protocol.mut_write";
@@ -825,7 +811,7 @@ let mut_write_inner ctx m v =
   heap_slot_write ctx m v
 
 let mut_write ctx m v =
-  measure_op ctx ~default:k_write_inplace mut_write_inner m v
+  measure_op ctx ~default:Flight.k_write_inplace mut_write_inner m v
 
 let mut_modify_inner ctx m f =
   assert_live m.m_live "Protocol.mut_modify";
@@ -834,7 +820,7 @@ let mut_modify_inner ctx m f =
   heap_slot_write ctx m (f v)
 
 let mut_modify ctx m f =
-  measure_op ctx ~default:k_write_inplace mut_modify_inner m f
+  measure_op ctx ~default:Flight.k_write_inplace mut_modify_inner m f
 
 let drop_mut ctx m =
   assert_live m.m_live "Protocol.drop_mut";
@@ -866,7 +852,7 @@ let owner_read_inner ctx o () =
   Borrow_state.assert_owner_readable o.borrow ~context:"Protocol.owner_read";
   let cluster = Ctx.cluster ctx in
   if is_local ctx o.g then begin
-    read_outcome ctx k_read_local o.g ~key:o.g;
+    read_outcome ctx Flight.k_read_local o.g ~key:o.g;
     charge_local_deref ctx;
     (Cluster.heap_read cluster o.g).Partition.value
   end
@@ -879,7 +865,7 @@ let owner_read_inner ctx o () =
     if o.pinned then o.ubit <- false;
     match o.local_copy with
     | Some copy when Gaddr.equal copy.Cache.key o.g && not copy.Cache.dead ->
-        read_outcome ctx k_read_cached o.g ~key:copy.Cache.key;
+        read_outcome ctx Flight.k_read_cached o.g ~key:copy.Cache.key;
         charge_cache_hit ctx;
         copy.Cache.value
     | stale -> (
@@ -892,7 +878,7 @@ let owner_read_inner ctx o () =
         charge_cache_hit ctx;
         match Cache.find cache o.g with
         | copy ->
-            read_outcome ctx k_read_cached o.g ~key:copy.Cache.key;
+            read_outcome ctx Flight.k_read_cached o.g ~key:copy.Cache.key;
             Cache.retain copy;
             o.local_copy <- Some copy;
             copy.Cache.value
@@ -906,7 +892,7 @@ let owner_read_inner ctx o () =
   end
 
 let owner_read ctx o =
-  measure_op ctx ~default:k_read_local owner_read_inner o ()
+  measure_op ctx ~default:Flight.k_read_local owner_read_inner o ()
 
 let owner_claim_mut ctx o =
   let cluster = Ctx.cluster ctx in
@@ -975,7 +961,7 @@ let owner_write_inner ctx o v =
   notify_commit ctx o.g o.size
 
 let owner_write ctx o v =
-  measure_op ctx ~default:k_write_inplace owner_write_inner o v
+  measure_op ctx ~default:Flight.k_write_inplace owner_write_inner o v
 
 let owner_modify_inner ctx o f =
   assert_valid o "Protocol.owner_modify";
@@ -1001,7 +987,7 @@ let owner_modify_inner ctx o f =
   notify_commit ctx o.g o.size
 
 let owner_modify ctx o f =
-  measure_op ctx ~default:k_write_inplace owner_modify_inner o f
+  measure_op ctx ~default:Flight.k_write_inplace owner_modify_inner o f
 
 (* ------------------------------------------------------------------ *)
 (* Ownership transfer, deallocation                                    *)
@@ -1028,7 +1014,7 @@ let transfer_inner ctx o to_node =
   notify_transfer ctx o.g
 
 let transfer ctx o ~to_node =
-  measure_op ctx ~default:k_transfer transfer_inner o to_node
+  measure_op ctx ~default:Flight.k_transfer transfer_inner o to_node
 
 let rec drop_owner_inner ctx o () =
   assert_valid o "Protocol.drop_owner";
@@ -1056,7 +1042,8 @@ let rec drop_owner_inner ctx o () =
   end
   else async_dealloc ctx o.g
 
-let drop_owner ctx o = measure_op ctx ~default:k_drop drop_owner_inner o ()
+let drop_owner ctx o =
+  measure_op ctx ~default:Flight.k_drop drop_owner_inner o ()
 
 (* ------------------------------------------------------------------ *)
 (* Affinity (TBox)                                                     *)

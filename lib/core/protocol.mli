@@ -176,19 +176,17 @@ val fetches : Ctx.t -> int
 val reset_protocol_stats : Ctx.t -> unit
 (** Zero this cluster's [protocol.*] counters. *)
 
-val op_latency_kinds : string list
-(** The outcome labels of the always-on [protocol.op_latency{op=...}]
-    histograms: which access path a read took ([read_local] /
-    [read_cached] / [read_fetch] / [read_remote]) or how a write changed
-    the colored address ([write_inplace] / [write_bump] / [write_move]),
-    plus [transfer] and [drop].  One histogram per kind is registered in
-    the cluster's metrics registry the first time the protocol touches
-    it; latency is elapsed virtual time plus compute charged but not yet
-    flushed, so measurement never perturbs a run. *)
-
 val op_latency_buckets : float array
-(** Upper bounds (seconds) of the op-latency histograms — finer than the
-    registry default because local derefs cost tens of nanoseconds. *)
+(** Upper bounds (seconds) of the always-on
+    [protocol.op_latency{op=...}] histograms — finer than the registry
+    default because local derefs cost tens of nanoseconds.  One
+    histogram per protocol outcome, labelled with its
+    [Flight.kind_names] entry (codes [Flight.k_read_local] ..
+    [Flight.k_drop]): which access path a read took, how a write changed
+    the colored address, or a transfer or drop.  All are registered the
+    first time the protocol touches a cluster; latency is elapsed
+    virtual time plus compute charged but not yet flushed, so
+    measurement never perturbs a run. *)
 
 val audit : Drust_machine.Cluster.t -> string list
 (** Executable form of the Appendix C coherence proof: checks, for every

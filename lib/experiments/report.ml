@@ -109,8 +109,6 @@ module Json = Drust_util.Json
    [expect] field names the summary schema its run produces, so the two
    can never drift apart. *)
 let schema_version = Drust_plan.Simplan.bench_schema
-let v1_schema = "drust-bench-summary/v1"
-let v2_schema = "drust-bench-summary/v2"
 
 (* Host-time capture is opt-in (the @bench-diff alias turns it on):
    host_ms is wall-clock and thus machine- and load-dependent, so it
@@ -242,67 +240,25 @@ type summary_entry = {
 }
 type summary = { sm_schema : string; sm_entries : (string * summary_entry) list }
 
+let summary_entry_of_json o =
+  {
+    se_rate = Json.req o "ops_per_sim_sec" Json.number;
+    se_latency_us =
+      Option.value ~default:[]
+        (Json.opt o "latency_us" (Json.assoc Json.number));
+    se_host_ms = Json.opt o "host_ms" Json.number;
+    se_host_rate = Json.opt o "host_events_per_sec" Json.number;
+  }
+
+let summary_of_json o =
+  {
+    sm_schema = Json.req o "schema" (Json.exactly schema_version);
+    sm_entries =
+      Json.req o "entries" (Json.assoc (Json.obj summary_entry_of_json));
+  }
+
 let read_bench_summary ~path =
-  let fail fmt = Printf.ksprintf (fun m -> failwith (path ^ ": " ^ m)) fmt in
-  let j =
-    try Json.load ~path with
-    | Json.Parse_error m -> fail "%s" m
-    | Sys_error m -> failwith m
-  in
-  match j with
-  | Json.Obj fields ->
-      let schema =
-        match List.assoc_opt "schema" fields with
-        | Some (Json.Str s) -> s
-        | _ -> fail "missing \"schema\" field"
-      in
-      if schema <> v1_schema && schema <> v2_schema && schema <> schema_version
-      then
-        fail "unknown schema %S (expected %s, %s or %s)" schema v1_schema
-          v2_schema schema_version;
-      let entries =
-        match List.assoc_opt "entries" fields with
-        | Some (Json.Obj es) -> es
-        | _ -> fail "missing \"entries\" object"
-      in
-      let entry (k, v) =
-        match v with
-        | Json.Obj f ->
-            let rate =
-              match List.assoc_opt "ops_per_sim_sec" f with
-              | Some (Json.Num r) -> r
-              | _ -> fail "entry %S has no \"ops_per_sim_sec\" number" k
-            in
-            let lat =
-              match List.assoc_opt "latency_us" f with
-              | Some (Json.Obj ps) ->
-                  List.filter_map
-                    (fun (p, v) ->
-                      match v with Json.Num x -> Some (p, x) | _ -> None)
-                    ps
-              | _ -> []
-            in
-            let host_ms =
-              match List.assoc_opt "host_ms" f with
-              | Some (Json.Num x) -> Some x
-              | _ -> None
-            in
-            let host_rate =
-              match List.assoc_opt "host_events_per_sec" f with
-              | Some (Json.Num x) -> Some x
-              | _ -> None
-            in
-            ( k,
-              {
-                se_rate = rate;
-                se_latency_us = lat;
-                se_host_ms = host_ms;
-                se_host_rate = host_rate;
-              } )
-        | _ -> fail "entry %S is not an object" k
-      in
-      { sm_schema = schema; sm_entries = List.map entry entries }
-  | _ -> fail "not a JSON object"
+  Json.decode_file ~path (Json.obj summary_of_json)
 
 let compare_summaries ?(tolerance = 0.10) ?(tolerance_host = 2.0) ~baseline
     current =

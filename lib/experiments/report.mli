@@ -37,10 +37,8 @@ val note : string -> unit
     {!schema_version}, documented in docs/BENCHMARKS.md). *)
 
 val schema_version : string
-(** The summary schema this build writes: ["drust-bench-summary/v3"]
-    (v2 plus an optional per-entry [host_ms] wall-clock field).
-    {!read_bench_summary} also accepts the earlier v1 (rates only) and
-    v2 (rates + percentiles) schemas. *)
+(** The summary schema this build writes and the only one
+    {!read_bench_summary} accepts: ["drust-bench-summary/v3"]. *)
 
 val set_host_time_recording : bool -> unit
 (** Enable capturing [?host_ms] values passed to {!record_rate}
@@ -88,16 +86,16 @@ val emit_plan : Drust_plan.Simplan.t -> unit
 
 (** {2 Reading and regression comparison}
 
-    The [tools/bench_diff.exe] gate parses two summaries (either
-    schema) and fails on per-entry relative regressions. *)
+    The [tools/bench_diff.exe] gate reads two summaries and fails on
+    per-entry relative regressions. *)
 
 type summary_entry = {
   se_rate : float;  (** [ops_per_sim_sec] *)
   se_latency_us : (string * float) list;
-      (** percentile label -> µs; empty for v1 entries *)
+      (** percentile label -> µs; empty for entries without a
+          histogram *)
   se_host_ms : float option;
-      (** host wall-clock ms; [None] for v1/v2 entries and for v3 runs
-          without [--host-time] *)
+      (** host wall-clock ms; [None] for runs without [--host-time] *)
   se_host_rate : float option;
       (** engine throughput in dispatched events per host second;
           [None] unless the entry came from a [--host-time] profile
@@ -109,9 +107,11 @@ type summary = {
   sm_entries : (string * summary_entry) list;
 }
 
-val read_bench_summary : path:string -> summary
-(** Parse a summary file (v1, v2 or v3).  Raises [Failure] with a
-    path-prefixed message on unreadable input or an unknown schema. *)
+val read_bench_summary : path:string -> (summary, string) result
+(** Decode a summary file through the strict {!Drust_util.Json}
+    readers: [Error "<file>: <path>: <problem>"] on unreadable input,
+    another schema, an unknown or duplicate key, or a wrongly typed
+    field. *)
 
 val compare_summaries :
   ?tolerance:float ->

@@ -138,72 +138,3 @@ let metrics_jsonl ?time snap =
 
 let write_metrics_jsonl ?time ~path snap =
   write_file path (metrics_jsonl ?time snap)
-
-(* Reader for the JSONL dump above, via the shared strict parser.
-   Non-finite numbers round-trip as strings ("inf" bucket bounds, "nan"
-   min/max of empty histograms) because JSON has no literal for them. *)
-let parse_metrics_jsonl text : Metrics.snapshot =
-  let module Json = Drust_util.Json in
-  let bad fmt = Printf.ksprintf failwith ("metrics jsonl: " ^^ fmt) in
-  let num_field j k =
-    match Json.member k j with
-    | Some (Json.Num v) -> v
-    | Some (Json.Str s) -> (
-        match float_of_string_opt s with
-        | Some v -> v
-        | None -> bad "field %S is not a number: %S" k s)
-    | _ -> bad "missing numeric field %S" k
-  in
-  let int_field j k = int_of_float (num_field j k) in
-  let str_field j k =
-    match Json.member k j with
-    | Some (Json.Str s) -> s
-    | _ -> bad "missing string field %S" k
-  in
-  let parse_line line =
-    let j = Json.parse line in
-    let labels =
-      match Json.member "labels" j with
-      | Some (Json.Obj kvs) ->
-          List.map
-            (fun (k, v) ->
-              match v with
-              | Json.Str s -> (k, s)
-              | _ -> bad "label %S is not a string" k)
-            kvs
-      | _ -> bad "missing labels object"
-    in
-    let unit_ =
-      match Json.member "unit" j with Some (Json.Str s) -> s | _ -> ""
-    in
-    let value =
-      match str_field j "type" with
-      | "counter" -> Metrics.Count (int_field j "value")
-      | "gauge" -> Metrics.Level (num_field j "value")
-      | "histogram" ->
-          let buckets =
-            match Json.member "buckets" j with
-            | Some (Json.Arr bs) ->
-                List.map (fun b -> (num_field b "le", int_field b "count")) bs
-            | _ -> bad "missing buckets array"
-          in
-          Metrics.Histo
-            {
-              Metrics.h_count = int_field j "count";
-              h_sum = num_field j "sum";
-              h_min = num_field j "min";
-              h_max = num_field j "max";
-              h_buckets = buckets;
-            }
-      | t -> bad "unknown sample type %S" t
-    in
-    {
-      Metrics.s_name = str_field j "name";
-      s_labels = labels;
-      s_unit = unit_;
-      s_value = value;
-    }
-  in
-  String.split_on_char '\n' text
-  |> List.filter (fun l -> String.trim l <> "")
-  |> List.map parse_line

@@ -12,7 +12,8 @@
     arrows between node timelines.
 
     [metrics_jsonl] renders a {!Metrics.snapshot} as one JSON object per
-    line, friendly to [jq] and dataframe loaders. *)
+    line, friendly to [jq] and dataframe loaders.  The dump is
+    write-only: nothing in the repo reads it back. *)
 
 val chrome_trace : ?process_name:string -> Span.t -> string
 (** The whole trace as one JSON document. *)
@@ -26,10 +27,3 @@ val metrics_jsonl : ?time:float -> Metrics.snapshot -> string
     seconds) is stamped on every line when given. *)
 
 val write_metrics_jsonl : ?time:float -> path:string -> Metrics.snapshot -> unit
-
-val parse_metrics_jsonl : string -> Metrics.snapshot
-(** Read a {!metrics_jsonl} dump back: one sample per non-blank line.
-    Non-finite numbers (["inf"] bucket bounds, ["nan"] min/max of empty
-    histograms) are accepted in their string encoding.  Raises
-    [Failure] on malformed lines ([Drust_util.Json.Parse_error] on
-    lines that are not JSON at all). *)

@@ -1,10 +1,9 @@
 module Json = Drust_util.Json
 
 (* ------------------------------------------------------------------ *)
-(* Event kinds.  Codes 0..8 mirror the protocol's dense op-kind codes
-   (Protocol.op_latency_kinds order) verbatim, so the protocol layer
-   records its already-computed outcome code with no translation —
-   test/test_flight.ml pins the two tables against each other. *)
+(* Event kinds.  Codes 0..8 are the protocol's op-outcome codes: the
+   protocol layer computes them, records them with no translation, and
+   labels its latency histograms with their names. *)
 
 let k_read_local = 0
 let k_read_cached = 1
@@ -307,110 +306,47 @@ let kind_of_name s =
   in
   go 0
 
-let of_json j =
-  let ( let* ) = Result.bind in
-  let str k =
-    match Json.member k j with
-    | Some (Json.Str s) -> Ok s
-    | _ -> Error (Printf.sprintf "flight dump: missing string field %S" k)
-  in
-  let num k o =
-    match Json.member k o with
-    | Some (Json.Num v) -> Ok v
-    | _ -> Error (Printf.sprintf "flight dump: missing number field %S" k)
-  in
-  let int k o =
-    match Option.bind (Json.member k o) Json.to_int with
-    | Some n -> Ok n
-    | None -> Error (Printf.sprintf "flight dump: missing integer field %S" k)
-  in
-  let at_least k min o =
-    let* n = int k o in
-    if n >= min then Ok n
-    else Error (Printf.sprintf "flight dump: %S is %d, must be >= %d" k n min)
-  in
-  let event nodes e =
-    let* t = num "t" e in
-    let* node = int "node" e in
-    let* () =
-      if node >= 0 && node < nodes then Ok ()
-      else
-        Error
-          (Printf.sprintf "flight dump: event on node %d of a %d-node dump"
-             node nodes)
-    in
-    let* kind =
-      match Json.member "kind" e with
-      | Some (Json.Str s) -> (
-          match kind_of_name s with
-          | Some k -> Ok k
-          | None -> Error (Printf.sprintf "flight dump: unknown kind %S" s))
-      | _ -> Error "flight dump: event without a \"kind\""
-    in
-    let* a = int "a" e in
-    let* b = int "b" e in
-    let* c = int "c" e in
-    let* d = int "d" e in
-    Ok
-      {
-        ev_time = t;
-        ev_node = node;
-        ev_kind = kind;
-        ev_a = a;
-        ev_b = b;
-        ev_c = c;
-        ev_d = d;
-      }
-  in
-  let event_list nodes k =
-    match Json.member k j with
-    | Some (Json.Arr es) ->
-        List.fold_right
-          (fun e acc ->
-            let* acc = acc in
-            let* e = event nodes e in
-            Ok (e :: acc))
-          es (Ok [])
-    | _ -> Error (Printf.sprintf "flight dump: missing array field %S" k)
-  in
-  let* s = str "schema" in
-  if not (String.equal s schema) then
-    Error (Printf.sprintf "flight dump: schema %S (expected %S)" s schema)
-  else
-    let* label = str "label" in
-    let* reason = str "reason" in
-    let* nodes = at_least "nodes" 1 j in
-    let* ring = at_least "ring" 1 j in
-    let* time = num "time" j in
-    let* object_ =
-      match Json.member "object" j with
-      | Some Json.Null | None -> Ok None
-      | Some v -> (
-          match Json.to_int v with
-          | Some p -> Ok (Some p)
-          | None -> Error "flight dump: \"object\" must be an integer or null")
-    in
-    let* evs = event_list nodes "events" in
-    let* slice = event_list nodes "slice" in
-    Ok
-      {
-        dm_label = label;
-        dm_reason = reason;
-        dm_nodes = nodes;
-        dm_ring = ring;
-        dm_time = time;
-        dm_object = object_;
-        dm_events = evs;
-        dm_slice = slice;
-      }
+let at_least min =
+  Json.refine
+    (fun n ->
+      if n >= min then Ok n
+      else Error (Printf.sprintf "%d, must be >= %d" n min))
+    Json.int
 
+let event_of_json nodes o =
+  let int k = Json.req o k Json.int in
+  let on_cluster n =
+    if n >= 0 && n < nodes then Ok n
+    else Error (Printf.sprintf "event on node %d of a %d-node dump" n nodes)
+  in
+  {
+    ev_time = Json.req o "t" Json.number;
+    ev_node = Json.req o "node" (Json.refine on_cluster Json.int);
+    ev_kind = Json.req o "kind" (Json.enum "kind" kind_of_name);
+    ev_a = int "a";
+    ev_b = int "b";
+    ev_c = int "c";
+    ev_d = int "d";
+  }
+
+let dump_of_json o =
+  ignore (Json.req o "schema" (Json.exactly schema));
+  let nodes = Json.req o "nodes" (at_least 1) in
+  let events k = Json.req o k (Json.list (Json.obj (event_of_json nodes))) in
+  {
+    dm_label = Json.req o "label" Json.string;
+    dm_reason = Json.req o "reason" Json.string;
+    dm_nodes = nodes;
+    dm_ring = Json.req o "ring" (at_least 1);
+    dm_time = Json.req o "time" Json.number;
+    dm_object = Option.join (Json.opt o "object" (Json.nullable Json.int));
+    dm_events = events "events";
+    dm_slice = events "slice";
+  }
+
+let of_json j = Json.decode (Json.obj dump_of_json) j
 let save ~path d = Json.save ~path (to_json d)
-
-let load ~path =
-  match Json.load ~path with
-  | j -> of_json j
-  | exception Json.Parse_error m -> Error m
-  | exception Sys_error m -> Error m
+let load ~path = Json.decode_file ~path (Json.obj dump_of_json)
 
 (* ------------------------------------------------------------------ *)
 (* Automatic dumps on failure *)

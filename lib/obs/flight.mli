@@ -24,9 +24,10 @@
 
 (** {1 Event kinds}
 
-    Dense int codes.  Codes [0..8] are exactly the protocol's dense
-    op-kind codes (in [Protocol.op_latency_kinds] order) so the
-    protocol records its op outcome code untranslated. *)
+    Dense int codes.  Codes [0..8] ({!k_read_local} .. {!k_drop}) are
+    the protocol's op-outcome codes: the protocol records them
+    untranslated and labels its [protocol.op_latency] histograms with
+    their {!kind_names}. *)
 
 val k_read_local : int
 val k_read_cached : int
@@ -138,6 +139,8 @@ val field_names : string list
 val of_json : Drust_util.Json.t -> (dump, string) result
 val save : path:string -> dump -> unit
 val load : path:string -> (dump, string) result
+(** Strict, as docs/FORENSICS.md lists: [Error "<file>: <path>:
+    <problem>"] on any malformed dump, never an exception. *)
 
 (** {1 Automatic dumps} *)
 

@@ -391,178 +391,132 @@ let to_json t =
       spec;
     ]
 
-exception Bad of string
-
-let bad fmt = Printf.ksprintf (fun m -> raise (Bad m)) fmt
-
-let field o k =
-  match Json.member k o with Some v -> v | None -> bad "missing field %S" k
-
-let opt_field o k = Json.member k o
-
-let to_str k = function Json.Str s -> s | _ -> bad "field %S: expected string" k
-
-let to_num k = function
-  | Json.Num f -> f
-  | _ -> bad "field %S: expected number" k
-
-let to_int k v =
-  match Json.to_int v with
-  | Some n -> n
-  | None -> bad "field %S: expected integer" k
-
-let to_bool k = function
-  | Json.Bool b -> b
-  | _ -> bad "field %S: expected bool" k
-
-let to_ints k = function
-  | Json.Arr xs -> List.map (to_int k) xs
-  | _ -> bad "field %S: expected array of integers" k
-
-let sfield o k = to_str k (field o k)
-let nfield o k = to_num k (field o k)
-let ifield o k = to_int k (field o k)
-let bfield o k = to_bool k (field o k)
-
 let topology_of_json o =
   {
-    nodes = ifield o "nodes";
-    cores_per_node = ifield o "cores_per_node";
-    mem_per_node = ifield o "mem_per_node";
-    ghz = nfield o "ghz";
-    seed = ifield o "seed";
+    nodes = Json.req o "nodes" Json.int;
+    cores_per_node = Json.req o "cores_per_node" Json.int;
+    mem_per_node = Json.req o "mem_per_node" Json.int;
+    ghz = Json.req o "ghz" Json.number;
+    seed = Json.req o "seed" Json.int;
   }
 
 let event_of_json o =
-  match sfield o "kind" with
-  | "crash" -> Crash { node = ifield o "node"; at = nfield o "at" }
+  let int k = Json.req o k Json.int and num k = Json.req o k Json.number in
+  match Json.req o "kind" Json.string with
+  | "crash" -> Crash { node = int "node"; at = num "at" }
   | "partition" ->
       Partition
         {
-          group = to_ints "group" (field o "group");
-          at = nfield o "at";
-          heal_at = nfield o "heal_at";
+          group = Json.req o "group" (Json.list Json.int);
+          at = num "at";
+          heal_at = num "heal_at";
         }
   | "degrade" ->
       Degrade
         {
-          from_node = ifield o "from";
-          target = ifield o "target";
-          drop = nfield o "drop";
-          extra_latency = nfield o "extra_latency";
-          jitter = nfield o "jitter";
+          from_node = int "from";
+          target = int "target";
+          drop = num "drop";
+          extra_latency = num "extra_latency";
+          jitter = num "jitter";
         }
-  | k -> bad "unknown fault event kind %S" k
+  | k -> Json.fail o "unknown fault event kind %S" k
+
+let mix_of_name name =
+  List.find_opt
+    (fun w -> String.equal (Ycsb.workload_name w) name)
+    Ycsb.all_workloads
 
 let workload_of_json o =
-  match sfield o "kind" with
+  let int k = Json.req o k Json.int and num k = Json.req o k Json.number in
+  let ints k = Json.req o k (Json.list Json.int) in
+  match Json.req o "kind" Json.string with
   | "app" ->
-      let slug = sfield o "app" in
-      let app =
-        match app_of_slug slug with
-        | Some a -> a
-        | None -> bad "unknown app %S" slug
-      in
       App_run
         {
-          app;
-          affinity = bfield o "affinity";
-          pass_by_value = bfield o "pass_by_value";
+          app = Json.req o "app" (Json.enum "app" app_of_slug);
+          affinity = Json.req o "affinity" Json.bool;
+          pass_by_value = Json.req o "pass_by_value" Json.bool;
         }
   | "ycsb" ->
-      let name = sfield o "mix" in
-      let mix =
-        match
-          List.find_opt
-            (fun w -> String.equal (Ycsb.workload_name w) name)
-            Ycsb.all_workloads
-        with
-        | Some w -> w
-        | None -> bad "unknown YCSB mix %S" name
-      in
-      Ycsb_run { mix; ops = ifield o "ops" }
+      Ycsb_run
+        {
+          mix = Json.req o "mix" (Json.enum "YCSB mix" mix_of_name);
+          ops = int "ops";
+        }
   | "failover" ->
       Failover_kv
         {
-          Scenario.fo_nodes = ifield o "nodes";
-          fo_keys = ifield o "keys";
-          fo_key_bytes = ifield o "key_bytes";
-          fo_duration = nfield o "duration";
-          fo_crash_t = nfield o "crash_t";
-          fo_victim = ifield o "victim";
-          fo_bucket = nfield o "bucket";
-          fo_think = nfield o "think";
+          Scenario.fo_nodes = int "nodes";
+          fo_keys = int "keys";
+          fo_key_bytes = int "key_bytes";
+          fo_duration = num "duration";
+          fo_crash_t = num "crash_t";
+          fo_victim = int "victim";
+          fo_bucket = num "bucket";
+          fo_think = num "think";
         }
   | "churn" ->
       Churn_kv
         {
-          Scenario.ch_nodes = ifield o "nodes";
-          ch_active0 = ifield o "active0";
-          ch_joiners = to_ints "joiners" (field o "joiners");
-          ch_leavers = to_ints "leavers" (field o "leavers");
-          ch_sabotaged = ifield o "sabotaged";
-          ch_victim = ifield o "victim";
-          ch_crash_t = nfield o "crash_t";
-          ch_duration = nfield o "duration";
-          ch_churn_start = nfield o "churn_start";
-          ch_churn_gap = nfield o "churn_gap";
-          ch_think = nfield o "think";
-          ch_key_bytes = ifield o "key_bytes";
-          ch_ballast_bytes = ifield o "ballast_bytes";
-          ch_zipf_theta = nfield o "zipf_theta";
-          ch_replicas = ifield o "replicas";
+          Scenario.ch_nodes = int "nodes";
+          ch_active0 = int "active0";
+          ch_joiners = ints "joiners";
+          ch_leavers = ints "leavers";
+          ch_sabotaged = int "sabotaged";
+          ch_victim = int "victim";
+          ch_crash_t = num "crash_t";
+          ch_duration = num "duration";
+          ch_churn_start = num "churn_start";
+          ch_churn_gap = num "churn_gap";
+          ch_think = num "think";
+          ch_key_bytes = int "key_bytes";
+          ch_ballast_bytes = int "ballast_bytes";
+          ch_zipf_theta = num "zipf_theta";
+          ch_replicas = int "replicas";
         }
-  | k -> bad "unknown workload kind %S" k
+  | k -> Json.fail o "unknown workload kind %S" k
 
-let of_json j =
-  try
-    let schema = sfield j "schema" in
-    if not (String.equal schema plan_schema) then
-      bad "unknown plan schema %S (expected %s)" schema plan_schema;
-    let name = sfield j "name" in
-    let expect = sfield j "expect" in
-    let spec =
-      match (opt_field j "sim", opt_field j "suite") with
-      | Some s, None ->
-          let system_slug_ = sfield s "system" in
-          let system =
-            match system_of_slug system_slug_ with
-            | Some sys -> sys
-            | None -> bad "unknown system %S" system_slug_
-          in
-          let faults_o = field s "faults" in
-          let events =
-            match field faults_o "events" with
-            | Json.Arr es -> List.map event_of_json es
-            | _ -> bad "field \"events\": expected array"
-          in
-          Sim
-            {
-              topology = topology_of_json (field s "topology");
-              system;
-              workload = workload_of_json (field s "workload");
-              faults = { fault_seed = ifield faults_o "fault_seed"; events };
-            }
-      | None, Some s ->
-          let experiments =
-            match field s "experiments" with
-            | Json.Arr es -> List.map (to_str "experiments") es
-            | _ -> bad "field \"experiments\": expected array"
-          in
-          Suite
-            {
-              su_experiments = experiments;
-              su_node_counts =
-                Option.map (to_ints "node_counts") (opt_field s "node_counts");
-              su_churn_nodes =
-                Option.map (to_int "churn_nodes") (opt_field s "churn_nodes");
-              su_seed = ifield s "seed";
-            }
-      | Some _, Some _ -> bad "plan has both \"sim\" and \"suite\" specs"
-      | None, None -> bad "plan has neither \"sim\" nor \"suite\" spec"
-    in
-    Ok { name; spec; expect }
-  with Bad m -> Error m
+let sim_of_json o =
+  let faults_of_json f =
+    {
+      fault_seed = Json.req f "fault_seed" Json.int;
+      events = Json.req f "events" (Json.list (Json.obj event_of_json));
+    }
+  in
+  Sim
+    {
+      topology = Json.req o "topology" (Json.obj topology_of_json);
+      system = Json.req o "system" (Json.enum "system" system_of_slug);
+      workload = Json.req o "workload" (Json.obj workload_of_json);
+      faults = Json.req o "faults" (Json.obj faults_of_json);
+    }
+
+let suite_of_json o =
+  Suite
+    {
+      su_experiments = Json.req o "experiments" (Json.list Json.string);
+      su_node_counts = Json.opt o "node_counts" (Json.list Json.int);
+      su_churn_nodes = Json.opt o "churn_nodes" Json.int;
+      su_seed = Json.req o "seed" Json.int;
+    }
+
+let plan_of_json o =
+  ignore (Json.req o "schema" (Json.exactly plan_schema));
+  let name = Json.req o "name" Json.string in
+  let expect = Json.req o "expect" Json.string in
+  let spec =
+    match
+      ( Json.opt o "sim" (Json.obj sim_of_json),
+        Json.opt o "suite" (Json.obj suite_of_json) )
+    with
+    | Some s, None | None, Some s -> s
+    | Some _, Some _ -> Json.fail o "plan has both \"sim\" and \"suite\" specs"
+    | None, None -> Json.fail o "plan has neither \"sim\" nor \"suite\" spec"
+  in
+  { name; spec; expect }
+
+let of_json j = Json.decode (Json.obj plan_of_json) j
 
 let print t = Json.print (to_json t)
 
@@ -572,14 +526,7 @@ let parse s =
   | exception Json.Parse_error m -> Error m
 
 let save ~path t = Json.save ~path (to_json t)
-
-let load ~path =
-  match In_channel.with_open_text path In_channel.input_all with
-  | text -> (
-      match parse text with
-      | Ok t -> Ok t
-      | Error m -> Error (path ^ ": " ^ m))
-  | exception Sys_error m -> Error m
+let load ~path = Json.decode_file ~path (Json.obj plan_of_json)
 
 let field_names =
   List.sort_uniq String.compare

@@ -156,8 +156,10 @@ val print : t -> string
 val parse : string -> (t, string) result
 val save : path:string -> t -> unit
 val load : path:string -> (t, string) result
-(** [Error] covers unreadable files, JSON syntax errors, and decode
-    errors alike. *)
+(** Decoding is strict ({!Drust_util.Json}'s readers): an unknown or
+    duplicate key or a wrongly typed field, optional ones included, is
+    an error.  [Error "<file>: ..."] covers unreadable files, JSON
+    syntax errors and decode errors alike. *)
 
 val field_names : string list
 (** Every JSON field name the codec reads or writes, sorted — the

@@ -253,3 +253,113 @@ let load ~path = parse (In_channel.with_open_text path In_channel.input_all)
 let save ~path j =
   Out_channel.with_open_text path (fun oc ->
       Out_channel.output_string oc (print j))
+
+(* ------------------------------------------------------------------ *)
+(* Strict decoding.  A reader gets the jq-style path of the value it
+   decodes and raises [Decode_error] at that path; only [decode] and
+   [decode_file] catch it, so no failure escapes as an exception. *)
+
+exception Decode_error of string * string
+
+type 'a reader = string -> t -> 'a
+
+type obj = {
+  path : string;
+  fields : (string * t) list;
+  mutable used : string list;
+}
+
+let fail_at path fmt =
+  Printf.ksprintf (fun m -> raise (Decode_error (path, m))) fmt
+
+let fail o fmt = fail_at o.path fmt
+
+(* [.a.b[2]], with keys that are not identifiers quoted: [.a["x/y"]]. *)
+let key_path path k =
+  let ident = function
+    | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> true
+    | _ -> false
+  in
+  if k <> "" && String.for_all ident k then
+    (if path = "." then "" else path) ^ "." ^ k
+  else Printf.sprintf "%s[%S]" path k
+
+let string path = function Str s -> s | _ -> fail_at path "expected a string"
+let number path = function Num f -> f | _ -> fail_at path "expected a number"
+let bool path = function Bool b -> b | _ -> fail_at path "expected a bool"
+
+let int path v =
+  match to_int v with Some n -> n | None -> fail_at path "expected an integer"
+
+let list r path = function
+  | Arr xs -> List.mapi (fun i x -> r (Printf.sprintf "%s[%d]" path i) x) xs
+  | _ -> fail_at path "expected an array"
+
+let nullable r path = function Null -> None | v -> Some (r path v)
+
+let refine f r path v =
+  match f (r path v) with Ok x -> x | Error m -> fail_at path "%s" m
+
+let exactly want =
+  refine
+    (fun s ->
+      if String.equal s want then Ok s
+      else Error (Printf.sprintf "expected %S, got %S" want s))
+    string
+
+let enum what of_name =
+  refine
+    (fun s ->
+      Option.to_result
+        ~none:(Printf.sprintf "unknown %s %S" what s)
+        (of_name s))
+    string
+
+let fields path = function
+  | Obj kvs ->
+      ignore
+        (List.fold_left
+           (fun seen (k, _) ->
+             if List.mem k seen then fail_at (key_path path k) "duplicate key"
+             else k :: seen)
+           [] kvs);
+      kvs
+  | _ -> fail_at path "expected an object"
+
+let assoc r path v =
+  List.map (fun (k, x) -> (k, r (key_path path k) x)) (fields path v)
+
+let obj f path v =
+  let o = { path; fields = fields path v; used = [] } in
+  let x = f o in
+  List.iter
+    (fun (k, _) ->
+      if not (List.mem k o.used) then fail_at (key_path path k) "unknown key")
+    o.fields;
+  x
+
+let opt o k r =
+  match List.assoc_opt k o.fields with
+  | None -> None
+  | Some v ->
+      o.used <- k :: o.used;
+      Some (r (key_path o.path k) v)
+
+let req o k r =
+  match opt o k r with
+  | Some x -> x
+  | None -> fail_at (key_path o.path k) "missing field"
+
+let decode r j =
+  match r "." j with
+  | x -> Ok x
+  | exception Decode_error (path, m) -> Error (path ^ ": " ^ m)
+
+let decode_file ~path r =
+  let in_file m = path ^ ": " ^ m in
+  match load ~path with
+  | j -> Result.map_error in_file (decode r j)
+  | exception Parse_error m -> Error (in_file m)
+  | exception Sys_error m ->
+      (* open names the file itself; a failed read does not *)
+      Error (if String.starts_with ~prefix:(in_file "") m then m else in_file m)

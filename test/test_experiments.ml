@@ -99,6 +99,11 @@ let with_temp_file f =
   let path = Filename.temp_file "bench_summary" ".json" in
   Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
 
+let read_summary path =
+  match E.Report.read_bench_summary ~path with
+  | Ok s -> s
+  | Error e -> Alcotest.fail e
+
 (* A latency histogram over the protocol op buckets with a known shape. *)
 let sample_latency () =
   let m = Drust_obs.Metrics.create () in
@@ -117,7 +122,7 @@ let test_summary_v2_roundtrip () =
     ~elapsed:2.0 ();
   with_temp_file (fun path ->
       E.Report.write_bench_summary ~path;
-      let s = E.Report.read_bench_summary ~path in
+      let s = read_summary path in
       Alcotest.(check string) "schema" E.Report.schema_version
         s.E.Report.sm_schema;
       let entry = List.assoc "test/summary/v2" s.E.Report.sm_entries in
@@ -151,7 +156,7 @@ let test_summary_v3_host_roundtrip () =
         ~ops:10.0 ~elapsed:1.0 ());
   with_temp_file (fun path ->
       E.Report.write_bench_summary ~path;
-      let s = E.Report.read_bench_summary ~path in
+      let s = read_summary path in
       Alcotest.(check string) "v3 schema" "drust-bench-summary/v3"
         s.E.Report.sm_schema;
       let e name = List.assoc name s.E.Report.sm_entries in
@@ -163,57 +168,40 @@ let test_summary_v3_host_roundtrip () =
       Alcotest.(check (list string)) "self-diff clean" []
         (E.Report.compare_summaries ~baseline:s s))
 
-let test_summary_v2_readable () =
-  (* The previous schema (rates + percentiles, no host_ms) still parses. *)
-  with_temp_file (fun path ->
-      Out_channel.with_open_text path (fun oc ->
-          output_string oc
-            {|{ "schema": "drust-bench-summary/v2",
-                "entries": { "fig5/gemm": { "ops_per_sim_sec": 99.0,
-                  "latency_us": { "p50": 1.5, "p99": 7.0 } } } }|});
-      let s = E.Report.read_bench_summary ~path in
-      Alcotest.(check string) "v2 schema kept" "drust-bench-summary/v2"
-        s.E.Report.sm_schema;
-      let entry = List.assoc "fig5/gemm" s.E.Report.sm_entries in
-      Alcotest.(check (float 1e-9)) "rate" 99.0 entry.E.Report.se_rate;
-      Alcotest.(check (float 1e-9)) "p99" 7.0
-        (List.assoc "p99" entry.E.Report.se_latency_us);
-      Alcotest.(check (option (float 1e-9))) "no host_ms in v2" None
-        entry.E.Report.se_host_ms;
-      Alcotest.(check (list string)) "v2 self-diff clean" []
-        (E.Report.compare_summaries ~baseline:s s))
-
-let test_summary_v1_readable () =
-  with_temp_file (fun path ->
-      Out_channel.with_open_text path (fun oc ->
-          output_string oc
-            {|{ "schema": "drust-bench-summary/v1",
-                "entries": { "fig5/gemm": { "ops_per_sim_sec": 123.5 } } }|});
-      let s = E.Report.read_bench_summary ~path in
-      Alcotest.(check string) "v1 schema kept" "drust-bench-summary/v1"
-        s.E.Report.sm_schema;
-      let entry = List.assoc "fig5/gemm" s.E.Report.sm_entries in
-      Alcotest.(check (float 1e-9)) "rate" 123.5 entry.E.Report.se_rate;
-      Alcotest.(check int) "no latency in v1" 0
-        (List.length entry.E.Report.se_latency_us);
-      Alcotest.(check (list string)) "v1 self-diff clean" []
-        (E.Report.compare_summaries ~baseline:s s));
-  (* Unknown schemas and malformed JSON are loud failures. *)
-  with_temp_file (fun path ->
-      Out_channel.with_open_text path (fun oc ->
-          output_string oc {|{ "schema": "who-knows/v9", "entries": {} }|});
-      Alcotest.(check bool) "unknown schema rejected" true
-        (try
-           ignore (E.Report.read_bench_summary ~path);
-           false
-         with Failure _ -> true));
-  with_temp_file (fun path ->
-      Out_channel.with_open_text path (fun oc -> output_string oc "{ nope");
-      Alcotest.(check bool) "malformed json rejected" true
-        (try
-           ignore (E.Report.read_bench_summary ~path);
-           false
-         with Failure _ -> true))
+(* The reader is strict: only v3, no unknown or duplicate keys, every
+   field of its type.  Each input is rejected with an [Error] naming the
+   file, never an exception. *)
+let test_summary_malformed_rejected () =
+  let v3 entries =
+    Printf.sprintf {|{ "schema": "drust-bench-summary/v3", "entries": %s }|}
+      entries
+  in
+  List.iter
+    (fun (what, text) ->
+      with_temp_file (fun path ->
+          Out_channel.with_open_text path (fun oc -> output_string oc text);
+          match E.Report.read_bench_summary ~path with
+          | Ok _ -> Alcotest.failf "accepted %s" what
+          | Error m ->
+              if not (String.starts_with ~prefix:(path ^ ": ") m) then
+                Alcotest.failf "%s: error %S does not name the file" what m
+          | exception e ->
+              Alcotest.failf "%s raised %s" what (Printexc.to_string e)))
+    [
+      ("malformed JSON", "{ nope");
+      ("an unknown schema", {|{ "schema": "who-knows/v9", "entries": {} }|});
+      ( "the retired v2 schema",
+        {|{ "schema": "drust-bench-summary/v2", "entries": {} }|} );
+      ("an unknown key", v3 {|{ "a": { "ops_per_sim_sec": 1, "host_s": 2 } }|});
+      ( "a duplicate key",
+        v3 {|{ "a": { "ops_per_sim_sec": 1 }, "a": { "ops_per_sim_sec": 2 } }|} );
+      ( "a wrongly typed host_ms",
+        v3 {|{ "a": { "ops_per_sim_sec": 1, "host_ms": "slow" } }|} );
+      ( "a wrongly typed percentile",
+        v3 {|{ "a": { "ops_per_sim_sec": 1, "latency_us": { "p50": "fast" } } }|} );
+      ("an entry that is not an object", v3 {|{ "a": 12 }|});
+      ("entries that are not an object", v3 "[]");
+    ]
 
 let test_summary_regression_detection () =
   let entry ?host_ms ?host_rate rate p99 =
@@ -508,8 +496,8 @@ let () =
           Alcotest.test_case "v2 roundtrip" `Quick test_summary_v2_roundtrip;
           Alcotest.test_case "v3 host_ms roundtrip" `Quick
             test_summary_v3_host_roundtrip;
-          Alcotest.test_case "v2 readable" `Quick test_summary_v2_readable;
-          Alcotest.test_case "v1 readable" `Quick test_summary_v1_readable;
+          Alcotest.test_case "malformed rejected" `Quick
+            test_summary_malformed_rejected;
           Alcotest.test_case "regression detection" `Quick
             test_summary_regression_detection;
           Alcotest.test_case "failover percentiles" `Quick

@@ -235,7 +235,16 @@ let test_metrics_jsonl_shape () =
     List.filter (fun l -> l <> "") (String.split_on_char '\n' out)
   in
   Alcotest.(check int) "one line per sample" 3 (List.length lines);
-  List.iter check_balanced_json lines;
+  (* Every line is one JSON object to the shared strict parser — the
+     histogram's "inf" overflow bound included, spelled as a string. *)
+  List.iter
+    (fun l ->
+      match Drust_util.Json.parse l with
+      | Drust_util.Json.Obj _ -> ()
+      | _ -> Alcotest.failf "not a JSON object: %s" l
+      | exception Drust_util.Json.Parse_error e ->
+          Alcotest.failf "unparseable line (%s): %s" e l)
+    lines;
   Alcotest.(check bool) "counter line" true
     (List.exists
        (fun l ->
@@ -250,41 +259,6 @@ let test_metrics_jsonl_shape () =
          Astring.String.is_infix ~affix:{|"name":"t.h"|} l
          && Astring.String.is_infix ~affix:{|"count":1|} l)
        lines)
-
-(* The JSONL dump must read back through the shared lib/util/json
-   parser as the identical snapshot — including the "inf" overflow
-   bucket bound, which JSON cannot spell as a number. *)
-let test_metrics_jsonl_roundtrip () =
-  let m = Metrics.create () in
-  let c = Metrics.counter m ~labels:[ ("node", "3") ] ~unit_:"ops" "t.c" in
-  Metrics.add c 7;
-  Metrics.set (Metrics.gauge m "t.g") 1.5;
-  let h = Metrics.histogram m ~buckets:[| 1.0; 10.0 |] ~unit_:"us" "t.h" in
-  List.iter (Metrics.observe h) [ 0.5; 5.0; 50.0 ];
-  let h2 =
-    Metrics.histogram m ~buckets:[| 0.25 |] ~labels:[ ("op", "read") ] "t.h2"
-  in
-  Metrics.observe h2 0.125;
-  let snap = Metrics.snapshot m in
-  let parsed = Export.parse_metrics_jsonl (Export.metrics_jsonl snap) in
-  Alcotest.(check int) "same sample count" (List.length snap)
-    (List.length parsed);
-  List.iter2
-    (fun (a : Metrics.sample) (b : Metrics.sample) ->
-      Alcotest.(check string) "name" a.Metrics.s_name b.Metrics.s_name;
-      Alcotest.(check bool)
-        (a.Metrics.s_name ^ " roundtrips structurally")
-        true (a = b))
-    snap parsed;
-  (* The ~time stamp is presentation-only and must not break reading. *)
-  let stamped = Export.parse_metrics_jsonl (Export.metrics_jsonl ~time:2.5 snap) in
-  Alcotest.(check bool) "time-stamped dump reads back" true (stamped = snap);
-  (* Malformed lines are rejected, not silently dropped. *)
-  Alcotest.(check bool) "missing type raises" true
-    (try
-       ignore (Export.parse_metrics_jsonl {|{"name":"x","labels":{}}|});
-       false
-     with Failure _ -> true)
 
 let test_chrome_trace_thread_metadata () =
   let now, clock = manual_clock () in
@@ -731,8 +705,6 @@ let () =
           Alcotest.test_case "chrome trace shape" `Quick test_chrome_trace_shape;
           Alcotest.test_case "metrics jsonl shape" `Quick
             test_metrics_jsonl_shape;
-          Alcotest.test_case "metrics jsonl roundtrip" `Quick
-            test_metrics_jsonl_roundtrip;
           Alcotest.test_case "chrome thread metadata" `Quick
             test_chrome_trace_thread_metadata;
           Alcotest.test_case "json escape" `Quick test_json_escape;

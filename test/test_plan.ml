@@ -23,6 +23,8 @@ let generated_plans () =
      so churn plans are sampled too; constructors cover the rest. *)
   Fuzz.plans ~seed:11 ~count:30 ~max_nodes:8
   @ Fuzz.plans ~seed:12 ~count:20 ~max_nodes:16
+  (* the @fuzz alias's batch *)
+  @ Fuzz.plans ~seed:1 ~count:25 ~max_nodes:16
   @ [
       Simplan.app_plan ~params:Params.default Simplan.Gemm_app Simplan.Drust;
       Simplan.app_plan ~affinity:true ~params:Params.default
@@ -203,13 +205,28 @@ let test_parse_errors () =
     match Simplan.parse s with
     | Error _ -> ()
     | Ok _ -> Alcotest.failf "parse accepted %s" what
+    | exception e ->
+        Alcotest.failf "parse raised %s on %s" (Printexc.to_string e) what
   in
+  let suite fields =
+    Printf.sprintf
+      {|{ "schema": "drust-simplan/v1", "name": "x", "expect": "drust-bench-summary/v3", "suite": { "experiments": ["table1"], %s "seed": 1 } }|}
+      fields
+  in
+  (match Simplan.parse (suite {|"churn_nodes": 16,|}) with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "well-formed suite plan rejected: %s" e);
   is_error "truncated JSON" "{";
   is_error "an empty object" "{}";
   is_error "a foreign schema tag"
     {|{ "schema": "something/v9", "name": "x", "expect": "drust-bench-summary/v3", "suite": { "experiments": ["fig5"], "seed": 1 } }|};
   is_error "a plan with both sim and suite"
-    {|{ "schema": "drust-simplan/v1", "name": "x", "expect": "drust-bench-summary/v3", "suite": { "experiments": ["fig5"], "seed": 1 }, "sim": {} }|}
+    {|{ "schema": "drust-simplan/v1", "name": "x", "expect": "drust-bench-summary/v3", "suite": { "experiments": ["fig5"], "seed": 1 }, "sim": {} }|};
+  is_error "an unknown (misspelled optional) key" (suite {|"churn_node": 16,|});
+  is_error "a duplicate key" (suite {|"seed": 2,|});
+  is_error "a wrongly typed optional field" (suite {|"node_counts": "2,4",|});
+  is_error "a non-object spec"
+    {|{ "schema": "drust-simplan/v1", "name": "x", "expect": "drust-bench-summary/v3", "suite": ["fig5"] }|}
 
 (* ------------------------------------------------------------------ *)
 (* Replay equivalence: executing the plan artifact reproduces the

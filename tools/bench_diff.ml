@@ -1,12 +1,14 @@
 (* Benchmark regression gate, run by the @bench-diff alias (a dep of
-   @runtest).  Compares two BENCH_summary.json files — any schema,
-   drust-bench-summary/v1 (rates only), /v2 (rates + latency_us
-   percentiles) or /v3 (v2 + optional host_ms wall-clock) — entry by
-   entry with a relative tolerance:
+   @runtest).  Compares two drust-bench-summary/v3 BENCH_summary.json
+   files entry by entry with a relative tolerance:
 
      bench_diff.exe BASELINE CURRENT [--tolerance F] [--tolerance-host F]
                     [--write-baseline]
 
+   Both files are read through the strict JSON readers: another schema,
+   an unknown or duplicate key, or a wrongly typed field (a string where
+   host_ms or a percentile belongs) prints "bench_diff: <file>: <path>:
+   <problem>" and exits 2 before anything is compared.
    A regression is a baseline entry missing from CURRENT, a throughput
    drop below baseline*(1 - tolerance), a latency percentile above
    baseline*(1 + tolerance), or — when both sides carry host_ms — a
@@ -57,10 +59,11 @@ let () =
     match split [] args with [ b; c ] -> (b, c) | _ -> usage ()
   in
   let read path =
-    try Report.read_bench_summary ~path
-    with Failure m | Sys_error m ->
-      Printf.eprintf "bench_diff: %s\n" m;
-      exit 2
+    match Report.read_bench_summary ~path with
+    | Ok s -> s
+    | Error m ->
+        Printf.eprintf "bench_diff: %s\n" m;
+        exit 2
   in
   let current = read current_path in
   if !write_baseline then begin
