@@ -192,25 +192,13 @@ let step t =
     true
   end
 
-let run ?until t =
-  (match until with
-  | None ->
-      (* Hot loop: no per-event limit check, no option allocation. *)
-      while not (Drust_util.Pqueue.is_empty t.events) do
-        let f = Drust_util.Pqueue.pop_exn t.events in
-        t.clock <- Drust_util.Pqueue.last_time t.events;
-        t.dispatched <- t.dispatched + 1;
-        f ()
-      done
-  | Some limit ->
-      let keep_going () =
-        match Drust_util.Pqueue.peek_time t.events with
-        | None -> false
-        | Some next -> next <= limit
-      in
-      while (not (Drust_util.Pqueue.is_empty t.events)) && keep_going () do
-        ignore (step t)
-      done);
+let run t =
+  while not (Drust_util.Pqueue.is_empty t.events) do
+    let f = Drust_util.Pqueue.pop_exn t.events in
+    t.clock <- Drust_util.Pqueue.last_time t.events;
+    t.dispatched <- t.dispatched + 1;
+    f ()
+  done;
   match List.rev t.failures with
   | [] -> ()
   | e :: _ ->

@@ -65,10 +65,10 @@ val yield : t -> unit
 
 (** {1 Driving the simulation} *)
 
-val run : ?until:float -> t -> unit
-(** [run t] executes events until the queue drains (or virtual time exceeds
-    [until]).  If any process died with an uncaught exception, the first
-    such exception is re-raised after the loop stops. *)
+val run : t -> unit
+(** [run t] executes events until the queue drains.  If any process died
+    with an uncaught exception, the first such exception is re-raised
+    after the loop stops. *)
 
 val step : t -> bool
 (** [step t] executes a single event; [false] when the queue is empty. *)

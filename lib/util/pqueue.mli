@@ -4,11 +4,10 @@
     sequence number breaks ties so that events scheduled at the same instant
     fire in insertion order, which keeps simulations deterministic.
 
-    Internally this is a hybrid calendar/flat-array structure: a FIFO ring
-    for events at the current instant, fixed-width calendar buckets for the
-    near-horizon window, and a flat binary heap as overflow for far-future
-    timers.  Dispatch order is identical to a plain (time, seq) binary
-    heap; see docs/PERFORMANCE.md for the design. *)
+    Internally every pending event sits in one of two places: a FIFO ring
+    for events pushed at the current instant, and a flat binary heap for
+    every other push.  Dispatch order is identical to a plain (time, seq)
+    binary heap; see docs/PERFORMANCE.md for the design. *)
 
 type 'a t
 
@@ -19,8 +18,8 @@ val length : 'a t -> int
 
 val pushed : 'a t -> int
 (** [pushed t] is the total number of pushes ever performed — the next
-    sequence number.  Monotone; never reset by {!pop} or {!clear}'s
-    draining, and a rejected {!push} does not count. *)
+    sequence number.  Monotone; never reset by {!pop_exn}'s draining,
+    and a rejected {!push} does not count. *)
 
 val push : 'a t -> time:float -> 'a -> unit
 (** [push t ~time v] inserts [v] at priority [time].  Raises
@@ -37,26 +36,16 @@ val push_cell : 'a t -> cell -> 'a -> unit
 (** [push_cell t c v] is [push t ~time:c.time v]: the same insertion,
     ordering and rejection, reading the time from [c]. *)
 
-val pop : 'a t -> (float * 'a) option
-(** [pop t] removes and returns the minimum-time element, FIFO among
-    equal times. *)
-
 val pop_exn : 'a t -> 'a
-(** Allocation-free variant of {!pop}: returns the value alone and
-    leaves its timestamp readable via {!last_time}.  Raises
-    [Invalid_argument] on an empty queue. *)
+(** [pop_exn t] removes the minimum-time element, FIFO among equal
+    times, and returns its value alone; its timestamp is readable via
+    {!last_time}.  Raises [Invalid_argument] on an empty queue. *)
 
 val last_time : 'a t -> float
 (** Time of the most recently popped element ([neg_infinity] before the
     first pop). *)
 
-val peek_time : 'a t -> float option
-(** [peek_time t] is the time of the next element without removing it. *)
-
 val has_due : 'a t -> bool
 (** [has_due t] is [true] when some element's time is at or before
     {!last_time}: an element pushed at [last_time t] now would not be
-    the next one popped.  An allocation-free check that {!peek_time} is
-    at most {!last_time}. *)
-
-val clear : 'a t -> unit
+    the next one popped.  Allocation-free. *)

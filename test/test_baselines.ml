@@ -323,11 +323,11 @@ let read_part_words ~warm make =
     (fun _ -> b.Dsm.read_part ctx0 h ~bytes:64)
 
 let test_read_part_allocation () =
-  Alloc_budget.check "cached DRust read_part" ~max:17.0
+  Alloc_budget.check "cached DRust read_part" ~max:16.0
     (read_part_words ~warm:true Drust_dsm.Drust_backend.create);
-  Alloc_budget.check "warm GAM read_part" ~max:4.0
+  Alloc_budget.check "warm GAM read_part" ~max:3.0
     (read_part_words ~warm:true (fun c -> Gam.backend (Gam.create c)));
-  Alloc_budget.check "remote Grappa read_part" ~max:48.0
+  Alloc_budget.check "remote Grappa read_part" ~max:47.0
     (read_part_words ~warm:false (fun c -> Grappa.backend (Grappa.create c)))
 
 (* A two-node ping-pong on one 512-byte GAM object homed on node 1:
@@ -344,7 +344,7 @@ let test_gam_ping_pong_allocation () =
          h := Some (Gam.alloc_on g ctx1 ~node:1 ~size:512 (pack 0))));
   Cluster.run cluster;
   let h = Option.get !h and v = pack 1 in
-  Alloc_budget.check "GAM two-node write+read ping-pong" ~max:160.0
+  Alloc_budget.check "GAM two-node write+read ping-pong" ~max:157.0
     (Alloc_budget.per_call (Cluster.engine cluster)
        ~run:(fun () -> Cluster.run cluster)
        (fun _ ->

@@ -279,11 +279,11 @@ let test_verb_allocation () =
       ~run:(fun () -> Engine.run engine)
       (fun _ -> f fabric)
   in
-  Alloc_budget.check "Fabric.rpc" ~max:20.0
+  Alloc_budget.check "Fabric.rpc" ~max:17.5
     (verb_words (fun fabric ->
          Fabric.rpc fabric ~from:0 ~target:1 ~req_bytes:64 ~resp_bytes:64
            ignore));
-  Alloc_budget.check "Fabric.rdma_read" ~max:11.0
+  Alloc_budget.check "Fabric.rdma_read" ~max:9.0
     (verb_words (fun fabric ->
          Fabric.rdma_read fabric ~from:0 ~target:1 ~bytes:64))
 

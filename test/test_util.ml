@@ -345,10 +345,9 @@ let test_pqueue_order () =
   Pqueue.push q ~time:3.0 "c";
   Pqueue.push q ~time:1.0 "a";
   Pqueue.push q ~time:2.0 "b";
-  let pop () = match Pqueue.pop q with Some (_, v) -> v | None -> "?" in
-  check Alcotest.string "a first" "a" (pop ());
-  check Alcotest.string "b second" "b" (pop ());
-  check Alcotest.string "c third" "c" (pop ());
+  check Alcotest.string "a first" "a" (Pqueue.pop_exn q);
+  check Alcotest.string "b second" "b" (Pqueue.pop_exn q);
+  check Alcotest.string "c third" "c" (Pqueue.pop_exn q);
   Alcotest.(check bool) "empty" true (Pqueue.is_empty q)
 
 let test_pqueue_fifo_ties () =
@@ -357,17 +356,51 @@ let test_pqueue_fifo_ties () =
     Pqueue.push q ~time:1.0 i
   done;
   for i = 0 to 9 do
-    match Pqueue.pop q with
-    | Some (_, v) -> check Alcotest.int "fifo among ties" i v
-    | None -> Alcotest.fail "queue exhausted early"
+    if Pqueue.is_empty q then Alcotest.fail "queue exhausted early";
+    check Alcotest.int "fifo among ties" i (Pqueue.pop_exn q)
   done
 
-let test_pqueue_peek () =
+(* An entry pushed at T before the clock reached T waits in the heap;
+   entries pushed once the clock is at T go to the ring.  The heap entry
+   has the lower sequence number, so it pops first. *)
+let test_pqueue_heap_before_ring () =
   let q = Pqueue.create () in
-  check Alcotest.(option (float 0.0)) "empty peek" None (Pqueue.peek_time q);
-  Pqueue.push q ~time:5.0 ();
-  check Alcotest.(option (float 0.0)) "peek" (Some 5.0) (Pqueue.peek_time q);
-  check Alcotest.int "peek does not pop" 1 (Pqueue.length q)
+  Pqueue.push q ~time:2.0 "first";
+  Pqueue.push q ~time:2.0 "waiting";
+  check Alcotest.string "clock reaches T" "first" (Pqueue.pop_exn q);
+  Alcotest.(check bool) "heap entry due" true (Pqueue.has_due q);
+  Pqueue.push q ~time:2.0 "ring 1";
+  Pqueue.push q ~time:2.0 "ring 2";
+  Alcotest.(check bool) "still due" true (Pqueue.has_due q);
+  List.iter
+    (fun want ->
+      check Alcotest.string "heap before ring" want (Pqueue.pop_exn q);
+      check (Alcotest.float 0.0) "at T" 2.0 (Pqueue.last_time q))
+    [ "waiting"; "ring 1"; "ring 2" ];
+  Alcotest.(check bool) "nothing due" false (Pqueue.has_due q);
+  Alcotest.(check bool) "empty" true (Pqueue.is_empty q)
+
+(* The shape fabric verbs and compute flushes give the engine's queue:
+   64 pending events, each pop followed by a push 1-8 us after the popped
+   instant.  Times stay unboxed from the cell into the heap; what a pop
+   allocates is the clock's box when the instant moves. *)
+let test_pqueue_near_horizon_allocation () =
+  let q = Pqueue.create () and cell = { Pqueue.time = 0.0 } in
+  for i = 0 to 63 do
+    cell.Pqueue.time <- float_of_int (1 + (i * 5 mod 8)) *. 1e-6;
+    Pqueue.push_cell q cell i
+  done;
+  let n = 100_000 in
+  let w0 = Gc.minor_words () in
+  for i = 1 to n do
+    let v = Pqueue.pop_exn q in
+    cell.Pqueue.time <-
+      Pqueue.last_time q +. (float_of_int (1 + (i * 5 mod 8)) *. 1e-6);
+    Pqueue.push_cell q cell v
+  done;
+  let words = (Gc.minor_words () -. w0) /. float_of_int n in
+  Alloc_budget.check "near-horizon pop_exn + push_cell at depth 64" ~max:1.5
+    words
 
 let prop_pqueue_sorted =
   QCheck.Test.make ~name:"pqueue pops in nondecreasing time order" ~count:200
@@ -376,25 +409,29 @@ let prop_pqueue_sorted =
       let q = Pqueue.create () in
       List.iter (fun t -> Pqueue.push q ~time:t ()) times;
       let rec drain last =
-        match Pqueue.pop q with
-        | None -> true
-        | Some (t, ()) -> t >= last && drain t
+        Pqueue.is_empty q
+        ||
+        (Pqueue.pop_exn q;
+         let t = Pqueue.last_time q in
+         t >= last && drain t)
       in
       drain neg_infinity)
 
-(* The hybrid calendar/flat-array queue must dispatch in exactly the
-   order the old binary heap did: a stable sort by (time, insertion
-   sequence).  Commands drive an engine-like interleaved workload that
-   exercises every internal structure: pushes at the current instant
-   (the FIFO ring, incl. same-timestamp ties), in the near-horizon
-   window (calendar buckets) and far in the future (overflow heap);
-   pops advance the clock like the engine does.  A third of the pushes
-   go through [push_cell], the rest through [push].  A push behind the
-   last popped time, or at NaN, must raise [Invalid_argument] through
-   either entry and leave the queue untouched.  Before every command,
-   [has_due] must agree with the model. *)
+(* The ring + heap queue must dispatch in exactly the order a plain
+   binary heap would: a stable sort by (time, insertion sequence).
+   Commands drive an engine-like interleaved workload that exercises
+   both places and the pop between them: pushes at the current instant
+   (the FIFO ring, incl. same-timestamp ties), ahead of the clock (the
+   heap), and at the next instant a pending entry already holds, so that
+   once the clock reaches it heap entries and later ring entries tie on
+   time and the sequence number decides; pops advance the clock like
+   the engine does.  A third of the pushes go through [push_cell], the
+   rest through [push].  A push behind the last popped time, or at NaN,
+   must raise [Invalid_argument] through either entry and leave the
+   queue untouched.  Before every command, [has_due] must agree with
+   the model. *)
 let prop_pqueue_matches_heap =
-  let gen = QCheck.(list (pair (int_bound 9) (int_bound 999))) in
+  let gen = QCheck.(list (pair (int_bound 10) (int_bound 999))) in
   QCheck.Test.make
     ~name:"pqueue dispatches identically to the reference (time,seq) heap"
     ~count:300 gen
@@ -428,14 +465,18 @@ let prop_pqueue_matches_heap =
           ok := false
       in
       let do_pop () =
-        match (Pqueue.pop q, !model) with
-        | None, [] -> ()
-        | Some (t, id), (mt, mid) :: rest ->
-            model := rest;
-            clock := t;
-            popped := true;
-            if not (t = mt && id = mid) then ok := false
-        | Some _, [] | None, _ :: _ -> ok := false
+        match !model with
+        | [] -> if not (Pqueue.is_empty q) then ok := false
+        | (mt, mid) :: rest ->
+            if Pqueue.is_empty q then ok := false
+            else begin
+              let id = Pqueue.pop_exn q in
+              let t = Pqueue.last_time q in
+              model := rest;
+              clock := t;
+              popped := true;
+              if not (t = mt && id = mid) then ok := false
+            end
       in
       List.iter
         (fun (kind, r) ->
@@ -446,17 +487,24 @@ let prop_pqueue_matches_heap =
             | [] -> false
           in
           if not (Bool.equal due (Pqueue.has_due q)) then ok := false;
-          let push dt =
+          let push_at time =
             let id = !next_id in
             incr next_id;
-            insert (!clock +. dt) id;
-            push_via ~via_cell:(id mod 3 = 0) (!clock +. dt) id
+            insert time id;
+            push_via ~via_cell:(id mod 3 = 0) time id
           in
+          let push dt = push_at (!clock +. dt) in
           match kind with
           | 0 | 1 | 2 -> push 0.0 (* same-instant FIFO ties *)
           | 3 | 4 -> push (float_of_int r *. 1e-8) (* near horizon *)
-          | 5 -> push (float_of_int r *. 1e-6) (* across buckets *)
-          | 6 -> push (float_of_int r *. 1e-3) (* overflow heap *)
+          | 5 -> push (float_of_int r *. 1e-6)
+          | 6 -> push (float_of_int r *. 1e-3) (* far-future timers *)
+          | 10 -> (
+              (* A heap/ring tie in the making: the next instant
+                 pending ahead of the clock. *)
+              match List.find_opt (fun (mt, _) -> mt > !clock) !model with
+              | None -> do_pop ()
+              | Some (next, _) -> push_at next)
           | 7 ->
               (* Behind the clock: rejected once something was popped. *)
               let dt = -.(float_of_int r *. 1e-7) in
@@ -578,7 +626,10 @@ let () =
         [
           Alcotest.test_case "order" `Quick test_pqueue_order;
           Alcotest.test_case "fifo ties" `Quick test_pqueue_fifo_ties;
-          Alcotest.test_case "peek" `Quick test_pqueue_peek;
+          Alcotest.test_case "heap entry due before ring" `Quick
+            test_pqueue_heap_before_ring;
+          Alcotest.test_case "near-horizon allocation budget" `Quick
+            test_pqueue_near_horizon_allocation;
           QCheck_alcotest.to_alcotest prop_pqueue_sorted;
           QCheck_alcotest.to_alcotest prop_pqueue_matches_heap;
         ] );

@@ -3,9 +3,10 @@
 
    1. every relative .md link in docs/README.md (the index) resolves,
       and every docs/*.md file is reachable from the index;
-   2. every repo path a doc names (lib/..., bench/..., examples/...,
-      with a .ml/.mli/.md/.exe extension) exists — .exe is resolved to
-      the executable's .ml source;
+   2. every repo path that docs/*.md, README.md, DESIGN.md or
+      EXPERIMENTS.md names (lib/..., bench/..., examples/...,
+      perfbench/..., with a .ml/.mli/.md/.exe/.py/.json extension)
+      exists — .exe is resolved to the executable's .ml source;
    3. every metric name registered at runtime appears in
       docs/OBSERVABILITY.md, and vice versa every `layer.metric` name
       the catalogue tables list is actually registered;
@@ -76,15 +77,18 @@ let check_index () =
 
 let path_re =
   Str.regexp
-    {|\(lib\|bench\|bin\|examples\|test\|tools\|docs\)/[A-Za-z0-9_./-]+\.\(mli\|ml\|md\|exe\)|}
+    {|\(perfbench\|lib\|bench\|bin\|examples\|test\|tools\|docs\)/[A-Za-z0-9_./-]+\.\(mli\|ml\|md\|exe\|py\|json\)|}
 
 let check_paths_in doc =
   let text = read_file doc in
   let pos = ref 0 in
   try
     while true do
-      pos := Str.search_forward path_re text !pos + 1;
+      ignore (Str.search_forward path_re text !pos);
       let p = Str.matched_string text in
+      (* Resume after the whole path: "bench/run.py" inside
+         "perfbench/run.py" is not a second path. *)
+      pos := Str.match_end ();
       let target =
         if Filename.check_suffix p ".exe" then Filename.remove_extension p ^ ".ml"
         else p
@@ -445,7 +449,7 @@ let () =
   List.iter
     (fun f -> check_paths_in (Filename.concat "docs" f))
     (docs_files ());
-  check_paths_in "README.md";
+  List.iter check_paths_in [ "README.md"; "DESIGN.md"; "EXPERIMENTS.md" ];
   check_catalogue ();
   check_sanitizer_catalogue ();
   check_bench_schema ();
