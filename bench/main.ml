@@ -63,7 +63,10 @@ let run_profile ~trace_out =
       ~params:(E.Bench_setup.testbed ~nodes:4 ())
       Simplan.Gemm_app Simplan.Drust
   in
-  let gemm ~traced = Cli.timed (fun () -> Simplan.execute ~trace:traced plan) in
+  let gemm ~traced =
+    Drust_util.Host_clock.timed (fun () ->
+        Simplan.execute ~trace:traced plan)
+  in
   let o, dt_traced = gemm ~traced:true in
   let cluster = o.Simplan.cluster in
   let r, snapshot =
@@ -359,7 +362,7 @@ let main positional out_dir () sanitize host_time churn_nodes trace_out
      additionally install the global hook there. *)
   if sanitize && not fuzzing then Drust_check.Dsan.install_global ();
   let (), dt =
-    Cli.timed (fun () ->
+    Drust_util.Host_clock.timed (fun () ->
         if fuzzing then
           run_fuzz ~count:fuzz_count ~seed:fuzz_seed ~max_nodes:fuzz_max_nodes
             ~out_dir ()

@@ -232,7 +232,8 @@ let run app system nodes affinity seed trace_n trace_out explain profile
             Printf.eprintf "[drust_sim] plan written to %s\n%!" file)
           emit_plan;
         let outcome, dt =
-          Cli.timed (fun () -> Simplan.execute ~sanitize ~trace:traced plan)
+          Drust_util.Host_clock.timed (fun () ->
+              Simplan.execute ~sanitize ~trace:traced plan)
         in
         print_outcome outcome;
         Cli.wall_clock_note dt;

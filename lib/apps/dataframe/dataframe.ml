@@ -10,28 +10,27 @@ type config = {
   partitions : int;
   chunk_bytes : int;
   index_entries : int;
-  entry_bytes : int;
   intensity : float;
   queries : int;
-  query_mix : query_kind list;
-      (* cycled; each dependent query runs the next kind in the list *)
-  groupby_fanin : int; (* source partitions shuffled into one output *)
-  shuffle_stride : int;
   use_tbox : bool;
   use_spawn_to : bool;
 }
+
+let entry_bytes = 64
+
+(* Cycled: each dependent query runs the next kind in the list. *)
+let query_mix = [ Filter; Join; Groupby; Join ]
+
+(* Source partitions shuffled into one groupby output. *)
+let groupby_fanin = 4
 
 let default_config =
   {
     partitions = 128;
     chunk_bytes = Drust_util.Units.kib 256;
     index_entries = 512;
-    entry_bytes = 64;
     intensity = 40.0;
     queries = 4;
-    query_mix = [ Filter; Join; Groupby; Join ];
-    groupby_fanin = 4;
-    shuffle_stride = 7;
     use_tbox = false;
     use_spawn_to = false;
   }
@@ -44,7 +43,7 @@ let run_query ~cluster ~(backend : Dsm.t) cfg ctx ~query ~inputs_tied ~input_chu
      array of small entries. *)
   let index =
     Array.init cfg.index_entries (fun i ->
-        backend.Dsm.alloc_on ctx ~node:0 ~size:cfg.entry_bytes
+        backend.Dsm.alloc_on ctx ~node:0 ~size:entry_bytes
           (Appkit.payload_of_int (-1 - i)))
   in
   (* Builders: one thread per node, writing interleaved entries. *)
@@ -83,18 +82,14 @@ let run_query ~cluster ~(backend : Dsm.t) cfg ctx ~query ~inputs_tied ~input_chu
          operator: a filter scans only its own partition; a join reads the
          partition and its shuffle partner; a groupby gathers [fanin]
          partitions from across the table (the all-to-all exchange). *)
-      let kind =
-        match cfg.query_mix with
-        | [] -> Join
-        | mix -> List.nth mix ((query - 1) mod List.length mix)
-      in
+      let kind = List.nth query_mix ((query - 1) mod List.length query_mix) in
       let sources =
         match kind with
         | Filter -> [ input_chunks.(i) ]
         | Join -> [ input_chunks.(i); input_chunks.(i lxor 1) ]
         | Groupby ->
-            List.init (max 1 cfg.groupby_fanin) (fun k ->
-                input_chunks.((i + (k * cfg.partitions / max 1 cfg.groupby_fanin))
+            List.init groupby_fanin (fun k ->
+                input_chunks.((i + (k * cfg.partitions / groupby_fanin))
                               mod cfg.partitions))
       in
       let record_bytes = 512 in

@@ -22,21 +22,14 @@
 
 module Ctx = Drust_machine.Ctx
 
-type query_kind =
-  | Filter  (** single-partition scan *)
-  | Groupby  (** all-to-all: each output gathers [groupby_fanin] partitions *)
-  | Join  (** partition + its shuffle partner *)
-
 type config = {
   partitions : int;  (** destination chunks per query *)
   chunk_bytes : int;
   index_entries : int;  (** shared index-table entries per query *)
-  entry_bytes : int;
   intensity : float;  (** compute cycles per byte processed *)
   queries : int;
-  query_mix : query_kind list;  (** cycled across the dependent queries *)
-  groupby_fanin : int;
-  shuffle_stride : int;  (** legacy knob, kept for compatibility *)
+      (** dependent queries, cycling filter, join, groupby (each output
+          gathers 4 partitions), join *)
   use_tbox : bool;
   use_spawn_to : bool;
 }

@@ -8,7 +8,6 @@ type config = {
   grid : int;
   block_bytes : int;
   intensity : float;
-  multiplies : int;
   strips : int;
       (* inner-loop granularity: each block-pair multiply streams its
          operands in [strips] slices, re-reading the shared blocks.
@@ -21,9 +20,11 @@ let default_config =
     grid = 16;
     block_bytes = Drust_util.Units.kib 64;
     intensity = 300.0;
-    multiplies = 1;
     strips = 96;
   }
+
+(* How many full C = A*B products to run. *)
+let multiplies = 1
 
 let allocate_grid ~(backend : Dsm.t) cfg ctx ~nodes ~salt =
   Array.init (cfg.grid * cfg.grid) (fun i ->
@@ -40,7 +41,7 @@ let run ~cluster ~backend cfg =
       let b = allocate_grid ~backend cfg ctx ~nodes ~salt:g in
       Appkit.start_measurement ctx;
       let pair_ops = ref 0 in
-      for _ = 1 to cfg.multiplies do
+      for _ = 1 to multiplies do
         (* Output blocks are sharded by row: row i belongs to node
            (i mod nodes), so workers on one node share cached A-row and
            B-column blocks.  Each node runs one worker thread per core

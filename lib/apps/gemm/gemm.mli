@@ -13,7 +13,6 @@ type config = {
   grid : int;  (** g: the matrices are g x g blocks *)
   block_bytes : int;
   intensity : float;  (** cycles per byte of one block-pair multiply *)
-  multiplies : int;  (** how many full C = A*B products to run *)
   strips : int;
       (** inner-loop granularity: each block-pair multiply streams its
           operands in this many slices, re-touching the shared blocks —

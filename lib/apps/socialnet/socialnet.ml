@@ -10,14 +10,8 @@ type config = {
   users : int;
   requests : int;
   clients_per_node : int;
-  compose_ratio : float;
-  read_home_ratio : float;
   text_bytes : int;
-  media_bytes : int;
-  media_prob : float;
   timeline_bytes : int;
-  recent_posts : int;
-  fanout_cap : int;
   service_cycles : float;
   serialize_cycles_per_byte : float;
   pass_by_value : bool;
@@ -28,18 +22,27 @@ let default_config =
     users = 2_000;
     requests = 4_000;
     clients_per_node = 8;
-    compose_ratio = 0.10;
-    read_home_ratio = 0.60;
     text_bytes = 1024;
-    media_bytes = Drust_util.Units.kib 64;
-    media_prob = 0.10;
     timeline_bytes = 2048;
-    recent_posts = 5;
-    fanout_cap = 16;
     service_cycles = 3_000.0;
     serialize_cycles_per_byte = 4.0;
     pass_by_value = false;
   }
+
+(* Request mix: compose_post, read_home_timeline, and the remainder
+   read_user_timeline. *)
+let compose_ratio = 0.10
+let read_home_ratio = 0.60
+
+(* A compose attaches a media object with probability [media_prob]. *)
+let media_bytes = Drust_util.Units.kib 64
+let media_prob = 0.10
+
+(* Posts fetched per timeline read. *)
+let recent_posts = 5
+
+(* Home-timeline fanout limit per compose. *)
+let fanout_cap = 16
 
 (* The 12 DeathStarBench services.  Under DSM every service is replicated
    on every node and a request's hops stay local — only references cross
@@ -114,13 +117,13 @@ let respond d ctx ~bytes =
 
 let compose_post d ctx ~author ~with_media =
   let cfg = d.cfg in
-  let post_bytes = cfg.text_bytes + if with_media then cfg.media_bytes else 0 in
+  let post_bytes = cfg.text_bytes + if with_media then media_bytes else 0 in
   (* nginx -> compose -> text -> unique-id [-> media] -> post-storage *)
   hop d ctx ~shard:author ~payload_bytes:cfg.text_bytes;
   hop d ctx ~shard:author ~payload_bytes:cfg.text_bytes;
   hop d ctx ~shard:author ~payload_bytes:cfg.text_bytes;
   hop d ctx ~shard:author ~payload_bytes:16;
-  if with_media then hop d ctx ~shard:author ~payload_bytes:cfg.media_bytes;
+  if with_media then hop d ctx ~shard:author ~payload_bytes:media_bytes;
   hop d ctx ~shard:author ~payload_bytes:post_bytes;
   let post = d.backend.Dsm.alloc ctx ~size:post_bytes (Appkit.payload_of_int author) in
   let slot = d.ring_cursor mod Array.length d.recent in
@@ -133,7 +136,7 @@ let compose_post d ctx ~author ~with_media =
   (* Fan out to follower home timelines. *)
   hop d ctx ~shard:author ~payload_bytes:64;
   let followers = Social_graph.followers d.graph author in
-  let fanout = min cfg.fanout_cap (List.length followers) in
+  let fanout = min fanout_cap (List.length followers) in
   List.iteri
     (fun i f ->
       if i < fanout then begin
@@ -153,7 +156,7 @@ let read_timeline d ctx ~user ~home =
   (* Fetch the recent posts the timeline references. *)
   if d.ring_cursor > 0 then begin
     let ring = Array.length d.recent in
-    for p = 1 to cfg.recent_posts do
+    for p = 1 to recent_posts do
       let idx = (d.ring_cursor - p + (ring * 2)) mod ring in
       hop d ctx ~shard:d.recent_author.(idx)
         ~payload_bytes:(cfg.text_bytes + 256);
@@ -163,15 +166,15 @@ let read_timeline d ctx ~user ~home =
   respond d ctx
     ~bytes:
       (cfg.timeline_bytes
-      + (cfg.recent_posts * (cfg.text_bytes + 256))
-      + Float.to_int (Float.of_int cfg.media_bytes *. cfg.media_prob))
+      + (recent_posts * (cfg.text_bytes + 256))
+      + Float.to_int (Float.of_int media_bytes *. media_prob))
 
 let run ~cluster ~backend cfg =
   if cfg.requests <= 0 then invalid_arg "Socialnet.run: empty workload";
   Appkit.run_main cluster (fun ctx ->
       let nodes = Cluster.node_count cluster in
       let graph =
-        Social_graph.create ~users:cfg.users ~seed:7 ~max_fanout:cfg.fanout_cap ()
+        Social_graph.create ~users:cfg.users ~seed:7 ~max_fanout:fanout_cap ()
       in
       let timelines =
         Array.init cfg.users (fun u ->
@@ -216,16 +219,16 @@ let run ~cluster ~backend cfg =
               let entry_node = cctx.Ctx.node in
               let req_start = Drust_sim.Engine.now engine in
               let r = Drust_util.Rng.float rng 1.0 in
-              (if r < cfg.compose_ratio then begin
+              (if r < compose_ratio then begin
                  incr composed;
                  let author = Social_graph.sample_author d.graph rng in
-                 let with_media = Drust_util.Rng.bernoulli rng ~p:cfg.media_prob in
+                 let with_media = Drust_util.Rng.bernoulli rng ~p:media_prob in
                  compose_post d cctx ~author ~with_media
                end
                else
                  let user = Social_graph.sample_reader d.graph rng in
                  read_timeline d cctx ~user
-                   ~home:(r < cfg.compose_ratio +. cfg.read_home_ratio));
+                   ~home:(r < compose_ratio +. read_home_ratio));
               (* The response returns to the client's entry point. *)
               cctx.Ctx.node <- entry_node;
               Ctx.flush cctx;

@@ -20,14 +20,8 @@ type config = {
   users : int;
   requests : int;
   clients_per_node : int;
-  compose_ratio : float;
-  read_home_ratio : float;  (** remainder is read_user_timeline *)
   text_bytes : int;
-  media_bytes : int;
-  media_prob : float;
   timeline_bytes : int;
-  recent_posts : int;  (** posts fetched per timeline read *)
-  fanout_cap : int;  (** home-timeline fanout limit per compose *)
   service_cycles : float;  (** per-hop application compute *)
   serialize_cycles_per_byte : float;
   pass_by_value : bool;  (** original RPC deployment (no DSM) *)

@@ -100,17 +100,6 @@ let suite_plan ~prog file =
       usage_error ~prog
         "%s: a sim plan; replay it with bin/drust_sim.exe --plan" file
 
-let timed f =
-  let clock () =
-    (Unix.gettimeofday ()
-    [@dlint.allow
-      "determinism: host wall-clock for stderr notes and the opt-in \
-       host_ms column only — stdout stays comparable across runs"])
-  in
-  let t0 = clock () in
-  let r = f () in
-  (r, clock () -. t0)
-
 let wall_clock_note dt = Printf.eprintf "(wall-clock: %.2f s)\n%!" dt
 
 (* A malformed command line exits 2, like every usage error, rather

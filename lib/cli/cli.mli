@@ -56,10 +56,6 @@ val suite_plan : prog:string -> string -> Drust_plan.Simplan.suite
 
 (** {1 Running} *)
 
-val timed : (unit -> 'a) -> 'a * float
-(** [f ()] and the host wall-clock seconds it took.  Machine-dependent:
-    print it to stderr only, so stdout stays comparable across runs. *)
-
 val wall_clock_note : float -> unit
 (** The stderr note ["(wall-clock: S s)"]. *)
 

@@ -241,12 +241,6 @@ let moves ctx = Metrics.value (stats_of ctx).moves
 let color_bumps ctx = Metrics.value (stats_of ctx).bumps
 let fetches ctx = Metrics.value (stats_of ctx).fetches
 
-let reset_protocol_stats ctx =
-  let s = stats_of ctx in
-  Metrics.reset_counter s.moves;
-  Metrics.reset_counter s.bumps;
-  Metrics.reset_counter s.fetches
-
 (* Listeners installed by the fault-tolerance layer. *)
 let set_commit_listener cluster f = (pstate_of_cluster cluster).ps_commit <- f
 let set_transfer_listener cluster f =

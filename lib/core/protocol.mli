@@ -173,9 +173,6 @@ val color_bumps : Ctx.t -> int
 val fetches : Ctx.t -> int
 (** Remote fetches into a node cache ([protocol.fetches]). *)
 
-val reset_protocol_stats : Ctx.t -> unit
-(** Zero this cluster's [protocol.*] counters. *)
-
 val op_latency_buckets : float array
 (** Upper bounds (seconds) of the always-on
     [protocol.op_latency{op=...}] histograms — finer than the registry

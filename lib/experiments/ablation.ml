@@ -54,13 +54,13 @@ let timed_with_counters setup body =
   ignore
     (Engine.spawn engine (fun () ->
          let ctx = Ctx.make cluster ~node:0 in
-         P.reset_protocol_stats ctx;
+         let bumps0 = P.color_bumps ctx and moves0 = P.moves ctx in
          let t0 = Engine.now engine in
          body cluster ctx;
          Ctx.flush ctx;
          elapsed := Engine.now engine -. t0;
-         bumps := P.color_bumps ctx;
-         moves := P.moves ctx));
+         bumps := P.color_bumps ctx - bumps0;
+         moves := P.moves ctx - moves0));
   Cluster.run cluster;
   (!elapsed, !bumps, !moves)
 

@@ -1,8 +1,8 @@
 (* Elastic membership under fire: the churn experiment.
    The scenario body lives in Drust_plan.Scenario (a [Simplan] drives
-   it); this module keeps the experiment harness — the seed sweep, the
-   determinism check, the printed report, and the robustness
-   assertions.
+   it) and the seed sweep, determinism pair and percentile table in
+   [Chaos]; this module keeps what is its own — the result comparison,
+   the printed report, and the robustness assertions.
 
    A zipf-skewed KV workload runs on a large cluster while a seeded
    driver churns the membership — standby nodes join (each join pulls a
@@ -37,28 +37,6 @@ module Simplan = Drust_plan.Simplan
 module Scenario = Drust_plan.Scenario
 module Metrics = Drust_obs.Metrics
 
-type result = Scenario.churn_result = {
-  seed : int;
-  nodes : int;
-  total_ops : int;
-  failed_ops : int;
-  lost_writes : int;
-  unreadable_keys : int;
-  joins : int;  (* committed joins (membership.joins) *)
-  leaves : int;  (* completed graceful leaves (membership.leaves) *)
-  handoff_commits : int;
-  handoff_aborts : int;
-  final_epoch : int;
-  stale_epochs : int;
-  retries : int;
-  crashes : (int * float) list;
-  detection : (int * float) list;
-  recovery : (int * float) list;
-  handoff_latency : float list;
-  unrecoverable : int list;
-  op_latency : Metrics.histo option;
-}
-
 let plan_of ~seed ~nodes = Simplan.churn_plan ~seed ~nodes ()
 
 let run_once ~seed ~nodes () =
@@ -66,60 +44,21 @@ let run_once ~seed ~nodes () =
   | Simplan.Churn_done r -> r
   | Simplan.App_done _ | Simplan.Failover_done _ -> assert false
 
-let same_result a b =
-  a.total_ops = b.total_ops
-  && a.failed_ops = b.failed_ops
-  && a.lost_writes = b.lost_writes
-  && a.unreadable_keys = b.unreadable_keys
-  && a.joins = b.joins && a.leaves = b.leaves
-  && a.handoff_commits = b.handoff_commits
-  && a.handoff_aborts = b.handoff_aborts
-  && a.final_epoch = b.final_epoch
-  && a.stale_epochs = b.stale_epochs
-  && a.retries = b.retries && a.crashes = b.crashes
-  && a.detection = b.detection && a.recovery = b.recovery
-  && a.handoff_latency = b.handoff_latency
-  && a.unrecoverable = b.unrecoverable
+(* Every field equal, the latency histogram (nan min/max when empty)
+   bit for bit. *)
+let same_result (a : Scenario.churn_result) b =
+  { a with op_latency = None } = { b with op_latency = None }
+  && Chaos.same_latency a.op_latency b.op_latency
 
-let latency_buckets =
-  [| 1e-4; 2e-4; 5e-4; 1e-3; 2e-3; 5e-3; 1e-2; 2e-2; 5e-2 |]
+let phases results =
+  let samples of_run = List.concat_map of_run results in
+  [
+    ("handoff", samples (fun (r : Scenario.churn_result) -> r.handoff_latency));
+    ("detection", samples (fun r -> List.map snd r.detection));
+    ("recovery", samples (fun r -> List.map snd r.recovery));
+  ]
 
-(* Fold the sweep's per-phase latencies into bucket histograms; returns
-   the histo per phase (for the summary) alongside p50/p99. *)
-let phase_histos results =
-  let reg = Metrics.create () in
-  let histo kind =
-    Metrics.histogram reg ~buckets:latency_buckets ~labels:[ ("phase", kind) ]
-      ~unit_:"s" "churn.latency"
-  in
-  let handoff = histo "handoff"
-  and det = histo "detection"
-  and rec_ = histo "recovery" in
-  List.iter
-    (fun r ->
-      List.iter (fun dt -> Metrics.observe handoff dt) r.handoff_latency;
-      List.iter (fun (_, dt) -> Metrics.observe det dt) r.detection;
-      List.iter (fun (_, dt) -> Metrics.observe rec_ dt) r.recovery)
-    results;
-  let snap = Metrics.snapshot reg in
-  List.map
-    (fun kind ->
-      match Metrics.find snap ~labels:[ ("phase", kind) ] "churn.latency" with
-      | Some (Metrics.Histo h) -> (kind, Some h)
-      | _ -> (kind, None))
-    [ "handoff"; "detection"; "recovery" ]
-
-let churn_percentiles results =
-  List.map
-    (fun (kind, h) ->
-      match h with
-      | Some h ->
-          let qv q = Option.value (Metrics.quantile h q) ~default:nan in
-          (kind, h.Metrics.h_count, qv 0.5, qv 0.99)
-      | None -> (kind, 0, nan, nan))
-    (phase_histos results)
-
-let print (spec : Scenario.churn_spec) r =
+let print (spec : Scenario.churn_spec) (r : Scenario.churn_result) =
   Report.section
     (Printf.sprintf
        "Churn: %d nodes (%d active), %d joins + %d graceful leaves + %d \
@@ -166,32 +105,13 @@ let print (spec : Scenario.churn_spec) r =
 let run ?(seed = 42) ?(nodes = 64) () =
   let spec = Scenario.churn_spec_of ~nodes in
   let duration = spec.Scenario.ch_duration in
-  let extra_seeds = [ seed + 1; seed + 2 ] in
-  let host0 =
-    (Unix.gettimeofday ()
-    [@dlint.allow
-      "determinism: feeds only the opt-in host_ms column (--host-time), \
-       never the gated byte-identical output"])
+  let sweep =
+    Chaos.sweep ~seed ~extra_seeds:2 (fun seed -> run_once ~seed ~nodes ())
   in
-  let results =
-    Parallel.run
-      (run_once ~seed ~nodes :: run_once ~seed ~nodes
-      :: List.map (fun s () -> run_once ~seed:s ~nodes ()) extra_seeds)
-  in
-  let host_ms =
-    ((Unix.gettimeofday () -. host0) *. 1e3
-    [@dlint.allow
-      "determinism: feeds only the opt-in host_ms column (--host-time), \
-       never the gated byte-identical output"])
-  in
-  let r1, r2, rest =
-    match results with a :: b :: rest -> (a, b, rest) | _ -> assert false
-  in
+  let r1 = sweep.Chaos.base in
   Report.emit_plan (plan_of ~seed ~nodes);
   print spec r1;
-  if not (same_result r1 r2) then
-    failwith "Churn: two runs with the same seed diverged — determinism bug";
-  Report.note "determinism: second run with the same seed is bit-identical";
+  Chaos.check_determinism ~experiment:"Churn" ~same:same_result sweep;
   if r1.lost_writes > 0 || r1.unreadable_keys > 0 then
     Printf.ksprintf failwith
       "Churn: %d lost committed write(s), %d unreadable key(s) — a handoff \
@@ -212,39 +132,15 @@ let run ?(seed = 42) ?(nodes = 64) () =
     failwith "Churn: the detector missed a crash";
   if r1.stale_epochs < 1 then
     failwith "Churn: no verb was ever rejected for a stale epoch";
-  let sweep = r1 :: rest in
-  let pct = churn_percentiles sweep in
-  Report.table
-    ~header:[ "phase"; "samples"; "p50 (ms)"; "p99 (ms)" ]
-    ~rows:
-      (List.map
-         (fun (kind, n, p50, p99) ->
-           [
-             kind;
-             string_of_int n;
-             Printf.sprintf "%.3f" (p50 *. 1e3);
-             Printf.sprintf "%.3f" (p99 *. 1e3);
-           ])
-         pct);
+  let histos = Chaos.phase_histos (phases (r1 :: sweep.Chaos.extra)) in
+  Chaos.percentile_table ~experiment:"Churn" ~count:"samples" histos;
+  Report.record_rate ?latency:r1.op_latency ~host_ms:sweep.Chaos.host_ms
+    ~experiment:"churn/ops" ~ops:(float_of_int r1.total_ops)
+    ~elapsed:duration ();
   List.iter
-    (fun (kind, n, p50, p99) ->
-      if n = 0 then Printf.ksprintf failwith "Churn: no %s latency samples" kind;
-      if not (p99 >= p50) then
-        Printf.ksprintf failwith
-          "Churn: %s p99 (%.6f s) < p50 (%.6f s) — quantile estimator is \
-           not monotone"
-          kind p99 p50)
-    pct;
-  Report.record_rate ?latency:r1.op_latency ~host_ms ~experiment:"churn/ops"
-    ~ops:(float_of_int r1.total_ops) ~elapsed:duration ();
-  List.iter
-    (fun (kind, h) ->
-      match h with
-      | Some h ->
-          Report.record_rate ~latency:h
-            ~experiment:("churn/" ^ kind)
-            ~ops:(float_of_int h.Metrics.h_count)
-            ~elapsed:duration ()
-      | None -> ())
-    (phase_histos sweep);
+    (fun (phase, h) ->
+      Report.record_rate ~latency:h ~experiment:("churn/" ^ phase)
+        ~ops:(float_of_int h.Metrics.h_count)
+        ~elapsed:duration ())
+    histos;
   r1

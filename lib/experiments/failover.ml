@@ -1,7 +1,8 @@
 (* Availability under a crash: the repo's first end-to-end chaos run.
    The scenario body lives in Drust_plan.Scenario (a [Simplan] drives
-   it); this module keeps the experiment harness — the seed sweep, the
-   determinism check, the printed curve, and the robustness assertions.
+   it) and the seed sweep, determinism pair and percentile table in
+   [Chaos]; this module keeps what is its own — the result comparison,
+   the printed curve, and the robustness assertions.
 
    A small KV workload (pinned keys spread round-robin, one client per
    node) runs while the fault plan crashes a primary mid-flight.  Nothing
@@ -21,47 +22,37 @@
 module Simplan = Drust_plan.Simplan
 module Scenario = Drust_plan.Scenario
 
-type result = Scenario.failover_result = {
-  seed : int;
-  victim : int;
-  crash_time : float;
-  detection_time : float option;  (* detector verdict (absolute) *)
-  recovery_time : float option;  (* first post-crash write to victim range *)
-  curve : int array;  (* completed ops per bucket *)
-  bucket : float;
-  total_ops : int;
-  failed_ops : int;
-  retries : int;
-  timeouts : int;
-  drops : int;
-  op_latency : Drust_obs.Metrics.histo option;
-      (* merged protocol.op_latency distribution of the run *)
-}
-
-let spec = Scenario.default_failover
-let duration = spec.Scenario.fo_duration
+let duration = Scenario.default_failover.Scenario.fo_duration
 
 let plan_of ~seed = Simplan.failover_plan ~seed ()
 
-let run_once ~seed () =
+let run_once seed =
   match (Simplan.execute (plan_of ~seed)).Simplan.result with
   | Simplan.Failover_done r -> r
   | Simplan.App_done _ | Simplan.Churn_done _ -> assert false
 
-let same_result a b =
-  a.detection_time = b.detection_time
-  && a.recovery_time = b.recovery_time
-  && a.curve = b.curve
-  && a.total_ops = b.total_ops
-  && a.failed_ops = b.failed_ops
-  && a.retries = b.retries
-  && a.timeouts = b.timeouts
-  && a.drops = b.drops
+(* Every field equal, the latency histogram (nan min/max when empty)
+   bit for bit. *)
+let same_result (a : Scenario.failover_result) b =
+  { a with op_latency = None } = { b with op_latency = None }
+  && Chaos.same_latency a.op_latency b.op_latency
+
+let phases results =
+  let since_crash at =
+    List.filter_map
+      (fun (r : Scenario.failover_result) ->
+        Option.map (fun t -> t -. r.crash_time) (at r))
+      results
+  in
+  [
+    ("detection", since_crash (fun r -> r.detection_time));
+    ("recovery", since_crash (fun r -> r.recovery_time));
+  ]
 
 let bar n scale =
   String.make (min 60 (int_of_float (float_of_int n /. scale))) '#'
 
-let print r =
+let print (r : Scenario.failover_result) =
   Report.section
     (Printf.sprintf
        "Failover: crash node %d at t=%.0f ms, heartbeat detection, automatic \
@@ -94,70 +85,12 @@ let print r =
        "%d ops completed, %d abandoned; %d retries, %d timeouts, %d drops"
        r.total_ops r.failed_ops r.retries r.timeouts r.drops)
 
-(* Detection/recovery latencies are milliseconds-scale. *)
-let failover_buckets =
-  [| 1e-4; 2e-4; 5e-4; 1e-3; 2e-3; 5e-3; 1e-2; 2e-2; 5e-2 |]
-
-(* Fold the per-seed failover latencies into bucket histograms and
-   reduce to (n, p50, p99) per phase via the shared quantile estimator —
-   the same machinery the summary percentiles use, exercised here on a
-   second distribution family. *)
-let failover_percentiles results =
-  let module Metrics = Drust_obs.Metrics in
-  let reg = Metrics.create () in
-  let histo kind =
-    Metrics.histogram reg ~buckets:failover_buckets
-      ~labels:[ ("phase", kind) ] ~unit_:"s" "failover.latency"
-  in
-  let det = histo "detection" and rec_ = histo "recovery" in
-  List.iter
-    (fun r ->
-      let obs h = function
-        | Some t -> Metrics.observe h (t -. r.crash_time)
-        | None -> ()
-      in
-      obs det r.detection_time;
-      obs rec_ r.recovery_time)
-    results;
-  let snap = Metrics.snapshot reg in
-  List.map
-    (fun kind ->
-      match
-        Metrics.find snap ~labels:[ ("phase", kind) ] "failover.latency"
-      with
-      | Some (Metrics.Histo h) ->
-          let qv q = Option.value (Metrics.quantile h q) ~default:nan in
-          (kind, h.Metrics.h_count, qv 0.5, qv 0.99)
-      | _ -> (kind, 0, nan, nan))
-    [ "detection"; "recovery" ]
-
 let run ?(seed = 42) () =
   (* Five seeds characterize the failover-latency distribution; the base
-     seed runs twice as the determinism check.  All runs are independent
-     clusters, so under --jobs >= 2 this is also the parallel chaos
-     run: fanned over domains, results must not change. *)
-  let extra_seeds = [ seed + 1; seed + 2; seed + 3; seed + 4 ] in
-  let host0 =
-    (Unix.gettimeofday ()
-    [@dlint.allow
-      "determinism: feeds only the opt-in host_ms column (--host-time), \
-       never the gated byte-identical output"])
-  in
-  let results =
-    Parallel.run
-      (run_once ~seed :: run_once ~seed
-      :: List.map (fun s () -> run_once ~seed:s ()) extra_seeds)
-  in
-  let host_ms =
-    ((Unix.gettimeofday () -. host0) *. 1e3
-    [@dlint.allow
-      "determinism: feeds only the opt-in host_ms column (--host-time), \
-       never the gated byte-identical output"])
-  in
-  let r1, r2, rest =
-    match results with a :: b :: rest -> (a, b, rest) | _ -> assert false
-  in
-  Report.record_rate ?latency:r1.op_latency ~host_ms
+     seed runs twice as the determinism check. *)
+  let sweep = Chaos.sweep ~seed ~extra_seeds:4 run_once in
+  let r1 = sweep.Chaos.base in
+  Report.record_rate ?latency:r1.op_latency ~host_ms:sweep.Chaos.host_ms
     ~experiment:"failover/chaos" ~ops:(float_of_int r1.total_ops)
     ~elapsed:duration ();
   Report.emit_plan (plan_of ~seed);
@@ -168,35 +101,12 @@ let run ?(seed = 42) () =
       failwith
         "Failover: the detector or the recovery path did not fire — the \
          automatic failover chain is broken");
-  if not (same_result r1 r2) then
-    failwith "Failover: two runs with the same seed diverged — determinism bug";
-  Report.note "determinism: second run with the same seed is bit-identical";
+  Chaos.check_determinism ~experiment:"Failover" ~same:same_result sweep;
   (* Percentiles over the seed sweep (duplicate base-seed run excluded). *)
-  let sweep = r1 :: rest in
-  let pct = failover_percentiles sweep in
-  Report.table
-    ~header:[ "phase"; "seeds"; "p50 (ms)"; "p99 (ms)" ]
-    ~rows:
-      (List.map
-         (fun (kind, n, p50, p99) ->
-           [
-             kind;
-             string_of_int n;
-             Printf.sprintf "%.3f" (p50 *. 1e3);
-             Printf.sprintf "%.3f" (p99 *. 1e3);
-           ])
-         pct);
-  List.iter
-    (fun (kind, n, p50, p99) ->
-      if n = 0 then
-        Printf.ksprintf failwith "Failover: no %s latency samples" kind;
-      if not (p99 >= p50) then
-        Printf.ksprintf failwith
-          "Failover: %s p99 (%.6f s) < p50 (%.6f s) — quantile estimator \
-           is not monotone"
-          kind p99 p50)
-    pct;
+  let runs = r1 :: sweep.Chaos.extra in
+  Chaos.percentile_table ~experiment:"Failover" ~count:"seeds"
+    (Chaos.phase_histos (phases runs));
   Report.note
     (Printf.sprintf "latency percentiles over %d seeds (seed %d..%d)"
-       (List.length sweep) seed (seed + List.length extra_seeds));
+       (List.length runs) seed (seed + List.length sweep.Chaos.extra));
   r1

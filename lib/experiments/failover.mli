@@ -6,36 +6,14 @@
     Reports detection latency, recovery time, and a throughput
     dip-and-recover curve. *)
 
-type result = Drust_plan.Scenario.failover_result = {
-  seed : int;
-  victim : int;
-  crash_time : float;
-  detection_time : float option;
-      (** absolute virtual time of the detector's verdict *)
-  recovery_time : float option;
-      (** first successful write to the victim's range after the crash *)
-  curve : int array;  (** completed ops per [bucket]-second window *)
-  bucket : float;
-  total_ops : int;
-  failed_ops : int;
-  retries : int;
-  timeouts : int;
-  drops : int;
-  op_latency : Drust_obs.Metrics.histo option;
-      (** the run's merged [protocol.op_latency] distribution *)
-}
+val phases :
+  Drust_plan.Scenario.failover_result list -> (string * float list) list
+(** The ["detection"] and ["recovery"] latency samples (seconds after
+    each run's crash), in run order; a run whose detector or recovery
+    never fired contributes no sample.  The input of
+    {!Chaos.phase_histos}. *)
 
-val run_once : seed:int -> unit -> result
-(** One seeded chaos run (pure function of [seed]): builds the
-    canonical plan ({!Drust_plan.Simplan.failover_plan}) and
-    [Simplan.execute]s it. *)
-
-val failover_percentiles : result list -> (string * int * float * float) list
-(** [(phase, samples, p50, p99)] in seconds for the ["detection"] and
-    ["recovery"] phases, computed by folding per-seed latencies into
-    bucket histograms and reading {!Drust_obs.Metrics.quantile}s. *)
-
-val run : ?seed:int -> unit -> result
+val run : ?seed:int -> unit -> Drust_plan.Scenario.failover_result
 (** Run the base seed twice (bit-identity check) plus four more seeds,
     print the curve, per-phase p50/p99 failover latencies, and fail if
     the detector never fired, recovery never happened, the same-seed

@@ -468,11 +468,6 @@ let read_misses t = t.rmisses
 let write_misses t = t.wmisses
 let invalidations_sent t = t.invs
 
-let reset_stats t =
-  t.rmisses <- 0;
-  t.wmisses <- 0;
-  t.invs <- 0
-
 (* -------------------------------------------------------------------- *)
 (* GAM locks: two-sided messages to the lock's home, queueing there.     *)
 

@@ -53,7 +53,6 @@ val home : handle -> int
 val read_misses : t -> int
 val write_misses : t -> int
 val invalidations_sent : t -> int
-val reset_stats : t -> unit
 
 (** {1 As a DSM backend} *)
 

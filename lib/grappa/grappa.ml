@@ -220,7 +220,6 @@ let free t ctx h =
   Hashtbl.remove t.object_units h.oid
 
 let delegations t = t.count
-let reset_stats t = t.count <- 0
 
 type Dsm.handle += H of handle
 type Dsm.mutex += M of unit

@@ -37,7 +37,6 @@ val process_update :
 val home : handle -> int
 
 val delegations : t -> int
-val reset_stats : t -> unit
 
 val backend : t -> Drust_dsm.Dsm.t
 (** Mutexes are free on Grappa: delegations to the same object serialize

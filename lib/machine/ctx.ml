@@ -110,7 +110,3 @@ let hottest_remote_node t =
       end)
     t.remote_accesses;
   if !best < 0 then None else Some !best
-
-let reset_counters t =
-  t.local_alloc_bytes <- 0;
-  Array.fill t.remote_accesses 0 (Array.length t.remote_accesses) 0

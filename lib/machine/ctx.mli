@@ -83,5 +83,3 @@ val remote_access_total : t -> int
 val hottest_remote_node : t -> int option
 (** The node this thread reads/writes most — the migration target of the
     controller's CPU-congestion policy. *)
-
-val reset_counters : t -> unit

@@ -174,7 +174,3 @@ let clear t =
 
 let hits t = Metrics.value t.c_hits
 let misses t = Metrics.value t.c_misses
-
-let reset_stats t =
-  Metrics.reset_counter t.c_hits;
-  Metrics.reset_counter t.c_misses

@@ -94,6 +94,3 @@ val clear : t -> unit
 
 val hits : t -> int
 val misses : t -> int
-
-val reset_stats : t -> unit
-(** Zero hits and misses (inserts/evictions are left to accumulate). *)

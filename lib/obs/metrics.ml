@@ -101,7 +101,6 @@ let observe h v =
   if v > m.hi then m.hi <- v
 
 let value c = c.count
-let reset_counter c = c.count <- 0
 
 (* ------------------------------------------------------------------ *)
 (* Snapshots                                                           *)

@@ -59,10 +59,6 @@ val observe : histogram -> float -> unit
 
 val value : counter -> int
 
-val reset_counter : counter -> unit
-(** Maintenance, not recording: experiment harnesses zero counters
-    between phases. *)
-
 (** {1 Snapshots} *)
 
 type histo = {

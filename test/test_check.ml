@@ -556,7 +556,7 @@ let test_two_clusters_interleaved_isolation () =
     ignore
       (Engine.spawn (Cluster.engine cluster) (fun () ->
            let ctx = Ctx.make cluster ~node:0 in
-           P.reset_protocol_stats ctx;
+           let moves0 = P.moves ctx in
            let o = P.create ctx ~size:64 (pack 0) in
            (* Alternate read and write epochs: each write then resolves
               by a color bump (default) or a forced move (always_move). *)
@@ -570,7 +570,7 @@ let test_two_clusters_interleaved_isolation () =
            Darc.drop ctx (Darc.clone ctx arc);
            Darc.drop ctx arc;
            Ctx.flush ctx;
-           moves := P.moves ctx))
+           moves := P.moves ctx - moves0))
   in
   workload a moves_a;
   workload b moves_b;

@@ -265,10 +265,13 @@ let test_summary_regression_detection () =
   Alcotest.(check (list string)) "tolerance-host widens the rate gate" []
     (E.Report.compare_summaries ~tolerance_host:4.0 ~baseline:rb r_blown)
 
+(* Both chaos experiments reduce their phase samples through the one
+   shared path: [phases] -> [Chaos.phase_histos] -> [Chaos.percentiles]. *)
 let test_failover_percentiles_shape () =
-  let mk seed detection recovery =
+  let module Scenario = Drust_plan.Scenario in
+  let mk seed detection recovery : Scenario.failover_result =
     {
-      E.Failover.seed;
+      seed;
       victim = 1;
       crash_time = 1.0;
       detection_time = Option.map (fun d -> 1.0 +. d) detection;
@@ -292,7 +295,8 @@ let test_failover_percentiles_shape () =
       (* never detected: excluded from the samples *)
     ]
   in
-  let pct = E.Failover.failover_percentiles results in
+  let histos = E.Chaos.phase_histos (E.Failover.phases results) in
+  let pct = E.Chaos.percentiles histos in
   let phase name = List.find (fun (p, _, _, _) -> String.equal p name) pct in
   let _, n_det, p50_det, p99_det = phase "detection" in
   let _, n_rec, p50_rec, p99_rec = phase "recovery" in
@@ -304,7 +308,72 @@ let test_failover_percentiles_shape () =
     (p50_rec >= p50_det);
   (* The p99 lands in the bucket of the 12ms / 30ms outliers. *)
   Alcotest.(check bool) "detection tail visible" true (p99_det > 0.005);
-  Alcotest.(check bool) "recovery tail visible" true (p99_rec > 0.01)
+  Alcotest.(check bool) "recovery tail visible" true (p99_rec > 0.01);
+  (* Churn's phase set: handoff durations plus per-victim detection and
+     recovery latencies, pooled across runs in run order. *)
+  let churn handoff_latency detection recovery : Scenario.churn_result =
+    {
+      seed = 1;
+      nodes = 16;
+      total_ops = 0;
+      failed_ops = 0;
+      lost_writes = 0;
+      unreadable_keys = 0;
+      joins = 0;
+      leaves = 0;
+      handoff_commits = 0;
+      handoff_aborts = 0;
+      final_epoch = 0;
+      stale_epochs = 0;
+      retries = 0;
+      crashes = [];
+      detection;
+      recovery;
+      handoff_latency;
+      unrecoverable = [];
+      op_latency = None;
+    }
+  in
+  let runs =
+    [
+      churn [ 0.001; 0.002 ] [ (3, 0.004) ] [ (3, 0.010) ];
+      churn [ 0.003 ] [ (5, 0.005); (9, 0.040) ] [];
+    ]
+  in
+  let samples = E.Churn.phases runs in
+  Alcotest.(check (list (pair string (list (float 0.0)))))
+    "churn samples in run order"
+    [
+      ("handoff", [ 0.001; 0.002; 0.003 ]);
+      ("detection", [ 0.004; 0.005; 0.040 ]);
+      ("recovery", [ 0.010 ]);
+    ]
+    samples;
+  let churn_histos = E.Chaos.phase_histos samples in
+  List.iter
+    (fun (p, n, p50, p99) ->
+      let h = List.assoc p churn_histos in
+      Alcotest.(check int) (p ^ " histogram holds every sample")
+        h.Drust_obs.Metrics.h_count n;
+      Alcotest.(check bool) (p ^ " p99 >= p50") true (p99 >= p50))
+    (E.Chaos.percentiles churn_histos);
+  Alcotest.(check (list int)) "churn sample counts" [ 3; 3; 1 ]
+    (List.map (fun (_, n, _, _) -> n) (E.Chaos.percentiles churn_histos));
+  let no_recovery = [ churn [ 0.001 ] [ (3, 0.004) ] [] ] in
+  Alcotest.check_raises "an empty phase fails the table"
+    (Failure "Churn: no recovery latency samples") (fun () ->
+      E.Chaos.percentile_table ~experiment:"Churn" ~count:"samples"
+        (E.Chaos.phase_histos (E.Churn.phases no_recovery)));
+  (* The determinism check compares latency histograms bit for bit:
+     an empty one (nan min/max) equals itself. *)
+  let empty =
+    List.assoc "recovery" (E.Chaos.phase_histos [ ("recovery", []) ])
+  in
+  Alcotest.(check bool) "empty histogram equals itself" true
+    (E.Chaos.same_latency (Some empty) (Some empty));
+  Alcotest.(check bool) "different histograms differ" false
+    (E.Chaos.same_latency (Some empty)
+       (Some (List.assoc "handoff" churn_histos)))
 
 (* ------------------------------------------------------------------ *)
 (* Motivation (S3) *)

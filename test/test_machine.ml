@@ -167,9 +167,12 @@ let test_ctx_counters_and_hottest () =
       Alcotest.(check (option int)) "hottest" (Some 2) (Ctx.hottest_remote_node ctx);
       Ctx.note_local_alloc ctx ~bytes:100;
       Alcotest.(check int) "alloc bytes" 100 ctx.Ctx.local_alloc_bytes;
-      Ctx.reset_counters ctx;
-      Alcotest.(check int) "reset" 0 (Ctx.remote_access_total ctx);
-      Alcotest.(check (option int)) "no hottest" None (Ctx.hottest_remote_node ctx))
+      let before = Ctx.remote_access_total ctx in
+      Ctx.note_remote_access ctx ~target:3;
+      Ctx.note_remote_access ctx ~target:3;
+      Alcotest.(check int) "delta" 2 (Ctx.remote_access_total ctx - before);
+      Alcotest.(check (option int)) "new hottest" (Some 3)
+        (Ctx.hottest_remote_node ctx))
 
 let test_ctx_safe_point_hook_runs_on_flush () =
   in_cluster 2 (fun _c ctx ->

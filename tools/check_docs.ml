@@ -1,5 +1,5 @@
 (* Documentation consistency checker, run by the @docs alias (a dep of
-   @runtest, so stale docs fail the build).  Ten checks:
+   @runtest, so stale docs fail the build).  Eleven checks:
 
    1. every relative .md link in docs/README.md (the index) resolves,
       and every docs/*.md file is reachable from the index;
@@ -32,7 +32,11 @@
       names the dump schema tag ([Flight.schema]);
   10. every key module the docs/ARCHITECTURE.md layer map lists for a
       library row resolves to a .ml under that row's library path(s),
-      so a deleted module cannot stay listed. *)
+      so a deleted module cannot stay listed;
+  11. every entry-name prefix of the committed summary
+      bench/BENCH_baseline.json has a row in docs/BENCHMARKS.md's
+      key-conventions table, and every key its entries carry (at any
+      depth) is named, backticked, in that file. *)
 
 let errors = ref []
 let err fmt = Printf.ksprintf (fun m -> errors := m :: !errors) fmt
@@ -444,6 +448,47 @@ let check_layer_map () =
       end)
     (String.split_on_char '\n' (read_file doc))
 
+(* --- 11: the baseline summary's entry names and keys ---------------- *)
+
+let check_baseline_documented () =
+  let doc = "docs/BENCHMARKS.md" and baseline = "bench/BENCH_baseline.json" in
+  let module Json = Drust_util.Json in
+  let text = read_file doc in
+  let names s =
+    try
+      ignore (Str.search_forward (Str.regexp_string s) text 0);
+      true
+    with Not_found -> false
+  in
+  let rec keys = function
+    | Json.Obj fields ->
+        List.concat_map (fun (k, v) -> k :: keys v) fields
+    | _ -> []
+  in
+  let entries =
+    match Json.member "entries" (Json.load ~path:baseline) with
+    | Some (Json.Obj entries) -> entries
+    | _ -> []
+  in
+  let prefix name =
+    match String.index_opt name '/' with
+    | Some i -> String.sub name 0 (i + 1)
+    | None -> name
+  in
+  List.iter
+    (fun p ->
+      if not (names (Printf.sprintf "\n| `%s` |" p)) then
+        err "%s has no key-conventions row for the %s entries of %s" doc p
+          baseline)
+    (List.sort_uniq String.compare (List.map (fun (n, _) -> prefix n) entries));
+  List.iter
+    (fun k ->
+      if not (names (Printf.sprintf "`%s`" k)) then
+        err "%s never names the key `%s` that %s's entries carry" doc k
+          baseline)
+    (List.sort_uniq String.compare
+       (List.concat_map (fun (_, e) -> keys e) entries))
+
 let () =
   check_index ();
   List.iter
@@ -458,6 +503,7 @@ let () =
   check_simplan_schema ();
   check_flight_schema ();
   check_layer_map ();
+  check_baseline_documented ();
   match List.rev !errors with
   | [] -> print_endline "docs check: OK"
   | msgs ->
