@@ -112,7 +112,7 @@ let run_profile ~trace_out =
   E.Report.note
     (Printf.sprintf "%d operation(s) profiled; top critical paths:"
        (List.length paths));
-  print_string (Cp.report ~k:10 events);
+  print_string (Cp.report events);
   let trace_path = Option.value trace_out ~default:"drust-profile.trace.json" in
   let metrics_path = metrics_path_of trace_path in
   Drust_obs.Export.write_chrome_trace ~path:trace_path spans;
@@ -314,29 +314,31 @@ let main positional out_dir () sanitize host_time churn_nodes trace_out
     usage_error "--plan and --emit-plan do not combine";
   if plan_file <> None && churn_nodes <> None then
     usage_error "--plan carries its own churn size; drop --churn-nodes";
-  (* Resolve what to run: a loaded suite plan, the fuzzer, or the
-     requested (default: all) experiments. *)
+  (* Resolve what to run: a loaded suite plan, or the requested
+     (default: all) experiments as a suite of their own.  The fuzzer
+     ignores it. *)
   let suite =
-    Option.map
-      (fun file ->
+    match plan_file with
+    | Some file ->
         let s = Cli.suite_plan ~prog file in
         List.iter
           (fun name ->
             if E.Runner.find name = None then
               usage_error "%s: unknown experiment %S" file name)
           s.Simplan.su_experiments;
-        s)
-      plan_file
-  in
-  let requested, opts =
-    match suite with
-    | Some s -> (s.Simplan.su_experiments, E.Runner.opts_of_suite s)
-    | None ->
-        ( (match positional with
+        s
+    | None -> (
+        let requested =
+          match positional with
           | [] -> E.Runner.names @ [ "profile" ]
-          | names -> names),
-          { E.Runner.default_opts with E.Runner.churn_nodes } )
+          | names -> names
+        in
+        let plan = Simplan.suite_plan ?churn_nodes ~name:"bench" requested in
+        match plan.Simplan.spec with
+        | Simplan.Suite s -> s
+        | Simplan.Sim _ -> assert false (* suite_plan builds a suite *))
   in
+  let requested = suite.Simplan.su_experiments in
   if trace_out <> None && not (List.mem "profile" requested) then
     usage_error "--trace-out names the profile experiment's trace";
   (match emit_plan with
@@ -347,7 +349,11 @@ let main positional out_dir () sanitize host_time churn_nodes trace_out
         usage_error "--emit-plan covers only: %s"
           (String.concat " " E.Runner.names);
       let plan =
-        E.Runner.suite_plan_of opts ~name:(plan_name_of_path file) requested
+        {
+          Simplan.name = plan_name_of_path file;
+          expect = Simplan.bench_schema;
+          spec = Simplan.Suite suite;
+        }
       in
       (match Simplan.validate plan with
       | Ok () -> ()
@@ -370,7 +376,7 @@ let main positional out_dir () sanitize host_time churn_nodes trace_out
           List.iter
             (fun name ->
               match E.Runner.find name with
-              | Some f -> f opts
+              | Some f -> f suite
               | None -> run_profile ~trace_out)
             requested)
   in

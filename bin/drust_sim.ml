@@ -161,7 +161,7 @@ let report_trace ~trace_n ~profile ~explain ~trace_out cluster =
   if trace_n > 0 then Format.printf "%a@." (Span.dump ~limit:trace_n) spans;
   if profile then begin
     Printf.printf "critical paths (top 10 operations by end-to-end latency):\n";
-    print_string (Drust_obs.Critical_path.report ~k:10 (Span.events spans))
+    print_string (Drust_obs.Critical_path.report (Span.events spans))
   end;
   Option.iter
     (fun addr ->

@@ -49,10 +49,7 @@ let () =
          (* The heartbeat failure detector rides on the controller's
             probe loop; handing it the replication manager is all it
             takes to make promotion automatic. *)
-         let ctrl =
-           Controller.start ~probe_interval:0.5e-3 ~probe_timeout:2e-4
-             ~miss_threshold:3 ~replication:repl cluster
-         in
+         let ctrl = Controller.start ~replication:repl cluster in
          let detected = ref false in
          Controller.set_on_death ctrl (fun n ->
              Printf.printf "detector: node %d declared dead, promoting\n" n;

@@ -41,9 +41,6 @@ let media_prob = 0.10
 (* Posts fetched per timeline read. *)
 let recent_posts = 5
 
-(* Home-timeline fanout limit per compose. *)
-let fanout_cap = 16
-
 (* The 12 DeathStarBench services.  Under DSM every service is replicated
    on every node and a request's hops stay local — only references cross
    the wire, through the shared heap.  The original deployment shards the
@@ -135,15 +132,11 @@ let compose_post d ctx ~author ~with_media =
   d.backend.Dsm.update ctx d.user_timelines.(author) (fun v -> v);
   (* Fan out to follower home timelines. *)
   hop d ctx ~shard:author ~payload_bytes:64;
-  let followers = Social_graph.followers d.graph author in
-  let fanout = min fanout_cap (List.length followers) in
-  List.iteri
-    (fun i f ->
-      if i < fanout then begin
-        hop d ctx ~shard:f ~payload_bytes:256;
-        d.backend.Dsm.update ctx d.timelines.(f) (fun v -> v)
-      end)
-    followers;
+  List.iter
+    (fun f ->
+      hop d ctx ~shard:f ~payload_bytes:256;
+      d.backend.Dsm.update ctx d.timelines.(f) (fun v -> v))
+    (Social_graph.followers d.graph author);
   respond d ctx ~bytes:256
 
 let read_timeline d ctx ~user ~home =
@@ -173,9 +166,7 @@ let run ~cluster ~backend cfg =
   if cfg.requests <= 0 then invalid_arg "Socialnet.run: empty workload";
   Appkit.run_main cluster (fun ctx ->
       let nodes = Cluster.node_count cluster in
-      let graph =
-        Social_graph.create ~users:cfg.users ~seed:7 ~max_fanout:fanout_cap ()
-      in
+      let graph = Social_graph.create ~users:cfg.users ~seed:7 () in
       let timelines =
         Array.init cfg.users (fun u ->
             backend.Dsm.alloc_on ctx ~node:(u mod nodes) ~size:cfg.timeline_bytes

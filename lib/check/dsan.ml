@@ -89,15 +89,6 @@ let pp_report ppf r =
 
 let report_to_string r = Format.asprintf "%a" pp_report r
 
-type mode = Record | Raise
-
-exception Violation of report
-
-let () =
-  Printexc.register_printer (function
-    | Violation r -> Some (report_to_string r)
-    | _ -> None)
-
 (* ------------------------------------------------------------------ *)
 (* Shadow state                                                        *)
 (* ------------------------------------------------------------------ *)
@@ -150,7 +141,6 @@ type lock_shadow = { mutable lk_holder : int option; lk_hist : histo }
 
 type t = {
   cluster : Cluster.t;
-  mode : mode;
   shadows : (int, shadow) Hashtbl.t;
   rcs : (int, rc_shadow) Hashtbl.t;
   locks : (int, lock_shadow) Hashtbl.t;
@@ -288,8 +278,7 @@ let violate t inv ~time ~node ~thread ~addr ~detail hist =
   ignore
     (Flight.auto_dump fl
        ~reason:(invariant_name inv ^ ": " ^ detail)
-       ?object_:addr ~now:time ());
-  match t.mode with Record -> () | Raise -> raise (Violation r)
+       ?object_:addr ~now:time ())
 
 let fresh_shadow ~color ~size ~box ~home =
   {
@@ -864,12 +853,11 @@ let observe t ~time ~node ~thread (ev : Tap.event) =
 (* Lifecycle                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let attach ?(mode = Record) cluster =
+let attach cluster =
   let n = Cluster.node_count cluster in
   let t =
     {
       cluster;
-      mode;
       shadows = Hashtbl.create 1024;
       rcs = Hashtbl.create 64;
       locks = Hashtbl.create 16;
@@ -905,8 +893,8 @@ let clear t =
   t.reports <- [];
   t.report_count <- 0
 
-let with_sanitizer ?mode cluster f =
-  let t = attach ?mode cluster in
+let with_sanitizer cluster f =
+  let t = attach cluster in
   Fun.protect ~finally:(fun () -> detach t) (fun () -> f t)
 
 (* The auto-attach list is the one deliberate process-global here: it
@@ -919,11 +907,11 @@ let auto : t list ref =
    cross-cluster by design, mutex-protected"]
 let auto_mutex = Mutex.create ()
 
-let install_global ?mode () =
+let install_global () =
   Cluster.set_create_hook
     (Some
        (fun c ->
-         let t = attach ?mode c in
+         let t = attach c in
          Mutex.protect auto_mutex (fun () -> auto := t :: !auto)))
 
 let uninstall_global () = Cluster.set_create_hook None

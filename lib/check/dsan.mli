@@ -88,24 +88,19 @@ type report = {
 
 val report_to_string : report -> string
 
-type mode =
-  | Record  (** collect reports; query with {!violations} *)
-  | Raise  (** raise {!Violation} at the first divergence *)
-
-exception Violation of report
-
 (** {1 Lifecycle} *)
 
 type t
 
-val attach : ?mode:mode -> Cluster.t -> t
+val attach : Cluster.t -> t
 (** Install the sanitizer on a cluster: subscribes to the cluster's tap
     (every protocol, cache, refcount, lock, replication and membership
     transition), seeds the serving/alive shadow from the cluster's
     current state, and registers the [dsan.violations] counter in the
     cluster's metrics registry.
     Attach before the workload runs; objects created earlier are simply
-    not tracked.  Default mode is [Record]. *)
+    not tracked.  Reports are collected, never raised: query them with
+    {!violations}. *)
 
 val detach : t -> unit
 (** Empty the cluster's tap.  Reports remain queryable. *)
@@ -119,12 +114,12 @@ val violations : t -> report list
 val violation_count : t -> int
 val clear : t -> unit
 
-val with_sanitizer : ?mode:mode -> Cluster.t -> (t -> 'a) -> 'a
+val with_sanitizer : Cluster.t -> (t -> 'a) -> 'a
 (** [attach], run, [detach] (exception-safe). *)
 
 (** {2 Process-wide installation (the [--sanitize] flag)} *)
 
-val install_global : ?mode:mode -> unit -> unit
+val install_global : unit -> unit
 (** Arrange (via [Cluster.set_create_hook]) for every cluster created
     from now on to get a sanitizer attached automatically — this is how
     [bench/main.exe --sanitize] sanitizes experiments that build their

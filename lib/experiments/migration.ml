@@ -17,7 +17,7 @@ type result = {
    the rebalancer spread them. *)
 let controller_run () =
   let cluster = Cluster.create (B.testbed ~nodes:8 ()) in
-  let controller = Controller.start ~probe_interval:0.5e-3 cluster in
+  let controller = Controller.start cluster in
   let engine = Cluster.engine cluster in
   ignore
     (Engine.spawn engine (fun () ->

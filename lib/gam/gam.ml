@@ -6,24 +6,14 @@ module Fabric = Drust_net.Fabric
 module Univ = Drust_util.Univ
 module Dsm = Drust_dsm.Dsm
 
-type costs = {
-  dir_proc : float; (* home directory software time per request *)
-  dir_per_block : float; (* pipelined extra per additional block *)
-  requester_proc : float; (* requester-side protocol bookkeeping *)
-  hit_check_cycles : float; (* local state check on a cache hit *)
-  inv_extra : float; (* extra per additional sharer invalidated *)
-}
-
-(* Calibrated so an uncached 512 B read costs ~16 us end to end with the
-   wire accounting for ~3.6 us (the paper's S3 breakdown). *)
-let default_costs =
-  {
-    dir_proc = 3.0e-6;
-    dir_per_block = 1.0e-6;
-    requester_proc = 3.3e-6;
-    hit_check_cycles = 220.0;
-    inv_extra = 0.7e-6;
-  }
+(* Protocol software costs, calibrated so an uncached 512 B read costs
+   ~16 us end to end with the wire accounting for ~3.6 us (the paper's
+   S3 breakdown). *)
+let dir_proc = 3.0e-6 (* home directory software time per request *)
+let dir_per_block = 1.0e-6 (* pipelined extra per additional block *)
+let requester_proc = 3.3e-6 (* requester-side protocol bookkeeping *)
+let hit_check_cycles = 220.0 (* local state check on a cache hit *)
+let inv_extra = 0.7e-6 (* extra per additional sharer invalidated *)
 
 (* Directory state of one small-object cache block. *)
 type block_state = Uncached | Shared of int list | Exclusive of int
@@ -54,7 +44,6 @@ type handle = {
 type t = {
   cluster : Cluster.t;
   block_size : int;
-  costs : costs;
   directory : (int, block_state ref) Hashtbl.t; (* block id -> state *)
   dir_units : Resource.t array; (* per-node directory engines *)
   store : (int, Univ.t) Hashtbl.t; (* object id -> current value *)
@@ -76,7 +65,6 @@ let create ?(block_size = 512) ?(cache_budget = Drust_util.Units.mib 6)
   {
     cluster;
     block_size;
-    costs = default_costs;
     directory = Hashtbl.create 4096;
     dir_units =
       Array.init (Cluster.node_count cluster) (fun _ ->
@@ -190,11 +178,10 @@ let distinct (l : int list) = List.sort_uniq Int.compare l
 let serve_directory t ~home ~nblocks ~third_parties ~third_bytes =
   let unit_ = t.dir_units.(home) in
   let engine = Cluster.engine t.cluster in
-  let c = t.costs in
   Resource.acquire unit_;
   match
     Engine.delay engine
-      (c.dir_proc +. (c.dir_per_block *. Float.of_int (max 0 (nblocks - 1))));
+      (dir_proc +. (dir_per_block *. Float.of_int (max 0 (nblocks - 1))));
     match third_parties with
     | [] -> ()
     | first :: rest ->
@@ -202,7 +189,7 @@ let serve_directory t ~home ~nblocks ~third_parties ~third_bytes =
         Fabric.rpc (Cluster.fabric t.cluster) ~from:home ~target:first
           ~req_bytes:64 ~resp_bytes:third_bytes ignore;
         for _ = 1 to List.length rest do
-          Engine.delay engine c.inv_extra
+          Engine.delay engine inv_extra
         done
   with
   | () -> Resource.release unit_
@@ -219,7 +206,7 @@ let directory_round t ctx ~home ~resp_bytes ~nblocks ~third_parties ~third_bytes
     ~req_bytes:64 ~resp_bytes (fun () ->
       serve_directory t ~home ~nblocks ~third_parties ~third_bytes);
   (* Requester-side protocol bookkeeping (state tracking of the copies). *)
-  Engine.delay (Cluster.engine t.cluster) t.costs.requester_proc
+  Engine.delay (Cluster.engine t.cluster) requester_proc
 
 (* ------------------------------------------------------------------ *)
 (* Small objects: exact per-block directory protocol                    *)
@@ -303,11 +290,11 @@ let rec set_exclusive t excl = function
 let small_read t ctx h blocks_ =
   let node = ctx.Ctx.node in
   match unshared t node blocks_ with
-  | [] -> Ctx.charge_cycles ctx t.costs.hit_check_cycles
+  | [] -> Ctx.charge_cycles ctx hit_check_cycles
   | missed ->
       (if h.obj_home = node && none_foreign_exclusive t node missed then
          (* Local fast path: the requester is the home, nothing conflicts. *)
-         Ctx.charge_cycles ctx (t.costs.hit_check_cycles +. 900.0)
+         Ctx.charge_cycles ctx (hit_check_cycles +. 900.0)
        else begin
          t.rmisses <- t.rmisses + 1;
          Ctx.note_remote_access ctx ~target:h.obj_home;
@@ -322,11 +309,11 @@ let small_read t ctx h blocks_ =
 let small_acquire t ctx h blocks_ =
   let node = ctx.Ctx.node in
   match unowned t node blocks_ with
-  | [] -> Ctx.charge_cycles ctx t.costs.hit_check_cycles
+  | [] -> Ctx.charge_cycles ctx hit_check_cycles
   | need ->
       let third_parties = distinct (foreign_holders t node need) in
       (if h.obj_home = node && third_parties = [] then
-         Ctx.charge_cycles ctx (t.costs.hit_check_cycles +. 900.0)
+         Ctx.charge_cycles ctx (hit_check_cycles +. 900.0)
        else begin
          t.wmisses <- t.wmisses + 1;
          Ctx.note_remote_access ctx ~target:h.obj_home;
@@ -347,7 +334,7 @@ let big_fault t ctx h (bs : big_state) ~want =
   let node = ctx.Ctx.node in
   let cursor = bs.cursors.(node) in
   let served = min want (h.nblocks - cursor) in
-  if served <= 0 then Ctx.charge_cycles ctx t.costs.hit_check_cycles
+  if served <= 0 then Ctx.charge_cycles ctx hit_check_cycles
   else begin
     let third =
       match bs.excl with
@@ -359,7 +346,7 @@ let big_fault t ctx h (bs : big_state) ~want =
       | Some _ | None -> []
     in
     (if h.obj_home = node && third = [] then
-       Ctx.charge_cycles ctx (t.costs.hit_check_cycles +. 900.0)
+       Ctx.charge_cycles ctx (hit_check_cycles +. 900.0)
      else begin
        t.rmisses <- t.rmisses + 1;
        Ctx.note_remote_access ctx ~target:h.obj_home;
@@ -386,7 +373,7 @@ let big_read_all t ctx h bs =
 let big_acquire t ctx h bs =
   let node = ctx.Ctx.node in
   if (match bs.excl with Some o -> o = node | None -> false) then
-    Ctx.charge_cycles ctx t.costs.hit_check_cycles
+    Ctx.charge_cycles ctx hit_check_cycles
   else begin
     let sharers = ref [] in
     Array.iteri
@@ -398,7 +385,7 @@ let big_acquire t ctx h bs =
         @ match bs.excl with Some o when o <> node -> [ o ] | Some _ | None -> [])
     in
     (if h.obj_home = node && third = [] then
-       Ctx.charge_cycles ctx (t.costs.hit_check_cycles +. 900.0)
+       Ctx.charge_cycles ctx (hit_check_cycles +. 900.0)
      else begin
        t.wmisses <- t.wmisses + 1;
        Ctx.note_remote_access ctx ~target:h.obj_home;
@@ -425,7 +412,7 @@ let read_part t ctx h ~bytes =
       let node = ctx.Ctx.node in
       if stale_writer bs node then bs.cursors.(node) <- 0;
       if bs.cursors.(node) >= h.nblocks then
-        Ctx.charge_cycles ctx t.costs.hit_check_cycles
+        Ctx.charge_cycles ctx hit_check_cycles
       else begin
         (* Strict on-demand faulting: one block per directory round (GAM
            has no read-ahead), so a streaming touch of [bytes] issues one

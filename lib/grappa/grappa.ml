@@ -6,23 +6,17 @@ module Fabric = Drust_net.Fabric
 module Univ = Drust_util.Univ
 module Dsm = Drust_dsm.Dsm
 
-type costs = {
-  aggregation_delay : float;  (* flush timeout: the worst-case wait *)
-  delegate_cycles : float; (* home-core cycles to run one delegation *)
-  local_overhead : float; (* delegation overhead when home = caller *)
-}
-
 (* The aggregation delay models Grappa's message batching: a delegation
    waits in the sender-side aggregator until its destination buffer
    flushes.  At the modest concurrency of these applications the flush is
    timeout-driven, which is the known cause of Grappa's poor latency on
    sparse traffic (and of the paper's 2-node collapse in Fig. 5d). *)
-let default_costs =
-  { aggregation_delay = 40e-6; delegate_cycles = 1500.0; local_overhead = 0.35e-6 }
+let aggregation_delay = 40e-6 (* flush timeout: the worst-case wait *)
+let delegate_cycles = 1500.0 (* home-core cycles to run one delegation *)
+let local_overhead = 0.35e-6 (* delegation overhead when home = caller *)
 
 type t = {
   cluster : Cluster.t;
-  costs : costs;
   workers : Resource.t array; (* per-node delegation worker cores *)
   (* Adaptive aggregation: a message waits until its batch fills or the
      flush timeout fires.  We track an EWMA of each node's inter-send gap;
@@ -45,7 +39,6 @@ let create cluster =
   let cores = (Cluster.params cluster).Drust_machine.Params.cores_per_node in
   {
     cluster;
-    costs = default_costs;
     workers =
       Array.init (Cluster.node_count cluster) (fun _ ->
           Resource.create (Cluster.engine cluster) ~capacity:(max 1 cores));
@@ -73,7 +66,7 @@ let run_at_home t ~home work h x =
   let worker = t.workers.(home) in
   Resource.acquire worker;
   match
-    compute_at_home t t.costs.delegate_cycles;
+    compute_at_home t delegate_cycles;
     work t h x
   with
   | v ->
@@ -95,7 +88,7 @@ let aggregation_wait t src dst =
   t.gap_ewma.(src).(dst) <- ewma;
   let fill = 2.0 *. ewma in
   let fill = if fill < 1e-6 then 1e-6 else fill in
-  let timeout = t.costs.aggregation_delay in
+  let timeout = aggregation_delay in
   if fill > timeout then timeout else fill
 
 (* Ship [work t h x] to [home].  [work] is a toplevel function, so the
@@ -107,7 +100,7 @@ let delegate t ctx ~home ~req_bytes ~resp_bytes work h x =
     (* Local delegation skips the network but still hops through the
        delegation queue. *)
     Ctx.flush ctx;
-    Engine.delay engine t.costs.local_overhead;
+    Engine.delay engine local_overhead;
     run_at_home t ~home work h x
   end
   else begin

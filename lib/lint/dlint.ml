@@ -6,16 +6,14 @@
 
 (* The hygiene pass has no checker of its own: the framework emits its
    findings (malformed allow payloads, unknown pass ids, empty reasons,
-   stale allows, stale table entries) while collecting and settling
-   exemptions.  It is registered so it can be listed, selected with
+   stale allows) while collecting and settling exemptions.  It is registered so it can be listed, selected with
    --only, named in allow payload validation, and catalogued. *)
 let hygiene_pass =
   {
     Lint.p_name = Lint.hygiene;
     p_doc =
       "exemption hygiene: every [@dlint.allow] carries \"pass-id: reason\" \
-       and still suppresses a finding; stale allows and stale table \
-       entries fail the lint";
+       and still suppresses a finding; stale allows fail the lint";
     p_applies = (fun _ -> true);
     p_check = (fun _ _ -> ());
   }
@@ -26,13 +24,6 @@ let passes =
 
 let pass_names = List.map (fun p -> p.Lint.p_name) passes
 
-(* The closed exemption table, for generated files that cannot carry
-   [@dlint.allow] attributes.  Keep it empty unless a generator shows
-   up: attributes at the use site are the mechanism of record.  Entries
-   are (scope path, pass, reason) and are subject to the same staleness
-   rule as attributes. *)
-let exemptions : (string * string * string) list = []
-
 type result = {
   diagnostics : Lint.diagnostic list;
   files_scanned : int;
@@ -40,7 +31,7 @@ type result = {
   allows_total : int;
 }
 
-let run ?only ?(table = exemptions) ~paths () =
+let run ?only ~paths () =
   let selected =
     match only with
     | None -> passes
@@ -52,16 +43,7 @@ let run ?only ?(table = exemptions) ~paths () =
          (Option.value only ~default:"")
          (String.concat ", " pass_names));
   let hygiene_on = List.exists (fun p -> p.Lint.p_name = Lint.hygiene) selected in
-  let table =
-    List.map
-      (fun (scope, pass, reason) ->
-        { Lint.e_scope = scope; e_pass = pass; e_reason = reason;
-          e_used = false })
-      table
-  in
-  let ctx =
-    { Lint.known_passes = pass_names; table; current = None; diags = [] }
-  in
+  let ctx = { Lint.known_passes = pass_names; current = None; diags = [] } in
   let files =
     List.concat_map
       (fun p ->
@@ -129,33 +111,9 @@ let run ?only ?(table = exemptions) ~paths () =
                 (List.filter (fun a -> a.Lint.a_used) f.Lint.f_allows);
           ctx.Lint.current <- None)
     files;
-  if hygiene_on then
-    List.iter
-      (fun (e : Lint.exemption) ->
-        let pass_selected =
-          List.exists (fun p -> p.Lint.p_name = e.Lint.e_pass) selected
-        in
-        if pass_selected && not e.Lint.e_used then
-          ctx.Lint.diags <-
-            {
-              Lint.d_pass = Lint.hygiene;
-              d_file = "lib/lint/dlint.ml";
-              d_line = 1;
-              d_col = 0;
-              d_message =
-                Printf.sprintf
-                  "stale exemption table entry (%s, %s) — nothing left to \
-                   suppress; remove it"
-                  e.Lint.e_scope e.Lint.e_pass;
-            }
-            :: ctx.Lint.diags)
-      table;
-  let used =
-    List.length (List.filter (fun (e : Lint.exemption) -> e.Lint.e_used) table)
-  in
   {
     diagnostics = List.sort Lint.compare_diag ctx.Lint.diags;
     files_scanned = List.length files;
-    allows_used = !allows_used + used;
-    allows_total = !allows_total + List.length table;
+    allows_used = !allows_used;
+    allows_total = !allows_total;
   }

@@ -9,33 +9,22 @@
 
 val passes : Lint.pass list
 (** The registered passes, in catalogue order.  Includes the synthetic
-    [hygiene] pass (exemption staleness), whose findings the framework
+    [hygiene] pass (allow staleness), whose findings the framework
     emits itself. *)
 
 val pass_names : string list
 (** Names of {!passes}, for [--list-passes] and the docs check. *)
 
-val exemptions : (string * string * string) list
-(** The closed table of [(scope path, pass, reason)] file-level
-    exemptions for generated code that cannot carry attributes.  Stale
-    entries are [hygiene] findings, exactly like stale attributes. *)
-
 type result = {
   diagnostics : Lint.diagnostic list;  (** sorted by file/line/col/pass *)
   files_scanned : int;
-  allows_used : int;  (** allow attributes + table entries that fired *)
+  allows_used : int;  (** allow attributes that fired *)
   allows_total : int;
 }
 
-val run :
-  ?only:string ->
-  ?table:(string * string * string) list ->
-  paths:string list ->
-  unit ->
-  result
+val run : ?only:string -> paths:string list -> unit -> result
 (** [run ~paths ()] parses every [.ml] under the given files or
     directory roots and runs every registered pass that applies to each
     file's repo-relative scope.  [?only] restricts to a single pass by
     name (raising [Invalid_argument] on an unknown name); allows for
-    unselected passes are then exempt from staleness.  [?table]
-    overrides {!exemptions} (used by tests). *)
+    unselected passes are then exempt from staleness. *)

@@ -18,9 +18,7 @@
    node it annotates.  Every allow must carry a "pass-id: reason"
    payload and must actually suppress something — a stale allow (the
    code no longer trips the pass) is itself a [hygiene] finding, so the
-   exemption set cannot rot.  A small closed table ([Dlint.exemptions])
-   exists for generated files that cannot carry attributes; it is
-   subject to the same staleness rule. *)
+   exemption set cannot rot. *)
 
 type diagnostic = {
   d_pass : string;
@@ -59,15 +57,6 @@ type allow = {
   mutable a_used : bool;
 }
 
-(* A closed-table exemption for files that cannot carry attributes
-   (generated code).  Same staleness rule as attributes. *)
-type exemption = {
-  e_scope : string; (* repo-relative path, e.g. "lib/foo/gen.ml" *)
-  e_pass : string;
-  e_reason : string;
-  mutable e_used : bool;
-}
-
 type file_unit = {
   f_path : string; (* as given on the command line *)
   f_scope : string; (* normalized repo-relative path, for pass scoping *)
@@ -77,7 +66,6 @@ type file_unit = {
 
 type ctx = {
   known_passes : string list;
-  table : exemption list;
   mutable current : file_unit option;
   mutable diags : diagnostic list;
 }
@@ -172,13 +160,7 @@ let emit ctx ~pass ~(loc : Location.t) msg =
             f.f_allows
         in
         List.iter (fun a -> a.a_used <- true) covering;
-        let table_hit =
-          List.filter
-            (fun e -> e.e_scope = f.f_scope && e.e_pass = pass)
-            ctx.table
-        in
-        List.iter (fun e -> e.e_used <- true) table_hit;
-        covering <> [] || table_hit <> []
+        covering <> []
   in
   if not suppressed then
     ctx.diags <-

@@ -33,13 +33,6 @@ type allow = {
 (** A [\[@dlint.allow "pass-id: reason"\]] exemption, bound to the
     char-offset range of the node its attribute annotates. *)
 
-type exemption = {
-  e_scope : string;
-  e_pass : string;
-  e_reason : string;
-  mutable e_used : bool;
-}
-
 type file_unit = {
   f_path : string;
   f_scope : string;
@@ -49,7 +42,6 @@ type file_unit = {
 
 type ctx = {
   known_passes : string list;
-  table : exemption list;
   mutable current : file_unit option;
   mutable diags : diagnostic list;
 }
@@ -79,9 +71,8 @@ val parse_file : string -> (Parsetree.structure, diagnostic) result
 (** Parse one file; syntax errors come back as a ["parse"] diagnostic. *)
 
 val emit : ctx -> pass:string -> loc:Location.t -> string -> unit
-(** Record a diagnostic unless a covering allow (or a table entry for
-    the file) suppresses it — in which case the exemption is marked
-    used, feeding the staleness check. *)
+(** Record a diagnostic unless a covering allow suppresses it — in
+    which case the allow is marked used, feeding the staleness check. *)
 
 val collect_allows :
   ctx -> emit_hygiene:bool -> Parsetree.structure -> allow list

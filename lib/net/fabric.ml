@@ -33,18 +33,12 @@ let () =
              from target seen current)
     | _ -> None)
 
-(* Per-node registry handles. *)
-type verbs = {
-  c_reads : Metrics.counter;
-  c_writes : Metrics.counter;
-  c_atomics : Metrics.counter;
-  c_rpcs : Metrics.counter;
-  c_bytes_out : Metrics.counter;
-  c_remote_ops : Metrics.counter;
-  c_timeouts : Metrics.counter; (* wrapped ops that expired their budget *)
-  c_retries : Metrics.counter; (* backoff re-attempts issued from this node *)
-  c_drops : Metrics.counter; (* messages lost to partitions or lossy links *)
-  c_stale_epochs : Metrics.counter; (* verbs NAKed for an old view epoch *)
+(* One node's counters: one per fabric flight kind, indexed by
+   [kind - Flight.k_fab_read], then its payload bytes and remote ops. *)
+type node_counters = {
+  by_kind : Metrics.counter array;
+  bytes_out : Metrics.counter;
+  remote_ops : Metrics.counter;
 }
 
 type t = {
@@ -56,7 +50,7 @@ type t = {
   sigma : float;
   nodes : int;
   metrics : Metrics.t;
-  counters : verbs array;
+  counters : node_counters array;
   (* Egress line-rate serialization: the NIC that sources a payload can
      push one stream at line rate; concurrent bulk transfers from the
      same node queue behind each other.  Small control messages are
@@ -77,20 +71,20 @@ type t = {
 (* Transfers below this size do not contend for the DMA engine. *)
 let bulk_threshold = 4096
 
-let register_verbs metrics node =
+(* The counter each fabric flight kind bumps, from [Flight.k_fab_read]
+   to [Flight.k_fab_stale_epoch]: a SEND counts as an RPC. *)
+let kind_counters =
+  [| "fabric.reads"; "fabric.writes"; "fabric.atomics"; "fabric.rpcs";
+     "fabric.rpcs"; "fabric.timeouts"; "fabric.retries"; "fabric.drops";
+     "fabric.stale_epochs" |]
+
+let register_node metrics node =
   let labels = [ ("node", string_of_int node) ] in
   let c ?(unit_ = "ops") name = Metrics.counter metrics ~labels ~unit_ name in
   {
-    c_reads = c "fabric.reads";
-    c_writes = c "fabric.writes";
-    c_atomics = c "fabric.atomics";
-    c_rpcs = c "fabric.rpcs";
-    c_bytes_out = c ~unit_:"bytes" "fabric.bytes_out";
-    c_remote_ops = c "fabric.remote_ops";
-    c_timeouts = c "fabric.timeouts";
-    c_retries = c "fabric.retries";
-    c_drops = c "fabric.drops";
-    c_stale_epochs = c "fabric.stale_epochs";
+    by_kind = Array.map (fun name -> c name) kind_counters;
+    bytes_out = c ~unit_:"bytes" "fabric.bytes_out";
+    remote_ops = c "fabric.remote_ops";
   }
 
 let create ~metrics ~spans ~flight ~engine ~rng ~model ~nodes =
@@ -102,7 +96,7 @@ let create ~metrics ~spans ~flight ~engine ~rng ~model ~nodes =
     sigma = model.Model.jitter;
     nodes;
     metrics;
-    counters = Array.init nodes (register_verbs metrics);
+    counters = Array.init nodes (register_node metrics);
     nics =
       Array.init nodes (fun _ -> Drust_sim.Resource.create engine ~capacity:1);
     spans;
@@ -111,9 +105,11 @@ let create ~metrics ~spans ~flight ~engine ~rng ~model ~nodes =
     flight;
   }
 
-(* Flight-recorder append for one fabric event on the issuing node's
-   ring (array stores only — see Flight.record). *)
-let[@inline] fr t ~from ~kind ~a ~b ~c =
+(* One fabric event of flight kind [kind] issued by [from]: bump its
+   counter and append it to the node's flight ring (array stores only —
+   see Flight.record). *)
+let[@inline] event t ~from ~kind ~a ~b ~c =
+  Metrics.incr t.counters.(from).by_kind.(kind - Flight.k_fab_read);
   Flight.record t.flight ~node:from ~time:(Engine.now t.engine) ~kind ~a ~b ~c
     ~d:0
 
@@ -205,9 +201,8 @@ let sync_guard t ~from ~target =
           raise (Node_down target)
         end;
         if Fault.severed p ~from ~target || Fault.drops p ~from ~target then begin
-          Metrics.incr t.counters.(from).c_drops;
+          event t ~from ~kind:Flight.k_fab_drop ~a:target ~b:0 ~c:0;
           mark t "DROP" ~from ~target ~bytes:0;
-          fr t ~from ~kind:Flight.k_fab_drop ~a:target ~b:0 ~c:0;
           blackhole ()
         end
       end
@@ -224,9 +219,8 @@ let async_delivers t ~from ~target =
         || (from <> target
            && (Fault.severed p ~from ~target || Fault.drops p ~from ~target))
       then begin
-        Metrics.incr t.counters.(from).c_drops;
+        event t ~from ~kind:Flight.k_fab_drop ~a:target ~b:0 ~c:0;
         mark t "DROP(async)" ~from ~target ~bytes:0;
-        fr t ~from ~kind:Flight.k_fab_drop ~a:target ~b:0 ~c:0;
         false
       end
       else true
@@ -241,9 +235,9 @@ let check_epoch t ~from ~target epoch =
   | Some seen, Some current_of ->
       let current = current_of () in
       if seen < current then begin
-        Metrics.incr t.counters.(from).c_stale_epochs;
+        event t ~from ~kind:Flight.k_fab_stale_epoch ~a:target ~b:seen
+          ~c:current;
         mark t "STALE_EPOCH" ~from ~target ~bytes:0;
-        fr t ~from ~kind:Flight.k_fab_stale_epoch ~a:target ~b:seen ~c:current;
         raise (Stale_epoch { from; target; seen; current })
       end
   | _ -> ()
@@ -310,54 +304,51 @@ let delay_with_nic t vs leg ~data_source ~from ~target ~bytes =
     Span.finish t.spans wire
   end
 
-let note t ~from ~target ~bytes =
-  let c = t.counters.(from) in
-  Metrics.add c.c_bytes_out bytes;
-  if from <> target then Metrics.incr c.c_remote_ops
+(* Every verb's prologue: check both ends, then count the issue, its
+   bytes and (off-node) a remote op, and record it on the issuing node's
+   ring with [c] as its third payload field. *)
+let issue t label ~kind ~from ~target ~bytes ~c =
+  check_node t from label;
+  check_node t target label;
+  event t ~from ~kind ~a:target ~b:bytes ~c;
+  let nc = t.counters.(from) in
+  Metrics.add nc.bytes_out bytes;
+  if from <> target then Metrics.incr nc.remote_ops
 
 (* Each blocking verb below opens its span (or holds [Span.null]) once,
    runs its one body, and finishes the span on return and on exception:
    the stale-epoch check, an RPC handler and an atomic's [f] can raise. *)
 
-let rdma_read ?parent ?epoch t ~from ~target ~bytes =
-  check_node t from "rdma_read";
-  check_node t target "rdma_read";
-  Metrics.incr t.counters.(from).c_reads;
-  note t ~from ~target ~bytes;
-  fr t ~from ~kind:Flight.k_fab_read ~a:target ~b:bytes ~c:(ep epoch);
+(* READ and WRITE: READ pulls data out of the target and WRITE pushes it
+   from the sender, so that node's NIC is the egress. *)
+let one_sided ?parent ?epoch t ~write ~from ~target ~bytes =
+  issue t
+    (if write then "rdma_write" else "rdma_read")
+    ~kind:(if write then Flight.k_fab_write else Flight.k_fab_read)
+    ~from ~target ~bytes ~c:(ep epoch);
   sync_guard t ~from ~target;
-  let vs = verb_span ?parent t "READ" ~from ~target ~bytes in
+  let vs =
+    verb_span ?parent t (if write then "WRITE" else "READ") ~from ~target ~bytes
+  in
   let flow = flow_out t vs ~from ~target in
   match
-    (* READ pulls data out of the target: the target's NIC is the egress. *)
-    delay_with_nic t vs Oneside ~data_source:target ~from ~target ~bytes;
+    delay_with_nic t vs Oneside
+      ~data_source:(if write then from else target)
+      ~from ~target ~bytes;
     check_epoch t ~from ~target epoch;
-    serve_mark t vs ~flow ~target "SERVE(READ)"
+    serve_mark t vs ~flow ~target
+      (if write then "SERVE(WRITE)" else "SERVE(READ)")
   with
   | () -> Span.finish t.spans vs
   | exception e ->
       Span.finish t.spans vs;
       raise e
 
+let rdma_read ?parent ?epoch t ~from ~target ~bytes =
+  one_sided ?parent ?epoch t ~write:false ~from ~target ~bytes
+
 let rdma_write ?parent ?epoch t ~from ~target ~bytes =
-  check_node t from "rdma_write";
-  check_node t target "rdma_write";
-  Metrics.incr t.counters.(from).c_writes;
-  note t ~from ~target ~bytes;
-  fr t ~from ~kind:Flight.k_fab_write ~a:target ~b:bytes ~c:(ep epoch);
-  sync_guard t ~from ~target;
-  let vs = verb_span ?parent t "WRITE" ~from ~target ~bytes in
-  let flow = flow_out t vs ~from ~target in
-  match
-    (* WRITE pushes data from the sender: its NIC is the egress. *)
-    delay_with_nic t vs Oneside ~data_source:from ~from ~target ~bytes;
-    check_epoch t ~from ~target epoch;
-    serve_mark t vs ~flow ~target "SERVE(WRITE)"
-  with
-  | () -> Span.finish t.spans vs
-  | exception e ->
-      Span.finish t.spans vs;
-      raise e
+  one_sided ?parent ?epoch t ~write:true ~from ~target ~bytes
 
 (* A fire-and-forget verb's delivery callback: [k] itself when untraced;
    traced, the post lands as an instant on the issuing node (with a flow
@@ -377,11 +368,8 @@ let async_delivery ?parent t post recv ~from ~target ~bytes k =
   end
 
 let rdma_write_async ?parent t ~from ~target ~bytes k =
-  check_node t from "rdma_write_async";
-  check_node t target "rdma_write_async";
-  Metrics.incr t.counters.(from).c_writes;
-  note t ~from ~target ~bytes;
-  fr t ~from ~kind:Flight.k_fab_write ~a:target ~b:bytes ~c:(-1);
+  issue t "rdma_write_async" ~kind:Flight.k_fab_write ~from ~target ~bytes
+    ~c:(-1);
   if async_delivers t ~from ~target then begin
     let dt = leg_latency t Oneside ~from ~target ~bytes in
     Engine.schedule_after t.engine dt
@@ -390,11 +378,8 @@ let rdma_write_async ?parent t ~from ~target ~bytes k =
   end
 
 let rdma_atomic ?parent t ~from ~target f =
-  check_node t from "rdma_atomic";
-  check_node t target "rdma_atomic";
-  Metrics.incr t.counters.(from).c_atomics;
-  note t ~from ~target ~bytes:8;
-  fr t ~from ~kind:Flight.k_fab_atomic ~a:target ~b:8 ~c:(-1);
+  issue t "rdma_atomic" ~kind:Flight.k_fab_atomic ~from ~target ~bytes:8
+    ~c:(-1);
   sync_guard t ~from ~target;
   let vs = verb_span ?parent t "ATOMIC" ~from ~target ~bytes:8 in
   let flow = flow_out t vs ~from ~target in
@@ -412,12 +397,8 @@ let rdma_atomic ?parent t ~from ~target f =
       raise e
 
 let rpc ?parent ?epoch t ~from ~target ~req_bytes ~resp_bytes handler =
-  check_node t from "rpc";
-  check_node t target "rpc";
-  Metrics.incr t.counters.(from).c_rpcs;
-  note t ~from ~target ~bytes:(req_bytes + resp_bytes);
-  fr t ~from ~kind:Flight.k_fab_rpc ~a:target ~b:(req_bytes + resp_bytes)
-    ~c:(ep epoch);
+  issue t "rpc" ~kind:Flight.k_fab_rpc ~from ~target
+    ~bytes:(req_bytes + resp_bytes) ~c:(ep epoch);
   sync_guard t ~from ~target;
   let vs =
     verb_span ?parent t "RPC" ~from ~target ~bytes:(req_bytes + resp_bytes)
@@ -480,10 +461,13 @@ let rpc_with_timeout ?parent ?epoch t ~from ~target ~req_bytes ~resp_bytes
   | Settled v -> v
   | Crashed e -> raise e
   | Expired ->
-      Metrics.incr t.counters.(from).c_timeouts;
+      event t ~from ~kind:Flight.k_fab_timeout ~a:target ~b:0 ~c:0;
       mark ?parent t "TIMEOUT" ~from ~target ~bytes:0;
-      fr t ~from ~kind:Flight.k_fab_timeout ~a:target ~b:0 ~c:0;
       raise (Rpc_timeout { from; target; timeout })
+
+(* The backoff's cap, and the amplitude of its seeded noise. *)
+let max_delay = 5e-3
+let jitter = 0.25
 
 (* Retry [op] on Node_down / Rpc_timeout / Stale_epoch with exponential
    backoff, giving up (re-raising the last error) when the attempt count
@@ -492,11 +476,9 @@ let rpc_with_timeout ?parent ?epoch t ~from ~target ~req_bytes ~resp_bytes
    lets a retry land on a freshly promoted backup or carry the epoch a
    handoff announcement just installed. *)
 let retry_with_backoff ?parent t ~from ?(attempts = 8) ?(base_delay = 50e-6)
-    ?(max_delay = 5e-3) ?(budget = Float.infinity) ?(jitter = 0.25) op =
+    ?(budget = Float.infinity) op =
   check_node t from "retry_with_backoff";
   if attempts < 1 then invalid_arg "Fabric.retry_with_backoff: attempts < 1";
-  if jitter < 0.0 || jitter > 1.0 then
-    invalid_arg "Fabric.retry_with_backoff: jitter outside [0, 1]";
   let deadline = Engine.now t.engine +. budget in
   let rec go n delay =
     match op () with
@@ -505,12 +487,10 @@ let retry_with_backoff ?parent t ~from ?(attempts = 8) ?(base_delay = 50e-6)
         if n + 1 >= attempts || Engine.now t.engine +. delay > deadline then
           raise e
         else begin
-          Metrics.incr t.counters.(from).c_retries;
+          event t ~from ~kind:Flight.k_fab_retry ~a:(n + 1) ~b:0 ~c:0;
           mark ?parent t "RETRY" ~from ~target:from ~bytes:0;
-          fr t ~from ~kind:Flight.k_fab_retry ~a:(n + 1) ~b:0 ~c:0;
           (* +-jitter seeded multiplicative noise decorrelates retry
-             storms; the draw happens even at jitter = 0 so turning
-             jitter off does not shift the RNG stream. *)
+             storms. *)
           let d =
             delay *. (1.0 -. jitter +. Drust_util.Rng.float t.rng (2.0 *. jitter))
           in
@@ -521,11 +501,7 @@ let retry_with_backoff ?parent t ~from ?(attempts = 8) ?(base_delay = 50e-6)
   go 0 base_delay
 
 let send_async ?parent t ~from ~target ~bytes handler =
-  check_node t from "send_async";
-  check_node t target "send_async";
-  Metrics.incr t.counters.(from).c_rpcs;
-  note t ~from ~target ~bytes;
-  fr t ~from ~kind:Flight.k_fab_send ~a:target ~b:bytes ~c:(-1);
+  issue t "send_async" ~kind:Flight.k_fab_send ~from ~target ~bytes ~c:(-1);
   if async_delivers t ~from ~target then begin
     let dt = leg_latency t Twoside ~from ~target ~bytes in
     ignore

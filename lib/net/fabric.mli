@@ -9,10 +9,13 @@
     which is how home-node bottlenecks emerge in the baselines).
 
     Per-node traffic counters live in a {!Drust_obs.Metrics} registry
-    (names [fabric.*], labelled by source node) and feed the
-    evaluation's coherence-cost breakdowns; while the {!Drust_obs.Span}
-    tracer is enabled, every verb also lands on the issuing
-    node's timeline (category ["fabric"]). *)
+    (names [fabric.*], labelled by source node): each fabric event bumps
+    the counter of its flight kind (a SEND counts in [fabric.rpcs]) in
+    the same call that records it on the issuing node's flight ring, and
+    every verb also counts its bytes and, off-node, a remote op.  They
+    feed the evaluation's coherence-cost breakdowns; while the
+    {!Drust_obs.Span} tracer is enabled, every verb also lands on the
+    issuing node's timeline (category ["fabric"]). *)
 
 type node_id = int
 
@@ -159,19 +162,16 @@ val retry_with_backoff :
   from:node_id ->
   ?attempts:int ->
   ?base_delay:float ->
-  ?max_delay:float ->
   ?budget:float ->
-  ?jitter:float ->
   (unit -> 'a) ->
   'a
 (** [retry_with_backoff t ~from op] runs [op], retrying on {!Node_down},
     {!Rpc_timeout} and {!Stale_epoch} with exponential backoff (starting
-    at [base_delay] = 50 µs, doubling up to [max_delay] = 5 ms) until it
+    at [base_delay] (default 50 µs), doubling up to 5 ms) until it
     succeeds, [attempts] (default 8) run out, or the next backoff would
     exceed the simulated-time [budget] — then re-raises the last error.
-    Each backoff is multiplied by seeded noise in
-    [1 ± jitter] (default 0.25, clamped to [0, 1]) drawn from the
-    cluster's RNG, so retries from different nodes desynchronize after a
+    Each backoff is multiplied by seeded noise in [1 ± 0.25] drawn from
+    the cluster's RNG, so retries from different nodes desynchronize after a
     partition heals instead of stampeding in lockstep.  [op] should
     re-resolve its target (and re-read its membership view) each attempt
     so a retry can land on a freshly promoted backup or carry a freshly

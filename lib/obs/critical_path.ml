@@ -32,7 +32,7 @@ let segments_sum p = List.fold_left (fun acc (_, d) -> acc +. d) 0.0 p.segments
 (* ------------------------------------------------------------------ *)
 (* Assembly                                                            *)
 
-let analyze ?(is_root = fun (e : Span.event) -> e.Span.parent = 0) events =
+let analyze events =
   (* Children index: parent id -> child events.  Only completes carry
      duration; instants participate as zero-duration leaves. *)
   let children = Hashtbl.create 256 in
@@ -78,7 +78,8 @@ let analyze ?(is_root = fun (e : Span.event) -> e.Span.parent = 0) events =
   in
   List.filter_map
     (fun (e : Span.event) ->
-      if e.Span.kind = Span.Complete && is_root e then Some (analyze_root e)
+      if e.Span.kind = Span.Complete && e.Span.parent = 0 then
+        Some (analyze_root e)
       else None)
     events
 
@@ -113,8 +114,8 @@ let pp fmt p =
 
 let to_string p = Format.asprintf "%a" pp p
 
-let report ?(k = 10) ?is_root events =
-  let paths = top_k k (analyze ?is_root events) in
+let report events =
+  let paths = top_k 10 (analyze events) in
   let b = Buffer.create 512 in
   List.iteri
     (fun i p -> Buffer.add_string b (Printf.sprintf "#%d %s" (i + 1) (to_string p)))

@@ -39,10 +39,10 @@ type path = {
 val segments_sum : path -> float
 (** Sum of all segment durations; equals [total] up to float rounding. *)
 
-val analyze : ?is_root:(Span.event -> bool) -> Span.event list -> path list
-(** One {!path} per [Complete] event satisfying [is_root] (default:
-    [parent = 0]), in event-recording order.  Children are located by
-    [parent] id within the same event list. *)
+val analyze : Span.event list -> path list
+(** One {!path} per root [Complete] event ([parent = 0]), in
+    event-recording order.  Children are located by [parent] id within
+    the same event list. *)
 
 val top_k : int -> path list -> path list
 (** Longest first; ties broken by (start time, id) so the order is
@@ -54,6 +54,6 @@ val pp : Format.formatter -> path -> unit
 
 val to_string : path -> string
 
-val report : ?k:int -> ?is_root:(Span.event -> bool) -> Span.event list -> string
-(** [analyze] + [top_k] + render: the top-[k] (default 10) critical
-    paths as numbered text blocks. *)
+val report : Span.event list -> string
+(** [analyze] + [top_k] + render: the top 10 critical paths as numbered
+    text blocks. *)

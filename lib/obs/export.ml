@@ -12,7 +12,7 @@ let args_obj args =
 
 let us t = Printf.sprintf "%.3f" (t *. 1e6)
 
-let chrome_trace ?(process_name = "drust-sim") spans =
+let chrome_trace spans =
   let events = Span.events spans in
   let tracks =
     List.sort_uniq Int.compare (List.map (fun e -> e.Span.track) events)
@@ -20,7 +20,7 @@ let chrome_trace ?(process_name = "drust-sim") spans =
   let meta =
     obj
       [ ("ph", str "M"); ("pid", "0"); ("tid", "0");
-        ("name", str "process_name"); ("args", obj [ ("name", str process_name) ]) ]
+        ("name", str "process_name"); ("args", obj [ ("name", str "drust-sim") ]) ]
     :: List.concat_map
          (fun track ->
            [ obj
@@ -100,8 +100,7 @@ let write_file path contents =
   output_string oc contents;
   close_out oc
 
-let write_chrome_trace ?process_name ~path spans =
-  write_file path (chrome_trace ?process_name spans)
+let write_chrome_trace ~path spans = write_file path (chrome_trace spans)
 
 let sample_line ?time (s : Metrics.sample) =
   let labels =

@@ -2,10 +2,10 @@
 
     [chrome_trace] renders a {!Span.t}'s events in the Chrome trace-event
     format (JSON object form), loadable in [chrome://tracing] and
-    Perfetto ({:https://ui.perfetto.dev}): one process, one timeline row
-    (tid) per track — i.e. per node — complete spans as ["X"] events and
-    instants as ["i"] events, timestamps in microseconds of virtual
-    time, sorted ascending.  Every flow-edge id with both a producer
+    Perfetto ({:https://ui.perfetto.dev}): one process ([drust-sim]),
+    one timeline row (tid) per track — i.e. per node — complete spans
+    as ["X"] events and instants as ["i"] events, timestamps in
+    microseconds of virtual time, sorted ascending.  Every flow-edge id with both a producer
     ([Span.flow_out]) and a consumer ([Span.flow_in]) additionally emits
     a Chrome flow pair — ["s"] on the producer's track, ["f"] with
     [bp:"e"] on the consumer's — so cross-node messages render as
@@ -15,10 +15,10 @@
     line, friendly to [jq] and dataframe loaders.  The dump is
     write-only: nothing in the repo reads it back. *)
 
-val chrome_trace : ?process_name:string -> Span.t -> string
+val chrome_trace : Span.t -> string
 (** The whole trace as one JSON document. *)
 
-val write_chrome_trace : ?process_name:string -> path:string -> Span.t -> unit
+val write_chrome_trace : path:string -> Span.t -> unit
 
 val metrics_jsonl : ?time:float -> Metrics.snapshot -> string
 (** One line per sample:

@@ -476,8 +476,10 @@ let explain_object ?object_ evs =
   | _ -> ());
   List.rev !lines
 
-let render_last ?(limit = 50) evs ~node =
+(* How many of a node's events the black-box view shows. *)
+let render_limit = 50
+
+let render_last evs ~node =
   let mine = List.filter (fun e -> e.ev_node = node) evs in
-  let n = List.length mine in
-  let tail = if n <= limit then mine else List.filteri (fun i _ -> i >= n - limit) mine in
-  List.map event_line tail
+  let drop = List.length mine - render_limit in
+  List.map event_line (List.filteri (fun i _ -> i >= drop) mine)

@@ -173,6 +173,6 @@ val explain_object : ?object_:int -> event list -> string list
     on nodes [...] went stale here").  Works on dump events or live
     ring events alike. *)
 
-val render_last : ?limit:int -> event list -> node:int -> string list
-(** The per-node black-box view: the last [limit] (default 50) events
-    of [node] before the dump, oldest first. *)
+val render_last : event list -> node:int -> string list
+(** The per-node black-box view: the last 50 events of [node] before
+    the dump, oldest first. *)

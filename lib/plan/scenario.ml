@@ -95,10 +95,7 @@ let failover ~cluster ~fault ~seed spec =
          (* Enable replication after setup so the snapshot captures the
             keys; then hand the manager to the detector. *)
          let repl = Replication.enable cluster in
-         let c =
-           Controller.start ~probe_interval:0.5e-3 ~probe_timeout:2e-4
-             ~miss_threshold:3 ~replication:repl cluster
-         in
+         let c = Controller.start ~replication:repl cluster in
          ctrl := Some c;
          Engine.schedule engine ~at:duration (fun () -> Controller.stop c);
          (* Periodic checkpoint: without it, write-backs only happen on
@@ -350,10 +347,7 @@ let churn ~cluster ~fault ~seed spec =
          repl_ref := Some repl;
          let m = Membership.create ~active:active0 cluster ~replication:repl in
          member := Some m;
-         let c =
-           Controller.start ~probe_interval:0.5e-3 ~probe_timeout:2e-4
-             ~miss_threshold:3 ~replication:repl ~membership:m cluster
-         in
+         let c = Controller.start ~replication:repl ~membership:m cluster in
          ctrl := Some c;
          Engine.schedule engine ~at:duration (fun () -> Controller.stop c);
          Engine.schedule engine ~at:planned_crash_t (fun () ->

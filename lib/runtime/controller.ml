@@ -9,14 +9,26 @@ module Span = Drust_obs.Span
 
 type probe = { node : int; cpu : float; mem : float }
 
+(* The detector's and the rebalancer's tuning (docs/FAULTS.md). *)
+let probe_interval = 0.5e-3
+let probe_timeout = 2e-4
+let miss_threshold = 3
+let mem_threshold = 0.9
+let cpu_threshold = 0.9
+
+(* The worst silence a partition shorter than miss_threshold ×
+   probe_interval can produce is one probe round of pre-partition quiet,
+   plus the partition itself, plus one trailing timeout — which reaches
+   exactly K × (interval + timeout) when the cut is aligned with the
+   probe schedule.  One extra round of slack keeps such partitions
+   strictly inside the grace window (immune to round-duration drift) at
+   the cost of under one round of added detection latency for a real
+   crash. *)
+let grace =
+  float_of_int (miss_threshold + 1) *. (probe_interval +. probe_timeout)
+
 type t = {
   cluster : Cluster.t;
-  probe_interval : float;
-  mem_threshold : float;
-  cpu_threshold : float;
-  probe_timeout : float;
-  miss_threshold : int;
-  grace : float; (* minimum silence (since last good probe) before declaring *)
   replication : Replication.t option;
   membership : Membership.t option;
   misses : int array; (* consecutive missed heartbeats, per node *)
@@ -90,7 +102,7 @@ let probe_all t ctx =
       else
         match
           Fabric.rpc_with_timeout fabric ~from:ctx.Ctx.node ~target:id
-            ~req_bytes:32 ~resp_bytes:64 ~timeout:t.probe_timeout collect
+            ~req_bytes:32 ~resp_bytes:64 ~timeout:probe_timeout collect
         with
         | p ->
             t.misses.(id) <- 0;
@@ -109,7 +121,7 @@ let probe_all t ctx =
             let silent_for =
               Engine.now (Cluster.engine cluster) -. t.last_ok.(id)
             in
-            if t.misses.(id) >= t.miss_threshold && silent_for >= t.grace then
+            if t.misses.(id) >= miss_threshold && silent_for >= grace then
               declare_dead t ctx id;
             silent
     end
@@ -162,7 +174,7 @@ let rebalance t ctx =
         (fun r -> r.Registry.migrate_to = None)
         (Registry.threads_on t.cluster ~node:p.node)
     in
-    if p.mem > t.mem_threshold then begin
+    if p.mem > mem_threshold then begin
       (* Move the thread consuming the most local heap off the node. *)
       match heaviest_local_allocator candidates with
       | Some r ->
@@ -174,7 +186,7 @@ let rebalance t ctx =
           end
       | None -> ()
     end
-    else if p.cpu > t.cpu_threshold then begin
+    else if p.cpu > cpu_threshold then begin
       (* Move the most remote-chatty thread toward its data — or to a
          vacant node when its preferred target is also hot. *)
       match most_remote_accessor candidates with
@@ -186,7 +198,7 @@ let rebalance t ctx =
           in
           let preferred_cpu = t.last_probe.(preferred).cpu in
           let target =
-            if preferred_cpu > t.cpu_threshold then most_vacant_by_cpu t
+            if preferred_cpu > cpu_threshold then most_vacant_by_cpu t
             else preferred
           in
           if target <> p.node then begin
@@ -199,35 +211,13 @@ let rebalance t ctx =
   in
   Array.iter handle_pressure t.last_probe
 
-let start ?(probe_interval = 1e-3) ?(mem_threshold = 0.9) ?(cpu_threshold = 0.9)
-    ?(probe_timeout = 2e-4) ?(miss_threshold = 3) ?grace ?replication
-    ?membership cluster =
+let start ?replication ?membership cluster =
   let m = Cluster.metrics cluster in
-  (* Default grace: the worst silence a partition shorter than
-     miss_threshold × probe_interval can produce is one probe round of
-     pre-partition quiet, plus the partition itself, plus one trailing
-     timeout — which reaches exactly K × (interval + timeout) when the
-     cut is aligned with the probe schedule.  One extra round of slack
-     keeps such partitions strictly inside the grace window (immune to
-     round-duration drift) at the cost of under one round of added
-     detection latency for a real crash. *)
-  let grace =
-    match grace with
-    | Some g -> g
-    | None ->
-        float_of_int (miss_threshold + 1) *. (probe_interval +. probe_timeout)
-  in
   let n = Cluster.node_count cluster in
   let start_now = Engine.now (Cluster.engine cluster) in
   let t =
     {
       cluster;
-      probe_interval;
-      mem_threshold;
-      cpu_threshold;
-      probe_timeout;
-      miss_threshold;
-      grace;
       replication;
       membership;
       misses = Array.make n 0;
@@ -251,7 +241,7 @@ let start ?(probe_interval = 1e-3) ?(mem_threshold = 0.9) ?(cpu_threshold = 0.9)
          let ctx = Ctx.make cluster ~node:0 in
          let rec loop () =
            if t.running then begin
-             Engine.delay engine t.probe_interval;
+             Engine.delay engine probe_interval;
              if t.running then begin
                rebalance t ctx;
                loop ()

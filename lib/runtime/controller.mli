@@ -11,8 +11,7 @@
       that server is itself overloaded, to a vacant one.
 
     The probe loop doubles as the failure detector: each probe is bounded
-    by [probe_timeout], and [miss_threshold] consecutive misses declare
-    the node dead.  With a {!Drust_runtime.Replication} manager attached,
+    by a timeout, and consecutive misses declare the node dead.  With a {!Drust_runtime.Replication} manager attached,
     the verdict automatically triggers backup promotion — the application
     never calls [fail_and_promote] itself. *)
 
@@ -21,32 +20,25 @@ module Ctx = Drust_machine.Ctx
 type t
 
 val start :
-  ?probe_interval:float ->
-  ?mem_threshold:float ->
-  ?cpu_threshold:float ->
-  ?probe_timeout:float ->
-  ?miss_threshold:int ->
-  ?grace:float ->
   ?replication:Replication.t ->
   ?membership:Membership.t ->
   Drust_machine.Cluster.t ->
   t
-(** Spawns the probing daemon (default interval 1 ms of virtual time).
-    Each remote probe is bounded by [probe_timeout] (default 200 µs —
-    comfortably above a healthy probe's ~10 µs round trip);
-    [miss_threshold] consecutive misses (default 3) {e and} at least
-    [grace] seconds of silence since the node's last good probe declare
-    the node dead.  [grace] defaults to
-    [(miss_threshold + 1) × (probe_interval + probe_timeout)]: a
-    transient partition shorter than [miss_threshold × probe_interval]
-    can stack enough timeouts to reach the miss count while the total
-    silence is still at most [miss_threshold × (interval + timeout)],
-    so the one-round-larger grace floor keeps such blips from
-    triggering a false-positive promotion at the cost of under one
-    probe round of added real-crash detection latency.  Pass [replication]
-    to have the verdict drive backup promotion, and [membership] to have
-    it bump + announce the membership epoch before promotion (stale-view
-    verbs are then rejected instead of answered by the inheritor). *)
+(** Spawns the probing daemon, which probes every 0.5 ms of virtual
+    time.  Each remote probe is bounded by a 200 µs timeout (comfortably
+    above a healthy probe's ~10 µs round trip); 3 consecutive misses
+    {e and} a grace of at least (3 + 1) × (0.5 ms + 200 µs) = 2.8 ms of
+    silence since the node's last good probe declare the node dead.  A
+    transient partition shorter than 3 × 0.5 ms can stack enough
+    timeouts to reach the miss count while the total silence is still at
+    most 3 × (0.5 ms + 200 µs), so the one-round-larger grace floor
+    keeps such blips from triggering a false-positive promotion at the
+    cost of under one probe round of added real-crash detection latency.
+    The rebalancing policy acts on a node above 90 % heap usage or 90 %
+    CPU utilization.  Pass [replication] to have the verdict drive
+    backup promotion, and [membership] to have it bump + announce the
+    membership epoch before promotion (stale-view verbs are then
+    rejected instead of answered by the inheritor). *)
 
 val stop : t -> unit
 (** The daemon exits at its next wakeup; required for the event queue to

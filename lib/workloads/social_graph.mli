@@ -7,8 +7,13 @@
 
 type t
 
-val create : ?theta:float -> ?max_fanout:int -> users:int -> seed:int -> unit -> t
-(** Defaults: [theta = 0.9], [max_fanout = 256]. *)
+val max_fanout : int
+(** The bound on a follower list (16): a post fans out to at most this
+    many home timelines. *)
+
+val create : users:int -> seed:int -> unit -> t
+(** Authors and readers are drawn zipf(0.9); follower counts fall with
+    popularity rank from [max_fanout]. *)
 
 val users : t -> int
 
@@ -16,7 +21,7 @@ val fanout : t -> int -> int
 (** Number of followers of a user (deterministic per user). *)
 
 val followers : t -> int -> int list
-(** The follower ids themselves (bounded by [max_fanout]). *)
+(** The follower ids themselves (at most {!max_fanout}). *)
 
 val sample_author : t -> Drust_util.Rng.t -> int
 (** Post authors, skewed toward popular users. *)

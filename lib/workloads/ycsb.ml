@@ -29,12 +29,10 @@ type t = {
   mutable inserted : int; (* grows under D/E inserts *)
 }
 
-let create ?(theta = 0.99) ?(get_ratio = 0.9) ~keys ~seed () =
-  if get_ratio < 0.0 || get_ratio > 1.0 then
-    invalid_arg "Ycsb.create: get_ratio out of range";
+let create ~keys ~seed () =
   {
-    zipf = Zipf.create ~n:keys ~theta;
-    mix = Paper get_ratio;
+    zipf = Zipf.create ~n:keys ~theta:0.99;
+    mix = Paper 0.9;
     rng = Rng.create ~seed;
     inserted = 0;
   }

@@ -25,10 +25,8 @@ val all_workloads : workload list
 
 type t
 
-val create :
-  ?theta:float -> ?get_ratio:float -> keys:int -> seed:int -> unit -> t
-(** The paper's mix: zipf [theta] (default 0.99) with [get_ratio]
-    (default 0.9) GETs, the rest SETs. *)
+val create : keys:int -> seed:int -> unit -> t
+(** The paper's mix: zipf(0.99) keys, 90 % GETs and 10 % SETs. *)
 
 val with_zipf : zipf:Drust_util.Zipf.t -> get_ratio:float -> seed:int -> t
 (** Share one (expensive-to-build) zipf table across many client

@@ -97,7 +97,8 @@ let test_social_graph_shape () =
   Alcotest.(check bool) "skewed fanout" true
     (Social_graph.fanout g 0 > 4 * Social_graph.fanout g 400);
   let f = Social_graph.followers g 0 in
-  Alcotest.(check bool) "bounded" true (List.length f <= 256);
+  Alcotest.(check bool) "bounded" true
+    (List.length f <= Social_graph.max_fanout);
   List.iter
     (fun u -> Alcotest.(check bool) "valid ids" true (u >= 0 && u < 500))
     f;

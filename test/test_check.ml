@@ -317,25 +317,6 @@ let test_inject_use_after_free () =
         (Tap.Read { g; path = Tap.Path_local });
       check_flagged "read after drop" t [ "dsan.use_after_free" ])
 
-let test_raise_mode () =
-  let cluster = Cluster.create (small_params 2) in
-  let t = Dsan.attach ~mode:Dsan.Raise cluster in
-  Fun.protect
-    ~finally:(fun () -> Dsan.detach t)
-    (fun () ->
-      let g = addr ~node:1 ~offset:4096 () in
-      Dsan.observe t ~time:0.0 ~node:1 ~thread:0
-        (Tap.Create { g; size = 64 });
-      match
-        Dsan.observe t ~time:1e-6 ~node:1 ~thread:0
-          (Tap.Create { g; size = 64 })
-      with
-      | () -> Alcotest.fail "expected Dsan.Violation"
-      | exception Dsan.Violation r ->
-          Alcotest.(check string)
-            "raised the right invariant" "dsan.single_owner"
-            (Dsan.invariant_name r.Dsan.invariant))
-
 let test_report_rendering () =
   with_sink (fun t ->
       let g = addr ~node:1 ~offset:4096 () in
@@ -634,7 +615,6 @@ let () =
           Alcotest.test_case "borrow discipline" `Quick
             test_inject_borrow_violations;
           Alcotest.test_case "use after free" `Quick test_inject_use_after_free;
-          Alcotest.test_case "raise mode" `Quick test_raise_mode;
           Alcotest.test_case "report rendering" `Quick test_report_rendering;
         ] );
       ( "clean-runs",

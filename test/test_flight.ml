@@ -218,10 +218,24 @@ let test_explain_object_timeline () =
   check_line "ownership resolved" ~affix:"last known owner: node 3" lines;
   Alcotest.(check bool) "unrelated object filtered out" true
     (not (List.exists (contains ~affix:"0x3000") lines));
-  (* render_last is per node, oldest first, bounded. *)
-  let last = Flight.render_last ~limit:1 (Flight.events t) ~node:0 in
-  Alcotest.(check int) "limit respected" 1 (List.length last);
-  check_line "newest survives" ~affix:"transfer" last
+  (* render_last is per node, oldest first, bounded to 50 events: of
+     node 0's 60, the 11th through the 60th. *)
+  let r = Flight.create ~cap:64 ~nodes:2 () in
+  for i = 1 to 59 do
+    Flight.record r ~node:0 ~time:(float_of_int i *. 1e-6)
+      ~kind:Flight.k_read_local ~a:phys ~b:0 ~c:0 ~d:0;
+    Flight.record r ~node:1 ~time:(float_of_int i *. 1e-6)
+      ~kind:Flight.k_read_local ~a:phys ~b:1 ~c:0 ~d:0
+  done;
+  Flight.record r ~node:0 ~time:60e-6 ~kind:Flight.k_transfer ~a:phys ~b:3
+    ~c:0 ~d:0;
+  let last = Flight.render_last (Flight.events r) ~node:0 in
+  Alcotest.(check int) "limit respected" 50 (List.length last);
+  Alcotest.(check bool) "only node 0" true
+    (List.for_all (contains ~affix:"node 0") last);
+  check_line "oldest kept is the 11th" ~affix:"t=0.000011000" [ List.hd last ];
+  check_line "newest survives" ~affix:"transfer"
+    [ List.nth last (List.length last - 1) ]
 
 (* ------------------------------------------------------------------ *)
 (* Automatic dumps *)

@@ -7,7 +7,7 @@ module Dlint = Drust_lint.Dlint
 module Lint = Drust_lint.Lint
 
 let fx sub = Filename.concat "lint_fixtures" sub
-let run ?only ?table paths = Dlint.run ?only ?table ~paths ()
+let run ?only paths = Dlint.run ?only ~paths ()
 
 let triples res =
   List.map
@@ -106,26 +106,6 @@ let test_only_unknown_pass_rejected () =
   | _ -> Alcotest.fail "expected Invalid_argument"
   | exception Invalid_argument _ -> ()
 
-let test_table_exemption_suppresses () =
-  let table = [ ("lib/det_violation.ml", "determinism", "fixture corpus") ] in
-  let res = run ~table [ fx "lib/det_violation.ml" ] in
-  check_triples "suppressed by table" [] res;
-  Alcotest.(check int) "entry counted" 1 res.Dlint.allows_total;
-  Alcotest.(check int) "entry used" 1 res.Dlint.allows_used
-
-let test_table_stale_entry_reported () =
-  let table = [ ("lib/clean_allow.ml", "globals", "nothing to suppress") ] in
-  let res = run ~table [ fx "lib/clean_allow.ml" ] in
-  match res.Dlint.diagnostics with
-  | [ d ] ->
-      Alcotest.(check string) "hygiene" "hygiene" d.Lint.d_pass;
-      Alcotest.(check bool) "says stale table entry" true
-        (Astring.String.is_infix ~affix:"stale exemption table entry"
-           d.Lint.d_message)
-  | ds ->
-      Alcotest.failf "expected one stale-table diagnostic, got %d"
-        (List.length ds)
-
 (* --- clean-run regression over the real source ---------------------- *)
 
 let test_repo_lib_is_clean () =
@@ -167,10 +147,6 @@ let () =
             test_only_hygiene_skips_stales_of_unran_passes;
           Alcotest.test_case "--only unknown pass" `Quick
             test_only_unknown_pass_rejected;
-          Alcotest.test_case "table exemption" `Quick
-            test_table_exemption_suppresses;
-          Alcotest.test_case "table staleness" `Quick
-            test_table_stale_entry_reported;
         ] );
       ( "regression",
         [ Alcotest.test_case "lib/ is clean" `Quick test_repo_lib_is_clean ] );

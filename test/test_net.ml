@@ -5,22 +5,25 @@ module Engine = Drust_sim.Engine
 module Model = Drust_net.Model
 module Fabric = Drust_net.Fabric
 module Metrics = Drust_obs.Metrics
+module Flight = Drust_obs.Flight
 module Rng = Drust_util.Rng
 
 (* A fabric wired as [Cluster.create] wires one: its own registry, a
-   (disabled) span tracer and a flight recorder. *)
-let make_fabric engine ~seed ~model ~nodes =
+   (disabled) span tracer and a flight recorder ([flight], when given). *)
+let make_fabric ?flight engine ~seed ~model ~nodes =
   let metrics = Metrics.create () in
+  let flight =
+    match flight with Some f -> f | None -> Flight.create ~metrics ~nodes ()
+  in
   Fabric.create ~metrics
     ~spans:(Drust_obs.Span.create ~clock:(fun () -> Engine.now engine) ())
-    ~flight:(Drust_obs.Flight.create ~metrics ~nodes ())
-    ~engine ~rng:(Rng.create ~seed) ~model ~nodes
+    ~flight ~engine ~rng:(Rng.create ~seed) ~model ~nodes
 
 (* A fabric with jitter disabled so latencies are exact. *)
-let quiet_fabric ?(nodes = 4) () =
+let quiet_fabric ?flight ?(nodes = 4) () =
   let engine = Engine.create () in
   let model = { Model.infiniband_40g with Model.jitter = 0.0 } in
-  (engine, make_fabric engine ~seed:1 ~model ~nodes)
+  (engine, make_fabric ?flight engine ~seed:1 ~model ~nodes)
 
 let run_in engine body =
   let out = ref None in
@@ -129,12 +132,14 @@ let test_send_async_handler_can_block () =
   Alcotest.(check bool) "handler completed" true !done_
 
 let test_counters () =
-  let engine, fabric = quiet_fabric () in
+  (* Large enough that no ring wraps: every fabric event stays visible. *)
+  let flight = Flight.create ~cap:1024 ~nodes:4 () in
+  let engine, fabric = quiet_fabric ~flight () in
   let snapshot () = Metrics.snapshot (Fabric.metrics fabric) in
-  let count snap name =
-    match Metrics.find snap ~labels:[ ("node", "0") ] name with
+  let count ?(node = 0) snap name =
+    match Metrics.find snap ~labels:[ ("node", string_of_int node) ] name with
     | Some (Metrics.Count n) -> n
-    | _ -> Alcotest.failf "%s{node=0} missing" name
+    | _ -> Alcotest.failf "%s{node=%d} missing" name node
   in
   run_in engine (fun () ->
       Fabric.rdma_read fabric ~from:0 ~target:1 ~bytes:100;
@@ -150,11 +155,89 @@ let test_counters () =
   Alcotest.(check int) "remote ops exclude loopback" 3
     (count before "fabric.remote_ops");
   Alcotest.(check int) "bytes" 190 (count before "fabric.bytes_out");
-  (* A later phase reads its own traffic as a diff against the first. *)
-  run_in engine (fun () -> Fabric.rdma_read fabric ~from:0 ~target:1 ~bytes:8);
+  (* A later phase reads its own traffic as a diff against the first:
+     the verbs not yet issued, then a fault plan's drops, timeout,
+     retry and stale epoch. *)
+  let plan =
+    Drust_sim.Fault.create ~engine ~rng:(Rng.create ~seed:2) ~flight ~nodes:4
+  in
+  run_in engine (fun () ->
+      Fabric.rdma_read fabric ~from:0 ~target:1 ~bytes:8;
+      Alcotest.(check int) "atomic result" 7
+        (Fabric.rdma_atomic fabric ~from:0 ~target:1 (fun () -> 7));
+      Fabric.rdma_write_async fabric ~from:0 ~target:2 ~bytes:64 ignore;
+      Fabric.send_async fabric ~from:0 ~target:3 ~bytes:32 ignore;
+      Fabric.set_fault_plan fabric plan;
+      let now = Engine.now engine in
+      Drust_sim.Fault.crash_at plan ~node:2 ~at:now;
+      Drust_sim.Fault.partition_at plan ~group:[ 3 ] ~at:now ~heal_at:1.0;
+      (* Lost sync RPC: a drop, then the timeout. *)
+      (match
+         Fabric.rpc_with_timeout fabric ~from:0 ~target:3 ~req_bytes:8
+           ~resp_bytes:8 ~timeout:1e-3 ignore
+       with
+      | () -> Alcotest.fail "expected Rpc_timeout"
+      | exception Fabric.Rpc_timeout _ -> ());
+      (* Lost async WRITE: a drop, no exception. *)
+      Fabric.rdma_write_async fabric ~from:0 ~target:2 ~bytes:64 ignore;
+      (* A dead target, retried once and given up on. *)
+      (match
+         Fabric.retry_with_backoff fabric ~from:0 ~attempts:2 (fun () ->
+             Fabric.rdma_read fabric ~from:0 ~target:2 ~bytes:8)
+       with
+      | () -> Alcotest.fail "expected Node_down"
+      | exception Fabric.Node_down 2 -> ());
+      (* A verb carrying an epoch older than the current view. *)
+      Fabric.set_epoch_source fabric (Some (fun () -> 5));
+      match Fabric.rdma_write fabric ~epoch:4 ~from:0 ~target:1 ~bytes:8 with
+      | () -> Alcotest.fail "expected Stale_epoch"
+      | exception Fabric.Stale_epoch _ -> ());
   let phase = Metrics.diff ~before ~after:(snapshot ()) in
-  Alcotest.(check int) "phase reads" 1 (count phase "fabric.reads");
-  Alcotest.(check int) "phase writes" 0 (count phase "fabric.writes")
+  List.iter
+    (fun (name, n) -> Alcotest.(check int) ("phase " ^ name) n (count phase name))
+    [
+      ("fabric.reads", 3); ("fabric.writes", 3); ("fabric.atomics", 1);
+      ("fabric.rpcs", 2); ("fabric.drops", 2); ("fabric.timeouts", 1);
+      ("fabric.retries", 1); ("fabric.stale_epochs", 1);
+    ];
+  (* Every fabric event is one counter bump and one flight record of
+     the same kind on the issuing node (a SEND counts as an RPC). *)
+  let counter_of kind =
+    if kind = Flight.k_fab_read then "fabric.reads"
+    else if kind = Flight.k_fab_write then "fabric.writes"
+    else if kind = Flight.k_fab_atomic then "fabric.atomics"
+    else if kind = Flight.k_fab_rpc || kind = Flight.k_fab_send then
+      "fabric.rpcs"
+    else if kind = Flight.k_fab_timeout then "fabric.timeouts"
+    else if kind = Flight.k_fab_retry then "fabric.retries"
+    else if kind = Flight.k_fab_drop then "fabric.drops"
+    else "fabric.stale_epochs"
+  in
+  let fabric_events =
+    List.filter
+      (fun e ->
+        e.Flight.ev_kind >= Flight.k_fab_read
+        && e.Flight.ev_kind <= Flight.k_fab_stale_epoch)
+      (Flight.events flight)
+  in
+  let final = snapshot () in
+  for node = 0 to 3 do
+    Alcotest.(check bool) "ring did not wrap" true
+      (Flight.recorded flight ~node <= Flight.capacity flight);
+    for kind = Flight.k_fab_read to Flight.k_fab_stale_epoch do
+      let name = counter_of kind in
+      let records =
+        List.length
+          (List.filter
+             (fun e ->
+               e.Flight.ev_node = node && counter_of e.Flight.ev_kind = name)
+             fabric_events)
+      in
+      Alcotest.(check int)
+        (Printf.sprintf "%s{node=%d} = its flight records" name node)
+        records (count ~node final name)
+    done
+  done
 
 let test_jitter_bounded () =
   let engine = Engine.create () in

@@ -198,13 +198,13 @@ let test_chrome_trace_shape () =
   now := 5.0;
   Span.finish t late;
   Span.instant t ~track:1 ~category:"controller" "mark";
-  let json = Export.chrome_trace ~process_name:"test-proc" t in
+  let json = Export.chrome_trace t in
   check_balanced_json json;
   Alcotest.(check bool) "has traceEvents" true
     (String.length json > 0
     && Astring.String.is_infix ~affix:"\"traceEvents\"" json);
   Alcotest.(check bool) "names the process" true
-    (Astring.String.is_infix ~affix:"test-proc" json);
+    (Astring.String.is_infix ~affix:{|"args":{"name":"drust-sim"}|} json);
   Alcotest.(check bool) "escapes arg quotes" true
     (Astring.String.is_infix ~affix:{|a\"b|} json);
   Alcotest.(check bool) "complete event" true
@@ -538,7 +538,7 @@ let test_critical_path_top_k_and_report () =
   (match Cp.top_k 1 paths with
   | [ p ] -> Alcotest.(check string) "longest first" "long_op" p.Cp.root.Span.name
   | l -> Alcotest.failf "expected 1 path, got %d" (List.length l));
-  let report = Cp.report ~k:2 (Span.events t) in
+  let report = Cp.report (Span.events t) in
   Alcotest.(check bool) "#1 is the longest" true
     (Astring.String.is_prefix ~affix:"#1 long_op" report);
   Alcotest.(check bool) "#2 follows" true
@@ -566,7 +566,7 @@ let traced_workload_report () =
          done;
          P.drop_owner ctx o));
   Cluster.run cluster;
-  Cp.report ~k:5 (Span.events spans)
+  Cp.report (Span.events spans)
 
 let test_critical_path_jobs_deterministic () =
   let seq = traced_workload_report () in

@@ -196,10 +196,7 @@ let test_detector_promotes_automatically () =
       let fabric = Cluster.fabric cluster in
       let o = P.create_on ctx ~node:1 ~size:64 (pack 7) in
       let repl = Replication.enable cluster in
-      let ctrl =
-        Controller.start ~probe_interval:0.5e-3 ~probe_timeout:2e-4
-          ~miss_threshold:3 ~replication:repl cluster
-      in
+      let ctrl = Controller.start ~replication:repl cluster in
       (* Inject the crash; nobody calls fail_and_promote. *)
       Fault.crash_at plan ~node:1 ~at:(Engine.now engine);
       while Controller.deaths ctrl = [] && Engine.now engine < 20e-3 do
@@ -225,10 +222,7 @@ let test_transient_partition_no_false_positive () =
   in_cluster (fun cluster plan _ctx ->
       let engine = Cluster.engine cluster in
       let repl = Replication.enable cluster in
-      let ctrl =
-        Controller.start ~probe_interval:0.5e-3 ~probe_timeout:2e-4
-          ~miss_threshold:3 ~replication:repl cluster
-      in
+      let ctrl = Controller.start ~replication:repl cluster in
       (* One missed probe at most: far below the K=3 threshold. *)
       Fault.partition_at plan ~group:[ 1 ] ~at:0.2e-3 ~heal_at:0.9e-3;
       Engine.delay engine 6e-3;
@@ -243,10 +237,7 @@ let test_detector_double_failure_two_replicas () =
       let engine = Cluster.engine cluster in
       let o = P.create_on ctx ~node:1 ~size:64 (pack 9) in
       let repl = Replication.enable ~replicas:2 cluster in
-      let ctrl =
-        Controller.start ~probe_interval:0.5e-3 ~probe_timeout:2e-4
-          ~miss_threshold:3 ~replication:repl cluster
-      in
+      let ctrl = Controller.start ~replication:repl cluster in
       (* Node 1's replicas live on nodes 2 and 3; kill 1, then its first
          backup, and the detector must walk the ring twice. *)
       Fault.crash_at plan ~node:1 ~at:1e-3;
@@ -274,10 +265,7 @@ let test_grace_absorbs_miss_streak () =
   in_cluster (fun cluster plan _ctx ->
       let engine = Cluster.engine cluster in
       let repl = Replication.enable cluster in
-      let ctrl =
-        Controller.start ~probe_interval:0.5e-3 ~probe_timeout:2e-4
-          ~miss_threshold:3 ~replication:repl cluster
-      in
+      let ctrl = Controller.start ~replication:repl cluster in
       Fault.transient_partition plan ~group:[ 1 ] ~at:1.02e-3
         ~duration:1.47e-3;
       Engine.delay engine 10e-3;
@@ -300,10 +288,7 @@ let test_cascading_failure_reports_unrecoverable () =
       let engine = Cluster.engine cluster in
       let o = P.create_on ctx ~node:1 ~size:64 (pack 7) in
       let repl = Replication.enable cluster in
-      let ctrl =
-        Controller.start ~probe_interval:0.5e-3 ~probe_timeout:2e-4
-          ~miss_threshold:3 ~replication:repl cluster
-      in
+      let ctrl = Controller.start ~replication:repl cluster in
       Fault.crash_at plan ~node:1 ~at:1e-3;
       Fault.crash_at plan ~node:2 ~at:10e-3;
       while
@@ -420,10 +405,7 @@ let test_crash_during_handoff_falls_back_to_promotion () =
       P.pin ctx o;
       let repl = Replication.enable cluster in
       let m = Membership.create cluster ~replication:repl in
-      let ctrl =
-        Controller.start ~probe_interval:0.5e-3 ~probe_timeout:2e-4
-          ~miss_threshold:3 ~replication:repl ~membership:m cluster
-      in
+      let ctrl = Controller.start ~replication:repl ~membership:m cluster in
       (* Saboteur: fail-stop the departing server as soon as the
          transfer is in flight. *)
       ignore

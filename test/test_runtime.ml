@@ -131,7 +131,7 @@ let test_migration_stats_recorded () =
 
 let test_controller_orders_migration_on_cpu_pressure () =
   let cluster = Cluster.create (small_params 4) in
-  let controller = Controller.start ~probe_interval:0.2e-3 cluster in
+  let controller = Controller.start cluster in
   ignore
     (Engine.spawn (Cluster.engine cluster) (fun () ->
          let ctx = Ctx.make cluster ~node:0 in
@@ -163,19 +163,21 @@ let test_controller_memory_pressure_policy () =
     { (small_params 4) with Params.mem_per_node = Drust_util.Units.kib 256 }
   in
   let cluster = Cluster.create params in
-  let controller = Controller.start ~probe_interval:0.2e-3 cluster in
+  let controller = Controller.start cluster in
   ignore
     (Engine.spawn (Cluster.engine cluster) (fun () ->
          let ctx = Ctx.make cluster ~node:0 in
          let hs =
            List.init 3 (fun _ ->
                Dthread.spawn_on ctx ~node:0 (fun w ->
-                   (* Allocate ~80 KiB each, slowly, so probes see the
+                   (* Allocate ~80 KiB each, slowly, then hold it for
+                      two 0.5 ms probe rounds, so probes see the
                       pressure build. *)
                    for _ = 1 to 20 do
                      ignore (P.create w ~size:4096 (pack 0));
                      Ctx.compute w ~cycles:300_000.0
-                   done))
+                   done;
+                   Ctx.compute w ~cycles:2_600_000.0))
          in
          Dthread.join_all ctx hs;
          Controller.stop controller));

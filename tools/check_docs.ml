@@ -1,5 +1,6 @@
-(* Documentation consistency checker, run by the @docs alias (a dep of
-   @runtest, so stale docs fail the build).  Eleven checks:
+(* Documentation and interface consistency checker, run by the @docs
+   alias (a dep of @runtest, so stale docs fail the build).  Twelve
+   checks:
 
    1. every relative .md link in docs/README.md (the index) resolves,
       and every docs/*.md file is reachable from the index;
@@ -36,7 +37,11 @@
   11. every entry-name prefix of the committed summary
       bench/BENCH_baseline.json has a row in docs/BENCHMARKS.md's
       key-conventions table, and every key its entries carry (at any
-      depth) is named, backticked, in that file. *)
+      depth) is named, backticked, in that file;
+  12. every optional parameter a lib/ .mli declares ([?label:]) is
+      passed, as [~label] or [?label], by some application in a .ml of
+      lib/, bench/, bin/, perfbench/, examples/ or test/ other than its
+      own implementation: an option no caller sets is a constant. *)
 
 let errors = ref []
 let err fmt = Printf.ksprintf (fun m -> errors := m :: !errors) fmt
@@ -489,6 +494,60 @@ let check_baseline_documented () =
     (List.sort_uniq String.compare
        (List.concat_map (fun (_, e) -> keys e) entries))
 
+(* --- 12: every declared optional parameter is passed --------------- *)
+
+let optional_label_re = Str.regexp {|?\([a-z_0-9]+\):|}
+
+(* The labels (~l and ?l alike) of every argument applied in [path];
+   a file that does not parse (a lint fixture) passes none. *)
+let passed_labels path =
+  let labels = ref [] in
+  let expr (it : Ast_iterator.iterator) (e : Parsetree.expression) =
+    (match e.Parsetree.pexp_desc with
+    | Parsetree.Pexp_apply (_, args) ->
+        List.iter
+          (function
+            | (Asttypes.Labelled l | Asttypes.Optional l), _ ->
+                labels := l :: !labels
+            | Asttypes.Nolabel, _ -> ())
+          args
+    | _ -> ());
+    Ast_iterator.default_iterator.expr it e
+  in
+  let it = { Ast_iterator.default_iterator with expr } in
+  (match Drust_lint.Lint.parse_file path with
+  | Ok structure -> it.structure it structure
+  | Error _ -> ());
+  List.sort_uniq String.compare !labels
+
+let check_optionals_passed () =
+  let ml_files =
+    List.concat_map Drust_lint.Lint.ml_files
+      [ "lib"; "bench"; "bin"; "perfbench"; "examples"; "test" ]
+  in
+  let passed = List.map (fun ml -> (ml, passed_labels ml)) ml_files in
+  List.iter
+    (fun own ->
+      let mli = own ^ "i" in
+      let text = if Sys.file_exists mli then read_file mli else "" in
+      let rec declared pos acc =
+        match Str.search_forward optional_label_re text pos with
+        | _ -> declared (Str.match_end ()) (Str.matched_group 1 text :: acc)
+        | exception Not_found -> List.sort_uniq String.compare acc
+      in
+      List.iter
+        (fun label ->
+          if
+            not
+              (List.exists
+                 (fun (ml, labels) -> ml <> own && List.mem label labels)
+                 passed)
+          then
+            err "%s declares ?%s:, which no .ml outside %s passes" mli label
+              own)
+        (declared 0 []))
+    (Drust_lint.Lint.ml_files "lib")
+
 let () =
   check_index ();
   List.iter
@@ -504,6 +563,7 @@ let () =
   check_flight_schema ();
   check_layer_map ();
   check_baseline_documented ();
+  check_optionals_passed ();
   match List.rev !errors with
   | [] -> print_endline "docs check: OK"
   | msgs ->
