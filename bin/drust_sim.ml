@@ -31,26 +31,32 @@ let prog = "drust_sim"
 let app_conv =
   Arg.enum
     [
-      ("dataframe", B.Dataframe_app);
-      ("socialnet", B.Socialnet_app);
-      ("gemm", B.Gemm_app);
-      ("kvstore", B.Kvstore_app);
+      ("dataframe", Simplan.Dataframe_app);
+      ("socialnet", Simplan.Socialnet_app);
+      ("gemm", Simplan.Gemm_app);
+      ("kvstore", Simplan.Kvstore_app);
     ]
 
 let system_conv =
   Arg.enum
     [
-      ("drust", B.Drust);
-      ("gam", B.Gam);
-      ("grappa", B.Grappa);
-      ("original", B.Original);
+      ("drust", Simplan.Drust);
+      ("gam", Simplan.Gam);
+      ("grappa", Simplan.Grappa);
+      ("original", Simplan.Original);
     ]
 
 let app_t =
-  Arg.(value & opt app_conv B.Kvstore_app & info [ "a"; "app" ] ~doc:"Application")
+  Arg.(
+    value
+    & opt app_conv Simplan.Kvstore_app
+    & info [ "a"; "app" ] ~doc:"Application")
 
 let system_t =
-  Arg.(value & opt system_conv B.Drust & info [ "s"; "system" ] ~doc:"DSM system")
+  Arg.(
+    value
+    & opt system_conv Simplan.Drust
+    & info [ "s"; "system" ] ~doc:"DSM system")
 
 let nodes =
   Arg.(
@@ -187,7 +193,7 @@ let run app system nodes affinity seed trace_n trace_out explain profile
   let traced = trace_n > 0 || trace_out <> None || profile || explain <> None in
   let plan_of nodes =
     Simplan.app_plan ~affinity
-      ~pass_by_value:(system = B.Original)
+      ~pass_by_value:(system = Simplan.Original)
       ~params:(B.testbed ~nodes ~seed ())
       app system
   in
@@ -206,8 +212,8 @@ let run app system nodes affinity seed trace_n trace_out explain profile
             (fun n -> Simplan.execute ~sanitize (plan_of n))
             counts
         in
-        Printf.printf "%s on %s, node scan:\n" (B.app_name app)
-          (B.system_name system);
+        Printf.printf "%s on %s, node scan:\n" (Simplan.app_name app)
+          (Simplan.system_name system);
         Printf.printf "  %5s  %12s  %14s  %12s\n" "nodes" "ops" "elapsed (s)"
           "ops/s";
         List.iter2

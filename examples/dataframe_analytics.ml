@@ -8,7 +8,7 @@ module Cluster = Drust_machine.Cluster
 module Params = Drust_machine.Params
 module Appkit = Drust_appkit.Appkit
 module Df = Drust_dataframe.Dataframe
-module B = Drust_experiments.Bench_setup
+module Simplan = Drust_plan.Simplan
 
 let config =
   {
@@ -20,7 +20,7 @@ let config =
 
 let run_variant name system ~affinity =
   let cluster = Cluster.create { Params.default with Params.nodes = 4 } in
-  let backend = B.make_backend system cluster in
+  let backend = Simplan.make_backend system cluster in
   let r =
     Df.run ~cluster ~backend
       { config with Df.use_tbox = affinity; use_spawn_to = affinity }
@@ -36,9 +36,9 @@ let () =
     config.Df.partitions
     (Format.asprintf "%a" Drust_util.Units.pp_bytes config.Df.chunk_bytes)
     config.Df.queries;
-  let plain = run_variant "DRust" B.Drust ~affinity:false in
-  let annotated = run_variant "DRust + TBox/spawn_to" B.Drust ~affinity:true in
-  let gam = run_variant "GAM" B.Gam ~affinity:false in
+  let plain = run_variant "DRust" Simplan.Drust ~affinity:false in
+  let annotated = run_variant "DRust + TBox/spawn_to" Simplan.Drust ~affinity:true in
+  let gam = run_variant "GAM" Simplan.Gam ~affinity:false in
   Printf.printf "\nannotations: %+.1f%%   DRust vs GAM: %.2fx\n"
     (100.0 *. ((annotated /. plain) -. 1.0))
     (annotated /. gam)

@@ -13,7 +13,7 @@ module Cluster = Drust_machine.Cluster
 module Params = Drust_machine.Params
 module Appkit = Drust_appkit.Appkit
 module Gm = Drust_gemm.Gemm
-module B = Drust_experiments.Bench_setup
+module Simplan = Drust_plan.Simplan
 
 let config =
   {
@@ -43,15 +43,15 @@ let () =
       let cluster = Cluster.create { Params.default with Params.nodes = 4 } in
       (* Tracing is observational only: enabling it does not change the
          simulated numbers. *)
-      if system = B.Drust && trace_prefix <> None then
+      if system = Simplan.Drust && trace_prefix <> None then
         Drust_obs.Span.enable (Cluster.spans cluster);
-      let backend = B.make_backend system cluster in
+      let backend = Simplan.make_backend system cluster in
       let r = Gm.run ~cluster ~backend config in
       Printf.printf "%-8s %8.0f block-pair ops/s  (~%.2f simulated GFLOP/s)\n"
-        (B.system_name system) r.Appkit.throughput
+        (Simplan.system_name system) r.Appkit.throughput
         (flops r.Appkit.throughput /. 1e9);
       match (system, trace_prefix) with
-      | B.Drust, Some prefix ->
+      | Simplan.Drust, Some prefix ->
           let spans = Cluster.spans cluster in
           Drust_obs.Export.write_chrome_trace ~path:(prefix ^ ".trace.json")
             spans;
@@ -63,4 +63,4 @@ let () =
              %s.metrics.jsonl\n"
             (Drust_obs.Span.count spans) prefix prefix
       | _ -> ())
-    [ B.Drust; B.Gam; B.Grappa ]
+    [ Simplan.Drust; Simplan.Gam; Simplan.Grappa ]

@@ -8,7 +8,7 @@ module Params = Drust_machine.Params
 module Appkit = Drust_appkit.Appkit
 module Kv = Drust_kvstore.Kvstore
 module Ycsb = Drust_workloads.Ycsb
-module B = Drust_experiments.Bench_setup
+module Simplan = Drust_plan.Simplan
 
 let config =
   {
@@ -28,7 +28,7 @@ let () =
   List.iter
     (fun nodes ->
       let cluster = Cluster.create { Params.default with Params.nodes = nodes } in
-      let backend = B.make_backend B.Drust cluster in
+      let backend = Simplan.make_backend Simplan.Drust cluster in
       let r = Kv.run ~cluster ~backend config in
       Printf.printf "%d node(s): %s  (%.0f clients, GETs %.0f%%)\n" nodes
         (Format.asprintf "%a" Drust_util.Units.pp_rate r.Appkit.throughput)

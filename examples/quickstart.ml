@@ -7,7 +7,10 @@
    servers, and dereferences fetch or move objects per the ownership-
    guided coherence protocol.
 
-   Run with:  dune exec examples/quickstart.exe *)
+   Run with:  dune exec examples/quickstart.exe
+   It exits 1 if a value differs from the one it expects, or if the
+   spawn_to closure ran anywhere but on the node serving a.val (the
+   @smoke alias runs it). *)
 
 module Engine = Drust_sim.Engine
 module Cluster = Drust_machine.Cluster
@@ -26,6 +29,14 @@ type accumulator = { value : int Dbox.t }
 let add ctx acc delta =
   Dbox.with_borrow_mut ctx acc.value (fun v -> (v + delta, v + delta))
 
+let ok = ref true
+
+let expect what got want =
+  if got <> want then begin
+    Printf.eprintf "quickstart: %s is %d, expected %d\n" what got want;
+    ok := false
+  end
+
 let () =
   let params = { Params.default with Params.nodes = 4 } in
   let cluster = Cluster.create params in
@@ -40,6 +51,7 @@ let () =
          (* Synchronous add: both values are (fetched) local. *)
          let local_add = add ctx acc (Dbox.read ctx b) in
          Printf.printf "local add   : a.val = %d (expected 15)\n" local_add;
+         expect "local add" local_add 15;
 
          (* thread::spawn(move || a.add(&*b)) — only the pointers ship to
             the remote thread; dereferencing fetches the values there. *)
@@ -47,21 +59,30 @@ let () =
            Dthread.spawn_on ctx ~node:2 (fun worker ->
                let remote_add = add worker acc (Dbox.read worker b) in
                Printf.printf "remote add  : a.val = %d on node %d (expected 25)\n"
-                 remote_add worker.Ctx.node)
+                 remote_add worker.Ctx.node;
+               expect "remote add" remote_add 25)
          in
          Dthread.join ctx t;
 
          (* spawn_to (Listing 4): run the closure where a.val lives, so
             the dereference inside add is guaranteed local. *)
+         let home =
+           Cluster.serving_node cluster
+             (Drust_memory.Gaddr.node_of (Dbox.gaddr acc.value))
+         in
          let t2 =
            Dthread.spawn_to ctx (Dbox.owner acc.value) (fun worker ->
                let affine_add = add worker acc 10 in
                Printf.printf "spawn_to add: a.val = %d on node %d (expected 35)\n"
-                 affine_add worker.Ctx.node)
+                 affine_add worker.Ctx.node;
+               expect "spawn_to add" affine_add 35;
+               expect "spawn_to node" worker.Ctx.node home)
          in
          Dthread.join ctx t2;
 
-         Printf.printf "final value : %d\n" (Dbox.read ctx acc.value);
+         let final = Dbox.read ctx acc.value in
+         Printf.printf "final value : %d\n" final;
+         expect "final value" final 35;
          Printf.printf "object ended on node %d after %d protocol moves\n"
            (Drust_memory.Gaddr.node_of (Dbox.gaddr acc.value))
            (Drust_core.Protocol.moves ctx);
@@ -69,4 +90,5 @@ let () =
          Dbox.drop ctx b));
   Cluster.run cluster;
   Printf.printf "simulated time: %s\n"
-    (Format.asprintf "%a" Drust_util.Units.pp_seconds (Cluster.now cluster))
+    (Format.asprintf "%a" Drust_util.Units.pp_seconds (Cluster.now cluster));
+  if not !ok then exit 1

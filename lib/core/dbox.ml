@@ -30,7 +30,6 @@ let modify ctx b f =
 
 let owner b = b.o
 let gaddr b = Protocol.gaddr b.o
-let size b = Protocol.size b.o
 
 let transfer ctx b ~to_node = Protocol.transfer ctx b.o ~to_node
 let drop ctx b = Protocol.drop_owner ctx b.o
@@ -81,5 +80,4 @@ let with_borrow_mut ctx b f =
 
 module Tbox = struct
   let tie ctx ~parent ~child = Protocol.tie ctx ~parent:parent.o ~child:child.o
-  let pin ctx b = Protocol.pin ctx b.o
 end

@@ -32,7 +32,6 @@ val owner : 'a t -> Protocol.owner
 (** Escape hatch to the protocol object (used by [spawn_to]). *)
 
 val gaddr : 'a t -> Drust_memory.Gaddr.t
-val size : 'a t -> int
 
 val transfer : Ctx.t -> 'a t -> to_node:int -> unit
 val drop : Ctx.t -> 'a t -> unit
@@ -69,6 +68,4 @@ module Tbox : sig
   val tie : Ctx.t -> parent:'a t -> child:'b t -> unit
   (** Drop-in affinity: the child co-locates with (and travels with) the
       parent from now on. *)
-
-  val pin : Ctx.t -> 'a t -> unit
 end

@@ -9,9 +9,6 @@
 
 type sample_kind = Plain_box | Drust_box
 
-val sample : Drust_util.Rng.t -> sample_kind -> float
-(** One dereference latency in cycles. *)
-
 val collect : Drust_util.Rng.t -> sample_kind -> n:int -> Drust_util.Stats.t
 (** [n] samples as a statistics collection. *)
 

@@ -19,7 +19,6 @@ type owner = {
   mutable box_node : int; (* node holding the owner box (the thread stack) *)
   mutable local_copy : Cache.copy option; (* extension field: cached copy *)
   mutable ubit : bool; (* extension field: color-updated bit *)
-  mutable valid : bool;
   mutable children : owner list; (* TBox affinity children, in tie order *)
   mutable tied : bool; (* this owner is someone's affinity child *)
   mutable pinned : bool;
@@ -235,11 +234,11 @@ let register_owner ctx o =
 
 let prune_registry cluster =
   let ps = pstate_of_cluster cluster in
-  ps.ps_registry <- List.filter (fun o -> o.valid) ps.ps_registry
+  ps.ps_registry <-
+    List.filter (fun o -> not (Borrow_state.is_dead o.borrow)) ps.ps_registry
 
 let moves ctx = Metrics.value (stats_of ctx).moves
 let color_bumps ctx = Metrics.value (stats_of ctx).bumps
-let fetches ctx = Metrics.value (stats_of ctx).fetches
 
 (* Listeners installed by the fault-tolerance layer. *)
 let set_commit_listener cluster f = (pstate_of_cluster cluster).ps_commit <- f
@@ -377,12 +376,6 @@ let charge_cache_hit ctx =
 
 let cache_of ctx = (Ctx.current_node ctx).Cluster.cache
 
-let assert_valid o context =
-  if not o.valid then
-    raise
-      (Borrow_state.Violation
-         { kind = Borrow_state.Use_after_death; state = Borrow_state.Dead; context })
-
 let assert_live live context =
   if not live then
     raise
@@ -481,7 +474,6 @@ let create_on ctx ~node ~size v =
       box_node = ctx.Ctx.node;
       local_copy = None;
       ubit = false;
-      valid = true;
       children = [];
       tied = false;
       pinned = false;
@@ -497,7 +489,6 @@ let create_on ctx ~node ~size v =
 let create ctx ~size v = create_on ctx ~node:(pick_alloc_node ctx ~size) ~size v
 
 let gaddr o = o.g
-let size o = o.size
 let color o = Gaddr.color_of o.g
 
 (* ------------------------------------------------------------------ *)
@@ -545,7 +536,6 @@ let fetch_into_cache ctx ~g ~size ~group_bytes ~children =
 (* Immutable borrows (Alg. 4)                                          *)
 
 let borrow_imm ctx o =
-  assert_valid o "Protocol.borrow_imm";
   Borrow_state.borrow_imm o.borrow ~context:"Protocol.borrow_imm";
   (* Creating an immutable reference resets the owner's U bit so the next
      write epoch is guaranteed to change the colored address (App. B.4). *)
@@ -703,7 +693,6 @@ let bump_or_move ctx ~g ~size =
 (* Mutable borrows (Alg. 1/6)                                          *)
 
 let borrow_mut ctx o =
-  assert_valid o "Protocol.borrow_mut";
   Borrow_state.borrow_mut o.borrow ~context:"Protocol.borrow_mut";
   (* The owner's cached-copy field cannot stay valid across a write epoch:
      the object is about to change address or color, and the copy's slot
@@ -842,7 +831,6 @@ let drop_mut ctx m =
    borrow-and-return pair.                                             *)
 
 let owner_read_inner ctx o () =
-  assert_valid o "Protocol.owner_read";
   Borrow_state.assert_owner_readable o.borrow ~context:"Protocol.owner_read";
   let cluster = Ctx.cluster ctx in
   if is_local ctx o.g then begin
@@ -937,7 +925,6 @@ let pinned_epoch_bump ctx o =
   end
 
 let owner_write_inner ctx o v =
-  assert_valid o "Protocol.owner_write";
   Borrow_state.assert_owner_usable o.borrow ~context:"Protocol.owner_write";
   let before = o.g in
   owner_claim_mut ctx o;
@@ -958,7 +945,6 @@ let owner_write ctx o v =
   measure_op ctx ~default:Flight.k_write_inplace owner_write_inner o v
 
 let owner_modify_inner ctx o f =
-  assert_valid o "Protocol.owner_modify";
   Borrow_state.assert_owner_usable o.borrow ~context:"Protocol.owner_modify";
   let before = o.g in
   owner_claim_mut ctx o;
@@ -987,7 +973,6 @@ let owner_modify ctx o f =
 (* Ownership transfer, deallocation                                    *)
 
 let transfer_inner ctx o to_node =
-  assert_valid o "Protocol.transfer";
   Borrow_state.transfer o.borrow ~context:"Protocol.transfer";
   (* Evict this node's cached copy to avoid cache leakage (§4.1.1,
      App. D.2), then re-home the box.  Only the pointer ships; the heap
@@ -1011,9 +996,7 @@ let transfer ctx o ~to_node =
   measure_op ctx ~default:Flight.k_transfer transfer_inner o to_node
 
 let rec drop_owner_inner ctx o () =
-  assert_valid o "Protocol.drop_owner";
   Borrow_state.kill o.borrow ~context:"Protocol.drop_owner";
-  o.valid <- false;
   (match Ctx.tap ctx with
   | None -> ()
   | Some f -> Ctx.emit ctx f (Drop { g = o.g }));
@@ -1024,7 +1007,8 @@ let rec drop_owner_inner ctx o () =
   o.local_copy <- None;
   (* Drop every owned child first, then the object itself. *)
   List.iter
-    (fun child -> if child.valid then drop_owner_inner ctx child ())
+    (fun child ->
+      if not (Borrow_state.is_dead child.borrow) then drop_owner_inner ctx child ())
     o.children;
   o.children <- [];
   let cluster = Ctx.cluster ctx in
@@ -1050,8 +1034,8 @@ let rec reaches o target =
   || List.exists (fun c -> reaches c target) o.children
 
 let tie ctx ~parent ~child =
-  assert_valid parent "Protocol.tie";
-  assert_valid child "Protocol.tie";
+  assert_live (not (Borrow_state.is_dead parent.borrow)) "Protocol.tie";
+  assert_live (not (Borrow_state.is_dead child.borrow)) "Protocol.tie";
   if child.tied then invalid_arg "Protocol.tie: child already tied";
   if reaches child parent then invalid_arg "Protocol.tie: affinity cycle";
   if child.pinned then invalid_arg "Protocol.tie: child is pinned";
@@ -1081,7 +1065,7 @@ let tie ctx ~parent ~child =
 let is_pinned o = o.pinned
 
 let pin ctx o =
-  assert_valid o "Protocol.pin";
+  assert_live (not (Borrow_state.is_dead o.borrow)) "Protocol.pin";
   if o.tied then invalid_arg "Protocol.pin: tied child cannot be pinned";
   o.pinned <- true;
   Ctx.charge_cycles ctx 10.0
@@ -1102,7 +1086,7 @@ let audit cluster =
   let note fmt = Printf.ksprintf (fun s -> violations := s :: !violations) fmt in
   List.iter
     (fun o ->
-      if o.valid && not (Borrow_state.is_dead o.borrow) then begin
+      if not (Borrow_state.is_dead o.borrow) then begin
         if not (Cluster.heap_mem cluster o.g) then
           (* A mutable borrow may legitimately hold the object mid-move;
              only settled owners are audited. *)

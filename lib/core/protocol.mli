@@ -48,8 +48,6 @@ val create_on : Ctx.t -> node:int -> size:int -> Drust_util.Univ.t -> owner
 val gaddr : owner -> Gaddr.t
 (** Current colored global address. *)
 
-val size : owner -> int
-
 val owner_read : Ctx.t -> owner -> Drust_util.Univ.t
 (** Immutable access through the owner (Alg. 7): local objects are read in
     place; remote objects are copied into the node cache. *)
@@ -169,9 +167,6 @@ val moves : Ctx.t -> int
 
 val color_bumps : Ctx.t -> int
 (** Writes resolved by a color bump alone ([protocol.color_bumps]). *)
-
-val fetches : Ctx.t -> int
-(** Remote fetches into a node cache ([protocol.fetches]). *)
 
 val op_latency_buckets : float array
 (** Upper bounds (seconds) of the always-on

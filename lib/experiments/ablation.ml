@@ -1,4 +1,5 @@
 module B = Bench_setup
+module Simplan = Drust_plan.Simplan
 module Cluster = Drust_machine.Cluster
 module Ctx = Drust_machine.Ctx
 module Engine = Drust_sim.Engine
@@ -173,7 +174,7 @@ let mutex_jobs () =
       timed ~nodes:8
         (fun _ -> ())
         (fun cluster ctx ->
-          let backend = B.make_backend B.Gam cluster in
+          let backend = Simplan.make_backend Simplan.Gam cluster in
           let m = backend.Drust_dsm.Dsm.mutex_create ctx in
           let workers =
             List.init contenders (fun i ->

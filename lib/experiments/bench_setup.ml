@@ -1,12 +1,6 @@
 module Params = Drust_machine.Params
-module Cluster = Drust_machine.Cluster
 module Simplan = Drust_plan.Simplan
 module Appkit = Drust_appkit.Appkit
-
-type system = Simplan.system = Drust | Gam | Grappa | Original
-
-let system_name = Simplan.system_name
-let all_systems = Simplan.all_systems
 
 let testbed ?(nodes = 8) ?(seed = 42) () =
   { Params.default with Params.nodes; mem_per_node = Drust_util.Units.gib 8; seed }
@@ -14,17 +8,6 @@ let testbed ?(nodes = 8) ?(seed = 42) () =
 let fixed_testbed ~nodes =
   Params.fixed_resource (testbed ~nodes ()) ~total_cores:16
     ~total_mem:(Drust_util.Units.gib 8 * 8) ~nodes
-
-let make_backend = Simplan.make_backend
-
-type app = Simplan.app =
-  | Dataframe_app
-  | Socialnet_app
-  | Gemm_app
-  | Kvstore_app
-
-let app_name = Simplan.app_name
-let all_apps = Simplan.all_apps
 
 (* Every harness run goes through a plan: the figure grids construct one
    per cell and [Simplan.execute] it, so a cell's exact scenario can be
@@ -47,7 +30,11 @@ let run_app ?affinity ?pass_by_value app system ~params =
    the lock, so two domains may race to compute the same key, in which
    case both compute identical (deterministic) results and the second
    insert is a no-op overwrite. *)
-type baseline_key = { bk_app : app; bk_pass_by_value : bool; bk_params : Params.t }
+type baseline_key = {
+  bk_app : Simplan.app;
+  bk_pass_by_value : bool;
+  bk_params : Params.t;
+}
 
 let baseline_cache : (baseline_key, Appkit.result) Hashtbl.t =
   Hashtbl.create 8
@@ -63,14 +50,14 @@ let single_node_baseline ?params app =
   let params =
     match params with Some p -> p | None -> default_baseline_params ()
   in
-  let pass_by_value = app = Socialnet_app in
+  let pass_by_value = app = Simplan.Socialnet_app in
   let key = { bk_app = app; bk_pass_by_value = pass_by_value; bk_params = params } in
   match
     Mutex.protect baseline_mutex (fun () -> Hashtbl.find_opt baseline_cache key)
   with
   | Some r -> r
   | None ->
-      let r = run_app ~pass_by_value app Original ~params in
+      let r = run_app ~pass_by_value app Simplan.Original ~params in
       Mutex.protect baseline_mutex (fun () ->
           Hashtbl.replace baseline_cache key r);
       r

@@ -1,9 +1,10 @@
 module B = Bench_setup
+module Simplan = Drust_plan.Simplan
 module Appkit = Drust_appkit.Appkit
 
 type row = {
-  app : B.app;
-  system : B.system;
+  app : Simplan.app;
+  system : Simplan.system;
   nodes : int;
   speedup : float;
   throughput : float;
@@ -11,17 +12,17 @@ type row = {
 
 let paper_8node =
   [
-    (B.Dataframe_app, B.Drust, 5.57);
-    (B.Dataframe_app, B.Gam, 2.18);
-    (B.Dataframe_app, B.Grappa, 1.69);
-    (B.Socialnet_app, B.Drust, 3.51);
-    (B.Socialnet_app, B.Gam, 1.33);
-    (B.Socialnet_app, B.Grappa, 1.39);
-    (B.Gemm_app, B.Drust, 5.93);
-    (B.Gemm_app, B.Gam, 3.82);
-    (B.Gemm_app, B.Grappa, 2.02);
-    (B.Kvstore_app, B.Drust, 3.34);
-    (B.Kvstore_app, B.Gam, 2.50);
+    (Simplan.Dataframe_app, Simplan.Drust, 5.57);
+    (Simplan.Dataframe_app, Simplan.Gam, 2.18);
+    (Simplan.Dataframe_app, Simplan.Grappa, 1.69);
+    (Simplan.Socialnet_app, Simplan.Drust, 3.51);
+    (Simplan.Socialnet_app, Simplan.Gam, 1.33);
+    (Simplan.Socialnet_app, Simplan.Grappa, 1.39);
+    (Simplan.Gemm_app, Simplan.Drust, 5.93);
+    (Simplan.Gemm_app, Simplan.Gam, 3.82);
+    (Simplan.Gemm_app, Simplan.Grappa, 2.02);
+    (Simplan.Kvstore_app, Simplan.Drust, 3.34);
+    (Simplan.Kvstore_app, Simplan.Gam, 2.50);
   ]
 
 let paper_at app system =
@@ -30,7 +31,8 @@ let paper_at app system =
     None paper_8node
 
 let systems_of app =
-  B.all_systems @ if app = B.Socialnet_app then [ B.Original ] else []
+  Simplan.all_systems
+  @ if app = Simplan.Socialnet_app then [ Simplan.Original ] else []
 
 let run ?(node_counts = [ 1; 2; 4; 8 ]) () =
   (* Parallel phase: each (app, system, nodes) cell is an independent
@@ -38,7 +40,7 @@ let run ?(node_counts = [ 1; 2; 4; 8 ]) () =
      job touches stdout or the rate registry — all rendering and
      recording happens below, in submission order, so the output is
      byte-identical for every --jobs value. *)
-  B.precompute_baselines B.all_apps;
+  B.precompute_baselines Simplan.all_apps;
   let grid =
     List.concat_map
       (fun app ->
@@ -46,13 +48,13 @@ let run ?(node_counts = [ 1; 2; 4; 8 ]) () =
           (fun system ->
             List.map (fun nodes -> (app, system, nodes)) node_counts)
           (systems_of app))
-      B.all_apps
+      Simplan.all_apps
   in
   let results =
     Parallel.map
       (fun (app, system, nodes) ->
         B.run_app_with_latency app system
-          ~pass_by_value:(system = B.Original)
+          ~pass_by_value:(system = Simplan.Original)
           ~params:(B.testbed ~nodes ()))
       grid
   in
@@ -66,8 +68,8 @@ let run ?(node_counts = [ 1; 2; 4; 8 ]) () =
     let base = B.single_node_baseline app in
     Report.record_rate ?latency
       ~experiment:
-        (Printf.sprintf "fig5/%s/%s/%dn" (B.app_name app)
-           (B.system_name system) nodes)
+        (Printf.sprintf "fig5/%s/%s/%dn" (Simplan.app_name app)
+           (Simplan.system_name system) nodes)
       ~ops:result.Appkit.ops ~elapsed:result.Appkit.elapsed ();
     let speedup = result.Appkit.throughput /. base.Appkit.throughput in
     rows :=
@@ -79,7 +81,7 @@ let run ?(node_counts = [ 1; 2; 4; 8 ]) () =
     (fun app ->
       Report.section
         (Printf.sprintf "Figure 5: %s scaling (normalized to 1-node original, %s)"
-           (B.app_name app)
+           (Simplan.app_name app)
            (Report.cell_rate (B.single_node_baseline app).Appkit.throughput));
       let body =
         List.map
@@ -96,7 +98,7 @@ let run ?(node_counts = [ 1; 2; 4; 8 ]) () =
               | Some v -> Printf.sprintf "%.2f" v
               | None -> "-"
             in
-            (B.system_name system :: cells) @ [ paper ])
+            (Simplan.system_name system :: cells) @ [ paper ])
           (systems_of app)
       in
       Report.table
@@ -105,5 +107,5 @@ let run ?(node_counts = [ 1; 2; 4; 8 ]) () =
            :: List.map (fun n -> Printf.sprintf "%dn" n) node_counts)
           @ [ "paper@8n" ])
         ~rows:body)
-    B.all_apps;
+    Simplan.all_apps;
   List.rev !rows

@@ -2,8 +2,8 @@
     Grappa, normalized to each application's single-node original run. *)
 
 type row = {
-  app : Bench_setup.app;
-  system : Bench_setup.system;
+  app : Drust_plan.Simplan.app;
+  system : Drust_plan.Simplan.system;
   nodes : int;
   speedup : float;  (** normalized throughput vs 1-node original *)
   throughput : float;
@@ -14,5 +14,5 @@ val run : ?node_counts:int list -> unit -> row list
     baseline) and prints the four sub-figures with the paper's quoted
     reference points. *)
 
-val paper_8node : (Bench_setup.app * Bench_setup.system * float) list
+val paper_8node : (Drust_plan.Simplan.app * Drust_plan.Simplan.system * float) list
 (** Speedups the paper quotes at 8 nodes. *)

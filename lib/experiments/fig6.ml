@@ -1,4 +1,5 @@
 module B = Bench_setup
+module Simplan = Drust_plan.Simplan
 module Appkit = Drust_appkit.Appkit
 module Cluster = Drust_machine.Cluster
 module Df = Drust_dataframe.Dataframe
@@ -8,7 +9,7 @@ type row = { label : string; speedup : float; vs_plain : float }
 let run_variant ~use_tbox ~use_spawn_to =
   let params = B.testbed ~nodes:8 () in
   let cluster = Cluster.create params in
-  let backend = B.make_backend B.Drust cluster in
+  let backend = Simplan.make_backend Simplan.Drust cluster in
   let r =
     Df.run ~cluster ~backend
       { Df.default_config with Df.use_tbox; use_spawn_to }
@@ -19,7 +20,7 @@ let run_variant ~use_tbox ~use_spawn_to =
 let run () =
   (* The three variants are independent clusters: fan them out, then
      record and render sequentially in the fixed order. *)
-  B.precompute_baselines [ B.Dataframe_app ];
+  B.precompute_baselines [ Simplan.Dataframe_app ];
   let variants =
     Parallel.run
       [
@@ -34,7 +35,7 @@ let run () =
     | _ -> assert false
   in
   Report.section "Figure 6: DataFrame affinity annotations (DRust, 8 nodes)";
-  let base = B.single_node_baseline B.Dataframe_app in
+  let base = B.single_node_baseline Simplan.Dataframe_app in
   let mk label (r, latency) paper =
     Report.record_rate ?latency
       ~experiment:("fig6/" ^ label)

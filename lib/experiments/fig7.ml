@@ -1,13 +1,14 @@
 module B = Bench_setup
+module Simplan = Drust_plan.Simplan
 module Appkit = Drust_appkit.Appkit
 
-type row = { app : B.app; system : B.system; overhead : float }
+type row = { app : Simplan.app; system : Simplan.system; overhead : float }
 
 let paper =
   [
-    (B.Dataframe_app, B.Drust, 0.26);
-    (B.Gemm_app, B.Drust, 0.04);
-    (B.Kvstore_app, B.Drust, 0.32);
+    (Simplan.Dataframe_app, Simplan.Drust, 0.26);
+    (Simplan.Gemm_app, Simplan.Drust, 0.04);
+    (Simplan.Kvstore_app, Simplan.Drust, 0.32);
   ]
 
 let paper_at app system =
@@ -15,7 +16,7 @@ let paper_at app system =
     (fun acc (a, s, v) -> if a = app && s = system then Some v else acc)
     None paper
 
-let apps = [ B.Dataframe_app; B.Gemm_app; B.Kvstore_app ]
+let apps = [ Simplan.Dataframe_app; Simplan.Gemm_app; Simplan.Kvstore_app ]
 
 let run () =
   Report.section
@@ -43,13 +44,13 @@ let run () =
                 | None -> ""
               in
               Report.cell_pct overhead ^ paper_s)
-            B.all_systems
+            Simplan.all_systems
         in
-        B.app_name app :: cells)
+        Simplan.app_name app :: cells)
       apps
   in
   Report.table
-    ~header:("app" :: List.map B.system_name B.all_systems)
+    ~header:("app" :: List.map Simplan.system_name Simplan.all_systems)
     ~rows:body;
   Report.note
     "overhead = 1 - throughput(8 nodes) / throughput(1 node), same total resources";

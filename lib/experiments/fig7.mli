@@ -6,8 +6,8 @@
     the paper (its original version is not comparable). *)
 
 type row = {
-  app : Bench_setup.app;
-  system : Bench_setup.system;
+  app : Drust_plan.Simplan.app;
+  system : Drust_plan.Simplan.system;
   overhead : float;  (** 1 - T(8 nodes) / T(1 node), fixed resources *)
 }
 

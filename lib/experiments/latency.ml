@@ -1,9 +1,10 @@
 module B = Bench_setup
+module Simplan = Drust_plan.Simplan
 module Appkit = Drust_appkit.Appkit
 
 type row = {
-  app : B.app;
-  system : B.system;
+  app : Simplan.app;
+  system : Simplan.system;
   p50_us : float;
   p99_us : float;
 }
@@ -11,7 +12,7 @@ type row = {
 let measure app system ~nodes =
   let r =
     B.run_app app system ~params:(B.testbed ~nodes ())
-      ~pass_by_value:(system = B.Original)
+      ~pass_by_value:(system = Simplan.Original)
   in
   {
     app;
@@ -23,7 +24,7 @@ let measure app system ~nodes =
 let run () =
   Report.section
     "Supplementary: per-operation latency (median / P99, virtual us)";
-  let apps = [ B.Kvstore_app; B.Socialnet_app ] in
+  let apps = [ Simplan.Kvstore_app; Simplan.Socialnet_app ] in
   let rows = ref [] in
   let body =
     List.concat_map
@@ -33,16 +34,16 @@ let run () =
             let r = measure app system ~nodes in
             rows := r :: !rows;
             [
-              B.app_name app;
+              Simplan.app_name app;
               label;
               Printf.sprintf "%.1f" r.p50_us;
               Printf.sprintf "%.1f" r.p99_us;
             ])
           [
-            (B.Original, 1, "Original (1 node)");
-            (B.Drust, 8, "DRust (8 nodes)");
-            (B.Gam, 8, "GAM (8 nodes)");
-            (B.Grappa, 8, "Grappa (8 nodes)");
+            (Simplan.Original, 1, "Original (1 node)");
+            (Simplan.Drust, 8, "DRust (8 nodes)");
+            (Simplan.Gam, 8, "GAM (8 nodes)");
+            (Simplan.Grappa, 8, "Grappa (8 nodes)");
           ])
       apps
   in

@@ -8,8 +8,8 @@
     (directory round trips) and Grappa's (aggregation timeouts). *)
 
 type row = {
-  app : Bench_setup.app;
-  system : Bench_setup.system;
+  app : Drust_plan.Simplan.app;
+  system : Drust_plan.Simplan.system;
   p50_us : float;
   p99_us : float;
 }

@@ -3,8 +3,8 @@ module Simplan = Drust_plan.Simplan
 module Appkit = Drust_appkit.Appkit
 
 type row = {
-  app : B.app;
-  system : B.system;
+  app : Simplan.app;
+  system : Simplan.system;
   remote_ops_per_op : float;
   bytes_per_op : float;
 }
@@ -40,8 +40,8 @@ let run () =
      grid order. *)
   let grid =
     List.concat_map
-      (fun app -> List.map (fun system -> (app, system)) B.all_systems)
-      B.all_apps
+      (fun app -> List.map (fun system -> (app, system)) Simplan.all_systems)
+      Simplan.all_apps
   in
   let results = Parallel.map (fun (app, system) -> run_one app system) grid in
   Report.section "Supplementary: coherence traffic per application operation (8 nodes)";
@@ -50,8 +50,8 @@ let run () =
       (fun (row, result, latency) ->
         Report.record_rate ?latency
           ~experiment:
-            (Printf.sprintf "traffic/%s/%s" (B.app_name row.app)
-               (B.system_name row.system))
+            (Printf.sprintf "traffic/%s/%s" (Simplan.app_name row.app)
+               (Simplan.system_name row.system))
           ~ops:result.Appkit.ops ~elapsed:result.Appkit.elapsed ();
         row)
       results
@@ -62,8 +62,8 @@ let run () =
       (List.map
          (fun r ->
            [
-             B.app_name r.app;
-             B.system_name r.system;
+             Simplan.app_name r.app;
+             Simplan.system_name r.system;
              Printf.sprintf "%.1f" r.remote_ops_per_op;
              Format.asprintf "%a" Drust_util.Units.pp_bytes
                (Float.to_int r.bytes_per_op);

@@ -7,8 +7,8 @@
     (no invalidations) and far fewer than Grappa (no delegation). *)
 
 type row = {
-  app : Bench_setup.app;
-  system : Bench_setup.system;
+  app : Drust_plan.Simplan.app;
+  system : Drust_plan.Simplan.system;
   remote_ops_per_op : float;
   bytes_per_op : float;
 }

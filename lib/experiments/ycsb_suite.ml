@@ -5,7 +5,7 @@ module Ycsb = Drust_workloads.Ycsb
 
 type row = {
   workload : Ycsb.workload;
-  system : B.system;
+  system : Simplan.system;
   speedup : float;
 }
 
@@ -28,14 +28,14 @@ let run () =
   let grid =
     List.concat_map
       (fun w ->
-        (w, `Base) :: List.map (fun system -> (w, `Sys system)) B.all_systems)
+        (w, `Base) :: List.map (fun system -> (w, `Sys system)) Simplan.all_systems)
       Ycsb.all_workloads
   in
   let results =
     Parallel.map
       (fun (w, cell) ->
         match cell with
-        | `Base -> run_one w B.Original ~nodes:1
+        | `Base -> run_one w Simplan.Original ~nodes:1
         | `Sys system -> run_one w system ~nodes:8)
       grid
   in
@@ -53,18 +53,18 @@ let run () =
               Report.record_rate ?latency
                 ~experiment:
                   (Printf.sprintf "ycsb/%s/%s" (Ycsb.workload_name w)
-                     (B.system_name system))
+                     (Simplan.system_name system))
                 ~ops:r.Appkit.ops ~elapsed:r.Appkit.elapsed ();
               let speedup = r.Appkit.throughput /. base.Appkit.throughput in
               rows := { workload = w; system; speedup } :: !rows;
               Report.cell_f speedup)
-            B.all_systems
+            Simplan.all_systems
         in
         Ycsb.workload_name w :: cells_)
       Ycsb.all_workloads
   in
   Report.table
-    ~header:("workload" :: List.map B.system_name B.all_systems)
+    ~header:("workload" :: List.map Simplan.system_name Simplan.all_systems)
     ~rows:body;
   Report.note "speedup vs the same workload on the 1-node original";
   List.rev !rows

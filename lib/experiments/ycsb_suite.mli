@@ -8,7 +8,7 @@
 
 type row = {
   workload : Drust_workloads.Ycsb.workload;
-  system : Bench_setup.system;
+  system : Drust_plan.Simplan.system;
   speedup : float;
 }
 

@@ -34,7 +34,6 @@ val block_size : t -> int
 
 type handle
 
-val alloc : t -> Ctx.t -> size:int -> Drust_util.Univ.t -> handle
 val alloc_on : t -> Ctx.t -> node:int -> size:int -> Drust_util.Univ.t -> handle
 
 val read : t -> Ctx.t -> handle -> Drust_util.Univ.t
@@ -42,11 +41,6 @@ val read : t -> Ctx.t -> handle -> Drust_util.Univ.t
 
 val write : t -> Ctx.t -> handle -> Drust_util.Univ.t -> unit
 (** Acquire Exclusive (invalidating sharers), then write. *)
-
-val update : t -> Ctx.t -> handle -> (Drust_util.Univ.t -> Drust_util.Univ.t) -> unit
-
-val free : t -> Ctx.t -> handle -> unit
-val home : handle -> int
 
 (** {1 Statistics} *)
 

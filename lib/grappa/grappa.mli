@@ -17,24 +17,14 @@ val create : Drust_machine.Cluster.t -> t
 
 type handle
 
-val alloc : t -> Ctx.t -> size:int -> Drust_util.Univ.t -> handle
 val alloc_on : t -> Ctx.t -> node:int -> size:int -> Drust_util.Univ.t -> handle
 val read : t -> Ctx.t -> handle -> Drust_util.Univ.t
 val write : t -> Ctx.t -> handle -> Drust_util.Univ.t -> unit
 val update : t -> Ctx.t -> handle -> (Drust_util.Univ.t -> Drust_util.Univ.t) -> unit
-val free : t -> Ctx.t -> handle -> unit
-
-val read_part : t -> Ctx.t -> handle -> bytes:int -> unit
-(** Delegate a fragment read; never cached. *)
 
 val process : t -> Ctx.t -> handle -> cycles:float -> Drust_util.Univ.t
 (** Ship [cycles] of computation to the object's home core, serialized
     per object (Grappa's compute-to-data model). *)
-
-val process_update :
-  t -> Ctx.t -> handle -> cycles:float -> (Drust_util.Univ.t -> Drust_util.Univ.t) -> unit
-
-val home : handle -> int
 
 val delegations : t -> int
 

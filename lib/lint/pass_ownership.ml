@@ -1,68 +1,20 @@
-(* ownership — discipline for the ownership-model APIs.
+(* ownership — discipline for the lock API.
 
    DRust's coherence protocol is safe because the source language
-   guarantees unique ownership and scoped borrows (the paper's §3).
-   [Own] reproduces that automaton locally and [Dmutex] guards global
-   objects; both have runtime checks (and DSan's borrow/lock-discipline
-   invariants), but the common misuses are visible in the syntax tree
-   and can be rejected before anything runs.  Checked over lib/ and
-   examples/:
-
-   - a borrow escaping its scope: the result of [Own.borrow] /
-     [Own.borrow_mut] stored into a [ref], a mutable container
-     ([Hashtbl.add]/[Hashtbl.replace]/[Queue.add]/[Queue.push]/
-     [Stack.push]/[Array.set]), a record field ([<-]), or bound at
-     module level — the store outlives the borrow, so the eventual
-     [drop]/owner operation raises at run time (or worse, never runs);
-
-   - [Dmutex.lock] in a function with no [Dmutex.unlock] (and no
-     [Dmutex.with_lock]) in the same function — every caller leaks the
-     lock unless some other function unlocks on its behalf, a pairing
-     the code cannot show; functions that deliberately split the pair
-     (backend vtables) carry an allow naming the pairing site. *)
+   guarantees unique ownership and scoped borrows (the paper's §3), and
+   [Dmutex] guards global objects.  The lock has runtime checks (and
+   DSan's lock-discipline invariant), but its common misuse is visible
+   in the syntax tree and can be rejected before anything runs.  Checked
+   over lib/ and examples/: [Dmutex.lock] in a function with no
+   [Dmutex.unlock] (and no [Dmutex.with_lock]) in the same function —
+   every caller leaks the lock unless some other function unlocks on its
+   behalf, a pairing the code cannot show; functions that deliberately
+   split the pair (backend vtables) carry an allow naming the pairing
+   site. *)
 
 let name = "ownership"
 
-let doc =
-  "Own.borrow results escaping their scope (refs/containers/module \
-   bindings) and Dmutex.lock without a reachable unlock in the same \
-   function"
-
-let borrow_idents = [ "Own.borrow"; "Own.borrow_mut" ]
-
-let escape_sinks =
-  [ "ref"; "Stdlib.ref"; ":="; "Hashtbl.add"; "Hashtbl.replace"; "Queue.add";
-    "Queue.push"; "Stack.push"; "Array.set" ]
-
-let is_borrow_app (e : Parsetree.expression) =
-  match Lint.apply_head e with
-  | Some h -> List.mem h borrow_idents
-  | None -> false
-
-(* Deep-search [e] for borrow applications; closures count (a stored
-   thunk that borrows produces a borrow whose scope nobody closes). *)
-let borrows_within (e : Parsetree.expression) =
-  let found = ref [] in
-  let open Ast_iterator in
-  let expr it e =
-    (match Lint.apply_head e with
-    | Some h when List.mem h borrow_idents ->
-        found := e.Parsetree.pexp_loc :: !found
-    | _ -> ());
-    default_iterator.expr it e
-  in
-  let it = { default_iterator with expr } in
-  it.expr it e;
-  List.rev !found
-
-let escape_msg sink =
-  Printf.sprintf
-    "borrowed reference escapes into %s — the store outlives the borrow \
-     scope; keep borrows lexical (Own.with_borrow) or store the owner and \
-     borrow at use sites"
-    sink
-
-(* --- lock discipline ---------------------------------------------- *)
+let doc = "Dmutex.lock without a reachable unlock in the same function"
 
 let lock_idents = [ "Dmutex.lock" ]
 let unlock_idents = [ "Dmutex.unlock"; "Dmutex.with_lock" ]
@@ -125,52 +77,11 @@ let check ctx (f : Lint.file_unit) =
                  on every path; pair it here or allow with the pairing \
                  site named")
             locks
-    | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, args) ->
-        let head = Lint.ident_name txt in
-        if List.mem head escape_sinks then
-          List.iter
-            (fun (_, arg) ->
-              List.iter
-                (fun loc -> Lint.emit ctx ~pass:name ~loc (escape_msg head))
-                (borrows_within arg))
-            args
-    | Pexp_setfield (_, _, rhs) ->
-        List.iter
-          (fun loc ->
-            Lint.emit ctx ~pass:name ~loc (escape_msg "a mutable field"))
-          (borrows_within rhs)
     | _ -> ());
     default_iterator.expr it e
   in
   let it = { default_iterator with expr } in
-  it.structure it f.Lint.f_structure;
-  (* Module-level borrows never end. *)
-  let rec scan_structure str = List.iter scan_item str
-  and scan_item (si : Parsetree.structure_item) =
-    match si.pstr_desc with
-    | Pstr_value (_, vbs) ->
-        List.iter
-          (fun (vb : Parsetree.value_binding) ->
-            let rhs = Lint.rhs_head vb.pvb_expr in
-            if is_borrow_app rhs then
-              Lint.emit ctx ~pass:name ~loc:vb.pvb_loc
-                "module-level borrow — it can never be dropped before the \
-                 owner; borrow inside the scope that uses it")
-          vbs
-    | Pstr_module mb -> scan_module mb.pmb_expr
-    | Pstr_recmodule mbs ->
-        List.iter
-          (fun (mb : Parsetree.module_binding) -> scan_module mb.pmb_expr)
-          mbs
-    | Pstr_include i -> scan_module i.pincl_mod
-    | _ -> ()
-  and scan_module (me : Parsetree.module_expr) =
-    match me.pmod_desc with
-    | Pmod_structure s -> scan_structure s
-    | Pmod_constraint (me, _) -> scan_module me
-    | _ -> ()
-  in
-  scan_structure f.Lint.f_structure
+  it.structure it f.Lint.f_structure
 
 let pass =
   {

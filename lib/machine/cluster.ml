@@ -17,7 +17,6 @@ type node = {
 }
 
 type t = {
-  uid : int;
   engine : Engine.t;
   fabric : Fabric.t;
   params : Params.t;
@@ -35,15 +34,6 @@ type t = {
          thread registry, ...): dies with the cluster *)
   next_thread_id : int Atomic.t;
 }
-
-(* Atomic so clusters may be created concurrently from several domains
-   (the parallel sweep runner).  The uid is purely informational — no
-   layer keys state on it any more; per-cluster state lives in [env]. *)
-let next_uid =
-  Atomic.make 0
-[@@dlint.allow
-  "globals: the process-wide cluster uid source — informational only, no \
-   layer keys state on it; atomic for parallel sweep domains"]
 
 (* Called on every freshly created cluster.  This is how process-wide
    tooling (the DSan sanitizer's --sanitize flag) reaches clusters that
@@ -87,11 +77,9 @@ let create ?engine params =
       alive = true;
     }
   in
-  let uid = Atomic.fetch_and_add next_uid 1 in
   let nodes = Array.init params.Params.nodes make_node in
   let t =
     {
-      uid;
       engine;
       fabric;
       params;
@@ -110,7 +98,6 @@ let create ?engine params =
   (match Atomic.get create_hook with None -> () | Some h -> h t);
   t
 
-let uid t = t.uid
 let env t = t.env
 let fresh_thread_id t = Atomic.fetch_and_add t.next_thread_id 1
 

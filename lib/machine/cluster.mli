@@ -18,10 +18,6 @@ type t
 
 val create : ?engine:Drust_sim.Engine.t -> Params.t -> t
 
-val uid : t -> int
-(** Unique id per cluster instance (diagnostics only).  Per-cluster state
-    belongs in {!env}, never in a process-global table keyed by this. *)
-
 val env : t -> Env.t
 (** The cluster's environment: typed per-cluster storage for every higher
     layer (protocol state, thread registry, ...).

@@ -3,7 +3,7 @@
 
     Historically every layer above [Cluster] kept its per-cluster state
     (protocol statistics, listener hooks, thread registries, measurement
-    marks, ...) in process-global [Hashtbl]s keyed by {!Cluster.uid}.
+    marks, ...) in process-global [Hashtbl]s keyed by a cluster id.
     Those tables were never pruned — state outlived its cluster — and
     they made two clusters in different domains secretly share mutable
     process state, so independent simulations could not run in parallel.

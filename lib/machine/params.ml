@@ -42,8 +42,3 @@ let fixed_resource t ~total_cores ~total_mem ~nodes =
 
 let cycles_to_seconds t cycles = cycles /. (t.ghz *. 1e9)
 let seconds_to_cycles t seconds = seconds *. t.ghz *. 1e9
-
-let pp fmt t =
-  Format.fprintf fmt "%d nodes x %d cores @ %.1f GHz, %a/node, %a" t.nodes
-    t.cores_per_node t.ghz Drust_util.Units.pp_bytes t.mem_per_node
-    Drust_net.Model.pp t.net

@@ -36,5 +36,3 @@ val fixed_resource : t -> total_cores:int -> total_mem:int -> nodes:int -> t
 
 val cycles_to_seconds : t -> float -> float
 val seconds_to_cycles : t -> float -> float
-
-val pp : Format.formatter -> t -> unit

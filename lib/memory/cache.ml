@@ -43,7 +43,6 @@ let create ?metrics ?tap ~node () =
     g_used = Metrics.gauge metrics ~labels ~unit_:"bytes" "cache.used_bytes";
   }
 
-let node t = t.node
 let entries t = Drust_util.Intmap.length t.map
 let used_bytes t = t.used
 let set_used t used =
@@ -164,13 +163,6 @@ let evict_unreferenced t =
   in
   List.iter kill victims;
   !reclaimed
-
-let iter t f = Drust_util.Intmap.iter (fun _ copy -> f copy) t.map
-
-let clear t =
-  Drust_util.Intmap.iter (fun _ copy -> reclaim t copy) t.map;
-  Drust_util.Intmap.clear t.map;
-  set_used t 0
 
 let hits t = Metrics.value t.c_hits
 let misses t = Metrics.value t.c_misses

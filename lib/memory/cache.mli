@@ -34,7 +34,6 @@ val create :
     [-1].  [retain] has no cache handle and is therefore not tapped; a
     checker audits refcounts at [Cache_release] time instead. *)
 
-val node : t -> int
 val entries : t -> int
 val used_bytes : t -> int
 
@@ -83,9 +82,6 @@ val invalidate_home : t -> home:int -> int
 val evict_unreferenced : t -> int
 (** Drop all refcount-0 entries; returns bytes reclaimed.  This is the
     lazy reclamation the runtime triggers under memory pressure. *)
-
-val iter : t -> (copy -> unit) -> unit
-val clear : t -> unit
 
 (** {1 Statistics}
 

@@ -57,7 +57,6 @@ let compare = Int.compare
    [Hashtbl.hash] would tie the value to the runtime's representation
    choices for no benefit.  The identity is deterministic by
    construction. *)
-let hash = to_int
 
 let pp fmt a =
   Format.fprintf fmt "g[n%d+0x%x c%d]" (node_of a) (offset_of a) (color_of a)

@@ -126,9 +126,3 @@ let remove t a =
 
 let iter t f =
   Intmap.iter (fun off e -> f (Gaddr.make ~node:t.node ~offset:off) e) t.objects
-
-let clear t =
-  Intmap.clear t.objects;
-  Array.fill t.free_lists 0 (Array.length t.free_lists) [];
-  t.bump <- 8;
-  t.used <- 0

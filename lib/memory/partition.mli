@@ -56,5 +56,3 @@ val remove : t -> Gaddr.t -> unit
 val iter : t -> (Gaddr.t -> entry -> unit) -> unit
 (** Iterate live objects — used by the replication manager to snapshot a
     partition for a new backup. *)
-
-val clear : t -> unit

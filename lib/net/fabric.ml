@@ -171,9 +171,6 @@ let phase t vs ~from ~category name =
   if traced vs then Span.start t.spans ~track:from ~parent:vs ~category name
   else Span.null
 
-let engine t = t.engine
-let node_count t = t.nodes
-
 let check_node t n label =
   if n < 0 || n >= t.nodes then
     invalid_arg (Printf.sprintf "Fabric.%s: node %d out of range" label n)

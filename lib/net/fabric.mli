@@ -57,8 +57,6 @@ val create :
     retry, drop, and stale-epoch NAK is recorded into the issuing node's
     ring (docs/FORENSICS.md). *)
 
-val engine : t -> Drust_sim.Engine.t
-
 val metrics : t -> Drust_obs.Metrics.t
 (** The registry the verb counters report into. *)
 
@@ -79,8 +77,6 @@ val set_epoch_source : t -> (unit -> int) option -> unit
     [fabric.stale_epochs].  Without a source (the default), or on verbs
     that carry no epoch, validation is skipped.  The reader must be pure
     observation — no engine or RNG access. *)
-
-val node_count : t -> int
 
 (** {1 Verbs — call only from inside a simulated process} *)
 

@@ -23,9 +23,3 @@ let infiniband_40g =
 let transfer_time t ~bytes = Float.of_int bytes /. t.bandwidth
 let oneside_time t ~bytes = t.oneside_base +. transfer_time t ~bytes
 let twoside_time t ~bytes = t.twoside_base +. transfer_time t ~bytes
-
-let pp fmt t =
-  Format.fprintf fmt
-    "net{1side=%.2fus 2side=%.2fus atomic=%.2fus bw=%.1fGB/s local=%.2fus}"
-    (t.oneside_base *. 1e6) (t.twoside_base *. 1e6) (t.atomic_base *. 1e6)
-    (t.bandwidth /. 1e9) (t.local_base *. 1e6)

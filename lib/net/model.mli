@@ -36,5 +36,3 @@ val oneside_time : t -> bytes:int -> float
 (** Latency of a one-sided verb carrying [bytes] of payload. *)
 
 val twoside_time : t -> bytes:int -> float
-
-val pp : Format.formatter -> t -> unit

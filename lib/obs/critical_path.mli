@@ -48,12 +48,6 @@ val top_k : int -> path list -> path list
 (** Longest first; ties broken by (start time, id) so the order is
     deterministic. *)
 
-val pp : Format.formatter -> path -> unit
-(** Root line plus one indented line per non-zero segment with
-    microseconds and percentage of total. *)
-
-val to_string : path -> string
-
 val report : Span.event list -> string
 (** [analyze] + [top_k] + render: the top 10 critical paths as numbered
     text blocks. *)

@@ -140,10 +140,7 @@ let[@inline] record t ~node ~time ~kind ~a ~b ~c ~d =
   end
 
 let set_enabled t b = t.enabled <- b
-let enabled t = t.enabled
 let set_label t l = t.label <- l
-let label t = t.label
-let node_count t = t.nodes
 let capacity t = t.cap
 let recorded t ~node = t.counts.(node)
 

@@ -83,14 +83,11 @@ val record :
     Field semantics per kind: docs/FORENSICS.md. *)
 
 val set_enabled : t -> bool -> unit
-val enabled : t -> bool
 
 val set_label : t -> string -> unit
 (** The dump label (and auto-dump file stem) — the SimPlan name of the
     run, set by [Simplan.execute]. *)
 
-val label : t -> string
-val node_count : t -> int
 val capacity : t -> int
 val recorded : t -> node:int -> int
 (** Events ever recorded on [node]'s ring (may exceed {!capacity}). *)

@@ -273,25 +273,3 @@ let find snap ?(labels = []) name =
     (fun s ->
       if s.s_name = name && s.s_labels = labels then Some s.s_value else None)
     snap
-
-let pp_labels fmt = function
-  | [] -> ()
-  | labels ->
-      Format.fprintf fmt "{%s}"
-        (String.concat ","
-           (List.map (fun (k, v) -> Printf.sprintf "%s=%s" k v) labels))
-
-let pp fmt snap =
-  List.iter
-    (fun s ->
-      (match s.s_value with
-      | Count n ->
-          Format.fprintf fmt "%s%a = %d" s.s_name pp_labels s.s_labels n
-      | Level v ->
-          Format.fprintf fmt "%s%a = %g" s.s_name pp_labels s.s_labels v
-      | Histo h ->
-          Format.fprintf fmt "%s%a = histogram(n=%d, sum=%g, min=%g, max=%g)"
-            s.s_name pp_labels s.s_labels h.h_count h.h_sum h.h_min h.h_max);
-      (if s.s_unit <> "" then Format.fprintf fmt " %s" s.s_unit);
-      Format.fprintf fmt "@\n")
-    snap

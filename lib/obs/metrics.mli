@@ -122,6 +122,3 @@ val total : snapshot -> string -> int
 
 val find : snapshot -> ?labels:labels -> string -> value option
 (** Exact (name, labels) lookup. *)
-
-val pp : Format.formatter -> snapshot -> unit
-(** Text rendering, one sample per line. *)

@@ -68,7 +68,6 @@ let create ?(capacity = 65536) ~clock () =
 let enable t =
   if Array.length t.ring = 0 then t.ring <- Array.make t.capacity None;
   t.enabled <- true
-let disable t = t.enabled <- false
 let is_enabled t = t.enabled
 
 let null =
@@ -158,15 +157,6 @@ let count t = t.total
 
 let duration_stats t =
   Drust_util.Tables.sorted_bindings t.stats ~cmp:String.compare
-
-let clear t =
-  Array.fill t.ring 0 (Array.length t.ring) None;
-  t.next <- 0;
-  t.total <- 0;
-  t.next_id <- 1;
-  t.next_flow <- 1;
-  Hashtbl.reset t.depths;
-  Hashtbl.reset t.stats
 
 let pp_args fmt = function
   | [] -> ()

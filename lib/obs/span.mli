@@ -64,7 +64,6 @@ val create : ?capacity:int -> clock:(unit -> float) -> unit -> t
     {!enable}. *)
 
 val enable : t -> unit
-val disable : t -> unit
 val is_enabled : t -> bool
 
 val start :
@@ -113,9 +112,6 @@ type dur_stats = {
 val duration_stats : t -> (string * dur_stats) list
 (** Per-category accumulated span durations (completes only), sorted by
     category.  Survives ring overwrites. *)
-
-val clear : t -> unit
-(** Also resets the id and flow-id counters. *)
 
 val dump : ?limit:int -> Format.formatter -> t -> unit
 (** Human-readable tail of the event ring. *)

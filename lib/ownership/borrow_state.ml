@@ -17,22 +17,6 @@ exception
 
 type t = { mutable n : int }
 
-let pp_violation_kind fmt = function
-  | Mut_while_borrowed -> Format.pp_print_string fmt "mutable borrow while borrowed"
-  | Imm_while_mut_borrowed ->
-      Format.pp_print_string fmt "immutable borrow while mutably borrowed"
-  | Transfer_while_borrowed ->
-      Format.pp_print_string fmt "ownership transfer while borrowed"
-  | Drop_while_borrowed -> Format.pp_print_string fmt "owner dropped while borrowed"
-  | Use_after_death -> Format.pp_print_string fmt "use after move/drop"
-  | Return_without_borrow -> Format.pp_print_string fmt "unbalanced borrow return"
-
-let pp_state fmt = function
-  | Owned -> Format.pp_print_string fmt "Owned"
-  | Shared n -> Format.fprintf fmt "Shared(%d)" n
-  | Mut_borrowed -> Format.pp_print_string fmt "Mut_borrowed"
-  | Dead -> Format.pp_print_string fmt "Dead"
-
 (* The state as one int, so that no transition allocates (a [Shared n]
    block per reader count would): [n > 0] readers is [Shared n], and the
    other states are the constants below.  [state] builds the variant

@@ -38,9 +38,6 @@ exception
     context : string;
   }
 
-val pp_violation_kind : Format.formatter -> violation_kind -> unit
-val pp_state : Format.formatter -> state -> unit
-
 val create : unit -> t
 val state : t -> state
 

@@ -149,9 +149,8 @@ val suite_plan :
 
 (** {1 Codec} *)
 
-val of_json : Drust_util.Json.t -> (t, string) result
 val print : t -> string
-(** Canonical bytes: [of_json (Json.parse (print t)) = Ok t]. *)
+(** Canonical bytes: [parse (print t) = Ok t]. *)
 
 val parse : string -> (t, string) result
 val save : path:string -> t -> unit

@@ -32,8 +32,6 @@ let create ctx ~size v =
     holder = None;
   }
 
-let home t = t.home
-
 let serving_home ctx t = Cluster.serving_node (Ctx.cluster ctx) t.home
 
 let cas_attempt ctx t =

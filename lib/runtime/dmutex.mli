@@ -20,8 +20,6 @@ val create : Ctx.t -> size:int -> Drust_util.Univ.t -> t
 (** [create ctx ~size v] allocates the lock word and the guarded object
     (of [size] bytes) in the caller's partition. *)
 
-val home : t -> int
-
 val lock : Ctx.t -> t -> unit
 (** CAS loop; blocks (in virtual time) until acquired. *)
 

@@ -30,8 +30,6 @@
 
 module Ctx = Drust_machine.Ctx
 
-type node_state = Active | Standby | Failed
-
 type t
 
 val create : ?active:int -> Drust_machine.Cluster.t -> replication:Replication.t -> t
@@ -54,7 +52,6 @@ val known_epoch : t -> node:int -> int
     exactly the window in which that node's verbs are NAKed and
     retried. *)
 
-val state : t -> node:int -> node_state
 val is_active : t -> node:int -> bool
 
 val in_flight_handoff : t -> (int * int * int) option

@@ -42,5 +42,3 @@ let threads_on cluster ~node =
 let thread_count_on cluster ~node = List.length (threads_on cluster ~node)
 
 let order_migration r ~target = r.migrate_to <- Some target
-
-let clear cluster = bucket cluster := []

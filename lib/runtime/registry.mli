@@ -22,6 +22,3 @@ val thread_count_on : Drust_machine.Cluster.t -> node:int -> int
 
 val order_migration : record -> target:int -> unit
 (** Ask the thread to move at its next safe point. *)
-
-val clear : Drust_machine.Cluster.t -> unit
-(** Forget all records for a cluster (end of an experiment). *)

@@ -46,7 +46,6 @@ let create ?(capacity = 16) () =
   }
 
 let length t = t.live
-let is_empty t = t.live = 0
 
 (* Fibonacci-style multiplicative hash: spreads the low-entropy keys the
    simulator uses (16-byte-aligned heap offsets, dense Env ids) across
@@ -156,9 +155,3 @@ let fold f t init =
     if k >= 0 then acc := f k (Array.unsafe_get vals i) !acc
   done;
   !acc
-
-let clear t =
-  Array.fill t.keys 0 (Array.length t.keys) empty_slot;
-  Array.fill t.vals 0 (Array.length t.vals) (dummy ());
-  t.live <- 0;
-  t.used <- 0

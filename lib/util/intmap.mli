@@ -17,7 +17,6 @@ val create : ?capacity:int -> unit -> 'a t
     two; the table grows as needed regardless. *)
 
 val length : 'a t -> int
-val is_empty : 'a t -> bool
 
 val find : 'a t -> int -> 'a
 (** Allocation-free lookup; raises [Not_found] when absent. *)
@@ -33,4 +32,3 @@ val remove : 'a t -> int -> unit
 
 val iter : (int -> 'a -> unit) -> 'a t -> unit
 val fold : (int -> 'a -> 'b -> 'b) -> 'a t -> 'b -> 'b
-val clear : 'a t -> unit

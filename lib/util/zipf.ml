@@ -55,7 +55,6 @@ let create ~n ~theta =
               t)
 
 let n t = t.n
-let theta t = t.theta
 let zetan t = t.zetan
 let eta t = t.eta
 

@@ -19,9 +19,6 @@ val create : n:int -> theta:float -> t
 val n : t -> int
 (** Key-space size. *)
 
-val theta : t -> float
-(** Skewness parameter. *)
-
 val zetan : t -> float
 (** The normaliser: the generalized harmonic number
     [sum_{i=1..n} 1 / i^theta]. *)

@@ -38,7 +38,6 @@ val create_workload :
     across clients. *)
 
 val next : t -> op
-val keys : t -> int
 
 val hot_share : t -> k:int -> float
 (** Probability mass of the [k] hottest keys (skew diagnostics). *)

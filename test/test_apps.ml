@@ -7,7 +7,7 @@
 module Cluster = Drust_machine.Cluster
 module Params = Drust_machine.Params
 module Appkit = Drust_appkit.Appkit
-module B = Drust_experiments.Bench_setup
+module Simplan = Drust_plan.Simplan
 module Ycsb = Drust_workloads.Ycsb
 module Social_graph = Drust_workloads.Social_graph
 module Df = Drust_dataframe.Dataframe
@@ -53,7 +53,7 @@ let tiny_sn = { Sn.default_config with Sn.users = 200; requests = 400; clients_p
 
 let run_app ?(nodes = 4) system runner =
   let cluster = Cluster.create (tiny_params nodes) in
-  let backend = B.make_backend system cluster in
+  let backend = Simplan.make_backend system cluster in
   runner ~cluster ~backend
 
 (* ------------------------------------------------------------------ *)
@@ -120,7 +120,7 @@ let kv_runner ~cluster ~backend = Kv.run ~cluster ~backend tiny_kv
 let sn_runner ~cluster ~backend = Sn.run ~cluster ~backend tiny_sn
 
 let test_kv_get_fraction () =
-  let r = run_app B.Drust kv_runner in
+  let r = run_app Simplan.Drust kv_runner in
   let gf = List.assoc "get_fraction" r.Appkit.extra in
   Alcotest.(check bool) "~0.9 gets" true (Float.abs (gf -. 0.9) < 0.05)
 
@@ -129,8 +129,8 @@ let test_kv_get_fraction () =
 
 let test_drust_beats_grappa_on_gemm () =
   (* Caching vs re-delegation on a reuse-heavy workload. *)
-  let d = run_app ~nodes:4 B.Drust gemm_runner in
-  let g = run_app ~nodes:4 B.Grappa gemm_runner in
+  let d = run_app ~nodes:4 Simplan.Drust gemm_runner in
+  let g = run_app ~nodes:4 Simplan.Grappa gemm_runner in
   Alcotest.(check bool)
     (Printf.sprintf "drust %.0f > grappa %.0f" d.Appkit.throughput
        g.Appkit.throughput)
@@ -142,11 +142,11 @@ let test_drust_single_node_overhead_small () =
   let params = { (tiny_params 1) with Params.cores_per_node = 8 } in
   let orig =
     let cluster = Cluster.create params in
-    Kv.run ~cluster ~backend:(B.make_backend B.Original cluster) tiny_kv
+    Kv.run ~cluster ~backend:(Simplan.make_backend Simplan.Original cluster) tiny_kv
   in
   let drust =
     let cluster = Cluster.create params in
-    Kv.run ~cluster ~backend:(B.make_backend B.Drust cluster) tiny_kv
+    Kv.run ~cluster ~backend:(Simplan.make_backend Simplan.Drust cluster) tiny_kv
   in
   let overhead = 1.0 -. (drust.Appkit.throughput /. orig.Appkit.throughput) in
   Alcotest.(check bool)
@@ -155,11 +155,11 @@ let test_drust_single_node_overhead_small () =
 
 let test_dataframe_affinity_helps () =
   let plain =
-    run_app ~nodes:4 B.Drust (fun ~cluster ~backend ->
+    run_app ~nodes:4 Simplan.Drust (fun ~cluster ~backend ->
         Df.run ~cluster ~backend tiny_df)
   in
   let annotated =
-    run_app ~nodes:4 B.Drust (fun ~cluster ~backend ->
+    run_app ~nodes:4 Simplan.Drust (fun ~cluster ~backend ->
         Df.run ~cluster ~backend
           { tiny_df with Df.use_tbox = true; use_spawn_to = true })
   in
@@ -169,17 +169,17 @@ let test_dataframe_affinity_helps () =
 let test_socialnet_dsm_beats_original () =
   (* Reference passing eliminates serialization. *)
   let orig =
-    run_app ~nodes:2 B.Original (fun ~cluster ~backend ->
+    run_app ~nodes:2 Simplan.Original (fun ~cluster ~backend ->
         Sn.run ~cluster ~backend { tiny_sn with Sn.pass_by_value = true })
   in
-  let drust = run_app ~nodes:2 B.Drust sn_runner in
+  let drust = run_app ~nodes:2 Simplan.Drust sn_runner in
   Alcotest.(check bool) "drust faster" true
     (drust.Appkit.throughput > orig.Appkit.throughput)
 
 let test_determinism () =
   (* Same seed, same cluster, same workload -> identical throughput. *)
-  let a = run_app B.Drust kv_runner in
-  let b = run_app B.Drust kv_runner in
+  let a = run_app Simplan.Drust kv_runner in
+  let b = run_app Simplan.Drust kv_runner in
   Alcotest.(check (float 1e-6)) "deterministic" a.Appkit.throughput b.Appkit.throughput
 
 let () =
@@ -187,10 +187,10 @@ let () =
     List.map
       (fun sys ->
         Alcotest.test_case
-          (Printf.sprintf "%s on %s" name (B.system_name sys))
+          (Printf.sprintf "%s on %s" name (Simplan.system_name sys))
           `Quick
           (app_completes name runner ops sys))
-      [ B.Drust; B.Gam; B.Grappa; B.Original ]
+      [ Simplan.Drust; Simplan.Gam; Simplan.Grappa; Simplan.Original ]
   in
   Alcotest.run "apps"
     [

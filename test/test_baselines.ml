@@ -11,7 +11,7 @@ module Grappa = Drust_grappa.Grappa
 module Dsm = Drust_dsm.Dsm
 module Dthread = Drust_runtime.Dthread
 module Univ = Drust_util.Univ
-module B = Drust_experiments.Bench_setup
+module Simplan = Drust_plan.Simplan
 
 let int_tag : int Univ.tag = Univ.create_tag ~name:"bl.int"
 let pack = Univ.pack int_tag
@@ -279,7 +279,7 @@ let test_grappa_update_is_atomic () =
 
 let backend_semantics system () =
   in_cluster (fun cluster ctx ->
-      let backend = B.make_backend system cluster in
+      let backend = Simplan.make_backend system cluster in
       let h = backend.Dsm.alloc_on ctx ~node:1 ~size:256 (pack 10) in
       Alcotest.(check int) "read" 10 (unpack (backend.Dsm.read ctx h));
       backend.Dsm.write ctx h (pack 11);
@@ -298,8 +298,8 @@ let backend_semantics system () =
 
 let test_foreign_handle_rejected () =
   in_cluster (fun cluster ctx ->
-      let drust = B.make_backend B.Drust cluster in
-      let gam = B.make_backend B.Gam cluster in
+      let drust = Simplan.make_backend Simplan.Drust cluster in
+      let gam = Simplan.make_backend Simplan.Gam cluster in
       let h = drust.Dsm.alloc ctx ~size:64 (pack 0) in
       Alcotest.(check bool) "foreign rejected" true
         (try
@@ -384,10 +384,14 @@ let () =
         ] );
       ( "dsm-interface",
         [
-          Alcotest.test_case "drust semantics" `Quick (backend_semantics B.Drust);
-          Alcotest.test_case "gam semantics" `Quick (backend_semantics B.Gam);
-          Alcotest.test_case "grappa semantics" `Quick (backend_semantics B.Grappa);
-          Alcotest.test_case "original semantics" `Quick (backend_semantics B.Original);
+          Alcotest.test_case "drust semantics" `Quick
+            (backend_semantics Simplan.Drust);
+          Alcotest.test_case "gam semantics" `Quick
+            (backend_semantics Simplan.Gam);
+          Alcotest.test_case "grappa semantics" `Quick
+            (backend_semantics Simplan.Grappa);
+          Alcotest.test_case "original semantics" `Quick
+            (backend_semantics Simplan.Original);
           Alcotest.test_case "foreign handle" `Quick test_foreign_handle_rejected;
           Alcotest.test_case "read_part allocation budgets" `Quick
             test_read_part_allocation;

@@ -5,6 +5,7 @@
 
 module E = Drust_experiments
 module B = E.Bench_setup
+module Simplan = Drust_plan.Simplan
 module Appkit = Drust_appkit.Appkit
 
 (* ------------------------------------------------------------------ *)
@@ -43,7 +44,7 @@ let test_parallel_cluster_sweep_deterministic () =
     E.Parallel.map ~jobs
       (fun nodes ->
         let r =
-          B.run_app B.Kvstore_app B.Drust ~params:(B.testbed ~nodes ())
+          B.run_app Simplan.Kvstore_app Simplan.Drust ~params:(B.testbed ~nodes ())
         in
         (r.Appkit.ops, r.Appkit.elapsed))
       [ 1; 2; 4 ]
@@ -84,9 +85,9 @@ let test_baseline_cache_keyed_on_config () =
      regression was a cache keyed on the app alone. *)
   let p1 = B.testbed ~nodes:1 () in
   let p2 = B.testbed ~nodes:2 () in
-  let r1 = B.single_node_baseline ~params:p1 B.Kvstore_app in
-  let r2 = B.single_node_baseline ~params:p2 B.Kvstore_app in
-  let r1' = B.single_node_baseline ~params:p1 B.Kvstore_app in
+  let r1 = B.single_node_baseline ~params:p1 Simplan.Kvstore_app in
+  let r2 = B.single_node_baseline ~params:p2 Simplan.Kvstore_app in
+  let r1' = B.single_node_baseline ~params:p1 Simplan.Kvstore_app in
   Alcotest.(check (float 0.0)) "memo hit is identical" r1.Appkit.ops r1'.Appkit.ops;
   Alcotest.(check bool) "different params, different entries" true
     (r1.Appkit.elapsed <> r2.Appkit.elapsed
@@ -420,9 +421,9 @@ let speedup app system nodes =
   r.Appkit.throughput /. base.Appkit.throughput
 
 let test_fig5_kv_ordering () =
-  let drust = speedup B.Kvstore_app B.Drust 8 in
-  let gam = speedup B.Kvstore_app B.Gam 8 in
-  let grappa = speedup B.Kvstore_app B.Grappa 8 in
+  let drust = speedup Simplan.Kvstore_app Simplan.Drust 8 in
+  let gam = speedup Simplan.Kvstore_app Simplan.Gam 8 in
+  let grappa = speedup Simplan.Kvstore_app Simplan.Grappa 8 in
   Alcotest.(check bool)
     (Printf.sprintf "DRust %.2f > GAM %.2f > Grappa %.2f" drust gam grappa)
     true
@@ -431,15 +432,15 @@ let test_fig5_kv_ordering () =
   Alcotest.(check bool) "Grappa stays near/below original" true (grappa < 1.3)
 
 let test_fig5_gemm_ordering () =
-  let drust = speedup B.Gemm_app B.Drust 8 in
-  let grappa = speedup B.Gemm_app B.Grappa 8 in
+  let drust = speedup Simplan.Gemm_app Simplan.Drust 8 in
+  let grappa = speedup Simplan.Gemm_app Simplan.Grappa 8 in
   Alcotest.(check bool) "DRust scales well" true (drust > 5.0);
   Alcotest.(check bool) "Grappa can't cache" true (drust > 2.0 *. grappa)
 
 let test_fig5_dataframe_ordering () =
-  let drust = speedup B.Dataframe_app B.Drust 8 in
-  let gam = speedup B.Dataframe_app B.Gam 8 in
-  let grappa = speedup B.Dataframe_app B.Grappa 8 in
+  let drust = speedup Simplan.Dataframe_app Simplan.Drust 8 in
+  let gam = speedup Simplan.Dataframe_app Simplan.Gam 8 in
+  let grappa = speedup Simplan.Dataframe_app Simplan.Grappa 8 in
   Alcotest.(check bool)
     (Printf.sprintf "DRust %.2f > GAM %.2f > Grappa %.2f" drust gam grappa)
     true
@@ -449,11 +450,11 @@ let test_fig5_single_node_overhead () =
   (* DRust on one node stays within a few percent of the original. *)
   List.iter
     (fun app ->
-      let s = speedup app B.Drust 1 in
+      let s = speedup app Simplan.Drust 1 in
       Alcotest.(check bool)
-        (Printf.sprintf "%s 1-node %.3f >= 0.95" (B.app_name app) s)
+        (Printf.sprintf "%s 1-node %.3f >= 0.95" (Simplan.app_name app) s)
         true (s >= 0.95))
-    [ B.Dataframe_app; B.Gemm_app; B.Kvstore_app ]
+    [ Simplan.Dataframe_app; Simplan.Gemm_app; Simplan.Kvstore_app ]
 
 (* ------------------------------------------------------------------ *)
 (* Fig 6 / Fig 7 *)
@@ -483,12 +484,12 @@ let test_fig7_drust_cheapest () =
       in
       Alcotest.(check bool)
         (Printf.sprintf "%s: DRust %.2f < GAM %.2f and < Grappa %.2f"
-           (B.app_name app) (overhead B.Drust) (overhead B.Gam)
-           (overhead B.Grappa))
+           (Simplan.app_name app) (overhead Simplan.Drust) (overhead Simplan.Gam)
+           (overhead Simplan.Grappa))
         true
-        (overhead B.Drust < overhead B.Gam
-        && overhead B.Drust < overhead B.Grappa))
-    [ B.Dataframe_app; B.Gemm_app; B.Kvstore_app ]
+        (overhead Simplan.Drust < overhead Simplan.Gam
+        && overhead Simplan.Drust < overhead Simplan.Grappa))
+    [ Simplan.Dataframe_app; Simplan.Gemm_app; Simplan.Kvstore_app ]
 
 (* ------------------------------------------------------------------ *)
 (* YCSB extension: DRust's lead tracks the read share (the S6 limitation
@@ -498,7 +499,7 @@ let test_ycsb_suite_shape () =
   let rows = E.Ycsb_suite.run () in
   let drust w =
     (List.find
-       (fun r -> r.E.Ycsb_suite.workload = w && r.E.Ycsb_suite.system = B.Drust)
+       (fun r -> r.E.Ycsb_suite.workload = w && r.E.Ycsb_suite.system = Simplan.Drust)
        rows)
       .E.Ycsb_suite.speedup
   in

@@ -1,6 +1,6 @@
 (* DLint framework tests: one seeded-violation fixture per pass under
-   lint_fixtures/ (laid out as lib/ and examples/ subtrees so pass
-   scoping applies exactly as it does on the real source), plus the
+   lint_fixtures/ (laid out as a lib/ subtree so pass scoping applies
+   exactly as it does on the real source), plus the
    clean-run regression over the repo's actual lib/ tree. *)
 
 module Dlint = Drust_lint.Dlint
@@ -41,15 +41,6 @@ let test_globals_fixture () =
     [ ("globals", 5, 0); ("globals", 9, 2) ]
     (run [ fx "lib/globals_violation.ml" ])
 
-let test_ownership_borrow_escape () =
-  let res = run [ fx "examples/borrow_escape.ml" ] in
-  check_triples "borrow escape" [ ("ownership", 3, 36) ] res;
-  match res.Dlint.diagnostics with
-  | [ d ] ->
-      Alcotest.(check bool) "names the sink" true
-        (Astring.String.is_infix ~affix:"Hashtbl.add" d.Lint.d_message)
-  | _ -> Alcotest.fail "expected exactly one diagnostic"
-
 let test_ownership_lock_leak () =
   check_triples "lock without unlock"
     [ ("ownership", 4, 2) ]
@@ -79,8 +70,8 @@ let test_clean_file_with_used_allow () =
 
 let test_corpus_walk () =
   let res = run [ "lint_fixtures" ] in
-  Alcotest.(check int) "files walked" 7 res.Dlint.files_scanned;
-  Alcotest.(check int) "all seeded findings" 15
+  Alcotest.(check int) "files walked" 6 res.Dlint.files_scanned;
+  Alcotest.(check int) "all seeded findings" 14
     (List.length res.Dlint.diagnostics)
 
 let test_only_selects_one_pass () =
@@ -127,8 +118,6 @@ let () =
         [
           Alcotest.test_case "determinism" `Quick test_determinism_fixture;
           Alcotest.test_case "globals" `Quick test_globals_fixture;
-          Alcotest.test_case "ownership: borrow escape" `Quick
-            test_ownership_borrow_escape;
           Alcotest.test_case "ownership: lock leak" `Quick
             test_ownership_lock_leak;
           Alcotest.test_case "hygiene: stale allow" `Quick

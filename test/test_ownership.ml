@@ -3,7 +3,6 @@
    never corrupt the automaton. *)
 
 module B = Drust_ownership.Borrow_state
-module Own = Drust_ownership.Own
 
 let violates kind f =
   try
@@ -122,137 +121,6 @@ let prop_automaton_consistent =
          | B.Mut_borrowed -> !muts = 1 && !imms = 0
          | B.Dead -> false))
 
-(* Cross-check promised in own.mli: drive the typed [Own] API and a bare
-   [Borrow_state] automaton with the same seeded random op sequence and
-   assert they accept/reject identically and agree on the resulting
-   state at every step. *)
-let test_own_matches_automaton () =
-  let outcome f = try Ok (f ()) with B.Violation v -> Error v.kind in
-  let kind_str = function
-    | Ok () -> "ok"
-    | Error k -> Format.asprintf "%a" B.pp_violation_kind k
-  in
-  let run_seed seed =
-    let rng = Drust_util.Rng.create ~seed in
-    let o = ref (Own.own 0) in
-    let s = B.create () in
-    let imms = ref [] and muts = ref [] in
-    for step = 1 to 400 do
-      let op = Drust_util.Rng.int rng 8 in
-      let own_out, auto_out =
-        match op with
-        | 0 ->
-            ( outcome (fun () -> imms := Own.borrow !o :: !imms),
-              outcome (fun () -> B.borrow_imm s ~context:"x") )
-        | 1 -> (
-            match !imms with
-            | [] -> (Ok (), Ok ())
-            | r :: tl ->
-                ( outcome (fun () ->
-                      Own.drop_ref r;
-                      imms := tl),
-                  outcome (fun () -> B.return_imm s ~context:"x") ))
-        | 2 ->
-            ( outcome (fun () -> muts := Own.borrow_mut !o :: !muts),
-              outcome (fun () -> B.borrow_mut s ~context:"x") )
-        | 3 -> (
-            match !muts with
-            | [] -> (Ok (), Ok ())
-            | m :: tl ->
-                ( outcome (fun () ->
-                      Own.drop_mut m;
-                      muts := tl),
-                  outcome (fun () -> B.return_mut s ~context:"x") ))
-        | 4 ->
-            ( outcome (fun () -> ignore (Own.owner_read !o)),
-              outcome (fun () -> B.assert_owner_readable s ~context:"x") )
-        | 5 ->
-            ( outcome (fun () -> Own.owner_write !o step),
-              outcome (fun () -> B.assert_owner_usable s ~context:"x") )
-        | 6 ->
-            ( outcome (fun () -> o := Own.transfer !o),
-              outcome (fun () -> B.transfer s ~context:"x") )
-        | _ ->
-            ( outcome (fun () -> Own.drop_owner !o),
-              outcome (fun () -> B.kill s ~context:"x") )
-      in
-      Alcotest.(check string)
-        (Printf.sprintf "seed %d step %d (op %d) outcome" seed step op)
-        (kind_str auto_out) (kind_str own_out);
-      Alcotest.(check string)
-        (Printf.sprintf "seed %d step %d (op %d) state" seed step op)
-        (Format.asprintf "%a" B.pp_state (B.state s))
-        (Format.asprintf "%a" B.pp_state (Own.state !o))
-    done
-  in
-  List.iter run_seed [ 1; 2; 3; 42; 1337 ]
-
-(* ------------------------------------------------------------------ *)
-(* Own: the typed single-machine API (the paper's Listing 1) *)
-
-let test_own_accumulator_listing1 () =
-  (* Mirrors Listing 1: an accumulator, one mutable borrow, then two
-     immutable borrows feeding two adds. *)
-  let b = Own.own 0 in
-  let mutr = Own.borrow_mut b in
-  Own.write mutr 10;
-  Own.drop_mut mutr;
-  let acc = Own.own 5 in
-  let r1 = Own.borrow b and r2 = Own.borrow b in
-  Own.owner_write acc (Own.owner_read acc + Own.read r1);
-  (* owner_write during an outstanding immutable borrow of b is fine —
-     acc and b are different objects. *)
-  Own.owner_write acc (Own.owner_read acc + Own.read r2);
-  Own.drop_ref r1;
-  Own.drop_ref r2;
-  Alcotest.(check int) "5+10+10" 25 (Own.owner_read acc)
-
-let test_own_borrow_conflicts () =
-  let o = Own.own "v" in
-  let m = Own.borrow_mut o in
-  Alcotest.(check bool) "no imm during mut" true
-    (violates B.Imm_while_mut_borrowed (fun () -> ignore (Own.borrow o)));
-  Own.drop_mut m;
-  let r = Own.borrow o in
-  Alcotest.(check bool) "no mut during imm" true
-    (violates B.Mut_while_borrowed (fun () -> ignore (Own.borrow_mut o)));
-  Own.drop_ref r
-
-let test_own_transfer_invalidates () =
-  let o = Own.own 1 in
-  let o' = Own.transfer o in
-  Alcotest.(check int) "new owner reads" 1 (Own.owner_read o');
-  Alcotest.(check bool) "old owner dead" true
-    (violates B.Use_after_death (fun () -> ignore (Own.owner_read o)))
-
-let test_own_drop_then_use () =
-  let o = Own.own 1 in
-  Own.drop_owner o;
-  Alcotest.(check bool) "use after drop" true
-    (violates B.Use_after_death (fun () -> ignore (Own.owner_read o)))
-
-let test_own_ref_use_after_drop () =
-  let o = Own.own 3 in
-  let r = Own.borrow o in
-  Own.drop_ref r;
-  Alcotest.(check bool) "ref dead" true
-    (violates B.Use_after_death (fun () -> ignore (Own.read r)))
-
-let test_own_scoped_helpers () =
-  let o = Own.own 10 in
-  let doubled = Own.with_borrow o (fun v -> v * 2) in
-  Alcotest.(check int) "scoped read" 20 doubled;
-  Own.with_borrow_mut o (fun v -> (v + 1, ()));
-  Alcotest.(check int) "scoped write" 11 (Own.owner_read o);
-  Alcotest.(check bool) "owned after scopes" true (Own.state o = B.Owned)
-
-let test_own_scoped_releases_on_exception () =
-  let o = Own.own 1 in
-  (try Own.with_borrow o (fun _ -> failwith "inner") with Failure _ -> ());
-  Alcotest.(check bool) "released" true (Own.state o = B.Owned);
-  (try Own.with_borrow_mut o (fun _ -> failwith "inner") with Failure _ -> ());
-  Alcotest.(check bool) "released after mut" true (Own.state o = B.Owned)
-
 let () =
   Alcotest.run "ownership"
     [
@@ -267,18 +135,5 @@ let () =
           Alcotest.test_case "unbalanced returns" `Quick test_unbalanced_returns;
           Alcotest.test_case "owner access during share" `Quick test_owner_read_during_share;
           QCheck_alcotest.to_alcotest prop_automaton_consistent;
-        ] );
-      ( "own",
-        [
-          Alcotest.test_case "accumulator (Listing 1)" `Quick test_own_accumulator_listing1;
-          Alcotest.test_case "borrow conflicts" `Quick test_own_borrow_conflicts;
-          Alcotest.test_case "transfer invalidates" `Quick test_own_transfer_invalidates;
-          Alcotest.test_case "drop then use" `Quick test_own_drop_then_use;
-          Alcotest.test_case "ref use after drop" `Quick test_own_ref_use_after_drop;
-          Alcotest.test_case "scoped helpers" `Quick test_own_scoped_helpers;
-          Alcotest.test_case "scoped releases on exception" `Quick
-            test_own_scoped_releases_on_exception;
-          Alcotest.test_case "seeded cross-check vs Borrow_state" `Quick
-            test_own_matches_automaton;
         ] );
     ]

@@ -239,6 +239,43 @@ let test_drop_owner_frees () =
            false
          with B.Violation _ -> true))
 
+(* Every owner entry point, called on a dropped owner, raises the one
+   violation the borrow automaton raises for a dead owner: kind
+   Use_after_death, state Dead, and the entry point's own name. *)
+let test_dropped_owner_matrix () =
+  in_cluster (fun cluster ->
+      let ctx = ctx_on cluster 0 in
+      let live = P.create ctx ~size:64 (pack 0) in
+      let dead = P.create ctx ~size:64 (pack 1) in
+      P.drop_owner ctx dead;
+      let raises what context f =
+        match f () with
+        | () -> Alcotest.failf "%s on a dropped owner did not raise" what
+        | exception B.Violation v ->
+            Alcotest.(check bool) (what ^ ": use after death") true
+              (v.kind = B.Use_after_death);
+            Alcotest.(check bool) (what ^ ": state Dead") true (v.state = B.Dead);
+            Alcotest.(check string) (what ^ ": context") context v.context
+      in
+      raises "borrow_imm" "Protocol.borrow_imm" (fun () ->
+          ignore (P.borrow_imm ctx dead));
+      raises "borrow_mut" "Protocol.borrow_mut" (fun () ->
+          ignore (P.borrow_mut ctx dead));
+      raises "owner_read" "Protocol.owner_read" (fun () ->
+          ignore (P.owner_read ctx dead));
+      raises "owner_write" "Protocol.owner_write" (fun () ->
+          P.owner_write ctx dead (pack 2));
+      raises "owner_modify" "Protocol.owner_modify" (fun () ->
+          P.owner_modify ctx dead Fun.id);
+      raises "transfer" "Protocol.transfer" (fun () ->
+          P.transfer ctx dead ~to_node:1);
+      raises "drop_owner" "Protocol.drop_owner" (fun () -> P.drop_owner ctx dead);
+      raises "tie (dead parent)" "Protocol.tie" (fun () ->
+          P.tie ctx ~parent:dead ~child:live);
+      raises "tie (dead child)" "Protocol.tie" (fun () ->
+          P.tie ctx ~parent:live ~child:dead);
+      raises "pin" "Protocol.pin" (fun () -> P.pin ctx dead))
+
 let test_dealloc_invalidates_remote_caches () =
   in_cluster (fun cluster ->
       let ctx0 = ctx_on cluster 0 in
@@ -635,6 +672,7 @@ let () =
           Alcotest.test_case "transfer while borrowed" `Quick
             test_transfer_while_borrowed_rejected;
           Alcotest.test_case "drop frees" `Quick test_drop_owner_frees;
+          Alcotest.test_case "dropped owner raises" `Quick test_dropped_owner_matrix;
           Alcotest.test_case "dealloc invalidates caches" `Quick
             test_dealloc_invalidates_remote_caches;
           Alcotest.test_case "clone starts null" `Quick test_clone_imm_starts_null;

@@ -1,5 +1,5 @@
 (* Documentation and interface consistency checker, run by the @docs
-   alias (a dep of @runtest, so stale docs fail the build).  Twelve
+   alias (a dep of @runtest, so stale docs fail the build).  Thirteen
    checks:
 
    1. every relative .md link in docs/README.md (the index) resolves,
@@ -16,18 +16,16 @@
    5. docs/BENCHMARKS.md names the summary schema version this build
       writes ([Report.schema_version]), so a schema bump cannot ship
       without its documentation;
-   6. docs/PERFORMANCE.md (the host-side engine guide) exists, is
-      linked from the index, and also names the current schema version
-      — its host-time-gate section describes the `host_ms` column, so
-      it must track schema bumps too;
+   6. docs/PERFORMANCE.md (the host-side engine guide) exists and also
+      names the current schema version — its host-time-gate section
+      describes the `host_ms` column, so it must track schema bumps too;
    7. the DLint pass catalogue in docs/LINTS.md and the registry
       ([Dlint.pass_names]) agree in both directions: every registered
       pass is catalogued, and every pass id the catalogue's table names
       is registered;
    8. the SimPlan schema table in docs/SIMPLAN.md and the codec
-      ([Simplan.field_names]) agree in both directions: every JSON
-      field the codec reads or writes is documented, and every field
-      the table's rows open with exists in the codec;
+      ([Simplan.field_names]) agree in both directions, and the doc
+      names the plan envelope's schema tag ([Simplan.plan_schema]);
    9. the flight-dump schema tables in docs/FORENSICS.md and the codec
       ([Flight.field_names]) agree in both directions, and the doc
       names the dump schema tag ([Flight.schema]);
@@ -41,7 +39,16 @@
   12. every optional parameter a lib/ .mli declares ([?label:]) is
       passed, as [~label] or [?label], by some application in a .ml of
       lib/, bench/, bin/, perfbench/, examples/ or test/ other than its
-      own implementation: an option no caller sets is a constant. *)
+      own implementation: an option no caller sets is a constant;
+  13. every value a lib/ .mli exports (nested [module M : sig]s
+      included) is referenced from some .ml of lib/, bench/, bin/,
+      perfbench/, examples/, test/ or tools/ other than its own
+      implementation — as [M.name], as [X.name] through a
+      [module X = ...M] alias, or unqualified in a file that opens [M]:
+      an export nothing calls is dead interface.
+
+   A missing catalogue doc fails its check; whether a doc is linked
+   from the index is check 1's business alone. *)
 
 let errors = ref []
 let err fmt = Printf.ksprintf (fun m -> errors := m :: !errors) fmt
@@ -107,7 +114,63 @@ let check_paths_in doc =
     done
   with Not_found -> ()
 
-(* --- 3: the metrics catalogue ------------------------------------- *)
+(* --- 3, 4, 7, 8, 9: catalogues ---------------------------------------- *)
+
+let mentions text s =
+  try
+    ignore (Str.search_forward (Str.regexp_string s) text 0);
+    true
+  with Not_found -> false
+
+(* Group 1 of every match of [re] in [text], in order. *)
+let tokens re text =
+  let rec go pos acc =
+    match Str.search_forward re text pos with
+    | start -> go (start + 1) (Str.matched_group 1 text :: acc)
+    | exception Not_found -> List.rev acc
+  in
+  go 0 []
+
+(* A doc catalogue and its code-side [names] agree in both directions:
+   every name is quoted in [doc] (as "| `name`", a table row's leading
+   cell, when [row]), and every token [token_re] finds in [doc] — those
+   starting with one of [prefixes] when it is non-empty, [skip] words
+   (table headers) aside — is one of [known] (default [names]). *)
+let check_catalogue ~doc ~what ~source ~names ?(known = names) ?(row = false)
+    ?(prefixes = []) ?(skip = []) token_re =
+  if not (Sys.file_exists doc) then
+    err "%s is missing (the %s catalogue)" doc what
+  else begin
+    let text = read_file doc in
+    List.iter
+      (fun name ->
+        let quoted = (if row then "| `" else "`") ^ name ^ "`" in
+        if not (mentions text quoted) then
+          err "%s %s is defined in %s but missing from %s" what name source doc)
+      names;
+    List.iter
+      (fun token ->
+        if
+          (prefixes = []
+          || List.exists
+               (fun p ->
+                 String.length token > String.length p
+                 && String.starts_with ~prefix:p token)
+               prefixes)
+          && (not (List.mem token skip))
+          && not (List.mem token known)
+        then
+          err "%s documents %s %s, which %s does not define" doc what token
+            source)
+      (tokens token_re text)
+  end
+
+(* A doc states a schema tag the code writes, so a bump cannot ship
+   without its documentation. *)
+let names_schema doc what tag =
+  if not (Sys.file_exists doc) then err "%s is missing" doc
+  else if not (mentions (read_file doc) tag) then
+    err "%s does not name the current %s %S" doc what tag
 
 (* Materialize every registration site: cluster creation registers the
    fabric and cache instruments, a protocol-stats read registers the
@@ -127,274 +190,58 @@ let registered_names () =
   Drust_check.Dsan.detach dsan;
   Drust_obs.Metrics.names (Drust_machine.Cluster.metrics cluster)
 
+(* A backticked `layer.metric` token; tokens with an uppercase letter or
+   a path-ish shape never match. *)
 let catalogue_name_re = Str.regexp {|`\([a-z_]+\.[a-z_]+\)`|}
 
-let check_catalogue () =
-  let doc = "docs/OBSERVABILITY.md" in
-  let text = read_file doc in
+(* A table row opens with the backticked name: "| `determinism` | ...".
+   Only those leading cells are names; backticked tokens elsewhere in
+   the doc are prose.  The flight dump's single-letter payload fields
+   (t/a/b/c/d) match too. *)
+let row_re = Str.regexp {re|^| `\([a-z0-9_]+\)` ||re}
+
+let check_catalogues () =
   let registered = registered_names () in
-  List.iter
-    (fun name ->
-      let quoted = "`" ^ name ^ "`" in
-      let found =
-        try
-          ignore (Str.search_forward (Str.regexp_string quoted) text 0);
-          true
-        with Not_found -> false
-      in
-      if not found then
-        err "metric %s is registered but missing from %s" name doc)
-    registered;
-  (* Reverse direction: every backtick-quoted layer.metric token in the
-     doc must be a registered name (catch typos / renames).  Tokens with
-     an uppercase letter or a path-ish shape never match the regex. *)
-  let pos = ref 0 in
-  (try
-     while true do
-       pos := Str.search_forward catalogue_name_re text !pos + 1;
-       let name = Str.matched_group 1 text in
-       (* `layer.*` wildcards and non-metric dotted tokens (module or
-          file references) are skipped via an allowlist of prefixes. *)
-       let is_metric_prefix =
-         List.exists
-           (fun p -> String.length name > String.length p
-                     && String.sub name 0 (String.length p) = p)
-           [ "fabric."; "cache."; "protocol."; "controller."; "dsan.";
-             "flight." ]
-       in
-       if is_metric_prefix && not (List.mem name registered) then
-         err "%s documents metric %s, which is not registered" doc name
-     done
-   with Not_found -> ())
-
-(* --- 4: the DSan invariant catalogue ------------------------------ *)
-
-let check_sanitizer_catalogue () =
-  let doc = "docs/SANITIZER.md" in
-  let text = read_file doc in
+  (* 3: the metrics catalogue.  Non-metric dotted tokens (module or
+     file references) fall outside the prefix allowlist. *)
+  check_catalogue ~doc:"docs/OBSERVABILITY.md" ~what:"metric"
+    ~source:"the cluster registry" ~names:registered
+    ~prefixes:
+      [ "fabric."; "cache."; "protocol."; "controller."; "dsan."; "flight." ]
+    catalogue_name_re;
+  (* 4: the DSan invariant catalogue; its dsan.* tokens may also name
+     the sanitizer's own metrics. *)
   let invariants = Drust_check.Dsan.invariant_names in
-  let metric_names =
-    List.filter
-      (fun n -> String.length n > 5 && String.sub n 0 5 = "dsan.")
-      (registered_names ())
-  in
-  (* Every invariant the sanitizer can report must be catalogued. *)
-  List.iter
-    (fun name ->
-      let quoted = "`" ^ name ^ "`" in
-      let found =
-        try
-          ignore (Str.search_forward (Str.regexp_string quoted) text 0);
-          true
-        with Not_found -> false
-      in
-      if not found then
-        err "invariant %s is checked by lib/check/dsan.ml but missing from %s"
-          name doc)
-    invariants;
-  (* Reverse direction: every backtick-quoted dsan.* token in the doc is
-     either a checkable invariant or a registered dsan metric. *)
-  let pos = ref 0 in
-  try
-    while true do
-      pos := Str.search_forward catalogue_name_re text !pos + 1;
-      let name = Str.matched_group 1 text in
-      if
-        String.length name > 5
-        && String.sub name 0 5 = "dsan."
-        && (not (List.mem name invariants))
-        && not (List.mem name metric_names)
-      then
-        err "%s documents %s, which is neither a DSan invariant nor a metric"
-          doc name
-    done
-  with Not_found -> ()
+  check_catalogue ~doc:"docs/SANITIZER.md" ~what:"DSan invariant"
+    ~source:"lib/check/dsan.ml" ~names:invariants
+    ~known:
+      (invariants
+      @ List.filter (String.starts_with ~prefix:"dsan.") registered)
+    ~prefixes:[ "dsan." ] catalogue_name_re;
+  (* 7: the DLint pass catalogue. *)
+  check_catalogue ~doc:"docs/LINTS.md" ~what:"lint pass"
+    ~source:"lib/lint/dlint.ml" ~names:Drust_lint.Dlint.pass_names
+    ~skip:[ "pass" ] row_re;
+  (* 8: the SimPlan schema table. *)
+  check_catalogue ~doc:"docs/SIMPLAN.md" ~what:"plan field"
+    ~source:"lib/plan/simplan.ml" ~names:Drust_plan.Simplan.field_names
+    ~row:true ~skip:[ "field" ] row_re;
+  names_schema "docs/SIMPLAN.md" "plan envelope schema"
+    Drust_plan.Simplan.plan_schema;
+  (* 9: the flight-dump schema tables. *)
+  check_catalogue ~doc:"docs/FORENSICS.md" ~what:"dump field"
+    ~source:"lib/obs/flight.ml" ~names:Drust_obs.Flight.field_names
+    ~row:true ~skip:[ "field" ] row_re;
+  names_schema "docs/FORENSICS.md" "dump schema" Drust_obs.Flight.schema
 
-(* --- 5: the benchmark summary schema ------------------------------ *)
+(* --- 5, 6: the benchmark summary schema ----------------------------- *)
 
-let names_schema_version doc =
-  let text = read_file doc in
+(* The performance guide documents the host_ms column of the summary,
+   so it tracks schema bumps too. *)
+let check_bench_schema () =
   let version = Drust_experiments.Report.schema_version in
-  let found =
-    try
-      ignore (Str.search_forward (Str.regexp_string version) text 0);
-      true
-    with Not_found -> false
-  in
-  if not found then
-    err "%s does not document the current summary schema %S (bumped in \
-         lib/experiments/report.ml?)"
-      doc version
-
-let check_bench_schema () = names_schema_version "docs/BENCHMARKS.md"
-
-(* --- 6: the performance guide ------------------------------------- *)
-
-let check_performance_guide () =
-  let doc = "docs/PERFORMANCE.md" in
-  if not (Sys.file_exists doc) then
-    err "%s is missing (the engine internals / host-time guide)" doc
-  else begin
-    let index = read_file "docs/README.md" in
-    let linked =
-      try
-        ignore (Str.search_forward (Str.regexp_string "PERFORMANCE.md") index 0);
-        true
-      with Not_found -> false
-    in
-    if not linked then
-      err "docs/README.md does not link to %s" doc;
-    (* The guide documents the host_ms column of the summary, so it must
-       name the schema version that carries it. *)
-    names_schema_version doc
-  end
-
-(* --- 7: the DLint pass catalogue ----------------------------------- *)
-
-(* A catalogue row opens with the backtick-quoted pass id:
-   "| `determinism` | ...".  Only those leading cells are treated as
-   pass ids; backticked tokens elsewhere in the doc (module names,
-   metric names) are prose. *)
-let lint_row_re = Str.regexp {re|^| `\([a-z_]+\)` ||re}
-
-let check_lint_catalogue () =
-  let doc = "docs/LINTS.md" in
-  if not (Sys.file_exists doc) then
-    err "%s is missing (the DLint pass catalogue)" doc
-  else begin
-    let index = read_file "docs/README.md" in
-    (try ignore (Str.search_forward (Str.regexp_string "LINTS.md") index 0)
-     with Not_found -> err "docs/README.md does not link to %s" doc);
-    let text = read_file doc in
-    let registered = Drust_lint.Dlint.pass_names in
-    (* Forward: every registered pass appears in the catalogue. *)
-    List.iter
-      (fun name ->
-        let quoted = "`" ^ name ^ "`" in
-        let found =
-          try
-            ignore (Str.search_forward (Str.regexp_string quoted) text 0);
-            true
-          with Not_found -> false
-        in
-        if not found then
-          err "lint pass %s is registered in lib/lint/dlint.ml but missing \
-               from %s"
-            name doc)
-      registered;
-    (* Reverse: every pass id the catalogue's table opens a row with is
-       actually registered. *)
-    let pos = ref 0 in
-    try
-      while true do
-        pos := Str.search_forward lint_row_re text !pos + 1;
-        let name = Str.matched_group 1 text in
-        if name <> "pass" && not (List.mem name registered) then
-          err "%s catalogues lint pass %s, which is not registered" doc name
-      done
-    with Not_found -> ()
-  end
-
-(* --- 8: the SimPlan schema table ----------------------------------- *)
-
-(* A schema-table row opens with the backtick-quoted field name:
-   "| `nodes` | ...".  Only those leading cells are field names;
-   backticked tokens elsewhere in the doc are prose. *)
-let plan_row_re = Str.regexp {re|^| `\([a-z0-9_]+\)` ||re}
-
-let check_simplan_schema () =
-  let doc = "docs/SIMPLAN.md" in
-  if not (Sys.file_exists doc) then
-    err "%s is missing (the SimPlan schema and replay guide)" doc
-  else begin
-    let index = read_file "docs/README.md" in
-    (try ignore (Str.search_forward (Str.regexp_string "SIMPLAN.md") index 0)
-     with Not_found -> err "docs/README.md does not link to %s" doc);
-    let text = read_file doc in
-    let fields = Drust_plan.Simplan.field_names in
-    (* Forward: every codec field has a schema-table row. *)
-    List.iter
-      (fun name ->
-        let quoted = "| `" ^ name ^ "`" in
-        let found =
-          try
-            ignore (Str.search_forward (Str.regexp_string quoted) text 0);
-            true
-          with Not_found -> false
-        in
-        if not found then
-          err "plan field %s is read/written by lib/plan/simplan.ml but has \
-               no schema-table row in %s"
-            name doc)
-      fields;
-    (* Reverse: every field a schema-table row opens with is a codec
-       field. *)
-    let pos = ref 0 in
-    (try
-       while true do
-         pos := Str.search_forward plan_row_re text !pos + 1;
-         let name = Str.matched_group 1 text in
-         if name <> "field" && not (List.mem name fields) then
-           err "%s documents plan field %s, which the codec does not read or \
-                write"
-             doc name
-       done
-     with Not_found -> ());
-    (* The doc also states the plan envelope's own schema tag. *)
-    let tag = Drust_plan.Simplan.plan_schema in
-    (try ignore (Str.search_forward (Str.regexp_string tag) text 0)
-     with Not_found ->
-       err "%s does not name the plan envelope schema %S" doc tag)
-  end
-
-(* --- 9: the flight-dump schema tables ------------------------------ *)
-
-(* Same row shape as check 8: a schema-table row opens with the
-   backtick-quoted field name ("| `reason` | ...").  The single-letter
-   payload fields (t/a/b/c/d) match the same regex. *)
-let check_flight_schema () =
-  let doc = "docs/FORENSICS.md" in
-  if not (Sys.file_exists doc) then
-    err "%s is missing (the flight-recorder / post-mortem guide)" doc
-  else begin
-    let index = read_file "docs/README.md" in
-    (try ignore (Str.search_forward (Str.regexp_string "FORENSICS.md") index 0)
-     with Not_found -> err "docs/README.md does not link to %s" doc);
-    let text = read_file doc in
-    let fields = Drust_obs.Flight.field_names in
-    (* Forward: every codec field has a schema-table row. *)
-    List.iter
-      (fun name ->
-        let quoted = "| `" ^ name ^ "`" in
-        let found =
-          try
-            ignore (Str.search_forward (Str.regexp_string quoted) text 0);
-            true
-          with Not_found -> false
-        in
-        if not found then
-          err "dump field %s is read/written by lib/obs/flight.ml but has \
-               no schema-table row in %s"
-            name doc)
-      fields;
-    (* Reverse: every field a schema-table row opens with is a codec
-       field. *)
-    let pos = ref 0 in
-    (try
-       while true do
-         pos := Str.search_forward plan_row_re text !pos + 1;
-         let name = Str.matched_group 1 text in
-         if name <> "field" && not (List.mem name fields) then
-           err "%s documents dump field %s, which the flight codec does not \
-                read or write"
-             doc name
-       done
-     with Not_found -> ());
-    (* The doc also states the dump's own schema tag. *)
-    let tag = Drust_obs.Flight.schema in
-    try ignore (Str.search_forward (Str.regexp_string tag) text 0)
-    with Not_found -> err "%s does not name the dump schema %S" doc tag
-  end
+  names_schema "docs/BENCHMARKS.md" "summary schema" version;
+  names_schema "docs/PERFORMANCE.md" "summary schema" version
 
 (* --- 10: the layer map's key modules -------------------------------- *)
 
@@ -458,13 +305,7 @@ let check_layer_map () =
 let check_baseline_documented () =
   let doc = "docs/BENCHMARKS.md" and baseline = "bench/BENCH_baseline.json" in
   let module Json = Drust_util.Json in
-  let text = read_file doc in
-  let names s =
-    try
-      ignore (Str.search_forward (Str.regexp_string s) text 0);
-      true
-    with Not_found -> false
-  in
+  let names = mentions (read_file doc) in
   let rec keys = function
     | Json.Obj fields ->
         List.concat_map (fun (k, v) -> k :: keys v) fields
@@ -494,14 +335,40 @@ let check_baseline_documented () =
     (List.sort_uniq String.compare
        (List.concat_map (fun (_, e) -> keys e) entries))
 
-(* --- 12: every declared optional parameter is passed --------------- *)
+(* --- 12, 13: every declared optional parameter and value is used ----- *)
 
-let optional_label_re = Str.regexp {|?\([a-z_0-9]+\):|}
+(* What one .ml uses of other modules: the labels (~l and ?l alike) of
+   every argument it applies; every [M.name] it references, with [M] the
+   innermost module of the path after resolving the file's
+   [module X = ...M] aliases; the modules it opens ([open M],
+   [let open M], [M.( ... )]); and its unqualified identifiers.  A file
+   that does not parse (a lint fixture) uses nothing. *)
+type uses = {
+  labels : string list;
+  qualified : (string * string) list;
+  opened : string list;
+  bare : string list;
+}
 
-(* The labels (~l and ?l alike) of every argument applied in [path];
-   a file that does not parse (a lint fixture) passes none. *)
-let passed_labels path =
-  let labels = ref [] in
+let uses path =
+  let labels = ref [] and qualified = ref [] and opened = ref [] in
+  let bare = ref [] and aliases = Hashtbl.create 16 in
+  let rec modname = function
+    | Longident.Lident m -> Option.value (Hashtbl.find_opt aliases m) ~default:m
+    | Longident.Ldot (_, m) -> m
+    | Longident.Lapply (_, arg) -> modname arg
+  in
+  let alias x (me : Parsetree.module_expr) =
+    match (x, me.Parsetree.pmod_desc) with
+    | Some x, Parsetree.Pmod_ident { txt; _ } ->
+        Hashtbl.replace aliases x (modname txt)
+    | _ -> ()
+  in
+  let open_ (od : Parsetree.open_declaration) =
+    match od.Parsetree.popen_expr.Parsetree.pmod_desc with
+    | Parsetree.Pmod_ident { txt; _ } -> opened := modname txt :: !opened
+    | _ -> ()
+  in
   let expr (it : Ast_iterator.iterator) (e : Parsetree.expression) =
     (match e.Parsetree.pexp_desc with
     | Parsetree.Pexp_apply (_, args) ->
@@ -511,21 +378,44 @@ let passed_labels path =
                 labels := l :: !labels
             | Asttypes.Nolabel, _ -> ())
           args
+    | Parsetree.Pexp_ident { txt = Longident.Ldot (m, name); _ } ->
+        qualified := (modname m, name) :: !qualified
+    | Parsetree.Pexp_ident { txt = Longident.Lident name; _ } ->
+        bare := name :: !bare
+    | Parsetree.Pexp_open (od, _) -> open_ od
+    | Parsetree.Pexp_letmodule ({ txt; _ }, me, _) -> alias txt me
     | _ -> ());
     Ast_iterator.default_iterator.expr it e
   in
-  let it = { Ast_iterator.default_iterator with expr } in
+  let structure_item (it : Ast_iterator.iterator) (si : Parsetree.structure_item)
+      =
+    (match si.Parsetree.pstr_desc with
+    | Parsetree.Pstr_open od -> open_ od
+    | Parsetree.Pstr_module { pmb_name = { txt; _ }; pmb_expr; _ } ->
+        alias txt pmb_expr
+    | _ -> ());
+    Ast_iterator.default_iterator.structure_item it si
+  in
+  let it = { Ast_iterator.default_iterator with expr; structure_item } in
   (match Drust_lint.Lint.parse_file path with
   | Ok structure -> it.structure it structure
   | Error _ -> ());
-  List.sort_uniq String.compare !labels
+  let uniq l = List.sort_uniq compare l in
+  {
+    labels = uniq !labels;
+    qualified = uniq !qualified;
+    opened = uniq !opened;
+    bare = uniq !bare;
+  }
 
-let check_optionals_passed () =
-  let ml_files =
-    List.concat_map Drust_lint.Lint.ml_files
-      [ "lib"; "bench"; "bin"; "perfbench"; "examples"; "test" ]
+let optional_label_re = Str.regexp {|?\([a-z_0-9]+\):|}
+
+(* 12: an option no caller sets is a constant.  tools/ is not searched:
+   a checker passing a label is not a caller choosing a value. *)
+let check_optionals_passed files =
+  let passed =
+    List.filter (fun (ml, _) -> not (String.starts_with ~prefix:"tools/" ml)) files
   in
-  let passed = List.map (fun ml -> (ml, passed_labels ml)) ml_files in
   List.iter
     (fun own ->
       let mli = own ^ "i" in
@@ -540,12 +430,57 @@ let check_optionals_passed () =
           if
             not
               (List.exists
-                 (fun (ml, labels) -> ml <> own && List.mem label labels)
+                 (fun (ml, u) -> ml <> own && List.mem label u.labels)
                  passed)
           then
             err "%s declares ?%s:, which no .ml outside %s passes" mli label
               own)
         (declared 0 []))
+    (Drust_lint.Lint.ml_files "lib")
+
+(* The values a lib/ .mli exports, as (module, name): top-level ones
+   under the file's module, those of a nested [module M : sig ... end]
+   under [M]. *)
+let exported mli =
+  let lexbuf = Lexing.from_string (read_file mli) in
+  Location.init lexbuf mli;
+  let rec values m items =
+    List.concat_map
+      (fun (item : Parsetree.signature_item) ->
+        match item.Parsetree.psig_desc with
+        | Parsetree.Psig_value vd -> [ (m, vd.Parsetree.pval_name.txt) ]
+        | Parsetree.Psig_module
+            {
+              pmd_name = { txt = Some sub; _ };
+              pmd_type = { pmty_desc = Parsetree.Pmty_signature items; _ };
+              _;
+            } ->
+            values sub items
+        | _ -> [])
+      items
+  in
+  values
+    (String.capitalize_ascii (Filename.remove_extension (Filename.basename mli)))
+    (Parse.interface lexbuf)
+
+(* 13: an export nothing outside its own implementation calls is dead
+   interface. *)
+let check_exports_used files =
+  List.iter
+    (fun own ->
+      let mli = own ^ "i" in
+      if Sys.file_exists mli then
+        List.iter
+          (fun (m, name) ->
+            let used (ml, u) =
+              ml <> own
+              && (List.mem (m, name) u.qualified
+                 || (List.mem m u.opened && List.mem name u.bare))
+            in
+            if not (List.exists used files) then
+              err "%s exports %s.%s, which no .ml outside %s references" mli m
+                name own)
+          (exported mli))
     (Drust_lint.Lint.ml_files "lib")
 
 let () =
@@ -554,16 +489,17 @@ let () =
     (fun f -> check_paths_in (Filename.concat "docs" f))
     (docs_files ());
   List.iter check_paths_in [ "README.md"; "DESIGN.md"; "EXPERIMENTS.md" ];
-  check_catalogue ();
-  check_sanitizer_catalogue ();
+  check_catalogues ();
   check_bench_schema ();
-  check_performance_guide ();
-  check_lint_catalogue ();
-  check_simplan_schema ();
-  check_flight_schema ();
   check_layer_map ();
   check_baseline_documented ();
-  check_optionals_passed ();
+  let files =
+    List.concat_map Drust_lint.Lint.ml_files
+      [ "lib"; "bench"; "bin"; "perfbench"; "examples"; "test"; "tools" ]
+    |> List.map (fun ml -> (ml, uses ml))
+  in
+  check_optionals_passed files;
+  check_exports_used files;
   match List.rev !errors with
   | [] -> print_endline "docs check: OK"
   | msgs ->
