@@ -4,6 +4,7 @@ module Engine = Drust_sim.Engine
 module Resource = Drust_sim.Resource
 module Fabric = Drust_net.Fabric
 module Univ = Drust_util.Univ
+module Intmap = Drust_util.Intmap
 module Dsm = Drust_dsm.Dsm
 
 (* Protocol software costs, calibrated so an uncached 512 B read costs
@@ -44,9 +45,9 @@ type handle = {
 type t = {
   cluster : Cluster.t;
   block_size : int;
-  directory : (int, block_state ref) Hashtbl.t; (* block id -> state *)
+  directory : block_state ref Intmap.t; (* block id -> state *)
   dir_units : Resource.t array; (* per-node directory engines *)
-  store : (int, Univ.t) Hashtbl.t; (* object id -> current value *)
+  store : Univ.t Intmap.t; (* object id -> current value *)
   bump : int array; (* per-node allocation cursor in bytes *)
   mutable next_oid : int;
   mutable rmisses : int;
@@ -65,11 +66,11 @@ let create ?(block_size = 512) ?(cache_budget = Drust_util.Units.mib 6)
   {
     cluster;
     block_size;
-    directory = Hashtbl.create 4096;
+    directory = Intmap.create ~capacity:4096 ();
     dir_units =
       Array.init (Cluster.node_count cluster) (fun _ ->
           Resource.create (Cluster.engine cluster) ~capacity:4);
-    store = Hashtbl.create 4096;
+    store = Intmap.create ~capacity:4096 ();
     bump = Array.make (Cluster.node_count cluster) 0;
     next_oid = 0;
     rmisses = 0;
@@ -120,7 +121,7 @@ let alloc_on t ctx ~node ~size v =
   Ctx.charge_cycles ctx 150.0;
   let oid = t.next_oid in
   t.next_oid <- oid + 1;
-  Hashtbl.replace t.store oid v;
+  Intmap.set t.store oid v;
   let nodes = Cluster.node_count t.cluster in
   if size >= t.block_size then begin
     (* Align large objects so their blocks are private to them. *)
@@ -162,11 +163,11 @@ let alloc t ctx ~size v = alloc_on t ctx ~node:ctx.Ctx.node ~size v
 let home h = h.obj_home
 
 let state_ref t b =
-  match Hashtbl.find t.directory b with
+  match Intmap.find t.directory b with
   | r -> r
   | exception Not_found ->
       let r = ref Uncached in
-      Hashtbl.replace t.directory b r;
+      Intmap.set t.directory b r;
       r
 
 let distinct (l : int list) = List.sort_uniq Int.compare l
@@ -425,9 +426,9 @@ let read_part t ctx h ~bytes =
 
 let read t ctx h =
   ensure_shared t ctx h;
-  match Hashtbl.find_opt t.store h.oid with
-  | Some v -> v
-  | None -> invalid_arg "Gam.read: freed object"
+  match Intmap.find t.store h.oid with
+  | v -> v
+  | exception Not_found -> invalid_arg "Gam.read: freed object"
 
 let acquire_exclusive t ctx h =
   match h.layout with
@@ -436,19 +437,19 @@ let acquire_exclusive t ctx h =
 
 let write t ctx h v =
   acquire_exclusive t ctx h;
-  Hashtbl.replace t.store h.oid v
+  Intmap.set t.store h.oid v
 
 let update t ctx h f =
   acquire_exclusive t ctx h;
-  match Hashtbl.find_opt t.store h.oid with
-  | Some v -> Hashtbl.replace t.store h.oid (f v)
-  | None -> invalid_arg "Gam.update: freed object"
+  match Intmap.find t.store h.oid with
+  | v -> Intmap.set t.store h.oid (f v)
+  | exception Not_found -> invalid_arg "Gam.update: freed object"
 
 let free t ctx h =
   Ctx.charge_cycles ctx 120.0;
-  Hashtbl.remove t.store h.oid;
+  Intmap.remove t.store h.oid;
   match h.layout with
-  | Small blocks_ -> List.iter (fun b -> Hashtbl.remove t.directory b) blocks_
+  | Small blocks_ -> List.iter (fun b -> Intmap.remove t.directory b) blocks_
   | Big _ -> ()
 
 let read_misses t = t.rmisses

@@ -4,6 +4,7 @@ module Engine = Drust_sim.Engine
 module Resource = Drust_sim.Resource
 module Fabric = Drust_net.Fabric
 module Univ = Drust_util.Univ
+module Intmap = Drust_util.Intmap
 module Dsm = Drust_dsm.Dsm
 
 (* The aggregation delay models Grappa's message batching: a delegation
@@ -25,10 +26,10 @@ type t = {
      eat the timeout — Grappa's characteristic behaviour. *)
   last_send : float array array; (* per (src, dst) pair *)
   gap_ewma : float array array;
-  store : (int, Univ.t) Hashtbl.t;
+  store : Univ.t Intmap.t;
   (* Per-object serialization: Grappa runs delegations for one object on
      one core, so they never interleave. *)
-  object_units : (int, Resource.t) Hashtbl.t;
+  object_units : Resource.t Intmap.t;
   mutable next_oid : int;
   mutable count : int;
 }
@@ -48,8 +49,8 @@ let create cluster =
     gap_ewma =
       Array.init (Cluster.node_count cluster) (fun _ ->
           Array.make (Cluster.node_count cluster) 1e-3);
-    store = Hashtbl.create 4096;
-    object_units = Hashtbl.create 4096;
+    store = Intmap.create ~capacity:4096 ();
+    object_units = Intmap.create ~capacity:4096 ();
     next_oid = 0;
     count = 0;
   }
@@ -80,7 +81,7 @@ let run_at_home t ~home work h x =
    pair's inter-send gap EWMA.  The clamp is [Float.min timeout
    (Float.max 1e-6 x)] written out (NaN included) so no float crosses a
    call boxed. *)
-let aggregation_wait t src dst =
+let[@inline] aggregation_wait t src dst =
   let now = Engine.now (Cluster.engine t.cluster) in
   let gap = now -. t.last_send.(src).(dst) in
   t.last_send.(src).(dst) <- now;
@@ -118,11 +119,11 @@ let delegate t ctx ~home ~req_bytes ~resp_bytes work h x =
   end
 
 let object_unit t oid =
-  match Hashtbl.find t.object_units oid with
+  match Intmap.find t.object_units oid with
   | r -> r
   | exception Not_found ->
       let r = Resource.create (Cluster.engine t.cluster) ~capacity:1 in
-      Hashtbl.replace t.object_units oid r;
+      Intmap.set t.object_units oid r;
       r
 
 (* Run [work t h x] holding [h]'s object unit (Grappa runs delegations
@@ -143,7 +144,7 @@ let alloc_on t ctx ~node ~size v =
   Ctx.charge_cycles ctx 150.0;
   let oid = t.next_oid in
   t.next_oid <- oid + 1;
-  Hashtbl.replace t.store oid v;
+  Intmap.set t.store oid v;
   { oid; obj_home = node; size }
 
 let alloc t ctx ~size v = alloc_on t ctx ~node:ctx.Ctx.node ~size v
@@ -151,7 +152,7 @@ let alloc t ctx ~size v = alloc_on t ctx ~node:ctx.Ctx.node ~size v
 let home h = h.obj_home
 
 let get_value t h =
-  match Hashtbl.find t.store h.oid with
+  match Intmap.find t.store h.oid with
   | v -> v
   | exception Not_found -> invalid_arg "Grappa: freed object"
 
@@ -181,7 +182,7 @@ let process t ctx h ~cycles =
   delegate t ctx ~home:h.obj_home ~req_bytes:64 ~resp_bytes:(min h.size 512)
     serialized_process h cycles
 
-let update_at_home t h f = Hashtbl.replace t.store h.oid (f (get_value t h))
+let update_at_home t h f = Intmap.set t.store h.oid (f (get_value t h))
 
 let process_update_at_home t h (cycles, f) =
   compute_at_home t cycles;
@@ -194,7 +195,7 @@ let process_update t ctx h ~cycles f =
   delegate t ctx ~home:h.obj_home ~req_bytes:96 ~resp_bytes:8
     serialized_process_update h (cycles, f)
 
-let write_at_home t h v = Hashtbl.replace t.store h.oid v
+let write_at_home t h v = Intmap.set t.store h.oid v
 let serialized_write t h v = serialized t h write_at_home v
 
 let write t ctx h v =
@@ -209,8 +210,8 @@ let update t ctx h f =
 
 let free t ctx h =
   Ctx.charge_cycles ctx 60.0;
-  Hashtbl.remove t.store h.oid;
-  Hashtbl.remove t.object_units h.oid
+  Intmap.remove t.store h.oid;
+  Intmap.remove t.object_units h.oid
 
 let delegations t = t.count
 

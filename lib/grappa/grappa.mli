@@ -7,24 +7,13 @@
     aggregator to amortize network overhead, which adds latency.  Under
     skewed load the home cores of popular objects become the bottleneck —
     the delegation queue is explicit here, so that behaviour emerges
-    naturally (the paper's KV-store and DataFrame results). *)
-
-module Ctx = Drust_machine.Ctx
+    naturally (the paper's KV-store and DataFrame results).  Compute
+    ships to the data too: [process] runs its cycles on the object's home
+    core, serialized per object.  Every access goes through {!backend}. *)
 
 type t
 
 val create : Drust_machine.Cluster.t -> t
-
-type handle
-
-val alloc_on : t -> Ctx.t -> node:int -> size:int -> Drust_util.Univ.t -> handle
-val read : t -> Ctx.t -> handle -> Drust_util.Univ.t
-val write : t -> Ctx.t -> handle -> Drust_util.Univ.t -> unit
-val update : t -> Ctx.t -> handle -> (Drust_util.Univ.t -> Drust_util.Univ.t) -> unit
-
-val process : t -> Ctx.t -> handle -> cycles:float -> Drust_util.Univ.t
-(** Ship [cycles] of computation to the object's home core, serialized
-    per object (Grappa's compute-to-data model). *)
 
 val delegations : t -> int
 

@@ -181,4 +181,4 @@ let most_vacant_node t =
   !best
 
 let run t = Engine.run t.engine
-let now t = Engine.now t.engine
+let[@inline] now t = Engine.now t.engine

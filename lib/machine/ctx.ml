@@ -46,11 +46,6 @@ let[@inline] emit t f ev = f ~node:t.node ~thread:t.thread_id ev
 let safe_point t =
   match t.safe_point_hook with None -> () | Some hook -> hook t
 
-(* [Params.cycles_to_seconds], repeated here so the charge and flush
-   paths keep their floats unboxed: a float returned across the module
-   boundary is boxed on every call. *)
-let[@inline] seconds_of p cycles = cycles /. (p.Params.ghz *. 1e9)
-
 (* A span on this thread's node timeline under its current operation,
    or [Span.null] when untraced. *)
 let cpu_span t spans ~category name =
@@ -68,7 +63,7 @@ let flush t =
   let cycles = t.cpu.pending_cycles in
   if cycles > 0.0 then begin
     t.cpu.pending_cycles <- 0.0;
-    let seconds = seconds_of (params t) cycles in
+    let seconds = Params.cycles_to_seconds (params t) cycles in
     let cores = (current_node t).Cluster.cores in
     let spans = Cluster.spans t.cluster in
     let wait = cpu_span t spans ~category:"cpu.queue" "core_wait" in
@@ -85,7 +80,7 @@ let charge_cycles t cycles =
   let pending = t.cpu.pending_cycles +. cycles in
   t.cpu.pending_cycles <- pending;
   let p = params t in
-  if seconds_of p pending >= p.Params.flush_grain then flush t
+  if Params.cycles_to_seconds p pending >= p.Params.flush_grain then flush t
 
 let compute t ~cycles =
   if not (cycles >= 0.0) then invalid_arg "Ctx.compute: negative or NaN";

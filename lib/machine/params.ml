@@ -40,5 +40,5 @@ let fixed_resource t ~total_cores ~total_mem ~nodes =
     mem_per_node = total_mem / nodes;
   }
 
-let cycles_to_seconds t cycles = cycles /. (t.ghz *. 1e9)
+let[@inline] cycles_to_seconds t cycles = cycles /. (t.ghz *. 1e9)
 let seconds_to_cycles t seconds = seconds *. t.ghz *. 1e9

@@ -45,9 +45,6 @@ type t = {
   engine : Engine.t;
   rng : Drust_util.Rng.t;
   model : Model.t;
-  (* [model.jitter], stored boxed in this mixed record so that every
-     jitter draw passes it to [Rng.gaussian] without boxing a copy. *)
-  sigma : float;
   nodes : int;
   metrics : Metrics.t;
   counters : node_counters array;
@@ -93,7 +90,6 @@ let create ~metrics ~spans ~flight ~engine ~rng ~model ~nodes =
     engine;
     rng;
     model;
-    sigma = model.Model.jitter;
     nodes;
     metrics;
     counters = Array.init nodes (register_node metrics);
@@ -248,9 +244,10 @@ type leg = Oneside | Twoside | Atomic | Serialize
    plus the payload's wire time, under multiplicative gaussian jitter
    clamped to [0.5, 2] so a pathological sample is never negative or more
    than double, plus any fault-plan slowdown of the link.  A [Serialize]
-   leg is the jittered wire time alone.  The one boxed float is the
-   result, which [Engine.delay] takes as it is. *)
-let leg_latency t leg ~from ~target ~bytes =
+   leg is the jittered wire time alone.  It is inlined, and so are the
+   jitter draw and [Engine.delay], so no float on the way from the model
+   to the engine's clock is boxed. *)
+let[@inline] leg_latency t leg ~from ~target ~bytes =
   let m = t.model in
   let wire = Float.of_int bytes /. m.Model.bandwidth in
   let raw =
@@ -265,7 +262,7 @@ let leg_latency t leg ~from ~target ~bytes =
   let jittered =
     if m.Model.jitter <= 0.0 then raw
     else
-      let f = Drust_util.Rng.gaussian t.rng ~mu:1.0 ~sigma:t.sigma in
+      let f = Drust_util.Rng.gaussian t.rng ~mu:1.0 ~sigma:m.Model.jitter in
       raw *. (if f < 0.5 then 0.5 else if f > 2.0 then 2.0 else f)
   in
   match (leg, t.fault) with

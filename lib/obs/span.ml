@@ -117,21 +117,23 @@ let note_duration t category dur =
   in
   Hashtbl.replace t.stats category s
 
-let finish t sp =
-  if sp.sp_live then begin
-    sp.sp_live <- false;
-    let d = depth t ~track:sp.sp_track in
-    if d > 0 then Hashtbl.replace t.depths sp.sp_track (d - 1);
-    if t.enabled then begin
-      let dur = t.clock () -. sp.sp_ts in
-      note_duration t sp.sp_cat dur;
-      record t
-        { id = sp.sp_id; parent = sp.sp_parent; name = sp.sp_name;
-          category = sp.sp_cat; track = sp.sp_track; ts = sp.sp_ts; dur;
-          depth = sp.sp_depth; args = sp.sp_args; kind = Complete;
-          flow_out = List.rev sp.sp_flow_out; flow_in = [] }
-    end
+let finish_live t sp =
+  sp.sp_live <- false;
+  let d = depth t ~track:sp.sp_track in
+  if d > 0 then Hashtbl.replace t.depths sp.sp_track (d - 1);
+  if t.enabled then begin
+    let dur = t.clock () -. sp.sp_ts in
+    note_duration t sp.sp_cat dur;
+    record t
+      { id = sp.sp_id; parent = sp.sp_parent; name = sp.sp_name;
+        category = sp.sp_cat; track = sp.sp_track; ts = sp.sp_ts; dur;
+        depth = sp.sp_depth; args = sp.sp_args; kind = Complete;
+        flow_out = List.rev sp.sp_flow_out; flow_in = [] }
   end
+
+(* Untraced, every span is [null]: the inlined test is all a finish
+   costs. *)
+let[@inline] finish t sp = if sp.sp_live then finish_live t sp
 
 let instant t ?(track = 0) ?(args = []) ?parent ?(flow_out = [])
     ?(flow_in = []) ~category name =

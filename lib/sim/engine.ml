@@ -1,12 +1,14 @@
 open Effect.Deep
 
+(* A float-only record, so its field is stored unboxed. *)
+type instant = { mutable time : float }
+
 type t = {
   events : (unit -> unit) Drust_util.Pqueue.t;
   mutable clock : float;
-  instant : Drust_util.Pqueue.cell;
-      (* the instant about to be pushed, e.g. the target time of the
-         [Sleep] being performed: a flat float cell, so computing it
-         allocates no box *)
+  instant : instant;
+      (* the target time of the [Sleep] being performed, handed from
+         [delay] to the handler that queues the sleeper *)
   mutable failures : exn list;
   mutable dispatched : int;
       (* logical events run: one per queue pop, plus one per sleeper
@@ -59,7 +61,7 @@ let create () =
     suspends = 0;
   }
 
-let now t = t.clock
+let[@inline] now t = t.clock
 let dispatched t = t.dispatched
 let suspends t = t.suspends
 
@@ -75,11 +77,10 @@ let schedule t ~at f =
   if at < t.clock then in_the_past at t.clock;
   Drust_util.Pqueue.push t.events ~time:at f
 
-(* The computed instant goes to the queue through [instant], unboxed. *)
 let schedule_after t dt f =
-  t.instant.time <- t.clock +. dt;
-  if t.instant.time < t.clock then in_the_past t.instant.time t.clock;
-  Drust_util.Pqueue.push_cell t.events t.instant f
+  let at = t.clock +. dt in
+  if at < t.clock then in_the_past at t.clock;
+  Drust_util.Pqueue.push t.events ~time:at f
 
 let suspend register = Effect.perform (Suspend register)
 
@@ -127,7 +128,7 @@ let run_fiber t handle body =
       (fun k ->
         t.suspends <- t.suspends + 1;
         sleeper.parked <- k;
-        Drust_util.Pqueue.push_cell t.events t.instant sleeper.wake)
+        Drust_util.Pqueue.push t.events ~time:t.instant.time sleeper.wake)
   in
   let handler : (unit, unit) handler =
     {
@@ -164,7 +165,7 @@ let spawn ?at t body =
   schedule t ~at (fun () -> run_fiber t handle body);
   handle
 
-let delay t dt =
+let[@inline] delay t dt =
   if not (dt >= 0.0) then invalid_arg "Engine.delay: negative or NaN delay";
   t.instant.time <- t.clock +. dt;
   Effect.perform Sleep

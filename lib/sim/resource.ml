@@ -34,7 +34,7 @@ let capacity t = t.capacity
 let in_use t = t.held
 let queued t = Queue.length t.waiters
 
-let account t =
+let[@inline] account t =
   let u = t.util in
   let now = Engine.now t.engine in
   let dt = now -. u.last_change in

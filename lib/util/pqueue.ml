@@ -179,25 +179,20 @@ let ring_push t ~seq v =
 
 (* ------------------------------- push ------------------------------- *)
 
-(* The one insertion body.  It is inlined into both entry points, and
-   [heap_push] into it, so [time] stays an unboxed local from the
-   caller's float to the heap's float array: a time read out of a
-   {!cell} is never boxed. *)
-let[@inline] insert t time value =
-  if not (time >= t.cur_time) then
-    invalid_arg
-      (Printf.sprintf "Pqueue.push: time %g is before the last popped time %g"
-         time t.cur_time);
+let rejected time cur_time =
+  invalid_arg
+    (Printf.sprintf "Pqueue.push: time %g is before the last popped time %g"
+       time cur_time)
+
+(* Inlined into the caller, with [heap_push] inlined into it, so a
+   [time] the caller computes stays an unboxed float all the way to the
+   heap's float array. *)
+let[@inline] push t ~time value =
+  if not (time >= t.cur_time) then rejected time t.cur_time;
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
   if time = t.cur_time then ring_push t ~seq value
   else heap_push t ~time ~seq value
-
-let push t ~time value = insert t time value
-
-type cell = { mutable time : float }
-
-let push_cell t cell value = insert t cell.time value
 
 (* ------------------------------- pop -------------------------------- *)
 
@@ -212,7 +207,7 @@ let[@inline] heap_first t =
    left in [cur_time] for the engine to read.  Writing a float field of
    a mixed record boxes the float, so a pop at the instant already
    stored skips the write and allocates nothing. *)
-let pop_exn t =
+let[@inline] pop_exn t =
   if is_empty t then invalid_arg "Pqueue.pop_exn: empty queue";
   if t.now_len > 0 && not (heap_first t) then begin
     let v = t.now_val.(t.now_head) in

@@ -24,17 +24,8 @@ val pushed : 'a t -> int
 val push : 'a t -> time:float -> 'a -> unit
 (** [push t ~time v] inserts [v] at priority [time].  Raises
     [Invalid_argument] when [time] is before {!last_time} (or NaN):
-    the queue only moves forward, like the clock it drives. *)
-
-type cell = { mutable time : float }
-(** A flat float cell: a record of floats only, so its field is stored
-    unboxed.  A caller that computes a time writes it here and hands the
-    cell to {!push_cell}; the float then reaches the queue without ever
-    being boxed, which passing it as [~time] to {!push} would do. *)
-
-val push_cell : 'a t -> cell -> 'a -> unit
-(** [push_cell t c v] is [push t ~time:c.time v]: the same insertion,
-    ordering and rejection, reading the time from [c]. *)
+    the queue only moves forward, like the clock it drives.  Inlined
+    into the caller, so a [time] it computes is never boxed. *)
 
 val pop_exn : 'a t -> 'a
 (** [pop_exn t] removes the minimum-time element, FIFO among equal

@@ -1,7 +1,10 @@
 (* Allocation budgets: minor-heap words per call of a hot path, checked
    against a ceiling so that an allocation regression fails the tests.
-   Ceilings are the measured cost plus a little slack; they hold for the
-   default dev build, and optimised builds only allocate less. *)
+   Ceilings are the measured cost plus a little slack in the default
+   build, the release profile that dune-workspace selects: it compiles
+   without -opaque, so the hot path's [@inline] functions inline across
+   modules and their floats stay unboxed.  A [--profile dev] build boxes
+   them again and fails several of these ceilings. *)
 
 module Engine = Drust_sim.Engine
 

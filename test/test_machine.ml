@@ -202,7 +202,7 @@ let test_ctx_allocation () =
     (Alloc_budget.per_call (Cluster.engine c)
        ~run:(fun () -> Cluster.run c)
        (fun _ -> Ctx.charge_cycles ctx 1e-3));
-  Alloc_budget.check "Ctx.compute" ~max:7.0
+  Alloc_budget.check "Ctx.compute" ~max:5.0
     (Alloc_budget.per_call (Cluster.engine c)
        ~run:(fun () -> Cluster.run c)
        (fun _ -> Ctx.compute ctx ~cycles:100.0))

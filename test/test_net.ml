@@ -362,11 +362,11 @@ let test_verb_allocation () =
       ~run:(fun () -> Engine.run engine)
       (fun _ -> f fabric)
   in
-  Alloc_budget.check "Fabric.rpc" ~max:17.5
+  Alloc_budget.check "Fabric.rpc" ~max:9.0
     (verb_words (fun fabric ->
          Fabric.rpc fabric ~from:0 ~target:1 ~req_bytes:64 ~resp_bytes:64
            ignore));
-  Alloc_budget.check "Fabric.rdma_read" ~max:9.0
+  Alloc_budget.check "Fabric.rdma_read" ~max:5.0
     (verb_words (fun fabric ->
          Fabric.rdma_read fabric ~from:0 ~target:1 ~bytes:64))
 

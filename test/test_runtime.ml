@@ -268,11 +268,11 @@ let test_runtime_allocation () =
   let per_call body =
     Alloc_budget.per_call (Cluster.engine c) ~run:(fun () -> Cluster.run c) body
   in
-  Alloc_budget.check "local Dmutex lock+unlock" ~max:18.0
+  Alloc_budget.check "local Dmutex lock+unlock" ~max:14.0
     (per_call (fun _ ->
          Dmutex.lock ctx mu;
          Dmutex.unlock ctx mu));
-  Alloc_budget.check "local Darc clone+drop" ~max:16.0
+  Alloc_budget.check "local Darc clone+drop" ~max:12.0
     (per_call (fun _ -> Darc.drop ctx (Darc.clone ctx arc)))
 
 let test_dmutex_mutual_exclusion () =

@@ -61,12 +61,12 @@ let test_rng_copy () =
   let c = Rng.copy r in
   check Alcotest.int64 "copy replays" (Rng.bits64 r) (Rng.bits64 c)
 
-(* The unboxed 32-bit-pair implementation in Drust_util.Rng must stay
-   bit-identical to textbook splitmix64.  The reference below is the
-   plain Int64 version of the algorithm; the literals pin the first
-   outputs of two seeds (one negative, exercising sign extension in
-   [create]) so a bug in the reference itself cannot hide a matching
-   bug in the implementation. *)
+(* Drust_util.Rng, which keeps its state in two immediate 32-bit
+   halves, must stay bit-identical to textbook splitmix64.  The
+   reference below is the plain Int64 version of the algorithm; the
+   literals pin the first outputs of two seeds (one negative,
+   exercising sign extension in [create]) so a bug in the reference
+   itself cannot hide a matching bug in the implementation. *)
 module Rng_reference = struct
   type t = { mutable state : int64 }
 
@@ -359,25 +359,24 @@ let test_pqueue_heap_before_ring () =
 
 (* The shape fabric verbs and compute flushes give the engine's queue:
    64 pending events, each pop followed by a push 1-8 us after the popped
-   instant.  Times stay unboxed from the cell into the heap; what a pop
-   allocates is the clock's box when the instant moves. *)
+   instant.  [push] is inlined, so the computed time stays unboxed into
+   the heap; what a pop allocates is the clock's box when the instant
+   moves. *)
 let test_pqueue_near_horizon_allocation () =
-  let q = Pqueue.create () and cell = { Pqueue.time = 0.0 } in
+  let q = Pqueue.create () in
   for i = 0 to 63 do
-    cell.Pqueue.time <- float_of_int (1 + (i * 5 mod 8)) *. 1e-6;
-    Pqueue.push_cell q cell i
+    Pqueue.push q ~time:(float_of_int (1 + (i * 5 mod 8)) *. 1e-6) i
   done;
   let n = 100_000 in
   let w0 = Gc.minor_words () in
   for i = 1 to n do
     let v = Pqueue.pop_exn q in
-    cell.Pqueue.time <-
-      Pqueue.last_time q +. (float_of_int (1 + (i * 5 mod 8)) *. 1e-6);
-    Pqueue.push_cell q cell v
+    Pqueue.push q
+      ~time:(Pqueue.last_time q +. (float_of_int (1 + (i * 5 mod 8)) *. 1e-6))
+      v
   done;
   let words = (Gc.minor_words () -. w0) /. float_of_int n in
-  Alloc_budget.check "near-horizon pop_exn + push_cell at depth 64" ~max:1.5
-    words
+  Alloc_budget.check "near-horizon pop_exn + push at depth 64" ~max:1.5 words
 
 let prop_pqueue_sorted =
   QCheck.Test.make ~name:"pqueue pops in nondecreasing time order" ~count:200
@@ -402,11 +401,9 @@ let prop_pqueue_sorted =
    heap), and at the next instant a pending entry already holds, so that
    once the clock reaches it heap entries and later ring entries tie on
    time and the sequence number decides; pops advance the clock like
-   the engine does.  A third of the pushes go through [push_cell], the
-   rest through [push].  A push behind the last popped time, or at NaN,
-   must raise [Invalid_argument] through either entry and leave the
-   queue untouched.  Before every command, [has_due] must agree with
-   the model. *)
+   the engine does.  A push behind the last popped time, or at NaN,
+   must raise [Invalid_argument] and leave the queue untouched.  Before
+   every command, [has_due] must agree with the model. *)
 let prop_pqueue_matches_heap =
   let gen = QCheck.(list (pair (int_bound 10) (int_bound 999))) in
   QCheck.Test.make
@@ -425,17 +422,9 @@ let prop_pqueue_matches_heap =
       in
       let clock = ref 0.0 and next_id = ref 0 and ok = ref true in
       let popped = ref false in
-      let cell = { Pqueue.time = 0.0 } in
-      let push_via ~via_cell time id =
-        if via_cell then begin
-          cell.Pqueue.time <- time;
-          Pqueue.push_cell q cell id
-        end
-        else Pqueue.push q ~time id
-      in
-      let rejected ~via_cell time =
+      let rejected time =
         let pushed = Pqueue.pushed q and len = Pqueue.length q in
-        (match push_via ~via_cell time (-1) with
+        (match Pqueue.push q ~time (-1) with
         | () -> ok := false
         | exception Invalid_argument _ -> ());
         if Pqueue.pushed q <> pushed || Pqueue.length q <> len then
@@ -468,7 +457,7 @@ let prop_pqueue_matches_heap =
             let id = !next_id in
             incr next_id;
             insert time id;
-            push_via ~via_cell:(id mod 3 = 0) time id
+            Pqueue.push q ~time id
           in
           let push dt = push_at (!clock +. dt) in
           match kind with
@@ -486,9 +475,9 @@ let prop_pqueue_matches_heap =
               (* Behind the clock: rejected once something was popped. *)
               let dt = -.(float_of_int r *. 1e-7) in
               if !popped && !clock +. dt < !clock then
-                rejected ~via_cell:(r land 1 = 0) (!clock +. dt)
+                rejected (!clock +. dt)
               else push dt
-          | 8 when r mod 4 = 0 -> rejected ~via_cell:(r land 4 = 0) nan
+          | 8 when r mod 4 = 0 -> rejected nan
           | _ -> do_pop ())
         cmds;
       while (not (Pqueue.is_empty q)) || !model <> [] do
