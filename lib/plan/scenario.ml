@@ -441,9 +441,10 @@ let churn ~cluster ~fault ~seed spec =
                         incr total_ops;
                         if is_write then begin
                           acked.(k) <- acked.(k) + 1;
-                          let now = Engine.now engine in
                           List.iter
                             (fun (v, ct, homes) ->
+                              (* Read inside: a captured instant is a box. *)
+                              let now = Engine.now engine in
                               if
                                 (not (Hashtbl.mem recovered v))
                                 && now > ct && List.mem home homes

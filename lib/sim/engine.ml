@@ -1,14 +1,17 @@
 open Effect.Deep
 
-(* A float-only record, so its field is stored unboxed. *)
-type instant = { mutable time : float }
+(* A float-only record, so its fields are stored unboxed: moving the
+   clock or handing a wake time over allocates nothing. *)
+type instant = {
+  mutable clock : float;
+  mutable time : float;
+      (* the target time of the [Sleep] being performed, handed from
+         [delay] to the handler that queues the sleeper *)
+}
 
 type t = {
   events : (unit -> unit) Drust_util.Pqueue.t;
-  mutable clock : float;
   instant : instant;
-      (* the target time of the [Sleep] being performed, handed from
-         [delay] to the handler that queues the sleeper *)
   mutable failures : exn list;
   mutable dispatched : int;
       (* logical events run: one per queue pop, plus one per sleeper
@@ -54,14 +57,13 @@ let no_continuation : (unit, unit) continuation =
 let create () =
   {
     events = Drust_util.Pqueue.create ();
-    clock = 0.0;
-    instant = { time = 0.0 };
+    instant = { clock = 0.0; time = 0.0 };
     failures = [];
     dispatched = 0;
     suspends = 0;
   }
 
-let[@inline] now t = t.clock
+let[@inline] now t = t.instant.clock
 let dispatched t = t.dispatched
 let suspends t = t.suspends
 
@@ -69,18 +71,27 @@ let suspends t = t.suspends
    behind [dispatched]. *)
 let pushes t = Drust_util.Pqueue.pushed t.events
 
+(* Called as [not (at >= now)], which also catches a NaN [at] here
+   rather than in the queue's words. *)
 let in_the_past at now =
   invalid_arg
-    (Printf.sprintf "Engine.schedule: at=%g is in the past (now=%g)" at now)
+    (Printf.sprintf "Engine.schedule: at=%g is in the past or NaN (now=%g)"
+       at now)
 
 let schedule t ~at f =
-  if at < t.clock then in_the_past at t.clock;
+  let now = now t in
+  if not (at >= now) then in_the_past at now;
   Drust_util.Pqueue.push t.events ~time:at f
 
 let schedule_after t dt f =
-  let at = t.clock +. dt in
-  if at < t.clock then in_the_past at t.clock;
+  let now = now t in
+  let at = now +. dt in
+  if not (at >= now) then in_the_past at now;
   Drust_util.Pqueue.push t.events ~time:at f
+
+(* [schedule] at the current instant, which can be neither past nor
+   NaN.  Inlined, so the instant reaches the queue unboxed. *)
+let[@inline] schedule_now t f = Drust_util.Pqueue.push t.events ~time:(now t) f
 
 let suspend register = Effect.perform (Suspend register)
 
@@ -93,7 +104,7 @@ let suspend register = Effect.perform (Suspend register)
 let wake t s () =
   if (not s.requeued) && Drust_util.Pqueue.has_due t.events then begin
     s.requeued <- true;
-    Drust_util.Pqueue.push t.events ~time:t.clock s.wake
+    schedule_now t s.wake
   end
   else begin
     (* The resumption counts as its own logical event, like the
@@ -109,7 +120,7 @@ let finish_handle t handle state =
   handle.state <- state;
   let waiters = handle.join_waiters in
   handle.join_waiters <- [];
-  List.iter (fun resume -> schedule t ~at:t.clock resume) (List.rev waiters)
+  List.iter (fun resume -> schedule_now t resume) (List.rev waiters)
 
 (* Run a process body under the engine's deep effect handler.  A [Suspend]
    effect hands the one-shot resumer to the registration function; resuming
@@ -151,7 +162,7 @@ let run_fiber t handle body =
                     if !resumed then
                       failwith "Engine: process resumed twice";
                     resumed := true;
-                    schedule t ~at:t.clock (fun () -> continue k v)
+                    schedule_now t (fun () -> continue k v)
                   in
                   register resume)
           | _ -> None);
@@ -160,14 +171,16 @@ let run_fiber t handle body =
   match_with body () handler
 
 let spawn ?at t body =
-  let at = match at with None -> t.clock | Some a -> a in
   let handle = { state = Running; join_waiters = [] } in
-  schedule t ~at (fun () -> run_fiber t handle body);
+  let start () = run_fiber t handle body in
+  (match at with
+  | None -> schedule_now t start
+  | Some at -> schedule t ~at start);
   handle
 
 let[@inline] delay t dt =
   if not (dt >= 0.0) then invalid_arg "Engine.delay: negative or NaN delay";
-  t.instant.time <- t.clock +. dt;
+  t.instant.time <- now t +. dt;
   Effect.perform Sleep
 
 let yield t = delay t 0.0
@@ -187,7 +200,7 @@ let step t =
   if Drust_util.Pqueue.is_empty t.events then false
   else begin
     let f = Drust_util.Pqueue.pop_exn t.events in
-    t.clock <- Drust_util.Pqueue.last_time t.events;
+    t.instant.clock <- Drust_util.Pqueue.last_time t.events;
     t.dispatched <- t.dispatched + 1;
     f ();
     true
@@ -196,7 +209,7 @@ let step t =
 let run t =
   while not (Drust_util.Pqueue.is_empty t.events) do
     let f = Drust_util.Pqueue.pop_exn t.events in
-    t.clock <- Drust_util.Pqueue.last_time t.events;
+    t.instant.clock <- Drust_util.Pqueue.last_time t.events;
     t.dispatched <- t.dispatched + 1;
     f ()
   done;
@@ -205,5 +218,3 @@ let run t =
   | e :: _ ->
       t.failures <- [];
       raise (Process_failure e)
-
-let pending_events t = Drust_util.Pqueue.length t.events

@@ -20,19 +20,23 @@ type process_handle
 val create : unit -> t
 
 val now : t -> float
-(** Current virtual time in seconds. *)
+(** Current virtual time in seconds.  Inlined, and read from a
+    float-only record, so the read allocates nothing; a caller that
+    captures the value in a closure, stores it in a mixed record or
+    passes it to a call that is not inlined boxes it there. *)
 
 val schedule : t -> at:float -> (unit -> unit) -> unit
-(** [schedule t ~at f] runs callback [f] at virtual time [at].  [at] must
-    not be in the past. *)
+(** [schedule t ~at f] runs callback [f] at virtual time [at].  Raises
+    [Invalid_argument] when [at] is in the past or NaN. *)
 
 val schedule_after : t -> float -> (unit -> unit) -> unit
 (** [schedule_after t dt f] is [schedule t ~at:(now t +. dt) f], without
-    boxing the sum. *)
+    boxing the sum, and rejects a NaN [dt] the same way. *)
 
 val spawn : ?at:float -> t -> (unit -> unit) -> process_handle
 (** [spawn t body] starts a new process at time [at] (default: now).
-    The body runs inside the engine's effect handler and may block. *)
+    The body runs inside the engine's effect handler and may block.
+    Raises [Invalid_argument] when [at] is in the past or NaN. *)
 
 (** {1 Blocking primitives — only valid inside a process} *)
 
@@ -41,7 +45,8 @@ val delay : t -> float -> unit
     Raises [Invalid_argument] in the caller when [dt] is negative or NaN.
     The wakeup is one queue entry and allocates only the runtime's
     continuation: the process parks in a timer slot it reuses for every
-    delay, and the wake time reaches the queue unboxed.  It resumes in
+    delay, the wake time reaches the queue unboxed, and the clock moves
+    to it unboxed when it pops.  It resumes in
     the dispatch position of a timer event at [now + dt] that queues
     the continuation at the back of that instant — which is where it
     runs directly when nothing else is due then, and where it re-queues
@@ -72,8 +77,6 @@ val run : t -> unit
 
 val step : t -> bool
 (** [step t] executes a single event; [false] when the queue is empty. *)
-
-val pending_events : t -> int
 
 (** {1 Host-side accounting} *)
 

@@ -92,27 +92,27 @@ let degrade_link t ~from ~target ?(drop = 0.0) ?(extra_latency = 0.0)
   record t ~time:0.0 ~kind:Flight.k_fault_degrade ~a:from ~b:target
     ~c:(int_of_float (drop *. 1000.0))
 
-let now t = Engine.now t.engine
+(* The two queries run on every fabric verb under a plan, so they are
+   closure-free walks that read the clock inline: a closure would
+   capture the clock's instant and box it on every call. *)
+let rec crashed_in engine node = function
+  | [] -> false
+  | c :: rest ->
+      (c.node = node && c.at <= Engine.now engine)
+      || crashed_in engine node rest
 
 let is_down t node =
   check_node t node "is_down";
-  let n = now t in
-  List.exists (fun c -> c.node = node && c.at <= n) t.crashes
+  crashed_in t.engine node t.crashes
 
-let crash_time t node =
-  check_node t node "crash_time";
-  List.fold_left
-    (fun acc c ->
-      if c.node <> node then acc
-      else match acc with Some a when a <= c.at -> acc | _ -> Some c.at)
-    None t.crashes
+let rec severed_in engine ~from ~target = function
+  | [] -> false
+  | c :: rest ->
+      let n = Engine.now engine in
+      (c.from_t <= n && n < c.until && c.members.(from) <> c.members.(target))
+      || severed_in engine ~from ~target rest
 
-let severed t ~from ~target =
-  let n = now t in
-  List.exists
-    (fun c ->
-      c.from_t <= n && n < c.until && c.members.(from) <> c.members.(target))
-    t.cuts
+let severed t ~from ~target = severed_in t.engine ~from ~target t.cuts
 
 (* Sample the drop coin for one message.  Draws from the plan's own RNG
    stream, so drops are reproducible given the same verb sequence. *)
@@ -129,10 +129,3 @@ let extra_latency t ~from ~target =
       +. (if l.jitter > 0.0 then Rng.float t.rng l.jitter else 0.0)
 
 let nak_delay = 15e-6
-
-let crashed_nodes t =
-  let n = now t in
-  List.sort_uniq Int.compare
-    (List.filter_map
-       (fun c -> if c.at <= n then Some c.node else None)
-       t.crashes)

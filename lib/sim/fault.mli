@@ -58,11 +58,11 @@ val degrade_link :
 (** {1 Queries (used by the fabric)} *)
 
 val is_down : t -> int -> bool
-val crash_time : t -> int -> float option
-(** Earliest scheduled crash of the node, even if still in the future. *)
+(** The node's crash time has come.  Allocation-free. *)
 
 val severed : t -> from:int -> target:int -> bool
-(** An active partition separates the two nodes right now. *)
+(** An active partition separates the two nodes right now.
+    Allocation-free. *)
 
 val drops : t -> from:int -> target:int -> bool
 (** Flip the seeded drop coin for one message on this link.  Stateful:
@@ -74,6 +74,3 @@ val extra_latency : t -> from:int -> target:int -> float
 val nak_delay : float
 (** The simulated transport retry period (15 µs) a verb burns before
     completing in error against a crashed node. *)
-
-val crashed_nodes : t -> int list
-(** Nodes already down at the current virtual time, ascending. *)

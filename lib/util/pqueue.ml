@@ -36,9 +36,13 @@ let dummy : 'a. unit -> 'a =
      a slot is read only while its entry is pending, so the dummy is \
      never observed"])
 
+(* A float-only record, so its field is stored unboxed: a pop that
+   moves the clock writes a raw float, not a fresh box. *)
+type clock = { mutable cur_time : float (* time of the last popped entry *) }
+
 type 'a t = {
   mutable next_seq : int;
-  mutable cur_time : float; (* time of the last popped entry *)
+  clock : clock;
   (* Now ring: all entries are at [cur_time]; seqs are FIFO. *)
   mutable now_seq : int array;
   mutable now_val : 'a array;
@@ -57,7 +61,7 @@ type 'a t = {
 let create () =
   {
     next_seq = 0;
-    cur_time = neg_infinity;
+    clock = { cur_time = neg_infinity };
     now_seq = [||];
     now_val = [||];
     now_head = 0;
@@ -188,10 +192,11 @@ let rejected time cur_time =
    [time] the caller computes stays an unboxed float all the way to the
    heap's float array. *)
 let[@inline] push t ~time value =
-  if not (time >= t.cur_time) then rejected time t.cur_time;
+  let cur_time = t.clock.cur_time in
+  if not (time >= cur_time) then rejected time cur_time;
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
-  if time = t.cur_time then ring_push t ~seq value
+  if time = cur_time then ring_push t ~seq value
   else heap_push t ~time ~seq value
 
 (* ------------------------------- pop -------------------------------- *)
@@ -200,13 +205,11 @@ let[@inline] push t ~time value =
    Every heap entry is at or after [cur_time], so "due" is equality. *)
 let[@inline] heap_first t =
   t.h_len > 0
-  && t.h_time.(0) = t.cur_time
+  && t.h_time.(0) = t.clock.cur_time
   && t.h_seq.(0) < t.now_seq.(t.now_head)
 
 (* Remove and return the global (time, seq) minimum.  The popped time is
-   left in [cur_time] for the engine to read.  Writing a float field of
-   a mixed record boxes the float, so a pop at the instant already
-   stored skips the write and allocates nothing. *)
+   left in [cur_time] for the engine to read; the store is unboxed. *)
 let[@inline] pop_exn t =
   if is_empty t then invalid_arg "Pqueue.pop_exn: empty queue";
   if t.now_len > 0 && not (heap_first t) then begin
@@ -217,16 +220,11 @@ let[@inline] pop_exn t =
     v
   end
   else begin
-    let time = t.h_time.(0) in
-    let v = heap_pop t in
-    (* [=] alone would also equate 0.0 and -0.0. *)
-    if
-      not (time = t.cur_time && Float.sign_bit time = Float.sign_bit t.cur_time)
-    then t.cur_time <- time;
-    v
+    t.clock.cur_time <- t.h_time.(0);
+    heap_pop t
   end
 
-let last_time t = t.cur_time
+let[@inline] last_time t = t.clock.cur_time
 
 let has_due t =
-  t.now_len > 0 || (t.h_len > 0 && t.h_time.(0) <= t.cur_time)
+  t.now_len > 0 || (t.h_len > 0 && t.h_time.(0) <= t.clock.cur_time)

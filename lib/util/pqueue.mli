@@ -34,7 +34,8 @@ val pop_exn : 'a t -> 'a
 
 val last_time : 'a t -> float
 (** Time of the most recently popped element ([neg_infinity] before the
-    first pop). *)
+    first pop).  Inlined, and kept in a float-only record, so neither the
+    pop that moves it nor the read allocates. *)
 
 val has_due : 'a t -> bool
 (** [has_due t] is [true] when some element's time is at or before

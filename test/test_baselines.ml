@@ -332,7 +332,7 @@ let test_read_part_allocation () =
     (read_part_words ~warm:true Drust_dsm.Drust_backend.create);
   Alloc_budget.check "warm GAM read_part" ~max:1.0
     (read_part_words ~warm:true (fun c -> Gam.backend (Gam.create c)));
-  Alloc_budget.check "remote Grappa read_part" ~max:30.0
+  Alloc_budget.check "remote Grappa read_part" ~max:20.0
     (read_part_words ~warm:false (fun c -> Grappa.backend (Grappa.create c)))
 
 (* A two-node ping-pong on one 512-byte GAM object homed on node 1:
@@ -349,7 +349,7 @@ let test_gam_ping_pong_allocation () =
          h := Some (Gam.alloc_on g ctx1 ~node:1 ~size:512 (pack 0))));
   Cluster.run cluster;
   let h = Option.get !h and v = pack 1 in
-  Alloc_budget.check "GAM two-node write+read ping-pong" ~max:115.0
+  Alloc_budget.check "GAM two-node write+read ping-pong" ~max:90.0
     (Alloc_budget.per_call (Cluster.engine cluster)
        ~run:(fun () -> Cluster.run cluster)
        (fun _ ->

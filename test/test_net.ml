@@ -7,6 +7,7 @@ module Fabric = Drust_net.Fabric
 module Metrics = Drust_obs.Metrics
 module Flight = Drust_obs.Flight
 module Rng = Drust_util.Rng
+module Fault = Drust_sim.Fault
 
 (* A fabric wired as [Cluster.create] wires one: its own registry, a
    (disabled) span tracer and a flight recorder ([flight], when given). *)
@@ -362,13 +363,49 @@ let test_verb_allocation () =
       ~run:(fun () -> Engine.run engine)
       (fun _ -> f fabric)
   in
-  Alloc_budget.check "Fabric.rpc" ~max:9.0
+  Alloc_budget.check "Fabric.rpc" ~max:5.0
     (verb_words (fun fabric ->
          Fabric.rpc fabric ~from:0 ~target:1 ~req_bytes:64 ~resp_bytes:64
            ignore));
-  Alloc_budget.check "Fabric.rdma_read" ~max:5.0
+  Alloc_budget.check "Fabric.rdma_read" ~max:3.0
     (verb_words (fun fabric ->
          Fabric.rdma_read fabric ~from:0 ~target:1 ~bytes:64))
+
+(* A plan holding one crash and one partition, both still in the future:
+   installed, so every verb consults it, but not yet active. *)
+let inactive_plan engine ~nodes =
+  let plan =
+    Fault.create ~engine ~rng:(Rng.create ~seed:5)
+      ~flight:(Flight.create ~metrics:(Metrics.create ()) ~nodes ())
+      ~nodes
+  in
+  Fault.crash_at plan ~node:1 ~at:1e3;
+  Fault.partition_at plan ~group:[ 0 ] ~at:1e3 ~heal_at:2e3;
+  plan
+
+(* The fault queries run on every verb under a plan; they read the clock
+   inline and build no closure, so they allocate nothing. *)
+let test_fault_path_allocation () =
+  let engine = Engine.create () in
+  let plan = inactive_plan engine ~nodes:2 in
+  Alloc_budget.check "Fault.is_down + Fault.severed" ~max:0.0
+    (Alloc_budget.per_call engine
+       ~run:(fun () -> Engine.run engine)
+       (fun i ->
+         if Fault.is_down plan (i land 1) then Alcotest.fail "down early";
+         if Fault.severed plan ~from:0 ~target:1 then
+           Alcotest.fail "severed early"));
+  let engine = Engine.create () in
+  let fabric =
+    make_fabric engine ~seed:1 ~model:Model.infiniband_40g ~nodes:2
+  in
+  Fabric.set_fault_plan fabric (inactive_plan engine ~nodes:2);
+  Alloc_budget.check "Fabric.rpc under an inactive fault plan" ~max:5.0
+    (Alloc_budget.per_call engine
+       ~run:(fun () -> Engine.run engine)
+       (fun _ ->
+         Fabric.rpc fabric ~from:0 ~target:1 ~req_bytes:64 ~resp_bytes:64
+           ignore))
 
 let () =
   Alcotest.run "net"
@@ -399,5 +436,7 @@ let () =
           Alcotest.test_case "bad node" `Quick test_bad_node_rejected;
           Alcotest.test_case "verb allocation budget" `Quick
             test_verb_allocation;
+          Alcotest.test_case "fault path allocation budget" `Quick
+            test_fault_path_allocation;
         ] );
     ]

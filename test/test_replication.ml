@@ -63,14 +63,21 @@ let test_plan_is_lazy () =
   in_cluster (fun cluster plan _ctx ->
       let engine = Cluster.engine cluster in
       Fault.crash_at plan ~node:2 ~at:1e-3;
+      let down () = List.filter (Fault.is_down plan) [ 0; 1; 2; 3 ] in
       Alcotest.(check bool) "not down before its time" false
         (Fault.is_down plan 2);
-      Alcotest.(check (list int)) "nobody crashed yet" [] (Fault.crashed_nodes plan);
-      Engine.delay engine 2e-3;
+      Alcotest.(check (list int)) "nobody crashed yet" [] (down ());
+      (* The crash time is exactly 1e-3: up one ulp before, down at it. *)
+      Engine.delay engine (Float.pred 1e-3);
+      Alcotest.(check bool) "up just before its crash time" false
+        (Fault.is_down plan 2);
+      Engine.delay engine (1e-3 -. Engine.now engine);
+      Alcotest.(check (float 0.0)) "clock at the crash time" 1e-3
+        (Engine.now engine);
+      Alcotest.(check bool) "down at its crash time" true (Fault.is_down plan 2);
+      Engine.delay engine 1e-3;
       Alcotest.(check bool) "down after its time" true (Fault.is_down plan 2);
-      Alcotest.(check (list int)) "listed" [ 2 ] (Fault.crashed_nodes plan);
-      Alcotest.(check (option (float 1e-9))) "crash time" (Some 1e-3)
-        (Fault.crash_time plan 2))
+      Alcotest.(check (list int)) "listed" [ 2 ] (down ()))
 
 let test_partition_severs_across_but_not_within () =
   in_cluster (fun cluster plan _ctx ->
