@@ -457,10 +457,21 @@ let create_on ctx ~node ~size v =
        through the communication layer (§4.2.1). *)
     Ctx.flush ctx;
   let g =
-    if node <> ctx.Ctx.node then
-      Fabric.rpc ?parent:ctx.Ctx.current_span (Ctx.fabric ctx)
-        ~from:ctx.Ctx.node ~target:node ~req_bytes:32 ~resp_bytes:16
-        (fun () -> Cluster.heap_alloc cluster ~node ~size v)
+    if node <> ctx.Ctx.node then begin
+      (* The target allocates inline between the RPC's halves. *)
+      let fabric = Ctx.fabric ctx and from = ctx.Ctx.node in
+      let vs =
+        Fabric.rpc_request ?parent:ctx.Ctx.current_span fabric ~from
+          ~target:node ~req_bytes:32 ~resp_bytes:16
+      in
+      match Cluster.heap_alloc cluster ~node ~size v with
+      | g ->
+          Fabric.rpc_reply fabric vs ~from ~target:node ~resp_bytes:16;
+          g
+      | exception e ->
+          Fabric.rpc_abort fabric vs;
+          raise e
+    end
     else begin
       Ctx.note_local_alloc ctx ~bytes:size;
       Cluster.heap_alloc cluster ~node ~size v
@@ -535,7 +546,9 @@ let fetch_into_cache ctx ~g ~size ~group_bytes ~children =
 (* ------------------------------------------------------------------ *)
 (* Immutable borrows (Alg. 4)                                          *)
 
-let borrow_imm ctx o =
+(* Take an immutable borrow of [o]: the half of [borrow_imm] that
+   [read] shares. *)
+let open_imm ctx o =
   Borrow_state.borrow_imm o.borrow ~context:"Protocol.borrow_imm";
   (* Creating an immutable reference resets the owner's U bit so the next
      write epoch is guaranteed to change the colored address (App. B.4). *)
@@ -543,7 +556,10 @@ let borrow_imm ctx o =
   (match Ctx.tap ctx with
   | None -> ()
   | Some f -> Ctx.emit ctx f (Borrow_imm { g = o.g }));
-  Ctx.charge_cycles ctx 12.0;
+  Ctx.charge_cycles ctx 12.0
+
+let borrow_imm ctx o =
+  open_imm ctx o;
   {
     i_g = o.g;
     i_size = o.size;
@@ -565,40 +581,90 @@ let clone_imm ctx r =
      the clone starts null (App. D.2). *)
   { r with i_copy = None }
 
-let imm_deref_inner ctx r () =
-  assert_live r.i_live "Protocol.imm_deref";
-  let cluster = Ctx.cluster ctx in
-  if is_local ctx r.i_g then begin
-    read_outcome ctx Flight.k_read_local r.i_g ~key:r.i_g;
+(* The copy a local read hands back from [deref_path]: it pins nothing
+   and its value is never read, since the caller reads the heap. *)
+let local_read : Cache.copy =
+  {
+    key = Gaddr.make ~node:0 ~offset:0;
+    value = Univ.pack (Univ.create_tag ~name:"protocol.local_read") ();
+    size = 0;
+    refcount = 0;
+    dead = true;
+    detached = true;
+  }
+
+let is_local_read copy =
+  (copy == local_read)
+  [@dlint.allow
+    "determinism: identity test against the local-read sentinel, a record \
+     with mutable fields"]
+
+(* Whether [r] already pins [copy]: [deref_path] handed back its [held]. *)
+let pins r copy =
+  match r.i_copy with
+  | Some held ->
+      (held == copy)
+      [@dlint.allow
+        "determinism: identity of two cache copies, records with mutable \
+         fields"]
+  | None -> false
+
+(* The access path of an immutable dereference of the object at [g]
+   (Alg. 4), shared by [imm_deref] and [read]: served here, from [held]
+   (a copy the reference already pins), from a copy found in the node
+   cache (retained), or from one fetched into it with the affinity group
+   [children] ([group] bytes in all).  Returns the copy the read pinned,
+   or [local_read].  The caller reads the value once this returns; it is
+   the value the access observed, since nothing runs in between. *)
+let deref_path ctx ~g ~size ~group ~children ~held =
+  if is_local ctx g then begin
+    read_outcome ctx Flight.k_read_local g ~key:g;
     charge_local_deref ctx;
-    (Cluster.heap_read cluster r.i_g).Partition.value
+    local_read
   end
   else begin
-    match r.i_copy with
-    | Some copy when Gaddr.equal copy.Cache.key r.i_g && not copy.Cache.dead ->
-        read_outcome ctx Flight.k_read_cached r.i_g ~key:copy.Cache.key;
+    match held with
+    | Some copy when Gaddr.equal copy.Cache.key g && not copy.Cache.dead ->
+        read_outcome ctx Flight.k_read_cached g ~key:copy.Cache.key;
         charge_cache_hit ctx;
-        copy.Cache.value
+        copy
     | _ -> (
         let cache = cache_of ctx in
         charge_cache_hit ctx;
-        match Cache.find cache r.i_g with
+        match Cache.find cache g with
         | copy ->
-            read_outcome ctx Flight.k_read_cached r.i_g ~key:copy.Cache.key;
+            read_outcome ctx Flight.k_read_cached g ~key:copy.Cache.key;
             Cache.retain copy;
-            r.i_copy <- Some copy;
-            copy.Cache.value
+            copy
         | exception Not_found ->
-            let copy =
-              fetch_into_cache ctx ~g:r.i_g ~size:r.i_size
-                ~group_bytes:r.i_group ~children:r.i_children
-            in
-            r.i_copy <- Some copy;
-            copy.Cache.value)
+            fetch_into_cache ctx ~g ~size ~group_bytes:group ~children)
   end
+
+let read_value ctx g copy =
+  if is_local_read copy then
+    (Cluster.heap_read (Ctx.cluster ctx) g).Partition.value
+  else copy.Cache.value
+
+let imm_deref_inner ctx r () =
+  assert_live r.i_live "Protocol.imm_deref";
+  let copy =
+    deref_path ctx ~g:r.i_g ~size:r.i_size ~group:r.i_group
+      ~children:r.i_children ~held:r.i_copy
+  in
+  if not (is_local_read copy || pins r copy) then r.i_copy <- Some copy;
+  read_value ctx r.i_g copy
 
 let imm_deref ctx r =
   measure_op ctx ~default:Flight.k_read_local imm_deref_inner r ()
+
+(* Return an immutable borrow of the object at [g] whose copy, if any,
+   is already released: the half of [drop_imm] that [read] shares. *)
+let close_imm ctx borrow g =
+  Ctx.charge_cycles ctx 10.0;
+  Borrow_state.return_imm borrow ~context:"Protocol.drop_imm";
+  match Ctx.tap ctx with
+  | None -> ()
+  | Some f -> Ctx.emit ctx f (Return_imm { g })
 
 let drop_imm ctx r =
   assert_live r.i_live "Protocol.drop_imm";
@@ -607,11 +673,27 @@ let drop_imm ctx r =
   | Some copy -> Cache.release (cache_of ctx) copy
   | None -> ());
   r.i_copy <- None;
-  Ctx.charge_cycles ctx 10.0;
-  Borrow_state.return_imm r.i_borrow ~context:"Protocol.drop_imm";
-  match Ctx.tap ctx with
-  | None -> ()
-  | Some f -> Ctx.emit ctx f (Return_imm { g = r.i_g })
+  close_imm ctx r.i_borrow r.i_g
+
+(* [read]'s dereference.  It starts in the same step as the borrow's
+   snapshot of [o.g] (passed as [g]): nothing can run in between, so the
+   group and children read here are the ones [borrow_imm] would have
+   recorded. *)
+let read_inner ctx g o =
+  deref_path ctx ~g ~size:o.size ~group:(group_size o) ~children:o.children
+    ~held:None
+
+(* [borrow_imm], [imm_deref] and [drop_imm] in one call, with no
+   reference record and no option.  A deref that raises leaves the
+   borrow held, as it does for the three calls. *)
+let read ctx o =
+  open_imm ctx o;
+  let g = o.g in
+  let copy = measure_op ctx ~default:Flight.k_read_local read_inner g o in
+  let v = read_value ctx g copy in
+  if not (is_local_read copy) then Cache.release (cache_of ctx) copy;
+  close_imm ctx o.borrow g;
+  v
 
 (* ------------------------------------------------------------------ *)
 (* Move machinery                                                      *)

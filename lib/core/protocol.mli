@@ -77,6 +77,16 @@ val imm_deref : Ctx.t -> imm -> Drust_util.Univ.t
 val drop_imm : Ctx.t -> imm -> unit
 (** Unpins the cached copy and returns the borrow. *)
 
+val read : Ctx.t -> owner -> Drust_util.Univ.t
+(** [borrow_imm], [imm_deref] and [drop_imm] in one call: the same
+    transitions, tap events, flight records, cycle charges and
+    [protocol.op_latency] sample, in the same order, without building a
+    reference.  A cached read allocates nothing beyond the engine's
+    continuation when its charge flushes.  A borrow conflict
+    raises [Borrow_state.Violation] with no borrow taken; a
+    dereference that raises (a fetch from a crashed node) leaves the
+    borrow held, as the three calls would. *)
+
 (** {1 Mutable borrows (Alg. 1/6)} *)
 
 val borrow_mut : Ctx.t -> owner -> mut

@@ -31,14 +31,9 @@ let rec with_borrow_retry ctx tries f =
       with_borrow_retry ctx (tries + 1) f
 
 (* The read path's retry loop, written out so that a read builds no
-   closure: borrow, dereference, return. *)
+   closure. *)
 let rec read_retry ctx o tries =
-  match
-    let r = Protocol.borrow_imm ctx o in
-    let v = Protocol.imm_deref ctx r in
-    Protocol.drop_imm ctx r;
-    v
-  with
+  match Protocol.read ctx o with
   | v -> v
   | exception Drust_ownership.Borrow_state.Violation _ when tries < max_tries ->
       backoff ctx;

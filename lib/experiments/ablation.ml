@@ -34,9 +34,7 @@ let write_epochs ~epochs ~writes_per_epoch cluster ctx =
   let o = P.create ctx ~size:4096 Appkit.blob in
   for _ = 1 to epochs do
     (* A read epoch (resets the U bit)... *)
-    let r = P.borrow_imm ctx o in
-    ignore (P.imm_deref ctx r);
-    P.drop_imm ctx r;
+    ignore (P.read ctx o);
     (* ...then a write epoch with several writes. *)
     let m = P.borrow_mut ctx o in
     for _ = 1 to writes_per_epoch do
@@ -120,10 +118,7 @@ let list_sum ~tie cluster ctx =
   let t0 = Engine.now (Ctx.engine ctx) in
   (* Iterate the list: dereference every node. *)
   List.iter
-    (fun o ->
-      let r = P.borrow_imm ctx o in
-      ignore (P.imm_deref ctx r);
-      P.drop_imm ctx r)
+    (fun o -> ignore (P.read ctx o))
     nodes_;
   Ctx.flush ctx;
   Engine.now (Ctx.engine ctx) -. t0

@@ -35,9 +35,7 @@ let controller_run () =
                Dthread.spawn_on ctx ~node:0 (fun wctx ->
                    for _ = 1 to 40 do
                      let o = remote.((i + 1) mod 8) in
-                     let r = Drust_core.Protocol.borrow_imm wctx o in
-                     ignore (Drust_core.Protocol.imm_deref wctx r);
-                     Drust_core.Protocol.drop_imm wctx r;
+                     ignore (Drust_core.Protocol.read wctx o);
                      Ctx.compute wctx ~cycles:2_000_000.0
                    done))
          in

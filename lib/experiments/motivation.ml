@@ -55,9 +55,7 @@ let run () =
           let o = P.create_on ctx ~node:1 ~size:512 Appkit.blob in
           Ctx.flush ctx;
           let t0 = Engine.now engine in
-          let r = P.borrow_imm ctx o in
-          ignore (P.imm_deref ctx r);
-          P.drop_imm ctx r;
+          ignore (P.read ctx o);
           Ctx.flush ctx;
           total := !total +. (Engine.now engine -. t0)
         done;

@@ -203,9 +203,16 @@ let serve_directory t ~home ~nblocks ~third_parties ~third_bytes =
    to invalidate). *)
 let directory_round t ctx ~home ~resp_bytes ~nblocks ~third_parties ~third_bytes =
   Ctx.flush ctx;
-  Fabric.rpc (Cluster.fabric t.cluster) ~from:ctx.Ctx.node ~target:home
-    ~req_bytes:64 ~resp_bytes (fun () ->
-      serve_directory t ~home ~nblocks ~third_parties ~third_bytes);
+  (* The home's side runs inline between the RPC's halves: no closure. *)
+  let fabric = Cluster.fabric t.cluster and from = ctx.Ctx.node in
+  let vs =
+    Fabric.rpc_request fabric ~from ~target:home ~req_bytes:64 ~resp_bytes
+  in
+  (match serve_directory t ~home ~nblocks ~third_parties ~third_bytes with
+  | () -> Fabric.rpc_reply fabric vs ~from ~target:home ~resp_bytes
+  | exception e ->
+      Fabric.rpc_abort fabric vs;
+      raise e);
   (* Requester-side protocol bookkeeping (state tracking of the copies). *)
   Engine.delay (Cluster.engine t.cluster) requester_proc
 
@@ -475,10 +482,16 @@ let mutex_lock t ctx m =
   end
   else begin
     Ctx.flush ctx;
-    Fabric.rpc fabric ~from:ctx.Ctx.node ~target:m.lock_home ~req_bytes:64
-      ~resp_bytes:32 (fun () ->
-        Resource.acquire m.unit_;
-        Engine.delay (Cluster.engine t.cluster) 1.0e-6)
+    (* The lock's home queues the request inline between the RPC's
+       halves; neither step raises. *)
+    let from = ctx.Ctx.node in
+    let vs =
+      Fabric.rpc_request fabric ~from ~target:m.lock_home ~req_bytes:64
+        ~resp_bytes:32
+    in
+    Resource.acquire m.unit_;
+    Engine.delay (Cluster.engine t.cluster) 1.0e-6;
+    Fabric.rpc_reply fabric vs ~from ~target:m.lock_home ~resp_bytes:32
   end
 
 let mutex_unlock t ctx m =
@@ -489,8 +502,17 @@ let mutex_unlock t ctx m =
   end
   else begin
     Ctx.flush ctx;
-    Fabric.rpc fabric ~from:ctx.Ctx.node ~target:m.lock_home ~req_bytes:64
-      ~resp_bytes:8 (fun () -> Resource.release m.unit_)
+    let from = ctx.Ctx.node in
+    let vs =
+      Fabric.rpc_request fabric ~from ~target:m.lock_home ~req_bytes:64
+        ~resp_bytes:8
+    in
+    match Resource.release m.unit_ with
+    | () -> Fabric.rpc_reply fabric vs ~from ~target:m.lock_home ~resp_bytes:8
+    | exception e ->
+        (* An unlock of a mutex nobody holds. *)
+        Fabric.rpc_abort fabric vs;
+        raise e
   end
 
 let backend t =

@@ -92,8 +92,8 @@ let[@inline] aggregation_wait t src dst =
   let timeout = aggregation_delay in
   if fill > timeout then timeout else fill
 
-(* Ship [work t h x] to [home].  [work] is a toplevel function, so the
-   only closure a delegation builds is the RPC handler. *)
+(* Ship [work t h x] to [home].  [work] is a toplevel function and runs
+   inline between the RPC's halves, so a delegation builds no closure. *)
 let delegate t ctx ~home ~req_bytes ~resp_bytes work h x =
   t.count <- t.count + 1;
   let engine = Cluster.engine t.cluster in
@@ -109,10 +109,18 @@ let delegate t ctx ~home ~req_bytes ~resp_bytes work h x =
     Ctx.flush ctx;
     (* Sender-side aggregation batches small messages... *)
     Engine.delay engine (aggregation_wait t ctx.Ctx.node home);
-    let v =
-      Fabric.rpc (Cluster.fabric t.cluster) ~from:ctx.Ctx.node ~target:home
-        ~req_bytes ~resp_bytes (fun () -> run_at_home t ~home work h x)
+    let fabric = Cluster.fabric t.cluster and from = ctx.Ctx.node in
+    let vs =
+      Fabric.rpc_request fabric ~from ~target:home ~req_bytes ~resp_bytes
     in
+    let v =
+      match run_at_home t ~home work h x with
+      | v -> v
+      | exception e ->
+          Fabric.rpc_abort fabric vs;
+          raise e
+    in
+    Fabric.rpc_reply fabric vs ~from ~target:home ~resp_bytes;
     (* ...and so does the reply path. *)
     Engine.delay engine (aggregation_wait t home ctx.Ctx.node);
     v

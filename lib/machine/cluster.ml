@@ -54,7 +54,7 @@ let create ?engine params =
      every layer reports into these.  Recording never touches the engine
      or any RNG, so instrumented runs stay bit-identical. *)
   let metrics = Metrics.create () in
-  let spans = Span.create ~clock:(fun () -> Engine.now engine) () in
+  let spans = Span.create ~clock:(Engine.clock engine) () in
   (* The flight recorder is always on: a bounded black box behind every
      layer, dumped on failure for post-mortems (docs/FORENSICS.md).
      Like the tracer it is purely observational — array stores only. *)

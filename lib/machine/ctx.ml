@@ -75,14 +75,14 @@ let flush t =
     Resource.release cores
   end
 
-let charge_cycles t cycles =
+let[@inline] charge_cycles t cycles =
   if not (cycles >= 0.0) then invalid_arg "Ctx.charge_cycles: negative or NaN";
   let pending = t.cpu.pending_cycles +. cycles in
   t.cpu.pending_cycles <- pending;
   let p = params t in
   if Params.cycles_to_seconds p pending >= p.Params.flush_grain then flush t
 
-let compute t ~cycles =
+let[@inline] compute t ~cycles =
   if not (cycles >= 0.0) then invalid_arg "Ctx.compute: negative or NaN";
   t.cpu.pending_cycles <- t.cpu.pending_cycles +. cycles;
   flush t

@@ -60,11 +60,12 @@ val emit : t -> Drust_memory.Tap.subscriber -> Drust_memory.Tap.event -> unit
 
 val charge_cycles : t -> float -> unit
 (** Accumulate compute; flushes automatically past the grain.  Raises
-    [Invalid_argument] unless [cycles >= 0] (so NaN is rejected too). *)
+    [Invalid_argument] unless [cycles >= 0] (so NaN is rejected too).
+    Inlined, so a [cycles] the caller computes is never boxed. *)
 
 val compute : t -> cycles:float -> unit
 (** [charge_cycles] then flush — a synchronous compute burst.  Rejects
-    the same [cycles] as [charge_cycles]. *)
+    the same [cycles] as [charge_cycles].  Inlined like it. *)
 
 val flush : t -> unit
 (** Occupy a core on the current node for all pending cycles.  Runs the

@@ -390,7 +390,14 @@ let rdma_atomic ?parent t ~from ~target f =
       Span.finish t.spans vs;
       raise e
 
-let rpc ?parent ?epoch t ~from ~target ~req_bytes ~resp_bytes handler =
+(* An RPC in two halves, so that a caller can run its handler inline
+   between them instead of handing [rpc] a closure.  The request half
+   issues the verb, delivers the request and marks its receipt at the
+   target; the reply half carries the response back.  Either way the
+   verb span is finished exactly once: by the request half when it
+   raises (a stale epoch), else by the reply or, when the handler
+   raised, the abort. *)
+let rpc_request ?parent ?epoch t ~from ~target ~req_bytes ~resp_bytes =
   issue t "rpc" ~kind:Flight.k_fab_rpc ~from ~target
     ~bytes:(req_bytes + resp_bytes) ~c:(ep epoch);
   sync_guard t ~from ~target;
@@ -402,17 +409,29 @@ let rpc ?parent ?epoch t ~from ~target ~req_bytes ~resp_bytes handler =
     delay_with_nic t vs Twoside ~data_source:from ~from ~target
       ~bytes:req_bytes;
     check_epoch t ~from ~target epoch;
-    serve_mark t vs ~flow ~target "RECV(RPC)";
-    let result = handler () in
-    delay_with_nic t vs Twoside ~data_source:target ~from ~target
-      ~bytes:resp_bytes;
-    result
+    serve_mark t vs ~flow ~target "RECV(RPC)"
   with
-  | v ->
-      Span.finish t.spans vs;
-      v
+  | () -> vs
   | exception e ->
       Span.finish t.spans vs;
+      raise e
+
+(* A delay never raises, so the reply needs no handler of its own. *)
+let rpc_reply t vs ~from ~target ~resp_bytes =
+  delay_with_nic t vs Twoside ~data_source:target ~from ~target
+    ~bytes:resp_bytes;
+  Span.finish t.spans vs
+
+let rpc_abort t vs = Span.finish t.spans vs
+
+let rpc ?parent ?epoch t ~from ~target ~req_bytes ~resp_bytes handler =
+  let vs = rpc_request ?parent ?epoch t ~from ~target ~req_bytes ~resp_bytes in
+  match handler () with
+  | v ->
+      rpc_reply t vs ~from ~target ~resp_bytes;
+      v
+  | exception e ->
+      rpc_abort t vs;
       raise e
 
 (* ------------------------------------------------------------------ *)

@@ -127,6 +127,47 @@ val rpc :
     runs there (it may block on target-side resources), and the response
     travels back.  Returns the handler's result to the caller. *)
 
+(** {2 An RPC in halves}
+
+    {!rpc} is these three calls around its handler.  A hot caller runs
+    its handler inline between them and so builds no closure:
+    {[
+      let vs = Fabric.rpc_request fabric ~from ~target ~req_bytes ~resp_bytes in
+      match handler_body () with
+      | v -> Fabric.rpc_reply fabric vs ~from ~target ~resp_bytes; v
+      | exception e -> Fabric.rpc_abort fabric vs; raise e
+    ]}
+    The halves cost what {!rpc} costs, event for event and draw for
+    draw. *)
+
+val rpc_request :
+  ?parent:Drust_obs.Span.span ->
+  ?epoch:int ->
+  t ->
+  from:node_id ->
+  target:node_id ->
+  req_bytes:int ->
+  resp_bytes:int ->
+  Drust_obs.Span.span
+(** The request half: count and record the verb (its bytes are
+    [req_bytes + resp_bytes]), apply the fault plan, block for the
+    request leg, validate [epoch] and mark the receipt at [target].
+    Returns the verb's open span, {!Drust_obs.Span.null} when untraced,
+    for the other half.  Raises like {!rpc} before its handler would
+    run ({!Node_down}, {!Stale_epoch}), with the span already
+    finished. *)
+
+val rpc_reply :
+  t -> Drust_obs.Span.span -> from:node_id -> target:node_id ->
+  resp_bytes:int -> unit
+(** The reply half: block for the response leg from [target] back to
+    [from], then finish the verb span.  [from], [target] and
+    [resp_bytes] must be those given to {!rpc_request}. *)
+
+val rpc_abort : t -> Drust_obs.Span.span -> unit
+(** End an RPC whose handler raised: finish the verb span and send no
+    reply.  The caller then re-raises. *)
+
 val send_async :
   ?parent:Drust_obs.Span.span ->
   t -> from:node_id -> target:node_id -> bytes:int -> (unit -> unit) -> unit

@@ -89,7 +89,7 @@ let incr c = c.count <- c.count + 1
 let add c n = c.count <- c.count + n
 let set g v = g.g_level <- v
 
-let observe h v =
+let[@inline] observe h v =
   let k = Array.length h.bounds in
   let i = ref 0 in
   while !i < k && v > h.bounds.(!i) do Stdlib.incr i done;

@@ -54,6 +54,8 @@ val incr : counter -> unit
 val add : counter -> int -> unit
 val set : gauge -> float -> unit
 val observe : histogram -> float -> unit
+(** Count one sample.  Inlined, so a sample the caller computes is
+    never boxed. *)
 
 (** {1 Reading} *)
 

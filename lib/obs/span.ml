@@ -36,7 +36,7 @@ type dur_stats = {
 }
 
 type t = {
-  clock : unit -> float;
+  clock : Drust_util.Vclock.t;
   capacity : int;
   mutable ring : event option array;
       (* allocated by the first [enable]: a tracer that is never
@@ -100,7 +100,7 @@ let start t ?(track = 0) ?(args = []) ?parent ~category name =
     Hashtbl.replace t.depths track d;
     let parent_id = match parent with Some p -> p.sp_id | None -> 0 in
     { sp_id = fresh_id t; sp_parent = parent_id; sp_name = name;
-      sp_cat = category; sp_track = track; sp_ts = t.clock (); sp_depth = d;
+      sp_cat = category; sp_track = track; sp_ts = t.clock.now; sp_depth = d;
       sp_args = args; sp_live = true; sp_flow_out = [] }
   end
 
@@ -122,7 +122,7 @@ let finish_live t sp =
   let d = depth t ~track:sp.sp_track in
   if d > 0 then Hashtbl.replace t.depths sp.sp_track (d - 1);
   if t.enabled then begin
-    let dur = t.clock () -. sp.sp_ts in
+    let dur = t.clock.now -. sp.sp_ts in
     note_duration t sp.sp_cat dur;
     record t
       { id = sp.sp_id; parent = sp.sp_parent; name = sp.sp_name;
@@ -141,7 +141,7 @@ let instant t ?(track = 0) ?(args = []) ?parent ?(flow_out = [])
     let parent_id = match parent with Some p -> p.sp_id | None -> 0 in
     record t
       { id = fresh_id t; parent = parent_id; name; category; track;
-        ts = t.clock (); dur = 0.0; depth = depth t ~track; args;
+        ts = t.clock.now; dur = 0.0; depth = depth t ~track; args;
         kind = Instant; flow_out; flow_in }
 
 let events t =

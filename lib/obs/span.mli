@@ -2,8 +2,9 @@
 
     A bounded ring of trace events recorded against an injected clock
     (the simulation engine's virtual clock in practice — this library
-    stays below [Drust_sim] in the dependency order, so the clock is a
-    plain [unit -> float]).  Two event shapes:
+    stays below [Drust_sim] in the dependency order, so the clock is the
+    {!Drust_util.Vclock.t} the engine moves, read in place).  Two event
+    shapes:
 
     - {e complete spans}: [start] .. [finish] pairs with a category, a
       track (one per node by convention), free-form attributes, nesting
@@ -58,7 +59,7 @@ val null : span
     span, so that it never calls {!start} (whose optional arguments box
     on every call).  {!finish} ignores it. *)
 
-val create : ?capacity:int -> clock:(unit -> float) -> unit -> t
+val create : ?capacity:int -> clock:Drust_util.Vclock.t -> unit -> t
 (** Default capacity: 65536 events; older events are overwritten.
     The tracer starts {e disabled}; the ring is allocated by the first
     {!enable}. *)
@@ -69,14 +70,14 @@ val is_enabled : t -> bool
 val start :
   t -> ?track:int -> ?args:(string * string) list -> ?parent:span ->
   category:string -> string -> span
-(** Open a span at [clock ()].  The event is recorded when the span
+(** Open a span at the clock's [now].  The event is recorded when the span
     {!finish}es.  [parent] links the new span under an enclosing one
     (the null span and spans from a disabled tracer parent as roots).
     When disabled, returns {!null} without recording or allocating. *)
 
 val finish : t -> span -> unit
 (** Close the span: records a [Complete] event with
-    [dur = clock () - ts] and folds the duration into the per-category
+    [dur = now - ts] and folds the duration into the per-category
     stats.  Finishing a span twice, or a null span, is a no-op. *)
 
 val instant :

@@ -1,9 +1,9 @@
 open Effect.Deep
 
-(* A float-only record, so its fields are stored unboxed: moving the
-   clock or handing a wake time over allocates nothing. *)
+(* A float-only record, so its field is stored unboxed: handing a wake
+   time over allocates nothing.  The clock is a [Vclock.t] for the same
+   reason, and so that the tracer can read it without a closure. *)
 type instant = {
-  mutable clock : float;
   mutable time : float;
       (* the target time of the [Sleep] being performed, handed from
          [delay] to the handler that queues the sleeper *)
@@ -11,6 +11,7 @@ type instant = {
 
 type t = {
   events : (unit -> unit) Drust_util.Pqueue.t;
+  clock : Drust_util.Vclock.t;
   instant : instant;
   mutable failures : exn list;
   mutable dispatched : int;
@@ -57,13 +58,15 @@ let no_continuation : (unit, unit) continuation =
 let create () =
   {
     events = Drust_util.Pqueue.create ();
-    instant = { clock = 0.0; time = 0.0 };
+    clock = { now = 0.0 };
+    instant = { time = 0.0 };
     failures = [];
     dispatched = 0;
     suspends = 0;
   }
 
-let[@inline] now t = t.instant.clock
+let[@inline] now t = t.clock.now
+let clock t = t.clock
 let dispatched t = t.dispatched
 let suspends t = t.suspends
 
@@ -200,7 +203,7 @@ let step t =
   if Drust_util.Pqueue.is_empty t.events then false
   else begin
     let f = Drust_util.Pqueue.pop_exn t.events in
-    t.instant.clock <- Drust_util.Pqueue.last_time t.events;
+    t.clock.now <- Drust_util.Pqueue.last_time t.events;
     t.dispatched <- t.dispatched + 1;
     f ();
     true
@@ -209,7 +212,7 @@ let step t =
 let run t =
   while not (Drust_util.Pqueue.is_empty t.events) do
     let f = Drust_util.Pqueue.pop_exn t.events in
-    t.instant.clock <- Drust_util.Pqueue.last_time t.events;
+    t.clock.now <- Drust_util.Pqueue.last_time t.events;
     t.dispatched <- t.dispatched + 1;
     f ()
   done;

@@ -25,6 +25,11 @@ val now : t -> float
     captures the value in a closure, stores it in a mixed record or
     passes it to a call that is not inlined boxes it there. *)
 
+val clock : t -> Drust_util.Vclock.t
+(** The record {!now} reads, for a reader below this library (the span
+    tracer) that must see the clock without a closure.  Read-only by
+    convention: only the engine moves it. *)
+
 val schedule : t -> at:float -> (unit -> unit) -> unit
 (** [schedule t ~at f] runs callback [f] at virtual time [at].  Raises
     [Invalid_argument] when [at] is in the past or NaN. *)

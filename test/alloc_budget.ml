@@ -24,7 +24,30 @@ let per_call ?(n = 10_000) engine ~run body =
   run ();
   !words
 
-let check name ~max words =
-  Alcotest.(check bool)
-    (Printf.sprintf "%s: %.1f minor words per call, at most %g" name words max)
-    true (words <= max)
+(* One test case's readings, newest first: (name, words, ceiling). *)
+type t = { mutable readings : (string * float * float) list }
+
+let check t name ~max words = t.readings <- (name, words, max) :: t.readings
+
+(* A test case over several ceilings: [body] takes every reading with
+   [check], then each is printed and the case fails once, naming every
+   ceiling exceeded, so that the first failure hides none of the rest. *)
+let case body () =
+  let t = { readings = [] } in
+  body t;
+  let readings = List.rev t.readings in
+  List.iter
+    (fun (name, words, max) ->
+      Printf.printf "%s: %.1f minor words per call, at most %g\n" name words
+        max)
+    readings;
+  match List.filter (fun (_, words, max) -> not (words <= max)) readings with
+  | [] -> ()
+  | over ->
+      Alcotest.failf "%d of %d allocation ceilings exceeded: %s"
+        (List.length over) (List.length readings)
+        (String.concat "; "
+           (List.map
+              (fun (name, words, max) ->
+                Printf.sprintf "%s read %.1f words, ceiling %g" name words max)
+              over))

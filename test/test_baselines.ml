@@ -327,19 +327,19 @@ let read_part_words ~warm make =
     ~run:(fun () -> Cluster.run cluster)
     (fun _ -> b.Dsm.read_part ctx0 h ~bytes:64)
 
-let test_read_part_allocation () =
-  Alloc_budget.check "cached DRust read_part" ~max:16.0
+let test_read_part_allocation b =
+  Alloc_budget.check b "cached DRust read_part" ~max:1.0
     (read_part_words ~warm:true Drust_dsm.Drust_backend.create);
-  Alloc_budget.check "warm GAM read_part" ~max:1.0
+  Alloc_budget.check b "warm GAM read_part" ~max:1.0
     (read_part_words ~warm:true (fun c -> Gam.backend (Gam.create c)));
-  Alloc_budget.check "remote Grappa read_part" ~max:20.0
+  Alloc_budget.check b "remote Grappa read_part" ~max:11.0
     (read_part_words ~warm:false (fun c -> Grappa.backend (Grappa.create c)))
 
 (* A two-node ping-pong on one 512-byte GAM object homed on node 1:
    node 0 writes it, invalidating node 1's copy, then node 1 reads it
    back, recalling node 0's dirty blocks.  Every call runs GAM's
    directory rounds in both directions. *)
-let test_gam_ping_pong_allocation () =
+let test_gam_ping_pong_allocation b =
   let cluster = Cluster.create (small_params 2) in
   let g = Gam.create cluster in
   let ctx0 = Ctx.make cluster ~node:0 and ctx1 = Ctx.make cluster ~node:1 in
@@ -349,7 +349,7 @@ let test_gam_ping_pong_allocation () =
          h := Some (Gam.alloc_on g ctx1 ~node:1 ~size:512 (pack 0))));
   Cluster.run cluster;
   let h = Option.get !h and v = pack 1 in
-  Alloc_budget.check "GAM two-node write+read ping-pong" ~max:90.0
+  Alloc_budget.check b "GAM two-node write+read ping-pong" ~max:72.0
     (Alloc_budget.per_call (Cluster.engine cluster)
        ~run:(fun () -> Cluster.run cluster)
        (fun _ ->
@@ -370,7 +370,7 @@ let () =
           Alcotest.test_case "spans blocks" `Quick test_gam_small_object_spans_blocks;
           Alcotest.test_case "bounded cache" `Quick test_gam_bounded_cache_evicts;
           Alcotest.test_case "ping-pong allocation budget" `Quick
-            test_gam_ping_pong_allocation;
+            (Alloc_budget.case test_gam_ping_pong_allocation);
           Alcotest.test_case "mutex serializes" `Quick test_gam_mutex_serializes;
         ] );
       ( "grappa",
@@ -395,6 +395,6 @@ let () =
             (backend_semantics Simplan.Original);
           Alcotest.test_case "foreign handle" `Quick test_foreign_handle_rejected;
           Alcotest.test_case "read_part allocation budgets" `Quick
-            test_read_part_allocation;
+            (Alloc_budget.case test_read_part_allocation);
         ] );
     ]

@@ -194,15 +194,21 @@ let test_ctx_rejects_bad_cycles () =
       Alcotest.(check (float 0.0)) "nothing pending" 0.0
         ctx.Ctx.cpu.Ctx.pending_cycles)
 
-let test_ctx_allocation () =
+let test_ctx_allocation b =
   let c = Cluster.create (small 2) in
   let ctx = Ctx.make c ~node:0 in
-  (* Charges below the flush grain only add to the pending count. *)
-  Alloc_budget.check "Ctx.charge_cycles" ~max:0.0
+  (* Charges below the flush grain only add to the pending count.  A
+     constant argument is a static box; a computed one is boxed unless
+     the call is inlined. *)
+  Alloc_budget.check b "Ctx.charge_cycles" ~max:0.0
     (Alloc_budget.per_call (Cluster.engine c)
        ~run:(fun () -> Cluster.run c)
        (fun _ -> Ctx.charge_cycles ctx 1e-3));
-  Alloc_budget.check "Ctx.compute" ~max:3.0
+  Alloc_budget.check b "Ctx.charge_cycles, computed argument" ~max:0.0
+    (Alloc_budget.per_call (Cluster.engine c)
+       ~run:(fun () -> Cluster.run c)
+       (fun i -> Ctx.charge_cycles ctx (1e-3 *. float_of_int (i land 7))));
+  Alloc_budget.check b "Ctx.compute" ~max:3.0
     (Alloc_budget.per_call (Cluster.engine c)
        ~run:(fun () -> Cluster.run c)
        (fun _ -> Ctx.compute ctx ~cycles:100.0))
@@ -334,7 +340,8 @@ let () =
           Alcotest.test_case "unique ids" `Quick test_ctx_thread_ids_unique;
           Alcotest.test_case "bad cycles rejected" `Quick
             test_ctx_rejects_bad_cycles;
-          Alcotest.test_case "allocation budget" `Quick test_ctx_allocation;
+          Alcotest.test_case "allocation budget" `Quick
+            (Alloc_budget.case test_ctx_allocation);
           Alcotest.test_case "ids per cluster" `Quick test_thread_ids_per_cluster;
         ] );
       ( "env",

@@ -17,7 +17,7 @@ let make_fabric ?flight engine ~seed ~model ~nodes =
     match flight with Some f -> f | None -> Flight.create ~metrics ~nodes ()
   in
   Fabric.create ~metrics
-    ~spans:(Drust_obs.Span.create ~clock:(fun () -> Engine.now engine) ())
+    ~spans:(Drust_obs.Span.create ~clock:(Engine.clock engine) ())
     ~flight ~engine ~rng:(Rng.create ~seed) ~model ~nodes
 
 (* A fabric with jitter disabled so latencies are exact. *)
@@ -94,6 +94,102 @@ let test_rpc_latency_includes_both_legs () =
         Engine.now engine -. t0)
   in
   checkf 1e-8 "two one-way legs" 9.0e-6 elapsed
+
+(* A traced quiet fabric on 2 nodes, with its tracer enabled. *)
+let traced_fabric () =
+  let engine = Engine.create () in
+  let spans = Drust_obs.Span.create ~clock:(Engine.clock engine) () in
+  Drust_obs.Span.enable spans;
+  let metrics = Metrics.create () in
+  let fabric =
+    Fabric.create ~metrics ~spans
+      ~flight:(Flight.create ~metrics ~nodes:2 ())
+      ~engine ~rng:(Rng.create ~seed:1)
+      ~model:{ Model.infiniband_40g with Model.jitter = 0.0 }
+      ~nodes:2
+  in
+  (engine, spans, fabric)
+
+let rpc_spans spans =
+  List.length
+    (List.filter
+       (fun e ->
+         e.Drust_obs.Span.name = "RPC"
+         && e.Drust_obs.Span.kind = Drust_obs.Span.Complete)
+       (Drust_obs.Span.events spans))
+
+(* The halves around an inline handler cost what [rpc] costs: the same
+   virtual time, the same counters. *)
+let test_rpc_halves_match_rpc () =
+  let elapsed_and_rpcs round_trip =
+    let engine, fabric = quiet_fabric () in
+    let elapsed =
+      run_in engine (fun () ->
+          round_trip fabric;
+          Engine.now engine)
+    in
+    let snap = Metrics.snapshot (Fabric.metrics fabric) in
+    (elapsed, Metrics.total snap "fabric.rpcs", Metrics.total snap "fabric.bytes_out")
+  in
+  let via_rpc =
+    elapsed_and_rpcs (fun fabric ->
+        Fabric.rpc fabric ~from:0 ~target:1 ~req_bytes:64 ~resp_bytes:4096
+          (fun () -> ()))
+  and via_halves =
+    elapsed_and_rpcs (fun fabric ->
+        let vs =
+          Fabric.rpc_request fabric ~from:0 ~target:1 ~req_bytes:64
+            ~resp_bytes:4096
+        in
+        Fabric.rpc_reply fabric vs ~from:0 ~target:1 ~resp_bytes:4096)
+  in
+  Alcotest.(check (triple (float 0.0) int int)) "same cost" via_rpc via_halves
+
+(* A handler that raises between the halves: the abort finishes the
+   traced span, once, without a reply leg, and the caller re-raises. *)
+let test_rpc_halves_handler_raises () =
+  let engine, spans, fabric = traced_fabric () in
+  let outcome =
+    run_in engine (fun () ->
+        let vs =
+          Fabric.rpc_request fabric ~from:0 ~target:1 ~req_bytes:0
+            ~resp_bytes:0
+        in
+        let after_request = Engine.now engine in
+        match
+          match failwith "handler" with
+          | () -> Fabric.rpc_reply fabric vs ~from:0 ~target:1 ~resp_bytes:0
+          | exception e ->
+              Fabric.rpc_abort fabric vs;
+              raise e
+        with
+        | () -> Error "handler returned"
+        | exception Failure _ -> Ok (Engine.now engine -. after_request))
+  in
+  Alcotest.(check (result (float 0.0) string)) "re-raised, no reply leg"
+    (Ok 0.0) outcome;
+  Alcotest.(check int) "RPC span recorded once" 1 (rpc_spans spans);
+  Alcotest.(check int) "no span left open" 0
+    (Drust_obs.Span.depth spans ~track:0)
+
+(* A stale epoch raises from the request half, the span already
+   finished, before the handler would run. *)
+let test_rpc_request_stale_epoch () =
+  let engine, spans, fabric = traced_fabric () in
+  Fabric.set_epoch_source fabric (Some (fun () -> 3));
+  let raised =
+    run_in engine (fun () ->
+        match
+          Fabric.rpc_request ~epoch:2 fabric ~from:0 ~target:1 ~req_bytes:64
+            ~resp_bytes:64
+        with
+        | _ -> false
+        | exception Fabric.Stale_epoch { seen = 2; current = 3; _ } -> true)
+  in
+  Alcotest.(check bool) "Stale_epoch from rpc_request" true raised;
+  Alcotest.(check int) "RPC span recorded once" 1 (rpc_spans spans);
+  Alcotest.(check int) "no span left open" 0
+    (Drust_obs.Span.depth spans ~track:0)
 
 let test_rdma_atomic_executes_at_target () =
   let engine, fabric = quiet_fabric () in
@@ -353,7 +449,7 @@ let test_bad_node_rejected () =
 
 (* Untraced verbs on 2 nodes with the testbed's jitter: the verb, its
    latency draws and the engine's wakeups, and nothing else. *)
-let test_verb_allocation () =
+let test_verb_allocation b =
   let verb_words f =
     let engine = Engine.create () in
     let fabric =
@@ -363,11 +459,19 @@ let test_verb_allocation () =
       ~run:(fun () -> Engine.run engine)
       (fun _ -> f fabric)
   in
-  Alloc_budget.check "Fabric.rpc" ~max:5.0
+  Alloc_budget.check b "Fabric.rpc" ~max:5.0
     (verb_words (fun fabric ->
          Fabric.rpc fabric ~from:0 ~target:1 ~req_bytes:64 ~resp_bytes:64
            ignore));
-  Alloc_budget.check "Fabric.rdma_read" ~max:3.0
+  (* The two legs' engine continuations, and nothing else. *)
+  Alloc_budget.check b "Fabric.rpc_request + rpc_reply" ~max:4.0
+    (verb_words (fun fabric ->
+         let vs =
+           Fabric.rpc_request fabric ~from:0 ~target:1 ~req_bytes:64
+             ~resp_bytes:64
+         in
+         Fabric.rpc_reply fabric vs ~from:0 ~target:1 ~resp_bytes:64));
+  Alloc_budget.check b "Fabric.rdma_read" ~max:3.0
     (verb_words (fun fabric ->
          Fabric.rdma_read fabric ~from:0 ~target:1 ~bytes:64))
 
@@ -385,10 +489,10 @@ let inactive_plan engine ~nodes =
 
 (* The fault queries run on every verb under a plan; they read the clock
    inline and build no closure, so they allocate nothing. *)
-let test_fault_path_allocation () =
+let test_fault_path_allocation b =
   let engine = Engine.create () in
   let plan = inactive_plan engine ~nodes:2 in
-  Alloc_budget.check "Fault.is_down + Fault.severed" ~max:0.0
+  Alloc_budget.check b "Fault.is_down + Fault.severed" ~max:0.0
     (Alloc_budget.per_call engine
        ~run:(fun () -> Engine.run engine)
        (fun i ->
@@ -400,7 +504,7 @@ let test_fault_path_allocation () =
     make_fabric engine ~seed:1 ~model:Model.infiniband_40g ~nodes:2
   in
   Fabric.set_fault_plan fabric (inactive_plan engine ~nodes:2);
-  Alloc_budget.check "Fabric.rpc under an inactive fault plan" ~max:5.0
+  Alloc_budget.check b "Fabric.rpc under an inactive fault plan" ~max:5.0
     (Alloc_budget.per_call engine
        ~run:(fun () -> Engine.run engine)
        (fun _ ->
@@ -422,6 +526,11 @@ let () =
           Alcotest.test_case "local verb" `Quick test_local_verb_cheap;
           Alcotest.test_case "rpc result" `Quick test_rpc_runs_handler_and_returns;
           Alcotest.test_case "rpc latency" `Quick test_rpc_latency_includes_both_legs;
+          Alcotest.test_case "rpc halves match rpc" `Quick test_rpc_halves_match_rpc;
+          Alcotest.test_case "rpc halves, handler raises" `Quick
+            test_rpc_halves_handler_raises;
+          Alcotest.test_case "rpc_request stale epoch" `Quick
+            test_rpc_request_stale_epoch;
           Alcotest.test_case "atomic" `Quick test_rdma_atomic_executes_at_target;
           Alcotest.test_case "write async" `Quick test_write_async_completion;
           Alcotest.test_case "send async blocks ok" `Quick test_send_async_handler_can_block;
@@ -435,8 +544,8 @@ let () =
             test_async_delivery_order;
           Alcotest.test_case "bad node" `Quick test_bad_node_rejected;
           Alcotest.test_case "verb allocation budget" `Quick
-            test_verb_allocation;
+            (Alloc_budget.case test_verb_allocation);
           Alcotest.test_case "fault path allocation budget" `Quick
-            test_fault_path_allocation;
+            (Alloc_budget.case test_fault_path_allocation);
         ] );
     ]

@@ -4,6 +4,7 @@
 module Metrics = Drust_obs.Metrics
 module Span = Drust_obs.Span
 module Export = Drust_obs.Export
+module Vclock = Drust_util.Vclock
 
 (* ------------------------------------------------------------------ *)
 (* Metrics registry *)
@@ -98,12 +99,10 @@ let test_names_sorted_distinct () =
 (* ------------------------------------------------------------------ *)
 (* Span tracer *)
 
-let manual_clock () =
-  let now = ref 0.0 in
-  (now, fun () -> !now)
+let manual_clock () = { Vclock.now = 0.0 }
 
 let test_span_disabled_by_default () =
-  let _, clock = manual_clock () in
+  let clock = manual_clock () in
   let t = Span.create ~clock () in
   Alcotest.(check bool) "disabled" false (Span.is_enabled t);
   Span.instant t ~category:"x" "ignored";
@@ -113,17 +112,17 @@ let test_span_disabled_by_default () =
   Alcotest.(check int) "no events" 0 (List.length (Span.events t))
 
 let test_span_durations_and_nesting () =
-  let now, clock = manual_clock () in
+  let clock = manual_clock () in
   let t = Span.create ~clock () in
   Span.enable t;
   let outer = Span.start t ~track:2 ~category:"fabric" "outer" in
-  now := 1.0;
+  clock.Vclock.now <- 1.0;
   Alcotest.(check int) "one open span" 1 (Span.depth t ~track:2);
   let inner = Span.start t ~track:2 ~category:"fabric" "inner" in
   Alcotest.(check int) "nested" 2 (Span.depth t ~track:2);
-  now := 3.0;
+  clock.Vclock.now <- 3.0;
   Span.finish t inner;
-  now := 10.0;
+  clock.Vclock.now <- 10.0;
   Span.finish t outer;
   Alcotest.(check int) "drained" 0 (Span.depth t ~track:2);
   (match Span.events t with
@@ -145,7 +144,7 @@ let test_span_durations_and_nesting () =
   | l -> Alcotest.failf "expected 1 category, got %d" (List.length l)
 
 let test_span_ring_overwrites () =
-  let _, clock = manual_clock () in
+  let clock = manual_clock () in
   let t = Span.create ~capacity:4 ~clock () in
   Span.enable t;
   for i = 1 to 10 do
@@ -155,6 +154,19 @@ let test_span_ring_overwrites () =
   Alcotest.(check (list string)) "last four, oldest first"
     [ "7"; "8"; "9"; "10" ]
     (List.map (fun e -> e.Span.name) (Span.events t))
+
+(* A traced span against the engine's clock, as [Cluster.create] wires
+   one: the tracer reads the clock's record in place, where a clock
+   closure would box the time it returns at start and at finish.  What
+   remains is the span, the recorded event and the duration statistics. *)
+let test_traced_span_allocation b =
+  let engine = Drust_sim.Engine.create () in
+  let t = Span.create ~clock:(Drust_sim.Engine.clock engine) () in
+  Span.enable t;
+  Alloc_budget.check b "traced Span.start + finish" ~max:46.0
+    (Alloc_budget.per_call engine
+       ~run:(fun () -> Drust_sim.Engine.run engine)
+       (fun _ -> Span.finish t (Span.start t ~track:1 ~category:"c" "s")))
 
 (* ------------------------------------------------------------------ *)
 (* Exporters.  A tiny structural JSON check: balanced braces/brackets
@@ -181,21 +193,21 @@ let check_balanced_json s =
   Alcotest.(check bool) "string closed" false !in_str
 
 let test_chrome_trace_shape () =
-  let now, clock = manual_clock () in
+  let clock = manual_clock () in
   let t = Span.create ~clock () in
   Span.enable t;
   (* Deliberately record completes out of start order: "late" starts
      first but finishes last, so raw ring order is not ts order. *)
   let late = Span.start t ~track:1 ~category:"fabric" "late" in
-  now := 1.0;
+  clock.Vclock.now <- 1.0;
   let early =
     Span.start t ~track:0 ~category:"protocol"
       ~args:[ ("g", "0x2a"); ("quote", "a\"b") ]
       "early"
   in
-  now := 2.0;
+  clock.Vclock.now <- 2.0;
   Span.finish t early;
-  now := 5.0;
+  clock.Vclock.now <- 5.0;
   Span.finish t late;
   Span.instant t ~track:1 ~category:"controller" "mark";
   let json = Export.chrome_trace t in
@@ -259,11 +271,11 @@ let test_metrics_jsonl_shape () =
        lines)
 
 let test_chrome_trace_thread_metadata () =
-  let now, clock = manual_clock () in
+  let clock = manual_clock () in
   let t = Span.create ~clock () in
   Span.enable t;
   Span.instant t ~track:2 ~category:"n" "a";
-  now := 1.0;
+  clock.Vclock.now <- 1.0;
   Span.instant t ~track:11 ~category:"n" "b";
   let json = Export.chrome_trace t in
   check_balanced_json json;
@@ -486,26 +498,26 @@ let test_merge_histos () =
 module Cp = Drust_obs.Critical_path
 
 let test_critical_path_attribution () =
-  let now, clock = manual_clock () in
+  let clock = manual_clock () in
   let t = Span.create ~clock () in
   Span.enable t;
   (* op [0,10]; wire child [2,5]; compute child [6,8] with a queue
      grandchild [6,7].  Self times: op 5, wire 3, compute 1, queue 1. *)
   let root = Span.start t ~track:0 ~category:"protocol" "op" in
-  now := 2.0;
+  clock.Vclock.now <- 2.0;
   let w = Span.start t ~parent:root ~track:0 ~category:"net.wire" "wire" in
-  now := 5.0;
+  clock.Vclock.now <- 5.0;
   Span.finish t w;
-  now := 6.0;
+  clock.Vclock.now <- 6.0;
   let c =
     Span.start t ~parent:root ~track:0 ~category:"cpu.compute" "compute"
   in
   let q = Span.start t ~parent:c ~track:0 ~category:"cpu.queue" "q" in
-  now := 7.0;
+  clock.Vclock.now <- 7.0;
   Span.finish t q;
-  now := 8.0;
+  clock.Vclock.now <- 8.0;
   Span.finish t c;
-  now := 10.0;
+  clock.Vclock.now <- 10.0;
   Span.finish t root;
   match Cp.analyze (Span.events t) with
   | [ p ] ->
@@ -524,14 +536,14 @@ let test_critical_path_attribution () =
   | l -> Alcotest.failf "expected 1 path, got %d" (List.length l)
 
 let test_critical_path_top_k_and_report () =
-  let now, clock = manual_clock () in
+  let clock = manual_clock () in
   let t = Span.create ~clock () in
   Span.enable t;
   let short = Span.start t ~track:0 ~category:"protocol" "short_op" in
-  now := 1.0;
+  clock.Vclock.now <- 1.0;
   Span.finish t short;
   let long_ = Span.start t ~track:0 ~category:"protocol" "long_op" in
-  now := 6.0;
+  clock.Vclock.now <- 6.0;
   Span.finish t long_;
   let paths = Cp.analyze (Span.events t) in
   Alcotest.(check int) "two roots" 2 (List.length paths);
@@ -596,12 +608,12 @@ let count_infix ~affix s =
   go 0 0
 
 let test_chrome_trace_flow_events () =
-  let now, clock = manual_clock () in
+  let clock = manual_clock () in
   let t = Span.create ~clock () in
   Span.enable t;
   let fid = Span.fresh_flow_id t in
   Span.instant t ~track:0 ~flow_out:[ fid ] ~category:"fabric" "send";
-  now := 1.0;
+  clock.Vclock.now <- 1.0;
   Span.instant t ~track:1 ~flow_in:[ fid ] ~category:"fabric" "recv";
   (* A flow id with no consumer must not emit a dangling arrow. *)
   let dangling = Span.fresh_flow_id t in
@@ -697,6 +709,8 @@ let () =
           Alcotest.test_case "durations + nesting" `Quick
             test_span_durations_and_nesting;
           Alcotest.test_case "ring overwrites" `Quick test_span_ring_overwrites;
+          Alcotest.test_case "traced allocation budget" `Quick
+            (Alloc_budget.case test_traced_span_allocation);
         ] );
       ( "export",
         [

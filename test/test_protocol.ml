@@ -312,6 +312,143 @@ let test_clone_imm_starts_null () =
          = B.Owned))
 
 (* ------------------------------------------------------------------ *)
+(* The fused read against borrow_imm / imm_deref / drop_imm *)
+
+module Tap = Drust_memory.Tap
+module Metrics = Drust_obs.Metrics
+module Flight = Drust_obs.Flight
+
+let three_calls ctx o =
+  let r = P.borrow_imm ctx o in
+  let v = P.imm_deref ctx r in
+  P.drop_imm ctx r;
+  v
+
+type path = Local | Cached | Fetch
+
+let describe_event (ev : Tap.event) =
+  let g = Gaddr.to_int in
+  match ev with
+  | Create { g = a; size } -> Printf.sprintf "create %d %d" (g a) size
+  | Read { g = a; path = Path_local } -> Printf.sprintf "read local %d" (g a)
+  | Read { g = a; path = Path_cache k } ->
+      Printf.sprintf "read cache %d key %d" (g a) (g k)
+  | Read { g = a; path = Path_fetch } -> Printf.sprintf "read fetch %d" (g a)
+  | Borrow_imm { g = a } -> Printf.sprintf "borrow_imm %d" (g a)
+  | Return_imm { g = a } -> Printf.sprintf "return_imm %d" (g a)
+  | Cache_hit { key } -> Printf.sprintf "cache hit %d" (g key)
+  | Cache_insert { key; size } -> Printf.sprintf "cache insert %d %d" (g key) size
+  | Cache_release { key; refcount } ->
+      Printf.sprintf "cache release %d -> %d" (g key) refcount
+  | _ -> "other"
+
+(* Every sample of a registry, floats in hex so that equal renderings
+   mean bit-identical values. *)
+let describe_metrics snap =
+  List.map
+    (fun (s : Metrics.sample) ->
+      let labels =
+        String.concat "," (List.map (fun (k, v) -> k ^ "=" ^ v) s.s_labels)
+      in
+      let value =
+        match s.s_value with
+        | Metrics.Count n -> string_of_int n
+        | Level x -> Printf.sprintf "%h" x
+        | Histo h -> Printf.sprintf "%d/%h" h.h_count h.h_sum
+      in
+      Printf.sprintf "%s{%s} %s" s.s_name labels value)
+    snap
+
+(* One read of a 64-byte object on node 0, with a tied 32-byte child, on
+   a fresh 2-node cluster, through [read_with]: from node 0 ([Local]),
+   or from node 1 cold ([Fetch]) or after a warming read ([Cached]).
+   Returns everything the two ways of reading must agree on. *)
+let observe_read path read_with =
+  let cluster = Cluster.create (small_params 2) in
+  let events = ref [] in
+  Tap.set (Cluster.tap cluster)
+    (Some
+       (fun ~node ~thread ev ->
+         events := Printf.sprintf "n%d t%d %s" node thread (describe_event ev)
+                   :: !events));
+  let result = ref None in
+  ignore
+    (Engine.spawn (Cluster.engine cluster) (fun () ->
+         let ctx0 = ctx_on cluster 0 in
+         let o = P.create ctx0 ~size:64 (pack 41) in
+         let child = P.create ctx0 ~size:32 (pack 0) in
+         P.tie ctx0 ~parent:o ~child;
+         let reader = if path = Local then ctx0 else ctx_on cluster 1 in
+         if path = Cached then ignore (read_with reader o);
+         let v = unpack (read_with reader o) in
+         let cache = (Cluster.node cluster reader.Ctx.node).Cluster.cache in
+         let refcount x =
+           Option.map (fun c -> c.Cache.refcount) (Cache.lookup cache (P.gaddr x))
+         in
+         let time = Engine.now (Cluster.engine cluster) in
+         (* A borrow the read left held would refuse a mutable one. *)
+         let free =
+           match P.borrow_mut ctx0 o with
+           | m ->
+               P.drop_mut ctx0 m;
+               true
+           | exception B.Violation _ -> false
+         in
+         result := Some (v, (refcount o, refcount child), time, free)));
+  Cluster.run cluster;
+  let v, refcounts, time, free = Option.get !result in
+  Alcotest.(check bool) "no borrow left held" true free;
+  let snap = Metrics.snapshot (Cluster.metrics cluster) in
+  let flight =
+    List.map
+      (fun (e : Flight.event) ->
+        Printf.sprintf "%h %d %d %d %d %d %d" e.ev_time e.ev_node e.ev_kind
+          e.ev_a e.ev_b e.ev_c e.ev_d)
+      (Flight.events (Cluster.flight cluster))
+  in
+  (v, refcounts, time, List.rev !events, describe_metrics snap, flight, snap)
+
+let test_read_matches_three_calls path kind () =
+  let v, refcounts, time, events, metrics, flight, snap =
+    observe_read path P.read
+  in
+  let v', refcounts', time', events', metrics', flight', _ =
+    observe_read path three_calls
+  in
+  Alcotest.(check int) "value" 41 v;
+  Alcotest.(check int) "same value" v' v;
+  Alcotest.(check (pair (option int) (option int)))
+    "copy refcounts afterwards" refcounts' refcounts;
+  Alcotest.(check (float 0.0)) "same virtual time" time' time;
+  Alcotest.(check (list string)) "tap events" events' events;
+  Alcotest.(check (list string)) "metrics" metrics' metrics;
+  Alcotest.(check (list string)) "flight records" flight' flight;
+  match
+    Metrics.find snap ~labels:[ ("op", Flight.kind_names.(kind)) ]
+      "protocol.op_latency"
+  with
+  | Some (Metrics.Histo h) ->
+      Alcotest.(check int) "one op_latency sample on the path" 1 h.h_count
+  | _ -> Alcotest.fail "no op_latency histogram"
+
+(* A read against a mutably borrowed owner raises before it takes
+   anything: once the mutable borrow is returned, the owner is free. *)
+let test_read_violation_holds_nothing () =
+  in_cluster (fun cluster ->
+      let ctx = ctx_on cluster 0 in
+      let o = P.create ctx ~size:64 (pack 3) in
+      let m = P.borrow_mut ctx o in
+      Alcotest.(check bool) "read while mut raises" true
+        (match P.read ctx o with
+        | _ -> false
+        | exception B.Violation _ -> true);
+      P.drop_mut ctx m;
+      (* A leaked immutable borrow would make both of these raise. *)
+      P.drop_mut ctx (P.borrow_mut ctx o);
+      P.transfer ctx o ~to_node:1;
+      Alcotest.(check int) "reads after" 3 (unpack (P.read ctx o)))
+
+(* ------------------------------------------------------------------ *)
 (* Affinity (TBox) *)
 
 let test_tie_colocates () =
@@ -676,6 +813,17 @@ let () =
           Alcotest.test_case "dealloc invalidates caches" `Quick
             test_dealloc_invalidates_remote_caches;
           Alcotest.test_case "clone starts null" `Quick test_clone_imm_starts_null;
+        ] );
+      ( "read",
+        [
+          Alcotest.test_case "local = three calls" `Quick
+            (test_read_matches_three_calls Local Flight.k_read_local);
+          Alcotest.test_case "cached = three calls" `Quick
+            (test_read_matches_three_calls Cached Flight.k_read_cached);
+          Alcotest.test_case "fetch = three calls" `Quick
+            (test_read_matches_three_calls Fetch Flight.k_read_fetch);
+          Alcotest.test_case "violation holds nothing" `Quick
+            test_read_violation_holds_nothing;
         ] );
       ( "affinity",
         [

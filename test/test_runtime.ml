@@ -260,7 +260,7 @@ let test_darc_last_drop_frees () =
 
 (* With no tap subscriber, the local refcount and lock paths build no
    tap event and look nothing up per call. *)
-let test_runtime_allocation () =
+let test_runtime_allocation b =
   let c = Cluster.create (small_params 2) in
   let ctx = Ctx.make c ~node:0 in
   let mu = Dmutex.create ctx ~size:8 (pack 0) in
@@ -268,11 +268,11 @@ let test_runtime_allocation () =
   let per_call body =
     Alloc_budget.per_call (Cluster.engine c) ~run:(fun () -> Cluster.run c) body
   in
-  Alloc_budget.check "local Dmutex lock+unlock" ~max:14.0
+  Alloc_budget.check b "local Dmutex lock+unlock" ~max:14.0
     (per_call (fun _ ->
          Dmutex.lock ctx mu;
          Dmutex.unlock ctx mu));
-  Alloc_budget.check "local Darc clone+drop" ~max:12.0
+  Alloc_budget.check b "local Darc clone+drop" ~max:12.0
     (per_call (fun _ -> Darc.drop ctx (Darc.clone ctx arc)))
 
 let test_dmutex_mutual_exclusion () =
@@ -503,7 +503,8 @@ let () =
           Alcotest.test_case "dmutex exclusion" `Quick test_dmutex_mutual_exclusion;
           Alcotest.test_case "dmutex guarded" `Quick test_dmutex_guarded_data;
           Alcotest.test_case "dmutex misuse" `Quick test_dmutex_unlock_requires_holder;
-          Alcotest.test_case "allocation budgets" `Quick test_runtime_allocation;
+          Alcotest.test_case "allocation budgets" `Quick
+            (Alloc_budget.case test_runtime_allocation);
         ] );
       ( "rc-and-scope",
         [

@@ -402,11 +402,11 @@ let test_delay_one_hop_allocation () =
     (Printf.sprintf "%.1f minor words per delay, at most 3" words)
     true (words <= 3.0)
 
-let test_resource_use_allocation () =
+let test_resource_use_allocation b =
   let e = Engine.create () in
   let r = Resource.create e ~capacity:1 in
   let hold () = Engine.delay e 1e-6 in
-  Alloc_budget.check "uncontended Resource.use with a delay" ~max:3.0
+  Alloc_budget.check b "uncontended Resource.use with a delay" ~max:3.0
     (Alloc_budget.per_call e
        ~run:(fun () -> Engine.run e)
        (fun _ -> Resource.use r hold))
@@ -448,7 +448,7 @@ let () =
           Alcotest.test_case "utilization" `Quick test_resource_utilization;
           Alcotest.test_case "exception releases" `Quick test_resource_exception_releases;
           Alcotest.test_case "use allocation budget" `Quick
-            test_resource_use_allocation;
+            (Alloc_budget.case test_resource_use_allocation);
           QCheck_alcotest.to_alcotest prop_resource_capacity;
         ] );
     ]

@@ -362,7 +362,7 @@ let test_pqueue_heap_before_ring () =
    instant.  [push] and [last_time] are inlined and the clock sits in a
    float-only record, so neither the computed time nor the instant a
    pop moves the clock to is ever boxed. *)
-let test_pqueue_near_horizon_allocation () =
+let test_pqueue_near_horizon_allocation b =
   let q = Pqueue.create () in
   for i = 0 to 63 do
     Pqueue.push q ~time:(float_of_int (1 + (i * 5 mod 8)) *. 1e-6) i
@@ -376,7 +376,7 @@ let test_pqueue_near_horizon_allocation () =
       v
   done;
   let words = (Gc.minor_words () -. w0) /. float_of_int n in
-  Alloc_budget.check "near-horizon pop_exn + push at depth 64" ~max:0.5 words
+  Alloc_budget.check b "near-horizon pop_exn + push at depth 64" ~max:0.5 words
 
 let prop_pqueue_sorted =
   QCheck.Test.make ~name:"pqueue pops in nondecreasing time order" ~count:200
@@ -592,7 +592,7 @@ let () =
           Alcotest.test_case "heap entry due before ring" `Quick
             test_pqueue_heap_before_ring;
           Alcotest.test_case "near-horizon allocation budget" `Quick
-            test_pqueue_near_horizon_allocation;
+            (Alloc_budget.case test_pqueue_near_horizon_allocation);
           QCheck_alcotest.to_alcotest prop_pqueue_sorted;
           QCheck_alcotest.to_alcotest prop_pqueue_matches_heap;
         ] );
