@@ -23,15 +23,20 @@ let max_tries = 200_000
 
 let backoff ctx = Drust_sim.Engine.delay (Ctx.engine ctx) 1e-6
 
-let rec with_borrow_retry ctx tries f =
-  match f () with
-  | v -> v
+(* The retry loops, written out so that an access builds no closure.
+   A write borrows mutably, applies [op] ([Protocol.mut_write] or
+   [Protocol.mut_modify]) to its operand [x], and returns the borrow. *)
+let rec mut_retry ctx o op x tries =
+  match
+    let m = Protocol.borrow_mut ctx o in
+    op ctx m x;
+    Protocol.drop_mut ctx m
+  with
+  | () -> ()
   | exception Drust_ownership.Borrow_state.Violation _ when tries < max_tries ->
       backoff ctx;
-      with_borrow_retry ctx (tries + 1) f
+      mut_retry ctx o op x (tries + 1)
 
-(* The read path's retry loop, written out so that a read builds no
-   closure. *)
 let rec read_retry ctx o tries =
   match Protocol.read ctx o with
   | v -> v
@@ -46,20 +51,9 @@ let create cluster =
     alloc = (fun ctx ~size v -> H (Protocol.create ctx ~size v));
     alloc_on = (fun ctx ~node ~size v -> H (Protocol.create_on ctx ~node ~size v));
     read = (fun ctx h -> read_retry ctx (owner_of h) 0);
-    write =
-      (fun ctx h v ->
-        let o = owner_of h in
-        with_borrow_retry ctx 0 (fun () ->
-            let m = Protocol.borrow_mut ctx o in
-            Protocol.mut_write ctx m v;
-            Protocol.drop_mut ctx m));
+    write = (fun ctx h v -> mut_retry ctx (owner_of h) Protocol.mut_write v 0);
     update =
-      (fun ctx h f ->
-        let o = owner_of h in
-        with_borrow_retry ctx 0 (fun () ->
-            let m = Protocol.borrow_mut ctx o in
-            Protocol.mut_modify ctx m f;
-            Protocol.drop_mut ctx m));
+      (fun ctx h f -> mut_retry ctx (owner_of h) Protocol.mut_modify f 0);
     free = (fun ctx h -> Protocol.drop_owner ctx (owner_of h));
     read_part = (fun ctx h ~bytes:_ -> ignore (read_retry ctx (owner_of h) 0));
     process =
@@ -69,11 +63,7 @@ let create cluster =
         v);
     process_update =
       (fun ctx h ~cycles f ->
-        let o = owner_of h in
-        with_borrow_retry ctx 0 (fun () ->
-            let m = Protocol.borrow_mut ctx o in
-            Protocol.mut_modify ctx m f;
-            Protocol.drop_mut ctx m);
+        mut_retry ctx (owner_of h) Protocol.mut_modify f 0;
         Ctx.compute ctx ~cycles);
     home =
       (fun h ->

@@ -10,7 +10,9 @@ type t = {
   rng : Drust_util.Rng.t;
   cpu : cpu;
   mutable local_alloc_bytes : int;
-  remote_accesses : int array;
+  mutable remote_accesses : int array;
+      (* empty until the first remote access: most contexts (one per KV
+         bucket mutex, say) never make one *)
   mutable safe_point_hook : (t -> unit) option;
   mutable current_span : Drust_obs.Span.span option;
   mutable op_kind : int;
@@ -28,7 +30,7 @@ let make cluster ~node =
     rng = Drust_util.Rng.split (Cluster.rng cluster);
     cpu = { pending_cycles = 0.0 };
     local_alloc_bytes = 0;
-    remote_accesses = Array.make (Cluster.node_count cluster) 0;
+    remote_accesses = [||];
     safe_point_hook = None;
     current_span = None;
     op_kind = -1;
@@ -88,8 +90,11 @@ let[@inline] compute t ~cycles =
   flush t
 
 let note_remote_access t ~target =
-  if target <> t.node then
+  if target <> t.node then begin
+    if Array.length t.remote_accesses = 0 then
+      t.remote_accesses <- Array.make (Cluster.node_count t.cluster) 0;
     t.remote_accesses.(target) <- t.remote_accesses.(target) + 1
+  end
 
 let note_local_alloc t ~bytes = t.local_alloc_bytes <- t.local_alloc_bytes + bytes
 

@@ -22,7 +22,8 @@ type t = {
   rng : Drust_util.Rng.t;
   cpu : cpu;
   mutable local_alloc_bytes : int;
-  remote_accesses : int array;  (** per-target-node counts *)
+  mutable remote_accesses : int array;
+      (** per-target-node counts; empty until the first remote access *)
   mutable safe_point_hook : (t -> unit) option;
       (** invoked at flush points; the runtime installs migration here *)
   mutable current_span : Drust_obs.Span.span option;

@@ -371,7 +371,7 @@ let rdma_write_async ?parent t ~from ~target ~bytes k =
          ~bytes k)
   end
 
-let rdma_atomic ?parent t ~from ~target f =
+let rdma_atomic ?parent t ~from ~target f x y =
   issue t "rdma_atomic" ~kind:Flight.k_fab_atomic ~from ~target ~bytes:8
     ~c:(-1);
   sync_guard t ~from ~target;
@@ -381,7 +381,7 @@ let rdma_atomic ?parent t ~from ~target f =
     (* The 8-byte operand rides the latency: no wire time, no NIC. *)
     delay_with_nic t vs Atomic ~data_source:target ~from ~target ~bytes:0;
     serve_mark t vs ~flow ~target "SERVE(ATOMIC)";
-    f ()
+    f x y
   with
   | v ->
       Span.finish t.spans vs;

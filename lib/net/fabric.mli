@@ -108,10 +108,13 @@ val rdma_write_async :
 
 val rdma_atomic :
   ?parent:Drust_obs.Span.span ->
-  t -> from:node_id -> target:node_id -> (unit -> 'a) -> 'a
-(** Remote atomic (FAA / CAS): blocks the caller for the atomic verb
-    latency and then runs [f] — the NIC-serialized atomic update — at the
-    target.  [f] must be instantaneous (no blocking primitives). *)
+  t -> from:node_id -> target:node_id -> ('a -> 'b -> 'c) -> 'a -> 'b -> 'c
+(** Remote atomic (FAA / CAS): [rdma_atomic t ~from ~target f x y] blocks
+    the caller for the atomic verb latency and then runs [f x y] — the
+    NIC-serialized atomic update — at the target.  [f] must be
+    instantaneous (no blocking primitives).  Taking [f]'s operands apart
+    from [f] lets a caller pass a top-level function, so that an atomic
+    builds no closure. *)
 
 val rpc :
   ?parent:Drust_obs.Span.span ->

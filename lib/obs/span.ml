@@ -35,6 +35,16 @@ type dur_stats = {
   d_max : float;
 }
 
+(* A category's running durations: float-only, so its fields are stored
+   unboxed and a finish updates it in place without allocating.  The
+   count is exact as a float far beyond any run's span count. *)
+type dur_acc = {
+  mutable a_count : float;
+  mutable a_total : float;
+  mutable a_min : float;
+  mutable a_max : float;
+}
+
 type t = {
   clock : Drust_util.Vclock.t;
   capacity : int;
@@ -47,7 +57,7 @@ type t = {
   mutable next_id : int; (* event/span ids; 0 is reserved for "none" *)
   mutable next_flow : int; (* flow-edge ids, per-tracer, deterministic *)
   depths : (int, int) Hashtbl.t; (* track -> open span count *)
-  stats : (string, dur_stats) Hashtbl.t; (* category -> durations *)
+  stats : (string, dur_acc) Hashtbl.t; (* category -> durations *)
 }
 
 let create ?(capacity = 65536) ~clock () =
@@ -90,8 +100,9 @@ let record t ev =
   t.next <- (t.next + 1) mod Array.length t.ring;
   t.total <- t.total + 1
 
+(* [find] rather than [find_opt]: no option per lookup. *)
 let depth t ~track =
-  match Hashtbl.find_opt t.depths track with Some d -> d | None -> 0
+  match Hashtbl.find t.depths track with d -> d | exception Not_found -> 0
 
 let start t ?(track = 0) ?(args = []) ?parent ~category name =
   if not t.enabled then null
@@ -108,14 +119,15 @@ let add_flow_out sp fid =
   if sp.sp_live then sp.sp_flow_out <- fid :: sp.sp_flow_out
 
 let note_duration t category dur =
-  let s =
-    match Hashtbl.find_opt t.stats category with
-    | Some s ->
-        { d_count = s.d_count + 1; d_total = s.d_total +. dur;
-          d_min = Float.min s.d_min dur; d_max = Float.max s.d_max dur }
-    | None -> { d_count = 1; d_total = dur; d_min = dur; d_max = dur }
-  in
-  Hashtbl.replace t.stats category s
+  match Hashtbl.find t.stats category with
+  | a ->
+      a.a_count <- a.a_count +. 1.0;
+      a.a_total <- a.a_total +. dur;
+      a.a_min <- Float.min a.a_min dur;
+      a.a_max <- Float.max a.a_max dur
+  | exception Not_found ->
+      Hashtbl.replace t.stats category
+        { a_count = 1.0; a_total = dur; a_min = dur; a_max = dur }
 
 let finish_live t sp =
   sp.sp_live <- false;
@@ -158,7 +170,12 @@ let events t =
 let count t = t.total
 
 let duration_stats t =
-  Drust_util.Tables.sorted_bindings t.stats ~cmp:String.compare
+  List.map
+    (fun (category, a) ->
+      ( category,
+        { d_count = Float.to_int a.a_count; d_total = a.a_total;
+          d_min = a.a_min; d_max = a.a_max } ))
+    (Drust_util.Tables.sorted_bindings t.stats ~cmp:String.compare)
 
 let pp_args fmt = function
   | [] -> ()

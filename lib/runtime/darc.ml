@@ -33,24 +33,27 @@ let check_live t op =
   if not t.live || t.control.freed then
     invalid_arg (Printf.sprintf "Darc.%s: handle dropped" op)
 
-let at_home ctx t op =
+(* The fetch-and-add on the count, run where the control block lives;
+   [adjust c 0] reads it.  The count after the add comes back. *)
+let adjust control delta =
+  control.count <- control.count + delta;
+  control.count
+
+let at_home ctx t delta =
   let target = Cluster.serving_node (Ctx.cluster ctx) (home t) in
   if target = ctx.Ctx.node then begin
     Ctx.charge_cycles ctx 25.0;
-    op ()
+    adjust t.control delta
   end
   else begin
     Ctx.flush ctx;
-    Fabric.rdma_atomic (Ctx.fabric ctx) ~from:ctx.Ctx.node ~target op
+    Fabric.rdma_atomic (Ctx.fabric ctx) ~from:ctx.Ctx.node ~target adjust
+      t.control delta
   end
 
 let clone ctx t =
   check_live t "clone";
-  let count =
-    at_home ctx t (fun () ->
-        t.control.count <- t.control.count + 1;
-        t.control.count)
-  in
+  let count = at_home ctx t 1 in
   (match Ctx.tap ctx with
   | None -> ()
   | Some f -> Ctx.emit ctx f (Tap.Rc_retained { g = t.control.g; count }));
@@ -58,7 +61,7 @@ let clone ctx t =
 
 let strong_count ctx t =
   check_live t "strong_count";
-  at_home ctx t (fun () -> t.control.count)
+  at_home ctx t 0
 
 let get ctx t =
   check_live t "get";
@@ -91,10 +94,7 @@ let get ctx t =
 let drop ctx t =
   check_live t "drop";
   t.live <- false;
-  let count = at_home ctx t (fun () ->
-      t.control.count <- t.control.count - 1;
-      t.control.count)
-  in
+  let count = at_home ctx t (-1) in
   (match Ctx.tap ctx with
   | None -> ()
   | Some f -> Ctx.emit ctx f (Tap.Rc_released { g = t.control.g; count }));

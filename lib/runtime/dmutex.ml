@@ -11,7 +11,7 @@ type t = {
   size : int;
   home : int;
   mutable locked : bool;
-  mutable holder : int option; (* thread id, for misuse detection *)
+  mutable holder : int; (* thread id, for misuse detection; -1 free *)
 }
 
 (* Lock transitions go to the cluster's tap ([Tap.Lock_*]).
@@ -29,30 +29,33 @@ let create ctx ~size v =
     size;
     home = ctx.Ctx.node;
     locked = false;
-    holder = None;
+    holder = -1;
   }
 
 let serving_home ctx t = Cluster.serving_node (Ctx.cluster ctx) t.home
 
+(* The CAS on the lock word, run where the word lives: a top-level
+   function of its operands, so that an attempt builds no closure. *)
+let try_acquire t thread =
+  if t.locked then false
+  else begin
+    t.locked <- true;
+    t.holder <- thread;
+    true
+  end
+
 let cas_attempt ctx t =
   let target = serving_home ctx t in
-  let attempt () =
-    if t.locked then false
-    else begin
-      t.locked <- true;
-      t.holder <- Some ctx.Ctx.thread_id;
-      true
-    end
-  in
   let won =
     if target = ctx.Ctx.node then begin
       Ctx.charge_cycles ctx 40.0;
-      attempt ()
+      try_acquire t ctx.Ctx.thread_id
     end
     else begin
       Ctx.note_remote_access ctx ~target;
       Ctx.flush ctx;
-      Fabric.rdma_atomic (Ctx.fabric ctx) ~from:ctx.Ctx.node ~target attempt
+      Fabric.rdma_atomic (Ctx.fabric ctx) ~from:ctx.Ctx.node ~target
+        try_acquire t ctx.Ctx.thread_id
     end
   in
   (if won then
@@ -64,21 +67,19 @@ let cas_attempt ctx t =
   won
 
 let lock ctx t =
-  let engine = Ctx.engine ctx in
-  let rec retry backoff =
-    if not (cas_attempt ctx t) then begin
+  if not (cas_attempt ctx t) then begin
+    let backoff = ref 2e-6 in
+    while not (cas_attempt ctx t) do
       (* Bounded exponential backoff with jitter to break convoys. *)
-      let jitter = Drust_util.Rng.float ctx.Ctx.rng backoff in
-      Engine.delay engine (backoff +. jitter);
-      retry (Float.min (2.0 *. backoff) 32e-6)
-    end
-  in
-  if not (cas_attempt ctx t) then retry 2e-6
+      let jitter = Drust_util.Rng.float ctx.Ctx.rng !backoff in
+      Engine.delay (Ctx.engine ctx) (!backoff +. jitter);
+      backoff := Float.min (2.0 *. !backoff) 32e-6
+    done
+  end
 
 let check_held ctx t op =
-  match t.holder with
-  | Some id when id = ctx.Ctx.thread_id -> ()
-  | Some _ | None -> invalid_arg (Printf.sprintf "Dmutex.%s: lock not held" op)
+  if t.holder <> ctx.Ctx.thread_id then
+    invalid_arg (Printf.sprintf "Dmutex.%s: lock not held" op)
 
 let unlock ctx t =
   (match Ctx.tap ctx with
@@ -87,7 +88,7 @@ let unlock ctx t =
       Ctx.emit ctx f
         (Tap.Lock_released { g = t.data_g; thread = ctx.Ctx.thread_id }));
   check_held ctx t "unlock";
-  t.holder <- None;
+  t.holder <- -1;
   let target = serving_home ctx t in
   if target = ctx.Ctx.node then begin
     Ctx.charge_cycles ctx 30.0;

@@ -6,8 +6,24 @@ open Effect.Deep
 type instant = {
   mutable time : float;
       (* the target time of the [Sleep] being performed, handed from
-         [delay] to the handler that queues the sleeper *)
+         [delay] to the handler that queues the sleeping process *)
 }
+
+type process_state = Running | Finished | Failed of exn
+
+(* A spawned process: its [join] handle and its timer slot in one
+   record.  The slot is reused by every [delay] and [yield] the process
+   performs: while it sleeps, [parked] holds its continuation and [wake]
+   is the queue callback that resumes it. *)
+type process = {
+  mutable state : process_state;
+  mutable join_waiters : (unit -> unit) list;
+  mutable parked : (unit, unit) continuation;
+  mutable requeued : bool;
+  mutable wake : unit -> unit; (* set once, right after the record *)
+}
+
+type process_handle = process
 
 type t = {
   events : (unit -> unit) Drust_util.Pqueue.t;
@@ -15,26 +31,13 @@ type t = {
   instant : instant;
   mutable failures : exn list;
   mutable dispatched : int;
-      (* logical events run: one per queue pop, plus one per sleeper
-         resumption that ran inside its timer's event *)
+      (* logical events run: one per queue pop, plus one per resumption
+         of a sleeping process that ran inside its timer's event *)
   mutable suspends : int;
-}
-
-(* A process's timer slot, made once per process and reused by every
-   [delay] and [yield] it performs: while the process sleeps, [parked]
-   holds its continuation and [wake] is the queue callback that resumes
-   it. *)
-type sleeper = {
-  mutable parked : (unit, unit) continuation;
-  mutable requeued : bool;
-  wake : unit -> unit;
-}
-
-type process_state = Running | Finished | Failed of exn
-
-type process_handle = {
-  mutable state : process_state;
-  mutable join_waiters : (unit -> unit) list;
+  mutable current : process;
+      (* the process whose fiber runs: set before every start and
+         resumption, read by the handler when the fiber parks or ends *)
+  mutable handler : (unit, unit) handler; (* the engine's one handler *)
 }
 
 type _ Effect.t +=
@@ -52,18 +55,8 @@ let () =
 let no_continuation : (unit, unit) continuation =
   (Obj.magic ()
   [@dlint.allow
-    "determinism: empty-slot sentinel for a sleeper's parked continuation; \
-     a sleeper's wake callback is queued only after a real one is parked"])
-
-let create () =
-  {
-    events = Drust_util.Pqueue.create ();
-    clock = { now = 0.0 };
-    instant = { time = 0.0 };
-    failures = [];
-    dispatched = 0;
-    suspends = 0;
-  }
+    "determinism: empty-slot sentinel for a process's parked continuation; \
+     a process's wake callback is queued only after a real one is parked"])
 
 let[@inline] now t = t.clock.now
 let clock t = t.clock
@@ -98,88 +91,123 @@ let[@inline] schedule_now t f = Drust_util.Pqueue.push t.events ~time:(now t) f
 
 let suspend register = Effect.perform (Suspend register)
 
-(* A sleeper's wake event.  The process must resume where [suspend]'s
-   resumer would put it: a timer event queueing the continuation at the
-   back of its instant.  When nothing else is due at this instant, that
-   second entry would be the next pop, so the continuation runs right
-   here, in one queue hop.  Otherwise the sleeper re-queues itself once,
-   into exactly the slot the second entry would have taken. *)
-let wake t s () =
-  if (not s.requeued) && Drust_util.Pqueue.has_due t.events then begin
-    s.requeued <- true;
-    schedule_now t s.wake
+(* A sleeping process's wake event.  The process must resume where
+   [suspend]'s resumer would put it: a timer event queueing the
+   continuation at the back of its instant.  When nothing else is due at
+   this instant, that second entry would be the next pop, so the
+   continuation runs right here, in one queue hop.  Otherwise the process
+   re-queues itself once, into exactly the slot the second entry would
+   have taken. *)
+let wake t p =
+  if (not p.requeued) && Drust_util.Pqueue.has_due t.events then begin
+    p.requeued <- true;
+    schedule_now t p.wake
   end
   else begin
     (* The resumption counts as its own logical event, like the
        trampolined resumption of [suspend]. *)
-    if not s.requeued then t.dispatched <- t.dispatched + 1;
-    s.requeued <- false;
-    let k = s.parked in
-    s.parked <- no_continuation;
+    if not p.requeued then t.dispatched <- t.dispatched + 1;
+    p.requeued <- false;
+    let k = p.parked in
+    p.parked <- no_continuation;
+    t.current <- p;
     continue k ()
   end
 
-let finish_handle t handle state =
-  handle.state <- state;
-  let waiters = handle.join_waiters in
-  handle.join_waiters <- [];
-  List.iter (fun resume -> schedule_now t resume) (List.rev waiters)
+let rec schedule_all t = function
+  | [] -> ()
+  | f :: rest ->
+      schedule_now t f;
+      schedule_all t rest
 
-(* Run a process body under the engine's deep effect handler.  A [Suspend]
-   effect hands the one-shot resumer to the registration function; resuming
+let finish_process t p state =
+  p.state <- state;
+  let waiters = p.join_waiters in
+  p.join_waiters <- [];
+  schedule_all t (List.rev waiters)
+
+(* The engine's deep effect handler, shared by all its processes: each
+   fiber runs with [t.current] set to its process.  A [Suspend] effect
+   hands the one-shot resumer to the registration function; resuming
    trampolines through the event queue so process steps never nest.
-   [Sleep] parks the continuation in the process's sleeper instead. *)
-let run_fiber t handle body =
-  let rec sleeper =
-    {
-      parked = no_continuation;
-      requeued = false;
-      wake = (fun () -> wake t sleeper ());
-    }
-  in
+   [Sleep] parks the continuation in the process record instead. *)
+let handler t : (unit, unit) handler =
   let park_sleep =
     Some
       (fun k ->
+        let p = t.current in
         t.suspends <- t.suspends + 1;
-        sleeper.parked <- k;
-        Drust_util.Pqueue.push t.events ~time:t.instant.time sleeper.wake)
+        p.parked <- k;
+        Drust_util.Pqueue.push t.events ~time:t.instant.time p.wake)
   in
-  let handler : (unit, unit) handler =
+  {
+    retc = (fun () -> finish_process t t.current Finished);
+    exnc =
+      (fun e ->
+        t.failures <- e :: t.failures;
+        finish_process t t.current (Failed e));
+    effc =
+      (fun (type a) (eff : a Effect.t) :
+           ((a, unit) continuation -> unit) option ->
+        match eff with
+        | Sleep -> park_sleep
+        | Suspend register ->
+            Some
+              (fun (k : (a, unit) continuation) ->
+                let p = t.current in
+                t.suspends <- t.suspends + 1;
+                let resumed = ref false in
+                let resume v =
+                  if !resumed then failwith "Engine: process resumed twice";
+                  resumed := true;
+                  schedule_now t (fun () ->
+                      t.current <- p;
+                      continue k v)
+                in
+                register resume)
+        | _ -> None);
+  }
+
+(* A process record whose [wake] the caller has still to set. *)
+let fresh_process state =
+  {
+    state;
+    join_waiters = [];
+    parked = no_continuation;
+    requeued = false;
+    wake = ignore;
+  }
+
+let create () =
+  let t =
     {
-      retc = (fun () -> finish_handle t handle Finished);
-      exnc =
-        (fun e ->
-          t.failures <- e :: t.failures;
-          finish_handle t handle (Failed e));
-      effc =
-        (fun (type a) (eff : a Effect.t) :
-             ((a, unit) continuation -> unit) option ->
-          match eff with
-          | Sleep -> park_sleep
-          | Suspend register ->
-              Some
-                (fun (k : (a, unit) continuation) ->
-                  t.suspends <- t.suspends + 1;
-                  let resumed = ref false in
-                  let resume v =
-                    if !resumed then
-                      failwith "Engine: process resumed twice";
-                    resumed := true;
-                    schedule_now t (fun () -> continue k v)
-                  in
-                  register resume)
-          | _ -> None);
+      events = Drust_util.Pqueue.create ();
+      clock = { now = 0.0 };
+      instant = { time = 0.0 };
+      failures = [];
+      dispatched = 0;
+      suspends = 0;
+      current = fresh_process Finished;
+      handler = { retc = ignore; exnc = raise; effc = (fun _ -> None) };
     }
   in
-  match_with body () handler
+  t.handler <- handler t;
+  t
 
+let start_fiber t p body =
+  t.current <- p;
+  match_with body () t.handler
+
+(* The record is made before its [wake] closure, not as a recursive
+   value, which would cost a second, placeholder copy of it. *)
 let spawn ?at t body =
-  let handle = { state = Running; join_waiters = [] } in
-  let start () = run_fiber t handle body in
+  let p = fresh_process Running in
+  p.wake <- (fun () -> wake t p);
+  let start () = start_fiber t p body in
   (match at with
   | None -> schedule_now t start
   | Some at -> schedule t ~at start);
-  handle
+  p
 
 let[@inline] delay t dt =
   if not (dt >= 0.0) then invalid_arg "Engine.delay: negative or NaN delay";

@@ -41,7 +41,13 @@ val schedule_after : t -> float -> (unit -> unit) -> unit
 val spawn : ?at:float -> t -> (unit -> unit) -> process_handle
 (** [spawn t body] starts a new process at time [at] (default: now).
     The body runs inside the engine's effect handler and may block.
-    Raises [Invalid_argument] when [at] is in the past or NaN. *)
+    Raises [Invalid_argument] when [at] is in the past or NaN.
+
+    The handler is built once per engine, not per process: it finds the
+    running process in the engine, which sets it before each start and
+    resumption.  A spawn allocates one process record, which is both the
+    handle and the timer slot its delays reuse, plus its wake and start
+    closures (17 words), and starting it adds the runtime's fiber. *)
 
 (** {1 Blocking primitives — only valid inside a process} *)
 

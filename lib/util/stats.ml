@@ -27,11 +27,69 @@ let total t =
 
 let mean t = if t.len = 0 then 0.0 else total t /. Float.of_int t.len
 
+(* Sorts [a.(0) .. a.(l - 1)] in place: the ternary-heap sort of
+   [Array.sort Float.compare], step for step, so that equal keys (0.0
+   and -0.0, or NaNs) land exactly where it puts them.  Specialized to a
+   float array and written as loops, the comparisons run on unboxed
+   floats and nothing is allocated; [maxson] answers -1 where the
+   generic sort raises [Bottom]. *)
+let sort_prefix (a : float array) l =
+  let maxson l i =
+    let i31 = i + i + i + 1 in
+    if i31 + 2 < l then begin
+      let x = if Float.compare a.(i31) a.(i31 + 1) < 0 then i31 + 1 else i31 in
+      if Float.compare a.(x) a.(i31 + 2) < 0 then i31 + 2 else x
+    end
+    else if i31 + 1 < l && Float.compare a.(i31) a.(i31 + 1) < 0 then i31 + 1
+    else if i31 < l then i31
+    else -1
+  in
+  for i = ((l + 1) / 3) - 1 downto 0 do
+    (* trickle: sift [e] down from the hole at [i] *)
+    let e = a.(i) in
+    let hole = ref i and sifting = ref true in
+    while !sifting do
+      let j = maxson l !hole in
+      if j >= 0 && Float.compare a.(j) e > 0 then begin
+        a.(!hole) <- a.(j);
+        hole := j
+      end
+      else sifting := false
+    done;
+    a.(!hole) <- e
+  done;
+  for i = l - 1 downto 2 do
+    let e = a.(i) in
+    a.(i) <- a.(0);
+    (* bubble: move the larger son up until the hole reaches a leaf *)
+    let hole = ref 0 and j = ref (maxson i 0) in
+    while !j >= 0 do
+      a.(!hole) <- a.(!j);
+      hole := !j;
+      j := maxson i !j
+    done;
+    (* trickle up: sift [e] up from that leaf *)
+    let rising = ref true in
+    while !rising do
+      let father = (!hole - 1) / 3 in
+      if Float.compare a.(father) e < 0 then begin
+        a.(!hole) <- a.(father);
+        hole := father;
+        rising := father > 0
+      end
+      else rising := false
+    done;
+    a.(!hole) <- e
+  done;
+  if l > 1 then begin
+    let e = a.(1) in
+    a.(1) <- a.(0);
+    a.(0) <- e
+  end
+
 let ensure_sorted t =
   if not t.sorted then begin
-    let live = Array.sub t.samples 0 t.len in
-    Array.sort Float.compare live;
-    Array.blit live 0 t.samples 0 t.len;
+    sort_prefix t.samples t.len;
     t.sorted <- true
   end
 

@@ -19,6 +19,10 @@ val mean : t -> float
 
 val percentile : t -> float -> float
 (** [percentile t p] with [p] in [\[0, 100\]], nearest-rank on the sorted
-    samples.  Raises [Invalid_argument] on an empty collection. *)
+    samples.  Raises [Invalid_argument] on an empty collection.  The
+    first call after an [add] sorts the samples in place, in the
+    collection's own buffer, with a float-specialized heap sort that
+    orders them exactly as [Array.sort Float.compare] does and allocates
+    nothing; later calls reuse the order until the next [add]. *)
 
 val median : t -> float

@@ -176,6 +176,30 @@ let test_socialnet_dsm_beats_original () =
   Alcotest.(check bool) "drust faster" true
     (drust.Appkit.throughput > orig.Appkit.throughput)
 
+(* Host words per KV operation on 2 nodes: a run of twice the ops less a
+   run of the ops, so that the table build and the set-up cancel and
+   each op's own words remain, its latency sample and its share of the
+   percentile sort included.  YCSB A runs the update path as well: the
+   bucket mutex and the DRust mutable borrow.  A sort that boxes its
+   comparisons, or a closure per lock attempt, write or spawn, shows
+   here. *)
+let kv_words_per_op system workload =
+  let words ops =
+    let cluster = Cluster.create (tiny_params 2) in
+    let backend = Simplan.make_backend system cluster in
+    let w0 = Gc.minor_words () in
+    ignore (Kv.run ~cluster ~backend { tiny_kv with Kv.ops; workload });
+    Gc.minor_words () -. w0
+  in
+  let ops = 4000 in
+  (words (2 * ops) -. words ops) /. float_of_int ops
+
+let test_kv_allocation b =
+  Alloc_budget.check b "KV op on Original" ~max:16.0
+    (kv_words_per_op Simplan.Original None);
+  Alloc_budget.check b "KV op on DRust, YCSB A" ~max:52.0
+    (kv_words_per_op Simplan.Drust (Some Ycsb.A))
+
 let test_determinism () =
   (* Same seed, same cluster, same workload -> identical throughput. *)
   let a = run_app Simplan.Drust kv_runner in
@@ -216,5 +240,7 @@ let () =
           Alcotest.test_case "dsm beats serialization" `Quick
             test_socialnet_dsm_beats_original;
           Alcotest.test_case "determinism" `Quick test_determinism;
+          Alcotest.test_case "kv allocation budget" `Quick
+            (Alloc_budget.case test_kv_allocation);
         ] );
     ]

@@ -335,6 +335,26 @@ let test_read_part_allocation b =
   Alloc_budget.check b "remote Grappa read_part" ~max:11.0
     (read_part_words ~warm:false (fun c -> Grappa.backend (Grappa.create c)))
 
+(* DRust's write path on an object node 0 already owns: after the first
+   call has moved it over, each borrows mutably, modifies in place,
+   returns the borrow and computes, with no retry closure. *)
+let test_process_update_allocation b =
+  let cluster = Cluster.create (small_params 2) in
+  let d = Drust_dsm.Drust_backend.create cluster in
+  let ctx0 = Ctx.make cluster ~node:0 and ctx1 = Ctx.make cluster ~node:1 in
+  let h = ref None in
+  ignore
+    (Engine.spawn (Cluster.engine cluster) (fun () ->
+         let x = d.Dsm.alloc_on ctx1 ~node:1 ~size:512 (pack 0) in
+         d.Dsm.process_update ctx0 x ~cycles:100.0 Fun.id;
+         h := Some x));
+  Cluster.run cluster;
+  let h = Option.get !h in
+  Alloc_budget.check b "DRust process_update on a warm object" ~max:15.0
+    (Alloc_budget.per_call (Cluster.engine cluster)
+       ~run:(fun () -> Cluster.run cluster)
+       (fun _ -> d.Dsm.process_update ctx0 h ~cycles:100.0 Fun.id))
+
 (* A two-node ping-pong on one 512-byte GAM object homed on node 1:
    node 0 writes it, invalidating node 1's copy, then node 1 reads it
    back, recalling node 0's dirty blocks.  Every call runs GAM's
@@ -396,5 +416,7 @@ let () =
           Alcotest.test_case "foreign handle" `Quick test_foreign_handle_rejected;
           Alcotest.test_case "read_part allocation budgets" `Quick
             (Alloc_budget.case test_read_part_allocation);
+          Alcotest.test_case "drust process_update allocation budget" `Quick
+            (Alloc_budget.case test_process_update_allocation);
         ] );
     ]

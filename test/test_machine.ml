@@ -157,6 +157,10 @@ let test_ctx_compute_contends_for_cores () =
 
 let test_ctx_counters_and_hottest () =
   in_cluster 4 (fun _c ctx ->
+      Ctx.note_remote_access ctx ~target:0 (* own node: ignored *);
+      Alcotest.(check int) "fresh total" 0 (Ctx.remote_access_total ctx);
+      Alcotest.(check (option int)) "fresh hottest" None
+        (Ctx.hottest_remote_node ctx);
       Ctx.note_remote_access ctx ~target:2;
       Ctx.note_remote_access ctx ~target:2;
       Ctx.note_remote_access ctx ~target:3;
@@ -211,7 +215,13 @@ let test_ctx_allocation b =
   Alloc_budget.check b "Ctx.compute" ~max:3.0
     (Alloc_budget.per_call (Cluster.engine c)
        ~run:(fun () -> Cluster.run c)
-       (fun _ -> Ctx.compute ctx ~cycles:100.0))
+       (fun _ -> Ctx.compute ctx ~cycles:100.0));
+  (* A context, its CPU record and its RNG stream; the per-node
+     remote-access counts wait for the first remote access. *)
+  Alloc_budget.check b "Ctx.make" ~max:20.0
+    (Alloc_budget.per_call (Cluster.engine c)
+       ~run:(fun () -> Cluster.run c)
+       (fun _ -> ignore (Ctx.make c ~node:1)))
 
 let test_ctx_thread_ids_unique () =
   in_cluster 2 (fun c ctx ->

@@ -196,10 +196,12 @@ let test_rdma_atomic_executes_at_target () =
   let cell = ref 0 in
   let old =
     run_in engine (fun () ->
-        Fabric.rdma_atomic fabric ~from:0 ~target:1 (fun () ->
+        Fabric.rdma_atomic fabric ~from:0 ~target:1
+          (fun cell delta ->
             let v = !cell in
-            cell := v + 1;
-            v))
+            cell := v + delta;
+            v)
+          cell 1)
   in
   Alcotest.(check int) "faa old" 0 old;
   Alcotest.(check int) "faa applied" 1 !cell
@@ -261,7 +263,7 @@ let test_counters () =
   run_in engine (fun () ->
       Fabric.rdma_read fabric ~from:0 ~target:1 ~bytes:8;
       Alcotest.(check int) "atomic result" 7
-        (Fabric.rdma_atomic fabric ~from:0 ~target:1 (fun () -> 7));
+        (Fabric.rdma_atomic fabric ~from:0 ~target:1 ( + ) 3 4);
       Fabric.rdma_write_async fabric ~from:0 ~target:2 ~bytes:64 ignore;
       Fabric.send_async fabric ~from:0 ~target:3 ~bytes:32 ignore;
       Fabric.set_fault_plan fabric plan;

@@ -259,20 +259,27 @@ let test_darc_last_drop_frees () =
       ignore cluster)
 
 (* With no tap subscriber, the local refcount and lock paths build no
-   tap event and look nothing up per call. *)
+   tap event and look nothing up per call, and a CAS or count update
+   builds no closure: a clone's new handle is all that is left. *)
 let test_runtime_allocation b =
   let c = Cluster.create (small_params 2) in
-  let ctx = Ctx.make c ~node:0 in
+  let ctx = Ctx.make c ~node:0 and remote = Ctx.make c ~node:1 in
   let mu = Dmutex.create ctx ~size:8 (pack 0) in
   let arc = Darc.create ctx ~size:64 (pack 1) in
   let per_call body =
     Alloc_budget.per_call (Cluster.engine c) ~run:(fun () -> Cluster.run c) body
   in
-  Alloc_budget.check b "local Dmutex lock+unlock" ~max:14.0
+  Alloc_budget.check b "local Dmutex lock+unlock" ~max:1.0
     (per_call (fun _ ->
          Dmutex.lock ctx mu;
          Dmutex.unlock ctx mu));
-  Alloc_budget.check b "local Darc clone+drop" ~max:12.0
+  (* From node 1: the CAS is a fabric atomic running a top-level
+     function of its operands, the release a one-sided WRITE. *)
+  Alloc_budget.check b "remote Dmutex lock+unlock" ~max:6.0
+    (per_call (fun _ ->
+         Dmutex.lock remote mu;
+         Dmutex.unlock remote mu));
+  Alloc_budget.check b "local Darc clone+drop" ~max:4.0
     (per_call (fun _ -> Darc.drop ctx (Darc.clone ctx arc)))
 
 let test_dmutex_mutual_exclusion () =

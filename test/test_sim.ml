@@ -148,6 +148,47 @@ let test_join_reraises () =
   (try Engine.run e with Engine.Process_failure _ -> ());
   Alcotest.(check bool) "join re-raised" true !saw
 
+(* The engine's one handler tells processes apart by the one it set
+   running: a process resumed by another through [suspend], one woken
+   from a delay and one that raises each end as itself, and joining
+   each reports its own outcome. *)
+let test_processes_end_as_themselves () =
+  let e = Engine.create () in
+  let wakeup = ref ignore in
+  let a =
+    Engine.spawn e (fun () ->
+        Engine.suspend (fun resume -> wakeup := resume);
+        Engine.delay e 2e-6;
+        failwith "a")
+  in
+  let b =
+    Engine.spawn e (fun () ->
+        Engine.delay e 1e-6;
+        !wakeup ();
+        Engine.delay e 3e-6)
+  in
+  let c = Engine.spawn e (fun () -> Engine.yield e) in
+  let seen = ref [] in
+  let watch name h =
+    ignore
+      (Engine.spawn e (fun () ->
+           let outcome =
+             match Engine.join e h with
+             | () -> "finished"
+             | exception Engine.Process_failure (Failure msg) -> "failed " ^ msg
+           in
+           seen := Printf.sprintf "%s %s at %g" name outcome (Engine.now e)
+                   :: !seen))
+  in
+  watch "a" a;
+  watch "b" b;
+  watch "c" c;
+  (try Engine.run e with Engine.Process_failure _ -> ());
+  Alcotest.(check (list string))
+    "each join saw its own process end"
+    [ "c finished at 0"; "a failed a at 3e-06"; "b finished at 4e-06" ]
+    (List.rev !seen)
+
 let test_yield_interleaves () =
   let e = Engine.create () in
   let log = ref [] in
@@ -411,6 +452,18 @@ let test_resource_use_allocation b =
        ~run:(fun () -> Engine.run e)
        (fun _ -> Resource.use r hold))
 
+(* A spawn whose body returns at once, run by a yield of the spawning
+   process: the process record with its wake and start closures, and the
+   runtime's fiber, under the engine's one effect handler. *)
+let test_spawn_allocation b =
+  let e = Engine.create () in
+  Alloc_budget.check b "trivial Engine.spawn, run by a yield" ~max:26.0
+    (Alloc_budget.per_call e
+       ~run:(fun () -> Engine.run e)
+       (fun _ ->
+         ignore (Engine.spawn e ignore);
+         Engine.yield e))
+
 let () =
   Alcotest.run "sim"
     [
@@ -431,11 +484,15 @@ let () =
           Alcotest.test_case "join done" `Quick test_join_already_done;
           Alcotest.test_case "failure propagates" `Quick test_process_failure_propagates;
           Alcotest.test_case "join re-raises" `Quick test_join_reraises;
+          Alcotest.test_case "processes end as themselves" `Quick
+            test_processes_end_as_themselves;
           Alcotest.test_case "NaN delay fails its process" `Quick
             test_delay_nan_fails_its_process;
           Alcotest.test_case "yield interleaves" `Quick test_yield_interleaves;
           Alcotest.test_case "delay one hop, allocation-lean" `Quick
             test_delay_one_hop_allocation;
+          Alcotest.test_case "spawn allocation budget" `Quick
+            (Alloc_budget.case test_spawn_allocation);
           QCheck_alcotest.to_alcotest prop_one_hop_matches_two_hop;
         ] );
       ( "resource",

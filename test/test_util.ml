@@ -314,6 +314,89 @@ let test_stats_empty () =
     (Invalid_argument "Stats.percentile: empty") (fun () ->
       ignore (Stats.percentile s 50.0))
 
+(* Samples for the sort: either drawn from a small pool, so that most
+   are duplicates, with 0.0, -0.0 and NaN among them ([Float.compare]
+   ties the zeros and orders NaN first), or spread over a range. *)
+let random_samples rng n =
+  let pool = [| 0.0; -0.0; 1.0; 2.5; -3.0; nan; 1e-6 |] in
+  let few = Rng.bool rng in
+  Array.init n (fun _ ->
+      if few then pool.(Rng.int rng (Array.length pool))
+      else Rng.float rng 2.0 -. 1.0)
+
+(* Every rank of [s] against the nearest-rank reading of [buffer], the
+   samples in the order [s] holds them, sorted by [Array.sort
+   Float.compare]; bit for bit.  Returns the sorted buffer. *)
+let check_every_rank s buffer =
+  let n = Array.length buffer in
+  let sorted = Array.copy buffer in
+  Array.sort Float.compare sorted;
+  let nearest p =
+    let rank = Float.to_int (ceil (p /. 100.0 *. Float.of_int n)) in
+    sorted.(min (max 0 (rank - 1)) (n - 1))
+  in
+  let same what want got =
+    if Int64.bits_of_float want <> Int64.bits_of_float got then
+      Alcotest.failf "n=%d %s: want %h, got %h" n what want got
+  in
+  same "median" (nearest 50.0) (Stats.median s);
+  for k = 0 to n do
+    let p = 100.0 *. Float.of_int k /. Float.of_int n in
+    same (Printf.sprintf "p%g" p) (nearest p) (Stats.percentile s p)
+  done;
+  sorted
+
+(* The in-place sort against [Array.sort Float.compare]: sizes 0, 1, 2,
+   small odd and even ones and 48k, then again after more samples land
+   behind the sorted ones.  Ties (0.0 and -0.0) must land where the
+   reference puts them, so the second round's reference sorts the
+   buffer as it then stands. *)
+let test_stats_sort_matches_array_sort () =
+  let rng = Rng.create ~seed:11 in
+  List.iter
+    (fun n ->
+      for _ = 1 to (if n > 1000 then 2 else 20) do
+        let s = Stats.create () in
+        let first = random_samples rng n in
+        Array.iter (Stats.add s) first;
+        let held =
+          if n = 0 then begin
+            Alcotest.check_raises "empty percentile"
+              (Invalid_argument "Stats.percentile: empty") (fun () ->
+                ignore (Stats.median s));
+            first
+          end
+          else check_every_rank s first
+        in
+        let more = random_samples rng (1 + (n / 2)) in
+        Array.iter (Stats.add s) more;
+        ignore (check_every_rank s (Array.append held more))
+      done)
+    [ 0; 1; 2; 3; 4; 5; 7; 8; 13; 64; 99; 100; 1001; 48_000 ]
+
+(* A KV run's median and p99 over 48k latencies: the sort works in the
+   samples' own buffer and compares unboxed floats.  Major-heap words
+   count too, so a copy of the samples (too big for the minor heap)
+   would show. *)
+let test_stats_sort_allocation b =
+  let rng = Rng.create ~seed:12 in
+  let s = Stats.create () in
+  let n = 48_000 in
+  for _ = 1 to n do
+    Stats.add s (Rng.float rng 1e-3)
+  done;
+  let allocated () =
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let w0 = allocated () in
+  let p50 = Stats.median s in
+  let p99 = Stats.percentile s 99.0 in
+  let words = (allocated () -. w0) /. float_of_int n in
+  Alcotest.(check bool) "p50 <= p99" true (p50 <= p99);
+  Alloc_budget.check b "Stats.median + percentile, per sample" ~max:0.001
+    words
+
 (* ------------------------------------------------------------------ *)
 (* Pqueue *)
 
@@ -584,6 +667,10 @@ let () =
           Alcotest.test_case "percentile" `Quick test_stats_percentile;
           Alcotest.test_case "add after percentile" `Quick test_stats_add_after_percentile;
           Alcotest.test_case "empty" `Quick test_stats_empty;
+          Alcotest.test_case "in-place sort matches Array.sort" `Quick
+            test_stats_sort_matches_array_sort;
+          Alcotest.test_case "sort allocation budget" `Quick
+            (Alloc_budget.case test_stats_sort_allocation);
         ] );
       ( "pqueue",
         [
