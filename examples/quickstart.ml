@@ -1,5 +1,7 @@
 (* Quickstart: the paper's accumulator (Listings 2 and 4), run on a
-   simulated 4-node cluster.
+   simulated 4-node cluster, then the shared-state side of its
+   programming model (§4.1.2): an Arc-shared value, a Mutex and scoped
+   threads.
 
    A single-machine program — allocate two integers, add one to the other,
    spawn a thread to do it again — becomes distributed without rewriting:
@@ -18,6 +20,8 @@ module Params = Drust_machine.Params
 module Ctx = Drust_machine.Ctx
 module Dbox = Drust_core.Dbox
 module Dthread = Drust_runtime.Dthread
+module Darc = Drust_runtime.Darc
+module Dmutex = Drust_runtime.Dmutex
 module Univ = Drust_util.Univ
 
 let int_tag : int Univ.tag = Univ.create_tag ~name:"quickstart.int"
@@ -53,11 +57,13 @@ let () =
          Printf.printf "local add   : a.val = %d (expected 15)\n" local_add;
          expect "local add" local_add 15;
 
-         (* thread::spawn(move || a.add(&*b)) — only the pointers ship to
-            the remote thread; dereferencing fetches the values there. *)
+         (* thread::spawn(move || a.add(&b)) — only the pointers ship to
+            the remote thread: the immutable reference &b is dereferenced
+            there, which fetches b's value into node 2's cache. *)
+         let b_ref = Dbox.Imm.borrow ctx b in
          let t =
            Dthread.spawn_on ctx ~node:2 (fun worker ->
-               let remote_add = add worker acc (Dbox.read worker b) in
+               let remote_add = add worker acc (Dbox.Imm.deref worker b_ref) in
                Printf.printf "remote add  : a.val = %d on node %d (expected 25)\n"
                  remote_add worker.Ctx.node;
                expect "remote add" remote_add 25)
@@ -87,6 +93,41 @@ let () =
            (Drust_memory.Gaddr.node_of (Dbox.gaddr acc.value))
            (Drust_core.Protocol.moves ctx);
          Dbox.drop ctx acc.value;
+
+         (* let step = Arc::new(1); let total = Mutex::new(0);
+            thread::scope(|s| for n in 1..=3 {
+              let step = step.clone();
+              s.spawn(|| *total.lock() += *b + *step) });
+            Scoped threads may borrow from the enclosing frame: each gets
+            its own copy of the reference &b.  Each also clones the Arc
+            where it runs and reads the shared value through its node's
+            cache, then adds under the lock; the scope joins all three
+            before it returns. *)
+         let step = Darc.create ctx ~size:8 (Univ.pack int_tag 1) in
+         let total = Dmutex.create ctx ~size:8 (Univ.pack int_tag 0) in
+         Dthread.scope ctx (fun s ->
+             for node = 1 to 3 do
+               let r = Dbox.Imm.clone ctx b_ref in
+               ignore
+                 (Dthread.spawn_in s ~node (fun worker ->
+                      let mine = Darc.clone worker step in
+                      let v =
+                        Dbox.Imm.deref worker r
+                        + Univ.unpack_exn int_tag (Darc.get worker mine)
+                      in
+                      Dmutex.with_lock worker total (fun t ->
+                          (Univ.pack int_tag (Univ.unpack_exn int_tag t + v), ()));
+                      Darc.drop worker mine;
+                      Dbox.Imm.drop worker r))
+             done);
+         Dmutex.lock ctx total;
+         let sum = Univ.unpack_exn int_tag (Dmutex.read_guarded ctx total) in
+         Dmutex.unlock ctx total;
+         Printf.printf "scoped sum  : %d from 3 threads (expected 33)\n" sum;
+         expect "scoped sum" sum 33;
+         expect "arc count after the scope" (Darc.strong_count ctx step) 1;
+         Darc.drop ctx step;
+         Dbox.Imm.drop ctx b_ref;
          Dbox.drop ctx b));
   Cluster.run cluster;
   Printf.printf "simulated time: %s\n"

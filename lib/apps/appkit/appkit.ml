@@ -13,7 +13,7 @@ type result = {
 (* Measurement start markers, kept in the cluster environment and keyed
    by thread id of the main process. *)
 let marks_key : (int, float) Hashtbl.t Drust_machine.Env.key =
-  Drust_machine.Env.key ~name:"appkit.marks"
+  Drust_machine.Env.key ()
 
 let marks cluster =
   Drust_machine.Env.get (Cluster.env cluster) marks_key ~init:(fun () ->

@@ -595,7 +595,7 @@ let observe t ~time ~node ~thread (ev : Tap.event) =
   | Cache_invalidate { key } ->
       on_copy key (fun _ sh ->
           match sh with Some s -> Hashtbl.remove s.sh_copies node | None -> ())
-  (* ---- refcounts (darc + drc) ---- *)
+  (* ---- refcounts (darc) ---- *)
   | Rc_created { g; count; _ } ->
       rc_step g (fun p rc ->
           if count <> 1 then
@@ -885,17 +885,8 @@ let detach t =
     Tap.set (Cluster.tap t.cluster) None
   end
 
-let cluster t = t.cluster
 let violations t = List.rev t.reports
 let violation_count t = t.report_count
-
-let clear t =
-  t.reports <- [];
-  t.report_count <- 0
-
-let with_sanitizer cluster f =
-  let t = attach cluster in
-  Fun.protect ~finally:(fun () -> detach t) (fun () -> f t)
 
 (* The auto-attach list is the one deliberate process-global here: it
    spans clusters by design.  The mutex makes it safe to create clusters
@@ -914,7 +905,6 @@ let install_global () =
          let t = attach c in
          Mutex.protect auto_mutex (fun () -> auto := t :: !auto)))
 
-let uninstall_global () = Cluster.set_create_hook None
 let attached () = Mutex.protect auto_mutex (fun () -> List.rev !auto)
 
 let print_verdict ~clean ~clusters ~total reports =

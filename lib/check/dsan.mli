@@ -4,7 +4,7 @@
     whole distributed heap — one shadow record per global address
     tracking the owner node, the current color, the borrow automaton
     state, the set of nodes holding cached copies (keyed by the colored
-    address each copy was fetched under), darc/drc reference counts, and
+    address each copy was fetched under), darc reference counts, and
     dmutex hold state — and replays every transition against it as the
     one subscriber of the cluster's observation tap ([Cluster.tap], the
     {!Drust_memory.Tap} event vocabulary).
@@ -37,7 +37,7 @@ type invariant =
           copies reachable under the current color — moves and color
           bumps are what make prior copies unreachable *)
   | Refcount_sanity
-      (** darc/drc counts match the shadow count, never go negative,
+      (** darc counts match the shadow count, never go negative,
           and are exactly zero at free time; cache-copy pin counts never
           underflow *)
   | Borrow_discipline
@@ -66,11 +66,10 @@ type invariant =
           duplicate-free, entirely on alive hosts, and never co-located
           with the range's server *)
 
-val invariant_name : invariant -> string
-(** ["dsan.single_owner"], ["dsan.stale_cache_read"], ... *)
-
 val invariant_names : string list
-(** All eleven names, in declaration order. *)
+(** All eleven names (["dsan.single_owner"], ["dsan.stale_cache_read"],
+    ...), in declaration order; a report names its invariant the same
+    way. *)
 
 (** {1 Reports} *)
 
@@ -105,17 +104,9 @@ val attach : Cluster.t -> t
 val detach : t -> unit
 (** Empty the cluster's tap.  Reports remain queryable. *)
 
-val cluster : t -> Cluster.t
-
 val violations : t -> report list
-(** In detection order.  At most 1000 reports are retained;
-    {!violation_count} keeps the true total. *)
-
-val violation_count : t -> int
-val clear : t -> unit
-
-val with_sanitizer : Cluster.t -> (t -> 'a) -> 'a
-(** [attach], run, [detach] (exception-safe). *)
+(** In detection order.  At most 1000 reports are retained; the
+    [--sanitize] verdict counts the true total. *)
 
 (** {2 Process-wide installation (the [--sanitize] flag)} *)
 
@@ -127,12 +118,6 @@ val install_global : unit -> unit
     it: each plan it runs attaches a local sanitizer through
     [Simplan.execute ~sanitize:true]. *)
 
-val uninstall_global : unit -> unit
-(** Stop auto-attaching.  Already-attached sanitizers stay attached. *)
-
-val attached : unit -> t list
-(** Sanitizers auto-attached by {!install_global}, oldest first. *)
-
 val print_verdict :
   clean:out_channel -> clusters:int -> total:int -> string list -> int
 (** The [--sanitize] epilogue of both CLIs: with [total = 0], print
@@ -141,7 +126,7 @@ val print_verdict :
     [total]; the CLIs exit 3 when it is positive. *)
 
 val report_attached : clean:out_channel -> int
-(** {!print_verdict} over the {!attached} sanitizers. *)
+(** {!print_verdict} over the sanitizers {!install_global} attached. *)
 
 (** {1 Observation}
 

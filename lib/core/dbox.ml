@@ -12,26 +12,13 @@ let make_on ctx ~node ~tag ~size v =
 (* App-level attribution for the DSan sanitizer: tag the typed access
    with the Univ tag name before the protocol-level events fire, so a
    violation report can say which application object was involved. *)
-let note ctx b verb =
-  Protocol.note_app ctx ~g:(Protocol.gaddr b.o) ~verb ~tag:(Univ.tag_name b.tag)
-
 let read ctx b =
-  note ctx b "read";
+  Protocol.note_app ctx ~g:(Protocol.gaddr b.o) ~verb:"read"
+    ~tag:(Univ.tag_name b.tag);
   Univ.unpack_exn b.tag (Protocol.owner_read ctx b.o)
-
-let write ctx b v =
-  note ctx b "write";
-  Protocol.owner_write ctx b.o (Univ.pack b.tag v)
-
-let modify ctx b f =
-  note ctx b "modify";
-  Protocol.owner_modify ctx b.o (fun u ->
-      Univ.pack b.tag (f (Univ.unpack_exn b.tag u)))
 
 let owner b = b.o
 let gaddr b = Protocol.gaddr b.o
-
-let transfer ctx b ~to_node = Protocol.transfer ctx b.o ~to_node
 let drop ctx b = Protocol.drop_owner ctx b.o
 
 module Imm = struct
@@ -43,39 +30,15 @@ module Imm = struct
   let drop ctx r = Protocol.drop_imm ctx r.i
 end
 
-module Mut = struct
-  type 'a r = { m : Protocol.mut; mtag : 'a Univ.tag }
-
-  let borrow ctx b = { m = Protocol.borrow_mut ctx b.o; mtag = b.tag }
-  let deref ctx r = Univ.unpack_exn r.mtag (Protocol.mut_read ctx r.m)
-  let write ctx r v = Protocol.mut_write ctx r.m (Univ.pack r.mtag v)
-
-  let modify ctx r f =
-    Protocol.mut_modify ctx r.m (fun u ->
-        Univ.pack r.mtag (f (Univ.unpack_exn r.mtag u)))
-
-  let drop ctx r = Protocol.drop_mut ctx r.m
-end
-
-let with_borrow ctx b f =
-  let r = Imm.borrow ctx b in
-  match f (Imm.deref ctx r) with
-  | v ->
-      Imm.drop ctx r;
-      v
-  | exception e ->
-      Imm.drop ctx r;
-      raise e
-
 let with_borrow_mut ctx b f =
-  let m = Mut.borrow ctx b in
-  match f (Mut.deref ctx m) with
+  let m = Protocol.borrow_mut ctx b.o in
+  match f (Univ.unpack_exn b.tag (Protocol.mut_read ctx m)) with
   | new_value, result ->
-      Mut.write ctx m new_value;
-      Mut.drop ctx m;
+      Protocol.mut_write ctx m (Univ.pack b.tag new_value);
+      Protocol.drop_mut ctx m;
       result
   | exception e ->
-      Mut.drop ctx m;
+      Protocol.drop_mut ctx m;
       raise e
 
 module Tbox = struct

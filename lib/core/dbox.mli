@@ -1,10 +1,12 @@
 (** Typed DRust pointers — the public programming model.
 
     ['a Dbox.t] is the reproduction of the paper's [DBox<T>] (the
-    re-implemented [Box]); {!Imm.t} and {!Mut.t} correspond to [Ref<T>]
-    and [MutRef<T>] (the re-implemented [&T] / [&mut T]).  All coherence
-    behaviour comes from {!Protocol}; this layer adds type safety through
-    {!Drust_util.Univ} tags and scoped-borrow conveniences.
+    re-implemented [Box]); {!Imm.r} corresponds to [Ref<T>] (the
+    re-implemented [&T]) and a {!with_borrow_mut} scope to [MutRef<T>]
+    ([&mut T]), so no mutable reference outlives its write.  All
+    coherence behaviour comes from {!Protocol}; this layer adds type
+    safety through {!Drust_util.Univ} tags.  [examples/quickstart.ml]
+    and [examples/linked_list.ml] run every entry point.
 
     Object sizes: the heap stores simulated payloads, so every allocation
     declares the byte size the real object would occupy — that size drives
@@ -23,42 +25,26 @@ val make_on :
 val read : Ctx.t -> 'a t -> 'a
 (** Owner read (immutable access through the box). *)
 
-val write : Ctx.t -> 'a t -> 'a -> unit
-(** Owner write (exclusive access required). *)
-
-val modify : Ctx.t -> 'a t -> ('a -> 'a) -> unit
-
 val owner : 'a t -> Protocol.owner
 (** Escape hatch to the protocol object (used by [spawn_to]). *)
 
 val gaddr : 'a t -> Drust_memory.Gaddr.t
 
-val transfer : Ctx.t -> 'a t -> to_node:int -> unit
 val drop : Ctx.t -> 'a t -> unit
 
-(** Immutable references. *)
+(** Immutable references: a reference may cross to another thread, and
+    dereferencing it there fetches (and caches) the object. *)
 module Imm : sig
   type 'a r
 
   val borrow : Ctx.t -> 'a t -> 'a r
+
   val clone : Ctx.t -> 'a r -> 'a r
+  (** Another reference to the same borrow (copying a [&T]). *)
+
   val deref : Ctx.t -> 'a r -> 'a
   val drop : Ctx.t -> 'a r -> unit
 end
-
-(** Mutable references. *)
-module Mut : sig
-  type 'a r
-
-  val borrow : Ctx.t -> 'a t -> 'a r
-  val deref : Ctx.t -> 'a r -> 'a
-  val write : Ctx.t -> 'a r -> 'a -> unit
-  val modify : Ctx.t -> 'a r -> ('a -> 'a) -> unit
-  val drop : Ctx.t -> 'a r -> unit
-end
-
-val with_borrow : Ctx.t -> 'a t -> ('a -> 'b) -> 'b
-(** Scoped immutable borrow. *)
 
 val with_borrow_mut : Ctx.t -> 'a t -> ('a -> 'a * 'b) -> 'b
 (** Scoped mutable borrow: return the new value and a result. *)

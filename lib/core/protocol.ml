@@ -101,7 +101,7 @@ type pstate = {
   mutable ps_registry : owner list;
 }
 
-let pstate_key : pstate Env.key = Env.key ~name:"protocol.state"
+let pstate_key : pstate Env.key = Env.key ()
 
 let fresh_pstate () =
   {
@@ -500,7 +500,6 @@ let create_on ctx ~node ~size v =
 let create ctx ~size v = create_on ctx ~node:(pick_alloc_node ctx ~size) ~size v
 
 let gaddr o = o.g
-let color o = Gaddr.color_of o.g
 
 (* ------------------------------------------------------------------ *)
 (* Shared fetch path: read a remote object (and its affinity group)    *)
@@ -1143,8 +1142,6 @@ let tie ctx ~parent ~child =
     child.g <- fresh;
     child_moved ctx ~before:old ~after:fresh ~size:child.size
   end
-
-let is_pinned o = o.pinned
 
 let pin ctx o =
   assert_live (not (Borrow_state.is_dead o.borrow)) "Protocol.pin";

@@ -126,11 +126,8 @@ val pin : Ctx.t -> owner -> unit
     variable): it will never move; remote mutable access degrades to
     copy-and-write-back (App. D.1). *)
 
-val is_pinned : owner -> bool
 val group_size : owner -> int
 (** Total bytes of the owner plus its transitive affinity children. *)
-
-(** {1 Introspection for tests and stats} *)
 
 (** {1 Ablation switches}
 
@@ -170,25 +167,12 @@ val set_transfer_listener :
 val note_app : Ctx.t -> g:Gaddr.t -> verb:string -> tag:string -> unit
 (** Emit an [App] attribution event (used by [Dbox]). *)
 
-val color : owner -> int
 val moves : Ctx.t -> int
 (** Number of object moves performed through this context's cluster.
     Backed by the cluster metrics registry ([protocol.moves]). *)
 
 val color_bumps : Ctx.t -> int
 (** Writes resolved by a color bump alone ([protocol.color_bumps]). *)
-
-val op_latency_buckets : float array
-(** Upper bounds (seconds) of the always-on
-    [protocol.op_latency{op=...}] histograms — finer than the registry
-    default because local derefs cost tens of nanoseconds.  One
-    histogram per protocol outcome, labelled with its
-    [Flight.kind_names] entry (codes [Flight.k_read_local] ..
-    [Flight.k_drop]): which access path a read took, how a write changed
-    the colored address, or a transfer or drop.  All are registered the
-    first time the protocol touches a cluster; latency is elapsed
-    virtual time plus compute charged but not yet flushed, so
-    measurement never perturbs a run. *)
 
 val audit : Drust_machine.Cluster.t -> string list
 (** Executable form of the Appendix C coherence proof: checks, for every

@@ -34,16 +34,12 @@ val phase_histos :
 (** Fold each phase's latency samples (seconds, in order) into a
     snapshot histogram over the one millisecond-scale bucket set. *)
 
-val percentiles :
-  (string * Drust_obs.Metrics.histo) list -> (string * int * float * float) list
-(** [(phase, samples, p50, p99)] in seconds via
-    {!Drust_obs.Metrics.quantile}; [nan] quantiles for an empty phase. *)
-
 val percentile_table :
   experiment:string ->
   count:string ->
   (string * Drust_obs.Metrics.histo) list ->
   unit
-(** Print the [phase | <count> | p50 (ms) | p99 (ms)] table, then fail
+(** Print the [phase | <count> | p50 (ms) | p99 (ms)] table (quantiles
+    via {!Drust_obs.Metrics.quantile}), then fail
     (naming [experiment]) if a phase has no samples or its p99 is below
     its p50. *)

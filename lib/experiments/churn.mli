@@ -14,15 +14,10 @@ val phases :
     (seconds) of the runs, in run order — the input of
     {!Chaos.phase_histos}. *)
 
-val run_once :
-  seed:int -> nodes:int -> unit -> Drust_plan.Scenario.churn_result
-(** One seeded churn run (pure function of [seed] and [nodes]):
-    builds the canonical plan ({!Drust_plan.Simplan.churn_plan}) and
-    [Simplan.execute]s it. *)
-
 val run :
   ?seed:int -> ?nodes:int -> unit -> Drust_plan.Scenario.churn_result
 (** Run the base seed twice (bit-identity check) plus two more seeds,
+    each a [Simplan.execute] of {!Drust_plan.Simplan.churn_plan},
     print the membership/latency report, record the [churn/*] summary
     entries, and fail on any lost write, unrecoverable range, missed
     detection, missing join/leave, never-aborted sabotage, or

@@ -47,10 +47,6 @@ val set_host_time_recording : bool -> unit
     via [bench/main.exe --host-time] — asks for it; plain runs stay
     byte-identical across machines and [--jobs] values. *)
 
-val percentile_points : (string * float) list
-(** The percentile points every latency histogram is reduced to:
-    [("p50", 0.5); ("p95", 0.95); ("p99", 0.99); ("p99.9", 0.999)]. *)
-
 val record_rate :
   ?latency:Drust_obs.Metrics.histo ->
   ?host_ms:float ->
@@ -62,7 +58,8 @@ val record_rate :
   unit
 (** Register [ops /. elapsed] (operations per {e simulated} second)
     under [experiment], optionally with the run's operation-latency
-    histogram (surfaced as [latency_us] percentiles in the summary),
+    histogram (surfaced in the summary as [latency_us] p50, p95, p99
+    and p99.9),
     its host wall-clock cost in milliseconds, and the profiler's engine
     throughput in dispatched events per host second ([host_ms] and
     [host_rate] are dropped unless {!set_host_time_recording} is on).

@@ -5,7 +5,10 @@ type row = { label : string; average : float; median : float; p90 : float }
 
 let paper = [ ("DRust", (395.0, 356.0, 536.0)); ("Rust", (364.0, 332.0, 496.0)) ]
 
-let run ?(samples = 200_000) ?(seed = 42) () =
+(* Dereferences sampled per pointer kind. *)
+let samples = 200_000
+
+let run ?(seed = 42) () =
   Report.section "Table 2: pointer dereference latency (cycles)";
   let rng = Drust_util.Rng.create ~seed in
   let collect label kind =

@@ -42,9 +42,16 @@ type handle = {
 }
 
 
+(* GAM's coherence block. *)
+let block_size = 512
+
+(* GAM caches remote data in a bounded per-node cache; once the budget is
+   exceeded the LRU object is dropped and must be re-faulted.  This is
+   what limits GAM on large cacheable working sets (GEMM). *)
+let cache_budget = Drust_util.Units.mib 6
+
 type t = {
   cluster : Cluster.t;
-  block_size : int;
   directory : block_state ref Intmap.t; (* block id -> state *)
   dir_units : Resource.t array; (* per-node directory engines *)
   store : Univ.t Intmap.t; (* object id -> current value *)
@@ -53,19 +60,13 @@ type t = {
   mutable rmisses : int;
   mutable wmisses : int;
   mutable invs : int;
-  (* GAM caches remote data in a bounded per-node cache; once the budget
-     is exceeded the LRU object is dropped and must be re-faulted.  This
-     is what limits GAM on large cacheable working sets (GEMM). *)
-  cache_budget : int;
   cache_bytes : int array;
   lru : (big_state * int) Queue.t array; (* (state, size); may hold stale *)
 }
 
-let create ?(block_size = 512) ?(cache_budget = Drust_util.Units.mib 6)
-    cluster =
+let create cluster =
   {
     cluster;
-    block_size;
     directory = Intmap.create ~capacity:4096 ();
     dir_units =
       Array.init (Cluster.node_count cluster) (fun _ ->
@@ -76,12 +77,9 @@ let create ?(block_size = 512) ?(cache_budget = Drust_util.Units.mib 6)
     rmisses = 0;
     wmisses = 0;
     invs = 0;
-    cache_budget;
     cache_bytes = Array.make (Cluster.node_count cluster) 0;
     lru = Array.init (Cluster.node_count cluster) (fun _ -> Queue.create ());
   }
-
-let block_size t = t.block_size
 
 (* Register a faulted object in the node's bounded cache, evicting LRU
    residents (their cursors reset, forcing a re-fault) beyond budget. *)
@@ -92,7 +90,7 @@ let note_resident t ~node (bs : big_state) ~size =
     Queue.push (bs, size) t.lru.(node)
   end;
   while
-    t.cache_bytes.(node) > t.cache_budget && not (Queue.is_empty t.lru.(node))
+    t.cache_bytes.(node) > cache_budget && not (Queue.is_empty t.lru.(node))
   do
     let victim, vsize = Queue.pop t.lru.(node) in
     if
@@ -115,7 +113,7 @@ let note_resident t ~node (bs : big_state) ~size =
   done
 
 (* Globally unique block ids: 2^34 bytes of virtual space per node. *)
-let block_id t ~node ~byte = (node lsl 34) lor (byte / t.block_size)
+let block_id ~node ~byte = (node lsl 34) lor (byte / block_size)
 
 let alloc_on t ctx ~node ~size v =
   Ctx.charge_cycles ctx 150.0;
@@ -123,13 +121,13 @@ let alloc_on t ctx ~node ~size v =
   t.next_oid <- oid + 1;
   Intmap.set t.store oid v;
   let nodes = Cluster.node_count t.cluster in
-  if size >= t.block_size then begin
+  if size >= block_size then begin
     (* Align large objects so their blocks are private to them. *)
     let aligned =
-      (t.bump.(node) + t.block_size - 1) / t.block_size * t.block_size
+      (t.bump.(node) + block_size - 1) / block_size * block_size
     in
     t.bump.(node) <- aligned + size;
-    let nblocks = (size + t.block_size - 1) / t.block_size in
+    let nblocks = (size + block_size - 1) / block_size in
     {
       oid;
       obj_home = node;
@@ -147,8 +145,8 @@ let alloc_on t ctx ~node ~size v =
   else begin
     let start = t.bump.(node) in
     t.bump.(node) <- start + max 1 size;
-    let first = block_id t ~node ~byte:start in
-    let last = block_id t ~node ~byte:(start + max 1 size - 1) in
+    let first = block_id ~node ~byte:start in
+    let last = block_id ~node ~byte:(start + max 1 size - 1) in
     {
       oid;
       obj_home = node;
@@ -174,8 +172,8 @@ let distinct (l : int list) = List.sort_uniq Int.compare l
 
 (* The home directory's side of a round: hold one of its directory
    engines for the per-block processing, then downgrade or invalidate
-   the third parties.  The engine is released on exception like
-   [Resource.use], without its closure. *)
+   the third parties.  The engine is released on exception, without a
+   bracketing closure. *)
 let serve_directory t ~home ~nblocks ~third_parties ~third_bytes =
   let unit_ = t.dir_units.(home) in
   let engine = Cluster.engine t.cluster in
@@ -308,9 +306,9 @@ let small_read t ctx h blocks_ =
          Ctx.note_remote_access ctx ~target:h.obj_home;
          let owners = distinct (foreign_exclusives t node missed) in
          directory_round t ctx ~home:h.obj_home
-           ~resp_bytes:(min h.size (List.length missed * t.block_size))
+           ~resp_bytes:(min h.size (List.length missed * block_size))
            ~nblocks:(List.length missed) ~third_parties:owners
-           ~third_bytes:t.block_size
+           ~third_bytes:block_size
        end);
       add_sharer t node missed
 
@@ -328,7 +326,7 @@ let small_acquire t ctx h blocks_ =
          let dirty_fetch = not (none_foreign_exclusive t node need) in
          directory_round t ctx ~home:h.obj_home
            ~resp_bytes:
-             (if dirty_fetch then min h.size (List.length need * t.block_size)
+             (if dirty_fetch then min h.size (List.length need * block_size)
               else 32)
            ~nblocks:(List.length need) ~third_parties ~third_bytes:32
        end);
@@ -359,9 +357,9 @@ let big_fault t ctx h (bs : big_state) ~want =
        t.rmisses <- t.rmisses + 1;
        Ctx.note_remote_access ctx ~target:h.obj_home;
        directory_round t ctx ~home:h.obj_home
-         ~resp_bytes:(served * t.block_size)
+         ~resp_bytes:(served * block_size)
          ~nblocks:served ~third_parties:third
-         ~third_bytes:(served * t.block_size)
+         ~third_bytes:(served * block_size)
      end);
     bs.cursors.(node) <- cursor + served;
     if h.obj_home <> node then note_resident t ~node bs ~size:h.size
@@ -425,7 +423,7 @@ let read_part t ctx h ~bytes =
         (* Strict on-demand faulting: one block per directory round (GAM
            has no read-ahead), so a streaming touch of [bytes] issues one
            round per block it crosses. *)
-        let rounds = max 1 ((bytes + t.block_size - 1) / t.block_size) in
+        let rounds = max 1 ((bytes + block_size - 1) / block_size) in
         for _ = 1 to rounds do
           if bs.cursors.(node) < h.nblocks then big_fault t ctx h bs ~want:1
         done

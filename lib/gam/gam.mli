@@ -20,17 +20,11 @@ module Ctx = Drust_machine.Ctx
 
 type t
 
-val create :
-  ?block_size:int ->
-  ?cache_budget:int ->
-  Drust_machine.Cluster.t ->
-  t
-(** [cache_budget] bounds each node's cache of remote data (default
-    6 MiB at simulator scale, mirroring GAM's small default cache
-    relative to its working sets); LRU objects beyond it are dropped and
-    re-fetched on the next access. *)
-
-val block_size : t -> int
+val create : Drust_machine.Cluster.t -> t
+(** A 6 MiB budget bounds each node's cache of remote data (simulator
+    scale, mirroring GAM's small default cache relative to its working
+    sets); LRU objects beyond it are dropped and re-fetched on the next
+    access. *)
 
 type handle
 
@@ -38,9 +32,6 @@ val alloc_on : t -> Ctx.t -> node:int -> size:int -> Drust_util.Univ.t -> handle
 
 val read : t -> Ctx.t -> handle -> Drust_util.Univ.t
 (** Acquire Shared on every block of the object, then read. *)
-
-val write : t -> Ctx.t -> handle -> Drust_util.Univ.t -> unit
-(** Acquire Exclusive (invalidating sharers), then write. *)
 
 (** {1 Statistics} *)
 

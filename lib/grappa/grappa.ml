@@ -61,8 +61,8 @@ let compute_at_home t cycles =
     (Drust_machine.Params.cycles_to_seconds (Cluster.params t.cluster) cycles)
 
 (* Run [work t h x] on one of [home]'s delegation worker cores, after
-   the fixed delegation cost.  The core is released on exception, like
-   [Resource.use], without its closure. *)
+   the fixed delegation cost.  The core is released on exception,
+   without a bracketing closure. *)
 let run_at_home t ~home work h x =
   let worker = t.workers.(home) in
   Resource.acquire worker;
@@ -135,8 +135,8 @@ let object_unit t oid =
       r
 
 (* Run [work t h x] holding [h]'s object unit (Grappa runs delegations
-   for one object on one core), released on exception like
-   [Resource.use] but without its closure. *)
+   for one object on one core), released on exception without a
+   bracketing closure. *)
 let serialized t h work x =
   let u = object_unit t h.oid in
   Resource.acquire u;

@@ -75,9 +75,6 @@ val flush : t -> unit
     enabled, the core wait and the compute burst are recorded as
     [cpu.queue] / [cpu.compute] sub-spans of [current_span]. *)
 
-val safe_point : t -> unit
-(** Run the safe-point hook without forcing a flush. *)
-
 val note_remote_access : t -> target:int -> unit
 val note_local_alloc : t -> bytes:int -> unit
 

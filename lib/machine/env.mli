@@ -22,11 +22,9 @@ type 'a key
 (** A typed slot identifier.  Keys are cheap; allocate them at module
     initialization, not per call. *)
 
-val key : name:string -> 'a key
-(** [key ~name] mints a fresh key.  [name] (conventionally
-    ["layer.purpose"], e.g. ["protocol.stats"]) is used only for
-    diagnostics; uniqueness comes from the key's identity.  Key
-    allocation is atomic and may happen in any domain. *)
+val key : unit -> 'a key
+(** [key ()] mints a fresh key; uniqueness comes from the key's
+    identity.  Key allocation is atomic and may happen in any domain. *)
 
 type t
 (** One environment, owned by exactly one cluster. *)
@@ -36,15 +34,5 @@ val create : unit -> t
 val get : t -> 'a key -> init:(unit -> 'a) -> 'a
 (** [get t k ~init] returns the binding for [k], creating and memoizing
     it with [init ()] on first access.  This is the normal accessor:
-    layers use it to materialize their per-cluster state lazily. *)
-
-val find : t -> 'a key -> 'a option
-val set : t -> 'a key -> 'a -> unit
-val mem : t -> 'a key -> bool
-val remove : t -> 'a key -> unit
-
-val length : t -> int
-(** Number of live bindings (used by isolation and leak tests). *)
-
-val names : t -> string list
-(** Names of live bindings, sorted (diagnostics). *)
+    layers use it to materialize their per-cluster state lazily; it is
+    the only accessor. *)

@@ -25,10 +25,6 @@ let default =
     seed = 42;
   }
 
-let with_nodes t nodes =
-  if nodes <= 0 then invalid_arg "Params.with_nodes: need at least one node";
-  { t with nodes }
-
 let fixed_resource t ~total_cores ~total_mem ~nodes =
   if nodes <= 0 then invalid_arg "Params.fixed_resource: need at least one node";
   if total_cores mod nodes <> 0 then
@@ -41,4 +37,3 @@ let fixed_resource t ~total_cores ~total_mem ~nodes =
   }
 
 let[@inline] cycles_to_seconds t cycles = cycles /. (t.ghz *. 1e9)
-let seconds_to_cycles t seconds = seconds *. t.ghz *. 1e9

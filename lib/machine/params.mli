@@ -27,12 +27,8 @@ type t = {
 val default : t
 (** The paper's 8-node testbed. *)
 
-val with_nodes : t -> int -> t
-(** Same hardware, different node count (for scaling sweeps). *)
-
 val fixed_resource : t -> total_cores:int -> total_mem:int -> nodes:int -> t
 (** Fig. 7 setup: distribute a fixed core/memory budget evenly over
     [nodes] servers. *)
 
 val cycles_to_seconds : t -> float -> float
-val seconds_to_cycles : t -> float -> float

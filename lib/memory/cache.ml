@@ -43,7 +43,6 @@ let create ?metrics ?tap ~node () =
     g_used = Metrics.gauge metrics ~labels ~unit_:"bytes" "cache.used_bytes";
   }
 
-let entries t = Drust_util.Intmap.length t.map
 let used_bytes t = t.used
 let set_used t used =
   t.used <- used;
@@ -164,5 +163,3 @@ let evict_unreferenced t =
   List.iter kill victims;
   !reclaimed
 
-let hits t = Metrics.value t.c_hits
-let misses t = Metrics.value t.c_misses

@@ -34,7 +34,6 @@ val create :
     [-1].  [retain] has no cache handle and is therefore not tapped; a
     checker audits refcounts at [Cache_release] time instead. *)
 
-val entries : t -> int
 val used_bytes : t -> int
 
 val lookup : t -> Gaddr.t -> copy option
@@ -82,11 +81,3 @@ val invalidate_home : t -> home:int -> int
 val evict_unreferenced : t -> int
 (** Drop all refcount-0 entries; returns bytes reclaimed.  This is the
     lazy reclamation the runtime triggers under memory pressure. *)
-
-(** {1 Statistics}
-
-    Backed by the metrics registry ([cache.hits] / [cache.misses]);
-    these accessors read the node's counters. *)
-
-val hits : t -> int
-val misses : t -> int

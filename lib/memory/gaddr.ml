@@ -40,7 +40,6 @@ let bump_color a =
   if c >= max_color then raise (Color_overflow a);
   with_color a (c + 1)
 
-let is_local a ~node = node_of a = node
 
 let to_int a = a
 

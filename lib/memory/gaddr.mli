@@ -42,9 +42,6 @@ val bump_color : t -> t
 
 exception Color_overflow of t
 
-val is_local : t -> node:int -> bool
-(** The paper's [IsLocal]: does this address live in [node]'s partition? *)
-
 val to_int : t -> int
 val of_int_exn : int -> t
 (** Validates field ranges; for deserialization in tests. *)

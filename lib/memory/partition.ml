@@ -33,7 +33,6 @@ let create ~node ~capacity_bytes =
 let node t = t.node
 let capacity_bytes t = t.capacity
 let used_bytes t = t.used
-let live_objects t = Intmap.length t.objects
 let usage_fraction t = Float.of_int t.used /. Float.of_int t.capacity
 
 (* Round a request up to its size class (powers of two from 16 bytes),
@@ -114,15 +113,6 @@ let put t a ~size v =
   (* Keep the bump pointer ahead of mirrored offsets so that a promoted
      backup never mints an address that collides with a mirrored object. *)
   if off + cls > t.bump then t.bump <- off + cls
-
-let remove t a =
-  check_home t a "remove";
-  let off = Gaddr.offset_of a in
-  match Intmap.find_opt t.objects off with
-  | None -> ()
-  | Some e ->
-      Intmap.remove t.objects off;
-      t.used <- t.used - size_class (max 1 e.size)
 
 let iter t f =
   Intmap.iter (fun off e -> f (Gaddr.make ~node:t.node ~offset:off) e) t.objects

@@ -20,7 +20,6 @@ val create : node:int -> capacity_bytes:int -> t
 val node : t -> int
 val capacity_bytes : t -> int
 val used_bytes : t -> int
-val live_objects : t -> int
 
 val usage_fraction : t -> float
 (** [used/capacity] — the controller's memory-pressure signal. *)
@@ -48,10 +47,6 @@ val put : t -> Gaddr.t -> size:int -> Drust_util.Univ.t -> unit
 (** Upsert at an exact offset, used by the replication manager to mirror a
     primary partition into its backup: the backup must hold objects at the
     same addresses the primary minted. *)
-
-val remove : t -> Gaddr.t -> unit
-(** Like {!free} but silently ignores dead addresses (replication uses it
-    to mirror deallocations). *)
 
 val iter : t -> (Gaddr.t -> entry -> unit) -> unit
 (** Iterate live objects — used by the replication manager to snapshot a

@@ -53,8 +53,8 @@ type event =
   | Cache_release of { key : Gaddr.t; refcount : int }
   | Cache_invalidate of { key : Gaddr.t }
       (** the copy left the map: displaced, invalidated, or evicted *)
-  (* Darc and Drc, with the post-transition count as the implementation
-     computed it. *)
+  (* Darc, with the post-transition count as the implementation computed
+     it. *)
   | Rc_created of { g : Gaddr.t; size : int; count : int }
   | Rc_retained of { g : Gaddr.t; count : int }
   | Rc_released of { g : Gaddr.t; count : int }

@@ -112,7 +112,6 @@ let[@inline] event t ~from ~kind ~a ~b ~c =
 let ep = function Some e -> e | None -> -1
 
 let set_epoch_source t f = t.epoch_of <- f
-let metrics t = t.metrics
 let set_fault_plan t plan = t.fault <- Some plan
 
 (* A fabric event's span arguments; built only when tracing is live. *)
@@ -517,8 +516,7 @@ let send_async ?parent t ~from ~target ~bytes handler =
   issue t "send_async" ~kind:Flight.k_fab_send ~from ~target ~bytes ~c:(-1);
   if async_delivers t ~from ~target then begin
     let dt = leg_latency t Twoside ~from ~target ~bytes in
-    ignore
-      (Engine.spawn ~at:(Engine.now t.engine +. dt) t.engine
-         (async_delivery ?parent t "SEND(async)" "RECV(SEND)" ~from ~target
-            ~bytes handler))
+    Engine.schedule_after t.engine dt
+      (async_delivery ?parent t "SEND(async)" "RECV(SEND)" ~from ~target
+         ~bytes handler)
   end

@@ -57,9 +57,6 @@ val create :
     retry, drop, and stale-epoch NAK is recorded into the issuing node's
     ring (docs/FORENSICS.md). *)
 
-val metrics : t -> Drust_obs.Metrics.t
-(** The registry the verb counters report into. *)
-
 val set_fault_plan : t -> Drust_sim.Fault.t -> unit
 (** Install a fault plan: from now on every verb consults it.  Verbs
     from or to a crashed node raise {!Node_down}; messages crossing an
@@ -175,7 +172,10 @@ val send_async :
   ?parent:Drust_obs.Span.span ->
   t -> from:node_id -> target:node_id -> bytes:int -> (unit -> unit) -> unit
 (** One-way two-sided message; the handler runs at the target when the
-    message arrives.  The caller is not blocked. *)
+    message arrives.  The caller is not blocked.  The handler runs inside
+    the delivery event, not as a process, so it must not block (no
+    delay, verb or lock), and an exception it raises escapes
+    [Engine.run] directly. *)
 
 (** {1 Bounded failure semantics} *)
 

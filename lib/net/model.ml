@@ -20,6 +20,4 @@ let infiniband_40g =
     jitter = 0.03;
   }
 
-let transfer_time t ~bytes = Float.of_int bytes /. t.bandwidth
-let oneside_time t ~bytes = t.oneside_base +. transfer_time t ~bytes
-let twoside_time t ~bytes = t.twoside_base +. transfer_time t ~bytes
+let oneside_time t ~bytes = t.oneside_base +. (Float.of_int bytes /. t.bandwidth)

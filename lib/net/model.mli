@@ -29,10 +29,6 @@ type t = {
 val infiniband_40g : t
 (** The paper's testbed NIC. *)
 
-val transfer_time : t -> bytes:int -> float
-(** Pure serialization time of a payload at NIC bandwidth. *)
-
 val oneside_time : t -> bytes:int -> float
-(** Latency of a one-sided verb carrying [bytes] of payload. *)
-
-val twoside_time : t -> bytes:int -> float
+(** Latency of a one-sided verb carrying [bytes] of payload: the base
+    plus its serialization time at NIC bandwidth. *)

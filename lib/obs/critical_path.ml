@@ -27,7 +27,6 @@ type path = {
   node_count : int;  (** events in the subtree, root included *)
 }
 
-let segments_sum p = List.fold_left (fun acc (_, d) -> acc +. d) 0.0 p.segments
 
 (* ------------------------------------------------------------------ *)
 (* Assembly                                                            *)

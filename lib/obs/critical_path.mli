@@ -32,22 +32,17 @@ type path = {
   total : float;  (** end-to-end duration of the root span, seconds *)
   segments : (segment * float) list;
       (** one entry per {!all_segments} member, in order; entries can be
-          0 (segment absent from this operation) *)
+          0 (segment absent from this operation).  They sum to [total]
+          up to float rounding. *)
   node_count : int;  (** events in the subtree, root included *)
 }
-
-val segments_sum : path -> float
-(** Sum of all segment durations; equals [total] up to float rounding. *)
 
 val analyze : Span.event list -> path list
 (** One {!path} per root [Complete] event ([parent = 0]), in
     event-recording order.  Children are located by [parent] id within
     the same event list. *)
 
-val top_k : int -> path list -> path list
-(** Longest first; ties broken by (start time, id) so the order is
-    deterministic. *)
-
 val report : Span.event list -> string
-(** [analyze] + [top_k] + render: the top 10 critical paths as numbered
-    text blocks. *)
+(** [analyze], then the 10 longest paths (ties broken by start time
+    and id, so the order is deterministic) rendered as numbered text
+    blocks. *)

@@ -1,6 +1,6 @@
 (** Exporters: Chrome [trace_event] JSON and a JSONL metrics dump.
 
-    [chrome_trace] renders a {!Span.t}'s events in the Chrome trace-event
+    [write_chrome_trace] writes a {!Span.t}'s events in the Chrome trace-event
     format (JSON object form), loadable in [chrome://tracing] and
     Perfetto ({:https://ui.perfetto.dev}): one process ([drust-sim]),
     one timeline row (tid) per track — i.e. per node — complete spans
@@ -11,19 +11,15 @@
     [bp:"e"] on the consumer's — so cross-node messages render as
     arrows between node timelines.
 
-    [metrics_jsonl] renders a {!Metrics.snapshot} as one JSON object per
+    [write_metrics_jsonl] writes a {!Metrics.snapshot} as one JSON object per
     line, friendly to [jq] and dataframe loaders.  The dump is
     write-only: nothing in the repo reads it back. *)
 
-val chrome_trace : Span.t -> string
+val write_chrome_trace : path:string -> Span.t -> unit
 (** The whole trace as one JSON document. *)
 
-val write_chrome_trace : path:string -> Span.t -> unit
-
-val metrics_jsonl : ?time:float -> Metrics.snapshot -> string
+val write_metrics_jsonl : ?time:float -> path:string -> Metrics.snapshot -> unit
 (** One line per sample:
     [{"name":...,"labels":{...},"unit":...,"type":...,"value":...}];
     histograms carry count/sum/min/max/buckets.  [time] (virtual
     seconds) is stamped on every line when given. *)
-
-val write_metrics_jsonl : ?time:float -> path:string -> Metrics.snapshot -> unit

@@ -141,8 +141,6 @@ let[@inline] record t ~node ~time ~kind ~a ~b ~c ~d =
 
 let set_enabled t b = t.enabled <- b
 let set_label t l = t.label <- l
-let capacity t = t.cap
-let recorded t ~node = t.counts.(node)
 
 (* ------------------------------------------------------------------ *)
 (* Events and dumps *)
@@ -341,7 +339,6 @@ let dump_of_json o =
     dm_slice = events "slice";
   }
 
-let of_json j = Json.decode (Json.obj dump_of_json) j
 let save ~path d = Json.save ~path (to_json d)
 let load ~path = Json.decode_file ~path (Json.obj dump_of_json)
 

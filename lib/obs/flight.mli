@@ -88,10 +88,6 @@ val set_label : t -> string -> unit
 (** The dump label (and auto-dump file stem) — the SimPlan name of the
     run, set by [Simplan.execute]. *)
 
-val capacity : t -> int
-val recorded : t -> node:int -> int
-(** Events ever recorded on [node]'s ring (may exceed {!capacity}). *)
-
 (** {1 Events and dumps} *)
 
 type event = {
@@ -124,8 +120,6 @@ val recent : t -> n:int -> kinds:(int -> bool) -> event list
     node rather than the whole ring — the DSan sanitizer reads its
     fabric provenance this way on every violation. *)
 
-val dump : t -> reason:string -> ?object_:int -> now:float -> unit -> dump
-
 val schema : string
 (** ["drust-flight/v1"]. *)
 
@@ -133,8 +127,6 @@ val field_names : string list
 (** Every field name of the dump JSON encoding, top-level and
     per-event — the docs/FORENSICS.md table is checked against this. *)
 
-val of_json : Drust_util.Json.t -> (dump, string) result
-val save : path:string -> dump -> unit
 val load : path:string -> (dump, string) result
 (** Strict, as docs/FORENSICS.md lists: [Error "<file>: <path>:
     <problem>"] on any malformed dump, never an exception. *)
@@ -144,13 +136,12 @@ val load : path:string -> (dump, string) result
 val set_dump_dir : string option -> unit
 (** Directory auto-dumps are written into (default: cwd). *)
 
-val auto_dump_path : t -> string
-(** Where {!auto_dump} writes: [<dump_dir>/<label>.flight.json]. *)
-
 val auto_dump : t -> reason:string -> ?object_:int -> now:float -> unit -> bool
-(** Write the dump file if this recorder has not dumped yet (first
-    failure wins: later violations would overwrite the ring tail that
-    explains the first).  Returns whether a file was written. *)
+(** Write the dump file, [<dump_dir>/<label>.flight.json], if this
+    recorder has not dumped yet (first failure wins: later violations
+    would overwrite the ring tail that explains the first).  Returns
+    whether a file was written; [object_] names the offending physical
+    address, whose causal slice the dump carries. *)
 
 val guard : t -> now:(unit -> float) -> (unit -> 'a) -> 'a
 (** Run a workload; on any exception, {!auto_dump} with the exception

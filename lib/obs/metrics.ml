@@ -159,33 +159,6 @@ let snapshot t =
   Drust_util.Tables.sorted_bindings t.tbl ~cmp:compare_key
   |> List.map (fun (_, m) -> sample_of m)
 
-let diff ~before ~after =
-  let key s = (s.s_name, s.s_labels) in
-  let prior = Hashtbl.create 64 in
-  List.iter (fun s -> Hashtbl.replace prior (key s) s.s_value) before;
-  List.map
-    (fun s ->
-      let v =
-        match (s.s_value, Hashtbl.find_opt prior (key s)) with
-        | Count a, Some (Count b) -> Count (a - b)
-        | Histo a, Some (Histo b) ->
-            let sub =
-              List.map2
-                (fun (bound, ca) (_, cb) -> (bound, ca - cb))
-                a.h_buckets b.h_buckets
-            in
-            Histo
-              {
-                a with
-                h_count = a.h_count - b.h_count;
-                h_sum = a.h_sum -. b.h_sum;
-                h_buckets = sub;
-              }
-        | v, _ -> v
-      in
-      { s with s_value = v })
-    after
-
 (* ------------------------------------------------------------------ *)
 (* Quantiles & merging over snapshot histograms                        *)
 

@@ -85,11 +85,6 @@ type snapshot = sample list
 
 val snapshot : t -> snapshot
 
-val diff : before:snapshot -> after:snapshot -> snapshot
-(** Per-sample difference: counters and histogram counts/sums subtract
-    (a sample absent from [before] counts from zero); gauges keep the
-    [after] level.  Samples absent from [after] are dropped. *)
-
 val quantile : histo -> float -> float option
 (** [quantile h q] estimates the [q]-quantile ([q] in [0,1]) of the
     samples folded into a snapshot histogram: find the bucket holding

@@ -18,12 +18,12 @@
     one track to a consumer event on another (a fabric message crossing
     nodes); {!fresh_flow_id} mints edge ids, {!add_flow_out} attaches
     them to in-flight spans, {!instant}'s [flow_in] consumes them, and
-    {!Critical_path} / {!Export.chrome_trace} consume them to rebuild
+    {!Critical_path} / {!Export.write_chrome_trace} consume them to rebuild
     the causal graph of an operation.
 
     This subsumes the old flat [Trace] ring: events carry structure
     (category / track / args / duration) instead of one pre-formatted
-    string, which is what lets {!Export.chrome_trace} lay a run out on a
+    string, which is what lets {!Export.write_chrome_trace} lay a run out on a
     per-node timeline.
 
     Recording against a disabled tracer is a no-op: nothing is

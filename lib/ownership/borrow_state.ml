@@ -69,6 +69,5 @@ let kill t ~context =
   else if t.n = dead then fail t Use_after_death context
   else fail t Drop_while_borrowed context
 
-let imm_count t = if t.n > 0 then t.n else 0
 let is_mut_borrowed t = t.n = mut_borrowed
 let is_dead t = t.n = dead

@@ -71,6 +71,5 @@ val kill : t -> context:string -> unit
 (** Owner goes out of scope; legal only in [Owned], transitions to
     [Dead]. *)
 
-val imm_count : t -> int
 val is_mut_borrowed : t -> bool
 val is_dead : t -> bool

@@ -339,22 +339,3 @@ let shrink ~oracle plan =
         try_next cs
     in
     go plan v0 0
-
-type finding = {
-  fz_plan : Simplan.t;
-  fz_verdict : verdict;
-  fz_shrunk : Simplan.t;
-  fz_shrunk_verdict : verdict;
-}
-
-let run ?(oracle = default_oracle) ~seed ~count ~max_nodes () =
-  let sampled = plans ~seed ~count ~max_nodes in
-  List.filter_map
-    (fun p ->
-      let v = oracle p in
-      if not (is_failure v) then None
-      else
-        let shrunk, sv = shrink ~oracle p in
-        Some
-          { fz_plan = p; fz_verdict = v; fz_shrunk = shrunk; fz_shrunk_verdict = sv })
-    sampled

@@ -46,20 +46,3 @@ val shrink :
     fails, and repeat until none fails.  Returns the minimal plan and
     its verdict.  If the input plan itself passes [oracle], it is
     returned unchanged with that [Pass]. *)
-
-type finding = {
-  fz_plan : Simplan.t;  (** the sampled plan that failed *)
-  fz_verdict : verdict;
-  fz_shrunk : Simplan.t;  (** minimal failing plan *)
-  fz_shrunk_verdict : verdict;
-}
-
-val run :
-  ?oracle:(Simplan.t -> verdict) ->
-  seed:int ->
-  count:int ->
-  max_nodes:int ->
-  unit ->
-  finding list
-(** Sequential convenience: sample, test, shrink.  [oracle] defaults to
-    {!default_oracle}. *)

@@ -516,14 +516,7 @@ let plan_of_json o =
   in
   { name; spec; expect }
 
-let of_json j = Json.decode (Json.obj plan_of_json) j
-
 let print t = Json.print (to_json t)
-
-let parse s =
-  match Json.parse s with
-  | j -> of_json j
-  | exception Json.Parse_error m -> Error m
 
 let save ~path t = Json.save ~path (to_json t)
 let load ~path = Json.decode_file ~path (Json.obj plan_of_json)

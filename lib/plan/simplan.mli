@@ -150,9 +150,8 @@ val suite_plan :
 (** {1 Codec} *)
 
 val print : t -> string
-(** Canonical bytes: [parse (print t) = Ok t]. *)
+(** Canonical bytes: {!load} of a file holding [print t] is [Ok t]. *)
 
-val parse : string -> (t, string) result
 val save : path:string -> t -> unit
 val load : path:string -> (t, string) result
 (** Decoding is strict ({!Drust_util.Json}'s readers): an unknown or

@@ -254,6 +254,5 @@ let start ?replication ?membership cluster =
 let stop t = t.running <- false
 
 let migrations_ordered t = Metrics.value t.c_migrations
-let probes_performed t = Metrics.value t.c_probes
 let set_on_death t f = t.on_death <- Some f
 let deaths t = List.rev t.deaths

@@ -49,8 +49,6 @@ val migrations_ordered : t -> int
     cluster's metrics registry, alongside [controller.probes],
     [controller.failovers] and [controller.heartbeat_misses]). *)
 
-val probes_performed : t -> int
-
 val deaths : t -> (int * float) list
 (** Nodes the detector has declared dead, with the virtual time of each
     verdict, in declaration order.  Detection latency is this time minus

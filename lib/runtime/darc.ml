@@ -15,9 +15,9 @@ type control = {
 
 type t = { control : control; mutable live : bool }
 
-(* Refcount transitions go to the cluster's tap ([Tap.Rc_*], shared with
-   [Drc]) with the post-transition count as the implementation sees it,
-   so a shadow counter can be cross-checked against it. *)
+(* Refcount transitions go to the cluster's tap ([Tap.Rc_*]) with the
+   post-transition count as the implementation sees it, so a shadow
+   counter can be cross-checked against it. *)
 
 let create ctx ~size v =
   Ctx.charge_cycles ctx 150.0;

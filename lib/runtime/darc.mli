@@ -7,8 +7,10 @@
     reading node's cache and evicted lazily.
 
     Every refcount transition is emitted to [Cluster.tap] as a
-    [Tap.Rc_*] event carrying the post-transition count ([Drc] shares
-    the vocabulary). *)
+    [Tap.Rc_*] event carrying the post-transition count.  Rust's
+    single-thread [Rc] needs no distributed counterpart: its handles
+    never leave their thread, so the paper gives it no special
+    treatment (§4.1.2). *)
 
 module Ctx = Drust_machine.Ctx
 
@@ -26,5 +28,3 @@ val strong_count : Ctx.t -> t -> int
 val drop : Ctx.t -> t -> unit
 (** Decrements the count; the last drop frees the payload and invalidates
     cached copies cluster-wide.  Raises [Invalid_argument] on reuse. *)
-
-val home : t -> int

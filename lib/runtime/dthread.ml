@@ -1,5 +1,4 @@
 module Engine = Drust_sim.Engine
-module Resource = Drust_sim.Resource
 module Cluster = Drust_machine.Cluster
 module Ctx = Drust_machine.Ctx
 module Fabric = Drust_net.Fabric
@@ -18,7 +17,7 @@ let stack_bytes = 768 * 1024
 
 (* Per-cluster migration latency samples for the drill-down experiment. *)
 let migration_stats_key : Drust_util.Stats.t Drust_machine.Env.key =
-  Drust_machine.Env.key ~name:"runtime.migration_stats"
+  Drust_machine.Env.key ()
 
 let migration_latency_stats cluster =
   Drust_machine.Env.get (Cluster.env cluster) migration_stats_key
@@ -55,20 +54,6 @@ let make_safe_point record ctx =
   | Some _ -> record.Registry.migrate_to <- None
   | None -> ()
 
-let least_loaded_node cluster =
-  let best = ref 0 and best_load = ref max_int in
-  Array.iter
-    (fun n ->
-      if n.Cluster.alive then begin
-        let load = Registry.thread_count_on cluster ~node:n.Cluster.id in
-        if load < !best_load then begin
-          best := n.Cluster.id;
-          best_load := load
-        end
-      end)
-    (Cluster.nodes cluster);
-  !best
-
 let spawn_on ctx ~node body =
   let cluster = Ctx.cluster ctx in
   if node < 0 || node >= Cluster.node_count cluster then
@@ -96,20 +81,6 @@ let spawn_on ctx ~node body =
   in
   { record; proc }
 
-let spawn ctx body =
-  let cluster = Ctx.cluster ctx in
-  let here = Cluster.node cluster ctx.Ctx.node in
-  let cores = here.Cluster.cores in
-  let node =
-    if
-      here.Cluster.alive
-      && Resource.in_use cores + Registry.thread_count_on cluster ~node:ctx.Ctx.node
-         < Resource.capacity cores
-    then ctx.Ctx.node
-    else least_loaded_node cluster
-  in
-  spawn_on ctx ~node body
-
 let spawn_to ctx owner body =
   let cluster = Ctx.cluster ctx in
   let node =
@@ -117,24 +88,13 @@ let spawn_to ctx owner body =
   in
   spawn_on ctx ~node body
 
-(* Cooperative yield (the paper's [await], S4.2.1): give other ready
-   threads the core and take a migration safe point. *)
-let await ctx =
-  Ctx.flush ctx;
-  Engine.yield (Ctx.engine ctx);
-  Ctx.safe_point ctx
-
 let join ctx h = Engine.join (Ctx.engine ctx) h.proc
 let join_all ctx hs = List.iter (join ctx) hs
 
 type scope = { owner : Ctx.t; mutable spawned : handle list }
 
-let spawn_in scope ?node body =
-  let h =
-    match node with
-    | Some node -> spawn_on scope.owner ~node body
-    | None -> spawn scope.owner body
-  in
+let spawn_in scope ~node body =
+  let h = spawn_on scope.owner ~node body in
   scope.spawned <- h :: scope.spawned;
   h
 
@@ -148,6 +108,3 @@ let scope ctx f =
          their borrows reference the enclosing frame. *)
       (try drain () with _ -> ());
       raise e
-
-let node_of h = h.record.Registry.ctx.Ctx.node
-let migrations_of h = h.record.Registry.migrations

@@ -1,9 +1,8 @@
 (** Distributed threading (§4.1.2).
 
-    Mirrors Rust's [std::thread] interface: [spawn] captures the body as a
-    closure and lets the runtime choose where it runs — the current server
-    unless its compute is saturated, otherwise the least-loaded alive
-    node.  [spawn_to] (§4.1.3) places the thread next to the data it will
+    Mirrors Rust's [std::thread] interface: a spawn captures the body as
+    a closure and runs it on a chosen server — [spawn_on] names the node,
+    [spawn_to] (§4.1.3) places the thread next to the data it will
     touch.  Cross-server spawning ships only the closure and any captured
     pointers (not the heap objects) over a control message.
 
@@ -15,20 +14,12 @@ module Ctx = Drust_machine.Ctx
 
 type handle
 
-val spawn : Ctx.t -> (Ctx.t -> unit) -> handle
-(** Runtime placement: local node if it has spare cores, else the node
-    with the fewest registered threads. *)
-
 val spawn_on : Ctx.t -> node:int -> (Ctx.t -> unit) -> handle
 (** Explicit placement. *)
 
 val spawn_to : Ctx.t -> Drust_core.Protocol.owner -> (Ctx.t -> unit) -> handle
 (** The paper's [spawn_to]: run the thread on the server hosting the given
     object. *)
-
-val await : Ctx.t -> unit
-(** Cooperative yield (§4.2.1): flush pending compute, let other ready
-    threads run, and take a migration safe point. *)
 
 val join : Ctx.t -> handle -> unit
 (** Blocks the caller until the thread finishes; re-raises its failure. *)
@@ -49,14 +40,8 @@ val scope : Ctx.t -> (scope -> unit) -> unit
     scope before returning — also on exception, in which case the
     original exception is re-raised after the joins. *)
 
-val spawn_in : scope -> ?node:int -> (Ctx.t -> unit) -> handle
-(** Spawn inside the scope; placement as {!spawn} unless [node] is
-    given. *)
-
-val node_of : handle -> int
-(** Node the thread currently runs on. *)
-
-val migrations_of : handle -> int
+val spawn_in : scope -> node:int -> (Ctx.t -> unit) -> handle
+(** {!spawn_on} inside the scope. *)
 
 val migrate_now : Ctx.t -> target:int -> float
 (** Perform the migration protocol for the calling thread immediately:

@@ -119,21 +119,12 @@ let create ?active cluster ~replication =
   Fabric.set_epoch_source (Cluster.fabric cluster) (Some (fun () -> t.epoch));
   t
 
-let detach t = Fabric.set_epoch_source (Cluster.fabric t.cluster) None
-
 let epoch t = t.epoch
 
 let known_epoch t ~node =
   if node < 0 || node >= Array.length t.known then
     invalid_arg "Membership.known_epoch: node out of range";
   t.known.(node)
-
-let state t ~node =
-  if node < 0 || node >= Array.length t.states then
-    invalid_arg "Membership.state: node out of range";
-  t.states.(node)
-
-let is_active t ~node = state t ~node = Active
 
 let in_flight_handoff t =
   match t.in_flight with

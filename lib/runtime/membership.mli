@@ -39,9 +39,6 @@ val create : ?active:int -> Drust_machine.Cluster.t -> replication:Replication.t
     on.  The cluster's node count is the membership {e capacity}; joins
     activate standbys rather than growing the array. *)
 
-val detach : t -> unit
-(** Uninstall the fabric epoch source (end of experiment). *)
-
 val epoch : t -> int
 (** The live view epoch (starts at 0, bumped by every join, leave,
     committed handoff, and failover). *)
@@ -51,8 +48,6 @@ val known_epoch : t -> node:int -> int
     verbs with.  Lags {!epoch} by the announcement latency; the gap is
     exactly the window in which that node's verbs are NAKed and
     retried. *)
-
-val is_active : t -> node:int -> bool
 
 val in_flight_handoff : t -> (int * int * int) option
 (** [(home, from_node, to_node)] of the handoff currently between
@@ -64,13 +59,11 @@ type handoff_error =
   | `Aborted of string  (** a crash interrupted drain/copy; the serving
                             map is untouched and failover recovers *) ]
 
-val handoff :
-  Ctx.t -> t -> home:int -> to_node:int -> (unit, handoff_error) result
-(** Move [home]'s range from its current server to [to_node]:
-    drain pending write-backs, charge the bulk copy as chunked WRITEs
-    (each chunk a fault-injection point), then atomically snapshot the
-    store, swap the serving map, purge every alive cache of the range,
-    bump the epoch, announce, and re-seed the replica chain. *)
+(** {!join} and {!leave} move a range by one handoff: drain pending
+    write-backs, charge the bulk copy as chunked WRITEs (each chunk a
+    fault-injection point), then atomically snapshot the store, swap the
+    serving map, purge every alive cache of the range, bump the epoch,
+    announce, and re-seed the replica chain. *)
 
 val join : Ctx.t -> t -> node:int -> (int option, handoff_error) result
 (** Activate a standby node and rebalance one home range onto it from

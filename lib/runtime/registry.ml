@@ -11,7 +11,7 @@ type record = {
 (* One bucket of records per cluster, stored in the cluster's Env so the
    registry dies with the cluster. *)
 let bucket_key : record list ref Drust_machine.Env.key =
-  Drust_machine.Env.key ~name:"runtime.thread_registry"
+  Drust_machine.Env.key ()
 
 let bucket cluster =
   Drust_machine.Env.get (Cluster.env cluster) bucket_key ~init:(fun () -> ref [])
@@ -39,6 +39,5 @@ let live_threads cluster = List.filter (fun r -> r.running) !(bucket cluster)
 let threads_on cluster ~node =
   List.filter (fun r -> r.ctx.Ctx.node = node) (live_threads cluster)
 
-let thread_count_on cluster ~node = List.length (threads_on cluster ~node)
 
 let order_migration r ~target = r.migrate_to <- Some target

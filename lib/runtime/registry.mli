@@ -15,10 +15,7 @@ type record = {
 val register : Drust_machine.Ctx.t -> record
 val unregister : record -> unit
 
-val live_threads : Drust_machine.Cluster.t -> record list
 val threads_on : Drust_machine.Cluster.t -> node:int -> record list
-
-val thread_count_on : Drust_machine.Cluster.t -> node:int -> int
 
 val order_migration : record -> target:int -> unit
 (** Ask the thread to move at its next safe point. *)

@@ -24,7 +24,6 @@ type t = {
      snapshot and every write-back, so any of them can be promoted. *)
   backups : Partition.t array array;
   pending : (Gaddr.t, dirty) Hashtbl.t;
-  mutable writebacks : int;
   mutable enabled : bool;
   (* Home ranges whose server died with every replica host already dead:
      nothing can re-serve them.  Recorded instead of raised, so cascading
@@ -67,7 +66,6 @@ let flush_pending t ctx ~only =
           Partition.put t.backups.(r).(home) g ~size:d.size d.value
         end
       done;
-      t.writebacks <- t.writebacks + 1;
       Hashtbl.remove t.pending g)
     selected
 
@@ -90,7 +88,6 @@ let enable ?(replicas = 1) cluster =
       replicas;
       backups;
       pending = Hashtbl.create 256;
-      writebacks = 0;
       enabled = true;
       unrecoverable = [];
     }
@@ -116,8 +113,6 @@ let disable t =
 let pending_writes t = Hashtbl.length t.pending
 
 let sync_now ctx t = flush_pending t ctx ~only:None
-
-let writebacks_performed t = t.writebacks
 
 let fail_and_promote ctx t ~node =
   if node < 0 || node >= Cluster.node_count t.cluster then

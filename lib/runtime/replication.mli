@@ -36,8 +36,6 @@ val sync_now : Ctx.t -> t -> unit
 (** Flush every batched modification to the backups (asynchronous
     one-sided WRITEs), e.g. at a checkpoint. *)
 
-val writebacks_performed : t -> int
-
 val fail_and_promote : Ctx.t -> t -> node:int -> unit
 (** Kill a primary: mark the node failed and promote its backup so the
     dead range is served by the backup server.  Objects modified but not

@@ -12,7 +12,7 @@ type instant = {
 type process_state = Running | Finished | Failed of exn
 
 (* A spawned process: its [join] handle and its timer slot in one
-   record.  The slot is reused by every [delay] and [yield] the process
+   record.  The slot is reused by every [delay] the process
    performs: while it sleeps, [parked] holds its continuation and [wake]
    is the queue callback that resumes it. *)
 type process = {
@@ -214,7 +214,6 @@ let[@inline] delay t dt =
   t.instant.time <- now t +. dt;
   Effect.perform Sleep
 
-let yield t = delay t 0.0
 
 let join _t handle =
   (match handle.state with

@@ -74,11 +74,6 @@ val join : t -> process_handle -> unit
     immediately when it is already done.  If the process died with an
     exception, [join] re-raises it in the caller. *)
 
-val yield : t -> unit
-(** [yield t] reschedules the caller at the current time, letting other
-    ready processes run first (cooperative multitasking).  It is
-    [delay t 0.0]. *)
-
 (** {1 Driving the simulation} *)
 
 val run : t -> unit
@@ -93,14 +88,14 @@ val step : t -> bool
 
 val dispatched : t -> int
 (** Total logical events executed so far: one per event-queue pop, plus
-    one per {!delay} or {!yield} resumption that ran inside its timer's
-    event.  A {!delay} or {!yield} thus counts two events, its timer and
+    one per {!delay} resumption that ran inside its timer's event.  A
+    {!delay} thus counts two events, its timer and
     its resumption, whether the resumption took a queue entry of its own
     or not.  Purely observational — never feeds back into the
     simulation. *)
 
 val suspends : t -> int
-(** Total times a process parked: every {!delay}, {!yield}, blocking
+(** Total times a process parked: every {!delay}, blocking
     {!join} and {!suspend}.  Purely observational. *)
 
 val pushes : t -> int

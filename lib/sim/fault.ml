@@ -74,11 +74,6 @@ let partition_at t ~group ~at ~heal_at =
 (* A short-lived cut expressed by duration: the common shape for testing
    detector grace periods ("does a partition shorter than the declare
    threshold stay invisible?"). *)
-let transient_partition t ~group ~at ~duration =
-  if duration <= 0.0 then
-    invalid_arg "Fault.transient_partition: non-positive duration";
-  partition_at t ~group ~at ~heal_at:(at +. duration)
-
 let degrade_link t ~from ~target ?(drop = 0.0) ?(extra_latency = 0.0)
     ?(jitter = 0.0) () =
   check_node t from "degrade_link";

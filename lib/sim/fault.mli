@@ -36,11 +36,6 @@ val partition_at : t -> group:int list -> at:float -> heal_at:float -> unit
     [Fabric.rpc_with_timeout]).  Traffic within either side is
     unaffected. *)
 
-val transient_partition : t -> group:int list -> at:float -> duration:float -> unit
-(** [transient_partition t ~group ~at ~duration] is
-    [partition_at t ~group ~at ~heal_at:(at +. duration)] — a cut that
-    heals on its own, the shape used to exercise detector grace
-    periods. *)
 
 val degrade_link :
   t ->

@@ -30,9 +30,6 @@ let create engine ~capacity =
       };
   }
 
-let capacity t = t.capacity
-let in_use t = t.held
-let queued t = Queue.length t.waiters
 
 let[@inline] account t =
   let u = t.util in
@@ -65,16 +62,6 @@ let release t =
        holding it, so utilization accounting sees no gap. *)
     let next = Queue.pop t.waiters in
     next ()
-
-let use t f =
-  acquire t;
-  match f () with
-  | v ->
-      release t;
-      v
-  | exception e ->
-      release t;
-      raise e
 
 let busy_fraction t = Float.of_int t.held /. Float.of_int t.capacity
 

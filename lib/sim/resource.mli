@@ -11,20 +11,12 @@ type t
 val create : Engine.t -> capacity:int -> t
 (** [capacity] must be positive. *)
 
-val capacity : t -> int
-val in_use : t -> int
-val queued : t -> int
-(** Number of processes currently blocked waiting for a unit. *)
-
 val acquire : t -> unit
 (** Blocks until a unit is available, then holds it. *)
 
 val release : t -> unit
 (** Releases a held unit; hands it directly to the longest-waiting
     process if any.  Raises [Invalid_argument] when nothing is held. *)
-
-val use : t -> (unit -> 'a) -> 'a
-(** [use r f] brackets [f] with acquire/release, releasing on exception. *)
 
 (** {1 Utilization accounting} *)
 

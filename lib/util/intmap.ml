@@ -45,7 +45,6 @@ let create ?(capacity = 16) () =
     used = 0;
   }
 
-let length t = t.live
 
 (* Fibonacci-style multiplicative hash: spreads the low-entropy keys the
    simulator uses (16-byte-aligned heap offsets, dense Env ids) across

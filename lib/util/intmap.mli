@@ -7,16 +7,14 @@
     {!set} raises [Invalid_argument] otherwise.
 
     Not thread-safe.  Iteration order is unspecified (as with
-    [Hashtbl]) — callers that need determinism must sort, as
-    [Env.names] does.  See docs/PERFORMANCE.md for the design. *)
+    [Hashtbl]) — callers that need determinism must sort.  See
+    docs/PERFORMANCE.md for the design. *)
 
 type 'a t
 
 val create : ?capacity:int -> unit -> 'a t
 (** [capacity] is a size hint (default 16), rounded up to a power of
     two; the table grows as needed regardless. *)
-
-val length : 'a t -> int
 
 val find : 'a t -> int -> 'a
 (** Allocation-free lookup; raises [Not_found] when absent. *)

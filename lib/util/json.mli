@@ -27,16 +27,13 @@ type t =
   | Obj of (string * t) list
 
 exception Parse_error of string
-(** Raised by {!parse} / {!load} with a byte-offset diagnostic. *)
-
-val parse : string -> t
-(** Parse a complete JSON document.  Raises {!Parse_error}. *)
+(** Raised by {!load} with a byte-offset diagnostic. *)
 
 val print : t -> string
 (** Render canonically, ending with a newline.  Values whose inline
     form is short render on one line; longer arrays and objects break
     across lines with two-space indentation.  Numbers print so that
-    [parse (print (Num f)) = Num f] exactly (integers without a
+    parsing [print (Num f)] gives back [Num f] exactly (integers without a
     fractional part, other floats with just enough digits).  Raises
     [Invalid_argument] on non-finite numbers, which JSON cannot
     represent. *)
@@ -49,8 +46,8 @@ val member : string -> t -> t option
     non-objects. *)
 
 val load : path:string -> t
-(** {!parse} the contents of a file.  Raises {!Parse_error} or
-    [Sys_error]. *)
+(** Parse a file holding one complete JSON document.  Raises
+    {!Parse_error} or [Sys_error]. *)
 
 val save : path:string -> t -> unit
 (** Write [print t] to [path]. *)
@@ -101,9 +98,7 @@ val opt : obj -> string -> 'a reader -> 'a option
 val fail : obj -> ('a, unit, string, 'b) format4 -> 'a
 (** Fail at the object's path, e.g. on an unknown [kind]. *)
 
-val decode : 'a reader -> t -> ('a, string) result
-(** [Error "<path>: <problem>"] on the first failure. *)
-
 val decode_file : path:string -> 'a reader -> ('a, string) result
-(** {!load} and {!decode}; every error, syntax and I/O included, is
+(** {!load}, then run the reader: [Error "<file>: <path>: <problem>"]
+    on the first failure; every error, syntax and I/O included, is
     prefixed by the file. *)

@@ -74,7 +74,6 @@ let create () =
   }
 
 let is_empty t = t.now_len = 0 && t.h_len = 0
-let length t = t.now_len + t.h_len
 let pushed t = t.next_seq
 
 (* ---------------------------- binary heap ---------------------------- *)

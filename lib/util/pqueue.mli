@@ -14,7 +14,6 @@ type 'a t
 val create : unit -> 'a t
 
 val is_empty : 'a t -> bool
-val length : 'a t -> int
 
 val pushed : 'a t -> int
 (** [pushed t] is the total number of pushes ever performed — the next

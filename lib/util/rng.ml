@@ -59,7 +59,6 @@ let split t =
   step t;
   { s_hi = t.z_hi; s_lo = t.z_lo; z_hi = 0; z_lo = 0 }
 
-let copy t = { s_hi = t.s_hi; s_lo = t.s_lo; z_hi = t.z_hi; z_lo = t.z_lo }
 
 (* The top 62 bits of the output, a non-negative OCaml int. *)
 let nonneg t =
@@ -104,14 +103,6 @@ let[@inline] gaussian t ~mu ~sigma =
   let u1 = if u1 <= 0.0 then 1e-300 else u1 in
   let r = sqrt (-2.0 *. log u1) in
   mu +. (sigma *. r *. cos (2.0 *. Float.pi *. u2))
-
-let shuffle t a =
-  for i = Array.length a - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  done
 
 let choose t a =
   if Array.length a = 0 then invalid_arg "Rng.choose: empty array";

@@ -15,9 +15,6 @@ val split : t -> t
 (** [split t] derives an independent generator from [t], advancing [t].
     Streams produced by repeated [split] are statistically independent. *)
 
-val copy : t -> t
-(** [copy t] duplicates the current state without advancing [t]. *)
-
 val bits64 : t -> int64
 (** [bits64 t] returns the next raw 64-bit output. *)
 
@@ -44,8 +41,6 @@ val gaussian : t -> mu:float -> sigma:float -> float
 (** [gaussian t ~mu ~sigma] samples a normal distribution (Box-Muller),
     used for latency jitter around calibrated means. *)
 
-val shuffle : t -> 'a array -> unit
-(** [shuffle t a] permutes [a] in place (Fisher-Yates). *)
 
 val choose : t -> 'a array -> 'a
 (** [choose t a] picks a uniform element.  [a] must be non-empty. *)

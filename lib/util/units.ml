@@ -2,13 +2,6 @@ let kib n = n * 1024
 let mib n = n * 1024 * 1024
 let gib n = n * 1024 * 1024 * 1024
 
-let usec x = x *. 1e-6
-let nsec x = x *. 1e-9
-let msec x = x *. 1e-3
-
-let cycles_to_seconds ~cycles ~ghz = cycles /. (ghz *. 1e9)
-let seconds_to_cycles ~seconds ~ghz = seconds *. ghz *. 1e9
-
 let pp_bytes fmt n =
   let f = Float.of_int n in
   if n < 1024 then Format.fprintf fmt "%d B" n

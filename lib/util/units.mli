@@ -8,20 +8,6 @@ val kib : int -> int
 val mib : int -> int
 val gib : int -> int
 
-val usec : float -> float
-(** [usec x] is [x] microseconds in seconds. *)
-
-val nsec : float -> float
-(** [nsec x] is [x] nanoseconds in seconds. *)
-
-val msec : float -> float
-
-val cycles_to_seconds : cycles:float -> ghz:float -> float
-(** [cycles_to_seconds ~cycles ~ghz] converts a cycle count at a clock
-    frequency in GHz. *)
-
-val seconds_to_cycles : seconds:float -> ghz:float -> float
-
 val pp_bytes : Format.formatter -> int -> unit
 (** Human-readable byte count ("1.5 MiB"). *)
 

@@ -25,11 +25,7 @@ let tag_name tag = tag.tag_name
 
 let pack tag v = { name = tag.tag_name; store = tag.inject v }
 
-let unpack tag t = tag.project t.store
-
 let unpack_exn tag t =
   match tag.project t.store with
   | Some v -> v
   | None -> raise (Type_mismatch { expected = tag.tag_name; actual = t.name })
-
-let packed_name t = t.name

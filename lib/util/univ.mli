@@ -3,9 +3,8 @@
     The simulated global heap stores objects of many different application
     types at untyped global addresses.  Rather than resorting to [Obj], each
     storable type registers a [tag]; packing couples the value with its tag
-    and unpacking checks the tag at runtime.  A failed [unpack] returns
-    [None], mirroring a (simulated) type-confusion bug rather than crashing
-    the whole simulation. *)
+    and unpacking checks the tag at runtime: a failed unpack raises
+    {!Type_mismatch}, naming the tag the value was packed with. *)
 
 type t
 (** A packed value of some registered type. *)
@@ -20,12 +19,8 @@ val create_tag : name:string -> 'a tag
 val tag_name : 'a tag -> string
 
 val pack : 'a tag -> 'a -> t
-val unpack : 'a tag -> t -> 'a option
 
 val unpack_exn : 'a tag -> t -> 'a
 (** [unpack_exn tag v] raises [Type_mismatch] when the tags disagree. *)
 
 exception Type_mismatch of { expected : string; actual : string }
-
-val packed_name : t -> string
-(** Name of the tag a value was packed with. *)

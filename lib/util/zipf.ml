@@ -55,8 +55,6 @@ let create ~n ~theta =
               t)
 
 let n t = t.n
-let zetan t = t.zetan
-let eta t = t.eta
 
 let sample t rng =
   let u = Rng.float rng 1.0 in

@@ -19,13 +19,6 @@ val create : n:int -> theta:float -> t
 val n : t -> int
 (** Key-space size. *)
 
-val zetan : t -> float
-(** The normaliser: the generalized harmonic number
-    [sum_{i=1..n} 1 / i^theta]. *)
-
-val eta : t -> float
-(** The closed-form sampler's [eta] constant (Gray et al.). *)
-
 val sample : t -> Rng.t -> int
 (** [sample t rng] draws a key in [\[0, n)], key 0 being the most popular. *)
 

@@ -26,9 +26,6 @@ let create ~users ~seed () =
   in
   { users; fanouts; zipf; follower_cache = Hashtbl.create 256; base_seed = seed }
 
-let users t = t.users
-let fanout t u = t.fanouts.(u mod t.users)
-
 let followers t u =
   let u = u mod t.users in
   match Hashtbl.find_opt t.follower_cache u with

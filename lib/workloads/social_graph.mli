@@ -7,21 +7,13 @@
 
 type t
 
-val max_fanout : int
-(** The bound on a follower list (16): a post fans out to at most this
-    many home timelines. *)
-
 val create : users:int -> seed:int -> unit -> t
 (** Authors and readers are drawn zipf(0.9); follower counts fall with
-    popularity rank from [max_fanout]. *)
-
-val users : t -> int
-
-val fanout : t -> int -> int
-(** Number of followers of a user (deterministic per user). *)
+    popularity rank from 16. *)
 
 val followers : t -> int -> int list
-(** The follower ids themselves (at most {!max_fanout}). *)
+(** A user's follower ids, at most 16 (deterministic per user): a post
+    fans out to at most this many home timelines. *)
 
 val sample_author : t -> Drust_util.Rng.t -> int
 (** Post authors, skewed toward popular users. *)

@@ -21,7 +21,6 @@ module Tap = Drust_memory.Tap
 module Cache = Drust_memory.Cache
 module Univ = Drust_util.Univ
 module Darc = Drust_runtime.Darc
-module Drc = Drust_runtime.Drc
 module Dmutex = Drust_runtime.Dmutex
 module Replication = Drust_runtime.Replication
 module Membership = Drust_runtime.Membership
@@ -48,19 +47,33 @@ let in_cluster ?(nodes = 4) body =
   Cluster.run cluster;
   match !result with Some v -> v | None -> Alcotest.fail "body did not run"
 
+(* The invariant a report names: its first line reads
+   "DSan violation: <name>". *)
+let invariant_of r =
+  let line = List.hd (String.split_on_char '\n' (Dsan.report_to_string r)) in
+  Scanf.sscanf line "DSan violation: %s" Fun.id
+
+(* Reports before the last [forget] are neither [flagged] nor counted:
+   each injection step checks only what it added. *)
+let seen = ref 0
+let forget t = seen := List.length (Dsan.violations t)
+let count t = List.length (Dsan.violations t) - !seen
+
 let flagged t =
   List.sort_uniq compare
-    (List.map (fun r -> Dsan.invariant_name r.Dsan.invariant) (Dsan.violations t))
+    (List.filteri (fun i _ -> i >= !seen) (List.map invariant_of (Dsan.violations t)))
 
 let check_flagged msg t names =
   Alcotest.(check (list string)) msg names (flagged t)
 
 (* A sanitizer over a throwaway cluster, used purely as an injection
    sink: events are synthesized, never produced by the cluster itself. *)
-let with_sink f =
-  let cluster = Cluster.create (small_params 4) in
+let sanitized cluster f =
   let t = Dsan.attach cluster in
+  seen := 0;
   Fun.protect ~finally:(fun () -> Dsan.detach t) (fun () -> f t)
+
+let with_sink f = sanitized (Cluster.create (small_params 4)) f
 
 let addr ?(color = 0) ~node ~offset () =
   Gaddr.with_color (Gaddr.make ~node ~offset) color
@@ -149,11 +162,11 @@ let test_inject_refcount_divergence_and_leak () =
       Dsan.observe t ~time:1e-6 ~node:2 ~thread:0
         (Tap.Rc_retained { g; count = 3 });
       check_flagged "diverged" t [ "dsan.refcount_sanity" ];
-      Dsan.clear t;
+      forget t;
       (* freed while the shadow still expects holders *)
       Dsan.observe t ~time:2e-6 ~node:2 ~thread:0 (Tap.Rc_freed { g });
       check_flagged "freed with holders" t [ "dsan.refcount_sanity" ];
-      Dsan.clear t;
+      forget t;
       (* and any use after the free *)
       Dsan.observe t ~time:3e-6 ~node:2 ~thread:0
         (Tap.Rc_retained { g; count = 1 });
@@ -187,7 +200,7 @@ let test_inject_double_promotion () =
         (Tap.Node_failed { node = 1 });
       Dsan.observe t ~time:2e-3 ~node:0 ~thread:(-1)
         (Tap.Promoted { home = 1; by = 2; replica = 0 });
-      Alcotest.(check int) "first promotion legal" 0 (Dsan.violation_count t);
+      Alcotest.(check int) "first promotion legal" 0 (count t);
       Dsan.observe t ~time:3e-3 ~node:0 ~thread:(-1)
         (Tap.Promoted { home = 1; by = 3; replica = 1 });
       check_flagged "second promotion of a served range" t
@@ -215,13 +228,13 @@ let test_inject_epoch_regression () =
         (Tap.View_change { epoch = 1; reason = "join" });
       Dsan.observe t ~time:2e-3 ~node:0 ~thread:(-1)
         (Tap.View_change { epoch = 3; reason = "leave" });
-      Alcotest.(check int) "monotone climb legal" 0 (Dsan.violation_count t);
+      Alcotest.(check int) "monotone climb legal" 0 (count t);
       (* a repeated epoch is as illegal as a regression: both mean two
          views could answer for the same instant *)
       Dsan.observe t ~time:3e-3 ~node:0 ~thread:(-1)
         (Tap.View_change { epoch = 3; reason = "echo" });
       check_flagged "repeated epoch" t [ "dsan.epoch_monotonic" ];
-      Dsan.clear t;
+      forget t;
       Dsan.observe t ~time:4e-3 ~node:0 ~thread:(-1)
         (Tap.View_change { epoch = 2; reason = "rollback" });
       check_flagged "epoch went backwards" t [ "dsan.epoch_monotonic" ])
@@ -233,7 +246,7 @@ let test_inject_handoff_atomicity () =
         (Tap.Handoff_committed
            { home = 1; from_node = 1; to_node = 2; epoch = 1 });
       check_flagged "commit without prepare" t [ "dsan.handoff_atomicity" ];
-      Dsan.clear t;
+      forget t;
       (* prepare/commit endpoint mismatch: the range would end up with a
          server the prepare never named *)
       Dsan.observe t ~time:2e-3 ~node:0 ~thread:(-1)
@@ -243,20 +256,20 @@ let test_inject_handoff_atomicity () =
            { home = 3; from_node = 3; to_node = 1; epoch = 2 });
       check_flagged "commit does not match prepare" t
         [ "dsan.handoff_atomicity" ];
-      Dsan.clear t;
+      forget t;
       (* a second prepare for a range already in flight *)
       Dsan.observe t ~time:4e-3 ~node:0 ~thread:(-1)
         (Tap.Handoff_prepared { home = 0; from_node = 0; to_node = 2 });
       Dsan.observe t ~time:5e-3 ~node:0 ~thread:(-1)
         (Tap.Handoff_prepared { home = 0; from_node = 0; to_node = 3 });
       check_flagged "double prepare" t [ "dsan.handoff_atomicity" ];
-      Dsan.clear t;
+      forget t;
       (* prepare from a node that does not serve the range: committing it
          would leave the range with two servers *)
       Dsan.observe t ~time:6e-3 ~node:0 ~thread:(-1)
         (Tap.Handoff_prepared { home = 2; from_node = 3; to_node = 0 });
       check_flagged "prepare from a non-server" t [ "dsan.handoff_atomicity" ];
-      Dsan.clear t;
+      forget t;
       (* handing a range to a dead node: zero servers *)
       Dsan.observe t ~time:7e-3 ~node:0 ~thread:(-1)
         (Tap.Node_failed { node = 3 });
@@ -269,22 +282,22 @@ let test_inject_bad_reseed () =
       Dsan.observe t ~time:1e-3 ~node:0 ~thread:(-1)
         (Tap.Chain_reseeded { home = 1; server = 1; hosts = [] });
       check_flagged "empty chain" t [ "dsan.replica_chain_intact" ];
-      Dsan.clear t;
+      forget t;
       Dsan.observe t ~time:2e-3 ~node:0 ~thread:(-1)
         (Tap.Chain_reseeded { home = 1; server = 1; hosts = [ 2; 2 ] });
       check_flagged "duplicate host" t [ "dsan.replica_chain_intact" ];
-      Dsan.clear t;
+      forget t;
       Dsan.observe t ~time:3e-3 ~node:0 ~thread:(-1)
         (Tap.Chain_reseeded { home = 1; server = 1; hosts = [ 1 ] });
       check_flagged "replica co-located with server" t
         [ "dsan.replica_chain_intact" ];
-      Dsan.clear t;
+      forget t;
       Dsan.observe t ~time:4e-3 ~node:0 ~thread:(-1)
         (Tap.Node_failed { node = 3 });
       Dsan.observe t ~time:5e-3 ~node:0 ~thread:(-1)
         (Tap.Chain_reseeded { home = 1; server = 1; hosts = [ 3 ] });
       check_flagged "replica on a dead host" t [ "dsan.replica_chain_intact" ];
-      Dsan.clear t;
+      forget t;
       (* chain announced around a server that does not serve the range *)
       Dsan.observe t ~time:6e-3 ~node:0 ~thread:(-1)
         (Tap.Chain_reseeded { home = 1; server = 2; hosts = [ 0 ] });
@@ -302,7 +315,7 @@ let test_inject_borrow_violations () =
         (Tap.Write { before = g; after = g1; size = 64; kind = Tap.W_bump });
       check_flagged "write while immutably borrowed" t
         [ "dsan.borrow_discipline" ];
-      Dsan.clear t;
+      forget t;
       Dsan.observe t ~time:3e-6 ~node:0 ~thread:1
         (Tap.Borrow_mut { g = g1 });
       check_flagged "mut borrow while shared" t [ "dsan.borrow_discipline" ])
@@ -336,7 +349,7 @@ let test_report_rendering () =
 let test_clean_protocol_traffic () =
   let violations =
     in_cluster ~nodes:4 (fun cluster ->
-        Dsan.with_sanitizer cluster (fun t ->
+        sanitized cluster (fun t ->
             let ctx0 = Ctx.make cluster ~node:0 in
             let ctx1 = Ctx.make cluster ~node:1 in
             (* owner life cycle: create, bump, borrow, remote deref,
@@ -360,17 +373,13 @@ let test_clean_protocol_traffic () =
             Alcotest.(check int) "darc get" 7 (unpack (Darc.get ctx1 b));
             Darc.drop ctx0 a;
             Darc.drop ctx1 b;
-            let c = Drc.create ctx0 ~size:32 (pack 9) in
-            let d = Drc.clone ctx0 c in
-            Drc.drop ctx0 c;
-            Drc.drop ctx0 d;
             (* lock handoff between two simulated threads *)
             let mu = Dmutex.create ctx0 ~size:16 (pack 0) in
             Dmutex.lock ctx0 mu;
             Dmutex.unlock ctx0 mu;
             Dmutex.lock ctx1 mu;
             Dmutex.unlock ctx1 mu;
-            Dsan.violation_count t))
+            count t))
   in
   Alcotest.(check int) "zero violations" 0 violations
 
@@ -380,7 +389,7 @@ let test_clean_pinned_write_through () =
      reader's cached copy becomes unreachable. *)
   let violations =
     in_cluster ~nodes:2 (fun cluster ->
-        Dsan.with_sanitizer cluster (fun t ->
+        sanitized cluster (fun t ->
             let ctx0 = Ctx.make cluster ~node:0 in
             let ctx1 = Ctx.make cluster ~node:1 in
             let o = P.create ctx0 ~size:64 (pack 1) in
@@ -389,14 +398,14 @@ let test_clean_pinned_write_through () =
             (* the reader on node 1 caches a copy under the current color *)
             Alcotest.(check int) "pre-write read" 1
               (unpack (P.owner_read ctx1 o));
-            let color_before = P.color o in
+            let color_before = Gaddr.color_of (P.gaddr o) in
             P.owner_write ctx1 o (pack 2);
             Alcotest.(check bool)
               "write-through closed the epoch (color changed)" true
-              (P.color o <> color_before);
+              (Gaddr.color_of (P.gaddr o) <> color_before);
             Alcotest.(check int) "post-write read sees the new value" 2
               (unpack (P.owner_read ctx1 o));
-            Dsan.violation_count t))
+            count t))
   in
   Alcotest.(check int) "zero violations" 0 violations
 
@@ -406,7 +415,7 @@ let test_clean_chaos_failover () =
      check reports reachable stale copies. *)
   let violations =
     in_cluster ~nodes:4 (fun cluster ->
-        Dsan.with_sanitizer cluster (fun t ->
+        sanitized cluster (fun t ->
             let ctx0 = Ctx.make cluster ~node:0 in
             let ctx2 = Ctx.make cluster ~node:2 in
             let o = P.create_on ctx0 ~node:1 ~size:64 (pack 42) in
@@ -420,7 +429,7 @@ let test_clean_chaos_failover () =
             Alcotest.(check int) "post-crash read via promoted replica" 42
               (unpack (P.owner_read ctx2 o));
             Replication.disable repl;
-            Dsan.violation_count t))
+            count t))
   in
   Alcotest.(check int) "zero violations" 0 violations
 
@@ -468,10 +477,7 @@ let check_bit_identical name plain sanitized =
       (String.sub sanitized !i (min 60 (String.length sanitized - !i)))
   end
 
-let sanitized_total () =
-  List.fold_left
-    (fun acc t -> acc + Dsan.violation_count t)
-    0 (Dsan.attached ())
+let sanitized_total () = Dsan.report_attached ~clean:stderr
 
 let test_sanitized_fig5_bit_identical () =
   let module Fig5 = Drust_experiments.Fig5 in
@@ -479,7 +485,7 @@ let test_sanitized_fig5_bit_identical () =
   Dsan.install_global ();
   let (), sanitized =
     Fun.protect
-      ~finally:(fun () -> Dsan.uninstall_global ())
+      ~finally:(fun () -> Cluster.set_create_hook None)
       (fun () ->
         capture_stdout (fun () -> ignore (Fig5.run ~node_counts:[ 1; 2 ] ())))
   in
@@ -492,7 +498,7 @@ let test_sanitized_fig6_bit_identical () =
   Dsan.install_global ();
   let (), sanitized =
     Fun.protect
-      ~finally:(fun () -> Dsan.uninstall_global ())
+      ~finally:(fun () -> Cluster.set_create_hook None)
       (fun () -> capture_stdout (fun () -> ignore (Fig6.run ())))
   in
   Alcotest.(check int) "fig6 sanitized cleanly" 0 (sanitized_total ());
@@ -579,10 +585,8 @@ let test_two_clusters_interleaved_isolation () =
   Alcotest.(check bool) "always_move confined to A" true (!moves_a > !moves_b);
   (* Both sanitizers watched a full run each and stayed clean, on their
      own cluster. *)
-  Alcotest.(check bool) "ta on a" true (Dsan.cluster ta == a);
-  Alcotest.(check bool) "tb on b" true (Dsan.cluster tb == b);
-  Alcotest.(check int) "A sanitizer clean" 0 (Dsan.violation_count ta);
-  Alcotest.(check int) "B sanitizer clean" 0 (Dsan.violation_count tb);
+  Alcotest.(check int) "A sanitizer clean" 0 (List.length (Dsan.violations ta));
+  Alcotest.(check int) "B sanitizer clean" 0 (List.length (Dsan.violations tb));
   Dsan.detach ta;
   Dsan.detach tb
 

@@ -1,4 +1,4 @@
-(* Tests for the typed public API (Dbox / Imm / Mut / Tbox). *)
+(* Tests for the typed public API (Dbox / Imm / Tbox). *)
 
 module Engine = Drust_sim.Engine
 module Cluster = Drust_machine.Cluster
@@ -36,10 +36,8 @@ let test_make_read_write () =
   in_cluster (fun _ ctx ->
       let b = Dbox.make ctx ~tag:int_tag ~size:8 41 in
       Alcotest.(check int) "read" 41 (Dbox.read ctx b);
-      Dbox.write ctx b 42;
+      Dbox.with_borrow_mut ctx b (fun _ -> (42, ()));
       Alcotest.(check int) "write" 42 (Dbox.read ctx b);
-      Dbox.modify ctx b succ;
-      Alcotest.(check int) "modify" 43 (Dbox.read ctx b);
       Dbox.drop ctx b)
 
 let test_type_safety () =
@@ -54,8 +52,6 @@ let test_type_safety () =
 let test_scoped_borrows () =
   in_cluster (fun _ ctx ->
       let b = Dbox.make ctx ~tag:int_tag ~size:8 10 in
-      let doubled = Dbox.with_borrow ctx b (fun v -> v * 2) in
-      Alcotest.(check int) "scoped read" 20 doubled;
       let old = Dbox.with_borrow_mut ctx b (fun v -> (v + 5, v)) in
       Alcotest.(check int) "returned result" 10 old;
       Alcotest.(check int) "wrote through" 15 (Dbox.read ctx b))
@@ -69,17 +65,15 @@ let test_imm_refs_shared_across_nodes () =
       Alcotest.(check int) "r2" 7 (Dbox.Imm.deref ctx r2);
       Dbox.Imm.drop ctx r1;
       Dbox.Imm.drop ctx r2;
-      Dbox.write ctx b 8;
+      Dbox.with_borrow_mut ctx b (fun _ -> (8, ()));
       Alcotest.(check int) "post-borrow write" 8 (Dbox.read ctx b))
 
 let test_mut_ref_cycle () =
   in_cluster (fun _ ctx ->
       let b = Dbox.make ctx ~tag:int_tag ~size:8 0 in
-      let m = Dbox.Mut.borrow ctx b in
-      Alcotest.(check int) "deref" 0 (Dbox.Mut.deref ctx m);
-      Dbox.Mut.write ctx m 9;
-      Dbox.Mut.modify ctx m succ;
-      Dbox.Mut.drop ctx m;
+      (* borrow, deref, write, drop: one mutable-reference scope *)
+      let seen = Dbox.with_borrow_mut ctx b (fun v -> (10, v)) in
+      Alcotest.(check int) "deref" 0 seen;
       Alcotest.(check int) "owner sees" 10 (Dbox.read ctx b))
 
 let test_borrow_conflicts_raise () =
@@ -88,20 +82,22 @@ let test_borrow_conflicts_raise () =
       let r = Dbox.Imm.borrow ctx b in
       Alcotest.(check bool) "mut during imm" true
         (try
-           ignore (Dbox.Mut.borrow ctx b);
+           Dbox.with_borrow_mut ctx b (fun v -> (v, ()));
            false
          with B.Violation _ -> true);
       Dbox.Imm.drop ctx r)
 
-let test_transfer_and_exception_safety () =
+let test_exception_safety () =
   in_cluster (fun _ ctx ->
       let b = Dbox.make ctx ~tag:int_tag ~size:8 1 in
-      (* Exceptions inside scoped borrows release them. *)
-      (try Dbox.with_borrow ctx b (fun _ -> failwith "x") with Failure _ -> ());
+      (* An exception inside a scoped borrow releases it. *)
       (try Dbox.with_borrow_mut ctx b (fun _ -> failwith "x") with Failure _ -> ());
-      (* Borrow machinery is balanced, so transfer succeeds. *)
-      Dbox.transfer ctx b ~to_node:2;
-      Alcotest.(check int) "still readable" 1 (Dbox.read ctx b))
+      (* Borrow machinery is balanced, so both kinds of borrow succeed. *)
+      let r = Dbox.Imm.borrow ctx b in
+      Alcotest.(check int) "still readable" 1 (Dbox.Imm.deref ctx r);
+      Dbox.Imm.drop ctx r;
+      Dbox.with_borrow_mut ctx b (fun v -> (v + 1, ()));
+      Alcotest.(check int) "still writable" 2 (Dbox.read ctx b))
 
 let test_tbox_list () =
   in_cluster (fun cluster ctx ->
@@ -134,8 +130,7 @@ let () =
           Alcotest.test_case "imm refs" `Quick test_imm_refs_shared_across_nodes;
           Alcotest.test_case "mut ref cycle" `Quick test_mut_ref_cycle;
           Alcotest.test_case "conflicts raise" `Quick test_borrow_conflicts_raise;
-          Alcotest.test_case "transfer + exception safety" `Quick
-            test_transfer_and_exception_safety;
+          Alcotest.test_case "exception safety" `Quick test_exception_safety;
           Alcotest.test_case "tbox list" `Quick test_tbox_list;
         ] );
     ]

@@ -105,13 +105,10 @@ let read_summary path =
   | Ok s -> s
   | Error e -> Alcotest.fail e
 
-(* A latency histogram over the protocol op buckets with a known shape. *)
+(* A latency histogram with a known shape. *)
 let sample_latency () =
   let m = Drust_obs.Metrics.create () in
-  let h =
-    Drust_obs.Metrics.histogram m
-      ~buckets:Drust_core.Protocol.op_latency_buckets ~unit_:"s" "test.lat"
-  in
+  let h = Drust_obs.Metrics.histogram m ~unit_:"s" "test.lat" in
   List.iter (Drust_obs.Metrics.observe h) [ 1e-6; 2e-6; 5e-6; 1e-5; 1e-4 ];
   match Drust_obs.Metrics.find (Drust_obs.Metrics.snapshot m) "test.lat" with
   | Some (Drust_obs.Metrics.Histo hs) -> hs
@@ -130,15 +127,22 @@ let test_summary_v2_roundtrip () =
       Alcotest.(check (float 1e-6)) "rate" 500.0 entry.E.Report.se_rate;
       (* Every percentile point survives the roundtrip, monotonically. *)
       let pct name = List.assoc name entry.E.Report.se_latency_us in
+      Alcotest.(check (list string)) "percentile points"
+        [ "p50"; "p95"; "p99"; "p99.9" ]
+        (List.map fst entry.E.Report.se_latency_us);
       List.iter
-        (fun (name, q) ->
+        (fun (name, us) ->
+          let q =
+            float_of_string (String.sub name 1 (String.length name - 1))
+            /. 100.0
+          in
           let written =
             1e6 *. Option.get (Drust_obs.Metrics.quantile latency q)
           in
           Alcotest.(check (float 1e-3))
             (Printf.sprintf "%s roundtrips" name)
-            written (pct name))
-        E.Report.percentile_points;
+            written us)
+        entry.E.Report.se_latency_us;
       Alcotest.(check bool) "p50 <= p99" true (pct "p50" <= pct "p99");
       (* And the file diffed against itself is regression-free. *)
       Alcotest.(check (list string)) "self-diff clean" []
@@ -266,8 +270,15 @@ let test_summary_regression_detection () =
   Alcotest.(check (list string)) "tolerance-host widens the rate gate" []
     (E.Report.compare_summaries ~tolerance_host:4.0 ~baseline:rb r_blown)
 
+(* [(phase, samples, p50, p99)] of each phase histogram, in seconds: the
+   quantiles [Chaos.percentile_table] prints. *)
+let percentiles =
+  List.map (fun (phase, h) ->
+      let qv q = Option.value (Drust_obs.Metrics.quantile h q) ~default:nan in
+      (phase, h.Drust_obs.Metrics.h_count, qv 0.5, qv 0.99))
+
 (* Both chaos experiments reduce their phase samples through the one
-   shared path: [phases] -> [Chaos.phase_histos] -> [Chaos.percentiles]. *)
+   shared path: [phases] -> [Chaos.phase_histos] -> the quantiles. *)
 let test_failover_percentiles_shape () =
   let module Scenario = Drust_plan.Scenario in
   let mk seed detection recovery : Scenario.failover_result =
@@ -297,7 +308,7 @@ let test_failover_percentiles_shape () =
     ]
   in
   let histos = E.Chaos.phase_histos (E.Failover.phases results) in
-  let pct = E.Chaos.percentiles histos in
+  let pct = percentiles histos in
   let phase name = List.find (fun (p, _, _, _) -> String.equal p name) pct in
   let _, n_det, p50_det, p99_det = phase "detection" in
   let _, n_rec, p50_rec, p99_rec = phase "recovery" in
@@ -357,9 +368,9 @@ let test_failover_percentiles_shape () =
       Alcotest.(check int) (p ^ " histogram holds every sample")
         h.Drust_obs.Metrics.h_count n;
       Alcotest.(check bool) (p ^ " p99 >= p50") true (p99 >= p50))
-    (E.Chaos.percentiles churn_histos);
+    (percentiles churn_histos);
   Alcotest.(check (list int)) "churn sample counts" [ 3; 3; 1 ]
-    (List.map (fun (_, n, _, _) -> n) (E.Chaos.percentiles churn_histos));
+    (List.map (fun (_, n, _, _) -> n) (percentiles churn_histos));
   let no_recovery = [ churn [ 0.001 ] [ (3, 0.004) ] [] ] in
   Alcotest.check_raises "an empty phase fails the table"
     (Failure "Churn: no recovery latency samples") (fun () ->
@@ -395,7 +406,7 @@ let test_motivation_breakdown () =
 (* Table 2 *)
 
 let test_table2_shape () =
-  let rows = E.Table2.run ~samples:50_000 ~seed:11 () in
+  let rows = E.Table2.run ~seed:11 () in
   let find l = List.find (fun r -> String.equal r.E.Table2.label l) rows in
   let drust = find "DRust" and rust = find "Rust" in
   (* DRust adds a small constant overhead over plain Rust. *)

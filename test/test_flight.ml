@@ -54,6 +54,19 @@ let in_temp_dump_dir f =
       Unix.rmdir dir)
     (fun () -> f dir)
 
+(* Where [Flight.auto_dump] writes a recorder labelled [label]. *)
+let dump_path dir label = Filename.concat dir (label ^ ".flight.json")
+
+(* Decode dump text the way [forensics] does: from a file, by
+   [Flight.load]. *)
+let load_text s =
+  let path = Filename.temp_file "flight" ".flight.json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc s);
+      Flight.load ~path)
+
 let contains ~affix s = Astring.String.is_infix ~affix s
 
 let check_line msg ~affix lines =
@@ -77,15 +90,22 @@ let test_kind_table_pins_protocol_codes () =
 (* The ring *)
 
 let test_ring_wraps_and_merges () =
-  let t = Flight.create ~cap:4 ~nodes:2 () in
+  let metrics = Drust_obs.Metrics.create () in
+  let t = Flight.create ~cap:4 ~metrics ~nodes:2 () in
+  let recorded () =
+    match
+      Drust_obs.Metrics.find (Drust_obs.Metrics.snapshot metrics) "flight.events"
+    with
+    | Some (Drust_obs.Metrics.Count n) -> n
+    | _ -> Alcotest.fail "flight.events missing"
+  in
   for i = 1 to 10 do
     Flight.record t ~node:0 ~time:(float_of_int i) ~kind:Flight.k_fab_send
       ~a:1 ~b:i ~c:0 ~d:0
   done;
   Flight.record t ~node:1 ~time:99.0 ~kind:Flight.k_view_change ~a:7 ~b:0
     ~c:0 ~d:0;
-  Alcotest.(check int) "recorded counts overflow too" 10
-    (Flight.recorded t ~node:0);
+  Alcotest.(check int) "recorded counts overflow too" 11 (recorded ());
   let evs = Flight.events t in
   Alcotest.(check int) "cap survivors + the other node" 5 (List.length evs);
   Alcotest.(check (list int)) "last cap events, record order"
@@ -113,13 +133,14 @@ let test_ring_wraps_and_merges () =
   Flight.record t ~node:9 ~time:0.0 ~kind:0 ~a:0 ~b:0 ~c:0 ~d:0;
   Flight.set_enabled t false;
   Flight.record t ~node:0 ~time:0.0 ~kind:0 ~a:0 ~b:0 ~c:0 ~d:0;
-  Alcotest.(check int) "disabled drops" 10 (Flight.recorded t ~node:0);
+  Alcotest.(check int) "disabled drops" 12 (recorded ());
   Flight.set_enabled t true
 
 (* ------------------------------------------------------------------ *)
 (* Dump codec *)
 
 let test_dump_roundtrip () =
+  in_temp_dump_dir @@ fun dir ->
   let t = Flight.create ~cap:8 ~nodes:3 () in
   Flight.set_label t "codec-test";
   Flight.record t ~node:0 ~time:1.25e-6 ~kind:Flight.k_create ~a:4096 ~b:0
@@ -130,23 +151,21 @@ let test_dump_roundtrip () =
     ~b:4096 ~c:1 ~d:0;
   Flight.record t ~node:1 ~time:4.0e-6 ~kind:Flight.k_fab_timeout ~a:2 ~b:0
     ~c:0 ~d:0;
-  let d = Flight.dump t ~reason:"unit test" ~object_:4096 ~now:5.0e-6 () in
-  Alcotest.(check int) "slice keeps only object events" 3
-    (List.length d.Flight.dm_slice);
-  let path = Filename.temp_file "flight" ".flight.json" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Flight.save ~path d;
-      match Flight.load ~path with
-      | Error e -> Alcotest.failf "load failed: %s" e
-      | Ok d' ->
-          Alcotest.(check bool) "dump roundtrips structurally" true (d = d'));
+  Alcotest.(check bool) "dump written" true
+    (Flight.auto_dump t ~reason:"unit test" ~object_:4096 ~now:5.0e-6 ());
+  (match Flight.load ~path:(dump_path dir "codec-test") with
+  | Error e -> Alcotest.failf "load failed: %s" e
+  | Ok d ->
+      Alcotest.(check int) "slice keeps only object events" 3
+        (List.length d.Flight.dm_slice);
+      Alcotest.(check bool) "dump roundtrips structurally" true
+        (d.Flight.dm_events = Flight.events t
+        && (d.Flight.dm_label, d.Flight.dm_reason, d.Flight.dm_object)
+           = ("codec-test", "unit test", Some 4096)
+        && (d.Flight.dm_nodes, d.Flight.dm_ring, d.Flight.dm_time) = (3, 8, 5.0e-6)));
   (* Unknown schema and junk are rejected with a message, not raised. *)
   Alcotest.(check bool) "junk rejected" true
-    (match Flight.of_json (Drust_util.Json.Obj []) with
-    | Error _ -> true
-    | Ok _ -> false)
+    (match load_text "{}" with Error _ -> true | Ok _ -> false)
 
 (* A well-formed two-node dump with one event, as text; each malformed
    case below breaks one field of it. *)
@@ -160,7 +179,7 @@ let dump_text ?(nodes = "2") ?(ring = "4") ?(object_ = "null") ?(node = "1")
     nodes ring object_ node
 
 let test_malformed_dumps_rejected () =
-  let decode s = Flight.of_json (Drust_util.Json.parse s) in
+  let decode = load_text in
   (match decode (dump_text ()) with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "well-formed dump rejected: %s" e);
@@ -241,7 +260,7 @@ let test_explain_object_timeline () =
 (* Automatic dumps *)
 
 let test_guard_dumps_and_reraises () =
-  in_temp_dump_dir (fun _dir ->
+  in_temp_dump_dir (fun dir ->
       let t = Flight.create ~nodes:2 () in
       Flight.set_label t "guard-test";
       Flight.record t ~node:0 ~time:1.0 ~kind:Flight.k_view_change ~a:1 ~b:0
@@ -252,7 +271,7 @@ let test_guard_dumps_and_reraises () =
         with Failure m -> m
       in
       Alcotest.(check string) "exception re-raised intact" "boom" raised;
-      let path = Flight.auto_dump_path t in
+      let path = dump_path dir "guard-test" in
       Alcotest.(check bool) "dump written" true (Sys.file_exists path);
       (match Flight.load ~path with
       | Error e -> Alcotest.failf "load failed: %s" e
@@ -295,7 +314,7 @@ let test_recording_is_observational () =
 (* The seeded regression: violation -> dump -> timeline, no re-run *)
 
 let test_seeded_violation_dump_explains_object () =
-  in_temp_dump_dir (fun _dir ->
+  in_temp_dump_dir (fun dir ->
       let dump_path, phys =
         in_cluster (fun cluster ->
             let fl = Cluster.flight cluster in
@@ -334,7 +353,7 @@ let test_seeded_violation_dump_explains_object () =
                 Alcotest.(check bool) "sanitizer flagged the injection"
                   true
                   (Dsan.violations t <> []));
-            (Flight.auto_dump_path fl, phys))
+            (dump_path dir "flight-regression", phys))
       in
       Alcotest.(check bool) "violation auto-wrote the dump" true
         (Sys.file_exists dump_path);

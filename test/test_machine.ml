@@ -35,15 +35,6 @@ let test_params_defaults_match_testbed () =
   Alcotest.(check int) "16 cores" 16 p.Params.cores_per_node;
   Alcotest.(check (float 1e-9)) "2.6 GHz" 2.6 p.Params.ghz
 
-let test_params_with_nodes () =
-  let p = Params.with_nodes Params.default 3 in
-  Alcotest.(check int) "nodes" 3 p.Params.nodes;
-  Alcotest.(check bool) "zero rejected" true
-    (try
-       ignore (Params.with_nodes Params.default 0);
-       false
-     with Invalid_argument _ -> true)
-
 let test_params_fixed_resource () =
   let p =
     Params.fixed_resource Params.default ~total_cores:16
@@ -62,8 +53,7 @@ let test_params_fixed_resource () =
 let test_params_cycle_conversion () =
   let p = Params.default in
   let s = Params.cycles_to_seconds p 2.6e9 in
-  Alcotest.(check (float 1e-12)) "2.6G cycles = 1 s" 1.0 s;
-  Alcotest.(check (float 1e-3)) "inverse" 2.6e9 (Params.seconds_to_cycles p 1.0)
+  Alcotest.(check (float 1e-12)) "2.6G cycles = 1 s" 1.0 s
 
 (* ------------------------------------------------------------------ *)
 (* Cluster *)
@@ -243,44 +233,34 @@ let test_thread_ids_per_cluster () =
 
 let test_env_basics () =
   let env = Env.create () in
-  let k1 : int Env.key = Env.key ~name:"test.k1" in
-  let k2 : string Env.key = Env.key ~name:"test.k2" in
-  Alcotest.(check (option int)) "empty" None (Env.find env k1);
+  let k1 : int Env.key = Env.key () in
+  let k2 : string Env.key = Env.key () in
   Alcotest.(check int) "init" 7 (Env.get env k1 ~init:(fun () -> 7));
   Alcotest.(check int) "memoized" 7 (Env.get env k1 ~init:(fun () -> 8));
-  Env.set env k1 9;
-  Alcotest.(check (option int)) "set overwrites" (Some 9) (Env.find env k1);
-  Alcotest.(check bool) "mem" true (Env.mem env k1);
-  Alcotest.(check bool) "k2 absent" false (Env.mem env k2);
-  Env.set env k2 "x";
-  Alcotest.(check int) "length" 2 (Env.length env);
-  Alcotest.(check (list string)) "names sorted" [ "test.k1"; "test.k2" ]
-    (Env.names env);
-  Env.remove env k1;
-  Alcotest.(check (option int)) "removed" None (Env.find env k1)
+  Alcotest.(check string) "k2 has its own slot" "x"
+    (Env.get env k2 ~init:(fun () -> "x"));
+  Alcotest.(check int) "k1 kept" 7 (Env.get env k1 ~init:(fun () -> 9))
 
 let test_env_keys_distinct_despite_same_name () =
-  (* Key identity is the allocation, not the display name: two keys of
-     the same name (and even the same type) address distinct slots. *)
+  (* Key identity is the allocation: two keys of the same type address
+     distinct slots. *)
   let env = Env.create () in
-  let ka : int Env.key = Env.key ~name:"test.dup" in
-  let kb : int Env.key = Env.key ~name:"test.dup" in
-  Env.set env ka 1;
-  Alcotest.(check (option int)) "kb unset" None (Env.find env kb);
-  Env.set env kb 2;
-  Alcotest.(check (option int)) "ka kept" (Some 1) (Env.find env ka)
+  let ka : int Env.key = Env.key () in
+  let kb : int Env.key = Env.key () in
+  Alcotest.(check int) "ka init" 1 (Env.get env ka ~init:(fun () -> 1));
+  Alcotest.(check int) "kb unset" 2 (Env.get env kb ~init:(fun () -> 2));
+  Alcotest.(check int) "ka kept" 1 (Env.get env ka ~init:(fun () -> 3))
 
 let test_env_isolated_per_cluster () =
-  let k : int Env.key = Env.key ~name:"test.iso" in
+  let k : int Env.key = Env.key () in
   let c1 = Cluster.create (small 2) in
   let c2 = Cluster.create (small 2) in
-  Env.set (Cluster.env c1) k 10;
-  Alcotest.(check (option int)) "c2 unaffected" None
-    (Env.find (Cluster.env c2) k);
+  Alcotest.(check int) "c1 init" 10
+    (Env.get (Cluster.env c1) k ~init:(fun () -> 10));
   Alcotest.(check int) "c2 own init" 20
     (Env.get (Cluster.env c2) k ~init:(fun () -> 20));
-  Alcotest.(check (option int)) "c1 kept" (Some 10)
-    (Env.find (Cluster.env c1) k)
+  Alcotest.(check int) "c1 kept" 10
+    (Env.get (Cluster.env c1) k ~init:(fun () -> 30))
 
 (* ------------------------------------------------------------------ *)
 (* Leak regression: discarded clusters must be collectable.  Before the
@@ -302,7 +282,7 @@ let populate weaks i =
         let im = P.borrow_imm ctx o in
         ignore (P.imm_deref ctx im);
         P.drop_imm ctx im;
-        let h = Dthread.spawn ctx (fun w -> Ctx.compute w ~cycles:500.0) in
+        let h = Dthread.spawn_on ctx ~node:0 (fun w -> Ctx.compute w ~cycles:500.0) in
         Dthread.join ctx h;
         (1.0, []))
   in
@@ -329,7 +309,6 @@ let () =
       ( "params",
         [
           Alcotest.test_case "testbed defaults" `Quick test_params_defaults_match_testbed;
-          Alcotest.test_case "with_nodes" `Quick test_params_with_nodes;
           Alcotest.test_case "fixed_resource" `Quick test_params_fixed_resource;
           Alcotest.test_case "cycle conversion" `Quick test_params_cycle_conversion;
         ] );

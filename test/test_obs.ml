@@ -80,10 +80,11 @@ let test_snapshot_sorted_and_diff () =
   Metrics.incr b;
   Metrics.set g 7.5;
   let after = Metrics.snapshot m in
-  let d = Metrics.diff ~before ~after in
-  Alcotest.(check int) "counter delta" 2 (Metrics.total d "test.b");
-  Alcotest.(check int) "counter delta from 0" 1 (Metrics.total d "test.a");
-  match Metrics.find d "test.g" with
+  (* A snapshot is a frozen copy: two of them difference into a phase. *)
+  let delta name = Metrics.total after name - Metrics.total before name in
+  Alcotest.(check int) "counter delta" 2 (delta "test.b");
+  Alcotest.(check int) "counter delta from 0" 1 (delta "test.a");
+  match Metrics.find after "test.g" with
   | Some (Metrics.Level v) ->
       Alcotest.(check (float 0.0)) "gauge keeps after" 7.5 v
   | _ -> Alcotest.fail "gauge sample missing"
@@ -194,6 +195,17 @@ let check_balanced_json s =
   Alcotest.(check int) "balanced nesting" 0 !depth;
   Alcotest.(check bool) "string closed" false !in_str
 
+(* What the exporters write, read back from a temporary file. *)
+let exported write =
+  let path = Filename.temp_file "export" ".out" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      write ~path;
+      In_channel.with_open_bin path In_channel.input_all)
+
+let chrome_trace t = exported (fun ~path -> Export.write_chrome_trace ~path t)
+
 let test_chrome_trace_shape () =
   let clock = manual_clock () in
   let t = Span.create ~clock () in
@@ -212,7 +224,7 @@ let test_chrome_trace_shape () =
   clock.Vclock.now <- 5.0;
   Span.finish t late;
   Span.instant t ~track:1 ~category:"controller" "mark";
-  let json = Export.chrome_trace t in
+  let json = chrome_trace t in
   check_balanced_json json;
   Alcotest.(check bool) "has traceEvents" true
     (String.length json > 0
@@ -242,7 +254,10 @@ let test_metrics_jsonl_shape () =
   Metrics.add c 7;
   Metrics.set (Metrics.gauge m "t.g") 1.5;
   Metrics.observe (Metrics.histogram m ~buckets:[| 1.0 |] "t.h") 0.5;
-  let out = Export.metrics_jsonl ~time:2.5 (Metrics.snapshot m) in
+  let out =
+    exported (fun ~path ->
+        Export.write_metrics_jsonl ~time:2.5 ~path (Metrics.snapshot m))
+  in
   let lines =
     List.filter (fun l -> l <> "") (String.split_on_char '\n' out)
   in
@@ -251,11 +266,16 @@ let test_metrics_jsonl_shape () =
      histogram's "inf" overflow bound included, spelled as a string. *)
   List.iter
     (fun l ->
-      match Drust_util.Json.parse l with
-      | Drust_util.Json.Obj _ -> ()
-      | _ -> Alcotest.failf "not a JSON object: %s" l
-      | exception Drust_util.Json.Parse_error e ->
-          Alcotest.failf "unparseable line (%s): %s" e l)
+      let path = Filename.temp_file "line" ".json" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove path)
+        (fun () ->
+          Out_channel.with_open_bin path (fun oc -> output_string oc l);
+          match Drust_util.Json.load ~path with
+          | Drust_util.Json.Obj _ -> ()
+          | _ -> Alcotest.failf "not a JSON object: %s" l
+          | exception Drust_util.Json.Parse_error e ->
+              Alcotest.failf "unparseable line (%s): %s" e l))
     lines;
   Alcotest.(check bool) "counter line" true
     (List.exists
@@ -279,7 +299,7 @@ let test_chrome_trace_thread_metadata () =
   Span.instant t ~track:2 ~category:"n" "a";
   clock.Vclock.now <- 1.0;
   Span.instant t ~track:11 ~category:"n" "b";
-  let json = Export.chrome_trace t in
+  let json = chrome_trace t in
   check_balanced_json json;
   List.iter
     (fun affix ->
@@ -535,7 +555,7 @@ let test_critical_path_attribution () =
       Alcotest.(check (float 1e-9)) "serialize absent" 0.0 (seg Cp.Serialize);
       (* The invariant: segments telescope to the end-to-end total. *)
       Alcotest.(check (float 1e-9)) "segments sum to total" p.Cp.total
-        (Cp.segments_sum p)
+        (List.fold_left (fun acc (_, d) -> acc +. d) 0.0 p.Cp.segments)
   | l -> Alcotest.failf "expected 1 path, got %d" (List.length l)
 
 let test_critical_path_top_k_and_report () =
@@ -550,9 +570,6 @@ let test_critical_path_top_k_and_report () =
   Span.finish t long_;
   let paths = Cp.analyze (Span.events t) in
   Alcotest.(check int) "two roots" 2 (List.length paths);
-  (match Cp.top_k 1 paths with
-  | [ p ] -> Alcotest.(check string) "longest first" "long_op" p.Cp.root.Span.name
-  | l -> Alcotest.failf "expected 1 path, got %d" (List.length l));
   let report = Cp.report (Span.events t) in
   Alcotest.(check bool) "#1 is the longest" true
     (Astring.String.is_prefix ~affix:"#1 long_op" report);
@@ -621,7 +638,7 @@ let test_chrome_trace_flow_events () =
   (* A flow id with no consumer must not emit a dangling arrow. *)
   let dangling = Span.fresh_flow_id t in
   Span.instant t ~track:0 ~flow_out:[ dangling ] ~category:"fabric" "lost";
-  let json = Export.chrome_trace t in
+  let json = chrome_trace t in
   check_balanced_json json;
   Alcotest.(check int) "one flow start" 1 (count_infix ~affix:{|"ph":"s"|} json);
   Alcotest.(check int) "one flow finish" 1 (count_infix ~affix:{|"ph":"f"|} json);

@@ -15,6 +15,16 @@ module Tap = Drust_memory.Tap
 module P = Drust_core.Protocol
 module Dsan = Drust_check.Dsan
 
+(* Decode plan text the way [--plan] does: from a file, by
+   [Simplan.load]. *)
+let parse s =
+  let path = Filename.temp_file "plan" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc s);
+      Simplan.load ~path)
+
 (* ------------------------------------------------------------------ *)
 (* Codec roundtrip: parse (print p) = p, over generated plans *)
 
@@ -44,7 +54,7 @@ let test_roundtrip () =
   List.iter
     (fun p ->
       let printed = Simplan.print p in
-      match Simplan.parse printed with
+      match parse printed with
       | Error e -> Alcotest.failf "%s does not re-parse: %s" p.Simplan.name e
       | Ok p' ->
           if p' <> p then
@@ -202,7 +212,7 @@ let test_validate_rejects () =
 
 let test_parse_errors () =
   let is_error what s =
-    match Simplan.parse s with
+    match parse s with
     | Error _ -> ()
     | Ok _ -> Alcotest.failf "parse accepted %s" what
     | exception e ->
@@ -213,7 +223,7 @@ let test_parse_errors () =
       {|{ "schema": "drust-simplan/v1", "name": "x", "expect": "drust-bench-summary/v3", "suite": { "experiments": ["table1"], %s "seed": 1 } }|}
       fields
   in
-  (match Simplan.parse (suite {|"churn_nodes": 16,|}) with
+  (match parse (suite {|"churn_nodes": 16,|}) with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "well-formed suite plan rejected: %s" e);
   is_error "truncated JSON" "{";
@@ -233,18 +243,18 @@ let test_parse_errors () =
    direct run, bit for bit *)
 
 let reparse p =
-  match Simplan.parse (Simplan.print p) with
+  match parse (Simplan.print p) with
   | Ok p -> p
   | Error e -> Alcotest.failf "reparse failed: %s" e
 
 let test_replay_churn16 () =
-  let direct = Drust_experiments.Churn.run_once ~seed:42 ~nodes:16 () in
-  let plan = reparse (Simplan.churn_plan ~seed:42 ~nodes:16 ()) in
-  let replayed =
+  let run plan =
     match (Simplan.execute plan).Simplan.result with
     | Simplan.Churn_done r -> r
     | _ -> Alcotest.fail "churn plan did not produce a churn outcome"
   in
+  let plan = Simplan.churn_plan ~seed:42 ~nodes:16 () in
+  let direct = run plan and replayed = run (reparse plan) in
   if replayed <> direct then
     Alcotest.fail "replayed churn16 run diverged from the direct run"
 
@@ -301,8 +311,21 @@ let test_identities_churn16 () =
 (* ------------------------------------------------------------------ *)
 (* Fuzz: clean batch, and the injected-bug shrink regression *)
 
+(* The loop of [bench/main.exe fuzz], run sequentially: sample plans,
+   test each, and shrink every failure to (verdict, shrunk plan, shrunk
+   verdict). *)
+let fuzz ~oracle ~seed ~count =
+  List.filter_map
+    (fun p ->
+      let v = oracle p in
+      if Fuzz.is_failure v then
+        let shrunk, sv = Fuzz.shrink ~oracle p in
+        Some (v, shrunk, sv)
+      else None)
+    (Fuzz.plans ~seed ~count ~max_nodes:8)
+
 let test_fuzz_clean_batch () =
-  let findings = Fuzz.run ~seed:2 ~count:3 ~max_nodes:8 () in
+  let findings = fuzz ~oracle:Fuzz.default_oracle ~seed:2 ~count:3 in
   Alcotest.(check int) "no findings on the real simulator" 0
     (List.length findings)
 
@@ -353,7 +376,7 @@ let compound_fault_plan_json =
 
 let test_compound_fault_regression () =
   let plan =
-    match Simplan.parse compound_fault_plan_json with
+    match parse compound_fault_plan_json with
     | Ok p -> p
     | Error e -> Alcotest.fail ("pinned compound-fault plan: " ^ e)
   in
@@ -407,17 +430,16 @@ let test_fuzz_shrinks_injected_bug () =
   Alcotest.(check bool) "the injection produced a DSan report" true
     (reports <> []);
   let oracle p = if has_partition p then Fuzz.Violations reports else Fuzz.Pass in
-  let run () = Fuzz.run ~oracle ~seed:1 ~count:12 ~max_nodes:8 () in
+  let run () = fuzz ~oracle ~seed:1 ~count:12 in
   let findings = run () in
   Alcotest.(check bool) "the bug was found" true (findings <> []);
-  let f = List.hd findings in
-  Alcotest.(check bool) "original plan fails" true
-    (Fuzz.is_failure f.Fuzz.fz_verdict);
+  let verdict, shrunk, shrunk_verdict = List.hd findings in
+  Alcotest.(check bool) "original plan fails" true (Fuzz.is_failure verdict);
   Alcotest.(check bool) "shrunk plan still fails" true
-    (Fuzz.is_failure f.Fuzz.fz_shrunk_verdict);
+    (Fuzz.is_failure shrunk_verdict);
   Alcotest.(check bool) "shrunk plan keeps the trigger" true
-    (has_partition f.Fuzz.fz_shrunk);
-  (match Simplan.validate f.Fuzz.fz_shrunk with
+    (has_partition shrunk);
+  (match Simplan.validate shrunk with
   | Ok () -> ()
   | Error errs ->
       Alcotest.failf "shrunk plan is invalid: %s" (String.concat "; " errs));
@@ -425,8 +447,8 @@ let test_fuzz_shrinks_injected_bug () =
   let findings' = run () in
   Alcotest.(check (list string))
     "shrink is deterministic"
-    (List.map (fun f -> Simplan.print f.Fuzz.fz_shrunk) findings)
-    (List.map (fun f -> Simplan.print f.Fuzz.fz_shrunk) findings');
+    (List.map (fun (_, p, _) -> Simplan.print p) findings)
+    (List.map (fun (_, p, _) -> Simplan.print p) findings');
   (* Pinned: the minimal plan for this seed, byte for byte.  A change
      here means the generator or shrinker changed behavior — review it
      deliberately, then re-pin. *)
@@ -469,7 +491,7 @@ let test_fuzz_shrinks_injected_bug () =
     \    }\n\
     \  }\n\
      }\n"
-    (Simplan.print f.Fuzz.fz_shrunk)
+    (Simplan.print shrunk)
 
 let () =
   Alcotest.run "plan"

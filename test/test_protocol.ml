@@ -53,12 +53,12 @@ let test_local_write_bumps_color_once () =
   in_cluster (fun cluster ->
       let ctx = ctx_on cluster 0 in
       let o = P.create ctx ~size:64 (pack 0) in
-      Alcotest.(check int) "color 0" 0 (P.color o);
+      Alcotest.(check int) "color 0" 0 (Gaddr.color_of (P.gaddr o));
       P.owner_write ctx o (pack 1);
-      Alcotest.(check int) "color bumped" 1 (P.color o);
+      Alcotest.(check int) "color bumped" 1 (Gaddr.color_of (P.gaddr o));
       (* Second write in the same epoch: U bit suppresses another bump. *)
       P.owner_write ctx o (pack 2);
-      Alcotest.(check int) "no second bump" 1 (P.color o);
+      Alcotest.(check int) "no second bump" 1 (Gaddr.color_of (P.gaddr o));
       Alcotest.(check int) "value" 2 (unpack (P.owner_read ctx o)))
 
 let test_ubit_reset_on_imm_borrow () =
@@ -66,14 +66,14 @@ let test_ubit_reset_on_imm_borrow () =
       let ctx = ctx_on cluster 0 in
       let o = P.create ctx ~size:64 (pack 0) in
       P.owner_write ctx o (pack 1);
-      Alcotest.(check int) "first epoch" 1 (P.color o);
+      Alcotest.(check int) "first epoch" 1 (Gaddr.color_of (P.gaddr o));
       let r = P.borrow_imm ctx o in
       Alcotest.(check int) "borrow sees v1" 1 (unpack (P.imm_deref ctx r));
       P.drop_imm ctx r;
       (* New epoch after the read: the next write must change the colored
          address again (Global-Address-Change-on-Write invariant). *)
       P.owner_write ctx o (pack 2);
-      Alcotest.(check int) "second epoch" 2 (P.color o))
+      Alcotest.(check int) "second epoch" 2 (Gaddr.color_of (P.gaddr o)))
 
 let test_remote_write_moves_object () =
   in_cluster (fun cluster ->
@@ -99,7 +99,8 @@ let test_remote_read_caches () =
       let r = P.borrow_imm ctx1 o in
       Alcotest.(check int) "first read fetches" 9 (unpack (P.imm_deref ctx1 r));
       let node1 = Cluster.node cluster 1 in
-      Alcotest.(check int) "cached on node 1" 1 (Cache.entries node1.Cluster.cache);
+      Alcotest.(check bool) "cached on node 1" true
+        (Cache.peek node1.Cluster.cache (P.gaddr o) <> None);
       (* Address unchanged by the read. *)
       Alcotest.(check int) "object stayed home" 0 (Gaddr.node_of (P.gaddr o));
       Alcotest.(check int) "second read hits" 9 (unpack (P.imm_deref ctx1 r));
@@ -209,10 +210,10 @@ let test_transfer_evicts_source_cache () =
       P.transfer ctx0 o ~to_node:1;
       ignore (P.owner_read ctx1 o);
       Alcotest.(check bool) "cached on 1" true
-        (Cache.entries (Cluster.node cluster 1).Cluster.cache > 0);
+        (Cache.used_bytes (Cluster.node cluster 1).Cluster.cache > 0);
       P.transfer ctx1 o ~to_node:2;
       Alcotest.(check int) "evicted on 1" 0
-        (Cache.entries (Cluster.node cluster 1).Cluster.cache))
+        (Cache.used_bytes (Cluster.node cluster 1).Cluster.cache))
 
 let test_transfer_while_borrowed_rejected () =
   in_cluster (fun cluster ->
@@ -288,7 +289,7 @@ let test_dealloc_invalidates_remote_caches () =
       (* The async invalidation runs a little later in virtual time. *)
       Engine.delay (Cluster.engine cluster) 1e-3;
       Alcotest.(check int) "remote cache invalidated" 0
-        (Cache.entries (Cluster.node cluster 1).Cluster.cache))
+        (Cache.used_bytes (Cluster.node cluster 1).Cluster.cache))
 
 let test_clone_imm_starts_null () =
   in_cluster (fun cluster ->
@@ -484,8 +485,10 @@ let test_group_fetch_seeds_cache () =
       let r = P.borrow_imm ctx1 parent in
       ignore (P.imm_deref ctx1 r);
       (* Both parent and child copies should now be on node 1. *)
-      Alcotest.(check int) "two entries cached" 2
-        (Cache.entries (Cluster.node cluster 1).Cluster.cache);
+      let cache = (Cluster.node cluster 1).Cluster.cache in
+      Alcotest.(check bool) "two entries cached" true
+        (Cache.peek cache (P.gaddr parent) <> None
+        && Cache.peek cache (P.gaddr child) <> None);
       P.drop_imm ctx1 r)
 
 let test_tie_cycle_rejected () =
@@ -549,7 +552,10 @@ let test_tie_pinned_rejected () =
            P.tie ctx ~parent ~child;
            false
          with Invalid_argument _ -> true);
-      Alcotest.(check bool) "is_pinned" true (P.is_pinned child);
+      (* The pin held: a remote mutable borrow leaves the child home. *)
+      let ctx1 = ctx_on cluster 1 in
+      P.drop_mut ctx1 (P.borrow_mut ctx1 child);
+      Alcotest.(check int) "pinned child stays home" 0 (Gaddr.node_of (P.gaddr child));
       P.tie ctx ~parent:child ~child:parent |> ignore;
       (* tying UNDER a pinned parent is fine *)
       Alcotest.(check int) "group under pin" 16 (P.group_size child))
@@ -713,7 +719,7 @@ let test_alloc_pressure_evicts_cache_first () =
          ignore (P.imm_deref ctx0 r);
          P.drop_imm ctx0 r;
          Alcotest.(check bool) "copy cached" true
-           (Cache.entries (Cluster.node cluster 0).Cluster.cache > 0);
+           (Cache.used_bytes (Cluster.node cluster 0).Cluster.cache > 0);
          (* Now allocate from node 0 until its 64 KiB partition is tight:
             the allocator must evict the 32 KiB copy and stay local. *)
          let addrs = List.init 7 (fun i -> P.create ctx0 ~size:4096 (pack i)) in
@@ -723,7 +729,7 @@ let test_alloc_pressure_evicts_cache_first () =
            addrs;
          ignore (P.create ctx0 ~size:30000 (pack 99));
          Alcotest.(check int) "cache evicted under pressure" 0
-           (Cache.entries (Cluster.node cluster 0).Cluster.cache)));
+           (Cache.used_bytes (Cluster.node cluster 0).Cluster.cache)));
   Cluster.run cluster
 
 let test_audit_clean_after_mixed_traffic () =
@@ -761,7 +767,7 @@ let test_audit_counts_nothing () =
           P.drop_imm ctx r)
         objs;
       Alcotest.(check bool) "copies cached" true
-        (Cache.entries (Cluster.node cluster 1).Cluster.cache > 0);
+        (Cache.used_bytes (Cluster.node cluster 1).Cluster.cache > 0);
       let metrics = Cluster.metrics cluster in
       let before = Drust_obs.Metrics.snapshot metrics in
       Alcotest.(check (list string)) "no violations" [] (P.audit cluster);

@@ -22,10 +22,10 @@ let pack = Univ.pack int_tag
 let unpack v = Univ.unpack_exn int_tag v
 
 (* Node 0's value of one [fabric.*] counter, read from the registry. *)
-let fabric_count fabric name =
+let fabric_count cluster name =
   match
     Metrics.find
-      (Metrics.snapshot (Fabric.metrics fabric))
+      (Metrics.snapshot (Cluster.metrics cluster))
       ~labels:[ ("node", "0") ] name
   with
   | Some (Metrics.Count n) -> n
@@ -121,7 +121,7 @@ let test_async_drops_silently () =
       Engine.delay engine 1e-3;
       Alcotest.(check bool) "payload never lands" false !landed;
       Alcotest.(check bool) "drop counted" true
-        (fabric_count fabric "fabric.drops" > 0))
+        (fabric_count cluster "fabric.drops" > 0))
 
 let test_partition_times_out () =
   in_cluster (fun cluster plan _ctx ->
@@ -136,7 +136,7 @@ let test_partition_times_out () =
           Alcotest.(check int) "from" 0 from;
           Alcotest.(check int) "target" 1 target);
       Alcotest.(check bool) "timeout counted" true
-        (fabric_count fabric "fabric.timeouts" > 0))
+        (fabric_count cluster "fabric.timeouts" > 0))
 
 let test_retry_spans_heal () =
   in_cluster (fun cluster plan _ctx ->
@@ -151,7 +151,7 @@ let test_retry_spans_heal () =
       Alcotest.(check int) "succeeds after the heal" 42 v;
       Alcotest.(check bool) "past the heal" true (Engine.now engine >= 1e-3);
       Alcotest.(check bool) "retries counted" true
-        (fabric_count fabric "fabric.retries" > 0))
+        (fabric_count cluster "fabric.retries" > 0))
 
 let test_retry_gives_up () =
   in_cluster (fun cluster plan _ctx ->
@@ -184,7 +184,7 @@ let drop_run () =
                incr landed)
          done));
   Cluster.run cluster;
-  (!landed, fabric_count fabric "fabric.drops")
+  (!landed, fabric_count cluster "fabric.drops")
 
 let test_seeded_drops_deterministic () =
   let l1, d1 = drop_run () in
@@ -273,8 +273,8 @@ let test_grace_absorbs_miss_streak () =
       let engine = Cluster.engine cluster in
       let repl = Replication.enable cluster in
       let ctrl = Controller.start ~replication:repl cluster in
-      Fault.transient_partition plan ~group:[ 1 ] ~at:1.02e-3
-        ~duration:1.47e-3;
+      Fault.partition_at plan ~group:[ 1 ] ~at:1.02e-3
+        ~heal_at:(1.02e-3 +. 1.47e-3);
       Engine.delay engine 10e-3;
       let snap = Drust_obs.Metrics.snapshot (Cluster.metrics cluster) in
       Alcotest.(check bool) "the miss streak reached the threshold" true
@@ -337,7 +337,7 @@ let test_stale_epoch_rejected_then_retried () =
           Alcotest.(check int) "seen" 0 seen;
           Alcotest.(check int) "current" 3 current);
       Alcotest.(check bool) "rejection counted" true
-        (fabric_count fabric "fabric.stale_epochs" > 0);
+        (fabric_count cluster "fabric.stale_epochs" > 0);
       (* A client that re-reads its view on every attempt recovers: the
          first attempt is NAKed, the retry carries the fresh epoch. *)
       let known = ref 0 in
@@ -364,8 +364,13 @@ let test_membership_join_and_leave () =
       P.pin ctx o;
       let repl = Replication.enable cluster in
       let m = Membership.create ~active:3 cluster ~replication:repl in
-      Alcotest.(check bool) "standby not active" false
-        (Membership.is_active m ~node:3);
+      (* Only an active member may leave: a refusal reads the view. *)
+      let active node =
+        match Membership.leave ctx m ~node with
+        | Error (`Refused "leave: node is not active") -> false
+        | _ -> true
+      in
+      Alcotest.(check bool) "standby not active" false (active 3);
       (* Join: node 3 activates and pulls a range off the most-loaded
          member — node 1, whose range holds the object. *)
       (match Membership.join ctx m ~node:3 with
@@ -392,15 +397,13 @@ let test_membership_join_and_leave () =
       | Ok moved ->
           Alcotest.(check bool) "leave moved range 1" true (List.mem 1 moved)
       | Error _ -> Alcotest.fail "leave failed");
-      Alcotest.(check bool) "back to standby" false
-        (Membership.is_active m ~node:3);
+      Alcotest.(check bool) "back to standby" false (active 3);
       Alcotest.(check bool) "inheritor is an active member" true
         (Cluster.serving_node cluster 1 < 3);
       Alcotest.(check int) "value survived the leave" 5
         (unpack (P.owner_read ctx o));
       Alcotest.(check bool) "epoch kept climbing" true
         (Membership.epoch m > e_after_join);
-      Membership.detach m;
       Replication.disable repl)
 
 let test_crash_during_handoff_falls_back_to_promotion () =
@@ -421,14 +424,16 @@ let test_crash_during_handoff_falls_back_to_promotion () =
              while !armed && Engine.now engine < 20e-3 do
                Engine.delay engine 2e-5;
                match Membership.in_flight_handoff m with
-               | Some (1, 1, 2) ->
+               | Some (1, 1, _) ->
                    Fault.crash_at plan ~node:1 ~at:(Engine.now engine);
                    armed := false
                | _ -> ()
              done));
-      (match Membership.handoff ctx m ~home:1 ~to_node:2 with
+      (* Node 1's graceful leave hands its range off; the saboteur crashes
+         it mid-copy. *)
+      (match Membership.leave ctx m ~node:1 with
       | Error (`Aborted _) -> ()
-      | Ok () -> Alcotest.fail "sabotaged handoff must abort"
+      | Ok _ -> Alcotest.fail "sabotaged handoff must abort"
       | Error (`Refused r) -> Alcotest.failf "refused instead of aborted: %s" r);
       (* Clean abort: the serving map never changed... *)
       Alcotest.(check int) "serving map untouched by the abort" 1
@@ -444,7 +449,6 @@ let test_crash_during_handoff_falls_back_to_promotion () =
       Alcotest.(check int) "value recovered from the backup" 13
         (unpack (P.owner_read ctx o));
       Controller.stop ctrl;
-      Membership.detach m;
       Replication.disable repl)
 
 (* ------------------------------------------------------------------ *)

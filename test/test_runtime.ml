@@ -47,29 +47,6 @@ let test_spawn_runs_on_node () =
       Dthread.join ctx h;
       Alcotest.(check int) "ran on 2" 2 !where)
 
-let test_spawn_prefers_local () =
-  in_cluster (fun _cluster ctx ->
-      let where = ref (-1) in
-      let h = Dthread.spawn ctx (fun w -> where := w.Ctx.node) in
-      Dthread.join ctx h;
-      Alcotest.(check int) "local node" 0 !where)
-
-let test_spawn_overflows_when_saturated () =
-  (* Saturate node 0's cores with long-running threads; further spawns
-     must land elsewhere. *)
-  in_cluster (fun _cluster ctx ->
-      let hogs =
-        List.init 4 (fun _ ->
-            Dthread.spawn_on ctx ~node:0 (fun w ->
-                Ctx.compute w ~cycles:5_000_000.0))
-      in
-      Engine.delay (Ctx.engine ctx) 1e-6;
-      let where = ref (-1) in
-      let h = Dthread.spawn ctx (fun w -> where := w.Ctx.node) in
-      Dthread.join ctx h;
-      Dthread.join_all ctx hogs;
-      Alcotest.(check bool) "moved off node 0" true (!where <> 0))
-
 let test_spawn_to_follows_data () =
   in_cluster (fun _cluster ctx ->
       let o = P.create_on ctx ~node:3 ~size:64 (pack 1) in
@@ -111,8 +88,7 @@ let test_migrate_now () =
             Alcotest.(check bool) "latency in the 100us..1ms band" true
               (latency > 100e-6 && latency < 1e-3))
       in
-      Dthread.join ctx h;
-      Alcotest.(check int) "handle agrees" 2 (Dthread.node_of h))
+      Dthread.join ctx h)
 
 let test_migration_stats_recorded () =
   let cluster = Cluster.create (small_params 4) in
@@ -154,7 +130,11 @@ let test_controller_orders_migration_on_cpu_pressure () =
   Cluster.run cluster;
   Alcotest.(check bool) "controller migrated threads" true
     (Controller.migrations_ordered controller > 0);
-  Alcotest.(check bool) "probes ran" true (Controller.probes_performed controller > 0)
+  Alcotest.(check bool) "probes ran" true
+    (Drust_obs.Metrics.total
+       (Drust_obs.Metrics.snapshot (Cluster.metrics cluster))
+       "controller.probes"
+    > 0)
 
 let test_controller_memory_pressure_policy () =
   (* A node with a small heap fills up; the controller must move the
@@ -185,36 +165,43 @@ let test_controller_memory_pressure_policy () =
   Alcotest.(check bool) "memory pressure triggered migrations" true
     (Controller.migrations_ordered controller > 0)
 
-let test_await_yields_and_migrates () =
-  in_cluster (fun _cluster ctx ->
+let test_safe_point_migrates () =
+  in_cluster (fun cluster ctx ->
+      let ended_on = ref (-1) in
       let h =
         Dthread.spawn_on ctx ~node:0 (fun w ->
-            (* Order a migration, then hit an await: it must execute. *)
+            (* The migration is ordered while the first flush's compute
+               runs; the next flush is the safe point that executes it. *)
             Ctx.compute w ~cycles:10_000.0;
-            Dthread.await w;
-            Ctx.compute w ~cycles:10_000.0)
+            Ctx.flush w;
+            Ctx.flush w;
+            ended_on := w.Ctx.node)
       in
       Engine.delay (Ctx.engine ctx) 1e-7;
       (match Registry.threads_on (Ctx.cluster ctx) ~node:0 with
       | r :: _ -> Registry.order_migration r ~target:3
       | [] -> Alcotest.fail "thread not registered");
       Dthread.join ctx h;
-      Alcotest.(check int) "migrated at await" 3 (Dthread.node_of h);
-      Alcotest.(check int) "counted" 1 (Dthread.migrations_of h))
+      Alcotest.(check int) "migrated at the safe point" 3 !ended_on;
+      Alcotest.(check int) "counted" 1
+        (Drust_util.Stats.count (Dthread.migration_latency_stats cluster)))
 
 let test_registry_tracks_threads () =
   in_cluster (fun cluster ctx ->
-      let before = List.length (Registry.live_threads cluster) in
+      let live () =
+        List.fold_left
+          (fun acc node -> acc + List.length (Registry.threads_on cluster ~node))
+          0 [ 0; 1; 2; 3 ]
+      in
+      let before = live () in
       let h =
         Dthread.spawn_on ctx ~node:1 (fun w -> Ctx.compute w ~cycles:100_000.0)
       in
-      Alcotest.(check int) "one more live" (before + 1)
-        (List.length (Registry.live_threads cluster));
+      Alcotest.(check int) "one more live" (before + 1) (live ());
       Alcotest.(check int) "on node 1" 1
-        (Registry.thread_count_on cluster ~node:1);
+        (List.length (Registry.threads_on cluster ~node:1));
       Dthread.join ctx h;
-      Alcotest.(check int) "unregistered" before
-        (List.length (Registry.live_threads cluster)))
+      Alcotest.(check int) "unregistered" before (live ()))
 
 (* ------------------------------------------------------------------ *)
 (* Darc / Dmutex *)
@@ -248,8 +235,6 @@ let test_darc_remote_get_caches () =
 let test_darc_last_drop_frees () =
   in_cluster (fun cluster ctx ->
       let a = Darc.create ctx ~size:64 (pack 1) in
-      let g = Darc.home a in
-      ignore g;
       Darc.drop ctx a;
       Alcotest.(check bool) "reuse raises" true
         (try
@@ -328,38 +313,7 @@ let test_dmutex_unlock_requires_holder () =
          with Invalid_argument _ -> true))
 
 (* ------------------------------------------------------------------ *)
-(* Drc (single-thread Rc) and scoped threads *)
-
-module Drc = Drust_runtime.Drc
-
-let test_drc_same_thread () =
-  in_cluster (fun _ ctx ->
-      let a = Drc.create ctx ~size:64 (pack 3) in
-      let b = Drc.clone ctx a in
-      Alcotest.(check int) "count" 2 (Drc.strong_count a);
-      Alcotest.(check int) "read" 3 (unpack (Drc.get ctx b));
-      Drc.drop ctx a;
-      Alcotest.(check int) "count after drop" 1 (Drc.strong_count b);
-      Drc.drop ctx b;
-      Alcotest.(check bool) "freed handle unusable" true
-        (try
-           ignore (Drc.get ctx b);
-           false
-         with Invalid_argument _ -> true))
-
-let test_drc_cross_thread_rejected () =
-  in_cluster (fun _ ctx ->
-      let a = Drc.create ctx ~size:64 (pack 1) in
-      let h =
-        Dthread.spawn_on ctx ~node:1 (fun w ->
-            Alcotest.(check bool) "clone from other thread" true
-              (try
-                 ignore (Drc.clone w a);
-                 false
-               with Drc.Cross_thread _ -> true))
-      in
-      Dthread.join ctx h;
-      Drc.drop ctx a)
+(* Scoped threads *)
 
 let test_scope_joins_all () =
   in_cluster (fun _ ctx ->
@@ -380,7 +334,7 @@ let test_scope_joins_on_exception () =
       (try
          Dthread.scope ctx (fun s ->
              ignore
-               (Dthread.spawn_in s (fun w ->
+               (Dthread.spawn_in s ~node:0 (fun w ->
                     Ctx.compute w ~cycles:100_000.0;
                     incr finished));
              failwith "scope body failed")
@@ -402,8 +356,6 @@ let test_replication_snapshot_and_writeback () =
       Alcotest.(check bool) "write batched" true (Replication.pending_writes r > 0);
       P.transfer ctx o ~to_node:2;
       Alcotest.(check int) "flushed on transfer" 0 (Replication.pending_writes r);
-      Alcotest.(check bool) "write-back happened" true
-        (Replication.writebacks_performed r > 0);
       Replication.disable r)
 
 let test_replication_survives_failure () =
@@ -485,8 +437,6 @@ let () =
       ( "threads",
         [
           Alcotest.test_case "spawn_on node" `Quick test_spawn_runs_on_node;
-          Alcotest.test_case "spawn prefers local" `Quick test_spawn_prefers_local;
-          Alcotest.test_case "spawn overflows" `Quick test_spawn_overflows_when_saturated;
           Alcotest.test_case "spawn_to data" `Quick test_spawn_to_follows_data;
           Alcotest.test_case "join_all" `Quick test_join_all;
           Alcotest.test_case "remote spawn cost" `Quick test_remote_spawn_costs_time;
@@ -499,7 +449,7 @@ let () =
             test_controller_orders_migration_on_cpu_pressure;
           Alcotest.test_case "controller memory policy" `Quick
             test_controller_memory_pressure_policy;
-          Alcotest.test_case "await yields+migrates" `Quick test_await_yields_and_migrates;
+          Alcotest.test_case "safe point migrates" `Quick test_safe_point_migrates;
           Alcotest.test_case "registry tracks" `Quick test_registry_tracks_threads;
         ] );
       ( "shared-state",
@@ -515,8 +465,6 @@ let () =
         ] );
       ( "rc-and-scope",
         [
-          Alcotest.test_case "drc same thread" `Quick test_drc_same_thread;
-          Alcotest.test_case "drc cross thread" `Quick test_drc_cross_thread_rejected;
           Alcotest.test_case "scope joins all" `Quick test_scope_joins_all;
           Alcotest.test_case "scope joins on exception" `Quick
             test_scope_joins_on_exception;

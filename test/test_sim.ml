@@ -167,7 +167,7 @@ let test_processes_end_as_themselves () =
         !wakeup ();
         Engine.delay e 3e-6)
   in
-  let c = Engine.spawn e (fun () -> Engine.yield e) in
+  let c = Engine.spawn e (fun () -> Engine.delay e 0.0) in
   let seen = ref [] in
   let watch name h =
     ignore
@@ -196,7 +196,7 @@ let test_yield_interleaves () =
     Engine.spawn e (fun () ->
         for i = 1 to 3 do
           log := Printf.sprintf "%s%d" name i :: !log;
-          Engine.yield e
+          Engine.delay e 0.0
         done)
   in
   ignore (worker "a");
@@ -215,7 +215,9 @@ let test_resource_serializes () =
   let finish = ref [] in
   let worker name =
     Engine.spawn e (fun () ->
-        Resource.use r (fun () -> Engine.delay e 1.0);
+        Resource.acquire r;
+        Engine.delay e 1.0;
+        Resource.release r;
         finish := (name, Engine.now e) :: !finish)
   in
   ignore (worker "a");
@@ -232,7 +234,9 @@ let test_resource_parallel_within_capacity () =
   for _ = 1 to 2 do
     ignore
       (Engine.spawn e (fun () ->
-           Resource.use r (fun () -> Engine.delay e 1.0);
+           Resource.acquire r;
+           Engine.delay e 1.0;
+           Resource.release r;
            finish := Engine.now e :: !finish))
   done;
   Engine.run e;
@@ -245,7 +249,9 @@ let test_resource_fifo_fairness () =
   for i = 0 to 4 do
     ignore
       (Engine.spawn e (fun () ->
-           Resource.use r (fun () -> Engine.delay e 0.1);
+           Resource.acquire r;
+           Engine.delay e 0.1;
+           Resource.release r;
            order := i :: !order))
   done;
   Engine.run e;
@@ -265,21 +271,14 @@ let test_resource_utilization () =
   let r = Resource.create e ~capacity:2 in
   ignore
     (Engine.spawn e (fun () ->
-         Resource.use r (fun () -> Engine.delay e 1.0);
+         Resource.acquire r;
+         Engine.delay e 1.0;
+         Resource.release r;
          Engine.delay e 1.0));
   Engine.run e;
   (* One of two cores busy for 1s out of a 2s window = 0.25. *)
   let u = Resource.utilization r ~now:(Engine.now e) in
   Alcotest.(check (float 1e-9)) "utilization" 0.25 u
-
-let test_resource_exception_releases () =
-  let e = Engine.create () in
-  let r = Resource.create e ~capacity:1 in
-  ignore
-    (Engine.spawn e (fun () ->
-         (try Resource.use r (fun () -> failwith "inner") with Failure _ -> ());
-         Alcotest.(check int) "released" 0 (Resource.in_use r)));
-  Engine.run e
 
 (* Property: however many processes contend, a resource never exceeds its
    capacity and always drains back to zero. *)
@@ -289,17 +288,21 @@ let prop_resource_capacity =
     (fun (capacity, jobs) ->
       let e = Engine.create () in
       let r = Resource.create e ~capacity in
-      let max_seen = ref 0 in
+      let holders = ref 0 and max_seen = ref 0 and finished = ref 0 in
       List.iter
         (fun dur ->
           ignore
             (Engine.spawn e (fun () ->
-                 Resource.use r (fun () ->
-                     max_seen := max !max_seen (Resource.in_use r);
-                     Engine.delay e (Float.of_int dur *. 0.01)))))
+                 Resource.acquire r;
+                 incr holders;
+                 max_seen := max !max_seen !holders;
+                 Engine.delay e (Float.of_int dur *. 0.01);
+                 decr holders;
+                 Resource.release r;
+                 incr finished)))
         jobs;
       Engine.run e;
-      !max_seen <= capacity && Resource.in_use r = 0 && Resource.queued r = 0)
+      !max_seen <= capacity && !holders = 0 && !finished = List.length jobs)
 
 (* ------------------------------------------------------------------ *)
 (* Timer wakeups *)
@@ -366,7 +369,7 @@ let engine_api () =
   {
     spawn = (fun body -> Engine.spawn e body);
     delay = Engine.delay e;
-    yield = (fun () -> Engine.yield e);
+    yield = (fun () -> Engine.delay e 0.0);
     join = Engine.join e;
     after = Engine.schedule_after e;
     now = (fun () -> Engine.now e);
@@ -446,11 +449,14 @@ let test_delay_one_hop_allocation () =
 let test_resource_use_allocation b =
   let e = Engine.create () in
   let r = Resource.create e ~capacity:1 in
-  let hold () = Engine.delay e 1e-6 in
-  Alloc_budget.check b "uncontended Resource.use with a delay" ~max:3.0
+  Alloc_budget.check b "uncontended Resource acquire+release with a delay"
+    ~max:3.0
     (Alloc_budget.per_call e
        ~run:(fun () -> Engine.run e)
-       (fun _ -> Resource.use r hold))
+       (fun _ ->
+         Resource.acquire r;
+         Engine.delay e 1e-6;
+         Resource.release r))
 
 (* A spawn whose body returns at once, run by a yield of the spawning
    process: the process record with its wake and start closures, and the
@@ -462,7 +468,7 @@ let test_spawn_allocation b =
        ~run:(fun () -> Engine.run e)
        (fun _ ->
          ignore (Engine.spawn e ignore);
-         Engine.yield e))
+         Engine.delay e 0.0))
 
 let () =
   Alcotest.run "sim"
@@ -503,7 +509,6 @@ let () =
           Alcotest.test_case "fifo fairness" `Quick test_resource_fifo_fairness;
           Alcotest.test_case "release unheld" `Quick test_resource_release_unheld;
           Alcotest.test_case "utilization" `Quick test_resource_utilization;
-          Alcotest.test_case "exception releases" `Quick test_resource_exception_releases;
           Alcotest.test_case "use allocation budget" `Quick
             (Alloc_budget.case test_resource_use_allocation);
           QCheck_alcotest.to_alcotest prop_resource_capacity;

@@ -55,12 +55,6 @@ let test_rng_split_independent () =
   let a = Rng.split r and b = Rng.split r in
   Alcotest.(check bool) "split streams differ" false (Rng.bits64 a = Rng.bits64 b)
 
-let test_rng_copy () =
-  let r = Rng.create ~seed:8 in
-  ignore (Rng.bits64 r);
-  let c = Rng.copy r in
-  check Alcotest.int64 "copy replays" (Rng.bits64 r) (Rng.bits64 c)
-
 (* Drust_util.Rng, which keeps its state in two immediate 32-bit
    halves, must stay bit-identical to textbook splitmix64.  The
    reference below is the plain Int64 version of the algorithm; the
@@ -168,14 +162,6 @@ let test_rng_gaussian_moments () =
   Alcotest.(check bool) "mu" true (Float.abs (mean -. 1.0) < 0.05);
   Alcotest.(check bool) "sigma^2" true (Float.abs (var -. 4.0) < 0.2)
 
-let test_rng_shuffle_permutes () =
-  let r = Rng.create ~seed:12 in
-  let a = Array.init 100 Fun.id in
-  Rng.shuffle r a;
-  let sorted = Array.copy a in
-  Array.sort compare sorted;
-  check Alcotest.(array int) "permutation" (Array.init 100 Fun.id) sorted
-
 (* ------------------------------------------------------------------ *)
 (* Zipf *)
 
@@ -251,7 +237,7 @@ let fresh_zipf ~n ~theta =
       in
       if k >= n then n - 1 else if k < 0 then 0 else k
   in
-  (zetan, eta, sample)
+  sample
 
 let test_zipf_memo () =
   let n = 50_000 and theta = 0.99 in
@@ -260,11 +246,7 @@ let test_zipf_memo () =
     (Zipf.create ~n ~theta == z);
   Alcotest.(check bool) "another theta is another sampler" false
     (Zipf.create ~n ~theta:0.9 == z);
-  let zetan, eta, sample = fresh_zipf ~n ~theta in
-  let bits = Int64.bits_of_float in
-  Alcotest.(check int64) "zetan bit-identical" (bits zetan)
-    (bits (Zipf.zetan z));
-  Alcotest.(check int64) "eta bit-identical" (bits eta) (bits (Zipf.eta z));
+  let sample = fresh_zipf ~n ~theta in
   let a = Rng.create ~seed:16 and b = Rng.create ~seed:16 in
   for i = 1 to 100_000 do
     let want = sample a in
@@ -506,11 +488,11 @@ let prop_pqueue_matches_heap =
       let clock = ref 0.0 and next_id = ref 0 and ok = ref true in
       let popped = ref false in
       let rejected time =
-        let pushed = Pqueue.pushed q and len = Pqueue.length q in
+        let pushed = Pqueue.pushed q in
         (match Pqueue.push q ~time (-1) with
         | () -> ok := false
         | exception Invalid_argument _ -> ());
-        if Pqueue.pushed q <> pushed || Pqueue.length q <> len then
+        if Pqueue.pushed q <> pushed then
           ok := false
       in
       let do_pop () =
@@ -578,18 +560,6 @@ let test_units_sizes () =
   Alcotest.(check int) "mib" (1024 * 1024) (Units.mib 1);
   Alcotest.(check int) "gib" (1024 * 1024 * 1024) (Units.gib 1)
 
-let test_units_times () =
-  checkf "usec" 3e-6 (Units.usec 3.0);
-  checkf "nsec" 5e-9 (Units.nsec 5.0);
-  checkf "msec" 2e-3 (Units.msec 2.0)
-
-let test_units_cycles () =
-  checkf "1 GHz" 1e-6 (Units.cycles_to_seconds ~cycles:1000.0 ~ghz:1.0);
-  checkf "roundtrip" 1000.0
-    (Units.seconds_to_cycles
-       ~seconds:(Units.cycles_to_seconds ~cycles:1000.0 ~ghz:2.6)
-       ~ghz:2.6)
-
 let test_units_pretty () =
   let s pp v = Format.asprintf "%a" pp v in
   Alcotest.(check string) "bytes" "512 B" (s Units.pp_bytes 512);
@@ -607,13 +577,12 @@ let test_units_pretty () =
 let test_univ_roundtrip () =
   let tag = Univ.create_tag ~name:"int-list" in
   let v = Univ.pack tag [ 1; 2; 3 ] in
-  check Alcotest.(option (list int)) "roundtrip" (Some [ 1; 2; 3 ]) (Univ.unpack tag v)
+  check Alcotest.(list int) "roundtrip" [ 1; 2; 3 ] (Univ.unpack_exn tag v)
 
 let test_univ_mismatch () =
   let ti : int Univ.tag = Univ.create_tag ~name:"int" in
   let ts : string Univ.tag = Univ.create_tag ~name:"string" in
   let v = Univ.pack ti 42 in
-  check Alcotest.(option string) "mismatch is None" None (Univ.unpack ts v);
   Alcotest.(check bool) "unpack_exn raises" true
     (try
        ignore (Univ.unpack_exn ts v);
@@ -624,11 +593,20 @@ let test_univ_same_name_distinct () =
   let a : int Univ.tag = Univ.create_tag ~name:"x" in
   let b : int Univ.tag = Univ.create_tag ~name:"x" in
   let v = Univ.pack a 1 in
-  check Alcotest.(option int) "same-name tags are distinct" None (Univ.unpack b v)
+  Alcotest.(check bool) "same-name tags are distinct" true
+    (try
+       ignore (Univ.unpack_exn b v);
+       false
+     with Univ.Type_mismatch _ -> true)
 
 let test_univ_packed_name () =
   let tag : unit Univ.tag = Univ.create_tag ~name:"marker" in
-  check Alcotest.string "name" "marker" (Univ.packed_name (Univ.pack tag ()))
+  let other : int Univ.tag = Univ.create_tag ~name:"other" in
+  check Alcotest.string "name" "marker"
+    (try
+       ignore (Univ.unpack_exn other (Univ.pack tag ()));
+       ""
+     with Univ.Type_mismatch { actual; _ } -> actual)
 
 (* ------------------------------------------------------------------ *)
 
@@ -643,14 +621,12 @@ let () =
           Alcotest.test_case "int_in bounds" `Quick test_rng_int_in_bounds;
           Alcotest.test_case "float mean" `Quick test_rng_float_mean;
           Alcotest.test_case "split independent" `Quick test_rng_split_independent;
-          Alcotest.test_case "copy replays" `Quick test_rng_copy;
           Alcotest.test_case "golden sequence" `Quick test_rng_golden_sequence;
           Alcotest.test_case "derived draws match bits" `Quick
             test_rng_derived_draws_match_bits;
           Alcotest.test_case "bernoulli" `Quick test_rng_bernoulli;
           Alcotest.test_case "exponential mean" `Quick test_rng_exponential_mean;
           Alcotest.test_case "gaussian moments" `Quick test_rng_gaussian_moments;
-          Alcotest.test_case "shuffle permutes" `Quick test_rng_shuffle_permutes;
         ] );
       ( "zipf",
         [
@@ -686,8 +662,6 @@ let () =
       ( "units",
         [
           Alcotest.test_case "sizes" `Quick test_units_sizes;
-          Alcotest.test_case "times" `Quick test_units_times;
-          Alcotest.test_case "cycles" `Quick test_units_cycles;
           Alcotest.test_case "pretty" `Quick test_units_pretty;
         ] );
       ( "univ",

@@ -38,14 +38,20 @@
       depth) is named, backticked, in that file;
   12. every optional parameter a lib/ .mli declares ([?label:]) is
       passed, as [~label] or [?label], by some application in a .ml of
-      lib/, bench/, bin/, perfbench/, examples/ or test/ other than its
-      own implementation: an option no caller sets is a constant;
+      lib/, bench/, bin/, perfbench/, examples/ or tools/ (this checker
+      aside) other than its own implementation: an option no caller
+      sets is a constant;
   13. every value a lib/ .mli exports (nested [module M : sig]s
       included) is referenced from some .ml of lib/, bench/, bin/,
-      perfbench/, examples/, test/ or tools/ other than its own
+      perfbench/, examples/ or tools/ other than its own
       implementation — as [M.name], as [X.name] through a
       [module X = ...M] alias, or unqualified in a file that opens [M]:
       an export nothing calls is dead interface.
+
+   test/ is not a caller for checks 12 and 13: an export or an option
+   only a test reaches is test-only interface.  The few kept on purpose
+   are the test seams in [test_seams], each with its reason; an entry
+   that names nothing, or whose export has gained a caller, fails.
 
    A missing catalogue doc fails its check; whether a doc is linked
    from the index is check 1's business alone. *)
@@ -410,11 +416,58 @@ let uses path =
 
 let optional_label_re = Str.regexp {|?\([a-z_0-9]+\):|}
 
-(* 12: an option no caller sets is a constant.  tools/ is not searched:
-   a checker passing a label is not a caller choosing a value. *)
+(* The exports and options that only tests reach, kept as test seams:
+   ["Module.value"] for check 13, ["Module ?label"] for check 12. *)
+let test_seams =
+  [
+    ( "Dsan.observe",
+      "the injection tests feed synthetic tap events to the shadow state" );
+    ("Flight ?cap", "the ring tests wrap a recorder of a few slots");
+    ( "Flight.set_enabled",
+      "the bit-identity test reruns a workload with the recorder off" );
+    ( "Gaddr.with_color",
+      "cache and sanitizer tests forge an address under a given colour" );
+    ("Gaddr.max_color", "the colour-overflow tests run the colour to its cap");
+    ( "Borrow_state.state",
+      "the automaton tests read the state each transition leaves" );
+    ( "Protocol.group_size",
+      "the TBox tests read the bytes a tied group moves as one" );
+    ( "Failover.phases",
+      "synthetic failover results feed the shared percentile path" );
+    ("Churn.phases", "synthetic churn results feed the shared percentile path");
+    ("Rng.bits64", "the golden-sequence tests pin the raw generator output");
+    ("Span.depth", "the tracer and fabric tests check that no span is left open");
+  ]
+
+let seams_found = Hashtbl.create 16
+
+(* An export or option without a caller outside test/ is an error unless
+   it is a seam; a seam that has gained such a caller is a stale entry. *)
+let judge name ~called report =
+  let seam = List.mem_assoc name test_seams in
+  if seam then Hashtbl.replace seams_found name ();
+  if called && seam then
+    err "tools/check_docs.ml lists %s as a test seam, but it has a caller \
+         outside test/" name
+  else if not (called || seam) then report ()
+
+let check_seams_exist () =
+  List.iter
+    (fun (name, _) ->
+      if not (Hashtbl.mem seams_found name) then
+        err "tools/check_docs.ml lists %s as a test seam, but lib/ declares \
+             no such export or option" name)
+    test_seams
+
+let module_of path =
+  String.capitalize_ascii (Filename.remove_extension (Filename.basename path))
+
+(* 12: an option no caller sets is a constant.  This checker is not
+   searched: passing a label to build a registry is not a caller
+   choosing a value. *)
 let check_optionals_passed files =
   let passed =
-    List.filter (fun (ml, _) -> not (String.starts_with ~prefix:"tools/" ml)) files
+    List.filter (fun (ml, _) -> ml <> "tools/check_docs.ml") files
   in
   List.iter
     (fun own ->
@@ -427,14 +480,15 @@ let check_optionals_passed files =
       in
       List.iter
         (fun label ->
-          if
-            not
+          judge
+            (module_of own ^ " ?" ^ label)
+            ~called:
               (List.exists
                  (fun (ml, u) -> ml <> own && List.mem label u.labels)
                  passed)
-          then
-            err "%s declares ?%s:, which no .ml outside %s passes" mli label
-              own)
+            (fun () ->
+              err "%s declares ?%s:, which no .ml outside %s passes" mli
+                label own))
         (declared 0 []))
     (Drust_lint.Lint.ml_files "lib")
 
@@ -459,9 +513,7 @@ let exported mli =
         | _ -> [])
       items
   in
-  values
-    (String.capitalize_ascii (Filename.remove_extension (Filename.basename mli)))
-    (Parse.interface lexbuf)
+  values (module_of mli) (Parse.interface lexbuf)
 
 (* 13: an export nothing outside its own implementation calls is dead
    interface. *)
@@ -477,9 +529,9 @@ let check_exports_used files =
               && (List.mem (m, name) u.qualified
                  || (List.mem m u.opened && List.mem name u.bare))
             in
-            if not (List.exists used files) then
-              err "%s exports %s.%s, which no .ml outside %s references" mli m
-                name own)
+            judge (m ^ "." ^ name) ~called:(List.exists used files) (fun () ->
+                err "%s exports %s.%s, which no .ml outside %s references" mli
+                  m name own))
           (exported mli))
     (Drust_lint.Lint.ml_files "lib")
 
@@ -495,11 +547,12 @@ let () =
   check_baseline_documented ();
   let files =
     List.concat_map Drust_lint.Lint.ml_files
-      [ "lib"; "bench"; "bin"; "perfbench"; "examples"; "test"; "tools" ]
+      [ "lib"; "bench"; "bin"; "perfbench"; "examples"; "tools" ]
     |> List.map (fun ml -> (ml, uses ml))
   in
   check_optionals_passed files;
   check_exports_used files;
+  check_seams_exist ();
   match List.rev !errors with
   | [] -> print_endline "docs check: OK"
   | msgs ->
