@@ -36,65 +36,62 @@ let () =
       ~flight:(Cluster.flight cluster) ~nodes:4
   in
   Fabric.set_fault_plan fabric plan;
-  ignore
-    (Engine.spawn engine (fun () ->
-         let ctx = Ctx.make cluster ~node:0 in
-         let doc = P.create_on ctx ~node:1 ~size:256 (Univ.pack tag "v1") in
-         Printf.printf "doc lives on node %d\n" (Gaddr.node_of (P.gaddr doc));
+  Ctx.run_main cluster (fun ctx ->
+      let doc = P.create_on ctx ~node:1 ~size:256 (Univ.pack tag "v1") in
+      Printf.printf "doc lives on node %d\n" (Gaddr.node_of (P.gaddr doc));
 
-         let repl = Replication.enable cluster in
-         Printf.printf "replication on: node 1's backup is node %d\n"
-           (Replication.backup_node repl 1);
+      let repl = Replication.enable cluster in
+      Printf.printf "replication on: node 1's backup is node %d\n"
+        (Replication.backup_node repl 1);
 
-         (* The heartbeat failure detector rides on the controller's
-            probe loop; handing it the replication manager is all it
-            takes to make promotion automatic. *)
-         let ctrl = Controller.start ~replication:repl cluster in
-         let detected = ref false in
-         Controller.set_on_death ctrl (fun n ->
-             Printf.printf "detector: node %d declared dead, promoting\n" n;
-             detected := true);
+      (* The heartbeat failure detector rides on the controller's
+         probe loop; handing it the replication manager is all it
+         takes to make promotion automatic. *)
+      let ctrl = Controller.start ~replication:repl cluster in
+      let detected = ref false in
+      Controller.set_on_death ctrl (fun n ->
+          Printf.printf "detector: node %d declared dead, promoting\n" n;
+          detected := true);
 
-         (* A writer thread on node 1 commits v2 and hands the document
-            away — the transfer flushes the batched backup write-back. *)
-         let writer =
-           Dthread.spawn_on ctx ~node:1 (fun w ->
-               let m = P.borrow_mut w doc in
-               P.mut_write w m (Univ.pack tag "v2");
-               P.drop_mut w m;
-               Printf.printf "writer committed v2 (pending write-backs: %d)\n"
-                 (Replication.pending_writes repl);
-               P.transfer w doc ~to_node:2;
-               Printf.printf "ownership escaped   (pending write-backs: %d)\n"
-                 (Replication.pending_writes repl))
-         in
-         Dthread.join ctx writer;
+      (* A writer thread on node 1 commits v2 and hands the document
+         away — the transfer flushes the batched backup write-back. *)
+      let writer =
+        Dthread.spawn_on ctx ~node:1 (fun w ->
+            let m = P.borrow_mut w doc in
+            P.mut_write w m (Univ.pack tag "v2");
+            P.drop_mut w m;
+            Printf.printf "writer committed v2 (pending write-backs: %d)\n"
+              (Replication.pending_writes repl);
+            P.transfer w doc ~to_node:2;
+            Printf.printf "ownership escaped   (pending write-backs: %d)\n"
+              (Replication.pending_writes repl))
+      in
+      Dthread.join ctx writer;
 
-         (* Crash whichever node now hosts the object.  This only injects
-            the fault: from here on, detection and promotion happen with
-            zero application involvement. *)
-         let victim = Cluster.serving_node cluster (Gaddr.node_of (P.gaddr doc)) in
-         Printf.printf "crashing node %d...\n" victim;
-         Fault.crash_at plan ~node:victim ~at:(Engine.now engine);
+      (* Crash whichever node now hosts the object.  This only injects
+         the fault: from here on, detection and promotion happen with
+         zero application involvement. *)
+      let victim = Cluster.serving_node cluster (Gaddr.node_of (P.gaddr doc)) in
+      Printf.printf "crashing node %d...\n" victim;
+      Fault.crash_at plan ~node:victim ~at:(Engine.now engine);
 
-         while not !detected do
-           Engine.delay engine 0.5e-3
-         done;
-         Printf.printf "promoted: node %d's range now served by node %d\n"
-           victim
-           (Cluster.serving_node cluster victim);
+      while not !detected do
+        Engine.delay engine 0.5e-3
+      done;
+      Printf.printf "promoted: node %d's range now served by node %d\n"
+        victim
+        (Cluster.serving_node cluster victim);
 
-         (* Reads during the detection window would raise [Node_down];
-            bounded retries carry the client across the failover. *)
-         let v =
-           Fabric.retry_with_backoff fabric ~from:ctx.Ctx.node (fun () ->
-               Univ.unpack_exn tag (P.owner_read ctx doc))
-         in
-         Printf.printf "read after failover: %S (expected \"v2\")\n" v;
-         assert (v = "v2");
-         Controller.stop ctrl;
-         Replication.disable repl));
-  Cluster.run cluster;
+      (* Reads during the detection window would raise [Node_down];
+         bounded retries carry the client across the failover. *)
+      let v =
+        Fabric.retry_with_backoff fabric ~from:ctx.Ctx.node (fun () ->
+            Univ.unpack_exn tag (P.owner_read ctx doc))
+      in
+      Printf.printf "read after failover: %S (expected \"v2\")\n" v;
+      assert (v = "v2");
+      Controller.stop ctrl;
+      Replication.disable repl);
   (match Dsan.violations dsan with
   | [] ->
       Printf.printf "sanitizer: zero invariant violations across the failover\n"

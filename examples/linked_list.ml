@@ -58,27 +58,24 @@ let expect what cond =
 let () =
   let len = 64 in
   let cluster = Cluster.create { Params.default with Params.nodes = 2 } in
-  ignore
-    (Engine.spawn (Cluster.engine cluster) (fun () ->
-         (* Both lists live on node 1; the reader runs on node 0. *)
-         let ctx = Ctx.make cluster ~node:0 in
-         let plain = build_list ctx ~on_node:1 ~len ~tie:false in
-         let tied = build_list ctx ~on_node:1 ~len ~tie:true in
+  (* Both lists live on node 1; the reader runs on node 0. *)
+  Ctx.run_main cluster (fun ctx ->
+      let plain = build_list ctx ~on_node:1 ~len ~tie:false in
+      let tied = build_list ctx ~on_node:1 ~len ~tie:true in
 
-         let s_plain, t_plain =
-           timed_sum cluster ctx "plain Box (pointer chase)" plain
-         in
-         let s_tied, t_tied =
-           timed_sum cluster ctx "TBox chain (batched fetch)" tied
-         in
-         Printf.printf "TBox speedup on first traversal: %.1fx\n"
-           (t_plain /. t_tied);
-         expect "the plain list does not sum to 2080" (s_plain = 2080);
-         expect "the TBox list does not sum to 2080" (s_tied = 2080);
-         expect "the TBox traversal is not 10x faster" (t_tied *. 10.0 < t_plain);
+      let s_plain, t_plain =
+        timed_sum cluster ctx "plain Box (pointer chase)" plain
+      in
+      let s_tied, t_tied =
+        timed_sum cluster ctx "TBox chain (batched fetch)" tied
+      in
+      Printf.printf "TBox speedup on first traversal: %.1fx\n"
+        (t_plain /. t_tied);
+      expect "the plain list does not sum to 2080" (s_plain = 2080);
+      expect "the TBox list does not sum to 2080" (s_tied = 2080);
+      expect "the TBox traversal is not 10x faster" (t_tied *. 10.0 < t_plain);
 
-         (* Second traversals are cached either way. *)
-         ignore (timed_sum cluster ctx "plain Box (cached)" plain);
-         ignore (timed_sum cluster ctx "TBox chain (cached)" tied)));
-  Cluster.run cluster;
+      (* Second traversals are cached either way. *)
+      ignore (timed_sum cluster ctx "plain Box (cached)" plain);
+      ignore (timed_sum cluster ctx "TBox chain (cached)" tied));
   if not !ok then exit 1

@@ -2,6 +2,7 @@ module Ctx = Drust_machine.Ctx
 module Cluster = Drust_machine.Cluster
 module Engine = Drust_sim.Engine
 module Univ = Drust_util.Univ
+module Dthread = Drust_runtime.Dthread
 
 type result = {
   ops : float;
@@ -27,24 +28,37 @@ let start_measurement ctx =
 
 let run_main cluster body =
   let engine = Cluster.engine cluster in
-  let outcome = ref None in
-  ignore
-    (Engine.spawn engine (fun () ->
-         let ctx = Ctx.make cluster ~node:0 in
-         let t0 = Engine.now engine in
-         Hashtbl.replace (marks cluster) ctx.Ctx.thread_id t0;
-         let ops, extra = body ctx in
-         Ctx.flush ctx;
-         let started = Hashtbl.find (marks cluster) ctx.Ctx.thread_id in
-         Hashtbl.remove (marks cluster) ctx.Ctx.thread_id;
-         let elapsed = Engine.now engine -. started in
-         outcome := Some (ops, elapsed, extra)));
-  Cluster.run cluster;
-  match !outcome with
-  | None -> failwith "Appkit.run_main: main thread did not finish"
-  | Some (ops, elapsed, extra) ->
-      let elapsed = Float.max elapsed 1e-12 in
-      { ops; elapsed; throughput = ops /. elapsed; extra }
+  let ops, elapsed, extra =
+    Ctx.run_main cluster (fun ctx ->
+        start_measurement ctx;
+        let ops, extra = body ctx in
+        Ctx.flush ctx;
+        let started = Hashtbl.find (marks cluster) ctx.Ctx.thread_id in
+        Hashtbl.remove (marks cluster) ctx.Ctx.thread_id;
+        (ops, Engine.now engine -. started, extra))
+  in
+  let elapsed = Float.max elapsed 1e-12 in
+  { ops; elapsed; throughput = ops /. elapsed; extra }
+
+let spawn_workers ctx queues task =
+  let queue_refs = Array.map ref queues in
+  let cores = (Ctx.params ctx).Drust_machine.Params.cores_per_node in
+  let worker node =
+    Dthread.spawn_on ctx ~node (fun wctx ->
+        let q = queue_refs.(node) in
+        let rec drain () =
+          match !q with
+          | [] -> ()
+          | task_id :: rest ->
+              q := rest;
+              task wctx task_id;
+              drain ()
+        in
+        drain ())
+  in
+  List.concat_map
+    (fun node -> List.init cores (fun _ -> worker node))
+    (List.init (Array.length queues) Fun.id)
 
 let blob_tag : unit Univ.tag = Univ.create_tag ~name:"appkit.blob"
 let blob = Univ.pack blob_tag ()

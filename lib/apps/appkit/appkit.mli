@@ -1,10 +1,11 @@
 (** Shared scaffolding for the evaluation applications.
 
     Each application exposes [run ~cluster ~backend config -> result];
-    this module provides the common pieces: launching the main process on
-    node 0, measuring elapsed virtual time, spreading workers round-robin
-    over nodes, and a generic opaque payload for objects whose content the
-    simulation never inspects. *)
+    this module provides the common pieces: running the main process on
+    node 0 ({!Drust_machine.Ctx.run_main}) and measuring its elapsed
+    virtual time, a per-node pool of workers draining task queues, and a
+    generic opaque payload for objects whose content the simulation never
+    inspects. *)
 
 module Ctx = Drust_machine.Ctx
 
@@ -25,6 +26,15 @@ val run_main :
 
 val start_measurement : Ctx.t -> unit
 (** Mark the end of setup: elapsed time is measured from here. *)
+
+val spawn_workers :
+  Ctx.t -> int list array -> (Ctx.t -> int -> unit) ->
+  Drust_runtime.Dthread.handle list
+(** [spawn_workers ctx queues task] spawns one worker per core on each
+    node [n] of [queues], node by node; the workers on [n] share
+    [queues.(n)], each popping task ids off its head and running
+    [task wctx id] until it is empty.  The workers come back unjoined,
+    so the caller can join other threads first. *)
 
 val blob : Drust_util.Univ.t
 (** An opaque payload for objects whose bytes are never interpreted. *)

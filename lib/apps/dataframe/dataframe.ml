@@ -135,26 +135,7 @@ let run_query ~cluster ~(backend : Dsm.t) cfg ctx ~query ~inputs_tied ~input_chu
     in
     queues.(node) <- i :: queues.(node)
   done;
-  let queue_refs = Array.map ref queues in
-  let cores = (Cluster.params cluster).Drust_machine.Params.cores_per_node in
-  let worker node =
-    Dthread.spawn_on ctx ~node (fun wctx ->
-        let q = queue_refs.(node) in
-        let rec drain () =
-          match !q with
-          | [] -> ()
-          | i :: rest ->
-              q := rest;
-              do_task wctx i;
-              drain ()
-        in
-        drain ())
-  in
-  let workers =
-    List.concat_map
-      (fun node -> List.init cores (fun _ -> worker node))
-      (List.init nodes Fun.id)
-  in
+  let workers = Appkit.spawn_workers ctx queues do_task in
   Dthread.join_all ctx builders;
   Dthread.join_all ctx workers;
   (* Free the consumed inputs and the per-query index.  Tied children are

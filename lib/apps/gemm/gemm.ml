@@ -35,7 +35,6 @@ let run ~cluster ~backend cfg =
   if cfg.grid <= 0 then invalid_arg "Gemm.run: empty grid";
   Appkit.run_main cluster (fun ctx ->
       let nodes = Cluster.node_count cluster in
-      let cores = (Cluster.params cluster).Drust_machine.Params.cores_per_node in
       let g = cfg.grid in
       let a = allocate_grid ~backend cfg ctx ~nodes ~salt:0 in
       let b = allocate_grid ~backend cfg ctx ~nodes ~salt:g in
@@ -52,7 +51,6 @@ let run ~cluster ~backend cfg =
           let node = idx / g mod nodes in
           queues.(node) <- idx :: queues.(node)
         done;
-        let queue_refs = Array.map ref queues in
         let compute_block wctx idx =
           let i = idx / g and j = idx mod g in
           let slice_cycles =
@@ -77,25 +75,7 @@ let run ~cluster ~backend cfg =
           in
           backend.Dsm.free wctx c
         in
-        let worker node =
-          Dthread.spawn_on ctx ~node (fun wctx ->
-              let q = queue_refs.(node) in
-              let rec drain () =
-                match !q with
-                | [] -> ()
-                | idx :: rest ->
-                    q := rest;
-                    compute_block wctx idx;
-                    drain ()
-              in
-              drain ())
-        in
-        let workers =
-          List.concat_map
-            (fun node -> List.init cores (fun _ -> worker node))
-            (List.init nodes Fun.id)
-        in
-        Dthread.join_all ctx workers;
+        Dthread.join_all ctx (Appkit.spawn_workers ctx queues compute_block);
         pair_ops := !pair_ops + (g * g * g)
       done;
       Array.iter (fun h -> backend.Dsm.free ctx h) a;

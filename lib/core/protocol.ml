@@ -90,14 +90,18 @@ type options = { mutable always_move : bool; mutable no_ubit : bool }
 type pstate = {
   mutable ps_hists : Metrics.histogram array;
       (* one histogram per op kind, indexed by the [k_*] constants;
-         [[||]] until the first measured operation registers them — the
-         same lazy timing the old per-piece Env cells had, so the
-         metrics registry keeps its registration (and report) order *)
+         [[||]] until the first measured operation registers them.
+         [Metrics.snapshot] sorts by name and labels, so the laziness
+         only decides which metrics a cluster reports at all *)
   mutable ps_stats : stats option;
       (* counters, registered on first increment/read as before *)
   ps_options : options;
-  mutable ps_commit : (Ctx.t -> Gaddr.t -> int -> Univ.t -> unit) option;
-  mutable ps_transfer : (Ctx.t -> Gaddr.t -> unit) option;
+  mutable ps_listeners :
+    ((Ctx.t -> Gaddr.t -> int -> Univ.t -> unit)
+    * (Ctx.t -> Gaddr.t -> unit)
+    * (Gaddr.t -> unit))
+    option;
+      (* the fault-tolerance layer's commit, transfer and free hooks *)
   mutable ps_registry : owner list;
 }
 
@@ -108,8 +112,7 @@ let fresh_pstate () =
     ps_hists = [||];
     ps_stats = None;
     ps_options = { always_move = false; no_ubit = false };
-    ps_commit = None;
-    ps_transfer = None;
+    ps_listeners = None;
     ps_registry = [];
   }
 
@@ -240,24 +243,21 @@ let prune_registry cluster =
 let moves ctx = Metrics.value (stats_of ctx).moves
 let color_bumps ctx = Metrics.value (stats_of ctx).bumps
 
-(* Listeners installed by the fault-tolerance layer. *)
-let set_commit_listener cluster f = (pstate_of_cluster cluster).ps_commit <- f
-let set_transfer_listener cluster f =
-  (pstate_of_cluster cluster).ps_transfer <- f
+let set_listeners cluster l = (pstate_of_cluster cluster).ps_listeners <- l
 
 let notify_commit ctx g size =
-  match (pstate_of ctx).ps_commit with
+  match (pstate_of ctx).ps_listeners with
   | None -> ()
-  | Some f ->
+  | Some (commit, _, _) ->
       let cluster = Ctx.cluster ctx in
       if Cluster.heap_mem cluster g then
-        f ctx (Gaddr.clear_color g) size
+        commit ctx (Gaddr.clear_color g) size
           (Cluster.heap_read cluster g).Drust_memory.Partition.value
 
 let notify_transfer ctx g =
-  match (pstate_of ctx).ps_transfer with
+  match (pstate_of ctx).ps_listeners with
   | None -> ()
-  | Some f -> f ctx (Gaddr.clear_color g)
+  | Some (_, transfer, _) -> transfer ctx (Gaddr.clear_color g)
 
 (* ------------------------------------------------------------------ *)
 (* The observation tap (Cluster.tap): one event per protocol transition,
@@ -376,6 +376,11 @@ let charge_cache_hit ctx =
 
 let cache_of ctx = (Ctx.current_node ctx).Cluster.cache
 
+(* Release the copy an owner or a reference pinned, if any. *)
+let unpin ctx = function
+  | Some copy -> Cache.release (cache_of ctx) copy
+  | None -> ()
+
 let assert_live live context =
   if not live then
     raise
@@ -401,17 +406,24 @@ let invalidate_all_caches cluster g =
     (fun n -> Cache.invalidate_physical n.Cluster.cache g)
     (Cluster.nodes cluster)
 
-(* Request the old home to deallocate a moved object: a small async
-   message off the critical path (Alg. 1 step 3).  Caches are invalidated
-   before the address becomes reusable. *)
-let async_dealloc ctx g =
+(* Free the object at [g] after invalidating its cached copies, and tell
+   the fault-tolerance layer, so that no backup keeps the object (a
+   state-only update, like the invalidation). *)
+let free_object ctx g =
   let cluster = Ctx.cluster ctx in
+  invalidate_all_caches cluster g;
+  if Cluster.heap_mem cluster g then Cluster.heap_free cluster g;
+  match (pstate_of ctx).ps_listeners with
+  | None -> ()
+  | Some (_, _, free) -> free (Gaddr.clear_color g)
+
+(* Request the old home to deallocate a moved object: a small async
+   message off the critical path (Alg. 1 step 3). *)
+let async_dealloc ctx g =
   let target = serving ctx g in
   Fabric.send_async ?parent:ctx.Ctx.current_span (Ctx.fabric ctx)
     ~from:ctx.Ctx.node ~target ~bytes:16
-    (fun () ->
-      invalidate_all_caches cluster g;
-      if Cluster.heap_mem cluster g then Cluster.heap_free cluster g)
+    (fun () -> free_object ctx g)
 
 (* ------------------------------------------------------------------ *)
 (* Allocation                                                          *)
@@ -598,24 +610,29 @@ let is_local_read copy =
     "determinism: identity test against the local-read sentinel, a record \
      with mutable fields"]
 
-(* Whether [r] already pins [copy]: [deref_path] handed back its [held]. *)
-let pins r copy =
-  match r.i_copy with
-  | Some held ->
-      (held == copy)
+(* Whether [held] is [copy]: [deref_path] handed back the copy a
+   reference or an owner already pins. *)
+let holds held copy =
+  match held with
+  | Some h ->
+      (h == copy)
       [@dlint.allow
         "determinism: identity of two cache copies, records with mutable \
          fields"]
   | None -> false
 
 (* The access path of an immutable dereference of the object at [g]
-   (Alg. 4), shared by [imm_deref] and [read]: served here, from [held]
-   (a copy the reference already pins), from a copy found in the node
-   cache (retained), or from one fetched into it with the affinity group
-   [children] ([group] bytes in all).  Returns the copy the read pinned,
-   or [local_read].  The caller reads the value once this returns; it is
-   the value the access observed, since nothing runs in between. *)
-let deref_path ctx ~g ~size ~group ~children ~held =
+   (Alg. 4), shared by [imm_deref], [read] and [owner_read] (Alg. 7 is
+   this dereference with the owner's extension field as the held copy):
+   served here, from [held] (a copy the caller already pins), from a copy
+   found in the node cache (retained), or from one fetched into it with
+   the affinity group [children] ([group] bytes in all).  A [held] copy
+   under an outdated color is released first, and [forget holder] clears
+   the field that held it, before anything can yield.  Returns the copy
+   the read pinned, or [local_read].  The caller reads the value once
+   this returns; it is the value the access observed, since nothing runs
+   in between. *)
+let deref_path ctx ~g ~size ~group ~children ~held ~forget holder =
   if is_local ctx g then begin
     read_outcome ctx Flight.k_read_local g ~key:g;
     charge_local_deref ctx;
@@ -627,7 +644,9 @@ let deref_path ctx ~g ~size ~group ~children ~held =
         read_outcome ctx Flight.k_read_cached g ~key:copy.Cache.key;
         charge_cache_hit ctx;
         copy
-    | _ -> (
+    | stale -> (
+        unpin ctx stale;
+        forget holder;
         let cache = cache_of ctx in
         charge_cache_hit ctx;
         match Cache.find cache g with
@@ -644,13 +663,16 @@ let read_value ctx g copy =
     (Cluster.heap_read (Ctx.cluster ctx) g).Partition.value
   else copy.Cache.value
 
+let forget_imm r = r.i_copy <- None
+
 let imm_deref_inner ctx r () =
   assert_live r.i_live "Protocol.imm_deref";
+  let held = r.i_copy in
   let copy =
     deref_path ctx ~g:r.i_g ~size:r.i_size ~group:r.i_group
-      ~children:r.i_children ~held:r.i_copy
+      ~children:r.i_children ~held ~forget:forget_imm r
   in
-  if not (is_local_read copy || pins r copy) then r.i_copy <- Some copy;
+  if not (is_local_read copy || holds held copy) then r.i_copy <- Some copy;
   read_value ctx r.i_g copy
 
 let imm_deref ctx r =
@@ -668,9 +690,7 @@ let close_imm ctx borrow g =
 let drop_imm ctx r =
   assert_live r.i_live "Protocol.drop_imm";
   r.i_live <- false;
-  (match r.i_copy with
-  | Some copy -> Cache.release (cache_of ctx) copy
-  | None -> ());
+  unpin ctx r.i_copy;
   r.i_copy <- None;
   close_imm ctx r.i_borrow r.i_g
 
@@ -680,7 +700,7 @@ let drop_imm ctx r =
    recorded. *)
 let read_inner ctx g o =
   deref_path ctx ~g ~size:o.size ~group:(group_size o) ~children:o.children
-    ~held:None
+    ~held:None ~forget:ignore ()
 
 (* [borrow_imm], [imm_deref] and [drop_imm] in one call, with no
    reference record and no option.  A deref that raises leaves the
@@ -764,8 +784,7 @@ let bump_or_move ctx ~g ~size =
       let fresh =
         Cluster.heap_alloc cluster ~node:ctx.Ctx.node ~size entry.Partition.value
       in
-      invalidate_all_caches cluster g;
-      Cluster.heap_free cluster g;
+      free_object ctx g;
       (* Allocation bookkeeping plus the local memcpy of the object. *)
       Ctx.charge_cycles ctx (200.0 +. (0.3 *. Float.of_int size));
       fresh
@@ -779,9 +798,7 @@ let borrow_mut ctx o =
      the object is about to change address or color, and the copy's slot
      could even be recycled for a different object after the move.  Unpin
      it now — the owner cannot read while the mutable borrow is live. *)
-  (match o.local_copy with
-  | Some copy -> Cache.release (cache_of ctx) copy
-  | None -> ());
+  unpin ctx o.local_copy;
   o.local_copy <- None;
   (match Ctx.tap ctx with
   | None -> ()
@@ -911,48 +928,23 @@ let drop_mut ctx m =
 (* Owner access without borrow (Alg. 7/8): a direct access behaves as a
    borrow-and-return pair.                                             *)
 
+let forget_owner o = o.local_copy <- None
+
 let owner_read_inner ctx o () =
   Borrow_state.assert_owner_readable o.borrow ~context:"Protocol.owner_read";
-  let cluster = Ctx.cluster ctx in
-  if is_local ctx o.g then begin
-    read_outcome ctx Flight.k_read_local o.g ~key:o.g;
-    charge_local_deref ctx;
-    (Cluster.heap_read cluster o.g).Partition.value
-  end
-  else begin
-    (* A remote read of a pinned object observes the current write epoch:
-       reset the U bit so the next write-through is forced to bump the
-       color.  Without this, an in-place write-through would leave the
-       copy this read produces reachable under a still-current colored
-       address — a lost-update visible to every later read (App. D.1). *)
-    if o.pinned then o.ubit <- false;
-    match o.local_copy with
-    | Some copy when Gaddr.equal copy.Cache.key o.g && not copy.Cache.dead ->
-        read_outcome ctx Flight.k_read_cached o.g ~key:copy.Cache.key;
-        charge_cache_hit ctx;
-        copy.Cache.value
-    | stale -> (
-        (* Release a copy cached under an outdated color. *)
-        (match stale with
-        | Some old -> Cache.release (cache_of ctx) old
-        | None -> ());
-        o.local_copy <- None;
-        let cache = cache_of ctx in
-        charge_cache_hit ctx;
-        match Cache.find cache o.g with
-        | copy ->
-            read_outcome ctx Flight.k_read_cached o.g ~key:copy.Cache.key;
-            Cache.retain copy;
-            o.local_copy <- Some copy;
-            copy.Cache.value
-        | exception Not_found ->
-            let copy =
-              fetch_into_cache ctx ~g:o.g ~size:o.size
-                ~group_bytes:(group_size o) ~children:o.children
-            in
-            o.local_copy <- Some copy;
-            copy.Cache.value)
-  end
+  (* A remote read of a pinned object observes the current write epoch:
+     reset the U bit so the next write-through is forced to bump the
+     color.  Without this, an in-place write-through would leave the copy
+     this read produces reachable under a still-current colored address
+     — a lost-update visible to every later read (App. D.1). *)
+  if o.pinned && not (is_local ctx o.g) then o.ubit <- false;
+  let held = o.local_copy in
+  let copy =
+    deref_path ctx ~g:o.g ~size:o.size ~group:(group_size o)
+      ~children:o.children ~held ~forget:forget_owner o
+  in
+  if not (is_local_read copy || holds held copy) then o.local_copy <- Some copy;
+  read_value ctx o.g copy
 
 let owner_read ctx o =
   measure_op ctx ~default:Flight.k_read_local owner_read_inner o ()
@@ -985,9 +977,7 @@ let owner_claim_mut ctx o =
         proto_mark ctx "MOVE(reuse-copy)" ~bytes:o.size;
         o.g <- fresh
     | stale ->
-        (match stale with
-        | Some old -> Cache.release (cache_of ctx) old
-        | None -> ());
+        unpin ctx stale;
         o.local_copy <- None;
         o.g <- move_local ctx ~g:o.g ~size:o.size ~children:o.children);
     o.ubit <- true
@@ -1082,9 +1072,7 @@ let rec drop_owner_inner ctx o () =
   | None -> ()
   | Some f -> Ctx.emit ctx f (Drop { g = o.g }));
   fr ctx ~kind:Flight.k_drop ~g:o.g ~b:(serving ctx o.g) ~d:0;
-  (match o.local_copy with
-  | Some copy -> Cache.release (cache_of ctx) copy
-  | None -> ());
+  unpin ctx o.local_copy;
   o.local_copy <- None;
   (* Drop every owned child first, then the object itself. *)
   List.iter
@@ -1092,12 +1080,9 @@ let rec drop_owner_inner ctx o () =
       if not (Borrow_state.is_dead child.borrow) then drop_owner_inner ctx child ())
     o.children;
   o.children <- [];
-  let cluster = Ctx.cluster ctx in
-  let target = serving ctx o.g in
-  if target = ctx.Ctx.node then begin
+  if serving ctx o.g = ctx.Ctx.node then begin
     Ctx.charge_cycles ctx 60.0;
-    invalidate_all_caches cluster o.g;
-    if Cluster.heap_mem cluster o.g then Cluster.heap_free cluster o.g
+    free_object ctx o.g
   end
   else async_dealloc ctx o.g
 

@@ -143,19 +143,26 @@ val set_no_ubit : Drust_machine.Cluster.t -> bool -> unit
 
 (** {1 Hooks for the fault-tolerance layer (§4.2.3)} *)
 
-val set_commit_listener :
+val set_listeners :
   Drust_machine.Cluster.t ->
-  (Ctx.t -> Gaddr.t -> int -> Drust_util.Univ.t -> unit) option ->
+  ((Ctx.t -> Gaddr.t -> int -> Drust_util.Univ.t -> unit)
+  * (Ctx.t -> Gaddr.t -> unit)
+  * (Gaddr.t -> unit))
+  option ->
   unit
-(** Invoked after each committed write epoch (drop of a modified mutable
-    borrow, or an owner write) with the object's current physical address,
-    size and value.  The replication manager batches these into backup
-    write-backs. *)
+(** Install (or, with [None], remove) the replication manager's three
+    hooks, each given the object's physical address:
+    - commit, after each committed write epoch (drop of a modified
+      mutable borrow, or an owner write), with its size and value — the
+      manager batches these into backup write-backs;
+    - transfer, on ownership transfer — the point at which batched
+      modifications must be flushed to the backup (§4.2.3);
+    - free, when the object is deallocated (dropped, the old address of a
+      move, a [Darc]'s last release) — no backup may keep it. *)
 
-val set_transfer_listener :
-  Drust_machine.Cluster.t -> (Ctx.t -> Gaddr.t -> unit) option -> unit
-(** Invoked on ownership transfer — the point at which batched
-    modifications must be flushed to the backup (§4.2.3). *)
+val free_object : Ctx.t -> Gaddr.t -> unit
+(** Free the object at [g] for good: invalidate every cached copy of it,
+    free it, and tell the replication manager (see {!set_listeners}). *)
 
 (** {1 The observation tap}
 

@@ -11,21 +11,16 @@ module Appkit = Drust_appkit.Appkit
 type row = { experiment : string; variant : string; value : float; unit_ : string }
 
 (* Run [body] as the main process of a fresh cluster, returning the
-   virtual time it took. *)
+   virtual time it took and its result. *)
 let timed ?(nodes = 4) setup body =
   let cluster = Cluster.create (B.testbed ~nodes ()) in
   setup cluster;
-  let elapsed = ref 0.0 in
   let engine = Cluster.engine cluster in
-  ignore
-    (Engine.spawn engine (fun () ->
-         let ctx = Ctx.make cluster ~node:0 in
-         let t0 = Engine.now engine in
-         body cluster ctx;
-         Ctx.flush ctx;
-         elapsed := Engine.now engine -. t0));
-  Cluster.run cluster;
-  !elapsed
+  Ctx.run_main cluster (fun ctx ->
+      let t0 = Engine.now engine in
+      let v = body cluster ctx in
+      Ctx.flush ctx;
+      (Engine.now engine -. t0, v))
 
 (* --- 1/2: local-write epochs under the three coloring variants -------- *)
 
@@ -43,35 +38,20 @@ let write_epochs ~epochs ~writes_per_epoch cluster ctx =
     P.drop_mut ctx m
   done
 
-(* Like [timed] but also reports the protocol's bump/move counters, which
-   show the mechanism even where the cost difference is modest. *)
-let timed_with_counters setup body =
-  let cluster = Cluster.create (B.testbed ~nodes:4 ()) in
-  setup cluster;
-  let elapsed = ref 0.0 and bumps = ref 0 and moves = ref 0 in
-  let engine = Cluster.engine cluster in
-  ignore
-    (Engine.spawn engine (fun () ->
-         let ctx = Ctx.make cluster ~node:0 in
-         let bumps0 = P.color_bumps ctx and moves0 = P.moves ctx in
-         let t0 = Engine.now engine in
-         body cluster ctx;
-         Ctx.flush ctx;
-         elapsed := Engine.now engine -. t0;
-         bumps := P.color_bumps ctx - bumps0;
-         moves := P.moves ctx - moves0));
-  Cluster.run cluster;
-  (!elapsed, !bumps, !moves)
-
 (* Each job below is a full independent cluster run returning its rows;
    [run] fans them all out over the domain pool and concatenates the
    chunks in submission order, reproducing the sequential row order. *)
 let coloring_jobs () =
   let epochs = 2_000 and writes_per_epoch = 8 in
+  (* The protocol's bump/move counters show the mechanism even where the
+     cost difference is modest. *)
   let run setup =
-    timed_with_counters setup (write_epochs ~epochs ~writes_per_epoch)
+    timed setup (fun cluster ctx ->
+        let bumps0 = P.color_bumps ctx and moves0 = P.moves ctx in
+        write_epochs ~epochs ~writes_per_epoch cluster ctx;
+        (P.color_bumps ctx - bumps0, P.moves ctx - moves0))
   in
-  let mk variant (t, bumps, moves) =
+  let mk variant (t, (bumps, moves)) =
     [
       { experiment = "local writes"; variant; value = t *. 1e3; unit_ = "ms" };
       {
@@ -125,12 +105,10 @@ let list_sum ~tie cluster ctx =
 
 let tbox_jobs () =
   let one ~tie variant () =
-    let t = ref 0.0 in
-    ignore
-      (timed (fun _ -> ()) (fun cluster ctx -> t := list_sum ~tie cluster ctx));
+    let _, t = timed (fun _ -> ()) (list_sum ~tie) in
     [
       { experiment = "linked-list sum (64 nodes)"; variant;
-        value = !t *. 1e6; unit_ = "us" };
+        value = t *. 1e6; unit_ = "us" };
     ]
   in
   [ one ~tie:false "plain Box (chase)"; one ~tie:true "TBox (batched)" ]
@@ -141,7 +119,7 @@ let mutex_jobs () =
   let contenders = 16 and rounds = 50 in
   let per_op t = t /. Float.of_int (contenders * rounds) *. 1e6 in
   let drust () =
-    let t =
+    let t, () =
       timed ~nodes:8
         (fun _ -> ())
         (fun cluster ctx ->
@@ -165,7 +143,7 @@ let mutex_jobs () =
     ]
   in
   let gam () =
-    let t =
+    let t, () =
       timed ~nodes:8
         (fun _ -> ())
         (fun cluster ctx ->

@@ -1,7 +1,6 @@
 module B = Bench_setup
 module Cluster = Drust_machine.Cluster
 module Ctx = Drust_machine.Ctx
-module Engine = Drust_sim.Engine
 module Dthread = Drust_runtime.Dthread
 module Controller = Drust_runtime.Controller
 module Stats = Drust_util.Stats
@@ -18,30 +17,26 @@ type result = {
 let controller_run () =
   let cluster = Cluster.create (B.testbed ~nodes:8 ()) in
   let controller = Controller.start cluster in
-  let engine = Cluster.engine cluster in
-  ignore
-    (Engine.spawn engine (fun () ->
-         let ctx = Ctx.make cluster ~node:0 in
-         (* 48 compute-heavy threads all born on node 0 (~3x its cores),
-            each also touching data on other servers so the CPU-pressure
-            policy has migration targets. *)
-         let remote =
-           Array.init 8 (fun n ->
-               Drust_core.Protocol.create_on ctx ~node:n ~size:256
-                 Drust_appkit.Appkit.blob)
-         in
-         let threads =
-           List.init 48 (fun i ->
-               Dthread.spawn_on ctx ~node:0 (fun wctx ->
-                   for _ = 1 to 40 do
-                     let o = remote.((i + 1) mod 8) in
-                     ignore (Drust_core.Protocol.read wctx o);
-                     Ctx.compute wctx ~cycles:2_000_000.0
-                   done))
-         in
-         Dthread.join_all ctx threads;
-         Controller.stop controller));
-  Cluster.run cluster;
+  Ctx.run_main cluster (fun ctx ->
+      (* 48 compute-heavy threads all born on node 0 (~3x its cores), each
+         also touching data on other servers so the CPU-pressure policy
+         has migration targets. *)
+      let remote =
+        Array.init 8 (fun n ->
+            Drust_core.Protocol.create_on ctx ~node:n ~size:256
+              Drust_appkit.Appkit.blob)
+      in
+      let threads =
+        List.init 48 (fun i ->
+            Dthread.spawn_on ctx ~node:0 (fun wctx ->
+                for _ = 1 to 40 do
+                  let o = remote.((i + 1) mod 8) in
+                  ignore (Drust_core.Protocol.read wctx o);
+                  Ctx.compute wctx ~cycles:2_000_000.0
+                done))
+      in
+      Dthread.join_all ctx threads;
+      Controller.stop controller);
   Controller.migrations_ordered controller
 
 let run () =
@@ -49,19 +44,15 @@ let run () =
   (* Direct protocol measurement: migrate 15 threads between node pairs
      (the count the paper observed during GEMM). *)
   let cluster = Cluster.create (B.testbed ~nodes:8 ()) in
-  let engine = Cluster.engine cluster in
-  ignore
-    (Engine.spawn engine (fun () ->
-         let ctx = Ctx.make cluster ~node:0 in
-         let threads =
-           List.init 15 (fun i ->
-               Dthread.spawn_on ctx ~node:(i mod 8) (fun wctx ->
-                   Ctx.compute wctx ~cycles:50_000.0;
-                   ignore (Dthread.migrate_now wctx ~target:((wctx.Ctx.node + 3) mod 8));
-                   Ctx.compute wctx ~cycles:50_000.0))
-         in
-         Dthread.join_all ctx threads));
-  Cluster.run cluster;
+  Ctx.run_main cluster (fun ctx ->
+      let threads =
+        List.init 15 (fun i ->
+            Dthread.spawn_on ctx ~node:(i mod 8) (fun wctx ->
+                Ctx.compute wctx ~cycles:50_000.0;
+                ignore (Dthread.migrate_now wctx ~target:((wctx.Ctx.node + 3) mod 8));
+                Ctx.compute wctx ~cycles:50_000.0))
+      in
+      Dthread.join_all ctx threads);
   let stats = Dthread.migration_latency_stats cluster in
   let controller_migrations = controller_run () in
   let result =

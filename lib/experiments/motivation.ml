@@ -13,18 +13,6 @@ type result = {
   drust_total : float;
 }
 
-(* Average the latency of [n] uncached remote 512 B reads under [f]. *)
-let measure_reads cluster reads =
-  let engine = Cluster.engine cluster in
-  let acc = ref 0.0 in
-  ignore
-    (Engine.spawn engine (fun () ->
-         let ctx = Ctx.make cluster ~node:0 in
-         let samples = reads ctx in
-         acc := samples));
-  Cluster.run cluster;
-  !acc
-
 let run () =
   Report.section "Motivation (S3): anatomy of one uncached remote read (512 B)";
   let n = 200 in
@@ -32,7 +20,7 @@ let run () =
   let gam_cluster = Cluster.create (B.testbed ~nodes:8 ()) in
   let gam = Drust_gam.Gam.create gam_cluster in
   let gam_total =
-    measure_reads gam_cluster (fun ctx ->
+    Ctx.run_main gam_cluster (fun ctx ->
         let engine = Cluster.engine gam_cluster in
         let total = ref 0.0 in
         for _ = 1 to n do
@@ -48,7 +36,7 @@ let run () =
   (* DRust: same pattern through an immutable borrow. *)
   let dr_cluster = Cluster.create (B.testbed ~nodes:8 ()) in
   let drust_total =
-    measure_reads dr_cluster (fun ctx ->
+    Ctx.run_main dr_cluster (fun ctx ->
         let engine = Cluster.engine dr_cluster in
         let total = ref 0.0 in
         for _ = 1 to n do

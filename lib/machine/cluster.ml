@@ -180,5 +180,35 @@ let most_vacant_node t =
   if !best < 0 then failwith "Cluster.most_vacant_node: no node alive";
   !best
 
+(* Failover and membership transitions are rare, so the caller builds
+   the event whether or not anyone subscribes.  The flight field layout
+   of their kinds is decided here, and must match [Flight.pp_event] and
+   docs/FORENSICS.md. *)
+let record t ~node kind ~a ~b ~c ~d =
+  Flight.record t.flight ~node ~time:(Engine.now t.engine) ~kind ~a ~b ~c ~d
+
+let transition t ~node (ev : Drust_memory.Tap.event) =
+  (match ev with
+  | View_change { epoch; reason = _ } ->
+      record t ~node Flight.k_view_change ~a:epoch ~b:0 ~c:0 ~d:0
+  | Handoff_prepared { home; from_node; to_node } ->
+      record t ~node Flight.k_handoff_prepare ~a:home ~b:from_node ~c:to_node
+        ~d:0
+  | Handoff_aborted { home; from_node; to_node; reason = _ } ->
+      record t ~node Flight.k_handoff_abort ~a:home ~b:from_node ~c:to_node
+        ~d:0
+  | Handoff_committed { home; from_node; to_node; epoch } ->
+      record t ~node Flight.k_handoff_commit ~a:home ~b:from_node ~c:to_node
+        ~d:epoch
+  | Chain_reseeded { home; server; hosts } ->
+      record t ~node Flight.k_chain_reseed ~a:home ~b:server
+        ~c:(List.length hosts) ~d:0
+  | Node_failed { node = failed } ->
+      record t ~node Flight.k_node_failed ~a:failed ~b:0 ~c:0 ~d:0
+  | Promoted { home; by; replica } ->
+      record t ~node Flight.k_promoted ~a:home ~b:by ~c:replica ~d:0
+  | _ -> invalid_arg "Cluster.transition: not a failover or membership event");
+  match t.tap.sub with None -> () | Some f -> f ~node ~thread:(-1) ev
+
 let run t = Engine.run t.engine
 let[@inline] now t = Engine.now t.engine

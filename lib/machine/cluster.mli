@@ -104,6 +104,14 @@ val most_vacant_node : t -> int
 (** Allocation fallback under memory pressure (§4.2.1): the alive node
     with the lowest partition usage. *)
 
+val transition : t -> node:int -> Drust_memory.Tap.event -> unit
+(** [transition t ~node ev] reports a failover or membership transition
+    ([View_change], [Handoff_*], [Chain_reseeded], [Node_failed],
+    [Promoted]) acted on by [node]: its flight record on [node]'s ring,
+    then the tap subscriber, if any, with no thread identity (thread
+    -1).  This is where those kinds' flight field layout is decided.
+    Raises [Invalid_argument] on any other event. *)
+
 val run : t -> unit
 (** Drive the engine until all events drain (delegates to [Engine.run]). *)
 

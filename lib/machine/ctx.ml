@@ -37,6 +37,16 @@ let make cluster ~node =
     layer_cache = Not_found;
   }
 
+let run_main cluster body =
+  let result = ref None in
+  ignore
+    (Engine.spawn (Cluster.engine cluster) (fun () ->
+         result := Some (body (make cluster ~node:0))));
+  Cluster.run cluster;
+  match !result with
+  | Some v -> v
+  | None -> failwith "Ctx.run_main: the main process did not finish"
+
 let cluster t = t.cluster
 let current_node t = Cluster.node t.cluster t.node
 let engine t = Cluster.engine t.cluster

@@ -45,6 +45,12 @@ type t = {
 val make : Cluster.t -> node:int -> t
 (** Fresh context with a unique thread id and a split RNG stream. *)
 
+val run_main : Cluster.t -> (t -> 'a) -> 'a
+(** [run_main cluster body] spawns [body] as the program's main process,
+    on a context made on node 0 inside the process, drives the cluster
+    until every event drains, and returns [body]'s result.  Fails if the
+    body never finished, e.g. because it blocked forever. *)
+
 val cluster : t -> Cluster.t
 val current_node : t -> Cluster.node
 val engine : t -> Drust_sim.Engine.t

@@ -100,11 +100,7 @@ let drop ctx t =
   | Some f -> Ctx.emit ctx f (Tap.Rc_released { g = t.control.g; count }));
   if count = 0 then begin
     t.control.freed <- true;
-    let cluster = Ctx.cluster ctx in
-    Array.iter
-      (fun n -> Cache.invalidate_physical n.Cluster.cache t.control.g)
-      (Cluster.nodes cluster);
-    Cluster.heap_free cluster t.control.g;
+    Drust_core.Protocol.free_object ctx t.control.g;
     match Ctx.tap ctx with
     | None -> ()
     | Some f -> Ctx.emit ctx f (Tap.Rc_freed { g = t.control.g })

@@ -44,7 +44,6 @@ module Fabric = Drust_net.Fabric
 module Partition = Drust_memory.Partition
 module Metrics = Drust_obs.Metrics
 module Span = Drust_obs.Span
-module Flight = Drust_obs.Flight
 module Tap = Drust_memory.Tap
 
 type node_state = Active | Standby | Failed
@@ -73,17 +72,6 @@ type t = {
   c_aborts : Metrics.counter;
   c_view_changes : Metrics.counter;
 }
-
-(* Membership transitions land in the flight recorder, on the acting
-   node's ring (array stores only), and on the cluster's tap with no
-   thread identity — the DSan sanitizer mirrors them into its shadow
-   view. *)
-let[@inline] fr ctx t ~kind ~a ~b ~c ~d =
-  Flight.record
-    (Cluster.flight t.cluster)
-    ~node:ctx.Ctx.node
-    ~time:(Engine.now (Cluster.engine t.cluster))
-    ~kind ~a ~b ~c ~d
 
 let mark t name ~node =
   let sp = Cluster.spans t.cluster in
@@ -149,12 +137,11 @@ let announce ctx t =
 let bump_view ctx t reason =
   t.epoch <- t.epoch + 1;
   Metrics.incr t.c_view_changes;
-  fr ctx t ~kind:Flight.k_view_change ~a:t.epoch ~b:0 ~c:0 ~d:0;
-  (match (Cluster.tap t.cluster).sub with
-  | None -> ()
-  | Some f ->
-      f ~node:ctx.Ctx.node ~thread:(-1)
-        (Tap.View_change { epoch = t.epoch; reason }));
+  (* Membership transitions go to the flight recorder, on the acting
+     node's ring, and to the tap with no thread identity — the DSan
+     sanitizer mirrors them into its shadow view. *)
+  Cluster.transition t.cluster ~node:ctx.Ctx.node
+    (Tap.View_change { epoch = t.epoch; reason });
   announce ctx t
 
 (* The controller's failure verdict, called before promotion: the view
@@ -185,27 +172,16 @@ let range_bytes t home = Partition.used_bytes (Cluster.serving_store t.cluster h
 let load t id =
   List.fold_left (fun acc h -> acc + range_bytes t h) 0 (homes_served_by t id)
 
-let most_loaded_active t ~except =
-  let best = ref (-1) and best_load = ref (-1) in
+(* The alive active member other than [except] whose load [better]
+   prefers to every other's: [( > )] picks the most loaded, [( < )] the
+   least. *)
+let pick_active t ~except ~(better : int -> int -> bool) =
+  let best = ref (-1) and best_load = ref 0 in
   Array.iteri
     (fun id st ->
       if st = Active && id <> except && alive t id then begin
         let l = load t id in
-        if l > !best_load then begin
-          best := id;
-          best_load := l
-        end
-      end)
-    t.states;
-  if !best < 0 then None else Some !best
-
-let least_loaded_active t ~except =
-  let best = ref (-1) and best_load = ref max_int in
-  Array.iteri
-    (fun id st ->
-      if st = Active && id <> except && alive t id then begin
-        let l = load t id in
-        if l < !best_load then begin
+        if !best < 0 || better l !best_load then begin
           best := id;
           best_load := l
         end
@@ -233,13 +209,8 @@ let handoff ctx t ~home ~to_node =
     let now = Engine.now (Cluster.engine t.cluster) in
     t.in_flight <- Some { ho_home = home; ho_from = from_node; ho_to = to_node; ho_started = now };
     mark t "HANDOFF_PREPARE" ~node:home;
-    fr ctx t ~kind:Flight.k_handoff_prepare ~a:home ~b:from_node ~c:to_node
-      ~d:0;
-    (match (Cluster.tap t.cluster).sub with
-    | None -> ()
-    | Some f ->
-        f ~node:ctx.Ctx.node ~thread:(-1)
-          (Tap.Handoff_prepared { home; from_node; to_node }));
+    Cluster.transition t.cluster ~node:ctx.Ctx.node
+      (Tap.Handoff_prepared { home; from_node; to_node });
     let fabric = Cluster.fabric t.cluster in
     match
       (* Drain: backups must be current before the range moves, so an
@@ -263,14 +234,9 @@ let handoff ctx t ~home ~to_node =
         t.in_flight <- None;
         Metrics.incr t.c_aborts;
         mark t "HANDOFF_ABORT" ~node:home;
-        fr ctx t ~kind:Flight.k_handoff_abort ~a:home ~b:from_node ~c:to_node
-          ~d:0;
         let reason = Printexc.to_string e in
-        (match (Cluster.tap t.cluster).sub with
-        | None -> ()
-        | Some f ->
-            f ~node:ctx.Ctx.node ~thread:(-1)
-              (Tap.Handoff_aborted { home; from_node; to_node; reason }));
+        Cluster.transition t.cluster ~node:ctx.Ctx.node
+          (Tap.Handoff_aborted { home; from_node; to_node; reason });
         Error (`Aborted reason)
     | () ->
         (* Commit: everything from here to the committed event runs
@@ -288,23 +254,12 @@ let handoff ctx t ~home ~to_node =
         Metrics.incr t.c_commits;
         Metrics.incr t.c_view_changes;
         mark t "HANDOFF_COMMIT" ~node:home;
-        fr ctx t ~kind:Flight.k_handoff_commit ~a:home ~b:from_node ~c:to_node
-          ~d:t.epoch;
-        (match (Cluster.tap t.cluster).sub with
-        | None -> ()
-        | Some f ->
-            f ~node:ctx.Ctx.node ~thread:(-1)
-              (Tap.Handoff_committed
-                 { home; from_node; to_node; epoch = t.epoch }));
+        Cluster.transition t.cluster ~node:ctx.Ctx.node
+          (Tap.Handoff_committed { home; from_node; to_node; epoch = t.epoch });
         announce ctx t;
         let hosts = Replication.reseed_chain ctx t.replication ~home in
-        fr ctx t ~kind:Flight.k_chain_reseed ~a:home ~b:to_node
-          ~c:(List.length hosts) ~d:0;
-        (match (Cluster.tap t.cluster).sub with
-        | None -> ()
-        | Some f ->
-            f ~node:ctx.Ctx.node ~thread:(-1)
-              (Tap.Chain_reseeded { home; server = to_node; hosts }));
+        Cluster.transition t.cluster ~node:ctx.Ctx.node
+          (Tap.Chain_reseeded { home; server = to_node; hosts });
         Ok ()
   end
 
@@ -322,7 +277,7 @@ let join ctx t ~node =
        no donor (first member, or every other member empty and serving
        nothing) the joiner starts cold. *)
     let donor =
-      match most_loaded_active t ~except:node with
+      match pick_active t ~except:node ~better:( > ) with
       | Some d when homes_served_by t d <> [] -> Some d
       | _ -> None
     in
@@ -366,7 +321,7 @@ let leave ctx t ~node =
       match homes_served_by t node with
       | [] -> Ok (List.rev acc)
       | home :: _ -> (
-          match least_loaded_active t ~except:node with
+          match pick_active t ~except:node ~better:( < ) with
           | None -> Error (`Refused "leave: no other active node to inherit")
           | Some target -> (
               match handoff ctx t ~home ~to_node:target with

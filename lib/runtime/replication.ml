@@ -5,16 +5,8 @@ module Gaddr = Drust_memory.Gaddr
 module Partition = Drust_memory.Partition
 module Protocol = Drust_core.Protocol
 module Tap = Drust_memory.Tap
-module Flight = Drust_obs.Flight
 
 type dirty = { size : int; value : Drust_util.Univ.t }
-
-(* Failover milestones land in the flight recorder (array stores only)
-   and on the cluster's tap, with no thread identity. *)
-let[@inline] fr ctx cluster ~kind ~a ~b ~c =
-  Flight.record (Cluster.flight cluster) ~node:ctx.Ctx.node
-    ~time:(Drust_sim.Engine.now (Cluster.engine cluster))
-    ~kind ~a ~b ~c ~d:0
 
 type t = {
   cluster : Cluster.t;
@@ -71,6 +63,15 @@ let flush_pending t ctx ~only =
 
 let on_transfer t ctx g = if t.enabled then flush_pending t ctx ~only:(Some g)
 
+(* A freed object leaves the batch and every replica of its range. *)
+let on_free t g =
+  Hashtbl.remove t.pending g;
+  Array.iter
+    (fun replicas ->
+      let backup = replicas.(Gaddr.node_of g) in
+      if Partition.mem backup g then Partition.free backup g)
+    t.backups
+
 let enable ?(replicas = 1) cluster =
   let n = Cluster.node_count cluster in
   if replicas < 1 || replicas >= n then
@@ -101,14 +102,13 @@ let enable ?(replicas = 1) cluster =
               e.Partition.value
           done))
     (Cluster.nodes cluster);
-  Protocol.set_commit_listener cluster (Some (record_commit t));
-  Protocol.set_transfer_listener cluster (Some (on_transfer t));
+  Protocol.set_listeners cluster
+    (Some (record_commit t, on_transfer t, on_free t));
   t
 
 let disable t =
   t.enabled <- false;
-  Protocol.set_commit_listener t.cluster None;
-  Protocol.set_transfer_listener t.cluster None
+  Protocol.set_listeners t.cluster None
 
 let pending_writes t = Hashtbl.length t.pending
 
@@ -125,10 +125,7 @@ let fail_and_promote ctx t ~node =
   in
   List.iter (Hashtbl.remove t.pending) lost;
   Cluster.mark_failed t.cluster node;
-  fr ctx t.cluster ~kind:Flight.k_node_failed ~a:node ~b:0 ~c:0;
-  (match (Cluster.tap t.cluster).sub with
-  | None -> ()
-  | Some f -> f ~node:ctx.Ctx.node ~thread:(-1) (Tap.Node_failed { node }));
+  Cluster.transition t.cluster ~node:ctx.Ctx.node (Tap.Node_failed { node });
   (* Re-serve every range whose current server just died (including the
      failed node's own range) from its first replica on an alive host. *)
   let n = Cluster.node_count t.cluster in
@@ -152,12 +149,8 @@ let fail_and_promote ctx t ~node =
             t.unrecoverable <- home :: t.unrecoverable
       | Some (by, r) ->
           Cluster.promote t.cluster ~home ~by ~store:t.backups.(r).(home);
-          fr ctx t.cluster ~kind:Flight.k_promoted ~a:home ~b:by ~c:r;
-          match (Cluster.tap t.cluster).sub with
-          | None -> ()
-          | Some f ->
-              f ~node:ctx.Ctx.node ~thread:(-1)
-                (Tap.Promoted { home; by; replica = r })
+          Cluster.transition t.cluster ~node:ctx.Ctx.node
+            (Tap.Promoted { home; by; replica = r })
     end
   done;
   (* The controller announces the promotion to every alive server. *)

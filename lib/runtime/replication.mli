@@ -8,8 +8,9 @@
     mutable borrow.  When a primary fails, the controller promotes its
     backup to primary.
 
-    The manager hooks the protocol's commit/transfer notifications, so
-    applications need no code changes. *)
+    The manager hooks the protocol's commit, transfer and free
+    notifications, so applications need no code changes; a freed object
+    leaves every backup, so a promotion never brings it back. *)
 
 module Ctx = Drust_machine.Ctx
 

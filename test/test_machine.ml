@@ -13,6 +13,8 @@ module Gaddr = Drust_memory.Gaddr
 module Univ = Drust_util.Univ
 module P = Drust_core.Protocol
 module Dthread = Drust_runtime.Dthread
+module Tap = Drust_memory.Tap
+module Flight = Drust_obs.Flight
 
 let int_tag : int Univ.tag = Univ.create_tag ~name:"mach.int"
 let pack = Univ.pack int_tag
@@ -114,6 +116,63 @@ let in_cluster nodes body =
   let c = Cluster.create (small nodes) in
   ignore (Engine.spawn (Cluster.engine c) (fun () -> body c (Ctx.make c ~node:0)));
   Cluster.run c
+
+(* Failover and membership transitions, each next to the flight record
+   (kind, a, b, c, d) that [Flight.pp_event] and docs/FORENSICS.md
+   document for it, written out by hand. *)
+let transition_cases =
+  [
+    ( Tap.View_change { epoch = 3; reason = "join: node 2" },
+      (Flight.k_view_change, 3, 0, 0, 0) );
+    ( Tap.Handoff_prepared { home = 1; from_node = 1; to_node = 2 },
+      (Flight.k_handoff_prepare, 1, 1, 2, 0) );
+    ( Tap.Handoff_aborted
+        { home = 1; from_node = 1; to_node = 2; reason = "Node_down(2)" },
+      (Flight.k_handoff_abort, 1, 1, 2, 0) );
+    ( Tap.Handoff_committed { home = 1; from_node = 1; to_node = 2; epoch = 4 },
+      (Flight.k_handoff_commit, 1, 1, 2, 4) );
+    ( Tap.Chain_reseeded { home = 1; server = 2; hosts = [ 3; 0 ] },
+      (Flight.k_chain_reseed, 1, 2, 2, 0) );
+    (Tap.Node_failed { node = 1 }, (Flight.k_node_failed, 1, 0, 0, 0));
+    ( Tap.Promoted { home = 1; by = 2; replica = 1 },
+      (Flight.k_promoted, 1, 2, 1, 0) );
+  ]
+
+let flight_lines cluster =
+  List.map
+    (Format.asprintf "%a" Flight.pp_event)
+    (Flight.events (Cluster.flight cluster))
+
+let test_cluster_transition () =
+  List.iter
+    (fun (ev, (kind, a, b, c, d)) ->
+      let by_hand = Cluster.create (small 4) in
+      Flight.record (Cluster.flight by_hand) ~node:3 ~time:0.0 ~kind ~a ~b ~c
+        ~d;
+      let expected = flight_lines by_hand in
+      let subscribed = Cluster.create (small 4) in
+      let seen = ref [] in
+      Tap.set (Cluster.tap subscribed)
+        (Some (fun ~node ~thread ev -> seen := (node, thread, ev) :: !seen));
+      Cluster.transition subscribed ~node:3 ev;
+      Alcotest.(check (list string)) "flight line" expected
+        (flight_lines subscribed);
+      Alcotest.(check bool) "tap event, thread -1" true
+        (!seen = [ (3, -1, ev) ]);
+      let quiet = Cluster.create (small 4) in
+      Cluster.transition quiet ~node:3 ev;
+      Alcotest.(check (list string)) "no subscriber: the flight line" expected
+        (flight_lines quiet);
+      Alcotest.(check bool) "no subscriber: nothing else" true
+        (Drust_obs.Metrics.snapshot (Cluster.metrics quiet)
+        = Drust_obs.Metrics.snapshot (Cluster.metrics by_hand)))
+    transition_cases;
+  let c = Cluster.create (small 4) in
+  Alcotest.check_raises "not a transition"
+    (Invalid_argument
+       "Cluster.transition: not a failover or membership event")
+    (fun () ->
+      Cluster.transition c ~node:0 (Tap.Drop { g = Gaddr.make ~node:0 ~offset:0 }))
 
 let test_ctx_compute_advances_time () =
   in_cluster 2 (fun c ctx ->
@@ -318,6 +377,8 @@ let () =
           Alcotest.test_case "heap roundtrip" `Quick test_cluster_heap_roundtrip;
           Alcotest.test_case "promotion redirects" `Quick test_cluster_promotion_redirects;
           Alcotest.test_case "most vacant" `Quick test_cluster_most_vacant;
+          Alcotest.test_case "transition reporter" `Quick
+            test_cluster_transition;
         ] );
       ( "ctx",
         [

@@ -341,6 +341,9 @@ let describe_event (ev : Tap.event) =
   | Cache_insert { key; size } -> Printf.sprintf "cache insert %d %d" (g key) size
   | Cache_release { key; refcount } ->
       Printf.sprintf "cache release %d -> %d" (g key) refcount
+  | Cache_stale_miss { sought; cached } ->
+      Printf.sprintf "cache stale miss %d cached %d" (g sought) (g cached)
+  | Cache_invalidate { key } -> Printf.sprintf "cache invalidate %d" (g key)
   | _ -> "other"
 
 (* Every sample of a registry, floats in hex so that equal renderings
@@ -448,6 +451,88 @@ let test_read_violation_holds_nothing () =
       P.drop_mut ctx (P.borrow_mut ctx o);
       P.transfer ctx o ~to_node:1;
       Alcotest.(check int) "reads after" 3 (unpack (P.read ctx o)))
+
+(* ------------------------------------------------------------------ *)
+(* Owner reads (Alg. 7), path by path *)
+
+type owner_path =
+  | O_local  (** the owner reads on the object's home *)
+  | O_held  (** remote, the owner's copy is current *)
+  | O_stale  (** remote, the owner's copy predates the home's write *)
+  | O_node_cache  (** remote, a copy another read left in the node cache *)
+  | O_fetch  (** remote and cold *)
+  | O_pinned  (** remote read of a pinned object in a write epoch *)
+
+(* One measured [owner_read] of a 64-byte object on node 0 (with a tied
+   32-byte child) on a fresh 2-node cluster, after [path]'s setup, from
+   node 1 (node 0 for [O_local]).  Returns what the read alone produced
+   and left: the value, its tap events and flight kinds, the virtual
+   time it charged (elapsed seconds and pending cycles, in hex), the
+   refcount of the reader's node-cache copy under the owner's current
+   address, and the object's color after a follow-up write on node 0,
+   which bumps it again only if the read reset the U bit. *)
+let observe_owner_read path =
+  let cluster = Cluster.create (small_params 2) in
+  let events = ref [] in
+  Tap.set (Cluster.tap cluster)
+    (Some
+       (fun ~node ~thread ev ->
+         events := Printf.sprintf "n%d t%d %s" node thread (describe_event ev)
+                   :: !events));
+  let flight () = Flight.events (Cluster.flight cluster) in
+  let result = ref None in
+  ignore
+    (Engine.spawn (Cluster.engine cluster) (fun () ->
+         let ctx0 = ctx_on cluster 0 in
+         let o = P.create ctx0 ~size:64 (pack 41) in
+         let child = P.create ctx0 ~size:32 (pack 0) in
+         P.tie ctx0 ~parent:o ~child;
+         let reader = if path = O_local then ctx0 else ctx_on cluster 1 in
+         (match path with
+         | O_local | O_fetch -> ()
+         | O_held -> ignore (P.owner_read reader o)
+         | O_stale ->
+             ignore (P.owner_read reader o);
+             P.owner_write ctx0 o (pack 42)
+         | O_node_cache -> ignore (P.read reader o)
+         | O_pinned ->
+             P.pin ctx0 o;
+             P.owner_write ctx0 o (pack 42));
+         Ctx.flush reader;
+         events := [];
+         let flight_before = List.length (flight ()) in
+         let engine = Cluster.engine cluster in
+         let t0 = Engine.now engine in
+         let p0 = reader.Ctx.cpu.Ctx.pending_cycles in
+         let v = unpack (P.owner_read reader o) in
+         let charged =
+           Printf.sprintf "%h s + %h cycles" (Engine.now engine -. t0)
+             (reader.Ctx.cpu.Ctx.pending_cycles -. p0)
+         in
+         let read_events = List.rev !events in
+         let kinds =
+           List.filteri (fun i _ -> i >= flight_before) (flight ())
+           |> List.map (fun (e : Flight.event) -> Flight.kind_names.(e.ev_kind))
+         in
+         let cache = (Cluster.node cluster reader.Ctx.node).Cluster.cache in
+         let pinned =
+           Option.map (fun c -> c.Cache.refcount) (Cache.peek cache (P.gaddr o))
+         in
+         P.owner_write ctx0 o (pack 43);
+         let color = Gaddr.color_of (P.gaddr o) in
+         result := Some (v, read_events, kinds, charged, pinned, color)));
+  Cluster.run cluster;
+  Option.get !result
+
+let test_owner_read_path path ~value ~events ~kinds ~charged ~pinned ~color ()
+    =
+  let v, events', kinds', charged', pinned', color' = observe_owner_read path in
+  Alcotest.(check int) "value" value v;
+  Alcotest.(check (list string)) "tap events" events events';
+  Alcotest.(check (list string)) "flight kinds" kinds kinds';
+  Alcotest.(check string) "virtual time charged" charged charged';
+  Alcotest.(check (option int)) "owner pins a copy" pinned pinned';
+  Alcotest.(check int) "color after a follow-up write" color color'
 
 (* ------------------------------------------------------------------ *)
 (* Affinity (TBox) *)
@@ -830,6 +915,67 @@ let () =
             (test_read_matches_three_calls Fetch Flight.k_read_fetch);
           Alcotest.test_case "violation holds nothing" `Quick
             test_read_violation_holds_nothing;
+        ] );
+      ( "owner read",
+        [
+          Alcotest.test_case "local" `Quick
+            (test_owner_read_path O_local ~value:41
+               ~events:[ "n0 t0 read local 8" ]
+               ~kinds:[ "read_local" ] ~charged:"0x0p+0 s + 0x1.8bp+8 cycles"
+               ~pinned:None ~color:1);
+          Alcotest.test_case "held copy" `Quick
+            (test_owner_read_path O_held ~value:41
+               ~events:[ "n1 t1 read cache 8 key 8" ]
+               ~kinds:[ "read_cached" ] ~charged:"0x0p+0 s + 0x1.2ep+7 cycles"
+               ~pinned:(Some 1) ~color:1);
+          (* The stale copy is released before the node cache is asked. *)
+          Alcotest.test_case "stale held copy" `Quick
+            (test_owner_read_path O_stale ~value:42
+               ~events:
+                 [
+                   "n1 t-1 cache release 8 -> 0";
+                   "n1 t-1 cache stale miss 140737488355336 cached 8";
+                   "n1 t-1 cache invalidate 8";
+                   "n1 t-1 cache insert 140737488355336 64";
+                   "n1 t-1 cache invalidate 72";
+                   "n1 t-1 cache insert 72 32";
+                   "n1 t-1 cache release 72 -> 0";
+                   "n1 t1 read fetch 140737488355336";
+                 ]
+               ~kinds:[ "read_fetch"; "fab_read" ]
+               ~charged:"0x1.efa595fe55cdp-19 s + 0x0p+0 cycles"
+               ~pinned:(Some 1) ~color:1);
+          Alcotest.test_case "node-cache hit" `Quick
+            (test_owner_read_path O_node_cache ~value:41
+               ~events:[ "n1 t-1 cache hit 8"; "n1 t1 read cache 8 key 8" ]
+               ~kinds:[ "read_cached" ] ~charged:"0x0p+0 s + 0x1.2ep+7 cycles"
+               ~pinned:(Some 1) ~color:1);
+          Alcotest.test_case "fetch" `Quick
+            (test_owner_read_path O_fetch ~value:41
+               ~events:
+                 [
+                   "n1 t-1 cache insert 8 64";
+                   "n1 t-1 cache insert 72 32";
+                   "n1 t-1 cache release 72 -> 0";
+                   "n1 t1 read fetch 8";
+                 ]
+               ~kinds:[ "read_fetch"; "fab_read" ]
+               ~charged:"0x1.f40f2dfbcab9cp-19 s + 0x0p+0 cycles"
+               ~pinned:(Some 1) ~color:1);
+          (* The read resets the U bit, so the follow-up write bumps the
+             color a second time. *)
+          Alcotest.test_case "pinned remote" `Quick
+            (test_owner_read_path O_pinned ~value:42
+               ~events:
+                 [
+                   "n1 t-1 cache insert 140737488355336 64";
+                   "n1 t-1 cache insert 72 32";
+                   "n1 t-1 cache release 72 -> 0";
+                   "n1 t1 read fetch 140737488355336";
+                 ]
+               ~kinds:[ "read_fetch"; "fab_read" ]
+               ~charged:"0x1.f40f2dfbcab9cp-19 s + 0x0p+0 cycles"
+               ~pinned:(Some 1) ~color:2);
         ] );
       ( "affinity",
         [

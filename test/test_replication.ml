@@ -475,6 +475,71 @@ let test_batching_and_promoted_read_through () =
       Alcotest.(check int) "promoted read-through" 2 (unpack (P.owner_read ctx o));
       Replication.disable repl)
 
+(* ------------------------------------------------------------------ *)
+(* Frees reach the replicas: a promoted backup must not bring a freed
+   object back, whichever way the free happened. *)
+
+(* Fail node 1 and check that its range moved to node 2 with none of
+   [freed] in it. *)
+let promote_and_check cluster repl ctx freed =
+  Replication.fail_and_promote ctx repl ~node:1;
+  Alcotest.(check int) "node 2 serves range 1" 2 (Cluster.serving_node cluster 1);
+  List.iter
+    (fun g ->
+      Alcotest.(check bool) "freed object stays freed" false
+        (Cluster.heap_mem cluster g))
+    freed
+
+(* In the initial snapshot, then dropped from node 0: the free reaches
+   node 1 as an asynchronous dealloc message. *)
+let test_snapshot_object_freed_by_message () =
+  in_cluster (fun cluster _plan ctx ->
+      let o = P.create_on ctx ~node:1 ~size:4096 (pack 1) in
+      let g = P.gaddr o in
+      let repl = Replication.enable cluster in
+      P.drop_owner ctx o;
+      Engine.delay (Cluster.engine cluster) 1e-3;
+      Alcotest.(check bool) "freed on the primary" false
+        (Cluster.heap_mem cluster g);
+      Replication.sync_now ctx repl;
+      promote_and_check cluster repl ctx [ g ];
+      Replication.disable repl)
+
+(* Committed after enable, then freed by its local owner before the
+   batch is flushed: the free takes it out of the batch. *)
+let test_pending_object_freed_locally () =
+  in_cluster (fun cluster _plan ctx ->
+      let repl = Replication.enable cluster in
+      let w = Ctx.make cluster ~node:1 in
+      let o = P.create w ~size:4096 (pack 1) in
+      P.owner_write w o (pack 2);
+      Alcotest.(check int) "the write is batched" 1
+        (Replication.pending_writes repl);
+      let g = P.gaddr o in
+      P.drop_owner w o;
+      Alcotest.(check int) "the free leaves the batch" 0
+        (Replication.pending_writes repl);
+      Replication.sync_now ctx repl;
+      promote_and_check cluster repl ctx [ g ];
+      Replication.disable repl)
+
+(* A local write that moves the object (forced here by the always-move
+   ablation) frees its old address; the object itself survives at the
+   new one. *)
+let test_moved_object_old_address_freed () =
+  in_cluster (fun cluster _plan ctx ->
+      let w = Ctx.make cluster ~node:1 in
+      let o = P.create w ~size:64 (pack 1) in
+      let old = P.gaddr o in
+      let repl = Replication.enable cluster in
+      P.set_always_move cluster true;
+      P.owner_write w o (pack 2);
+      Replication.sync_now ctx repl;
+      promote_and_check cluster repl ctx [ old ];
+      Alcotest.(check int) "the object survives its move" 2
+        (unpack (P.owner_read ctx o));
+      Replication.disable repl)
+
 let () =
   Alcotest.run "replication"
     [
@@ -521,5 +586,14 @@ let () =
         [
           Alcotest.test_case "batch+read-through" `Quick
             test_batching_and_promoted_read_through;
+        ] );
+      ( "frees",
+        [
+          Alcotest.test_case "snapshot object freed by message" `Quick
+            test_snapshot_object_freed_by_message;
+          Alcotest.test_case "pending object freed locally" `Quick
+            test_pending_object_freed_locally;
+          Alcotest.test_case "moved object's old address freed" `Quick
+            test_moved_object_old_address_freed;
         ] );
     ]
