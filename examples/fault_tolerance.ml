@@ -75,9 +75,22 @@ let () =
       Printf.printf "crashing node %d...\n" victim;
       Fault.crash_at plan ~node:victim ~at:(Engine.now engine);
 
-      while not !detected do
+      (* The detector's window is under 3 ms of virtual time (see
+         [Controller.start]); a wait a thousand times longer that ends
+         without a verdict means detection is broken, and the probe loop
+         would otherwise keep the simulation running forever. *)
+      let patience = 3.0 in
+      let deadline = Engine.now engine +. patience in
+      while (not !detected) && Engine.now engine < deadline do
         Engine.delay engine 0.5e-3
       done;
+      if not !detected then begin
+        Printf.eprintf
+          "fault_tolerance: node %d crashed but was not declared dead \
+           within %g s of virtual time\n"
+          victim patience;
+        exit 1
+      end;
       Printf.printf "promoted: node %d's range now served by node %d\n"
         victim
         (Cluster.serving_node cluster victim);

@@ -47,13 +47,14 @@ let run ~cluster ~(backend : Dsm.t) cfg =
       let nodes = Cluster.node_count cluster in
       let zipf = Drust_util.Zipf.create ~n:cfg.keys ~theta:cfg.theta in
       (* Build the table: bucket objects and their mutexes co-located,
-         spread round-robin. *)
+         spread round-robin.  Every bucket starts from the one packed
+         empty value: a payload is immutable, and updates replace it. *)
+      let empty = Appkit.payload_of_int 0 in
       let table =
         Array.init cfg.buckets (fun b ->
             let node = b mod nodes in
             let data =
-              backend.Dsm.alloc_on ctx ~node ~size:cfg.bucket_bytes
-                (Appkit.payload_of_int 0)
+              backend.Dsm.alloc_on ctx ~node ~size:cfg.bucket_bytes empty
             in
             (* The mutex must live with its bucket: create it from a
                context pinned to that node. *)

@@ -10,6 +10,10 @@ type Dsm.mutex += M of Dmutex.t
 
 let unit_tag : unit Univ.tag = Univ.create_tag ~name:"drust.mutex.unit"
 
+(* Every mutex guards the same immutable unit payload: packed once, not
+   once per [mutex_create]. *)
+let unit_payload = Univ.pack unit_tag ()
+
 let owner_of = function H o -> o | _ -> Dsm.foreign "drust"
 let mutex_of = function M m -> m | _ -> Dsm.foreign "drust"
 
@@ -74,7 +78,7 @@ let create cluster =
         Protocol.tie ctx ~parent:(owner_of parent) ~child:(owner_of child));
     supports_affinity = true;
     mutex_create =
-      (fun ctx -> M (Dmutex.create ctx ~size:8 (Univ.pack unit_tag ())));
+      (fun ctx -> M (Dmutex.create ctx ~size:8 unit_payload));
     mutex_lock =
       (fun ctx m ->
         (Dmutex.lock ctx (mutex_of m)

@@ -9,6 +9,10 @@ type Dsm.mutex += M of Dmutex.t
 
 let unit_tag : unit Univ.tag = Univ.create_tag ~name:"local.mutex.unit"
 
+(* Every mutex guards the same immutable unit payload: packed once, not
+   once per [mutex_create]. *)
+let unit_payload = Univ.pack unit_tag ()
+
 let gaddr_of = function H g -> g | _ -> Dsm.foreign "local"
 let mutex_of = function M m -> m | _ -> Dsm.foreign "local"
 
@@ -72,7 +76,7 @@ let create cluster =
     tie = (fun _ctx ~parent:_ ~child:_ -> ());
     supports_affinity = false;
     mutex_create =
-      (fun ctx -> M (Dmutex.create ctx ~size:8 (Univ.pack unit_tag ())));
+      (fun ctx -> M (Dmutex.create ctx ~size:8 unit_payload));
     mutex_lock =
       (fun ctx m ->
         (Dmutex.lock ctx (mutex_of m)

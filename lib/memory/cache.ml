@@ -96,9 +96,9 @@ let detach t phys copy =
 
 let insert t g ~size v =
   let phys = Gaddr.to_int (Gaddr.clear_color g) in
-  (match Drust_util.Intmap.find_opt t.map phys with
-  | Some old -> detach t phys old
-  | None -> ());
+  (match Drust_util.Intmap.find t.map phys with
+  | old -> detach t phys old
+  | exception Not_found -> ());
   let copy =
     { key = g; value = v; size; refcount = 1; dead = false; detached = false }
   in
@@ -129,9 +129,9 @@ let release t copy =
 
 let invalidate_physical t g =
   let phys = Gaddr.to_int (Gaddr.clear_color g) in
-  match Drust_util.Intmap.find_opt t.map phys with
-  | None -> ()
-  | Some copy -> detach t phys copy
+  match Drust_util.Intmap.find t.map phys with
+  | copy -> detach t phys copy
+  | exception Not_found -> ()
 
 (* Drop every copy of an object homed in [home]'s address range, whatever
    its color.  Used by failover promotion: the promoted replica may lag the

@@ -5,14 +5,16 @@ type entry = { mutable value : Drust_util.Univ.t; size : int }
 (* Size-class free lists: freed offsets are recycled for any request that
    fits the same class, which keeps the bump pointer from running away in
    long simulations with allocation churn.  Classes are powers of two
-   from 16 bytes; [free_lists.(i)] holds the LIFO of freed offsets for
-   class [16 lsl i] (the max offset is 2^40, so 40 slots cover every
-   representable class). *)
+   from 16 bytes; [free_offs.(i)] is the LIFO stack of freed offsets for
+   class [16 lsl i], its first [free_len.(i)] cells live (the max offset
+   is 2^40, so 40 slots cover every representable class).  A flat int
+   stack, not a list: a free pushes without allocating a cell. *)
 type t = {
   node : int;
   capacity : int;
   objects : entry Intmap.t; (* keyed by color-less offset *)
-  free_lists : int list array; (* class index -> freed offsets, LIFO *)
+  free_offs : int array array; (* class index -> freed offsets, LIFO *)
+  free_len : int array; (* class index -> live cells of [free_offs] *)
   mutable bump : int;
   mutable used : int;
 }
@@ -25,7 +27,8 @@ let create ~node ~capacity_bytes =
     node;
     capacity = capacity_bytes;
     objects = Intmap.create ~capacity:1024 ();
-    free_lists = Array.make 48 [];
+    free_offs = Array.make 48 [||];
+    free_len = Array.make 48 0;
     bump = 8; (* offset 0 is reserved as a null-like sentinel *)
     used = 0;
   }
@@ -35,37 +38,49 @@ let capacity_bytes t = t.capacity
 let used_bytes t = t.used
 let usage_fraction t = Float.of_int t.used /. Float.of_int t.capacity
 
-(* Round a request up to its size class (powers of two from 16 bytes),
-   also yielding the free-list index for that class. *)
-let size_class size =
-  let rec up c = if c >= size then c else up (c * 2) in
-  up 16
+(* The size class of a request (powers of two from 16 bytes) as its
+   free-list index: the smallest [i] with [16 lsl i >= size].  A loop,
+   not a local recursive function, which would be a closure allocated
+   on every call (docs/PERFORMANCE.md). *)
+let class_index size =
+  let i = ref 0 in
+  while 16 lsl !i < size do
+    incr i
+  done;
+  !i
 
-let class_index cls =
-  let rec go c i = if c >= cls then i else go (c * 2) (i + 1) in
-  go 16 0
+let[@inline] class_bytes idx = 16 lsl idx
 
-let take_free t idx =
-  match t.free_lists.(idx) with
-  | off :: rest ->
-      t.free_lists.(idx) <- rest;
-      Some off
-  | [] -> None
+let push_free t idx off =
+  let len = t.free_len.(idx) in
+  let offs = t.free_offs.(idx) in
+  if len = Array.length offs then begin
+    let grown = Array.make (max 8 (2 * len)) 0 in
+    Array.blit offs 0 grown 0 len;
+    t.free_offs.(idx) <- grown
+  end;
+  t.free_offs.(idx).(len) <- off;
+  t.free_len.(idx) <- len + 1
 
 let alloc t ~size v =
   if size < 0 then invalid_arg "Partition.alloc: negative size";
-  let cls = size_class (max 1 size) in
+  let idx = class_index size in
+  let cls = class_bytes idx in
   if t.used + cls > t.capacity then
     raise (Out_of_memory { node = t.node; requested = size });
   let offset =
-    match take_free t (class_index cls) with
-    | Some off -> off
-    | None ->
-        let off = t.bump in
-        t.bump <- t.bump + cls;
-        if t.bump > Gaddr.max_offset then
-          raise (Out_of_memory { node = t.node; requested = size });
-        off
+    let len = t.free_len.(idx) in
+    if len > 0 then begin
+      t.free_len.(idx) <- len - 1;
+      t.free_offs.(idx).(len - 1)
+    end
+    else begin
+      let off = t.bump in
+      t.bump <- t.bump + cls;
+      if t.bump > Gaddr.max_offset then
+        raise (Out_of_memory { node = t.node; requested = size });
+      off
+    end
   in
   Intmap.set t.objects offset { value = v; size };
   t.used <- t.used + cls;
@@ -77,17 +92,18 @@ let check_home t a label =
       (Printf.sprintf "Partition.%s: address on node %d, partition is node %d"
          label (Gaddr.node_of a) t.node)
 
+(* Lookups match on [Intmap.find]'s [Not_found] rather than take
+   [find_opt]'s option: no [Some] per call. *)
 let free t a =
   check_home t a "free";
   let off = Gaddr.offset_of a in
-  match Intmap.find_opt t.objects off with
-  | None -> invalid_arg "Partition.free: dead address"
-  | Some e ->
+  match Intmap.find t.objects off with
+  | exception Not_found -> invalid_arg "Partition.free: dead address"
+  | e ->
       Intmap.remove t.objects off;
-      let cls = size_class (max 1 e.size) in
-      t.used <- t.used - cls;
-      let idx = class_index cls in
-      t.free_lists.(idx) <- off :: t.free_lists.(idx)
+      let idx = class_index e.size in
+      t.used <- t.used - class_bytes idx;
+      push_free t idx off
 
 let get t a =
   check_home t a "get";
@@ -97,17 +113,17 @@ let mem t a = Gaddr.node_of a = t.node && Intmap.mem t.objects (Gaddr.offset_of 
 
 let set t a v =
   check_home t a "set";
-  match Intmap.find_opt t.objects (Gaddr.offset_of a) with
-  | None -> invalid_arg "Partition.set: dead address"
-  | Some e -> e.value <- v
+  match Intmap.find t.objects (Gaddr.offset_of a) with
+  | exception Not_found -> invalid_arg "Partition.set: dead address"
+  | e -> e.value <- v
 
 let put t a ~size v =
   check_home t a "put";
   let off = Gaddr.offset_of a in
-  let cls = size_class (max 1 size) in
-  (match Intmap.find_opt t.objects off with
-  | Some old -> t.used <- t.used - size_class (max 1 old.size)
-  | None -> ());
+  let cls = class_bytes (class_index size) in
+  (match Intmap.find t.objects off with
+  | old -> t.used <- t.used - class_bytes (class_index old.size)
+  | exception Not_found -> ());
   Intmap.set t.objects off { value = v; size };
   t.used <- t.used + cls;
   (* Keep the bump pointer ahead of mirrored offsets so that a promoted

@@ -486,31 +486,35 @@ let jitter = 0.25
    or the simulated-time budget runs out.  [op] re-resolves its own
    target (and re-reads its membership view) each attempt, which is what
    lets a retry land on a freshly promoted backup or carry the epoch a
-   handoff announcement just installed. *)
+   handoff announcement just installed.  The loop is a toplevel function
+   taking its state as arguments, not a local closure over it, so an op
+   that succeeds first time allocates only the boxed [deadline]. *)
+let rec retry_loop ?parent t ~from ~attempts ~deadline op n delay =
+  match op () with
+  | v -> v
+  | exception ((Node_down _ | Rpc_timeout _ | Stale_epoch _) as e) ->
+      if n + 1 >= attempts || Engine.now t.engine +. delay > deadline then
+        raise e
+      else begin
+        event t ~from ~kind:Flight.k_fab_retry ~a:(n + 1) ~b:0 ~c:0;
+        mark ?parent t "RETRY" ~from ~target:from ~bytes:0;
+        (* +-jitter seeded multiplicative noise decorrelates retry
+           storms. *)
+        let d =
+          delay *. (1.0 -. jitter +. Drust_util.Rng.float t.rng (2.0 *. jitter))
+        in
+        Engine.delay t.engine d;
+        retry_loop ?parent t ~from ~attempts ~deadline op (n + 1)
+          (Float.min max_delay (delay *. 2.0))
+      end
+
 let retry_with_backoff ?parent t ~from ?(attempts = 8) ?(base_delay = 50e-6)
     ?(budget = Float.infinity) op =
   check_node t from "retry_with_backoff";
   if attempts < 1 then invalid_arg "Fabric.retry_with_backoff: attempts < 1";
-  let deadline = Engine.now t.engine +. budget in
-  let rec go n delay =
-    match op () with
-    | v -> v
-    | exception ((Node_down _ | Rpc_timeout _ | Stale_epoch _) as e) ->
-        if n + 1 >= attempts || Engine.now t.engine +. delay > deadline then
-          raise e
-        else begin
-          event t ~from ~kind:Flight.k_fab_retry ~a:(n + 1) ~b:0 ~c:0;
-          mark ?parent t "RETRY" ~from ~target:from ~bytes:0;
-          (* +-jitter seeded multiplicative noise decorrelates retry
-             storms. *)
-          let d =
-            delay *. (1.0 -. jitter +. Drust_util.Rng.float t.rng (2.0 *. jitter))
-          in
-          Engine.delay t.engine d;
-          go (n + 1) (Float.min max_delay (delay *. 2.0))
-        end
-  in
-  go 0 base_delay
+  retry_loop ?parent t ~from ~attempts
+    ~deadline:(Engine.now t.engine +. budget)
+    op 0 base_delay
 
 let send_async ?parent t ~from ~target ~bytes handler =
   issue t "send_async" ~kind:Flight.k_fab_send ~from ~target ~bytes ~c:(-1);

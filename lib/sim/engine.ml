@@ -37,6 +37,9 @@ type t = {
   mutable current : process;
       (* the process whose fiber runs: set before every start and
          resumption, read by the handler when the fiber parks or ends *)
+  mutable in_process : bool;
+      (* a fiber runs: set with [current], cleared when the fiber parks
+         or ends, so that [delay] can tell a process from a callback *)
   mutable handler : (unit, unit) handler; (* the engine's one handler *)
 }
 
@@ -91,6 +94,10 @@ let[@inline] schedule_now t f = Drust_util.Pqueue.push t.events ~time:(now t) f
 
 let suspend register = Effect.perform (Suspend register)
 
+let[@inline] enter t p =
+  t.current <- p;
+  t.in_process <- true
+
 (* A sleeping process's wake event.  The process must resume where
    [suspend]'s resumer would put it: a timer event queueing the
    continuation at the back of its instant.  When nothing else is due at
@@ -110,7 +117,7 @@ let wake t p =
     p.requeued <- false;
     let k = p.parked in
     p.parked <- no_continuation;
-    t.current <- p;
+    enter t p;
     continue k ()
   end
 
@@ -136,14 +143,19 @@ let handler t : (unit, unit) handler =
     Some
       (fun k ->
         let p = t.current in
+        t.in_process <- false;
         t.suspends <- t.suspends + 1;
         p.parked <- k;
         Drust_util.Pqueue.push t.events ~time:t.instant.time p.wake)
   in
   {
-    retc = (fun () -> finish_process t t.current Finished);
+    retc =
+      (fun () ->
+        t.in_process <- false;
+        finish_process t t.current Finished);
     exnc =
       (fun e ->
+        t.in_process <- false;
         t.failures <- e :: t.failures;
         finish_process t t.current (Failed e));
     effc =
@@ -155,13 +167,14 @@ let handler t : (unit, unit) handler =
             Some
               (fun (k : (a, unit) continuation) ->
                 let p = t.current in
+                t.in_process <- false;
                 t.suspends <- t.suspends + 1;
                 let resumed = ref false in
                 let resume v =
                   if !resumed then failwith "Engine: process resumed twice";
                   resumed := true;
                   schedule_now t (fun () ->
-                      t.current <- p;
+                      enter t p;
                       continue k v)
                 in
                 register resume)
@@ -188,6 +201,7 @@ let create () =
       dispatched = 0;
       suspends = 0;
       current = fresh_process Finished;
+      in_process = false;
       handler = { retc = ignore; exnc = raise; effc = (fun _ -> None) };
     }
   in
@@ -195,7 +209,7 @@ let create () =
   t
 
 let start_fiber t p body =
-  t.current <- p;
+  enter t p;
   match_with body () t.handler
 
 (* The record is made before its [wake] closure, not as a recursive
@@ -209,11 +223,24 @@ let spawn ?at t body =
   | Some at -> schedule t ~at start);
   p
 
+(* When the wake would be the very next pop, queueing it and parking
+   would only hand control back to this process at once: the process
+   runs on in place, with the clock, the queue and the counts moved as
+   the queued path would move them.  A call outside any process still
+   performs the effect, and so still raises. *)
 let[@inline] delay t dt =
   if not (dt >= 0.0) then invalid_arg "Engine.delay: negative or NaN delay";
-  t.instant.time <- now t +. dt;
-  Effect.perform Sleep
-
+  let at = now t +. dt in
+  if t.in_process && Drust_util.Pqueue.elide_next t.events ~time:at then begin
+    t.clock.now <- at;
+    (* the timer's pop and the resumption it runs directly *)
+    t.dispatched <- t.dispatched + 2;
+    t.suspends <- t.suspends + 1
+  end
+  else begin
+    t.instant.time <- at;
+    Effect.perform Sleep
+  end
 
 let join _t handle =
   (match handle.state with

@@ -53,15 +53,22 @@ val spawn : ?at:float -> t -> (unit -> unit) -> process_handle
 
 val delay : t -> float -> unit
 (** [delay t dt] suspends the calling process for [dt] simulated seconds.
-    Raises [Invalid_argument] in the caller when [dt] is negative or NaN.
-    The wakeup is one queue entry and allocates only the runtime's
-    continuation: the process parks in a timer slot it reuses for every
-    delay, the wake time reaches the queue unboxed, and the clock moves
-    to it unboxed when it pops.  It resumes in
-    the dispatch position of a timer event at [now + dt] that queues
-    the continuation at the back of that instant — which is where it
-    runs directly when nothing else is due then, and where it re-queues
-    itself once otherwise. *)
+    Raises [Invalid_argument] in the caller when [dt] is negative or NaN,
+    and the runtime's [Effect.Unhandled] when called outside a process.
+    It resumes in the dispatch position of a timer event at [now + dt]
+    that queues the continuation at the back of that instant.
+
+    When that wake would be the very next event popped — nothing else is
+    due at the current instant, and nothing in the queue is due at or
+    before [now + dt] — the process does not park: the clock moves to
+    [now + dt] and [delay] returns in place, allocating nothing.  The
+    counts stay as if the wake were queued: {!pushes} grows by one,
+    {!dispatched} by two and {!suspends} by one, and the queue spends
+    the wake's sequence number.  Otherwise the process parks in a timer
+    slot it reuses for every delay, allocating only the runtime's
+    continuation, and the wake is one queue entry at [now + dt]; when it
+    pops, the process runs directly if nothing else is due then, and
+    re-queues itself once at the back of the instant otherwise. *)
 
 val suspend : (('a -> unit) -> unit) -> 'a
 (** [suspend register] parks the calling process.  [register] receives a
@@ -82,7 +89,9 @@ val run : t -> unit
     after the loop stops. *)
 
 val step : t -> bool
-(** [step t] executes a single event; [false] when the queue is empty. *)
+(** [step t] executes a single queue entry; [false] when the queue is
+    empty.  A process the entry runs carries on through every {!delay}
+    it wakes from in place, so one step may span several such delays. *)
 
 (** {1 Host-side accounting} *)
 
@@ -91,7 +100,7 @@ val dispatched : t -> int
     one per {!delay} resumption that ran inside its timer's event.  A
     {!delay} thus counts two events, its timer and
     its resumption, whether the resumption took a queue entry of its own
-    or not.  Purely observational — never feeds back into the
+    or not, and whether the process woke in place.  Purely observational — never feeds back into the
     simulation. *)
 
 val suspends : t -> int
@@ -100,7 +109,8 @@ val suspends : t -> int
 
 val pushes : t -> int
 (** Total events ever pushed to the queue: the raw queue entries behind
-    {!dispatched}.  Purely observational. *)
+    {!dispatched}, a {!delay} woken in place counted as the entry it
+    would have queued.  Purely observational. *)
 
 exception Process_failure of exn
 (** Wrapper re-raised by {!run} for a process that died; carries the

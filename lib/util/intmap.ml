@@ -53,8 +53,8 @@ let create ?(capacity = 16) () =
 let[@inline] index k mask = (k * 0x2545F4914F6CDD1D) lsr 30 land mask
 
 (* The probe loops below are [while] loops or toplevel functions, never
-   local recursive closures: in the default (non-flambda) compiler a
-   local function that captures variables is allocated on every call.
+   local recursive closures (docs/PERFORMANCE.md, "Closures that
+   capture").
 
    [slot keys mask k] is the slot holding [k], or the empty slot that
    ends its probe chain. *)

@@ -227,3 +227,22 @@ let[@inline] last_time t = t.clock.cur_time
 
 let has_due t =
   t.now_len > 0 || (t.h_len > 0 && t.h_time.(0) <= t.clock.cur_time)
+
+(* An entry pushed at [time] would be the very next pop when the ring is
+   empty (a ring entry is due now, at or before [time], and was pushed
+   first) and [time] is strictly before the heap's root (a root at the
+   same time was pushed first).  Then the push and its pop are counted
+   as if both had happened: the sequence number is spent and the clock
+   moves, so [pushed], [last_time] and the order of everything still
+   pending are exactly those of the queued path. *)
+let[@inline] elide_next t ~time =
+  if
+    t.now_len = 0
+    && time >= t.clock.cur_time
+    && (t.h_len = 0 || time < t.h_time.(0))
+  then begin
+    t.next_seq <- t.next_seq + 1;
+    t.clock.cur_time <- time;
+    true
+  end
+  else false

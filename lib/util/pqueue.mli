@@ -40,3 +40,13 @@ val has_due : 'a t -> bool
 (** [has_due t] is [true] when some element's time is at or before
     {!last_time}: an element pushed at [last_time t] now would not be
     the next one popped.  Allocation-free. *)
+
+val elide_next : 'a t -> time:float -> bool
+(** [elide_next t ~time] is [true] when an element pushed at [time] now
+    would be the very next one popped: nothing is in the ring, and
+    [time] is at or after {!last_time} and strictly before every element
+    in the heap.  It then accounts for that push and its pop without
+    storing anything: {!pushed} grows by one and {!last_time} becomes
+    [time].  Otherwise it returns [false] and changes nothing.  Inlined
+    and allocation-free, so a [time] the caller computes stays unboxed.
+    The engine uses it to wake a sleeper in place. *)

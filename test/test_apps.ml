@@ -192,11 +192,30 @@ let kv_words_per_op system workload =
   let ops = 4000 in
   (words (2 * ops) -. words ops) /. float_of_int ops
 
+(* Host words per bucket of the KV table build on 2 nodes: a table of
+   twice the buckets less one of the buckets, each serving one op per
+   client, so that the set-up and the ops cancel.  Each bucket's object
+   and its mutex on their home partition, the bucket record, and the
+   context that pins the mutex to its node; the empty value and the
+   mutex's unit payload are shared by every bucket. *)
+let kv_words_per_bucket system =
+  let words buckets =
+    let cluster = Cluster.create (tiny_params 2) in
+    let backend = Simplan.make_backend system cluster in
+    let w0 = Gc.minor_words () in
+    ignore (Kv.run ~cluster ~backend { tiny_kv with Kv.buckets; ops = 1 });
+    Gc.minor_words () -. w0
+  in
+  let buckets = 4096 in
+  (words (2 * buckets) -. words buckets) /. float_of_int buckets
+
 let test_kv_allocation b =
   Alloc_budget.check b "KV op on Original" ~max:16.0
     (kv_words_per_op Simplan.Original None);
-  Alloc_budget.check b "KV op on DRust, YCSB A" ~max:52.0
-    (kv_words_per_op Simplan.Drust (Some Ycsb.A))
+  Alloc_budget.check b "KV op on DRust, YCSB A" ~max:32.0
+    (kv_words_per_op Simplan.Drust (Some Ycsb.A));
+  Alloc_budget.check b "KV table build on DRust, per bucket" ~max:56.0
+    (kv_words_per_bucket Simplan.Drust)
 
 let test_determinism () =
   (* Same seed, same cluster, same workload -> identical throughput. *)

@@ -151,6 +151,31 @@ let test_partition_put_mirrors () =
   Alcotest.(check bool) "bump advanced past mirror" true
     (Gaddr.offset_of fresh <> Gaddr.offset_of a)
 
+(* Freed offsets of a class come back last-freed first, however many are
+   pending: the free list grows past its first block without losing or
+   reordering any. *)
+let test_partition_free_list_lifo () =
+  let p = Partition.create ~node:0 ~capacity_bytes:65536 in
+  let addrs = List.init 20 (fun i -> Partition.alloc p ~size:40 (pack i)) in
+  List.iter (Partition.free p) addrs;
+  let again = List.init 20 (fun i -> Partition.alloc p ~size:33 (pack i)) in
+  Alcotest.(check (list int)) "last freed, first reused"
+    (List.rev_map Gaddr.offset_of addrs)
+    (List.map Gaddr.offset_of again);
+  Alcotest.(check int) "class bytes in use" (20 * 64) (Partition.used_bytes p)
+
+(* An object's life on its home partition: the entry record, and nothing
+   for the size class, the free list or the lookup. *)
+let test_partition_allocation b =
+  let p = Partition.create ~node:0 ~capacity_bytes:65536 in
+  let v = pack 1 in
+  Partition.free p (Partition.alloc p ~size:64 v);
+  let engine = Drust_sim.Engine.create () in
+  Alloc_budget.check b "Partition.alloc + free of a recycled class" ~max:4.0
+    (Alloc_budget.per_call engine
+       ~run:(fun () -> Drust_sim.Engine.run engine)
+       (fun _ -> Partition.free p (Partition.alloc p ~size:64 v)))
+
 let prop_partition_usage_balanced =
   QCheck.Test.make ~name:"partition usage returns to zero after freeing all"
     ~count:100
@@ -347,6 +372,10 @@ let () =
           Alcotest.test_case "foreign rejected" `Quick test_partition_foreign_address;
           Alcotest.test_case "iter" `Quick test_partition_iter;
           Alcotest.test_case "put mirrors" `Quick test_partition_put_mirrors;
+          Alcotest.test_case "free list LIFO" `Quick
+            test_partition_free_list_lifo;
+          Alcotest.test_case "alloc+free allocation budget" `Quick
+            (Alloc_budget.case test_partition_allocation);
           QCheck_alcotest.to_alcotest prop_partition_usage_balanced;
         ] );
       ( "cache",

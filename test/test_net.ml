@@ -470,7 +470,11 @@ let test_verb_allocation b =
          Fabric.rpc_reply fabric vs ~from:0 ~target:1 ~resp_bytes:64));
   Alloc_budget.check b "Fabric.rdma_read" ~max:3.0
     (verb_words (fun fabric ->
-         Fabric.rdma_read fabric ~from:0 ~target:1 ~bytes:64))
+         Fabric.rdma_read fabric ~from:0 ~target:1 ~bytes:64));
+  (* The retry loop around an op that succeeds first time: the boxed
+     deadline, and no closure. *)
+  Alloc_budget.check b "Fabric.retry_with_backoff whose op succeeds" ~max:3.0
+    (verb_words (fun fabric -> Fabric.retry_with_backoff fabric ~from:0 ignore))
 
 (* A plan holding one crash and one partition, both still in the future:
    installed, so every verb consults it, but not yet active. *)

@@ -427,24 +427,193 @@ let prop_one_hop_matches_two_hop =
       replay_scripts (engine_api ()) scripts
       = replay_scripts (two_hop_api ()) scripts)
 
-let test_delay_one_hop_allocation () =
-  let e = Engine.create () in
+(* Either way a delay wakes, the engine reports the queued path's
+   counts: one queue entry, two logical events and one park per delay,
+   plus each process's start. *)
+let check_delay_counts e ~procs ~n =
+  Alcotest.(check int) "one queue entry per delay" (procs * (n + 1))
+    (Engine.pushes e);
+  Alcotest.(check int) "two logical events per delay"
+    (procs * ((2 * n) + 1))
+    (Engine.dispatched e);
+  Alcotest.(check int) "one park per delay" (procs * n) (Engine.suspends e)
+
+(* A lone sleeper's wake is always the next pop, so it wakes in place and
+   allocates nothing.  Two sleepers, the second half a microsecond
+   behind so that no two wakes tie, each wake while the other's is
+   pending: every wake is queued, and allocates only the runtime's
+   continuation. *)
+let test_delay_allocation b =
   let n = 10_000 in
-  ignore
-    (Engine.spawn e (fun () ->
-         for _ = 1 to n do
-           Engine.delay e 1e-6
-         done));
+  let e = Engine.create () in
+  Alloc_budget.check b "lone process's Engine.delay, woken in place" ~max:0.0
+    (Alloc_budget.per_call ~n e
+       ~run:(fun () -> Engine.run e)
+       (fun _ -> Engine.delay e 1e-6));
+  check_delay_counts e ~procs:1 ~n;
+  let e = Engine.create () in
+  List.iter
+    (fun at ->
+      ignore
+        (Engine.spawn e ~at (fun () ->
+             for _ = 1 to n do
+               Engine.delay e 1e-6
+             done)))
+    [ 0.0; 0.5e-6 ];
   let w0 = Gc.minor_words () in
   Engine.run e;
-  let words = (Gc.minor_words () -. w0) /. float_of_int n in
-  Alcotest.(check int) "one queue entry per delay" (n + 1) (Engine.pushes e);
-  Alcotest.(check int) "two logical events per delay" ((2 * n) + 1)
-    (Engine.dispatched e);
-  Alcotest.(check int) "one park per delay" n (Engine.suspends e);
-  Alcotest.(check bool)
-    (Printf.sprintf "%.1f minor words per delay, at most 3" words)
-    true (words <= 3.0)
+  Alloc_budget.check b "Engine.delay queued behind another sleeper" ~max:3.0
+    ((Gc.minor_words () -. w0) /. float_of_int (2 * n));
+  check_delay_counts e ~procs:2 ~n
+
+(* ---- In-place wakes keep the queue's (time, seq) order ----
+
+   Each case logs (time, label) pairs.  Its expected order is derived by
+   hand from the queue's rule, earliest time first and, among equal
+   times, lowest sequence number (push order) first, as if every wake
+   were a queue entry; the comments number the pushes.  The counts are
+   the queued path's too. *)
+
+let logger e =
+  let log = ref [] in
+  let note label = log := (Engine.now e, label) :: !log in
+  (log, note)
+
+let check_order name expected log =
+  Alcotest.(check (list (pair (float 1e-12) string)))
+    name expected (List.rev !log)
+
+let check_counts e ~pushes ~dispatched ~suspends =
+  Alcotest.(check int) "pushes" pushes (Engine.pushes e);
+  Alcotest.(check int) "dispatched" dispatched (Engine.dispatched e);
+  Alcotest.(check int) "suspends" suspends (Engine.suspends e)
+
+(* #0 the spawn at 0; #1 the wake at 1; #2 the wake at 3.  Nothing else
+   is ever pending, so both wakes are in place. *)
+let test_wake_lone_sleeper () =
+  let e = Engine.create () in
+  let log, note = logger e in
+  ignore
+    (Engine.spawn e (fun () ->
+         note "start";
+         Engine.delay e 1.0;
+         note "woke 1";
+         Engine.delay e 2.0;
+         note "woke 2"));
+  Engine.run e;
+  check_order "lone sleeper"
+    [ (0.0, "start"); (1.0, "woke 1"); (3.0, "woke 2") ]
+    log;
+  check_counts e ~pushes:3 ~dispatched:5 ~suspends:2
+
+(* #0 a callback at 1; #1 the spawn at 0; #2 the wake at 1.  The wake
+   ties with #0 on time and loses on sequence: the callback runs first. *)
+let test_wake_tied_with_earlier_entry () =
+  let e = Engine.create () in
+  let log, note = logger e in
+  Engine.schedule e ~at:1.0 (fun () -> note "callback");
+  ignore
+    (Engine.spawn e (fun () ->
+         note "start";
+         Engine.delay e 1.0;
+         note "woke"));
+  Engine.run e;
+  check_order "tie goes to the earlier push"
+    [ (0.0, "start"); (1.0, "callback"); (1.0, "woke") ]
+    log;
+  check_counts e ~pushes:3 ~dispatched:4 ~suspends:1
+
+(* #0 the spawn at 0; #1 a callback the process queues at 0, in the now
+   ring; #2 the wake at 1e-6.  #1 is due first. *)
+let test_wake_behind_pending_ring_entry () =
+  let e = Engine.create () in
+  let log, note = logger e in
+  ignore
+    (Engine.spawn e (fun () ->
+         note "start";
+         Engine.schedule e ~at:(Engine.now e) (fun () -> note "ring");
+         Engine.delay e 1e-6;
+         note "woke"));
+  Engine.run e;
+  check_order "the ring entry runs before the wake"
+    [ (0.0, "start"); (0.0, "ring"); (1e-6, "woke") ]
+    log;
+  check_counts e ~pushes:3 ~dispatched:4 ~suspends:1
+
+(* [delay 0.] wakes at the current instant, behind everything already
+   due then.  #0 the spawn at 1; #1 a callback at 1, both pushed before
+   the clock reached 1; #2 the first wake, at 1 but behind #1; #3 a
+   callback #1 queues at 1, in the now ring; #4 the wake's continuation,
+   re-queued behind #3; #5 the second wake, with nothing else pending,
+   so in place. *)
+let test_wake_zero_delay () =
+  let e = Engine.create () in
+  let log, note = logger e in
+  ignore
+    (Engine.spawn e ~at:1.0 (fun () ->
+         note "start";
+         Engine.delay e 0.0;
+         note "woke 1";
+         Engine.delay e 0.0;
+         note "woke 2"));
+  Engine.schedule e ~at:1.0 (fun () ->
+      note "callback";
+      Engine.schedule e ~at:(Engine.now e) (fun () -> note "ring"));
+  Engine.run e;
+  check_order "zero delays"
+    [
+      (1.0, "start");
+      (1.0, "callback");
+      (1.0, "ring");
+      (1.0, "woke 1");
+      (1.0, "woke 2");
+    ]
+    log;
+  check_counts e ~pushes:6 ~dispatched:7 ~suspends:2
+
+(* #0 the spawn at 0; #1 a [schedule_after] callback at 0.5; #2 the wake
+   at 1, after #1, so queued; #3 a second callback at 3; #4 the wake at
+   2, before #3, so in place. *)
+let test_wake_after_scheduled_callback () =
+  let e = Engine.create () in
+  let log, note = logger e in
+  ignore
+    (Engine.spawn e (fun () ->
+         note "start";
+         Engine.schedule_after e 0.5 (fun () -> note "callback 1");
+         Engine.delay e 1.0;
+         note "woke 1";
+         Engine.schedule_after e 2.0 (fun () -> note "callback 2");
+         Engine.delay e 1.0;
+         note "woke 2"));
+  Engine.run e;
+  check_order "a callback due first runs first"
+    [
+      (0.0, "start");
+      (0.5, "callback 1");
+      (1.0, "woke 1");
+      (2.0, "woke 2");
+      (3.0, "callback 2");
+    ]
+    log;
+  check_counts e ~pushes:5 ~dispatched:7 ~suspends:2
+
+(* Only a process can sleep.  Called outside one, [delay] raises, even
+   on an idle engine where a wake would be the next pop, and from a
+   callback the queue runs; nothing moves. *)
+let test_delay_outside_process_raises () =
+  let e = Engine.create () in
+  (match Engine.delay e 1.0 with
+  | () -> Alcotest.fail "delay on an idle engine returned"
+  | exception Effect.Unhandled _ -> ());
+  checkf "clock unmoved" 0.0 (Engine.now e);
+  check_counts e ~pushes:0 ~dispatched:0 ~suspends:0;
+  Engine.schedule e ~at:1.0 (fun () -> Engine.delay e 1.0);
+  (match Engine.run e with
+  | () -> Alcotest.fail "delay in a callback returned"
+  | exception Effect.Unhandled _ -> ());
+  checkf "clock at the callback" 1.0 (Engine.now e);
+  check_counts e ~pushes:1 ~dispatched:1 ~suspends:0
 
 let test_resource_use_allocation b =
   let e = Engine.create () in
@@ -496,7 +665,19 @@ let () =
             test_delay_nan_fails_its_process;
           Alcotest.test_case "yield interleaves" `Quick test_yield_interleaves;
           Alcotest.test_case "delay one hop, allocation-lean" `Quick
-            test_delay_one_hop_allocation;
+            (Alloc_budget.case test_delay_allocation);
+          Alcotest.test_case "in-place wake, lone sleeper" `Quick
+            test_wake_lone_sleeper;
+          Alcotest.test_case "in-place wake, tie with an earlier push" `Quick
+            test_wake_tied_with_earlier_entry;
+          Alcotest.test_case "in-place wake, pending ring entry" `Quick
+            test_wake_behind_pending_ring_entry;
+          Alcotest.test_case "in-place wake, zero delay" `Quick
+            test_wake_zero_delay;
+          Alcotest.test_case "in-place wake, earlier callback" `Quick
+            test_wake_after_scheduled_callback;
+          Alcotest.test_case "delay outside a process raises" `Quick
+            test_delay_outside_process_raises;
           Alcotest.test_case "spawn allocation budget" `Quick
             (Alloc_budget.case test_spawn_allocation);
           QCheck_alcotest.to_alcotest prop_one_hop_matches_two_hop;
