@@ -35,6 +35,15 @@ let default_config =
     use_spawn_to = false;
   }
 
+(* Touch one record of every source.  A toplevel walk with its state as
+   arguments: a [List.iter] closure in the record loop would capture
+   [backend] and the context and be rebuilt for every record. *)
+let rec read_record (backend : Dsm.t) wctx ~bytes = function
+  | [] -> ()
+  | src :: rest ->
+      backend.Dsm.read_part wctx src ~bytes;
+      read_record backend wctx ~bytes rest
+
 (* One query: build the shared index concurrently with chunk processing,
    then hand the output chunks to the next query. *)
 let run_query ~cluster ~(backend : Dsm.t) cfg ctx ~query ~inputs_tied ~input_chunks =
@@ -112,9 +121,7 @@ let run_query ~cluster ~(backend : Dsm.t) cfg ctx ~query ~inputs_tied ~input_chu
         else check_cycles *. Float.of_int (n_sources * record_bytes / 8)
       in
       for _ = 1 to records do
-        List.iter
-          (fun src -> backend.Dsm.read_part wctx src ~bytes:record_bytes)
-          sources;
+        read_record backend wctx ~bytes:record_bytes sources;
         Ctx.compute wctx ~cycles:(cycles_per_record +. element_checks)
       done;
       (* ...and materialize the output chunk locally. *)

@@ -41,6 +41,32 @@ let chain_walk_cycles = 600.0
 
 type bucket = { data : Dsm.handle; lock : Dsm.mutex }
 
+(* Install a value in [b] under its mutex, unlocking on exception.  The
+   bracket is inline: a closure handed to a lock helper would be built
+   on every SET. *)
+let locked_update (backend : Dsm.t) ctx b =
+  backend.Dsm.mutex_lock ctx b.lock;
+  match
+    backend.Dsm.process_update ctx b.data ~cycles:chain_walk_cycles Fun.id
+  with
+  | () -> backend.Dsm.mutex_unlock ctx b.lock
+  | exception e ->
+      backend.Dsm.mutex_unlock ctx b.lock;
+      raise e
+
+(* A read-modify-write of [b] under its mutex: read and process the
+   value, then install the new one. *)
+let locked_rmw (backend : Dsm.t) ctx b ~get_cycles =
+  backend.Dsm.mutex_lock ctx b.lock;
+  match
+    ignore (backend.Dsm.process ctx b.data ~cycles:get_cycles);
+    backend.Dsm.process_update ctx b.data ~cycles:chain_walk_cycles Fun.id
+  with
+  | () -> backend.Dsm.mutex_unlock ctx b.lock
+  | exception e ->
+      backend.Dsm.mutex_unlock ctx b.lock;
+      raise e
+
 let run ~cluster ~(backend : Dsm.t) cfg =
   if cfg.buckets <= 0 || cfg.ops <= 0 then invalid_arg "Kvstore.run: empty workload";
   Appkit.run_main cluster (fun ctx ->
@@ -71,6 +97,10 @@ let run ~cluster ~(backend : Dsm.t) cfg =
       let n_clients = nodes * min cfg.clients_per_node cores in
       let ops_per_client = max 1 (cfg.ops / n_clients) in
       let value_cycles = cfg.intensity *. Float.of_int (value_bytes cfg) in
+      (* The reads' cycle counts, computed once: a float computed at a
+         call through a [Dsm.t] field is boxed on every call. *)
+      let get_cycles = chain_walk_cycles +. value_cycles in
+      let scan_item_cycles = chain_walk_cycles +. (value_cycles /. 4.0) in
       let client c =
         Dthread.spawn_on ctx ~node:(c mod nodes) (fun cctx ->
             let gen =
@@ -92,7 +122,7 @@ let run ~cluster ~(backend : Dsm.t) cfg =
                  Grappa. *)
               ignore
                 (backend.Dsm.process cctx (bucket_of key).data
-                   ~cycles:(chain_walk_cycles +. value_cycles))
+                   ~cycles:get_cycles)
             in
             let do_set key =
               incr sets;
@@ -100,9 +130,7 @@ let run ~cluster ~(backend : Dsm.t) cfg =
               (* Prepare the new value outside the lock... *)
               Ctx.compute cctx ~cycles:(value_cycles /. 2.0);
               (* ...install it under the bucket mutex. *)
-              Dsm.with_mutex backend cctx b.lock (fun () ->
-                  backend.Dsm.process_update cctx b.data
-                    ~cycles:chain_walk_cycles (fun v -> v))
+              locked_update backend cctx b
             in
             let engine = Ctx.engine cctx in
             for _ = 1 to ops_per_client do
@@ -119,17 +147,11 @@ let run ~cluster ~(backend : Dsm.t) cfg =
                     let b = table.((start + i) mod cfg.buckets) in
                     ignore
                       (backend.Dsm.process cctx b.data
-                         ~cycles:(chain_walk_cycles +. (value_cycles /. 4.0)))
+                         ~cycles:scan_item_cycles)
                   done
               | Ycsb.Rmw key ->
                   incr sets;
-                  let b = bucket_of key in
-                  Dsm.with_mutex backend cctx b.lock (fun () ->
-                      ignore
-                        (backend.Dsm.process cctx b.data
-                           ~cycles:(chain_walk_cycles +. value_cycles));
-                      backend.Dsm.process_update cctx b.data
-                        ~cycles:chain_walk_cycles (fun v -> v)));
+                  locked_rmw backend cctx (bucket_of key) ~get_cycles);
               Ctx.flush cctx;
               Drust_util.Stats.add latencies
                 (Drust_sim.Engine.now engine -. op_start)

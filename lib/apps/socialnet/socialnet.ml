@@ -112,6 +112,15 @@ let respond d ctx ~bytes =
   Ctx.charge_cycles ctx
     (d.cfg.serialize_cycles_per_byte *. Float.of_int bytes)
 
+(* Append to each follower's home timeline.  A toplevel walk: a
+   [List.iter] closure would capture [d] and [ctx] on every post. *)
+let rec fan_out d ctx = function
+  | [] -> ()
+  | f :: rest ->
+      hop d ctx ~shard:f ~payload_bytes:256;
+      d.backend.Dsm.update ctx d.timelines.(f) Fun.id;
+      fan_out d ctx rest
+
 let compose_post d ctx ~author ~with_media =
   let cfg = d.cfg in
   let post_bytes = cfg.text_bytes + if with_media then media_bytes else 0 in
@@ -132,11 +141,7 @@ let compose_post d ctx ~author ~with_media =
   d.backend.Dsm.update ctx d.user_timelines.(author) (fun v -> v);
   (* Fan out to follower home timelines. *)
   hop d ctx ~shard:author ~payload_bytes:64;
-  List.iter
-    (fun f ->
-      hop d ctx ~shard:f ~payload_bytes:256;
-      d.backend.Dsm.update ctx d.timelines.(f) (fun v -> v))
-    (Social_graph.followers d.graph author);
+  fan_out d ctx (Social_graph.followers d.graph author);
   respond d ctx ~bytes:256
 
 let read_timeline d ctx ~user ~home =

@@ -25,14 +25,4 @@ type t = {
   mutex_unlock : Ctx.t -> mutex -> unit;
 }
 
-let with_mutex t ctx m f =
-  t.mutex_lock ctx m;
-  match f () with
-  | v ->
-      t.mutex_unlock ctx m;
-      v
-  | exception e ->
-      t.mutex_unlock ctx m;
-      raise e
-
 let foreign name = raise (Foreign_handle name)

@@ -54,8 +54,5 @@ type t = {
   mutex_unlock : Ctx.t -> mutex -> unit;
 }
 
-val with_mutex : t -> Ctx.t -> mutex -> (unit -> 'a) -> 'a
-(** Lock/unlock bracket, releasing on exception. *)
-
 val foreign : string -> 'a
 (** [foreign name] raises {!Foreign_handle} — helper for backends. *)

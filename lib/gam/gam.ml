@@ -19,16 +19,26 @@ let inv_extra = 0.7e-6 (* extra per additional sharer invalidated *)
 (* Directory state of one small-object cache block. *)
 type block_state = Uncached | Shared of int list | Exclusive of int
 
+(* A small-object block's directory entry: its coherence state and the
+   number of live objects packed into it.  The entry goes with the
+   block's last object, not its first: a free must not drop the state
+   its live neighbours are cached under. *)
+type block_entry = { mutable state : block_state; mutable live : int }
+
 (* Large (block-aligned) objects skip the per-block hashtable: block
    coherence state is summarized by a per-node streaming cursor (blocks
    [0, cursor) are Shared at that node) plus the current exclusive
    holder.  Small objects share blocks with their neighbours (the bump
    allocator packs them), so they keep exact per-block state — that is
-   where false sharing lives. *)
+   where false sharing lives.  Both per-node arrays start empty and
+   are allocated on the object's first fault or write: an empty array
+   means "never touched", read as cursor 0 and not resident on every
+   node, so an object nobody touches costs no per-node state. *)
 type big_state = {
-  cursors : int array; (* per node: faulted-prefix length in blocks *)
+  mutable cursors : int array; (* per node: faulted-prefix length in blocks *)
   mutable excl : int option; (* current exclusive writer *)
-  resident : bool array; (* per node: counted against the cache budget *)
+  mutable resident : bool array; (* per node: counted against the cache budget *)
+  bytes : int; (* the object's size, charged to a node's cache budget *)
 }
 
 type layout = Small of int list (* block ids *) | Big of big_state
@@ -52,7 +62,7 @@ let cache_budget = Drust_util.Units.mib 6
 
 type t = {
   cluster : Cluster.t;
-  directory : block_state ref Intmap.t; (* block id -> state *)
+  directory : block_entry Intmap.t; (* block id -> entry *)
   dir_units : Resource.t array; (* per-node directory engines *)
   store : Univ.t Intmap.t; (* object id -> current value *)
   bump : int array; (* per-node allocation cursor in bytes *)
@@ -61,7 +71,7 @@ type t = {
   mutable wmisses : int;
   mutable invs : int;
   cache_bytes : int array;
-  lru : (big_state * int) Queue.t array; (* (state, size); may hold stale *)
+  lru : big_state Queue.t array; (* may hold stale *)
 }
 
 let create cluster =
@@ -81,18 +91,31 @@ let create cluster =
     lru = Array.init (Cluster.node_count cluster) (fun _ -> Queue.create ());
   }
 
+(* [node]'s cursor on [bs]: 0 until the object is first touched. *)
+let cursor (bs : big_state) node =
+  if Array.length bs.cursors = 0 then 0 else bs.cursors.(node)
+
+(* [bs]'s cursors, allocated on the object's first fault or write. *)
+let cursors t (bs : big_state) =
+  if Array.length bs.cursors = 0 then
+    bs.cursors <- Array.make (Cluster.node_count t.cluster) 0;
+  bs.cursors
+
 (* Register a faulted object in the node's bounded cache, evicting LRU
-   residents (their cursors reset, forcing a re-fault) beyond budget. *)
-let note_resident t ~node (bs : big_state) ~size =
+   residents (their cursors reset, forcing a re-fault) beyond budget.
+   Every state in a node's queue has its arrays: it was faulted there. *)
+let note_resident t ~node (bs : big_state) =
+  if Array.length bs.resident = 0 then
+    bs.resident <- Array.make (Cluster.node_count t.cluster) false;
   if not bs.resident.(node) then begin
     bs.resident.(node) <- true;
-    t.cache_bytes.(node) <- t.cache_bytes.(node) + size;
-    Queue.push (bs, size) t.lru.(node)
+    t.cache_bytes.(node) <- t.cache_bytes.(node) + bs.bytes;
+    Queue.push bs t.lru.(node)
   end;
   while
     t.cache_bytes.(node) > cache_budget && not (Queue.is_empty t.lru.(node))
   do
-    let victim, vsize = Queue.pop t.lru.(node) in
+    let victim = Queue.pop t.lru.(node) in
     if
       victim.resident.(node)
       && ((victim != bs)
@@ -102,15 +125,25 @@ let note_resident t ~node (bs : big_state) ~size =
     then begin
       victim.resident.(node) <- false;
       victim.cursors.(node) <- 0;
-      t.cache_bytes.(node) <- t.cache_bytes.(node) - vsize
+      t.cache_bytes.(node) <- t.cache_bytes.(node) - victim.bytes
     end
     else if
       ((victim == bs)
       [@dlint.allow
         "determinism: identity test on unique mutable cache records — \
          the object being inserted must not evict itself"])
-    then Queue.push (victim, vsize) t.lru.(node)
+    then Queue.push victim t.lru.(node)
   done
+
+(* Block [b]'s directory entry, created Uncached with no live object
+   when first needed. *)
+let entry t b =
+  match Intmap.find t.directory b with
+  | e -> e
+  | exception Not_found ->
+      let e = { state = Uncached; live = 0 } in
+      Intmap.set t.directory b e;
+      e
 
 (* Globally unique block ids: 2^34 bytes of virtual space per node. *)
 let block_id ~node ~byte = (node lsl 34) lor (byte / block_size)
@@ -120,7 +153,6 @@ let alloc_on t ctx ~node ~size v =
   let oid = t.next_oid in
   t.next_oid <- oid + 1;
   Intmap.set t.store oid v;
-  let nodes = Cluster.node_count t.cluster in
   if size >= block_size then begin
     (* Align large objects so their blocks are private to them. *)
     let aligned =
@@ -133,13 +165,7 @@ let alloc_on t ctx ~node ~size v =
       obj_home = node;
       nblocks;
       size;
-      layout =
-        Big
-          {
-            cursors = Array.make nodes 0;
-            excl = None;
-            resident = Array.make nodes false;
-          };
+      layout = Big { cursors = [||]; excl = None; resident = [||]; bytes = size };
     }
   end
   else begin
@@ -147,6 +173,10 @@ let alloc_on t ctx ~node ~size v =
     t.bump.(node) <- start + max 1 size;
     let first = block_id ~node ~byte:start in
     let last = block_id ~node ~byte:(start + max 1 size - 1) in
+    for b = first to last do
+      let e = entry t b in
+      e.live <- e.live + 1
+    done;
     {
       oid;
       obj_home = node;
@@ -159,14 +189,6 @@ let alloc_on t ctx ~node ~size v =
 let alloc t ctx ~size v = alloc_on t ctx ~node:ctx.Ctx.node ~size v
 
 let home h = h.obj_home
-
-let state_ref t b =
-  match Intmap.find t.directory b with
-  | r -> r
-  | exception Not_found ->
-      let r = ref Uncached in
-      Intmap.set t.directory b r;
-      r
 
 let distinct (l : int list) = List.sort_uniq Int.compare l
 
@@ -236,21 +258,21 @@ let has_exclusive node = function
 let rec unshared t node = function
   | [] -> []
   | b :: rest ->
-      if has_shared node !(state_ref t b) then unshared t node rest
+      if has_shared node (entry t b).state then unshared t node rest
       else b :: unshared t node rest
 
 (* The blocks [node] does not hold Exclusive. *)
 let rec unowned t node = function
   | [] -> []
   | b :: rest ->
-      if has_exclusive node !(state_ref t b) then unowned t node rest
+      if has_exclusive node (entry t b).state then unowned t node rest
       else b :: unowned t node rest
 
 (* No block is held Exclusive by a node other than [node]. *)
 let rec none_foreign_exclusive t node = function
   | [] -> true
   | b :: rest -> (
-      match !(state_ref t b) with
+      match (entry t b).state with
       | Exclusive o when o <> node -> false
       | Exclusive _ | Shared _ | Uncached -> none_foreign_exclusive t node rest)
 
@@ -258,7 +280,7 @@ let rec none_foreign_exclusive t node = function
 let rec foreign_exclusives t node = function
   | [] -> []
   | b :: rest -> (
-      match !(state_ref t b) with
+      match (entry t b).state with
       | Exclusive o when o <> node -> o :: foreign_exclusives t node rest
       | Exclusive _ | Shared _ | Uncached -> foreign_exclusives t node rest)
 
@@ -266,7 +288,7 @@ let rec foreign_exclusives t node = function
 let rec foreign_holders t node = function
   | [] -> []
   | b :: rest -> (
-      match !(state_ref t b) with
+      match (entry t b).state with
       | Uncached -> foreign_holders t node rest
       | Shared nodes ->
           List.filter (fun n -> n <> node) nodes @ foreign_holders t node rest
@@ -277,20 +299,20 @@ let rec foreign_holders t node = function
 let rec add_sharer t node = function
   | [] -> ()
   | b :: rest ->
-      let r = state_ref t b in
+      let e = entry t b in
       let sharers =
-        match !r with
+        match e.state with
         | Uncached -> [ node ]
         | Shared nodes -> distinct (node :: nodes)
         | Exclusive o -> distinct [ node; o ]
       in
-      r := Shared sharers;
+      e.state <- Shared sharers;
       add_sharer t node rest
 
 let rec set_exclusive t excl = function
   | [] -> ()
   | b :: rest ->
-      state_ref t b := excl;
+      (entry t b).state <- excl;
       set_exclusive t excl rest
 
 let small_read t ctx h blocks_ =
@@ -338,7 +360,7 @@ let small_acquire t ctx h blocks_ =
 (* Fault [want] blocks starting at the node's cursor. *)
 let big_fault t ctx h (bs : big_state) ~want =
   let node = ctx.Ctx.node in
-  let cursor = bs.cursors.(node) in
+  let cursor = cursor bs node in
   let served = min want (h.nblocks - cursor) in
   if served <= 0 then Ctx.charge_cycles ctx hit_check_cycles
   else begin
@@ -361,8 +383,8 @@ let big_fault t ctx h (bs : big_state) ~want =
          ~nblocks:served ~third_parties:third
          ~third_bytes:(served * block_size)
      end);
-    bs.cursors.(node) <- cursor + served;
-    if h.obj_home <> node then note_resident t ~node bs ~size:h.size
+    (cursors t bs).(node) <- cursor + served;
+    if h.obj_home <> node then note_resident t ~node bs
   end
 
 (* Another node holds [bs] exclusive: [node]'s cursor is stale.  A
@@ -370,24 +392,33 @@ let big_fault t ctx h (bs : big_state) ~want =
 let stale_writer bs node =
   match bs.excl with Some o -> o <> node | None -> false
 
+(* Reset [node]'s stale cursor.  A stale writer has touched the object,
+   so its cursors exist. *)
+let drop_stale bs node = if stale_writer bs node then bs.cursors.(node) <- 0
+
 let big_read_all t ctx h bs =
   let node = ctx.Ctx.node in
   (* A stale exclusive holder forces a round even with a full cursor. *)
-  if stale_writer bs node then bs.cursors.(node) <- 0;
-  big_fault t ctx h bs ~want:(h.nblocks - bs.cursors.(node))
+  drop_stale bs node;
+  big_fault t ctx h bs ~want:(h.nblocks - cursor bs node)
+
+(* The nodes other than [node] with faulted blocks among nodes
+   [0, m], in ascending order, onto [acc].  A cursor array that was
+   never allocated has no sharers: [m] starts at its length less 1. *)
+let rec sharers bs node m acc =
+  if m < 0 then acc
+  else
+    sharers bs node (m - 1)
+      (if m <> node && bs.cursors.(m) > 0 then m :: acc else acc)
 
 let big_acquire t ctx h bs =
   let node = ctx.Ctx.node in
   if (match bs.excl with Some o -> o = node | None -> false) then
     Ctx.charge_cycles ctx hit_check_cycles
   else begin
-    let sharers = ref [] in
-    Array.iteri
-      (fun m c -> if m <> node && c > 0 then sharers := m :: !sharers)
-      bs.cursors;
     let third =
       distinct
-        (!sharers
+        (sharers bs node (Array.length bs.cursors - 1) []
         @ match bs.excl with Some o when o <> node -> [ o ] | Some _ | None -> [])
     in
     (if h.obj_home = node && third = [] then
@@ -398,8 +429,9 @@ let big_acquire t ctx h bs =
        directory_round t ctx ~home:h.obj_home ~resp_bytes:32 ~nblocks:h.nblocks
          ~third_parties:third ~third_bytes:32
      end);
-    Array.iteri (fun m _ -> bs.cursors.(m) <- 0) bs.cursors;
-    bs.cursors.(node) <- h.nblocks;
+    let cursors = cursors t bs in
+    Array.fill cursors 0 (Array.length cursors) 0;
+    cursors.(node) <- h.nblocks;
     bs.excl <- Some node
   end
 
@@ -416,8 +448,8 @@ let read_part t ctx h ~bytes =
   | Small blocks_ -> small_read t ctx h blocks_
   | Big bs ->
       let node = ctx.Ctx.node in
-      if stale_writer bs node then bs.cursors.(node) <- 0;
-      if bs.cursors.(node) >= h.nblocks then
+      drop_stale bs node;
+      if cursor bs node >= h.nblocks then
         Ctx.charge_cycles ctx hit_check_cycles
       else begin
         (* Strict on-demand faulting: one block per directory round (GAM
@@ -425,7 +457,7 @@ let read_part t ctx h ~bytes =
            round per block it crosses. *)
         let rounds = max 1 ((bytes + block_size - 1) / block_size) in
         for _ = 1 to rounds do
-          if bs.cursors.(node) < h.nblocks then big_fault t ctx h bs ~want:1
+          if cursor bs node < h.nblocks then big_fault t ctx h bs ~want:1
         done
       end
 
@@ -450,12 +482,28 @@ let update t ctx h f =
   | v -> Intmap.set t.store h.oid (f v)
   | exception Not_found -> invalid_arg "Gam.update: freed object"
 
+(* The freed object leaves its blocks; a block's entry goes with its
+   last live object. *)
+let rec release_blocks t = function
+  | [] -> ()
+  | b :: rest ->
+      (match Intmap.find t.directory b with
+      | e ->
+          e.live <- e.live - 1;
+          if e.live <= 0 then Intmap.remove t.directory b
+      | exception Not_found -> ());
+      release_blocks t rest
+
 let free t ctx h =
   Ctx.charge_cycles ctx 120.0;
-  Intmap.remove t.store h.oid;
-  match h.layout with
-  | Small blocks_ -> List.iter (fun b -> Intmap.remove t.directory b) blocks_
-  | Big _ -> ()
+  (* A second free of the object must not count it out of its blocks
+     again. *)
+  if Intmap.mem t.store h.oid then begin
+    Intmap.remove t.store h.oid;
+    match h.layout with
+    | Small blocks_ -> release_blocks t blocks_
+    | Big _ -> ()
+  end
 
 let read_misses t = t.rmisses
 let write_misses t = t.wmisses

@@ -179,8 +179,9 @@ let test_socialnet_dsm_beats_original () =
    each op's own words remain, its latency sample and its share of the
    percentile sort included.  YCSB A runs the update path as well: the
    bucket mutex and the DRust mutable borrow.  A sort that boxes its
-   comparisons, or a closure per lock attempt, write or spawn, shows
-   here. *)
+   comparisons, a closure per lock attempt, write or spawn, or a cycle
+   count computed per call through a [Dsm.t] field, which boxes it,
+   shows here. *)
 let kv_words_per_op system workload =
   let words ops =
     let cluster = Cluster.create (tiny_params 2) in
@@ -210,12 +211,49 @@ let kv_words_per_bucket system =
   (words (2 * buckets) -. words buckets) /. float_of_int buckets
 
 let test_kv_allocation b =
-  Alloc_budget.check b "KV op on Original" ~max:16.0
+  Alloc_budget.check b "KV op on Original" ~max:11.0
     (kv_words_per_op Simplan.Original None);
-  Alloc_budget.check b "KV op on DRust, YCSB A" ~max:32.0
+  Alloc_budget.check b "KV op on GAM" ~max:16.5
+    (kv_words_per_op Simplan.Gam None);
+  Alloc_budget.check b "KV op on Grappa" ~max:20.0
+    (kv_words_per_op Simplan.Grappa None);
+  Alloc_budget.check b "KV op on DRust, YCSB A" ~max:28.0
     (kv_words_per_op Simplan.Drust (Some Ycsb.A));
   Alloc_budget.check b "KV table build on DRust, per bucket" ~max:56.0
     (kv_words_per_bucket Simplan.Drust)
+
+(* Host words per record of DataFrame's record loop on 2 nodes: a run
+   with chunks of twice the records less a run with the records, so
+   that the set-up, the index and the tasks cancel and each record's own
+   words remain: its fragment reads of every source and its compute.
+   The per-record cycle count is the same at both sizes.  A closure
+   built per record shows here on every backend. *)
+let df_words_per_record system =
+  let chunk_bytes = tiny_df.Df.chunk_bytes in
+  let words chunk_bytes =
+    let cluster = Cluster.create (tiny_params 2) in
+    let backend = Simplan.make_backend system cluster in
+    let w0 = Gc.minor_words () in
+    ignore (Df.run ~cluster ~backend { tiny_df with Df.chunk_bytes });
+    Gc.minor_words () -. w0
+  in
+  let records =
+    tiny_df.Df.partitions * tiny_df.Df.queries * chunk_bytes / 512
+  in
+  (words (2 * chunk_bytes) -. words chunk_bytes) /. float_of_int records
+
+let test_dataframe_allocation b =
+  List.iter
+    (fun (system, max) ->
+      Alloc_budget.check b
+        (Printf.sprintf "DataFrame record on %s" (Simplan.system_name system))
+        ~max (df_words_per_record system))
+    [
+      (Simplan.Drust, 2.5);
+      (Simplan.Gam, 9.0);
+      (Simplan.Grappa, 11.0);
+      (Simplan.Original, 3.0);
+    ]
 
 let test_determinism () =
   (* Same seed, same cluster, same workload -> identical throughput. *)
@@ -259,5 +297,7 @@ let () =
           Alcotest.test_case "determinism" `Quick test_determinism;
           Alcotest.test_case "kv allocation budget" `Quick
             (Alloc_budget.case test_kv_allocation);
+          Alcotest.test_case "dataframe allocation budget" `Quick
+            (Alloc_budget.case test_dataframe_allocation);
         ] );
     ]

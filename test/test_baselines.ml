@@ -125,6 +125,37 @@ let test_gam_false_sharing () =
       Alcotest.(check bool) "false-sharing miss" true
         (Gam.read_misses g > misses0))
 
+(* Freeing one of two 64 B objects packed into a block, even twice,
+   must keep the block's directory state for the live one: node 1's cached copy of a
+   is still there, so node 0's write of a must take a directory round
+   that invalidates it, not the home's local fast path. *)
+let test_gam_free_keeps_neighbour_state () =
+  in_cluster ~nodes:2 (fun cluster ctx ->
+      let g = Gam.create cluster in
+      let d = Gam.backend g in
+      let a = d.Dsm.alloc_on ctx ~node:0 ~size:64 (pack 1) in
+      let b = d.Dsm.alloc_on ctx ~node:0 ~size:64 (pack 2) in
+      let reader =
+        Dthread.spawn_on ctx ~node:1 (fun w -> ignore (d.Dsm.read w a))
+      in
+      Dthread.join ctx reader;
+      d.Dsm.free ctx b;
+      (* A repeated free must not count b out of the block twice. *)
+      d.Dsm.free ctx b;
+      let invs0 = Gam.invalidations_sent g
+      and wmisses0 = Gam.write_misses g in
+      d.Dsm.write ctx a (pack 10);
+      Alcotest.(check int) "node 1's copy of a invalidated" 1
+        (Gam.invalidations_sent g - invs0);
+      Alcotest.(check int) "write took a directory round" 1
+        (Gam.write_misses g - wmisses0);
+      let reader2 =
+        Dthread.spawn_on ctx ~node:1 (fun w ->
+            Alcotest.(check int) "node 1 reads the new a" 10
+              (unpack (d.Dsm.read w a)))
+      in
+      Dthread.join ctx reader2)
+
 let test_gam_small_object_spans_blocks () =
   in_cluster (fun cluster ctx ->
       let g = Gam.create cluster in
@@ -295,7 +326,8 @@ let backend_semantics system () =
           pack (unpack v * 2));
       Alcotest.(check int) "process_update" 24 (unpack (backend.Dsm.read ctx h));
       let m = backend.Dsm.mutex_create ctx in
-      Dsm.with_mutex backend ctx m (fun () -> ());
+      backend.Dsm.mutex_lock ctx m;
+      backend.Dsm.mutex_unlock ctx m;
       backend.Dsm.free ctx h)
 
 let test_foreign_handle_rejected () =
@@ -377,6 +409,36 @@ let test_gam_ping_pong_allocation b =
          d.Dsm.write ctx0 h v;
          ignore (d.Dsm.read ctx1 h)))
 
+(* GAM's per-object costs at 8 nodes.  A block-aligned object's
+   per-node cursor and residency arrays wait for its first fault or
+   write, so an allocation is its handle and state alone.  A re-fault
+   after an LRU eviction, run by a lone process whose fabric waits wake
+   in place, costs the one queue cell that makes the object resident
+   again: node 0 cycles through three 3 MiB objects homed on node 1,
+   two of which fit its 6 MiB cache, so every read re-faults the object
+   evicted two reads before. *)
+let test_gam_object_allocation b =
+  let cluster = Cluster.create (small_params 8) in
+  let d = Gam.backend (Gam.create cluster) in
+  let ctx0 = Ctx.make cluster ~node:0 and v = pack 0 in
+  Alloc_budget.check b "GAM alloc_on of a block-aligned object, 8 nodes"
+    ~max:17.0
+    (Alloc_budget.per_call (Cluster.engine cluster)
+       ~run:(fun () -> Cluster.run cluster)
+       (fun _ -> ignore (d.Dsm.alloc_on ctx0 ~node:1 ~size:2048 v)));
+  let objs =
+    Array.init 3 (fun _ ->
+        d.Dsm.alloc_on ctx0 ~node:1 ~size:(Drust_util.Units.mib 3) v)
+  in
+  ignore
+    (Engine.spawn (Cluster.engine cluster) (fun () ->
+         Array.iter (fun h -> ignore (d.Dsm.read ctx0 h)) objs));
+  Cluster.run cluster;
+  Alloc_budget.check b "GAM re-fault after an LRU eviction" ~max:3.5
+    (Alloc_budget.per_call ~n:3_000 (Cluster.engine cluster)
+       ~run:(fun () -> Cluster.run cluster)
+       (fun i -> ignore (d.Dsm.read ctx0 objs.(i mod 3))))
+
 let () =
   Alcotest.run "baselines"
     [
@@ -388,10 +450,14 @@ let () =
           Alcotest.test_case "second read hits" `Quick test_gam_second_read_hits;
           Alcotest.test_case "write invalidates" `Quick test_gam_write_invalidates_reader;
           Alcotest.test_case "false sharing" `Quick test_gam_false_sharing;
+          Alcotest.test_case "free keeps neighbour state" `Quick
+            test_gam_free_keeps_neighbour_state;
           Alcotest.test_case "spans blocks" `Quick test_gam_small_object_spans_blocks;
           Alcotest.test_case "bounded cache" `Quick test_gam_bounded_cache_evicts;
           Alcotest.test_case "ping-pong allocation budget" `Quick
             (Alloc_budget.case test_gam_ping_pong_allocation);
+          Alcotest.test_case "object allocation budgets" `Quick
+            (Alloc_budget.case test_gam_object_allocation);
           Alcotest.test_case "mutex serializes" `Quick test_gam_mutex_serializes;
         ] );
       ( "grappa",
