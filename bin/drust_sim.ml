@@ -28,23 +28,8 @@ open Cmdliner
 
 let prog = "drust_sim"
 
-let app_conv =
-  Arg.enum
-    [
-      ("dataframe", Simplan.Dataframe_app);
-      ("socialnet", Simplan.Socialnet_app);
-      ("gemm", Simplan.Gemm_app);
-      ("kvstore", Simplan.Kvstore_app);
-    ]
-
-let system_conv =
-  Arg.enum
-    [
-      ("drust", Simplan.Drust);
-      ("gam", Simplan.Gam);
-      ("grappa", Simplan.Grappa);
-      ("original", Simplan.Original);
-    ]
+let app_conv = Arg.enum Simplan.apps
+let system_conv = Arg.enum Simplan.systems
 
 let app_t =
   Arg.(

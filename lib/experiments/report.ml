@@ -181,43 +181,65 @@ let recorded_entries () =
 let recorded_rates () =
   List.map (fun (k, e) -> (k, e.be_rate)) (recorded_entries ())
 
-(* Summary values round to 6 significant digits before encoding: the
-   historical precision, plenty for a 10%-tolerance gate, and it keeps
-   the emitted file stable under refactors of internal float paths. *)
-let num6 v = Json.Num (float_of_string (Printf.sprintf "%.6g" v))
+type summary_entry = {
+  se_rate : float;
+  se_latency_us : (string * float) list;
+  se_host_ms : float option;
+  se_host_rate : float option;
+}
+type summary = { sm_schema : string; sm_entries : (string * summary_entry) list }
 
 (* Schema documented in docs/BENCHMARKS.md: one entry per experiment
    that called [record_rate], keyed by experiment name; entries with a
    latency histogram additionally carry [latency_us] percentiles. *)
-let write_bench_summary ~path =
-  let entry (_, e) =
-    Json.Obj
-      ([ ("ops_per_sim_sec", num6 e.be_rate) ]
-      @ (match e.be_latency with
-        | Some h when h.Metrics.h_count > 0 ->
-            [
-              ( "latency_us",
-                Json.Obj
-                  (List.map
-                     (fun (label, v) -> (label, num6 v))
-                     (latency_percentiles h)) );
-            ]
-        | _ -> [])
-      @ (match e.be_host_ms with
-        | Some ms -> [ ("host_ms", num6 ms) ]
-        | None -> [])
-      @
-      match e.be_host_rate with
-      | Some r -> [ ("host_events_per_sec", num6 r) ]
-      | None -> [])
+let summary_codec =
+  let entry =
+    Json.(
+      record (fun se_rate latency se_host_ms se_host_rate ->
+          let se_latency_us = Option.value latency ~default:[] in
+          { se_rate; se_latency_us; se_host_ms; se_host_rate })
+      |> field "ops_per_sim_sec" number (fun e -> e.se_rate)
+      |> optional "latency_us" (assoc number) (fun e ->
+             if e.se_latency_us = [] then None else Some e.se_latency_us)
+      |> optional "host_ms" number (fun e -> e.se_host_ms)
+      |> optional "host_events_per_sec" number (fun e -> e.se_host_rate)
+      |> seal)
   in
-  let entries = recorded_entries () in
+  Json.(
+    record (fun sm_entries -> { sm_schema = schema_version; sm_entries })
+    |> const "schema" schema_version
+    |> field "entries" (assoc entry) (fun s -> s.sm_entries)
+    |> seal)
+
+let summary_keys =
+  List.sort_uniq String.compare
+    (Json.field_names summary_codec @ List.map fst percentile_points)
+
+(* Summary values round to 6 significant digits: the historical
+   precision, plenty for a 10%-tolerance gate, and it keeps the emitted
+   file stable under refactors of internal float paths. *)
+let round6 v = float_of_string (Printf.sprintf "%.6g" v)
+
+let summary_entry e =
+  {
+    se_rate = round6 e.be_rate;
+    se_latency_us =
+      (match e.be_latency with
+      | Some h when h.Metrics.h_count > 0 ->
+          List.map (fun (label, v) -> (label, round6 v)) (latency_percentiles h)
+      | _ -> []);
+    se_host_ms = Option.map round6 e.be_host_ms;
+    se_host_rate = Option.map round6 e.be_host_rate;
+  }
+
+let write_bench_summary ~path =
   Json.save ~path
-    (Json.Obj
-       [
-         ("schema", Json.Str schema_version);
-         ("entries", Json.Obj (List.map (fun (k, e) -> (k, entry (k, e))) entries));
-       ])
+    (Json.encode summary_codec
+       {
+         sm_schema = schema_version;
+         sm_entries =
+           List.map (fun (k, e) -> (k, summary_entry e)) (recorded_entries ());
+       })
 
 (* ------------------------------------------------------------------ *)
 (* Plan artifacts                                                      *)
@@ -232,33 +254,7 @@ let emit_plan plan =
 (* ------------------------------------------------------------------ *)
 (* Summary reading and comparison (the bench_diff regression gate)     *)
 
-type summary_entry = {
-  se_rate : float;
-  se_latency_us : (string * float) list;
-  se_host_ms : float option;
-  se_host_rate : float option;
-}
-type summary = { sm_schema : string; sm_entries : (string * summary_entry) list }
-
-let summary_entry_of_json o =
-  {
-    se_rate = Json.req o "ops_per_sim_sec" Json.number;
-    se_latency_us =
-      Option.value ~default:[]
-        (Json.opt o "latency_us" (Json.assoc Json.number));
-    se_host_ms = Json.opt o "host_ms" Json.number;
-    se_host_rate = Json.opt o "host_events_per_sec" Json.number;
-  }
-
-let summary_of_json o =
-  {
-    sm_schema = Json.req o "schema" (Json.exactly schema_version);
-    sm_entries =
-      Json.req o "entries" (Json.assoc (Json.obj summary_entry_of_json));
-  }
-
-let read_bench_summary ~path =
-  Json.decode_file ~path (Json.obj summary_of_json)
+let read_bench_summary ~path = Json.decode_file ~path summary_codec
 
 let compare_summaries ?(tolerance = 0.10) ?(tolerance_host = 2.0) ~baseline
     current =

@@ -105,10 +105,14 @@ type summary = {
 }
 
 val read_bench_summary : path:string -> (summary, string) result
-(** Decode a summary file through the strict {!Drust_util.Json}
-    readers: [Error "<file>: <path>: <problem>"] on unreadable input,
-    another schema, an unknown or duplicate key, or a wrongly typed
-    field. *)
+(** Decode a summary file through the strict {!Drust_util.Json} codec
+    {!write_bench_summary} encodes with: [Error "<file>: <path>:
+    <problem>"] on unreadable input, another schema, an unknown or
+    duplicate key, or a wrongly typed field. *)
+
+val summary_keys : string list
+(** Every key a summary can carry: its codec's field names and the
+    latency percentile labels, sorted (check 11 of tools/check_docs.ml). *)
 
 val compare_summaries :
   ?tolerance:float ->

@@ -244,103 +244,67 @@ let dump t ~reason ?object_ ~now () =
 
 let schema = "drust-flight/v1"
 
-let field_names =
-  [
-    "schema";
-    "label";
-    "reason";
-    "nodes";
-    "ring";
-    "time";
-    "object";
-    "events";
-    "slice";
-    "t";
-    "node";
-    "kind";
-    "a";
-    "b";
-    "c";
-    "d";
-  ]
-
-let event_to_json e =
-  Json.Obj
-    [
-      ("t", Json.Num e.ev_time);
-      ("node", Json.Num (float_of_int e.ev_node));
-      ("kind", Json.Str (kind_name e.ev_kind));
-      ("a", Json.Num (float_of_int e.ev_a));
-      ("b", Json.Num (float_of_int e.ev_b));
-      ("c", Json.Num (float_of_int e.ev_c));
-      ("d", Json.Num (float_of_int e.ev_d));
-    ]
-
-let to_json d =
-  Json.Obj
-    [
-      ("schema", Json.Str schema);
-      ("label", Json.Str d.dm_label);
-      ("reason", Json.Str d.dm_reason);
-      ("nodes", Json.Num (float_of_int d.dm_nodes));
-      ("ring", Json.Num (float_of_int d.dm_ring));
-      ("time", Json.Num d.dm_time);
-      ( "object",
-        match d.dm_object with
-        | None -> Json.Null
-        | Some p -> Json.Num (float_of_int p) );
-      ("events", Json.Arr (List.map event_to_json d.dm_events));
-      ("slice", Json.Arr (List.map event_to_json d.dm_slice));
-    ]
-
-let kind_of_name s =
-  let rec go i =
-    if i >= Array.length kind_names then None
-    else if String.equal kind_names.(i) s then Some i
-    else go (i + 1)
-  in
-  go 0
-
 let at_least min =
   Json.refine
     (fun n ->
       if n >= min then Ok n
       else Error (Printf.sprintf "%d, must be >= %d" n min))
-    Json.int
+    Fun.id Json.int
 
-let event_of_json nodes o =
-  let int k = Json.req o k Json.int in
-  let on_cluster n =
-    if n >= 0 && n < nodes then Ok n
-    else Error (Printf.sprintf "event on node %d of a %d-node dump" n nodes)
+let event_codec =
+  Json.(
+    record (fun ev_time ev_node ev_kind ev_a ev_b ev_c ev_d ->
+        { ev_time; ev_node; ev_kind; ev_a; ev_b; ev_c; ev_d })
+    |> field "t" number (fun e -> e.ev_time)
+    |> field "node" int (fun e -> e.ev_node)
+    |> field "kind"
+         (enum "kind" (List.mapi (fun i n -> (n, i)) (Array.to_list kind_names)))
+         (fun e -> e.ev_kind)
+    |> field "a" int (fun e -> e.ev_a)
+    |> field "b" int (fun e -> e.ev_b)
+    |> field "c" int (fun e -> e.ev_c)
+    |> field "d" int (fun e -> e.ev_d)
+    |> seal)
+
+(* Every event sits on one of the dump's nodes; the slice is checked
+   first, as it is decoded first. *)
+let on_cluster d =
+  let off key i e =
+    if e.ev_node >= 0 && e.ev_node < d.dm_nodes then None
+    else
+      Some
+        ( Printf.sprintf ".%s[%d].node" key i,
+          Printf.sprintf "event on node %d of a %d-node dump" e.ev_node
+            d.dm_nodes )
   in
-  {
-    ev_time = Json.req o "t" Json.number;
-    ev_node = Json.req o "node" (Json.refine on_cluster Json.int);
-    ev_kind = Json.req o "kind" (Json.enum "kind" kind_of_name);
-    ev_a = int "a";
-    ev_b = int "b";
-    ev_c = int "c";
-    ev_d = int "d";
-  }
+  let find key evs = List.find_mapi (off key) evs in
+  match (find "slice" d.dm_slice, find "events" d.dm_events) with
+  | Some err, _ | None, Some err -> Error err
+  | None, None -> Ok ()
 
-let dump_of_json o =
-  ignore (Json.req o "schema" (Json.exactly schema));
-  let nodes = Json.req o "nodes" (at_least 1) in
-  let events k = Json.req o k (Json.list (Json.obj (event_of_json nodes))) in
-  {
-    dm_label = Json.req o "label" Json.string;
-    dm_reason = Json.req o "reason" Json.string;
-    dm_nodes = nodes;
-    dm_ring = Json.req o "ring" (at_least 1);
-    dm_time = Json.req o "time" Json.number;
-    dm_object = Option.join (Json.opt o "object" (Json.nullable Json.int));
-    dm_events = events "events";
-    dm_slice = events "slice";
-  }
+let codec =
+  Json.(
+    record (fun dm_label dm_reason dm_nodes dm_ring dm_time dm_object dm_events
+             dm_slice ->
+        let dm_object = Option.join dm_object in
+        { dm_label; dm_reason; dm_nodes; dm_ring; dm_time; dm_object;
+          dm_events; dm_slice })
+    |> const "schema" schema
+    |> field "label" string (fun d -> d.dm_label)
+    |> field "reason" string (fun d -> d.dm_reason)
+    |> field "nodes" (at_least 1) (fun d -> d.dm_nodes)
+    |> field "ring" (at_least 1) (fun d -> d.dm_ring)
+    |> field "time" number (fun d -> d.dm_time)
+    (* always written, [null] when there is no object; absent reads as
+       [null] *)
+    |> optional "object" (nullable int) (fun d -> Some d.dm_object)
+    |> field "events" (list event_codec) (fun d -> d.dm_events)
+    |> field "slice" (list event_codec) (fun d -> d.dm_slice)
+    |> seal |> check on_cluster)
 
-let save ~path d = Json.save ~path (to_json d)
-let load ~path = Json.decode_file ~path (Json.obj dump_of_json)
+let field_names = Json.field_names codec
+let save ~path d = Json.save ~path (Json.encode codec d)
+let load ~path = Json.decode_file ~path codec
 
 (* ------------------------------------------------------------------ *)
 (* Automatic dumps on failure *)

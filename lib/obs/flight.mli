@@ -125,7 +125,8 @@ val schema : string
 
 val field_names : string list
 (** Every field name of the dump JSON encoding, top-level and
-    per-event — the docs/FORENSICS.md table is checked against this. *)
+    per-event, sorted and derived from the codec's declaration — the
+    docs/FORENSICS.md table is checked against this. *)
 
 val load : path:string -> (dump, string) result
 (** Strict, as docs/FORENSICS.md lists: [Error "<file>: <path>:

@@ -19,18 +19,8 @@ let system_name = function
 
 let all_systems = [ Drust; Gam; Grappa ]
 
-let system_slug = function
-  | Drust -> "drust"
-  | Gam -> "gam"
-  | Grappa -> "grappa"
-  | Original -> "original"
-
-let system_of_slug = function
-  | "drust" -> Some Drust
-  | "gam" -> Some Gam
-  | "grappa" -> Some Grappa
-  | "original" -> Some Original
-  | _ -> None
+let systems =
+  [ ("drust", Drust); ("gam", Gam); ("grappa", Grappa); ("original", Original) ]
 
 let app_name = function
   | Dataframe_app -> "DataFrame"
@@ -40,18 +30,11 @@ let app_name = function
 
 let all_apps = [ Dataframe_app; Socialnet_app; Gemm_app; Kvstore_app ]
 
-let app_slug = function
-  | Dataframe_app -> "dataframe"
-  | Socialnet_app -> "socialnet"
-  | Gemm_app -> "gemm"
-  | Kvstore_app -> "kvstore"
+let apps =
+  [ ("dataframe", Dataframe_app); ("socialnet", Socialnet_app);
+    ("gemm", Gemm_app); ("kvstore", Kvstore_app) ]
 
-let app_of_slug = function
-  | "dataframe" -> Some Dataframe_app
-  | "socialnet" -> Some Socialnet_app
-  | "gemm" -> Some Gemm_app
-  | "kvstore" -> Some Kvstore_app
-  | _ -> None
+let slug table x = fst (List.find (fun (_, y) -> y = x) table)
 
 let make_backend system cluster =
   match system with
@@ -138,7 +121,7 @@ let app_plan ?name ?(affinity = false) ?(pass_by_value = false) ~params app
     match name with
     | Some n -> n
     | None ->
-        Printf.sprintf "%s-%s-%dn" (app_slug app) (system_slug system)
+        Printf.sprintf "%s-%s-%dn" (slug apps app) (slug systems system)
           topology.nodes
   in
   {
@@ -167,7 +150,7 @@ let ycsb_plan ?name ~params ~mix ~ops system =
     match name with
     | Some n -> n
     | None ->
-        Printf.sprintf "ycsb-%s-%s-%dn" (mix_slug mix) (system_slug system)
+        Printf.sprintf "ycsb-%s-%s-%dn" (mix_slug mix) (slug systems system)
           topology.nodes
   in
   {
@@ -267,272 +250,175 @@ let suite_plan ?node_counts ?churn_nodes ?(seed = 42) ~name experiments =
 (* ------------------------------------------------------------------ *)
 (* Codec                                                               *)
 
-let num_of_int i = Json.Num (float_of_int i)
-let ints xs = Json.Arr (List.map num_of_int xs)
+let topology_codec =
+  Json.(
+    record (fun nodes cores_per_node mem_per_node ghz seed ->
+        { nodes; cores_per_node; mem_per_node; ghz; seed })
+    |> field "nodes" int (fun t -> t.nodes)
+    |> field "cores_per_node" int (fun t -> t.cores_per_node)
+    |> field "mem_per_node" int (fun t -> t.mem_per_node)
+    |> field "ghz" number (fun t -> t.ghz)
+    |> field "seed" int (fun t -> t.seed)
+    |> seal)
 
-let topology_json t =
-  Json.Obj
-    [
-      ("nodes", num_of_int t.nodes);
-      ("cores_per_node", num_of_int t.cores_per_node);
-      ("mem_per_node", num_of_int t.mem_per_node);
-      ("ghz", Json.Num t.ghz);
-      ("seed", num_of_int t.seed);
-    ]
+let event_codec =
+  Json.(
+    variant "fault event kind"
+      [
+        case "crash"
+          (record (fun node at -> (node, at))
+          |> field "node" int fst
+          |> field "at" number snd)
+          (fun (node, at) -> Crash { node; at })
+          (function Crash { node; at } -> Some (node, at) | _ -> None);
+        case "partition"
+          (record (fun group at heal_at -> (group, at, heal_at))
+          |> field "group" (list int) (fun (g, _, _) -> g)
+          |> field "at" number (fun (_, a, _) -> a)
+          |> field "heal_at" number (fun (_, _, h) -> h))
+          (fun (group, at, heal_at) -> Partition { group; at; heal_at })
+          (function
+            | Partition { group; at; heal_at } -> Some (group, at, heal_at)
+            | _ -> None);
+        case "degrade"
+          (record (fun from_node target drop extra_latency jitter ->
+               (from_node, target, drop, extra_latency, jitter))
+          |> field "from" int (fun (f, _, _, _, _) -> f)
+          |> field "target" int (fun (_, t, _, _, _) -> t)
+          |> field "drop" number (fun (_, _, d, _, _) -> d)
+          |> field "extra_latency" number (fun (_, _, _, l, _) -> l)
+          |> field "jitter" number (fun (_, _, _, _, j) -> j))
+          (fun (from_node, target, drop, extra_latency, jitter) ->
+            Degrade { from_node; target; drop; extra_latency; jitter })
+          (function
+            | Degrade { from_node; target; drop; extra_latency; jitter } ->
+                Some (from_node, target, drop, extra_latency, jitter)
+            | _ -> None);
+      ])
 
-let event_json = function
-  | Crash { node; at } ->
-      Json.Obj
-        [ ("kind", Json.Str "crash"); ("node", num_of_int node);
-          ("at", Json.Num at) ]
-  | Partition { group; at; heal_at } ->
-      Json.Obj
-        [
-          ("kind", Json.Str "partition");
-          ("group", ints group);
-          ("at", Json.Num at);
-          ("heal_at", Json.Num heal_at);
-        ]
-  | Degrade { from_node; target; drop; extra_latency; jitter } ->
-      Json.Obj
-        [
-          ("kind", Json.Str "degrade");
-          ("from", num_of_int from_node);
-          ("target", num_of_int target);
-          ("drop", Json.Num drop);
-          ("extra_latency", Json.Num extra_latency);
-          ("jitter", Json.Num jitter);
-        ]
+let mixes = List.map (fun w -> (Ycsb.workload_name w, w)) Ycsb.all_workloads
 
-let workload_json = function
-  | App_run { app; affinity; pass_by_value } ->
-      Json.Obj
-        [
-          ("kind", Json.Str "app");
-          ("app", Json.Str (app_slug app));
-          ("affinity", Json.Bool affinity);
-          ("pass_by_value", Json.Bool pass_by_value);
-        ]
-  | Ycsb_run { mix; ops } ->
-      Json.Obj
-        [
-          ("kind", Json.Str "ycsb");
-          ("mix", Json.Str (Ycsb.workload_name mix));
-          ("ops", num_of_int ops);
-        ]
-  | Failover_kv s ->
-      Json.Obj
-        [
-          ("kind", Json.Str "failover");
-          ("nodes", num_of_int s.Scenario.fo_nodes);
-          ("keys", num_of_int s.Scenario.fo_keys);
-          ("key_bytes", num_of_int s.Scenario.fo_key_bytes);
-          ("duration", Json.Num s.Scenario.fo_duration);
-          ("crash_t", Json.Num s.Scenario.fo_crash_t);
-          ("victim", num_of_int s.Scenario.fo_victim);
-          ("bucket", Json.Num s.Scenario.fo_bucket);
-          ("think", Json.Num s.Scenario.fo_think);
-        ]
-  | Churn_kv s ->
-      Json.Obj
-        [
-          ("kind", Json.Str "churn");
-          ("nodes", num_of_int s.Scenario.ch_nodes);
-          ("active0", num_of_int s.Scenario.ch_active0);
-          ("joiners", ints s.Scenario.ch_joiners);
-          ("leavers", ints s.Scenario.ch_leavers);
-          ("sabotaged", num_of_int s.Scenario.ch_sabotaged);
-          ("victim", num_of_int s.Scenario.ch_victim);
-          ("crash_t", Json.Num s.Scenario.ch_crash_t);
-          ("duration", Json.Num s.Scenario.ch_duration);
-          ("churn_start", Json.Num s.Scenario.ch_churn_start);
-          ("churn_gap", Json.Num s.Scenario.ch_churn_gap);
-          ("think", Json.Num s.Scenario.ch_think);
-          ("key_bytes", num_of_int s.Scenario.ch_key_bytes);
-          ("ballast_bytes", num_of_int s.Scenario.ch_ballast_bytes);
-          ("zipf_theta", Json.Num s.Scenario.ch_zipf_theta);
-          ("replicas", num_of_int s.Scenario.ch_replicas);
-        ]
+let workload_codec =
+  Json.(
+    variant "workload kind"
+      [
+        case "app"
+          (record (fun app affinity pass_by_value ->
+               (app, affinity, pass_by_value))
+          |> field "app" (enum "app" apps) (fun (a, _, _) -> a)
+          |> field "affinity" bool (fun (_, a, _) -> a)
+          |> field "pass_by_value" bool (fun (_, _, p) -> p))
+          (fun (app, affinity, pass_by_value) ->
+            App_run { app; affinity; pass_by_value })
+          (function
+            | App_run { app; affinity; pass_by_value } ->
+                Some (app, affinity, pass_by_value)
+            | _ -> None);
+        case "ycsb"
+          (record (fun mix ops -> (mix, ops))
+          |> field "mix" (enum "YCSB mix" mixes) fst
+          |> field "ops" int snd)
+          (fun (mix, ops) -> Ycsb_run { mix; ops })
+          (function Ycsb_run { mix; ops } -> Some (mix, ops) | _ -> None);
+        case "failover"
+          (record
+             (fun fo_nodes fo_keys fo_key_bytes fo_duration fo_crash_t fo_victim
+                  fo_bucket fo_think ->
+               { Scenario.fo_nodes; fo_keys; fo_key_bytes; fo_duration;
+                 fo_crash_t; fo_victim; fo_bucket; fo_think })
+          |> field "nodes" int (fun s -> s.Scenario.fo_nodes)
+          |> field "keys" int (fun s -> s.Scenario.fo_keys)
+          |> field "key_bytes" int (fun s -> s.Scenario.fo_key_bytes)
+          |> field "duration" number (fun s -> s.Scenario.fo_duration)
+          |> field "crash_t" number (fun s -> s.Scenario.fo_crash_t)
+          |> field "victim" int (fun s -> s.Scenario.fo_victim)
+          |> field "bucket" number (fun s -> s.Scenario.fo_bucket)
+          |> field "think" number (fun s -> s.Scenario.fo_think))
+          (fun s -> Failover_kv s)
+          (function Failover_kv s -> Some s | _ -> None);
+        case "churn"
+          (record
+             (fun ch_nodes ch_active0 ch_joiners ch_leavers ch_sabotaged
+                  ch_victim ch_crash_t ch_duration ch_churn_start ch_churn_gap
+                  ch_think ch_key_bytes ch_ballast_bytes ch_zipf_theta
+                  ch_replicas ->
+               { Scenario.ch_nodes; ch_active0; ch_joiners; ch_leavers;
+                 ch_sabotaged; ch_victim; ch_crash_t; ch_duration;
+                 ch_churn_start; ch_churn_gap; ch_think; ch_key_bytes;
+                 ch_ballast_bytes; ch_zipf_theta; ch_replicas })
+          |> field "nodes" int (fun s -> s.Scenario.ch_nodes)
+          |> field "active0" int (fun s -> s.Scenario.ch_active0)
+          |> field "joiners" (list int) (fun s -> s.Scenario.ch_joiners)
+          |> field "leavers" (list int) (fun s -> s.Scenario.ch_leavers)
+          |> field "sabotaged" int (fun s -> s.Scenario.ch_sabotaged)
+          |> field "victim" int (fun s -> s.Scenario.ch_victim)
+          |> field "crash_t" number (fun s -> s.Scenario.ch_crash_t)
+          |> field "duration" number (fun s -> s.Scenario.ch_duration)
+          |> field "churn_start" number (fun s -> s.Scenario.ch_churn_start)
+          |> field "churn_gap" number (fun s -> s.Scenario.ch_churn_gap)
+          |> field "think" number (fun s -> s.Scenario.ch_think)
+          |> field "key_bytes" int (fun s -> s.Scenario.ch_key_bytes)
+          |> field "ballast_bytes" int (fun s -> s.Scenario.ch_ballast_bytes)
+          |> field "zipf_theta" number (fun s -> s.Scenario.ch_zipf_theta)
+          |> field "replicas" int (fun s -> s.Scenario.ch_replicas))
+          (fun s -> Churn_kv s)
+          (function Churn_kv s -> Some s | _ -> None);
+      ])
 
-let to_json t =
-  let spec =
-    match t.spec with
-    | Sim s ->
-        ( "sim",
-          Json.Obj
-            [
-              ("topology", topology_json s.topology);
-              ("system", Json.Str (system_slug s.system));
-              ("workload", workload_json s.workload);
-              ( "faults",
-                Json.Obj
-                  [
-                    ("fault_seed", num_of_int s.faults.fault_seed);
-                    ("events", Json.Arr (List.map event_json s.faults.events));
-                  ] );
-            ] )
-    | Suite s ->
-        ( "suite",
-          Json.Obj
-            (("experiments", Json.Arr (List.map (fun e -> Json.Str e) s.su_experiments))
-             :: (match s.su_node_counts with
-                | Some ns -> [ ("node_counts", ints ns) ]
-                | None -> [])
-            @ (match s.su_churn_nodes with
-              | Some n -> [ ("churn_nodes", num_of_int n) ]
-              | None -> [])
-            @ [ ("seed", num_of_int s.su_seed) ]) )
+let sim_codec =
+  let faults =
+    Json.(
+      record (fun fault_seed events -> { fault_seed; events })
+      |> field "fault_seed" int (fun f -> f.fault_seed)
+      |> field "events" (list event_codec) (fun f -> f.events)
+      |> seal)
   in
-  Json.Obj
-    [
-      ("schema", Json.Str plan_schema);
-      ("name", Json.Str t.name);
-      ("expect", Json.Str t.expect);
-      spec;
-    ]
+  Json.(
+    record (fun topology system workload faults ->
+        { topology; system; workload; faults })
+    |> field "topology" topology_codec (fun s -> s.topology)
+    |> field "system" (enum "system" systems) (fun s -> s.system)
+    |> field "workload" workload_codec (fun s -> s.workload)
+    |> field "faults" faults (fun s -> s.faults)
+    |> seal)
 
-let topology_of_json o =
-  {
-    nodes = Json.req o "nodes" Json.int;
-    cores_per_node = Json.req o "cores_per_node" Json.int;
-    mem_per_node = Json.req o "mem_per_node" Json.int;
-    ghz = Json.req o "ghz" Json.number;
-    seed = Json.req o "seed" Json.int;
-  }
+let suite_codec =
+  Json.(
+    record (fun su_experiments su_node_counts su_churn_nodes su_seed ->
+        { su_experiments; su_node_counts; su_churn_nodes; su_seed })
+    |> field "experiments" (list string) (fun s -> s.su_experiments)
+    |> optional "node_counts" (list int) (fun s -> s.su_node_counts)
+    |> optional "churn_nodes" int (fun s -> s.su_churn_nodes)
+    |> field "seed" int (fun s -> s.su_seed)
+    |> seal)
 
-let event_of_json o =
-  let int k = Json.req o k Json.int and num k = Json.req o k Json.number in
-  match Json.req o "kind" Json.string with
-  | "crash" -> Crash { node = int "node"; at = num "at" }
-  | "partition" ->
-      Partition
-        {
-          group = Json.req o "group" (Json.list Json.int);
-          at = num "at";
-          heal_at = num "heal_at";
-        }
-  | "degrade" ->
-      Degrade
-        {
-          from_node = int "from";
-          target = int "target";
-          drop = num "drop";
-          extra_latency = num "extra_latency";
-          jitter = num "jitter";
-        }
-  | k -> Json.fail o "unknown fault event kind %S" k
+(* The envelope carries exactly one of its two spec keys. *)
+let codec =
+  Json.(
+    record (fun name expect sim suite -> (name, expect, sim, suite))
+    |> const "schema" plan_schema
+    |> field "name" string (fun (n, _, _, _) -> n)
+    |> field "expect" string (fun (_, e, _, _) -> e)
+    |> optional "sim" sim_codec (fun (_, _, s, _) -> s)
+    |> optional "suite" suite_codec (fun (_, _, _, s) -> s)
+    |> seal
+    |> refine
+         (function
+           | name, expect, Some s, None -> Ok { name; expect; spec = Sim s }
+           | name, expect, None, Some s -> Ok { name; expect; spec = Suite s }
+           | _, _, Some _, Some _ ->
+               Error "plan has both \"sim\" and \"suite\" specs"
+           | _, _, None, None ->
+               Error "plan has neither \"sim\" nor \"suite\" spec")
+         (fun t ->
+           match t.spec with
+           | Sim s -> (t.name, t.expect, Some s, None)
+           | Suite s -> (t.name, t.expect, None, Some s)))
 
-let mix_of_name name =
-  List.find_opt
-    (fun w -> String.equal (Ycsb.workload_name w) name)
-    Ycsb.all_workloads
-
-let workload_of_json o =
-  let int k = Json.req o k Json.int and num k = Json.req o k Json.number in
-  let ints k = Json.req o k (Json.list Json.int) in
-  match Json.req o "kind" Json.string with
-  | "app" ->
-      App_run
-        {
-          app = Json.req o "app" (Json.enum "app" app_of_slug);
-          affinity = Json.req o "affinity" Json.bool;
-          pass_by_value = Json.req o "pass_by_value" Json.bool;
-        }
-  | "ycsb" ->
-      Ycsb_run
-        {
-          mix = Json.req o "mix" (Json.enum "YCSB mix" mix_of_name);
-          ops = int "ops";
-        }
-  | "failover" ->
-      Failover_kv
-        {
-          Scenario.fo_nodes = int "nodes";
-          fo_keys = int "keys";
-          fo_key_bytes = int "key_bytes";
-          fo_duration = num "duration";
-          fo_crash_t = num "crash_t";
-          fo_victim = int "victim";
-          fo_bucket = num "bucket";
-          fo_think = num "think";
-        }
-  | "churn" ->
-      Churn_kv
-        {
-          Scenario.ch_nodes = int "nodes";
-          ch_active0 = int "active0";
-          ch_joiners = ints "joiners";
-          ch_leavers = ints "leavers";
-          ch_sabotaged = int "sabotaged";
-          ch_victim = int "victim";
-          ch_crash_t = num "crash_t";
-          ch_duration = num "duration";
-          ch_churn_start = num "churn_start";
-          ch_churn_gap = num "churn_gap";
-          ch_think = num "think";
-          ch_key_bytes = int "key_bytes";
-          ch_ballast_bytes = int "ballast_bytes";
-          ch_zipf_theta = num "zipf_theta";
-          ch_replicas = int "replicas";
-        }
-  | k -> Json.fail o "unknown workload kind %S" k
-
-let sim_of_json o =
-  let faults_of_json f =
-    {
-      fault_seed = Json.req f "fault_seed" Json.int;
-      events = Json.req f "events" (Json.list (Json.obj event_of_json));
-    }
-  in
-  Sim
-    {
-      topology = Json.req o "topology" (Json.obj topology_of_json);
-      system = Json.req o "system" (Json.enum "system" system_of_slug);
-      workload = Json.req o "workload" (Json.obj workload_of_json);
-      faults = Json.req o "faults" (Json.obj faults_of_json);
-    }
-
-let suite_of_json o =
-  Suite
-    {
-      su_experiments = Json.req o "experiments" (Json.list Json.string);
-      su_node_counts = Json.opt o "node_counts" (Json.list Json.int);
-      su_churn_nodes = Json.opt o "churn_nodes" Json.int;
-      su_seed = Json.req o "seed" Json.int;
-    }
-
-let plan_of_json o =
-  ignore (Json.req o "schema" (Json.exactly plan_schema));
-  let name = Json.req o "name" Json.string in
-  let expect = Json.req o "expect" Json.string in
-  let spec =
-    match
-      ( Json.opt o "sim" (Json.obj sim_of_json),
-        Json.opt o "suite" (Json.obj suite_of_json) )
-    with
-    | Some s, None | None, Some s -> s
-    | Some _, Some _ -> Json.fail o "plan has both \"sim\" and \"suite\" specs"
-    | None, None -> Json.fail o "plan has neither \"sim\" nor \"suite\" spec"
-  in
-  { name; spec; expect }
-
-let print t = Json.print (to_json t)
-
-let save ~path t = Json.save ~path (to_json t)
-let load ~path = Json.decode_file ~path (Json.obj plan_of_json)
-
-let field_names =
-  List.sort_uniq String.compare
-    [
-      "schema"; "name"; "expect"; "sim"; "suite"; "topology"; "system";
-      "workload"; "faults"; "fault_seed"; "events"; "nodes"; "cores_per_node";
-      "mem_per_node"; "ghz"; "seed"; "kind"; "node"; "at"; "group"; "heal_at";
-      "from"; "target"; "drop"; "extra_latency"; "jitter"; "app"; "affinity";
-      "pass_by_value"; "mix"; "ops"; "keys"; "key_bytes"; "duration";
-      "crash_t"; "victim"; "bucket"; "think"; "active0"; "joiners"; "leavers";
-      "sabotaged"; "churn_start"; "churn_gap"; "ballast_bytes"; "zipf_theta";
-      "replicas"; "experiments"; "node_counts"; "churn_nodes";
-    ]
+let print t = Json.print (Json.encode codec t)
+let save ~path t = Json.save ~path (Json.encode codec t)
+let load ~path = Json.decode_file ~path codec
+let field_names = Json.field_names codec
 
 (* ------------------------------------------------------------------ *)
 (* Validation                                                          *)

@@ -35,11 +35,17 @@ type app = Dataframe_app | Socialnet_app | Gemm_app | Kvstore_app
 val system_name : system -> string
 (** Display name ("DRust", "GAM", ...). *)
 
+val systems : (string * system) list
+(** Every system by slug: the codec's enum, plan names, [--system]. *)
+
 val all_systems : system list
 (** [Drust; Gam; Grappa] — the three DSMs of Fig. 5. *)
 
 val app_name : app -> string
 val all_apps : app list
+
+val apps : (string * app) list
+(** Every app by slug: the codec's enum, plan names, [--app]. *)
 
 val make_backend : system -> Cluster.t -> Drust_dsm.Dsm.t
 
@@ -154,14 +160,15 @@ val print : t -> string
 
 val save : path:string -> t -> unit
 val load : path:string -> (t, string) result
-(** Decoding is strict ({!Drust_util.Json}'s readers): an unknown or
+(** Decoding is strict ({!Drust_util.Json}'s codecs): an unknown or
     duplicate key or a wrongly typed field, optional ones included, is
     an error.  [Error "<file>: ..."] covers unreadable files, JSON
     syntax errors and decode errors alike. *)
 
 val field_names : string list
-(** Every JSON field name the codec reads or writes, sorted — the
-    runtime side of docs/SIMPLAN.md's schema table (check 8). *)
+(** Every JSON field name the codec reads or writes, sorted, derived
+    from its declaration — the runtime side of docs/SIMPLAN.md's schema
+    table (check 8). *)
 
 (** {1 Validation} *)
 

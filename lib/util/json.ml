@@ -57,11 +57,16 @@ let parse s =
           | 'b' -> Buffer.add_char b '\b'
           | 'f' -> Buffer.add_char b '\012'
           | 'u' ->
-              if !pos + 4 >= n then fail "bad unicode escape";
-              (match int_of_string_opt ("0x" ^ String.sub s (!pos + 1) 4) with
-              | Some code when code < 0x80 -> Buffer.add_char b (Char.chr code)
-              | Some _ -> Buffer.add_char b '?'
-              | None -> fail "bad unicode escape");
+              (* four hex digits; [int_of_string] would take "0_41" too *)
+              let digits = String.sub s (!pos + 1) (min 4 (n - !pos - 1)) in
+              let hex = function
+                | '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true
+                | _ -> false
+              in
+              if String.length digits < 4 || not (String.for_all hex digits)
+              then fail "bad unicode escape";
+              let code = int_of_string ("0x" ^ digits) in
+              Buffer.add_char b (if code < 0x80 then Char.chr code else '?');
               pos := !pos + 4
           | _ -> fail "bad escape")
       | c -> Buffer.add_char b c);
@@ -206,47 +211,32 @@ let inline_width = 76
 
 let print j =
   let buf = Buffer.create 256 in
-  let pad indent = Buffer.add_string buf (String.make indent ' ') in
   let rec go indent j =
     let inl = to_inline j in
-    if String.length inl + indent <= inline_width then
-      Buffer.add_string buf inl
-    else
-      match j with
-      | Arr xs ->
-          Buffer.add_string buf "[\n";
-          List.iteri
-            (fun i x ->
-              pad (indent + 2);
-              go (indent + 2) x;
-              if i < List.length xs - 1 then Buffer.add_char buf ',';
-              Buffer.add_char buf '\n')
-            xs;
-          pad indent;
-          Buffer.add_char buf ']'
-      | Obj kvs ->
-          Buffer.add_string buf "{\n";
-          List.iteri
-            (fun i (k, v) ->
-              pad (indent + 2);
-              Buffer.add_string buf ("\"" ^ escape k ^ "\": ");
-              go (indent + 2) v;
-              if i < List.length kvs - 1 then Buffer.add_char buf ',';
-              Buffer.add_char buf '\n')
-            kvs;
-          pad indent;
-          Buffer.add_char buf '}'
-      | _ -> Buffer.add_string buf inl
+    let block opening closing items =
+      Buffer.add_string buf opening;
+      List.iteri
+        (fun i (key, v) ->
+          Buffer.add_string buf (if i = 0 then "\n" else ",\n");
+          Buffer.add_string buf (String.make (indent + 2) ' ' ^ key);
+          go (indent + 2) v)
+        items;
+      Buffer.add_string buf ("\n" ^ String.make indent ' ' ^ closing)
+    in
+    match j with
+    | _ when String.length inl + indent <= inline_width ->
+        Buffer.add_string buf inl
+    | Arr xs -> block "[" "]" (List.map (fun x -> ("", x)) xs)
+    | Obj kvs ->
+        let key k = "\"" ^ escape k ^ "\": " in
+        block "{" "}" (List.map (fun (k, v) -> (key k, v)) kvs)
+    | _ -> Buffer.add_string buf inl
   in
   go 0 j;
   Buffer.add_char buf '\n';
   Buffer.contents buf
 
 let member k = function Obj kvs -> List.assoc_opt k kvs | _ -> None
-
-let to_int = function
-  | Num f when Float.is_integer f && Float.abs f < 0x1p62 -> Some (int_of_float f)
-  | _ -> None
 
 let load ~path = parse (In_channel.with_open_text path In_channel.input_all)
 
@@ -255,24 +245,14 @@ let save ~path j =
       Out_channel.output_string oc (print j))
 
 (* ------------------------------------------------------------------ *)
-(* Strict decoding.  A reader gets the jq-style path of the value it
-   decodes and raises [Decode_error] at that path; only [decode] and
-   [decode_file] catch it, so no failure escapes as an exception. *)
+(* Codecs.  A decoder gets the jq-style path of the value it decodes
+   and raises [Decode_error] at that path; only [decode_file] catches
+   it, so no failure escapes as an exception. *)
 
 exception Decode_error of string * string
 
-type 'a reader = string -> t -> 'a
-
-type obj = {
-  path : string;
-  fields : (string * t) list;
-  mutable used : string list;
-}
-
 let fail_at path fmt =
   Printf.ksprintf (fun m -> raise (Decode_error (path, m))) fmt
-
-let fail o fmt = fail_at o.path fmt
 
 (* [.a.b[2]], with keys that are not identifiers quoted: [.a["x/y"]]. *)
 let key_path path k =
@@ -284,38 +264,92 @@ let key_path path k =
     (if path = "." then "" else path) ^ "." ^ k
   else Printf.sprintf "%s[%S]" path k
 
-let string path = function Str s -> s | _ -> fail_at path "expected a string"
-let number path = function Num f -> f | _ -> fail_at path "expected a number"
-let bool path = function Bool b -> b | _ -> fail_at path "expected a bool"
+type 'a codec = {
+  enc : 'a -> t;
+  dec : string -> t -> 'a;
+  names : string list;  (* object keys declared inside, unsorted *)
+}
 
-let int path v =
-  match to_int v with Some n -> n | None -> fail_at path "expected an integer"
+let encode c x = c.enc x
+let field_names c = List.sort_uniq String.compare c.names
 
-let list r path = function
-  | Arr xs -> List.mapi (fun i x -> r (Printf.sprintf "%s[%d]" path i) x) xs
-  | _ -> fail_at path "expected an array"
+let decode_file ~path c =
+  let in_file m = path ^ ": " ^ m in
+  match c.dec "." (load ~path) with
+  | x -> Ok x
+  | exception Decode_error (at, m) -> Error (in_file (at ^ ": " ^ m))
+  | exception Parse_error m -> Error (in_file m)
+  | exception Sys_error m ->
+      (* open names the file itself; a failed read does not *)
+      Error (if String.starts_with ~prefix:(in_file "") m then m else in_file m)
 
-let nullable r path = function Null -> None | v -> Some (r path v)
+let refine check back c =
+  let dec path v =
+    match check (c.dec path v) with Ok x -> x | Error m -> fail_at path "%s" m
+  in
+  { enc = (fun x -> c.enc (back x)); dec; names = c.names }
 
-let refine f r path v =
-  match f (r path v) with Ok x -> x | Error m -> fail_at path "%s" m
+let check f c =
+  let dec path v =
+    let x = c.dec path v in
+    match f x with
+    | Ok () -> x
+    | Error (sub, m) ->
+        fail_at (if path = "." && sub <> "" then sub else path ^ sub) "%s" m
+  in
+  { c with dec }
 
-let exactly want =
+let leaf what enc get =
+  let dec path v =
+    match get v with Some x -> x | None -> fail_at path "expected %s" what
+  in
+  { enc; dec; names = [] }
+
+let string =
+  leaf "a string" (fun s -> Str s) (function Str s -> Some s | _ -> None)
+
+let bool =
+  leaf "a bool" (fun b -> Bool b) (function Bool b -> Some b | _ -> None)
+
+let int =
+  leaf "an integer"
+    (fun n -> Num (float_of_int n))
+    (function
+      | Num f when Float.is_integer f && Float.abs f < 0x1p62 ->
+          Some (int_of_float f)
+      | _ -> None)
+
+let number =
   refine
-    (fun s ->
-      if String.equal s want then Ok s
-      else Error (Printf.sprintf "expected %S, got %S" want s))
-    string
+    (fun f -> if Float.is_finite f then Ok f else Error "number out of range")
+    Fun.id
+    (leaf "a number" (fun f -> Num f) (function Num f -> Some f | _ -> None))
 
-let enum what of_name =
+let list c =
+  let dec path = function
+    | Arr xs -> List.mapi (fun i -> c.dec (Printf.sprintf "%s[%d]" path i)) xs
+    | _ -> fail_at path "expected an array"
+  in
+  { enc = (fun xs -> Arr (List.map c.enc xs)); dec; names = c.names }
+
+let nullable c =
+  let dec path = function Null -> None | v -> Some (c.dec path v) in
+  { enc = Option.fold ~none:Null ~some:c.enc; dec; names = c.names }
+
+let enum what table =
   refine
     (fun s ->
       Option.to_result
         ~none:(Printf.sprintf "unknown %s %S" what s)
-        (of_name s))
+        (List.assoc_opt s table))
+    (fun x ->
+      match List.find_opt (fun (_, y) -> y = x) table with
+      | Some (s, _) -> s
+      | None -> invalid_arg ("Json.enum: a " ^ what ^ " outside its table"))
     string
 
-let fields path = function
+(* The members of an object, each key once. *)
+let members path = function
   | Obj kvs ->
       ignore
         (List.fold_left
@@ -326,40 +360,108 @@ let fields path = function
       kvs
   | _ -> fail_at path "expected an object"
 
-let assoc r path v =
-  List.map (fun (k, x) -> (k, r (key_path path k) x)) (fields path v)
+let assoc c =
+  let dec path v =
+    List.map (fun (k, x) -> (k, c.dec (key_path path k) x)) (members path v)
+  in
+  let enc kvs = Obj (List.map (fun (k, x) -> (k, c.enc x)) kvs) in
+  { enc; dec; names = c.names }
 
-let obj f path v =
-  let o = { path; fields = fields path v; used = [] } in
-  let x = f o in
-  List.iter
-    (fun (k, _) ->
-      if not (List.mem k o.used) then fail_at (key_path path k) "unknown key")
-    o.fields;
-  x
+(* An object being decoded: its members, and the keys read so far. *)
+type state = {
+  path : string;
+  kvs : (string * t) list;
+  mutable used : string list;
+}
 
-let opt o k r =
-  match List.assoc_opt k o.fields with
-  | None -> None
-  | Some v ->
-      o.used <- k :: o.used;
-      Some (r (key_path o.path k) v)
+let lookup st k c =
+  List.assoc_opt k st.kvs
+  |> Option.map (fun v ->
+         st.used <- k :: st.used;
+         c.dec (key_path st.path k) v)
 
-let req o k r =
-  match opt o k r with
+let need st k c =
+  match lookup st k c with
   | Some x -> x
-  | None -> fail_at (key_path o.path k) "missing field"
+  | None -> fail_at (key_path st.path k) "missing field"
 
-let decode r j =
-  match r "." j with
-  | x -> Ok x
-  | exception Decode_error (path, m) -> Error (path ^ ": " ^ m)
+type ('r, 'k) fields = {
+  writers : ('r -> (string * t) option) list;  (* last declared first *)
+  tags : (string * string) list;  (* last declared first *)
+  build : state -> 'k;
+  keys : string list;
+}
 
-let decode_file ~path r =
-  let in_file m = path ^ ": " ^ m in
-  match load ~path with
-  | j -> Result.map_error in_file (decode r j)
-  | exception Parse_error m -> Error (in_file m)
-  | exception Sys_error m ->
-      (* open names the file itself; a failed read does not *)
-      Error (if String.starts_with ~prefix:(in_file "") m then m else in_file m)
+let record k = { writers = []; tags = []; build = (fun _ -> k); keys = [] }
+
+(* Fields are read last to first, the order OCaml evaluates a record
+   literal's fields in: of two bad fields, the later one is reported.
+   The decode tables in test/ pin that choice. *)
+let add k c write read o =
+  let build st =
+    let x = read st in
+    o.build st x
+  in
+  let keys = (k :: c.names) @ o.keys in
+  { o with writers = write :: o.writers; build; keys }
+
+let field k c get o =
+  add k c (fun r -> Some (k, c.enc (get r))) (fun st -> need st k c) o
+
+let optional k c get o =
+  let write r = Option.map (fun x -> (k, c.enc x)) (get r) in
+  add k c write (fun st -> lookup st k c) o
+
+let const k v o =
+  let writers = (fun _ -> Some (k, Str v)) :: o.writers in
+  { o with writers; tags = (k, v) :: o.tags; keys = k :: o.keys }
+
+let seal o =
+  let dec path v =
+    let st = { path; kvs = members path v; used = [] } in
+    List.iter
+      (fun (k, want) ->
+        let got = need st k string in
+        if got <> want then
+          fail_at (key_path path k) "expected %S, got %S" want got)
+      (List.rev o.tags);
+    let x = o.build st in
+    List.iter
+      (fun (k, _) ->
+        if not (List.mem k st.used) then fail_at (key_path path k) "unknown key")
+      st.kvs;
+    x
+  in
+  let enc r = Obj (List.rev (List.filter_map (fun w -> w r) o.writers)) in
+  { enc; dec; names = o.keys }
+
+type 'a case = {
+  kind : string;
+  write : 'a -> t option;
+  read : string -> t -> 'a;
+  case_keys : string list;
+}
+
+(* A case is its payload's object led by a ["kind"] tag. *)
+let case kind o inj proj =
+  let tagged =
+    seal
+      {
+        o with
+        writers = o.writers @ [ (fun _ -> Some ("kind", Str kind)) ];
+        tags = o.tags @ [ ("kind", kind) ];
+      }
+  in
+  let write x = Option.map tagged.enc (proj x) in
+  let read path v = inj (tagged.dec path v) in
+  { kind; write; read; case_keys = o.keys }
+
+let variant what cases =
+  let dec path v =
+    let kind = need { path; kvs = members path v; used = [] } "kind" string in
+    match List.find_opt (fun c -> String.equal c.kind kind) cases with
+    | Some c -> c.read path v
+    | None -> fail_at path "unknown %s %S" what kind
+  in
+  let enc x = Option.get (List.find_map (fun c -> c.write x) cases) in
+  { enc; dec; names = "kind" :: List.concat_map (fun c -> c.case_keys) cases }

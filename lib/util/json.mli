@@ -1,4 +1,4 @@
-(** A minimal JSON reader and writer.
+(** A minimal JSON reader and writer, and the codecs built on them.
 
     One implementation serves every JSON artifact the repo produces or
     consumes — the benchmark summary ([Report]), the [bench_diff]
@@ -11,12 +11,12 @@
     always renders to the same bytes, which is what lets plan replay
     and summary diffing compare files byte-for-byte.
 
-    Plans, flight dumps and bench summaries decode through one set of
-    strict readers ({!section-decoding}): every key of an object must be
-    consumed by a reader and appear once, every value must have the
-    type its reader asks for, and every failure comes back as
-    [Error "<file>: <path>: <problem>"] with a jq-style path such as
-    [.sim.faults.events[0].at] — never as an exception. *)
+    Plans, flight dumps and bench summaries are each declared once, as
+    a {!codec} ({!section-codecs}) giving encoder, strict decoder and
+    field list: every key of an object must be declared and appear
+    once, every value must have its declared type, and every failure
+    comes back as [Error "<file>: <path>: <problem>"] with a jq-style
+    path such as [.sim.faults.events[0].at] — never as an exception. *)
 
 type t =
   | Null
@@ -52,53 +52,87 @@ val load : path:string -> t
 val save : path:string -> t -> unit
 (** Write [print t] to [path]. *)
 
-(** {1:decoding Strict decoding} *)
+(** {1:codecs Codecs} *)
 
-type 'a reader
-(** Decodes one value, failing with its path. *)
+type 'a codec
+(** How an ['a] maps to JSON, both ways. *)
 
-type obj
-(** An object being decoded: its fields, and which of them a reader has
-    consumed so far. *)
+val encode : 'a codec -> 'a -> t
 
-val string : string reader
-val number : float reader
+val decode_file : path:string -> 'a codec -> ('a, string) result
+(** {!load}, then decode: [Error "<file>: <path>: <problem>"] on the
+    first failure, syntax and I/O errors included. *)
 
-val int : int reader
+val field_names : 'a codec -> string list
+(** Every object key the codec declares, at any depth; sorted. *)
+
+val string : string codec
+val bool : bool codec
+
+val int : int codec
 (** A number with an integral value inside OCaml's [int] range. *)
 
-val bool : bool reader
-val list : 'a reader -> 'a list reader
-val nullable : 'a reader -> 'a option reader
+val number : float codec
+(** A finite number: [1e999] overflows, and could not be written back. *)
 
-val refine : ('a -> ('b, string) result) -> 'a reader -> 'b reader
-(** Check or convert what a reader decoded; [Error m] fails at the
-    value's path with [m]. *)
+val list : 'a codec -> 'a list codec
+val nullable : 'a codec -> 'a option codec
 
-val exactly : string -> string reader
-(** The one string given, such as a schema tag. *)
-
-val enum : string -> (string -> 'a option) -> 'a reader
-(** [enum what of_name]: a string [of_name] knows; any other fails as
-    an unknown [what]. *)
-
-val assoc : 'a reader -> (string * 'a) list reader
+val assoc : 'a codec -> (string * 'a) list codec
 (** An object used as a map: any keys, in document order, each once. *)
 
-val obj : (obj -> 'a) -> 'a reader
-(** An object with a fixed set of keys: run the field readers, then
-    fail on any key none of them consumed.  Duplicate keys fail. *)
+val enum : string -> (string * 'a) list -> 'a codec
+(** [enum what table]: a string naming a value of [table]; another
+    string fails as an unknown [what], and encoding a value outside
+    [table] raises [Invalid_argument]. *)
 
-val req : obj -> string -> 'a reader -> 'a
-(** A required field. *)
+val refine : ('a -> ('b, string) result) -> ('b -> 'a) -> 'a codec -> 'b codec
+(** [refine check back c]: [Error m] from [check] fails at the value's
+    path; encoding applies [back] first. *)
 
-val opt : obj -> string -> 'a reader -> 'a option
-(** An optional field: [None] when absent; present, it must decode. *)
+val check : ('a -> (unit, string * string) result) -> 'a codec -> 'a codec
+(** [Error (sub, m)] fails at the value's path extended by the relative
+    jq-style path [sub], such as [".events[3].node"]. *)
 
-val fail : obj -> ('a, unit, string, 'b) format4 -> 'a
-(** Fail at the object's path, e.g. on an unknown [kind]. *)
+(** {2 Objects}
 
-val decode_file : path:string -> 'a reader -> ('a, string) result
-(** {!load}, then run the reader: [Error "<file>: <path>: <problem>"]
-    on the first failure; every error, syntax and I/O included, is
-    prefixed by the file. *)
+    A constructor, then its fields in the order they are written:
+    {[
+      record (fun nodes seed -> { nodes; seed })
+      |> field "nodes" int (fun t -> t.nodes)
+      |> field "seed" int (fun t -> t.seed)
+      |> seal
+    ]}
+    Decoding fails on a duplicate key, checks the {!const} tags, reads
+    the fields last to first, and fails on a key no field declares. *)
+
+type ('r, 'k) fields
+(** Fields of an ['r] declared so far; ['k] is what the constructor
+    returns once applied to their values, ['r] when all are declared. *)
+
+val record : 'k -> ('r, 'k) fields
+
+val field :
+  string -> 'a codec -> ('r -> 'a) -> ('r, 'a -> 'k) fields -> ('r, 'k) fields
+(** A required field and its getter. *)
+
+val optional :
+  string -> 'a codec -> ('r -> 'a option) ->
+  ('r, 'a option -> 'k) fields -> ('r, 'k) fields
+(** Absent decodes to [None]; [None] is not written. *)
+
+val const : string -> string -> ('r, 'k) fields -> ('r, 'k) fields
+(** A tag, such as a schema version: always written, checked first. *)
+
+val seal : ('r, 'r) fields -> 'r codec
+
+type 'a case
+
+val case :
+  string -> ('p, 'p) fields -> ('p -> 'a) -> ('a -> 'p option) -> 'a case
+(** [case kind fields inj proj]: the values [proj] maps to a payload,
+    as its [fields] tagged ["kind": kind]. *)
+
+val variant : string -> 'a case list -> 'a codec
+(** [variant what cases]: an unknown ["kind"] fails as an unknown
+    [what]. *)

@@ -174,38 +174,70 @@ let test_summary_v3_host_roundtrip () =
         (E.Report.compare_summaries ~baseline:s s))
 
 (* The reader is strict: only v3, no unknown or duplicate keys, every
-   field of its type.  Each input is rejected with an [Error] naming the
-   file, never an exception. *)
+   field of its type.  Each row decodes to its pinned [Ok] entry names
+   or exact error text, never an exception; every error names the file. *)
 let test_summary_malformed_rejected () =
   let v3 entries =
     Printf.sprintf {|{ "schema": "drust-bench-summary/v3", "entries": %s }|}
       entries
   in
   List.iter
-    (fun (what, text) ->
+    (fun (what, text, want) ->
       with_temp_file (fun path ->
           Out_channel.with_open_text path (fun oc -> output_string oc text);
           match E.Report.read_bench_summary ~path with
-          | Ok _ -> Alcotest.failf "accepted %s" what
-          | Error m ->
-              if not (String.starts_with ~prefix:(path ^ ": ") m) then
-                Alcotest.failf "%s: error %S does not name the file" what m
+          | got ->
+              let got =
+                Result.map
+                  (fun s -> String.concat "," (List.map fst s.E.Report.sm_entries))
+                  got
+                |> Result.map_error (fun m ->
+                       match Astring.String.cut ~sep:(path ^ ": ") m with
+                       | Some ("", rest) -> rest
+                       | _ -> Alcotest.failf "%s: error %S does not name the file" what m)
+              in
+              Alcotest.(check (result string string)) what want got
           | exception e ->
               Alcotest.failf "%s raised %s" what (Printexc.to_string e)))
     [
-      ("malformed JSON", "{ nope");
-      ("an unknown schema", {|{ "schema": "who-knows/v9", "entries": {} }|});
+      ( "a well-formed summary",
+        v3 {|{ "a": { "ops_per_sim_sec": 1, "latency_us": { "p50": 2 } }, "b/c": { "ops_per_sim_sec": 3, "host_ms": 4 } }|},
+        Ok "a,b/c" );
+      ("malformed JSON", "{ nope", Error {|expected '"' at byte 2|});
+      ( "an unknown schema",
+        {|{ "schema": "who-knows/v9", "entries": {} }|},
+        Error {|.schema: expected "drust-bench-summary/v3", got "who-knows/v9"|} );
       ( "the retired v2 schema",
-        {|{ "schema": "drust-bench-summary/v2", "entries": {} }|} );
-      ("an unknown key", v3 {|{ "a": { "ops_per_sim_sec": 1, "host_s": 2 } }|});
+        {|{ "schema": "drust-bench-summary/v2", "entries": {} }|},
+        Error
+          {|.schema: expected "drust-bench-summary/v3", got "drust-bench-summary/v2"|}
+      );
+      (* the schema is checked before the entries it governs *)
+      ( "the retired v2 schema with a v2-only entry",
+        {|{ "schema": "drust-bench-summary/v2", "entries": { "a": { "ops_per_sim_sec": 1, "host_s": 2 } } }|},
+        Error
+          {|.schema: expected "drust-bench-summary/v3", got "drust-bench-summary/v2"|}
+      );
+      ( "an unknown key",
+        v3 {|{ "a": { "ops_per_sim_sec": 1, "host_s": 2 } }|},
+        Error ".entries.a.host_s: unknown key" );
       ( "a duplicate key",
-        v3 {|{ "a": { "ops_per_sim_sec": 1 }, "a": { "ops_per_sim_sec": 2 } }|} );
+        v3 {|{ "a": { "ops_per_sim_sec": 1 }, "a": { "ops_per_sim_sec": 2 } }|},
+        Error ".entries.a: duplicate key" );
       ( "a wrongly typed host_ms",
-        v3 {|{ "a": { "ops_per_sim_sec": 1, "host_ms": "slow" } }|} );
+        v3 {|{ "a": { "ops_per_sim_sec": 1, "host_ms": "slow" } }|},
+        Error ".entries.a.host_ms: expected a number" );
       ( "a wrongly typed percentile",
-        v3 {|{ "a": { "ops_per_sim_sec": 1, "latency_us": { "p50": "fast" } } }|} );
-      ("an entry that is not an object", v3 {|{ "a": 12 }|});
-      ("entries that are not an object", v3 "[]");
+        v3 {|{ "a": { "ops_per_sim_sec": 1, "latency_us": { "p50": "fast" } } }|},
+        Error ".entries.a.latency_us.p50: expected a number" );
+      ( "an entry that is not an object",
+        v3 {|{ "a": 12 }|},
+        Error ".entries.a: expected an object" );
+      ("entries that are not an object", v3 "[]", Error ".entries: expected an object");
+      (* a rate the writer could not write back fails closed *)
+      ( "a rate that overflows to infinity",
+        v3 {|{ "a": { "ops_per_sim_sec": 1e999 } }|},
+        Error ".entries.a.ops_per_sim_sec: number out of range" );
     ]
 
 let test_summary_regression_detection () =

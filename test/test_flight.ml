@@ -58,14 +58,20 @@ let in_temp_dump_dir f =
 let dump_path dir label = Filename.concat dir (label ^ ".flight.json")
 
 (* Decode dump text the way [forensics] does: from a file, by
-   [Flight.load]. *)
+   [Flight.load]; an error comes back without its file prefix (every
+   error must carry one). *)
 let load_text s =
   let path = Filename.temp_file "flight" ".flight.json" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       Out_channel.with_open_bin path (fun oc -> output_string oc s);
-      Flight.load ~path)
+      Result.map_error
+        (fun m ->
+          match Astring.String.cut ~sep:(path ^ ": ") m with
+          | Some ("", rest) -> rest
+          | _ -> Alcotest.failf "error %S does not name the file" m)
+        (Flight.load ~path))
 
 let contains ~affix s = Astring.String.is_infix ~affix s
 
@@ -168,41 +174,73 @@ let test_dump_roundtrip () =
     (match load_text "{}" with Error _ -> true | Ok _ -> false)
 
 (* A well-formed two-node dump with one event, as text; each malformed
-   case below breaks one field of it. *)
-let dump_text ?(nodes = "2") ?(ring = "4") ?(object_ = "null") ?(node = "1")
-    () =
+   case below breaks one field of it.  [object_] is the ["object"] value,
+   [None] leaving the key out. *)
+let dump_text ?(nodes = "2") ?(ring = "4") ?(object_ = Some "null")
+    ?(node = "1") ?(t = "0.0005") ?(kind = "create") () =
   Printf.sprintf
     {|{"schema":"drust-flight/v1","label":"l","reason":"r","nodes":%s,
-       "ring":%s,"time":0.001,"object":%s,"slice":[],
-       "events":[{"t":0.0005,"node":%s,"kind":"create",
+       "ring":%s,"time":0.001,%s"slice":[],
+       "events":[{"t":%s,"node":%s,"kind":%S,
                   "a":64,"b":0,"c":0,"d":0}]}|}
-    nodes ring object_ node
+    nodes ring
+    (Option.fold ~none:"" ~some:(Printf.sprintf {|"object":%s,|}) object_)
+    t node kind
 
+(* Every row decodes to its pinned [Ok] label or exact error text, and
+   none raises. *)
 let test_malformed_dumps_rejected () =
-  let decode = load_text in
-  (match decode (dump_text ()) with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "well-formed dump rejected: %s" e);
   List.iter
-    (fun (what, s) ->
-      match decode s with
-      | Error _ -> ()
-      | Ok _ -> Alcotest.failf "accepted %s" what
+    (fun (what, text, want) ->
+      match load_text text with
+      | got ->
+          Alcotest.(check (result string string))
+            what want
+            (Result.map (fun d -> d.Flight.dm_label) got)
       | exception e ->
           Alcotest.failf "%s raised %s" what (Printexc.to_string e))
     [
-      ("negative nodes", dump_text ~nodes:"-3" ());
-      ("a fractional node count", dump_text ~nodes:"2.5" ());
-      ("an empty ring", dump_text ~ring:"0" ());
-      ("a fractional object", dump_text ~object_:"1.5" ());
-      ("an event on node 7 of a 2-node dump", dump_text ~node:"7" ());
-      ("an event on a negative node", dump_text ~node:"-1" ());
-      ("an unknown key", dump_text ~ring:{|4, "rings": 4|} ());
-      ("a duplicate key", dump_text ~ring:{|4, "nodes": 2|} ());
-      ("a wrongly typed optional object", dump_text ~object_:{|"0x40"|} ());
+      ("a well-formed dump", dump_text (), Ok "l");
+      (* docs/FORENSICS.md: the object is optional *)
+      ("a dump without an object", dump_text ~object_:None (), Ok "l");
+      ("an empty object", "{}", Error ".schema: missing field");
+      ( "a foreign schema",
+        {|{"schema":"drust-flight/v0"}|},
+        Error {|.schema: expected "drust-flight/v1", got "drust-flight/v0"|} );
+      ("negative nodes", dump_text ~nodes:"-3" (), Error ".nodes: -3, must be >= 1");
+      ( "a fractional node count",
+        dump_text ~nodes:"2.5" (),
+        Error ".nodes: expected an integer" );
+      ("an empty ring", dump_text ~ring:"0" (), Error ".ring: 0, must be >= 1");
+      ( "a fractional object",
+        dump_text ~object_:(Some "1.5") (),
+        Error ".object: expected an integer" );
+      ( "an event on node 7 of a 2-node dump",
+        dump_text ~node:"7" (),
+        Error ".events[0].node: event on node 7 of a 2-node dump" );
+      ( "an event on a negative node",
+        dump_text ~node:"-1" (),
+        Error ".events[0].node: event on node -1 of a 2-node dump" );
+      ( "an unknown event kind",
+        dump_text ~kind:"meteor" (),
+        Error {|.events[0].kind: unknown kind "meteor"|} );
+      ( "an unknown key",
+        dump_text ~ring:{|4, "rings": 4|} (),
+        Error ".rings: unknown key" );
+      ( "a duplicate key",
+        dump_text ~ring:{|4, "nodes": 2|} (),
+        Error ".nodes: duplicate key" );
+      ( "a wrongly typed optional object",
+        dump_text ~object_:(Some {|"0x40"|}) (),
+        Error ".object: expected an integer" );
       ( "an event that is not an object",
         {|{"schema":"drust-flight/v1","label":"l","reason":"r","nodes":2,
-           "ring":4,"time":0.001,"object":null,"slice":[],"events":[7]}|} );
+           "ring":4,"time":0.001,"object":null,"slice":[],"events":[7]}|},
+        Error ".events[0]: expected an object" );
+      (* a time the writer could not write back fails closed *)
+      ( "an event time that overflows to infinity",
+        dump_text ~t:"1e999" (),
+        Error ".events[0].t: number out of range" );
     ]
 
 (* ------------------------------------------------------------------ *)

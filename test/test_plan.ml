@@ -15,15 +15,34 @@ module Tap = Drust_memory.Tap
 module P = Drust_core.Protocol
 module Dsan = Drust_check.Dsan
 
-(* Decode plan text the way [--plan] does: from a file, by
-   [Simplan.load]. *)
-let parse s =
+(* Decode [text] with [load] the way [--plan] does, from a file: [Ok]
+   or the error with its file prefix stripped (every error must carry
+   one). *)
+let load_text load text =
   let path = Filename.temp_file "plan" ".json" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Out_channel.with_open_bin path (fun oc -> output_string oc s);
-      Simplan.load ~path)
+      Out_channel.with_open_bin path (fun oc -> output_string oc text);
+      Result.map_error
+        (fun m ->
+          match Astring.String.cut ~sep:(path ^ ": ") m with
+          | Some ("", rest) -> rest
+          | _ -> Alcotest.failf "error %S does not name the file" m)
+        (load ~path))
+
+let parse = load_text Simplan.load
+
+(* Every row decodes to its pinned [Ok] summary or exact error text,
+   and none raises. *)
+let check_rows decode rows =
+  List.iter
+    (fun (what, text, want) ->
+      match decode text with
+      | got -> Alcotest.(check (result string string)) what want got
+      | exception e ->
+          Alcotest.failf "%s raised %s" what (Printexc.to_string e))
+    rows
 
 (* ------------------------------------------------------------------ *)
 (* Codec roundtrip: parse (print p) = p, over generated plans *)
@@ -210,33 +229,278 @@ let test_validate_rejects () =
             (String.concat "; " es))
     [ kv; ycsb ]
 
+(* A plan envelope around [specs], each [(key, spec)]. *)
+let envelope ?(name = {|"x"|}) specs =
+  Printf.sprintf
+    {|{ "schema": "drust-simplan/v1", "name": %s, "expect": "drust-bench-summary/v3"%s }|}
+    name
+    (String.concat "" (List.map (fun (k, v) -> Printf.sprintf ", %S: %s" k v) specs))
+
+(* A well-formed sim spec with one field replaceable. *)
+let sim_spec ?(nodes = "2") ?(ghz = "2.6") ?(system = "drust")
+    ?(workload =
+      {|{ "kind": "app", "app": "gemm", "affinity": false, "pass_by_value": false }|})
+    ?(events = "") () =
+  Printf.sprintf
+    {|{ "topology": { "nodes": %s, "cores_per_node": 4, "mem_per_node": 67108864, "ghz": %s, "seed": 1 },
+        "system": %S, "workload": %s,
+        "faults": { "fault_seed": 3, "events": [%s] } }|}
+    nodes ghz system workload events
+
+let suite_spec = {|{ "experiments": ["fig5"], "seed": 1 }|}
+
+(* [text] with the number that follows ["key": ] replaced by [v]. *)
+let with_number key v text =
+  let tag = Printf.sprintf "%S: " key in
+  let i = Option.get (Astring.String.find_sub ~sub:tag text) + String.length tag in
+  let j = ref i in
+  while String.contains "0123456789-+.eE" text.[!j] do incr j done;
+  String.sub text 0 i ^ v ^ String.sub text !j (String.length text - !j)
+
 let test_parse_errors () =
-  let is_error what s =
-    match parse s with
-    | Error _ -> ()
-    | Ok _ -> Alcotest.failf "parse accepted %s" what
-    | exception e ->
-        Alcotest.failf "parse raised %s on %s" (Printexc.to_string e) what
-  in
   let suite fields =
-    Printf.sprintf
-      {|{ "schema": "drust-simplan/v1", "name": "x", "expect": "drust-bench-summary/v3", "suite": { "experiments": ["table1"], %s "seed": 1 } }|}
-      fields
+    envelope
+      [ ("suite", Printf.sprintf {|{ "experiments": ["table1"], %s "seed": 1 }|} fields) ]
   in
-  (match parse (suite {|"churn_nodes": 16,|}) with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "well-formed suite plan rejected: %s" e);
-  is_error "truncated JSON" "{";
-  is_error "an empty object" "{}";
-  is_error "a foreign schema tag"
-    {|{ "schema": "something/v9", "name": "x", "expect": "drust-bench-summary/v3", "suite": { "experiments": ["fig5"], "seed": 1 } }|};
-  is_error "a plan with both sim and suite"
-    {|{ "schema": "drust-simplan/v1", "name": "x", "expect": "drust-bench-summary/v3", "suite": { "experiments": ["fig5"], "seed": 1 }, "sim": {} }|};
-  is_error "an unknown (misspelled optional) key" (suite {|"churn_node": 16,|});
-  is_error "a duplicate key" (suite {|"seed": 2,|});
-  is_error "a wrongly typed optional field" (suite {|"node_counts": "2,4",|});
-  is_error "a non-object spec"
-    {|{ "schema": "drust-simplan/v1", "name": "x", "expect": "drust-bench-summary/v3", "suite": ["fig5"] }|}
+  let sim ?name ?nodes ?ghz ?system ?workload ?events () =
+    envelope ?name [ ("sim", sim_spec ?nodes ?ghz ?system ?workload ?events ()) ]
+  in
+  let failover = List.hd (Fuzz.plans ~seed:11 ~count:1 ~max_nodes:8) in
+  Alcotest.(check string) "the corpus's first plan" "fuzz-s11-p000"
+    failover.Simplan.name;
+  let workload w = sim ~workload:w () in
+  let event e = sim ~events:e () in
+  check_rows
+    (fun text -> Result.map (fun p -> p.Simplan.name) (parse text))
+    [
+      ("a well-formed sim plan", sim (), Ok "x");
+      ("a well-formed suite plan", suite {|"churn_nodes": 16,|}, Ok "x");
+      ("truncated JSON", "{", Error {|expected '"' at byte 1|});
+      ("an empty object", "{}", Error ".schema: missing field");
+      ( "a foreign schema tag",
+        {|{ "schema": "something/v9", "name": "x", "expect": "drust-bench-summary/v3", "suite": { "experiments": ["fig5"], "seed": 1 } }|},
+        Error {|.schema: expected "drust-simplan/v1", got "something/v9"|} );
+      ( "a plan with both sim and suite",
+        envelope [ ("suite", suite_spec); ("sim", "{}") ],
+        Error ".sim.faults: missing field" );
+      ( "a plan with both a whole sim and a suite",
+        envelope [ ("suite", suite_spec); ("sim", sim_spec ()) ],
+        Error {|.: plan has both "sim" and "suite" specs|} );
+      ( "a plan with neither sim nor suite",
+        envelope [],
+        Error {|.: plan has neither "sim" nor "suite" spec|} );
+      ( "a plan whose only spec key is misspelled",
+        envelope [ ("sims", sim_spec ()) ],
+        Error ".sims: unknown key" );
+      ( "an unknown (misspelled optional) key",
+        suite {|"churn_node": 16,|},
+        Error ".suite.churn_node: unknown key" );
+      ("a duplicate key", suite {|"seed": 2,|}, Error ".suite.seed: duplicate key");
+      ( "a wrongly typed optional field",
+        suite {|"node_counts": "2,4",|},
+        Error ".suite.node_counts: expected an array" );
+      ( "a non-object spec",
+        envelope [ ("suite", {|["fig5"]|}) ],
+        Error ".suite: expected an object" );
+      ( "an unknown fault event kind",
+        event {|{ "kind": "meteor", "node": 1, "at": 0.001 }|},
+        Error {|.sim.faults.events[0]: unknown fault event kind "meteor"|} );
+      ( "a fault event without a kind",
+        event {|{ "node": 1, "at": 0.001 }|},
+        Error ".sim.faults.events[0].kind: missing field" );
+      ( "a crash event with a partition's key",
+        event {|{ "kind": "crash", "node": 1, "at": 0.001, "heal_at": 0.002 }|},
+        Error ".sim.faults.events[0].heal_at: unknown key" );
+      ( "an unknown workload kind",
+        workload {|{ "kind": "bogus" }|},
+        Error {|.sim.workload: unknown workload kind "bogus"|} );
+      ( "an unknown app",
+        workload {|{ "kind": "app", "app": "excel", "affinity": false, "pass_by_value": false }|},
+        Error {|.sim.workload.app: unknown app "excel"|} );
+      ( "an unknown YCSB mix",
+        workload {|{ "kind": "ycsb", "mix": "Z", "ops": 10 }|},
+        Error {|.sim.workload.mix: unknown YCSB mix "Z"|} );
+      ( "an overflowing op count",
+        workload {|{ "kind": "ycsb", "mix": "A (50/50 update)", "ops": 1e999 }|},
+        Error ".sim.workload.ops: expected an integer" );
+      ( "an unknown system",
+        sim ~system:"dsm" (),
+        Error {|.sim.system: unknown system "dsm"|} );
+      ( "a fractional node count",
+        sim ~nodes:"2.5" (),
+        Error ".sim.topology.nodes: expected an integer" );
+      (* Numbers the writer could not write back fail closed. *)
+      ( "a clock rate that overflows to infinity",
+        sim ~ghz:"1e999" (),
+        Error ".sim.topology.ghz: number out of range" );
+      ( "a failover duration that overflows to infinity",
+        with_number "duration" "1e999" (Simplan.print failover),
+        Error ".sim.workload.duration: number out of range" );
+      ("a four-digit unicode escape", sim ~name:{|"\u0041"|} (), Ok "A");
+      ( "a unicode escape with an underscore",
+        sim ~name:{|"\u0_41"|} (),
+        Error "bad unicode escape at byte 42" );
+    ]
+
+(* ------------------------------------------------------------------ *)
+(* Strictness sweep: every object key the three artifact encoders write
+   (one plan per workload kind, a suite plan, a flight dump and a bench
+   summary) is dropped, duplicated and retyped in turn, and each edit
+   must decode to its exact error — or, for an optional field or a map
+   entry, still decode — without raising. *)
+
+module Json = Drust_util.Json
+module Flight = Drust_obs.Flight
+module Report = Drust_experiments.Report
+
+(* Drust_util.Json's jq-style path of key [k] under [path]. *)
+let key_path path k =
+  let ident = function
+    | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> true
+    | _ -> false
+  in
+  if k <> "" && String.for_all ident k then
+    (if path = "." then "" else path) ^ "." ^ k
+  else Printf.sprintf "%s[%S]" path k
+
+(* What an edited artifact must decode to. *)
+type want = Decodes | Fails of string | Fails_at of string
+
+(* Dropping an optional field or a map entry still decodes; dropping a
+   plan's only spec breaks the one-spec rule. *)
+let dropped path k p =
+  let optional =
+    [ "node_counts"; "churn_nodes"; "object"; "latency_us"; "host_ms";
+      "host_events_per_sec" ]
+  in
+  if List.mem k optional || path = ".entries"
+     || Filename.check_suffix path ".latency_us"
+  then Decodes
+  else if path = "." && (k = "sim" || k = "suite") then
+    Fails {|.: plan has neither "sim" nor "suite" spec|}
+  else Fails (p ^ ": missing field")
+
+(* Each single edit of tree [j]: its name, the edited tree, and what it
+   must decode to.  [rebuild] puts an edited [j] back into the whole. *)
+let rec edits path j rebuild =
+  let nth i x xs = List.mapi (fun i' y -> if i' = i then x else y) xs in
+  match j with
+  | Json.Obj kvs ->
+      List.concat
+        (List.mapi
+           (fun i (k, v) ->
+             let p = key_path path k in
+             let put x = rebuild (Json.Obj (nth i (k, x) kvs)) in
+             let wrong =
+               match v with Json.Str _ -> Json.Num 1.0 | _ -> Json.Str "x"
+             in
+             let without = List.filteri (fun i' _ -> i' <> i) kvs in
+             let twice =
+               List.concat_map
+                 (fun kv -> if fst kv = k then [ kv; kv ] else [ kv ])
+                 kvs
+             in
+             [
+               ("drop " ^ p, rebuild (Json.Obj without), dropped path k p);
+               ( "duplicate " ^ p,
+                 rebuild (Json.Obj twice),
+                 Fails (p ^ ": duplicate key") );
+               ("retype " ^ p, put wrong, Fails_at p);
+             ]
+             @ edits p v put)
+           kvs)
+  | Json.Arr xs ->
+      List.concat
+        (List.mapi
+           (fun i x ->
+             edits (Printf.sprintf "%s[%d]" path i) x (fun x' ->
+                 rebuild (Json.Arr (nth i x' xs))))
+           xs)
+  | _ -> []
+
+(* Sweep the tree saved at [path] through [load]; the number of edits. *)
+let sweep load path =
+  let all = edits "." (Json.load ~path) Fun.id in
+  List.iter
+    (fun (what, j, want) ->
+      Json.save ~path j;
+      let in_file m = path ^ ": " ^ m in
+      match (load ~path, want) with
+      | Ok _, Decodes -> ()
+      | Error m, Fails e when m = in_file e -> ()
+      | Error m, Fails_at p
+        when String.starts_with ~prefix:(in_file p ^ ": ") m ->
+          ()
+      | Ok _, _ -> Alcotest.failf "%s: accepted" what
+      | Error m, _ -> Alcotest.failf "%s: %S" what m
+      | exception e -> Alcotest.failf "%s raised %s" what (Printexc.to_string e))
+    all;
+  List.length all
+
+let test_strictness_sweep () =
+  let tmp = Filename.temp_file "sweep" ".d" in
+  Sys.remove tmp;
+  Unix.mkdir tmp 0o700;
+  let file = Filename.concat tmp "artifact.json" in
+  Fun.protect
+    ~finally:(fun () ->
+      Flight.set_dump_dir None;
+      Report.set_host_time_recording false;
+      Array.iter (fun f -> Sys.remove (Filename.concat tmp f)) (Sys.readdir tmp);
+      Unix.rmdir tmp)
+  @@ fun () ->
+  (* Decoding does not validate, so any fault event can ride any plan. *)
+  let params = { Params.default with Params.nodes = 4 } in
+  let crash = Simplan.Crash { node = 1; at = 1e-3 } in
+  let partition = Simplan.Partition { group = [ 2 ]; at = 1e-3; heal_at = 2e-3 } in
+  let degrade =
+    Simplan.Degrade
+      { from_node = 0; target = 1; drop = 0.5; extra_latency = 1e-5; jitter = 0.0 }
+  in
+  let plans =
+    [
+      with_events [ crash; partition; degrade ]
+        (Simplan.app_plan ~params Simplan.Kvstore_app Simplan.Drust);
+      Simplan.ycsb_plan ~params ~mix:Drust_workloads.Ycsb.B ~ops:10 Simplan.Gam;
+      Simplan.failover_plan ~seed:7 ();
+      Simplan.churn_plan ~seed:9 ~nodes:16 ();
+      Simplan.suite_plan ~name:"all" ~node_counts:[ 1; 2 ] ~churn_nodes:16
+        [ "fig5" ];
+    ]
+  in
+  let edits_plans =
+    List.fold_left
+      (fun n p ->
+        Simplan.save ~path:file p;
+        n + sweep Simplan.load file)
+      0 plans
+  in
+  Flight.set_dump_dir (Some tmp);
+  let t = Flight.create ~cap:4 ~nodes:2 () in
+  Flight.set_label t "sweep";
+  Flight.record t ~node:0 ~time:1e-6 ~kind:Flight.k_create ~a:64 ~b:0 ~c:0 ~d:8;
+  Flight.record t ~node:1 ~time:2e-6 ~kind:Flight.k_read_fetch ~a:64 ~b:0 ~c:0 ~d:0;
+  ignore (Flight.auto_dump t ~reason:"sweep" ~object_:64 ~now:3e-6 ());
+  let edits_dump = sweep Flight.load (Filename.concat tmp "sweep.flight.json") in
+  Report.set_host_time_recording true;
+  let m = Drust_obs.Metrics.create () in
+  let h = Drust_obs.Metrics.histogram m ~unit_:"s" "sweep.lat" in
+  Drust_obs.Metrics.observe h 1e-6;
+  let latency =
+    match Drust_obs.Metrics.find (Drust_obs.Metrics.snapshot m) "sweep.lat" with
+    | Some (Drust_obs.Metrics.Histo hs) -> hs
+    | _ -> Alcotest.fail "sweep histogram missing"
+  in
+  Report.record_rate ~latency ~host_ms:2.0 ~host_rate:3.0
+    ~experiment:"sweep/kv/drust/4n" ~ops:10.0 ~elapsed:1.0 ();
+  Report.write_bench_summary ~path:file;
+  let edits_summary = sweep Report.read_bench_summary file in
+  (* every key of every artifact was edited, three ways *)
+  Alcotest.(check bool)
+    (Printf.sprintf "%d plan, %d dump and %d summary edits" edits_plans
+       edits_dump edits_summary)
+    true
+    (edits_plans > 300 && edits_dump > 30 && edits_summary > 20)
 
 (* ------------------------------------------------------------------ *)
 (* Replay equivalence: executing the plan artifact reproduces the
@@ -507,6 +771,8 @@ let () =
           Alcotest.test_case "field_names sorted and complete" `Quick
             test_field_names_sorted;
           Alcotest.test_case "parse errors" `Quick test_parse_errors;
+          Alcotest.test_case "strictness sweep over every written key" `Quick
+            test_strictness_sweep;
         ] );
       ( "validate",
         [ Alcotest.test_case "rejections" `Quick test_validate_rejects ] );

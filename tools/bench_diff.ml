@@ -5,7 +5,7 @@
      bench_diff.exe BASELINE CURRENT [--tolerance F] [--tolerance-host F]
                     [--write-baseline]
 
-   Both files are read through the strict JSON readers: another schema,
+   Both files are read through the strict summary codec: another schema,
    an unknown or duplicate key, or a wrongly typed field (a string where
    host_ms or a percentile belongs) prints "bench_diff: <file>: <path>:
    <problem>" and exits 2 before anything is compared.

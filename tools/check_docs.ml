@@ -23,19 +23,23 @@
       ([Dlint.pass_names]) agree in both directions: every registered
       pass is catalogued, and every pass id the catalogue's table names
       is registered;
-   8. the SimPlan schema table in docs/SIMPLAN.md and the codec
-      ([Simplan.field_names]) agree in both directions, and the doc
-      names the plan envelope's schema tag ([Simplan.plan_schema]);
-   9. the flight-dump schema tables in docs/FORENSICS.md and the codec
+   8. the SimPlan schema table in docs/SIMPLAN.md and the field names
+      derived from the plan codec's declaration ([Simplan.field_names])
+      agree in both directions, and the doc names the plan envelope's
+      schema tag ([Simplan.plan_schema]);
+   9. the flight-dump schema tables in docs/FORENSICS.md and the field
+      names derived from the dump codec's declaration
       ([Flight.field_names]) agree in both directions, and the doc
       names the dump schema tag ([Flight.schema]);
   10. every key module the docs/ARCHITECTURE.md layer map lists for a
       library row resolves to a .ml under that row's library path(s),
       so a deleted module cannot stay listed;
   11. every entry-name prefix of the committed summary
-      bench/BENCH_baseline.json has a row in docs/BENCHMARKS.md's
-      key-conventions table, and every key its entries carry (at any
-      depth) is named, backticked, in that file;
+      bench/BENCH_baseline.json (read through the summary codec, so it
+      must decode) has a row in docs/BENCHMARKS.md's
+      key-conventions table, and every key the summary codec declares
+      ([Report.summary_keys], which covers every key the baseline can
+      carry) is named, backticked, in that file;
   12. every optional parameter a lib/ .mli declares ([?label:]) is
       passed, as [~label] or [?label], by some application in a .ml of
       lib/, bench/, bin/, perfbench/, examples/ or tools/ (this checker
@@ -306,21 +310,18 @@ let check_layer_map () =
       end)
     (String.split_on_char '\n' (read_file doc))
 
-(* --- 11: the baseline summary's entry names and keys ---------------- *)
+(* --- 11: the baseline's entry names, the summary's keys ------------- *)
 
 let check_baseline_documented () =
+  let module Report = Drust_experiments.Report in
   let doc = "docs/BENCHMARKS.md" and baseline = "bench/BENCH_baseline.json" in
-  let module Json = Drust_util.Json in
   let names = mentions (read_file doc) in
-  let rec keys = function
-    | Json.Obj fields ->
-        List.concat_map (fun (k, v) -> k :: keys v) fields
-    | _ -> []
-  in
   let entries =
-    match Json.member "entries" (Json.load ~path:baseline) with
-    | Some (Json.Obj entries) -> entries
-    | _ -> []
+    match Report.read_bench_summary ~path:baseline with
+    | Ok s -> s.Report.sm_entries
+    | Error e ->
+        err "%s" e;
+        []
   in
   let prefix name =
     match String.index_opt name '/' with
@@ -336,10 +337,8 @@ let check_baseline_documented () =
   List.iter
     (fun k ->
       if not (names (Printf.sprintf "`%s`" k)) then
-        err "%s never names the key `%s` that %s's entries carry" doc k
-          baseline)
-    (List.sort_uniq String.compare
-       (List.concat_map (fun (_, e) -> keys e) entries))
+        err "%s never names the summary key `%s` (Report.summary_keys)" doc k)
+    Report.summary_keys
 
 (* --- 12, 13: every declared optional parameter and value is used ----- *)
 
